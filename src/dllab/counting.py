@@ -20,7 +20,11 @@ import numpy as np
 
 from .charlib import AddChar
 from .cyclo import CycloNum, RootCounter, cyclo_from_counts
-from .errors import IdentityFailsError, SizeLimitExceededError
+from .errors import (
+    IdentityFailsError,
+    SizeLimitExceededError,
+    UnsupportedParametersError,
+)
 from .ffield import Field, field, splitting_params
 from .matmodel import in_Xh, star_action
 from .repkit import assert_nonneg_integer
@@ -117,6 +121,8 @@ class VecOps:
         return inst
 
     def _init(self, F: Field):
+        if F._exp is None:
+            raise UnsupportedParametersError(f"{F} has no exp/log tables to vectorise")
         self.F = F
         Q = F.order
         idx = np.arange(Q, dtype=np.int64)
@@ -126,13 +132,8 @@ class VecOps:
             t //= F.p
         self.digits = np.stack(digs)  # (k, Q)
         self.powers = np.array([F.p**i for i in range(F.k)], dtype=np.int64)
-        self.log = np.zeros(Q, dtype=np.int64)
-        self.exp = np.zeros(Q - 1, dtype=np.int64)
-        a = 1
-        for i in range(Q - 1):
-            self.exp[i] = a
-            self.log[a] = i
-            a = F.mul(a, F.gen)
+        self.log = np.array(F._log, dtype=np.int64)
+        self.exp = np.array(F._exp, dtype=np.int64)
 
     def add(self, x, y):
         d = (self.digits[:, x] + self.digits[:, y]) % self.F.p
@@ -150,9 +151,7 @@ class VecOps:
 
     def frob(self, qpow: int):
         """Permutation array a -> a^qpow."""
-        return np.array(
-            [self.F.frob(a, qpow) for a in range(self.F.order)], dtype=np.int64
-        )
+        return self.F.frob_table(qpow)
 
     def unary(self, fn):
         return np.array([fn(a) for a in range(self.F.order)], dtype=np.int64)

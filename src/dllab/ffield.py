@@ -16,11 +16,12 @@ commute with each other across the tower.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotInSubfieldError, UnsupportedParametersError
+from .errors import DLLabError, NotInSubfieldError, UnsupportedParametersError
 
 # (p, k) -> coefficients of a monic primitive polynomial, low degree first,
 # including the leading 1.  Norm-compatible within each characteristic.
@@ -64,16 +65,36 @@ PRIMITIVE_POLYS = {
     # and an incompatible one would silently break the subfield embeddings
 }
 
-# Largest field for which dense add/mul numpy tables are cached.
-TABLE_ORDER_LIMIT = 1024
-# Largest field for which exp/log tables are built for O(1) multiplication.
+# Largest field for which exp/log, Zech and Frobenius lookup lists are built.
 EXPLOG_ORDER_LIMIT = 1 << 16
+
+
+class _PowMap:
+    """Indexable a -> a^e, computed on access; the Frobenius map of a field
+    too large for lookup lists."""
+
+    __slots__ = ("_pow", "_e")
+
+    def __init__(self, pow_fn, e: int):
+        self._pow, self._e = pow_fn, e
+
+    def __getitem__(self, a: int) -> int:
+        return self._pow(a, self._e)
 
 
 class Field:
     """The finite field F_{p^k} with a fixed primitive polynomial.
 
     All element-level operations take and return integer indices.
+
+    A field of order <= EXPLOG_ORDER_LIMIT is table-driven.  Construction
+    builds exp/log lists for the generator g and installs ``add``, ``sub``,
+    ``neg``, ``mul`` and ``inv`` as instance attributes, which shadow the
+    methods of the same names.  In characteristic 2 addition is XOR of the
+    indices.  For odd p it uses Zech logarithms Z(d) = log(1 + g^d), since
+    g^i + g^j = g^(i + Z(j - i)) (Lidl-Niederreiter, *Finite Fields*).
+    Larger fields use the digit-loop and polynomial methods below, which
+    the tests also use as the oracle for the tables.
     """
 
     def __init__(self, p: int, k: int):
@@ -92,13 +113,12 @@ class Field:
         self._xpow = self._build_xpow()
         self._exp = None
         self._log = None
-        self._add_tab = None
-        self._mul_tab = None
+        self._frob_maps: dict[int, list[int] | _PowMap] = {}
         self._embed_tabs: dict[int, np.ndarray] = {}
         self._retract_maps: dict[int, dict[int, int]] = {}
-        self._frob_tabs: dict[int, np.ndarray] = {}
         if self.order <= EXPLOG_ORDER_LIMIT:
             self._build_explog()
+            self._install_table_ops()
 
     def __repr__(self):
         return f"F_{self.p}^{self.k}" if self.k > 1 else f"F_{self.p}"
@@ -122,9 +142,9 @@ class Field:
     def elements(self):
         return range(self.order)
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: digit loops and polynomial products -------------------
 
-    def add(self, a: int, b: int) -> int:
+    def _add_digits(self, a: int, b: int) -> int:
         p, r = self.p, 0
         mul = 1
         while a or b:
@@ -134,7 +154,7 @@ class Field:
             mul *= p
         return r
 
-    def neg(self, a: int) -> int:
+    def _neg_digits(self, a: int) -> int:
         p, r = self.p, 0
         mul = 1
         while a:
@@ -143,8 +163,8 @@ class Field:
             mul *= p
         return r
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def _sub_digits(self, a: int, b: int) -> int:
+        return self._add_digits(a, self._neg_digits(b))
 
     def _mul_poly(self, a: int, b: int) -> int:
         p, k = self.p, self.k
@@ -163,22 +183,12 @@ class Field:
                     out[j] = (out[j] + c * red[j]) % p
         return self.from_coeffs(out)
 
-    def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return self._mul_poly(a, b)
+    add, neg, sub, mul = _add_digits, _neg_digits, _sub_digits, _mul_poly
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return self._exp[(-self._log[a]) % (self.order - 1)]
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -198,25 +208,43 @@ class Field:
             e >>= 1
         return r
 
+    # -- Frobenius ----------------------------------------------------------
+
+    def frob_exp(self, q: int, i: int) -> int:
+        """An exponent e with a^e == a^(q^i) for every a: q^i reduced mod
+        order - 1 (1 in F_2, where every power is the identity)."""
+        return pow(q, i, self.order - 1) if self.order > 2 else 1
+
+    def frob_map(self, q: int):
+        """a -> a^q for q a power of p, as something indexable by a: a cached
+        list, or a _PowMap above EXPLOG_ORDER_LIMIT.  Hoist it out of loops."""
+        tab = self._frob_maps.get(q)
+        if tab is None:
+            if self._exp is None:
+                tab = _PowMap(self.pow, q)
+            else:
+                n = self.order - 1
+                e = q % n
+                tab = self._frob_maps.get(e)
+                if tab is None:
+                    exp = self._exp
+                    tab = [0] + [exp[lg * e % n] for lg in self._log[1:]]
+                    self._frob_maps[e] = tab
+            self._frob_maps[q] = tab
+        return tab
+
     def frob(self, a: int, q: int) -> int:
         """a^q for q a power of p (any positive power works)."""
-        tab = self.frob_table(q)
-        if tab is not None:
-            return int(tab[a])
-        return self.pow(a, q)
+        tab = self._frob_maps.get(q)
+        if tab is None:
+            tab = self.frob_map(q)
+        return tab[a]
 
     def frob_table(self, q: int):
-        """Index array a -> a^q, cached, or None for very large fields."""
-        if self.order > EXPLOG_ORDER_LIMIT:
+        """Index array a -> a^q, or None above EXPLOG_ORDER_LIMIT."""
+        if self._exp is None:
             return None
-        q %= max(self.order - 1, 1)
-        tab = self._frob_tabs.get(q)
-        if tab is None:
-            tab = np.array(
-                [0] + [self.pow(a, q) for a in range(1, self.order)], dtype=np.int64
-            )
-            self._frob_tabs[q] = tab
-        return tab
+        return np.array(self.frob_map(q), dtype=np.int64)
 
     # -- tables -----------------------------------------------------------
 
@@ -244,35 +272,72 @@ class Field:
             exp[i] = a
             log[a] = i
             a = self._mul_poly(a, self.gen)
-        assert a == 1, "generator is not primitive"
+        if a != 1 or len(set(exp)) != n:
+            raise DLLabError(f"generator {self.gen} of {self} is not primitive")
         self._exp = exp
         self._log = log
 
-    def add_table(self) -> np.ndarray:
-        if self._add_tab is None:
-            if self.order > TABLE_ORDER_LIMIT:
-                raise UnsupportedParametersError(f"add table too large for {self}")
-            t = np.zeros((self.order, self.order), dtype=np.int64)
-            for a in range(self.order):
-                for b in range(a, self.order):
-                    v = self.add(a, b)
-                    t[a, b] = v
-                    t[b, a] = v
-            self._add_tab = t
-        return self._add_tab
+    def _install_table_ops(self):
+        """Shadow add/sub/neg/mul/inv with closures over the lookup lists."""
+        n = self.order - 1
+        exp, log = self._exp, self._log
+        # exp2[i + j] == g^(i + j) for 0 <= i, j < n, with no reduction mod n
+        exp2 = exp + exp
 
-    def mul_table(self) -> np.ndarray:
-        if self._mul_tab is None:
-            if self.order > TABLE_ORDER_LIMIT:
-                raise UnsupportedParametersError(f"mul table too large for {self}")
-            t = np.zeros((self.order, self.order), dtype=np.int64)
-            for a in range(1, self.order):
-                for b in range(a, self.order):
-                    v = self.mul(a, b)
-                    t[a, b] = v
-                    t[b, a] = v
-            self._mul_tab = t
-        return self._mul_tab
+        def mul(a, b):
+            return exp2[log[a] + log[b]] if a and b else 0
+
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError("inverse of zero")
+            return exp[-log[a]]  # index n - log a, or 0 for a == 1
+
+        self.mul, self.inv = mul, inv
+        if self.p == 2:
+            # digitwise addition mod 2 is XOR of the indices, and -a == a
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
+            return
+
+        zech = self._build_zech()
+        half = n // 2  # g^half == -1, checked by _build_zech
+        neg_tab = [0] + [exp2[lg + half] for lg in log[1:]]
+
+        # log[b] - la lies in (-n, n); a negative index reads zech[d + n],
+        # and g^d == g^(d + n).
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else exp2[la + z]
+
+        def sub(a, b):
+            if not b:
+                return a
+            b = neg_tab[b]
+            if not a:
+                return b
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else exp2[la + z]
+
+        self.add, self.sub, self.neg = add, sub, neg_tab.__getitem__
+
+    def _build_zech(self) -> list:
+        """zech[d] = log(1 + g^d), or None where 1 + g^d == 0 (odd p only)."""
+        n = self.order - 1
+        zech = [None] * n
+        for d, a in enumerate(self._exp):
+            s = self._add_digits(a, 1)
+            if s:
+                zech[d] = self._log[s]
+        # 1 + g^d vanishes only for g^d == -1, i.e. d == n/2 and nowhere else
+        if zech.count(None) != 1 or zech[n // 2] is not None:
+            raise DLLabError(f"Zech table of {self} is inconsistent: -1 != g^{n // 2}")
+        return zech
 
     # -- subfields ---------------------------------------------------------
 
@@ -338,6 +403,8 @@ def field(p: int, k: int) -> Field:
 
 def splitting_params(q: int) -> tuple[int, int]:
     """Decompose a prime power q = p^e; raises if q is not a prime power."""
+    if q < 2:
+        raise UnsupportedParametersError("q is not a prime power")
     for p in (2, 3, 5, 7, 11, 13):
         if q % p == 0:
             e = 0

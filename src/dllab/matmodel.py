@@ -157,7 +157,7 @@ def iota_prime(ring: TwistedRing, a):
     n, h, q = ring.n, ring.h, ring.q
     rows = []
     for i in range(n):
-        qi = pow(q, i, F.order - 1) if F.order > 2 else 1
+        qi = F.frob_exp(q, i)
         row = []
         for j in range(n):
             cs = [0] * h
@@ -190,7 +190,7 @@ def iota_prime_via_varpi(ring: TwistedRing, a):
             tuple(
                 tp_scalar(
                     F,
-                    F.frob(aj, pow(q, i, F.order - 1) if F.order > 2 else 1)
+                    F.frob(aj, F.frob_exp(q, i))
                     if i == jj
                     else 0,
                     h,
@@ -297,7 +297,7 @@ def star_action(ring: TwistedRing, gamma, x):
     M = iota_prime(ring, x)
     rows = []
     for i in range(n):
-        qi = pow(q, i, F.order - 1) if F.order > 2 else 1
+        qi = F.frob_exp(q, i)
         gi = tp_frob(F, gamma, qi)
         rows.append(tuple(tp_mul(F, gi, M[i][j]) for j in range(n)))
     out = recover_from_matrix(ring, normalize_shape(F, tuple(rows)))
@@ -328,7 +328,7 @@ def nm_gnq(n: int, q: int, F: Field, a, k: int = 1) -> int:
             tuple(
                 (0,) * deg
                 + (
-                    F.frob(aj, pow(q, i, F.order - 1) if F.order > 2 else 1)
+                    F.frob(aj, F.frob_exp(q, i))
                     if i == jj
                     else 0,
                 )

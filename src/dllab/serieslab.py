@@ -313,7 +313,7 @@ def xtilde_matrix(F: Field, q: int, n: int, a_coeffs):
     assert len(a_coeffs) == n
 
     def phi_pow(s: LaurentSeries, k: int) -> LaurentSeries:
-        e = pow(q, k, s.F.order - 1) if s.F.order > 2 else 1
+        e = s.F.frob_exp(q, k)
         return s.map_coeffs(lambda c: s.F.frob(c, e))
 
     out = [[None] * n for _ in range(n)]

@@ -20,6 +20,7 @@ over i + j = n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnsupportedParametersError
 from .ffield import Field, field, splitting_params
@@ -43,55 +44,64 @@ class TwistedRing:
                 "coefficient field must contain F_{q^n}"
             )
 
-    @property
+    @cached_property
     def length(self) -> int:
         return self.n * (self.h - 1) + 1
 
-    @property
+    @cached_property
     def zero(self):
         return (0,) * self.length
 
-    @property
+    @cached_property
     def one(self):
         return (1,) + (0,) * (self.length - 1)
 
+    @cached_property
+    def _frob_maps(self):
+        """Per coefficient index i, the map a -> a^(q^i) on the coefficient field."""
+        F = self.coeff_field
+        return [F.frob_map(F.frob_exp(self.q, i)) for i in range(self.length)]
+
     def mul(self, a, b):
         F = self.coeff_field
+        add, mul = F.add, F.mul
+        frobs = self._frob_maps
         L = self.length
         out = [0] * L
         for i, ai in enumerate(a):
             if ai:
-                qi = pow(self.q, i, F.order - 1) if F.order > 2 else 1
+                fr = frobs[i]
                 for j in range(L - i):
                     bj = b[j]
                     if bj:
-                        out[i + j] = F.add(out[i + j], F.mul(ai, F.frob(bj, qi)))
+                        out[i + j] = add(out[i + j], mul(ai, fr[bj]))
         return tuple(out)
 
     def inv(self, a):
         if a[0] == 0:
             raise ZeroDivisionError("not a unit")
         F = self.coeff_field
+        add, mul, neg = F.add, F.mul, F.neg
+        L = self.length
         c = F.inv(a[0])
         # a = a0 * w with w unipotent; scalars multiply coefficientwise from the left
-        w = tuple(F.mul(c, x) for x in a)
-        m = (0,) + w[1:]  # w = 1 + m, m nilpotent
+        w = [mul(c, x) for x in a]
+        neg_m = tuple([0] + [neg(x) for x in w[1:]])  # w = 1 + m, m nilpotent
         inv_w = self.one
         term = self.one
-        neg_m = tuple(F.neg(x) for x in m)
-        for _ in range(self.length - 1):
+        for _ in range(L - 1):
             term = self.mul(term, neg_m)
-            if all(x == 0 for x in term):
+            if not any(term):
                 break
-            inv_w = tuple(F.add(u, v) for u, v in zip(inv_w, term))
+            inv_w = tuple([add(u, v) for u, v in zip(inv_w, term)])
         # a^(-1) = w^(-1) * a0^(-1); right multiplication by a constant twists
-        return self.mul(inv_w, (c,) + (0,) * (self.length - 1))
+        return self.mul(inv_w, (c,) + (0,) * (L - 1))
 
     def frobenius(self, a, s: int):
         """Coefficientwise q^s power."""
         F = self.coeff_field
-        qs = pow(self.q, s, F.order - 1) if F.order > 2 else 1
-        return tuple(F.frob(x, qs) for x in a)
+        fr = F.frob_map(F.frob_exp(self.q, s))
+        return tuple([fr[x] for x in a])
 
     def lang(self, g, s: int):
         """F_{q^s}(g) * g^(-1)."""
@@ -104,13 +114,12 @@ class TwistedRing:
     def scalar_conj(self, c: int, x):
         """Conjugation by the constant c in A^x: coefficient j scales by c^(1-q^j)."""
         F = self.coeff_field
+        mul, inv = F.mul, F.inv
+        frobs = self._frob_maps
         out = [x[0]]
         for j in range(1, self.length):
-            if x[j]:
-                factor = F.mul(c, F.inv(F.frob(c, pow(self.q, j, F.order - 1) if F.order > 2 else 1)))
-                out.append(F.mul(factor, x[j]))
-            else:
-                out.append(0)
+            xj = x[j]
+            out.append(mul(mul(c, inv(frobs[j][c])), xj) if xj else 0)
         return tuple(out)
 
 
@@ -190,32 +199,34 @@ def nu_m(ring: TwistedRing, g, m: int, target_ring: TwistedRing):
 
 
 def gnq_mul(field_a: Field, n: int, q: int, a, b):
-    out = [field_a.add(x, y) for x, y in zip(a, b)]
+    add, mul = field_a.add, field_a.mul
+    out = [add(x, y) for x, y in zip(a, b)]
     top = out[n - 1]
     for i in range(1, n):
-        j = n - i
-        if a[i - 1] and b[j - 1]:
-            qi = pow(q, i, field_a.order - 1) if field_a.order > 2 else 1
-            top = field_a.add(top, field_a.mul(a[i - 1], field_a.frob(b[j - 1], qi)))
+        ai, bj = a[i - 1], b[n - i - 1]
+        if ai and bj:
+            fr = field_a.frob_map(field_a.frob_exp(q, i))
+            top = add(top, mul(ai, fr[bj]))
     out[n - 1] = top
     return tuple(out)
 
 
 def gnq_inv(field_a: Field, n: int, q: int, a):
+    add, mul = field_a.add, field_a.mul
     neg = [field_a.neg(x) for x in a]
     top = neg[n - 1]
     for i in range(1, n):
-        j = n - i
-        if a[i - 1] and a[j - 1]:
-            qi = pow(q, i, field_a.order - 1) if field_a.order > 2 else 1
-            top = field_a.add(top, field_a.mul(a[i - 1], field_a.frob(a[j - 1], qi)))
+        ai, aj = a[i - 1], a[n - i - 1]
+        if ai and aj:
+            fr = field_a.frob_map(field_a.frob_exp(q, i))
+            top = add(top, mul(ai, fr[aj]))
     neg[n - 1] = top
     return tuple(neg)
 
 
 def gnq_frobenius(field_a: Field, q: int, a, s: int):
-    qs = pow(q, s, field_a.order - 1) if field_a.order > 2 else 1
-    return tuple(field_a.frob(x, qs) for x in a)
+    fr = field_a.frob_map(field_a.frob_exp(q, s))
+    return tuple([fr[x] for x in a])
 
 
 def h_prime_m_pattern(n: int, m: int) -> list[int]:

@@ -12,8 +12,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dllab.errors import NotInSubfieldError
-from dllab.ffield import PRIMITIVE_POLYS, field, splitting_params
+from dllab.errors import DLLabError, NotInSubfieldError, UnsupportedParametersError
+from dllab.ffield import (
+    EXPLOG_ORDER_LIMIT,
+    PRIMITIVE_POLYS,
+    Field,
+    field,
+    splitting_params,
+)
+
+# every field the benchmark workloads build
+WORKLOAD_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 6), (3, 6)]
+TABLE_FIELDS = sorted(pk for pk in PRIMITIVE_POLYS if pk[0] ** pk[1] <= EXPLOG_ORDER_LIMIT)
+
+
+def _frob_oracle(F, a, i):
+    """a^(p^i) by i repeated p-th powers through the polynomial product."""
+    for _ in range(i):
+        x = a
+        for _ in range(F.p - 1):
+            x = F._mul_poly(x, a)
+        a = x
+    return a
 
 
 def test_f4_frobenius_trace_norm_oracle():
@@ -148,6 +168,60 @@ def test_splitting_params():
     assert splitting_params(8) == (2, 3)
     assert splitting_params(9) == (3, 2)
     assert splitting_params(5) == (5, 1)
+
+
+@pytest.mark.parametrize("q", [0, 1, -4, 6])
+def test_splitting_params_rejects_non_prime_powers(q):
+    with pytest.raises(UnsupportedParametersError):
+        splitting_params(q)
+
+
+@pytest.mark.parametrize("p,k", WORKLOAD_FIELDS)
+def test_table_ops_match_digit_oracle_exhaustive(p, k):
+    F = field(p, k)
+    els = range(F.order)
+    for a in els:
+        assert F.neg(a) == F._neg_digits(a)
+        for b in els:
+            assert F.add(a, b) == F._add_digits(a, b)
+            assert F.sub(a, b) == F._sub_digits(a, b)
+    for i in range(k + 1):
+        got = [F.frob(a, p**i) for a in els]
+        assert got == [F.pow(a, p**i) for a in els]
+        assert got == [_frob_oracle(F, a, i) for a in els]
+
+
+@given(st.sampled_from(TABLE_FIELDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_ops_match_digit_oracle_sampled(pk, data):
+    p, k = pk
+    F = field(p, k)
+    a = data.draw(st.integers(0, F.order - 1))
+    b = data.draw(st.integers(0, F.order - 1))
+    i = data.draw(st.integers(0, 2 * k))
+    assert F.add(a, b) == F._add_digits(a, b)
+    assert F.sub(a, b) == F._sub_digits(a, b)
+    assert F.neg(a) == F._neg_digits(a)
+    assert F.mul(a, b) == F._mul_poly(a, b)
+    if b:
+        assert F._mul_poly(F.inv(b), b) == 1
+    assert F.frob(a, p**i) == F.pow(a, p**i) == _frob_oracle(F, a, i)
+    assert F.frob(a, F.frob_exp(p, i)) == F.frob(a, p**i)
+
+
+def test_large_field_keeps_digit_path():
+    F = field(3, 12)
+    assert F.order > EXPLOG_ORDER_LIMIT
+    a, b = 5, 7 + 3**11
+    assert F.add(a, b) == F._add_digits(a, b)
+    assert F.frob(a, 3) == F.frob_map(3)[a] == F.pow(a, 3)
+
+
+def test_non_primitive_generator_is_a_typed_error(monkeypatch):
+    # x^4 + x^3 + x^2 + x + 1 is irreducible over F_2 but x has order 5
+    monkeypatch.setitem(PRIMITIVE_POLYS, (2, 4), (1, 1, 1, 1, 1))
+    with pytest.raises(DLLabError, match="not primitive"):
+        Field(2, 4)
 
 
 @given(st.integers(0, 3**4 - 1), st.integers(0, 3**4 - 1), st.integers(0, 3**4 - 1))

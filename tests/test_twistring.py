@@ -59,6 +59,27 @@ def test_associativity_sampled(n, q, h, p, k):
         assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))
 
 
+@given(
+    st.sampled_from([(2, 2, 2, 2, 2), (2, 3, 3, 3, 2), (3, 2, 2, 2, 6), (2, 3, 2, 3, 4)]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_seed_formula(params, data):
+    # sum_{i+j=k} a_i * b_j^(q^i), through the digit-loop add and the
+    # polynomial product of the field
+    n, q, h, p, k = params
+    F = field(p, k)
+    R = twisted_ring(n, q, h, F)
+    elems = st.lists(st.integers(0, F.order - 1), min_size=R.length, max_size=R.length)
+    a, b = data.draw(elems), data.draw(elems)
+    want = [0] * R.length
+    for i in range(R.length):
+        for j in range(R.length - i):
+            term = F._mul_poly(a[i], F.pow(b[j], q**i))
+            want[i + j] = F._add_digits(want[i + j], term)
+    assert R.mul(tuple(a), tuple(b)) == tuple(want)
+
+
 def test_inverse_exhaustive_small():
     R = twisted_ring(2, 2, 2, field(2, 2))
     for g in enumerate_unipotent(R):
