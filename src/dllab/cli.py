@@ -45,7 +45,14 @@ from .constructions import (
 )
 from .errors import DLLabError, SizeLimitExceededError
 from .ffield import field, splitting_params
-from .matmodel import in_Xh, n2_norm, nm_gnq, y_h_image
+from .matmodel import (
+    in_Xh,
+    n2_norm,
+    nm_gnq,
+    point_mask,
+    unipotent_chunks,
+    y_h_image,
+)
 from .serieslab import (
     LaurentSeries,
     det_valuation,
@@ -552,6 +559,8 @@ SUITES = {
 
 
 def _xh_members(n: int, q: int, h: int, s: int, max_size: int):
+    """Check the parameters and the size bound, then return an iterator over
+    (L, N) batches of the points of X (h = 2) or X_h, in grid order."""
     p, e = splitting_params(q)
     E = field(p, e * n * s)
     ring = twisted_ring(n, q, h, E)
@@ -560,24 +569,18 @@ def _xh_members(n: int, q: int, h: int, s: int, max_size: int):
         raise SizeLimitExceededError(
             f"{E.order ** dim} candidate points exceed the bound {max_size}"
         )
-    for tail in itertools.product(range(E.order), repeat=dim):
-        g = (1,) + tail
-        if h == 2:
-            if ring.lang(g, n)[n] == 0:
-                yield g
-        else:
-            if in_Xh(ring, g):
-                yield g
+    return (g[:, point_mask(ring, g)] for g in unipotent_chunks(ring))
 
 
 def dump_points(args, out):
+    members = _xh_members(args.n, args.q, args.h, args.s, args.max_size)
     w = csv.writer(out)
     dim = args.n * (args.h - 1)
     w.writerow([f"a{i}" for i in range(1, dim + 1)])
     count = 0
-    for g in _xh_members(args.n, args.q, args.h, args.s, args.max_size):
-        w.writerow(g[1:])
-        count += 1
+    for g in members:
+        w.writerows(g[1:].T.tolist())
+        count += g.shape[1]
     _progress(f"[dump] {count} points")
 
 

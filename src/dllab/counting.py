@@ -20,13 +20,9 @@ import numpy as np
 
 from .charlib import AddChar
 from .cyclo import CycloNum, RootCounter, cyclo_from_counts
-from .errors import (
-    IdentityFailsError,
-    SizeLimitExceededError,
-    UnsupportedParametersError,
-)
+from .errors import IdentityFailsError, SizeLimitExceededError
 from .ffield import Field, field, splitting_params
-from .matmodel import in_Xh, star_action
+from .matmodel import in_Xh, point_mask, star_action, unipotent_chunks
 from .repkit import assert_nonneg_integer
 from .twistring import TwistedRing, twisted_ring
 
@@ -98,65 +94,6 @@ def exp_sum(
     return rc.value()
 
 
-# -- vectorized field arithmetic on index arrays -------------------------------
-
-
-class VecOps:
-    """numpy arithmetic on whole arrays of field-element indices.
-
-    Addition is carry-free base-p digit addition on the index encoding;
-    multiplication goes through exp/log tables built from the field's
-    primitive generator; Frobenius maps are permutation arrays.
-    """
-
-    _cache: dict = {}
-
-    def __new__(cls, F: Field):
-        key = (F.p, F.k)
-        inst = cls._cache.get(key)
-        if inst is None:
-            inst = super().__new__(cls)
-            inst._init(F)
-            cls._cache[key] = inst
-        return inst
-
-    def _init(self, F: Field):
-        if F._exp is None:
-            raise UnsupportedParametersError(f"{F} has no exp/log tables to vectorise")
-        self.F = F
-        Q = F.order
-        idx = np.arange(Q, dtype=np.int64)
-        digs, t = [], idx.copy()
-        for _ in range(F.k):
-            digs.append(t % F.p)
-            t //= F.p
-        self.digits = np.stack(digs)  # (k, Q)
-        self.powers = np.array([F.p**i for i in range(F.k)], dtype=np.int64)
-        self.log = np.array(F._log, dtype=np.int64)
-        self.exp = np.array(F._exp, dtype=np.int64)
-
-    def add(self, x, y):
-        d = (self.digits[:, x] + self.digits[:, y]) % self.F.p
-        return self.powers @ d
-
-    def sub(self, x, y):
-        d = (self.digits[:, x] - self.digits[:, y]) % self.F.p
-        return self.powers @ d
-
-    def mul_const(self, c: int, x):
-        if c == 0:
-            return np.zeros_like(x)
-        out = self.exp[(self.log[x] + self.log[c]) % (self.F.order - 1)]
-        return np.where(x == 0, 0, out)
-
-    def frob(self, qpow: int):
-        """Permutation array a -> a^qpow."""
-        return self.F.frob_table(qpow)
-
-    def unary(self, fn):
-        return np.array([fn(a) for a in range(self.F.order)], dtype=np.int64)
-
-
 # -- the intertwiner-sum instance ----------------------------------------------
 
 
@@ -201,7 +138,7 @@ class IntertwinerSpec(SumSpec):
     def vector_counts(self, E: Field, psi: AddChar, shards: int, shard: int):
         q = self.q
         p = E.p
-        v = VecOps(E)
+        v = E.vec
         Q = E.order
         frq = v.frob(q)
         frq2 = v.frob(q * q)
@@ -222,8 +159,8 @@ class IntertwinerSpec(SumSpec):
             if not sols:
                 continue
             t = v.sub(
-                v.mul_const(E.frob(a1, q), idx),
-                v.mul_const(E.frob(a1, q * q), frq[idx]),
+                v.mul(E.frob(a1, q), idx),
+                v.mul(E.frob(a1, q * q), frq[idx]),
             )
             bc = np.bincount(psie[t], minlength=p)
             for a2 in sols:
@@ -333,11 +270,18 @@ def y3_member(ring: TwistedRing, b) -> bool:
     return b[2] == 0 and b[4] == F.neg(F.mul(b[3], F.frob(b[1], ring.q)))
 
 
-def beta_map(ring: TwistedRing, x, h):
-    """beta((a_1,a_2), h) = s(F_{q^2}(x)) h s(x)^{-1} with the section
-    s(a_1, a_2) = 1 + a_1 tau + a_2 tau^2."""
+def beta_factors(ring: TwistedRing, x):
+    """(s(F_{q^2}(x)), s(x)^{-1}) for x = (a_1, a_2) and the section
+    s(a_1, a_2) = 1 + a_1 tau + a_2 tau^2.  Both depend on x alone, so loops
+    over h compute them once per x."""
     sx = (1, x[0], x[1], 0, 0)
-    return ring.mul(ring.mul(ring.frobenius(sx, 2), h), ring.inv(sx))
+    return ring.frobenius(sx, 2), ring.inv(sx)
+
+
+def beta_map(ring: TwistedRing, factors, h):
+    """beta(x, h) = s(F_{q^2}(x)) h s(x)^{-1}, from factors = beta_factors(ring, x)."""
+    left, right = factors
+    return ring.mul(ring.mul(left, h), right)
 
 
 def dl_intertwiner_sum(
@@ -355,9 +299,11 @@ def dl_intertwiner_sum(
     rc = RootCounter(p)
     for a1 in E.elements():
         for a2 in E.elements():
+            factors = beta_factors(ring, (a1, a2))
             for a3 in E.elements():
                 for a4 in E.elements():
-                    if y3_member(ring, beta_map(ring, (a1, a2), (1, 0, 0, a3, a4))):
+                    h = (1, 0, 0, a3, a4)
+                    if y3_member(ring, beta_map(ring, factors, h)):
                         rc.add(psi.exp(E.trace(a4, base)))
     return rc.value()
 
@@ -374,12 +320,12 @@ def y3_locus_equality(q: int, s: int = 2, max_size: int = 300_000) -> bool:
     for a1 in E.elements():
         for a2 in E.elements():
             on_surface = spec.membership(E, (a1, a2, 0))
+            factors = beta_factors(ring, (a1, a2))
             for a3 in E.elements():
                 a4_val = spec.poly(E, (a1, a2, a3))
                 for a4 in E.elements():
-                    inside = y3_member(
-                        ring, beta_map(ring, (a1, a2), (1, 0, 0, a3, a4))
-                    )
+                    h = (1, 0, 0, a3, a4)
+                    inside = y3_member(ring, beta_map(ring, factors, h))
                     if inside != (on_surface and a4 == a4_val):
                         return False
     return True
@@ -656,6 +602,9 @@ def zeta_fixed_set(n: int, q: int, h: int, D: int = 0, max_size: int = 600_000):
     if E.order**dim > max_size:
         raise SizeLimitExceededError(f"{E.order}^{dim} points exceed {max_size}")
     point_set = "X" if h == 2 else "Xh"
+    # scalar_conj(zeta, x) scales x_j by f_j, so it fixes x exactly when
+    # x_j == 0 at every j with f_j != 1
+    moved = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f != 1]
     out = []
     for idx in range(E.order**dim):
         x, t = [1], idx
@@ -663,7 +612,7 @@ def zeta_fixed_set(n: int, q: int, h: int, D: int = 0, max_size: int = 600_000):
             x.append(t % E.order)
             t //= E.order
         x = tuple(x)
-        if ring.scalar_conj(zeta, x) != x:
+        if any(x[j] for j in moved):
             continue
         if _x_member(ring, x, point_set):
             out.append(x)
@@ -764,16 +713,7 @@ def xh_point_count(n: int, q: int, h: int, s: int = 1, max_size: int = 50_000_00
     dim = ring.length - 1
     if E.order**dim > max_size:
         raise SizeLimitExceededError(f"{E.order}^{dim} points exceed {max_size}")
-    point_set = "X" if h == 2 else "Xh"
-    count = 0
-    for idx in range(E.order**dim):
-        x, t = [1], idx
-        for _ in range(dim):
-            x.append(t % E.order)
-            t //= E.order
-        if _x_member(ring, tuple(x), point_set):
-            count += 1
-    return count
+    return sum(int(point_mask(ring, g).sum()) for g in unipotent_chunks(ring))
 
 
 def x_betti_data(n: int, q: int) -> list[dict]:

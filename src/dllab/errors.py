@@ -21,6 +21,11 @@ class UnsupportedParametersError(DLLabError):
     """Parameter combination outside the supported range."""
 
 
+class MatrixShapeError(DLLabError):
+    """A matrix or determinant left the shape the twisted-ring embedding
+    guarantees."""
+
+
 class NotInvariantError(DLLabError):
     """Representation is not invariant under the requested conjugation."""
 

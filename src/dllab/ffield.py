@@ -17,7 +17,7 @@ commute with each other across the tower.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,6 +67,11 @@ PRIMITIVE_POLYS = {
 
 # Largest field for which exp/log, Zech and Frobenius lookup lists are built.
 EXPLOG_ORDER_LIMIT = 1 << 16
+
+# Points per array yielded by grid_chunks: large enough that numpy dominates
+# the per-chunk Python overhead, small enough that no enumeration holds a
+# whole grid in memory.
+GRID_CHUNK = 4096
 
 
 class _PowMap:
@@ -246,6 +251,11 @@ class Field:
             return None
         return np.array(self.frob_map(q), dtype=np.int64)
 
+    @cached_property
+    def vec(self) -> "VecOps":
+        """The numpy kernel of this field, built on first use."""
+        return VecOps(self)
+
     # -- tables -----------------------------------------------------------
 
     def _build_xpow(self):
@@ -394,6 +404,80 @@ class Field:
     def absolute_trace(self, a: int) -> int:
         """Tr to the prime field, returned as an integer in [0, p)."""
         return self.trace(a, field(self.p, 1))
+
+
+class VecOps:
+    """numpy arithmetic on whole arrays of field-element indices.
+
+    Uses the lookup lists of a table-driven field: addition is XOR for p = 2
+    and a Zech-logarithm lookup for odd p, multiplication goes through
+    exp/log, and negation and Frobenius are permutation arrays.  Operands may
+    be arrays of any shape or Python ints, which broadcast.
+    """
+
+    def __init__(self, F: Field):
+        if F._exp is None:
+            raise UnsupportedParametersError(f"{F} has no exp/log tables to vectorise")
+        self.F = F
+        n = F.order - 1
+        exp = np.array(F._exp, dtype=np.int64)
+        # exp4[i] == g^i for i < 2n and 0 from 2n on; log[0] == 2n, so a
+        # product with a zero factor lands in the zero block
+        self._exp4 = np.concatenate([exp, exp, np.zeros(2 * n + 1, dtype=np.int64)])
+        self._log = np.array(F._log, dtype=np.int64)
+        self._log[0] = 2 * n
+        self._frobs: dict[int, np.ndarray] = {}
+        if F.p == 2:
+            self.add = self.sub = np.bitwise_xor
+            self._neg = None
+            return
+        zech = np.array([2 * n if z is None else z for z in F._build_zech()], dtype=np.int64)
+        # log b - log a ranges over [-2n, 2n] once zeros are in; four copies
+        # index it without a reduction mod n, as numpy wraps negative indices
+        self._zech4 = np.tile(zech, 4)
+        self._neg = np.array([F.neg(a) for a in range(F.order)], dtype=np.int64)
+
+    def add(self, x, y):
+        # g^a + g^b == g^(a + Z(b - a)); Z == 2n where g^a + g^b == 0
+        lx = self._log[x]
+        s = self._exp4[lx + self._zech4[self._log[y] - lx]]
+        return np.where(np.equal(y, 0), x, np.where(np.equal(x, 0), y, s))
+
+    def sub(self, x, y):
+        return self.add(x, self._neg[y])
+
+    def neg(self, x):
+        return x if self._neg is None else self._neg[x]
+
+    def mul(self, x, y):
+        return self._exp4[self._log[x] + self._log[y]]
+
+    def frob(self, qpow: int) -> np.ndarray:
+        """Permutation array a -> a^qpow, cached per exponent."""
+        tab = self._frobs.get(qpow)
+        if tab is None:
+            tab = self._frobs[qpow] = self.F.frob_table(qpow)
+        return tab
+
+    def unary(self, fn):
+        return np.array([fn(a) for a in range(self.F.order)], dtype=np.int64)
+
+
+def grid_chunks(Q: int, dim: int, lo: int = 0, hi: int | None = None):
+    """The points of [0, Q)^dim with grid index in [lo, hi), as (dim, N)
+    int64 digit arrays of at most GRID_CHUNK columns.
+
+    Index order is itertools.product order: the last coordinate varies
+    fastest.  Shards of the index range fold independently.
+    """
+    if hi is None:
+        hi = Q**dim
+    for start in range(lo, hi, GRID_CHUNK):
+        t = np.arange(start, min(start + GRID_CHUNK, hi), dtype=np.int64)
+        out = np.empty((dim, len(t)), dtype=np.int64)
+        for j in range(dim - 1, -1, -1):
+            t, out[j] = np.divmod(t, Q)
+        yield out
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,14 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import NotInSubfieldError, UnsupportedParametersError
-from .ffield import Field, field, splitting_params
+import numpy as np
+
+from .errors import (
+    MatrixShapeError,
+    SizeLimitExceededError,
+    UnsupportedParametersError,
+)
+from .ffield import Field, VecOps, field, grid_chunks, splitting_params
 from .twistring import TwistedRing
 
 # -- truncated polynomials over a field (indices), pi central ----------------
@@ -91,6 +97,11 @@ def mat_det(F: Field, A):
     return total
 
 
+def _check_below_diagonal(divisible: bool):
+    if not divisible:
+        raise MatrixShapeError("below-diagonal entry not divisible by pi")
+
+
 def _perm_sign(perm):
     sign = 1
     seen = [False] * len(perm)
@@ -142,7 +153,7 @@ def normalize_shape(F: Field, A):
             if i < j:
                 e = e[: h - 1] + (0,)
             elif i > j:
-                assert e[0] == 0, "below-diagonal entry not divisible by pi"
+                _check_below_diagonal(e[0] == 0)
             row.append(e)
         rows.append(tuple(row))
     return tuple(rows)
@@ -242,6 +253,97 @@ def in_Xh(ring: TwistedRing, g) -> bool:
     return all(F.frob(c, ring.q) == c for c in d)
 
 
+# -- the same predicates on batches of points ---------------------------------
+# A batch is an (L, N) array whose columns are ring elements.  A matrix entry
+# of a batch is a list of h coefficient arrays, with None for a coefficient
+# that is zero by the shape of the embedding, so no work is spent on it.
+
+
+def _batch_tp_add(v: VecOps, a, b):
+    return [y if x is None else x if y is None else v.add(x, y) for x, y in zip(a, b)]
+
+
+def _batch_tp_mul(v: VecOps, a, b):
+    h = len(a)
+    out = [None] * h
+    for i, ai in enumerate(a):
+        if ai is None:
+            continue
+        for j in range(h - i):
+            if b[j] is not None:
+                t = v.mul(ai, b[j])
+                out[i + j] = t if out[i + j] is None else v.add(out[i + j], t)
+    return out
+
+
+def iota_prime_batch(ring: TwistedRing, g):
+    """iota_prime on a batch, with the reductions of normalize_shape."""
+    F = ring.coeff_field
+    n, h, q, L = ring.n, ring.h, ring.q, ring.length
+    rows = []
+    for i in range(n):
+        fr = F.vec.frob(F.frob_exp(q, i))
+        row = []
+        for j in range(n):
+            below = int(i > j)  # entries below the diagonal carry a factor pi
+            r = j - i + n * below
+            cs = [None] * h
+            for jp in range(h - below):
+                if n * jp + r >= L:
+                    break
+                cs[jp + below] = fr[g[n * jp + r]]
+            if i < j:
+                cs[h - 1] = None  # defined only modulo pi^(h-1)
+            elif below:
+                _check_below_diagonal(cs[0] is None or not cs[0].any())
+            row.append(cs)
+        rows.append(row)
+    return rows
+
+
+def mat_det_batch(v: VecOps, A):
+    """mat_det on a batch of matrices from iota_prime_batch."""
+    n = len(A)
+    if n > 4:
+        raise UnsupportedParametersError("determinant expansion limited to n <= 4")
+    total = [None] * len(A[0][0])
+    for perm in permutations(range(n)):
+        term = A[0][perm[0]]
+        for i in range(1, n):
+            term = _batch_tp_mul(v, term, A[i][perm[i]])
+        if _perm_sign(perm) < 0:
+            term = [None if c is None else v.neg(c) for c in term]
+        total = _batch_tp_add(v, total, term)
+    return total
+
+
+def in_Xh_batch(ring: TwistedRing, g) -> np.ndarray:
+    """in_Xh on a batch: one boolean per column of g."""
+    v = ring.coeff_field.vec
+    frq = v.frob(ring.q)
+    ok = np.ones(g.shape[1], dtype=bool)
+    for c in mat_det_batch(v, iota_prime_batch(ring, g)):
+        if c is not None:
+            ok &= frq[c] == c
+    return ok
+
+
+def point_mask(ring: TwistedRing, g) -> np.ndarray:
+    """Membership of a batch of unipotent points in the variety whose points
+    are dumped and counted: the Lang preimage X = {pr_n(F_{q^n}(g) g^-1) = 0}
+    at h = 2, X_h at h >= 3."""
+    if ring.h == 2:
+        return ring.lang_batch(g, ring.n)[ring.n] == 0
+    return in_Xh_batch(ring, g)
+
+
+def unipotent_chunks(ring: TwistedRing, lo: int = 0, hi: int | None = None):
+    """The unipotent elements 1 + a_1 tau + ... over the coefficient field
+    with grid index in [lo, hi), as (L, N) batches in grid_chunks order."""
+    for x in grid_chunks(ring.coeff_field.order, ring.length - 1, lo, hi):
+        yield np.concatenate([np.ones((1, x.shape[1]), dtype=np.int64), x])
+
+
 def n2_norm(n: int, q: int, F: Field, tail) -> int:
     """N(a_1, ..., a_n): pi-coefficient of det of the h=2 image of
     1 + a_1 tau + ... + a_n tau^n.  Returns an index in F (not retracted)."""
@@ -265,8 +367,6 @@ def y_h_image(
     general closed form; this builds it per extension degree as an explicit
     point set.  Partitioned enumeration: shard results merge by set union.
     """
-    from .errors import SizeLimitExceededError
-
     p, e = splitting_params(q)
     E = field(p, e * n * s)
     ring = TwistedRing(n, q, h, E)
@@ -277,14 +377,9 @@ def y_h_image(
     lo = shard * base + min(shard, rem)
     hi = lo + base + (1 if shard < rem else 0)
     out = set()
-    for idx in range(lo, hi):
-        g, t = [1], idx
-        for _ in range(dim):
-            g.append(t % E.order)
-            t //= E.order
-        g = tuple(g)
-        if in_Xh(ring, g):
-            out.add(ring.lang(g, n))
+    for g in unipotent_chunks(ring, lo, hi):
+        g = g[:, in_Xh_batch(ring, g)]
+        out.update(map(tuple, ring.lang_batch(g, n).T.tolist()))
     return out
 
 
@@ -301,7 +396,8 @@ def star_action(ring: TwistedRing, gamma, x):
         gi = tp_frob(F, gamma, qi)
         rows.append(tuple(tp_mul(F, gi, M[i][j]) for j in range(n)))
     out = recover_from_matrix(ring, normalize_shape(F, tuple(rows)))
-    assert out is not None, "star action left the embedded image"
+    if out is None:
+        raise MatrixShapeError("star action left the embedded image")
     return out
 
 
@@ -342,5 +438,6 @@ def nm_gnq(n: int, q: int, F: Field, a, k: int = 1) -> int:
             tuple(tp_add(F, M[i][jj], term[i][jj]) for jj in range(n)) for i in range(n)
         )
     d = mat_det(F, M)
-    assert d[0] == 1 and all(c == 0 for c in d[1 : 2 * k + 1]), "norm shape violated"
+    if d[0] != 1 or any(d[1 : 2 * k + 1]):
+        raise MatrixShapeError("norm shape violated")
     return d[2 * k + 1]

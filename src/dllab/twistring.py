@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import UnsupportedParametersError
 from .ffield import Field, field, splitting_params
 
@@ -110,6 +112,61 @@ class TwistedRing:
     def conj(self, g, x):
         """g * x * g^(-1)."""
         return self.mul(self.mul(g, x), self.inv(g))
+
+    # -- batches: (L, N) arrays whose columns are ring elements ------------
+
+    @cached_property
+    def _frob_arrays(self):
+        """Per coefficient index i, the permutation array a -> a^(q^i)."""
+        F = self.coeff_field
+        return [F.vec.frob(F.frob_exp(self.q, i)) for i in range(self.length)]
+
+    def mul_batch(self, a, b):
+        """mul on batches."""
+        v = self.coeff_field.vec
+        frobs = self._frob_arrays
+        L = self.length
+        out = [None] * L
+        for i in range(L):
+            fr = frobs[i]
+            for j in range(L - i):
+                t = v.mul(a[i], fr[b[j]])
+                out[i + j] = t if out[i + j] is None else v.add(out[i + j], t)
+        return np.stack(out)
+
+    def inv_batch(self, a):
+        """inv on a batch of unipotent elements (constant coefficient 1).
+
+        Coefficient k of a * b is b_k + sum_{i=1..k} a_i b_{k-i}^(q^i), so
+        b = a^(-1) follows from b_0 = 1 by solving for b_1, b_2, ... in turn.
+        """
+        if not np.all(a[0] == 1):
+            raise UnsupportedParametersError("inv_batch takes unipotent elements")
+        v = self.coeff_field.vec
+        frobs = self._frob_arrays
+        b = [a[0]]
+        for k in range(1, self.length):
+            acc = v.mul(a[1], frobs[1][b[k - 1]])
+            for i in range(2, k + 1):
+                acc = v.add(acc, v.mul(a[i], frobs[i][b[k - i]]))
+            b.append(v.neg(acc))
+        return np.stack(b)
+
+    def frobenius_batch(self, a, s: int):
+        F = self.coeff_field
+        return F.vec.frob(F.frob_exp(self.q, s))[a]
+
+    def lang_batch(self, g, s: int):
+        """lang on a batch of unipotent elements."""
+        return self.mul_batch(self.frobenius_batch(g, s), self.inv_batch(g))
+
+    def scalar_conj_factors(self, c: int) -> tuple:
+        """The factors c^(1-q^j), j = 1, ..., L-1, by which scalar_conj(c, .)
+        scales coefficient j; they depend on c alone, so hoist them out of
+        loops over x."""
+        F = self.coeff_field
+        mul, inv = F.mul, F.inv
+        return tuple(mul(c, inv(fr[c])) for fr in self._frob_maps[1:])
 
     def scalar_conj(self, c: int, x):
         """Conjugation by the constant c in A^x: coefficient j scales by c^(1-q^j)."""

@@ -123,3 +123,14 @@ def test_dump_size_limit(tmp_path, capsys):
                   "--out", str(tmp_path / "big.csv")])
     assert rc == 1
     assert "SizeLimitExceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad", [["--max-size", "0"], ["--q", "6"], ["--s", "0"], ["--h", "4"]]
+)
+def test_dump_rejects_bad_input_before_any_output(bad, capsys):
+    rc = run_cli(["dump", "--kind", "points", *bad])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error:" in out.err

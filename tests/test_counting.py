@@ -4,7 +4,6 @@ from dllab.charlib import AddChar
 from dllab.counting import (
     SumSpec,
     TwistedFixedQuery,
-    VecOps,
     collapse_twist_table,
     conductor2_char,
     dl_intertwiner_sum,
@@ -27,7 +26,7 @@ from dllab.counting import (
 )
 from dllab.charlib import layer_as_additive_char, principal_units, unit_characters
 from dllab.cyclo import CycloNum
-from dllab.ffield import field
+from dllab.ffield import VecOps, field
 from dllab.matmodel import in_Xh
 from dllab.twistring import twisted_ring
 
@@ -54,7 +53,7 @@ def test_vecops_matches_field_ops():
         assert [int(g) for g in got] == [F.add(int(x), y) for x in xs]
         got = v.sub(xs, np.full_like(xs, y))
         assert [int(g) for g in got] == [F.sub(int(x), y) for x in xs]
-        got = v.mul_const(y, xs)
+        got = v.mul(y, xs)
         assert [int(g) for g in got] == [F.mul(y, int(x)) for x in xs]
     fr = v.frob(3)
     assert [int(fr[x]) for x in xs] == [F.frob(int(x), 3) for x in xs]
@@ -243,6 +242,23 @@ def test_zeta_fixed_set_is_central():
     fixed, ring, E = zeta_fixed_set(2, 2, 2)
     for x in fixed:
         assert x[1] == 0
+
+
+@pytest.mark.parametrize("n,q,h", [(2, 2, 2), (2, 2, 3)])
+def test_zeta_fixed_set_matches_scalar_conj_filter(n, q, h):
+    import itertools
+
+    from dllab.counting import _x_member
+
+    fixed, ring, E = zeta_fixed_set(n, q, h)
+    zeta = E.embed(field(2, n), field(2, n).gen)
+    point_set = "X" if h == 2 else "Xh"
+    want = []
+    for tail in itertools.product(E.elements(), repeat=ring.length - 1):
+        x = (1,) + tail[::-1]  # zeta_fixed_set runs a_1 fastest
+        if ring.scalar_conj(zeta, x) == x and _x_member(ring, x, point_set):
+            want.append(x)
+    assert fixed == want
 
 
 def test_zeta_trace_suite_level3():

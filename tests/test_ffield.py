@@ -8,6 +8,9 @@ Oracle values below were computed by hand from the defining polynomials:
   Tr_{F_9/F_3}(g) = g + g^3 = 2, Nm(g) = g^4 = 2.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,11 +18,17 @@ from hypothesis import strategies as st
 from dllab.errors import DLLabError, NotInSubfieldError, UnsupportedParametersError
 from dllab.ffield import (
     EXPLOG_ORDER_LIMIT,
+    GRID_CHUNK,
     PRIMITIVE_POLYS,
     Field,
+    VecOps,
     field,
+    grid_chunks,
     splitting_params,
 )
+
+# every table field up to F_729, the largest one the benchmark workloads build
+VEC_FIELDS = sorted(pk for pk in PRIMITIVE_POLYS if pk[0] ** pk[1] <= 729)
 
 # every field the benchmark workloads build
 WORKLOAD_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 6), (3, 6)]
@@ -231,3 +240,43 @@ def test_field_axioms_sampled_f81(a, b, c):
     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
     assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
     assert F.sub(F.add(a, b), b) == a
+
+
+@given(st.sampled_from(VEC_FIELDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_vecops_match_scalar_table_ops(pk, data):
+    p, k = pk
+    F = field(p, k)
+    v = VecOps(F)
+    els = st.lists(st.integers(0, F.order - 1), min_size=1, max_size=30)
+    a = data.draw(els)
+    b = data.draw(st.lists(st.integers(0, F.order - 1), min_size=len(a), max_size=len(a)))
+    c = data.draw(st.integers(0, F.order - 1))
+    qpow = p ** data.draw(st.integers(0, 2 * k))
+    x, y = np.array(a), np.array(b)
+    assert v.add(x, y).tolist() == [F.add(s, t) for s, t in zip(a, b)]
+    assert v.sub(x, y).tolist() == [F.sub(s, t) for s, t in zip(a, b)]
+    assert v.mul(x, y).tolist() == [F.mul(s, t) for s, t in zip(a, b)]
+    assert np.asarray(v.neg(x)).tolist() == [F.neg(s) for s in a]
+    assert v.frob(qpow)[x].tolist() == [F.frob(s, qpow) for s in a]
+    # a Python int broadcasts against an array on either side
+    assert v.mul(c, x).tolist() == [F.mul(c, s) for s in a]
+    assert v.add(x, c).tolist() == [F.add(s, c) for s in a]
+    assert v.sub(c, x).tolist() == [F.sub(c, s) for s in a]
+
+
+def test_vecops_need_tables():
+    with pytest.raises(UnsupportedParametersError):
+        VecOps(field(3, 12))
+
+
+@pytest.mark.parametrize(
+    "Q,dim,lo,hi",
+    [(2, 3, 0, None), (3, 4, 5, 70), (16, 4, 0, None), (16, 4, 4000, 9000), (27, 3, 0, None)],
+)
+def test_grid_chunks_follow_product_order(Q, dim, lo, hi):
+    chunks = list(grid_chunks(Q, dim, lo, hi))
+    assert all(c.shape[0] == dim and 0 < c.shape[1] <= GRID_CHUNK for c in chunks)
+    got = [tuple(col) for c in chunks for col in c.T.tolist()]
+    want = list(itertools.product(range(Q), repeat=dim))[lo:hi]
+    assert got == want

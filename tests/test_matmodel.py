@@ -14,20 +14,28 @@ Closed-form oracles used below:
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from dllab.ffield import field
+from dllab.errors import MatrixShapeError, UnsupportedParametersError
+from dllab.ffield import field, splitting_params
 from dllab.matmodel import (
     det_iota,
     in_Xh,
+    in_Xh_batch,
     iota_prime,
     iota_prime_via_varpi,
     mat_mul,
     n2_norm,
     nm_gnq,
+    normalize_shape,
     recover_from_matrix,
     star_action,
+    unipotent_chunks,
 )
 from dllab.twistring import TwistedRing, enumerate_unipotent, gnq_mul, twisted_ring
 
@@ -237,3 +245,48 @@ def test_y_h_image_shard_union():
     whole = y_h_image(2, 2, 3, 1)
     parts = [y_h_image(2, 2, 3, 1, shards=3, shard=i) for i in range(3)]
     assert set().union(*parts) == whole
+
+
+# (n, q, h, s) grids of X_h(F_{q^{n s}}); the (2, 2, 2, 2) and (2, 2, 3, 2)
+# grids hold non-members, and all but (2, 2, 3, 2) end in a partial chunk
+BATCH_GRIDS = [(2, 2, 3, 1), (2, 2, 3, 2), (2, 3, 3, 1), (3, 2, 2, 1), (3, 3, 2, 1), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("n,q,h,s", BATCH_GRIDS)
+def test_batched_predicates_match_scalar_on_full_grid(n, q, h, s):
+    p, e = splitting_params(q)
+    R = twisted_ring(n, q, h, field(p, e * n * s))
+    seen = 0
+    for g in unipotent_chunks(R):
+        member = in_Xh_batch(R, g)
+        lang = R.lang_batch(g, n)
+        for c, x in enumerate(g.T.tolist()):
+            x = tuple(x)
+            assert member[c] == in_Xh(R, x)
+            assert tuple(lang[:, c].tolist()) == R.lang(x, n)
+        seen += g.shape[1]
+    assert seen == R.coeff_field.order ** (R.length - 1)
+
+
+def test_inv_batch_rejects_non_unipotent():
+    R = twisted_ring(2, 2, 2, field(2, 2))
+    with pytest.raises(UnsupportedParametersError):
+        R.inv_batch(np.array([[2], [0], [0]]))
+
+
+def test_shape_checks_survive_python_O():
+    # a below-diagonal entry with a unit constant term is not in the image
+    code = (
+        "from dllab.ffield import field\n"
+        "from dllab.matmodel import normalize_shape\n"
+        "normalize_shape(field(2, 2), (((1, 0), (0, 0)), ((1, 0), (1, 0))))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 1
+    assert "MatrixShapeError: below-diagonal entry not divisible by pi" in out.stderr
+    with pytest.raises(MatrixShapeError):
+        normalize_shape(field(2, 2), (((1, 0), (0, 0)), ((1, 0), (1, 0))))

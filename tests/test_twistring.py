@@ -180,3 +180,17 @@ def test_gnq_frobenius_hom():
     assert gnq_frobenius(F16, 2, gnq_mul(F16, 3, 2, a, b), 1) == gnq_mul(
         F16, 3, 2, fa, fb
     )
+
+
+@pytest.mark.parametrize("n,q,h,p,k", [(2, 2, 3, 2, 4), (2, 3, 2, 3, 4), (3, 2, 2, 2, 6)])
+def test_scalar_conj_factors_match_scalar_conj(n, q, h, p, k):
+    import random
+
+    R = twisted_ring(n, q, h, field(p, k))
+    F = R.coeff_field
+    rng = random.Random(19)
+    for c in range(1, F.order):
+        factors = R.scalar_conj_factors(c)
+        x = tuple(rng.randrange(F.order) for _ in range(R.length))
+        hoisted = (x[0],) + tuple(F.mul(f, xj) for f, xj in zip(factors, x[1:]))
+        assert hoisted == R.scalar_conj(c, x)
