@@ -13,6 +13,8 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from .charlib import (
     AddChar,
     layer_as_additive_char,
@@ -44,7 +46,7 @@ from .constructions import (
     rho_family_report,
 )
 from .errors import DLLabError, SizeLimitExceededError
-from .ffield import field, splitting_params
+from .ffield import field, grid_chunks, splitting_params
 from .matmodel import (
     in_Xh,
     n2_norm,
@@ -54,7 +56,9 @@ from .matmodel import (
     y_h_image,
 )
 from .serieslab import (
+    SERIES_CHUNK,
     LaurentSeries,
+    SeriesBatch,
     det_valuation,
     mat_det_series,
     mat_identity_series,
@@ -411,20 +415,46 @@ def suite_matrix_y(args) -> dict:
     return {"suite": "matrix-y", "params": {}, "claims": claims}
 
 
-def _rand_series(F, rng, prec, vmin=0, vmax=2):
+def _draw_window(F, rng, prec, vmin=0, vmax=2):
+    """The random draws of one series window: (v, coefficients at v..prec-1)."""
     v = rng.randrange(vmin, vmax + 1)
-    return LaurentSeries(F, v, [rng.randrange(F.order) for _ in range(prec - v)], prec)
+    return v, [rng.randrange(F.order) for _ in range(prec - v)]
 
 
-def _rand_upper_unipotent(F, rng, n, prec):
-    h = mat_identity_series(F, n, prec)
-    for i in range(n):
-        for j in range(i + 1, n):
-            h[i][j] = _rand_series(F, rng, prec)
-    return h
+def _rand_series(F, rng, prec, vmin=0, vmax=2):
+    return LaurentSeries(F, *_draw_window(F, rng, prec, vmin, vmax), prec)
+
+
+def _window_batch(F, windows, prec):
+    """Drawn windows (v >= 0, all ending at prec) as one SeriesBatch."""
+    rows = [[0] * v + cs for v, cs in windows]
+    coeffs = np.array(rows, dtype=np.int64).reshape(len(rows), prec)
+    return SeriesBatch(F, 0, coeffs, np.full(len(rows), prec))
+
+
+def _chunks(seq):
+    """Consecutive slices of seq with SERIES_CHUNK items (the last may be short)."""
+    for start in range(0, len(seq), SERIES_CHUNK):
+        yield seq[start : start + SERIES_CHUNK]
+
+
+def _every(masks):
+    """Rowwise AND of per-row boolean arrays."""
+    return np.logical_and.reduce(list(masks))
+
+
+def _valuation_failures(F, q, coeffs) -> int:
+    """Rows of a batch where det(xtilde_matrix(coeffs)) breaks the valuation
+    law: a predicted valuation inside the window must be attained, which a
+    vanishing determinant fails, and beyond it the determinant must vanish."""
+    det = mat_det_series(xtilde_matrix(F, q, len(coeffs), coeffs))
+    want = det_valuation(coeffs)
+    return int(np.count_nonzero(np.where(want < det.prec, det.v != want, ~det.is_zero())))
 
 
 def suite_series(args) -> dict:
+    """Inputs are drawn from one seeded rng in a fixed order; each chunk of
+    SERIES_CHUNK instances is drawn, then evaluated as one batch per entry."""
     rng = random.Random(args.seed)
     claims = []
     # quotient solver: residual vanishes and the two elimination orders agree
@@ -435,16 +465,22 @@ def suite_series(args) -> dict:
     for p, k, q, n in configs:
         F = field(p, k)
         _progress(f"[series] solver over F_{p}^{k}, n = {n}, q = {q}")
-        for _ in range(per):
-            h = _rand_upper_unipotent(F, rng, n, prec)
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for chunk in _chunks(range(per)):
+            draws = [[_draw_window(F, rng, prec) for _ in upper] for _ in chunk]
+            h = mat_identity_series(F, n, np.full(len(chunk), prec), SeriesBatch)
+            for t, (i, j) in enumerate(upper):
+                h[i][j] = _window_batch(F, [d[t] for d in draws], prec)
             B, g = solve_quotient(h, q)
             res = quotient_residual(h, B, g, q)
-            if not all(e.is_zero() for row in res for e in row):
-                bad += 1
-                continue
             B2, g2 = solve_quotient(h, q, order="rowwise")
-            if B != B2 or g != g2:
-                bad += 1
+            ok = _every(e.is_zero() for row in res for e in row) & _every(
+                x.equals(y)
+                for X, Y in ((B, B2), (g, g2))
+                for rx, ry in zip(X, Y)
+                for x, y in zip(rx, ry)
+            )
+            bad += int(np.count_nonzero(~ok))
     claims.append(
         _claim(
             "quotient solver residual vanishes and the solution is unique",
@@ -457,36 +493,23 @@ def suite_series(args) -> dict:
     bad = 0
     samples = 10_000
     _progress(f"[series] det valuation on {samples} samples")
-    for _ in range(samples):
-        coeffs = [_rand_series(F4, rng, prec, 0, 1) for _ in range(3)]
-        if all(s.is_zero() for s in coeffs):
-            continue
-        det = mat_det_series(xtilde_matrix(F4, 2, 3, coeffs))
-        want = det_valuation(coeffs)
-        if want < det.prec:
-            if det.valuation() != want:
-                bad += 1
-        elif not det.is_zero():
-            bad += 1
-    grid_bad = 0
-    singles = [
-        LaurentSeries(F4, 0, [c0, c1, c2], 5)
-        for c0 in range(4)
-        for c1 in range(4)
-        for c2 in range(4)
-    ]
+    for chunk in _chunks(range(samples)):
+        draws = [[_draw_window(F4, rng, prec, 0, 1) for _ in range(3)] for _ in chunk]
+        # the law says nothing when all three series vanish
+        draws = [d for d in draws if any(any(cs) for _, cs in d)]
+        if draws:
+            coeffs = [_window_batch(F4, [d[j] for d in draws], prec) for j in range(3)]
+            bad += _valuation_failures(F4, 2, coeffs)
+    # the 64 windows c0 + c1 pi + c2 pi^2 + O(pi^5) over F_4, paired with
+    # each other; pair 0 is (0, 0), where the law says nothing
+    singles = next(grid_chunks(4, 3)).T
+    pairs = np.arange(1, len(singles) ** 2)
     _progress(f"[series] exhaustive valuation grid ({len(singles) ** 2} pairs)")
-    for a0 in singles:
-        for a1 in singles:
-            if a0.is_zero() and a1.is_zero():
-                continue
-            want = det_valuation([a0, a1])
-            det = mat_det_series(xtilde_matrix(F4, 2, 2, [a0, a1]))
-            if want < det.prec:
-                if det.valuation() != want:
-                    grid_bad += 1
-            elif not det.is_zero():
-                grid_bad += 1
+    grid_bad = 0
+    for idx in _chunks(pairs):
+        prec5 = np.full(len(idx), 5)
+        coeffs = [SeriesBatch(F4, 0, singles[i], prec5) for i in divmod(idx, len(singles))]
+        grid_bad += _valuation_failures(F4, 2, coeffs)
     claims.append(
         _claim(
             "determinant valuation matches the minimum formula",
@@ -572,49 +595,64 @@ def _xh_members(n: int, q: int, h: int, s: int, max_size: int):
     return (g[:, point_mask(ring, g)] for g in unipotent_chunks(ring))
 
 
-def dump_points(args, out):
+# Each dump checks its parameters and the size bound, then returns the
+# function that writes the table, so a bad run opens no output file.
+
+
+def dump_points(args):
     members = _xh_members(args.n, args.q, args.h, args.s, args.max_size)
-    w = csv.writer(out)
     dim = args.n * (args.h - 1)
-    w.writerow([f"a{i}" for i in range(1, dim + 1)])
-    count = 0
-    for g in members:
-        w.writerows(g[1:].T.tolist())
-        count += g.shape[1]
-    _progress(f"[dump] {count} points")
+
+    def write(out):
+        w = csv.writer(out)
+        w.writerow([f"a{i}" for i in range(1, dim + 1)])
+        count = 0
+        for g in members:
+            w.writerows(g[1:].T.tolist())
+            count += g.shape[1]
+        _progress(f"[dump] {count} points")
+
+    return write
 
 
-def dump_char_table(args, out):
+def dump_char_table(args):
     from .constructions import build_rho_psi, unipotent_group
 
     n, q = args.n, args.q
     p, e = splitting_params(q)
     F = field(p, e * n)
     U, _ = unipotent_group(n, q)
-    classes = U.conj_classes()
-    reps = [cls[0] for cls in classes]
-    w = csv.writer(out)
-    w.writerow(
-        ["psi", "conductor_exp", "degree"]
-        + ["class_" + "_".join(map(str, g[1:])) for g in reps]
-    )
-    for a in range(F.order):
-        psi = AddChar(F, q, a)
-        data = build_rho_psi(n, q, psi)
-        row = [a, psi.conductor_power() if a else 1, data.degree]
-        row += [repr(data.char.value(g)) for g in reps]
-        w.writerow(row)
-    _progress(f"[dump] {F.order} characters x {len(reps)} classes")
+    reps = [cls[0] for cls in U.conj_classes()]
+
+    def write(out):
+        w = csv.writer(out)
+        w.writerow(
+            ["psi", "conductor_exp", "degree"]
+            + ["class_" + "_".join(map(str, g[1:])) for g in reps]
+        )
+        for a in range(F.order):
+            psi = AddChar(F, q, a)
+            data = build_rho_psi(n, q, psi)
+            row = [a, psi.conductor_power() if a else 1, data.degree]
+            row += [repr(data.char.value(g)) for g in reps]
+            w.writerow(row)
+        _progress(f"[dump] {F.order} characters x {len(reps)} classes")
+
+    return write
 
 
-def dump_y_set(args, out):
+def dump_y_set(args):
     img = y_h_image(args.n, args.q, args.h, args.s, max_size=args.max_size)
     dim = args.n * (args.h - 1)
-    w = csv.writer(out)
-    w.writerow([f"y{i}" for i in range(dim + 1)])
-    for y in sorted(img):
-        w.writerow(y)
-    _progress(f"[dump] {len(img)} image points")
+
+    def write(out):
+        w = csv.writer(out)
+        w.writerow([f"y{i}" for i in range(dim + 1)])
+        for y in sorted(img):
+            w.writerow(y)
+        _progress(f"[dump] {len(img)} image points")
+
+    return write
 
 
 DUMPS = {
@@ -627,16 +665,23 @@ DUMPS = {
 # -- entry point --------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dl-lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=sorted(SUITES))
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--q", type=int, default=None)
+    v.add_argument("--n", type=positive_int, default=None)
+    v.add_argument("--q", type=positive_int, default=None)
     v.add_argument("--h", type=int, default=None)
-    v.add_argument("--M", type=int, default=1)
+    v.add_argument("--M", type=positive_int, default=1)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--max-size", type=int, default=2_000_000)
     v.add_argument("--saturate", action="store_true")
@@ -683,12 +728,13 @@ def _verify(args) -> int:
 
 def _dump(args) -> int:
     try:
+        write = DUMPS[args.kind](args)
         if args.out:
             with open(args.out, "w", newline="") as fh:
-                DUMPS[args.kind](args, fh)
+                write(fh)
             print(args.out)
         else:
-            DUMPS[args.kind](args, sys.stdout)
+            write(sys.stdout)
     except DLLabError as exc:
         _progress(f"error: {type(exc).__name__}: {exc}")
         return 1

@@ -22,8 +22,13 @@ class UnsupportedParametersError(DLLabError):
 
 
 class MatrixShapeError(DLLabError):
-    """A matrix or determinant left the shape the twisted-ring embedding
-    guarantees."""
+    """A matrix or determinant does not have the shape its construction
+    requires or guarantees."""
+
+
+class OperandMismatchError(DLLabError):
+    """Series operands over different coefficient fields, or batches with
+    different row counts."""
 
 
 class NotInvariantError(DLLabError):

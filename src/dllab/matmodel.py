@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .ffield import Field, VecOps, field, grid_chunks, splitting_params
-from .twistring import TwistedRing
+from .twistring import TwistedRing, twisted_ring
 
 # -- truncated polynomials over a field (indices), pi central ----------------
 
@@ -369,7 +369,7 @@ def y_h_image(
     """
     p, e = splitting_params(q)
     E = field(p, e * n * s)
-    ring = TwistedRing(n, q, h, E)
+    ring = twisted_ring(n, q, h, E)
     dim = ring.length - 1
     if E.order**dim > max_size:
         raise SizeLimitExceededError(f"{E.order}^{dim} points exceed {max_size}")

@@ -3,7 +3,8 @@
 Series are finite windows c_v pi^v + ... + c_{P-1} pi^{P-1}: everything at
 exponent >= P is unknown, not zero.  Precision propagates pessimistically
 (min over inputs, shifted by multiplication valuations), so a coefficient
-the window claims to know is always exact.
+the window claims to know is always exact.  SeriesBatch evaluates many
+series at once under the same rules, and the matrix routines accept either.
 
 The module houses the n x n matrix group machinery around the twisted
 Frobenius F(A) = varpi^{-1} A^phi varpi, where varpi has ones on the
@@ -15,10 +16,23 @@ valuation law for their determinants.
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
 from itertools import permutations
 
-from .errors import AllZeroError, PrecisionLossError
+import numpy as np
+
+from .errors import (
+    AllZeroError,
+    MatrixShapeError,
+    OperandMismatchError,
+    PrecisionLossError,
+)
 from .ffield import Field
+
+# Rows per SeriesBatch that the series suite evaluates at once.  256 rows
+# keep the suite's peak RSS at its scalar level (about 33 MB); 1024 rows
+# added about 2 MB, and one 10,000-row batch about 30 MB.
+SERIES_CHUNK = 256
 
 
 class LaurentSeries:
@@ -78,7 +92,8 @@ class LaurentSeries:
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         F = self.F
-        assert other.F is F
+        if other.F is not F:
+            raise OperandMismatchError(f"adding a series over {other.F} to one over {F}")
         prec = min(self.prec, other.prec)
         v = min(self.v, other.v, prec)
         out = [0] * (prec - v)
@@ -99,7 +114,8 @@ class LaurentSeries:
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         F = self.F
-        assert other.F is F
+        if other.F is not F:
+            raise OperandMismatchError(f"multiplying a series over {F} by one over {other.F}")
         prec = min(self.v + other.prec, other.v + self.prec)
         v = self.v + other.v
         out = [0] * max(0, prec - v)
@@ -118,6 +134,10 @@ class LaurentSeries:
 
     def map_coeffs(self, fn) -> "LaurentSeries":
         return LaurentSeries(self.F, self.v, [fn(c) for c in self.coeffs], self.prec)
+
+    def frob(self, e: int) -> "LaurentSeries":
+        """Coefficientwise c -> c^e, for e a power of the characteristic."""
+        return self.map_coeffs(self.F.frob_map(e).__getitem__)
 
     def truncate(self, prec: int) -> "LaurentSeries":
         if prec > self.prec:
@@ -144,15 +164,164 @@ class LaurentSeries:
         return f"<{body} + O(pi^{self.prec})>"
 
 
+class SeriesBatch:
+    """N truncated Laurent series over one field, evaluated together.
+
+    Row r is a window [v[r], prec[r]) under the rules of LaurentSeries: a
+    product's window ends at min(v_a + prec_b, v_b + prec_a), a sum's at the
+    smaller end, leading zeros are stripped, and a row that vanishes on its
+    window has v == prec.  The coefficients sit in one dense (N, E) int64
+    array whose column j holds exponent lo + j.  Entries outside a row's
+    window are zero, and the array keeps only the columns between the first
+    and the last nonzero entry of any row.  All field arithmetic goes through
+    the field's VecOps kernel.  Batches are never modified in place.
+    """
+
+    __slots__ = ("F", "lo", "c", "v", "prec")
+
+    def __init__(self, F: Field, lo: int, coeffs, prec):
+        """Row r of coeffs (exponent lo + j in column j) cut to the window
+        ending at prec[r]; v is its first nonzero exponent, or prec[r]."""
+        prec = np.asarray(prec, dtype=np.int64)
+        c = np.asarray(coeffs, dtype=np.int64)
+        c = np.where(lo + np.arange(c.shape[1]) < prec[:, None], c, 0)
+        nz = c != 0
+        cols = np.flatnonzero(nz.any(axis=0))
+        self.F, self.prec = F, prec
+        if cols.size == 0:
+            self.lo, self.c, self.v = 0, c[:, :0], prec
+            return
+        first, end = cols[0], cols[-1] + 1
+        nz = nz[:, first:end]
+        self.lo = lo + int(first)
+        self.c = c[:, first:end]
+        self.v = np.where(nz.any(axis=1), self.lo + nz.argmax(axis=1), prec)
+
+    @classmethod
+    def _of(cls, F: Field, lo: int, c, v, prec) -> "SeriesBatch":
+        """A batch from parts that already keep the invariants."""
+        out = object.__new__(cls)
+        out.F, out.lo, out.c, out.v, out.prec = F, lo, c, v, prec
+        return out
+
+    @staticmethod
+    def zero(F: Field, prec) -> "SeriesBatch":
+        return SeriesBatch(F, 0, np.zeros((len(prec), 0), dtype=np.int64), prec)
+
+    @staticmethod
+    def one(F: Field, prec) -> "SeriesBatch":
+        return SeriesBatch(F, 0, np.ones((len(prec), 1), dtype=np.int64), prec)
+
+    @staticmethod
+    def from_series(series) -> "SeriesBatch":
+        """Stack LaurentSeries over one field, one row each."""
+        F = series[0].F
+        lo = min(s.v for s in series)
+        c = np.zeros((len(series), max(s.v + len(s.coeffs) for s in series) - lo),
+                     dtype=np.int64)
+        for r, s in enumerate(series):
+            if s.F is not F:
+                raise OperandMismatchError(f"stacking series over {F} and {s.F}")
+            c[r, s.v - lo : s.v - lo + len(s.coeffs)] = s.coeffs
+        return SeriesBatch(F, lo, c, [s.prec for s in series])
+
+    def row(self, r: int) -> LaurentSeries:
+        v, prec = int(self.v[r]), int(self.prec[r])
+        cs = self._placed(v, prec - v)[r]
+        return LaurentSeries(self.F, v, cs.tolist(), prec)
+
+    def __len__(self) -> int:
+        return len(self.prec)
+
+    def _check(self, other: "SeriesBatch"):
+        if other.F is not self.F or len(other) != len(self):
+            raise OperandMismatchError(
+                f"batch of {len(other)} over {other.F} with batch of "
+                f"{len(self)} over {self.F}"
+            )
+        return self.F.vec
+
+    def _placed(self, lo: int, width: int):
+        """The coefficients in columns for exponents lo .. lo + width - 1."""
+        out = np.zeros((len(self), width), dtype=np.int64)
+        a, b = max(self.lo, lo), min(self.lo + self.c.shape[1], lo + width)
+        if a < b:
+            out[:, a - lo : b - lo] = self.c[:, a - self.lo : b - self.lo]
+        return out
+
+    def _span(self, other: "SeriesBatch"):
+        """(lo, width) covering the stored columns of both operands."""
+        parts = [s for s in (self, other) if s.c.shape[1]]
+        lo = min((s.lo for s in parts), default=0)
+        return lo, max((s.lo + s.c.shape[1] for s in parts), default=lo) - lo
+
+    def is_zero(self):
+        return self.v == self.prec
+
+    def __add__(self, other: "SeriesBatch") -> "SeriesBatch":
+        vec = self._check(other)
+        lo, width = self._span(other)
+        total = vec.add(self._placed(lo, width), other._placed(lo, width))
+        return SeriesBatch(self.F, lo, total, np.minimum(self.prec, other.prec))
+
+    def __neg__(self) -> "SeriesBatch":
+        return SeriesBatch._of(self.F, self.lo, self.F.vec.neg(self.c), self.v, self.prec)
+
+    def __sub__(self, other: "SeriesBatch") -> "SeriesBatch":
+        return self + (-other)
+
+    def __mul__(self, other: "SeriesBatch") -> "SeriesBatch":
+        vec = self._check(other)
+        prec = np.minimum(self.v + other.prec, other.v + self.prec)
+        a, b = self.c, other.c
+        ea, eb = a.shape[1], b.shape[1]
+        out = np.zeros((len(self), max(0, ea + eb - 1)), dtype=np.int64)
+        if ea and eb:
+            terms = vec.mul(a[:, :, None], b[:, None, :])
+            for i in range(ea):
+                out[:, i : i + eb] = vec.add(out[:, i : i + eb], terms[:, i])
+        return SeriesBatch(self.F, self.lo + other.lo, out, prec)
+
+    def shift(self, j: int) -> "SeriesBatch":
+        """Multiplication by pi^j (exact; every window shifts with it)."""
+        return SeriesBatch._of(self.F, self.lo + j, self.c, self.v + j, self.prec + j)
+
+    def truncate(self, prec) -> "SeriesBatch":
+        """Cut every row to the window ending at prec (an int or per row)."""
+        if np.any(prec > self.prec):
+            raise PrecisionLossError("cannot extend a window")
+        return SeriesBatch(self.F, self.lo, self.c, np.minimum(self.prec, prec))
+
+    def frob(self, e: int) -> "SeriesBatch":
+        """Coefficientwise c -> c^e, for e a power of the characteristic."""
+        c = self.F.vec.frob(e)[self.c]
+        return SeriesBatch._of(self.F, self.lo, c, self.v, self.prec)
+
+    def equals(self, other: "SeriesBatch"):
+        """Per row, LaurentSeries equality: agreement on the common window."""
+        self._check(other)
+        prec = np.minimum(self.prec, other.prec)
+        a, b = self.truncate(prec), other.truncate(prec)
+        lo, width = a._span(b)
+        return (a._placed(lo, width) == b._placed(lo, width)).all(axis=1)
+
+    def __eq__(self, other):
+        raise TypeError("compare series batches row by row with equals()")
+
+    __hash__ = None
+
+
 # -- matrices -------------------------------------------------------------------
+# A matrix is a list of rows of entries that are all LaurentSeries, or all
+# SeriesBatch of one length: then row r of every entry forms the r-th matrix.
+# Every routine below has one body for both kinds of entry.
 
 
-def mat_identity_series(F: Field, n: int, prec: int):
+def mat_identity_series(F: Field, n: int, prec, kind=LaurentSeries):
+    """The identity matrix with entries of the given kind; for SeriesBatch,
+    prec is per row."""
     return [
-        [
-            LaurentSeries.one(F, prec) if i == j else LaurentSeries.zero(F, prec)
-            for j in range(n)
-        ]
+        [kind.one(F, prec) if i == j else kind.zero(F, prec) for j in range(n)]
         for i in range(n)
     ]
 
@@ -178,23 +347,38 @@ def mat_sub(A, B):
     return [[A[i][j] - B[i][j] for j in range(n)] for i in range(n)]
 
 
-def mat_prec(A) -> int:
-    return min(e.prec for row in A for e in row)
+def _least(values):
+    """min of ints, or the rowwise minimum of per-row int arrays."""
+    values = list(values)
+    if isinstance(values[0], np.ndarray):
+        return reduce(np.minimum, values)
+    return min(values)
 
 
-def mat_det_series(A) -> LaurentSeries:
+def mat_prec(A):
+    """The smallest window end over the entries (per row for batches)."""
+    return _least(e.prec for row in A for e in row)
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(n: int) -> tuple:
+    """(perm, odd) for each permutation of range(n), odd meaning an odd
+    number of inversions."""
+    return tuple(
+        (perm, sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2 == 1)
+        for perm in permutations(range(n))
+    )
+
+
+def mat_det_series(A):
     """Determinant by the n! alternating sum (desk scale, n <= 4)."""
     n = len(A)
-    F = A[0][0].F
     total = None
-    for perm in permutations(range(n)):
+    for perm, odd in _signed_permutations(n):
         term = A[0][perm[0]]
         for i in range(1, n):
             term = term * A[i][perm[i]]
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        if inv % 2:
+        if odd:
             term = -term
         total = term if total is None else total + term
     return total
@@ -210,22 +394,18 @@ def frob_F(A, q: int):
     precision, so the input must carry at least two.
     """
     n = len(A)
-    if mat_prec(A) < 2:
-        raise PrecisionLossError("frob_F needs precision >= 2")
-
-    def phi(s: LaurentSeries) -> LaurentSeries:
-        return s.map_coeffs(lambda c: s.F.frob(c, q))
-
     prec = mat_prec(A) - 1
+    if np.any(prec < 1):
+        raise PrecisionLossError("frob_F needs precision >= 2")
     out = [[None] * n for _ in range(n)]
     for j in range(n):
         out[0][j] = (
-            phi(A[n - 1][n - 1]) if j == 0 else phi(A[n - 1][j - 1]).shift(-1)
+            A[n - 1][n - 1].frob(q) if j == 0 else A[n - 1][j - 1].frob(q).shift(-1)
         ).truncate(prec)
     for i in range(1, n):
         for j in range(n):
             out[i][j] = (
-                phi(A[i - 1][n - 1]).shift(1) if j == 0 else phi(A[i - 1][j - 1])
+                A[i - 1][n - 1].frob(q).shift(1) if j == 0 else A[i - 1][j - 1].frob(q)
             ).truncate(prec)
     return out
 
@@ -240,12 +420,6 @@ def varpi_series(F: Field, n: int, prec: int):
 
 
 # -- the quotient solver ---------------------------------------------------------
-
-
-def _inv_phi(F: Field, q: int):
-    """Coefficientwise inverse Frobenius: x -> x^(|F|/q), exact on F."""
-    e = F.order // q
-    return lambda c: F.frob(c, e)
 
 
 def solver_positions(n: int, order: str = "stepwise"):
@@ -282,9 +456,9 @@ def solve_quotient(h, q: int, order: str = "stepwise"):
     n = len(h)
     F = h[0][0].F
     prec = mat_prec(h)
-    inv = _inv_phi(F, q)
-    B = mat_identity_series(F, n, prec)
-    g = mat_identity_series(F, n, prec)
+    inv = F.order // q  # phi^{-1} is c -> c^(|F|/q), exact on F
+    B = mat_identity_series(F, n, prec, type(h[0][0]))
+    g = mat_identity_series(F, n, prec, type(h[0][0]))
 
     def hB_entry(i, j):
         # h upper unipotent, B upper unipotent: only k in [i, j] contributes
@@ -295,7 +469,7 @@ def solve_quotient(h, q: int, order: str = "stepwise"):
         if i == 1:
             g[0][j - 1] = val
         else:
-            B[i - 2][j - 2] = val.map_coeffs(inv)
+            B[i - 2][j - 2] = val.frob(inv)
     return B, g
 
 
@@ -310,19 +484,16 @@ def quotient_residual(h, B, g, q: int):
 def xtilde_matrix(F: Field, q: int, n: int, a_coeffs):
     """The matrix with entries phi^{i-1}(a_{j-i}) on and above the diagonal
     and pi phi^{i-1}(a_{n+j-i}) below it (1-based), from series a_0..a_{n-1}."""
-    assert len(a_coeffs) == n
-
-    def phi_pow(s: LaurentSeries, k: int) -> LaurentSeries:
-        e = s.F.frob_exp(q, k)
-        return s.map_coeffs(lambda c: s.F.frob(c, e))
-
+    if len(a_coeffs) != n:
+        raise MatrixShapeError(f"{len(a_coeffs)} coefficient series for an {n} x {n} matrix")
     out = [[None] * n for _ in range(n)]
     for i in range(1, n + 1):
+        e = F.frob_exp(q, i - 1)
         for j in range(1, n + 1):
             if j >= i:
-                out[i - 1][j - 1] = phi_pow(a_coeffs[j - i], i - 1)
+                out[i - 1][j - 1] = a_coeffs[j - i].frob(e)
             else:
-                out[i - 1][j - 1] = phi_pow(a_coeffs[n + j - i], i - 1).shift(1)
+                out[i - 1][j - 1] = a_coeffs[n + j - i].frob(e).shift(1)
     return out
 
 
@@ -343,18 +514,21 @@ def xtilde_form(A, q: int, Fq: Field):
     return cand
 
 
-def det_valuation(a_coeffs) -> int:
-    """Valuation of det(xtilde_matrix(a)): min over j of n*v_j + j.
+# Above n * v + j for any window a suite can hold, far below int64 overflow.
+_VANISHED = 1 << 40
+
+
+def det_valuation(a_coeffs):
+    """Valuation of det(xtilde_matrix(a)): min over j of n*v_j + j, over the
+    series that do not vanish on their windows (per row for batches).
 
     The n! expansion is dominated by the n cyclic permutations; their
     normalized valuations n*v_j + j are distinct mod n, so the minimum is
     attained exactly once and never cancels.
     """
-    vals = []
-    for j, s in enumerate(a_coeffs):
-        if s.is_zero():
-            continue
-        vals.append(len(a_coeffs) * s.valuation() + j)
-    if not vals:
+    n = len(a_coeffs)
+    # a vanishing series has v == prec; the offset puts its term past all others
+    out = _least(n * s.v + j + _VANISHED * s.is_zero() for j, s in enumerate(a_coeffs))
+    if np.any(out >= _VANISHED):
         raise AllZeroError("all coefficient series vanish on their windows")
-    return min(vals)
+    return out

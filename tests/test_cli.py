@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -134,3 +135,61 @@ def test_dump_rejects_bad_input_before_any_output(bad, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "error:" in out.err
+
+
+@pytest.mark.parametrize(
+    "seed,digest",
+    [
+        (0, "f0e56d9b1ee33b0c83f2b357ced1060a09e811159f0e16dffcdbe5b28076b636"),
+        (1, "d54623d2f9d918c4c9bc1a5f652d968de4c811c475b04da69d178b6e96ba24e2"),
+    ],
+)
+def test_series_report_matches_golden_digest(seed, digest, capsys):
+    # the digests of the scalar seed implementation's reports
+    assert run_cli(["verify", "--suite", "series", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_series_zero_determinant_is_a_counted_failure(monkeypatch):
+    # a determinant that vanishes where the law predicts a valuation inside
+    # the window fails the valuation claim; it is not a library error
+    monkeypatch.setattr(cli, "mat_det_series", lambda A: A[0][0] - A[0][0])
+    rep = cli.suite_series(cli._build_parser().parse_args(["verify", "--suite", "series"]))
+    claim = next(c for c in rep["claims"] if c["claim"].startswith("determinant valuation"))
+    assert claim["status"] == "fail"
+    assert claim["witness"]["failures"] > 0
+
+
+@pytest.mark.parametrize("bad", [["--n", "2", "--h", "4"], ["--n", "4", "--h", "2"]])
+def test_dump_y_set_rejects_unsupported_shape(bad, capsys):
+    rc = run_cli(["dump", "--kind", "y-set", *bad])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "UnsupportedParametersError" in out.err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--kind", "points", "--q", "6"],
+        ["--kind", "points", "--max-size", "0"],
+        ["--kind", "y-set", "--h", "4"],
+        ["--kind", "char-table", "--q", "6"],
+    ],
+)
+def test_failing_dump_keeps_existing_out_file(bad, tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("keep me\n")
+    assert run_cli(["dump", *bad, "--out", str(out)]) == 1
+    assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("flag", ["--n", "--q", "--M"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_rejects_non_positive_sizes(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--suite", "thm31", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

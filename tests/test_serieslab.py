@@ -1,12 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dllab.errors import AllZeroError, PrecisionLossError
+from dllab.errors import AllZeroError, OperandMismatchError, PrecisionLossError
 from dllab.ffield import field
 from dllab.serieslab import (
     LaurentSeries,
+    SeriesBatch,
     det_valuation,
     frob_F,
     mat_det_series,
@@ -261,3 +268,191 @@ def test_xtilde_reduction_agrees_with_truncated_det_model():
         det_tp = det_iota(ring, tuple(elem))
         det_series = mat_det_series(xtilde_matrix(F, q, n, coeffs))
         assert list(det_tp) == [det_series.coeff(t) for t in range(h)]
+
+
+# -- SeriesBatch against the scalar oracle --------------------------------------
+
+# every coefficient field of the series suite: F_4, F_9, F_16, F_64
+SUITE_FIELDS = [(2, 2), (3, 2), (2, 4), (2, 6)]
+
+
+def key(s):
+    return (s.v, s.coeffs, s.prec)
+
+
+def rows(batch):
+    return [key(batch.row(r)) for r in range(len(batch))]
+
+
+def check_invariants(batch):
+    """Zero outside every window, v the first nonzero exponent or prec, and
+    no all-zero column at either end of the array."""
+    exps = batch.lo + np.arange(batch.c.shape[1])
+    inside = (exps >= batch.v[:, None]) & (exps < batch.prec[:, None])
+    assert not np.any(batch.c[~inside])
+    assert np.all(batch.v <= batch.prec)
+    for r in range(len(batch)):
+        if batch.v[r] < batch.prec[r]:
+            assert batch.c[r, batch.v[r] - batch.lo] != 0
+    if batch.c.shape[1]:
+        assert batch.c[:, 0].any() and batch.c[:, -1].any()
+
+
+@st.composite
+def series_lists(draw, F, n):
+    coeff = st.one_of(st.just(0), st.integers(0, F.order - 1))
+    out = []
+    for _ in range(n):
+        v = draw(st.integers(-3, 5))
+        prec = draw(st.integers(v, v + 6))
+        cs = draw(st.lists(coeff, max_size=prec - v))
+        out.append(LaurentSeries(F, v, cs, prec))
+    return out
+
+
+@pytest.mark.parametrize("pk", SUITE_FIELDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_ops_match_scalar_rows(pk, data):
+    F = field(*pk)
+    n = data.draw(st.integers(1, 5))
+    a = data.draw(series_lists(F, n))
+    b = data.draw(series_lists(F, n))
+    A, B = SeriesBatch.from_series(a), SeriesBatch.from_series(b)
+    j = data.draw(st.integers(-4, 4))
+    e = data.draw(st.sampled_from([F.p**i for i in range(2 * F.k + 1)]))
+    cut = min(s.prec for s in a) - data.draw(st.integers(0, 3))
+    cuts = [s.prec - data.draw(st.integers(0, 3)) for s in a]
+    cases = [
+        (A, a),
+        (A + B, [x + y for x, y in zip(a, b)]),
+        (A - B, [x - y for x, y in zip(a, b)]),
+        (A * B, [x * y for x, y in zip(a, b)]),
+        (-A, [-x for x in a]),
+        (A.shift(j), [x.shift(j) for x in a]),
+        (A.truncate(cut), [x.truncate(cut) for x in a]),
+        (A.truncate(np.array(cuts)), [x.truncate(t) for x, t in zip(a, cuts)]),
+        (A.frob(e), [x.map_coeffs(lambda c: F.frob(c, e)) for x in a]),
+    ]
+    assert [key(x.frob(e)) for x in a] == [key(w) for w in cases[-1][1]]
+    for batch, want in cases:
+        check_invariants(batch)
+        assert rows(batch) == [key(w) for w in want]
+    assert A.is_zero().tolist() == [x.is_zero() for x in a]
+    assert A.equals(B).tolist() == [x == y for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("pk", SUITE_FIELDS)
+def test_batch_operand_above_the_other_window(pk):
+    # a's valuation lies above b's precision, and zero rows sit in between
+    F = field(*pk)
+    c = F.order - 1
+    a = [LaurentSeries(F, 5, [c, 1], 8), LaurentSeries.zero(F, 9), LaurentSeries(F, -2, [1], 0)]
+    b = [LaurentSeries(F, 0, [1, c], 3), LaurentSeries(F, 1, [c], 2), LaurentSeries.zero(F, -4)]
+    A, B = SeriesBatch.from_series(a), SeriesBatch.from_series(b)
+    for batch, want in [
+        (A + B, [x + y for x, y in zip(a, b)]),
+        (B + A, [y + x for x, y in zip(a, b)]),
+        (A - B, [x - y for x, y in zip(a, b)]),
+        (A * B, [x * y for x, y in zip(a, b)]),
+        (B * A, [y * x for x, y in zip(a, b)]),
+    ]:
+        check_invariants(batch)
+        assert rows(batch) == [key(w) for w in want]
+    assert A.equals(B).tolist() == [x == y for x, y in zip(a, b)]
+
+
+def test_batch_rejects_wider_window_and_mismatched_operands():
+    F = field(2, 2)
+    A = SeriesBatch.one(F, np.array([3, 4]))
+    with pytest.raises(PrecisionLossError):
+        A.truncate(4)
+    with pytest.raises(OperandMismatchError):
+        A + SeriesBatch.one(field(2, 4), np.array([3, 4]))
+    with pytest.raises(OperandMismatchError):
+        A * SeriesBatch.one(F, np.array([3]))
+    with pytest.raises(TypeError):
+        A == A
+
+
+def stack(mats):
+    """Matrices of LaurentSeries, stacked entrywise into one batch matrix."""
+    n = len(mats[0])
+    return [[SeriesBatch.from_series([M[i][j] for M in mats]) for j in range(n)] for i in range(n)]
+
+
+def assert_rows_match(batch_mat, scalar_mats):
+    for i, row in enumerate(batch_mat):
+        for j, entry in enumerate(row):
+            assert rows(entry) == [key(M[i][j]) for M in scalar_mats]
+
+
+def test_batched_det_matches_scalar_on_full_f4_grid():
+    F = field(2, 2)
+    singles = [LaurentSeries(F, 0, cs, 5) for cs in itertools.product(range(4), repeat=3)]
+    pairs = list(itertools.product(singles, repeat=2))
+    coeffs = [SeriesBatch.from_series([p[t] for p in pairs]) for t in range(2)]
+    det = mat_det_series(xtilde_matrix(F, 2, 2, coeffs))
+    assert rows(det) == [key(mat_det_series(xtilde_matrix(F, 2, 2, list(p)))) for p in pairs]
+
+
+@pytest.mark.parametrize("q,pk", [(2, (2, 2)), (3, (3, 2)), (4, (2, 6))])
+def test_batched_det_and_valuation_match_scalar_3x3(q, pk):
+    F = field(*pk)
+    rng = random.Random(q)
+    samples = [[rand_series(F, rng, 6, 0, 1) for _ in range(3)] for _ in range(150)]
+    samples = [s for s in samples if not all(x.is_zero() for x in s)]
+    coeffs = [SeriesBatch.from_series([s[t] for s in samples]) for t in range(3)]
+    A = xtilde_matrix(F, q, 3, coeffs)
+    assert_rows_match(A, [xtilde_matrix(F, q, 3, s) for s in samples])
+    det = mat_det_series(A)
+    assert rows(det) == [key(mat_det_series(xtilde_matrix(F, q, 3, s))) for s in samples]
+    assert det_valuation(coeffs).tolist() == [det_valuation(s) for s in samples]
+
+
+@pytest.mark.parametrize("p,k,q,n", [(2, 4, 2, 3), (2, 6, 2, 3), (3, 2, 3, 2), (2, 4, 4, 3)])
+def test_batched_solver_matches_scalar_on_suite_configs(p, k, q, n):
+    F = field(p, k)
+    rng = random.Random(p * 100 + k * 10 + q)
+    hs = [rand_upper_unipotent(F, rng, n, 6) for _ in range(40)]
+    h = stack(hs)
+    for order in ("stepwise", "rowwise"):
+        B, g = solve_quotient(h, q, order=order)
+        scalar = [solve_quotient(x, q, order=order) for x in hs]
+        assert_rows_match(B, [s[0] for s in scalar])
+        assert_rows_match(g, [s[1] for s in scalar])
+        res = quotient_residual(h, B, g, q)
+        assert_rows_match(res, [quotient_residual(x, *s, q) for x, s in zip(hs, scalar)])
+        assert all(e.is_zero().all() for row in res for e in row)
+
+
+def test_batched_frob_requires_two_digits_in_every_row():
+    F = field(2, 2)
+    I = mat_identity_series(F, 2, np.array([3, 1, 4]), SeriesBatch)
+    with pytest.raises(PrecisionLossError):
+        frob_F(I, 2)
+
+
+def test_series_checks_survive_python_O():
+    code = (
+        "from dllab.errors import DLLabError\n"
+        "from dllab.ffield import field\n"
+        "from dllab.serieslab import LaurentSeries, xtilde_matrix\n"
+        "a = LaurentSeries.one(field(2, 2), 3)\n"
+        "b = LaurentSeries.one(field(2, 4), 3)\n"
+        "for thunk in (lambda: a + b, lambda: a * b,\n"
+        "              lambda: xtilde_matrix(field(2, 2), 2, 3, [a, a])):\n"
+        "    try:\n"
+        "        thunk()\n"
+        "    except DLLabError as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [
+        "OperandMismatchError", "OperandMismatchError", "MatrixShapeError"
+    ]
