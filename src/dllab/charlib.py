@@ -164,9 +164,6 @@ class ThetaData:
     def pi_value_exp(self) -> int:
         return (self.pi_exp * (self.R // self.M)) % self.R
 
-    def unit_exp(self, u) -> int:
-        return self.chi.exp(u)
-
 
 def common_root_order(n: int, q: int, h: int, M: int) -> int:
     """lcm of the orders of every root of unity the constructions touch."""

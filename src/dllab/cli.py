@@ -676,11 +676,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dl-lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="run a verification suite")
+    # no abbreviations: --h would otherwise be read as --help
+    v = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     v.add_argument("--suite", required=True, choices=sorted(SUITES))
     v.add_argument("--n", type=positive_int, default=None)
     v.add_argument("--q", type=positive_int, default=None)
-    v.add_argument("--h", type=int, default=None)
     v.add_argument("--M", type=positive_int, default=1)
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--max-size", type=int, default=2_000_000)

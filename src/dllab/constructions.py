@@ -20,14 +20,15 @@ import copy
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from math import gcd
 
 from .charlib import AddChar, ThetaData, layer_as_additive_char, theta_family
-from .cyclo import CycloNum, RootCounter, cyclo_from_counts
+from .cyclo import CycloNum, RootCounter
 from .errors import (
     CharacterMismatchError,
     NoExtensionError,
     NotInvariantError,
+    OutsideSubgroupError,
+    RootOrderError,
     UnsupportedParametersError,
 )
 from .ffield import Field, field, splitting_params
@@ -35,20 +36,17 @@ from .matmodel import n2_norm, nm_gnq
 from .repkit import (
     CyclicExtension,
     GroupModel,
+    MonomialExtension,
     MonomialRep,
     SumChar,
-    _dense_eq,
-    _dense_mul,
-    _dense_trace,
-    _monomial_to_dense,
     abelian_character_extensions,
     assert_nonneg_integer,
     coset_transversal,
+    extend_irrep,
     induce_char,
     inner_product,
     monomial_mul,
     monomial_trace_exps,
-    solve_intertwiner,
 )
 from .twistring import (
     TwistedRing,
@@ -57,7 +55,6 @@ from .twistring import (
     gnq_inv,
     gnq_mul,
     h_m_pattern,
-    h_prime_m_pattern,
     nu_m,
     nu_prime_m,
     twisted_ring,
@@ -149,7 +146,6 @@ class RhoData:
     group: GroupModel
     rep: MonomialRep
     char: SumChar
-    subgroup: frozenset
     pattern_subgroup: frozenset
     pattern_exp: object  # the transferred character on the pattern subgroup
     R: int
@@ -158,49 +154,61 @@ class RhoData:
     frob_scalar: int
 
 
-def _psi_split(n: int, q: int, psi: AddChar):
-    p, e = splitting_params(q)
-    F = field(p, e * n)
-    assert psi.F is F, "psi must live on F_{q^n}"
-    m = psi.conductor_power()
-    return F, m, n // m, psi.factor_through_trace(m)
-
-
-def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None) -> RhoData:
+def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = False) -> RhoData:
     """The irreducible constituent of Ind(psi-tilde) from the pattern
     subgroup of the h = 2 principal-unit group, with central character psi.
 
     psi-tilde is psi_1 composed with the reduced norm of the reindexed
-    (n/m, q^m) ring on the kept coordinates."""
+    (n/m, q^m) ring on the kept coordinates.  With mirror, the same
+    construction runs on the second unipotent family, with the reduced norm
+    computed through the matrix embedding (nm_gnq at level k = 1)."""
     _require_small(n, 2)
     p, e = splitting_params(q)
-    F, m, n1, psi1 = _psi_split(n, q, psi)
+    F = field(p, e * n)
+    if psi.F is not F:
+        raise UnsupportedParametersError("psi must live on F_{q^n}")
+    m = psi.conductor_power()
+    n1 = n // m
+    psi1 = psi.factor_through_trace(m)
     if R is None:
         R = p * p
-    assert R % p == 0
+    if R % p:
+        raise RootOrderError(f"root order {R} is not divisible by p = {p}")
     scale = R // p
-    U, ring = unipotent_group(n, q, 2)
     q1 = q**m
     Fq1 = field(p, e * m)
-    target = twisted_ring(n1, q1, 2, F)
+    if mirror:
+        group, _ = gnq_group(n, q)
+
+        def coord(a, j):
+            return a[j - 1]
+
+        def norm(a):
+            return nm_gnq(n1, q1, F, nu_prime_m(n, m, a), k=1)
+    else:
+        group, ring = unipotent_group(n, q, 2)
+
+        def coord(g, j):
+            return g[j]
+
+        def norm(g):
+            return n2_norm(n1, q1, F, nu_m(ring, g, m)[1:])
+
     pattern = set(h_m_pattern(n, 2, m))
 
     def chi_exp(g):
-        y = nu_m(ring, g, m, target)
-        nval = n2_norm(n1, q1, F, y[1:])
-        return (psi1.exp(F.retract(Fq1, nval)) * scale) % R
+        return (psi1.exp(F.retract(Fq1, norm(g))) * scale) % R
 
     Hset = frozenset(
-        g for g in U.elements if all(g[j] == 0 for j in range(1, n + 1) if j not in pattern)
+        g
+        for g in group.elements
+        if all(coord(g, j) == 0 for j in range(1, n + 1) if j not in pattern)
     )
     branch = 1 if (m % 2 == 1 or n1 % 2 == 0) else 2
     if branch == 1:
-        rep = MonomialRep(U, Hset, chi_exp, R)
-        sub, sub_exp = Hset, chi_exp
+        rep = MonomialRep(group, Hset, chi_exp, R)
     else:
-        rep, sub, sub_exp = _halved_branch(
-            U, Hset, chi_exp, R, n, p, e, F, lambda g, j: g[j]
-        )
+        rep = _halved_branch(group, Hset, chi_exp, R, n, p, e, F, coord)
     char = rep.character()
     return RhoData(
         psi=psi,
@@ -209,10 +217,9 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None) -> RhoData:
         m=m,
         n1=n1,
         branch=branch,
-        group=U,
+        group=group,
         rep=rep,
         char=char,
-        subgroup=frozenset(sub),
         pattern_subgroup=Hset,
         pattern_exp=chi_exp,
         R=R,
@@ -246,60 +253,7 @@ def _halved_branch(U, Hset, chi_exp, R, n, p, e, F, coord):
     if not exts:
         raise NoExtensionError("transferred character does not extend to the enlarged subgroup")
     ext = exts[0]
-    rep = MonomialRep(U, Gset, lambda g: ext[g], R)
-    return rep, Gset, lambda g: ext[g]
-
-
-def build_rho_psi_prime(n: int, q: int, psi: AddChar, R: int = None) -> RhoData:
-    """Mirror construction on the second unipotent family, with the reduced
-    norm computed through the matrix embedding (nm_gnq at level k = 1)."""
-    _require_small(n, 2)
-    p, e = splitting_params(q)
-    F, m, n1, psi1 = _psi_split(n, q, psi)
-    if R is None:
-        R = p * p
-    assert R % p == 0
-    scale = R // p
-    G, _ = gnq_group(n, q)
-    q1 = q**m
-    Fq1 = field(p, e * m)
-    pattern = set(h_prime_m_pattern(n, m))
-
-    def chi_exp(a):
-        y = nu_prime_m(n, m, a)
-        nval = nm_gnq(n1, q1, F, y, k=1)
-        return (psi1.exp(F.retract(Fq1, nval)) * scale) % R
-
-    Hset = frozenset(
-        a for a in G.elements if all(a[j - 1] == 0 for j in range(1, n + 1) if j not in pattern)
-    )
-    branch = 1 if (m % 2 == 1 or n1 % 2 == 0) else 2
-    if branch == 1:
-        rep = MonomialRep(G, Hset, chi_exp, R)
-        sub, sub_exp = Hset, chi_exp
-    else:
-        rep, sub, sub_exp = _halved_branch(
-            G, Hset, chi_exp, R, n, p, e, F, lambda a, j: a[j - 1]
-        )
-    char = rep.character()
-    return RhoData(
-        psi=psi,
-        n=n,
-        q=q,
-        m=m,
-        n1=n1,
-        branch=branch,
-        group=G,
-        rep=rep,
-        char=char,
-        subgroup=frozenset(sub),
-        pattern_subgroup=Hset,
-        pattern_exp=chi_exp,
-        R=R,
-        degree=rep.dim,
-        hom_degree=n + n1 - 2,
-        frob_scalar=(-1) ** (n - n1) * q ** (n * (n + n1 - 2) // 2),
-    )
+    return MonomialRep(U, Gset, lambda g: ext[g], R)
 
 
 def _central_coords(n: int, mirror: bool):
@@ -361,12 +315,11 @@ def rho_family_report(n: int, q: int, mirror: bool = False) -> dict:
 
     p, e = splitting_params(q)
     F = field(p, e * n)
-    build = build_rho_psi_prime if mirror else build_rho_psi
     lefschetz = 0
     rows = []
     for a in F.elements():
         psi = AddChar(F, q, a)
-        data = build(n, q, psi)
+        data = build_rho_psi(n, q, psi, mirror=mirror)
         checks = _check_rho(data, mirror)
         lefschetz += q ** (n * (n + data.n1 - 2) // 2) * data.degree
         rows.append(
@@ -412,6 +365,7 @@ def extension_orbit_report(q: int) -> dict:
     ]
     vidx = {v: i for i, v in enumerate(V)}
     rows = []
+    mismatches = []
     for a in F.elements():
         if a == 0:
             continue
@@ -429,16 +383,19 @@ def extension_orbit_report(q: int) -> dict:
             conj_tab = []
             for v in V:
                 w = ring.mul(ring.mul(x, v), xi)
-                assert w[1] == 0 and w[2] == 0 and w[3] == v[3]
+                if w[1] != 0 or w[2] != 0 or w[3] != v[3]:
+                    raise OutsideSubgroupError(f"{x} conjugates {v} to {w}, outside the subgroup")
                 conj_tab.append(base[vidx[(1, 0, 0, w[3], w[4])]])
             orbit.add(tuple(conj_tab))
-        assert orbit <= all_ext
+        if not orbit <= all_ext:
+            raise CharacterMismatchError(f"a conjugate of psi = {a} is not an extension")
         transitive = orbit == all_ext
         if (m == 2) != transitive:
-            raise CharacterMismatchError(
-                f"orbit size {len(orbit)} contradicts conductor exponent {m}"
-            )
+            mismatches.append({"psi": a, "m": m, "orbit": len(orbit)})
         rows.append({"psi": a, "m": m, "orbit": len(orbit), "extensions": len(all_ext)})
+    witness = {"characters": len(rows)}
+    if mismatches:
+        witness["mismatches"] = mismatches
     return {
         "suite": "extension-orbit",
         "params": {"q": q},
@@ -446,8 +403,8 @@ def extension_orbit_report(q: int) -> dict:
         "claims": [
             {
                 "claim": "orbit on extensions transitive iff conductor q^2",
-                "status": "pass",
-                "witness": {"characters": len(rows)},
+                "status": "fail" if mismatches else "pass",
+                "witness": witness,
             }
         ],
     }
@@ -543,143 +500,6 @@ def divquot_order(n: int, q: int, h: int, M: int = 1) -> int:
     return n * M * (q**n - 1) * q ** (n * n * (h - 1))
 
 
-# -- monomial cyclic extensions ---------------------------------------------------
-
-
-class MonomialExtension:
-    """Extension of a monomial irrep of N to N . <g> when the intertwiner is
-    itself monomial; traces are exponent lists, no dense matrices."""
-
-    def __init__(self, rep: MonomialRep, P, E, c: int, R: int):
-        self.rep = rep
-        self.c = c
-        self.R = R
-        d = rep.dim
-        self.T_powers = [(tuple(range(d)), (0,) * d)]
-        for _ in range(c - 1):
-            self.T_powers.append(monomial_mul(self.T_powers[-1], (P, E), R))
-
-    def trace_exps(self, k: int, u):
-        m = monomial_mul(self.T_powers[k % self.c], self.rep.matrix(u), self.R)
-        return monomial_trace_exps(m, self.R)
-
-    def value(self, k: int, u) -> CycloNum:
-        return _exps_value(self.trace_exps(k, u), self.R)
-
-
-def _exps_value(exps, R: int) -> CycloNum:
-    counts = [0] * R
-    for e in exps:
-        counts[e % R] += 1
-    return cyclo_from_counts(R, counts)
-
-
-def _cyclo_inv(x: CycloNum) -> CycloNum:
-    """1/x through the field norm: the product of the other Galois conjugates
-    divided by the (rational, nonzero) norm."""
-    n = x.n
-    num = CycloNum.rational(n, 1)
-    for j in range(2, n):
-        if gcd(j, n) == 1:
-            num = num * x.galois(j)
-    norm = (x * num).as_rational()
-    assert norm != 0, "inverse of zero"
-    return num / norm
-
-
-def _extend_dense_by_trace(rep: MonomialRep, conj, g_power_c, c: int, generators, target_trace):
-    """Cyclic extension when the intertwiner is dense (the conjugation moves
-    the inducing subgroup).  The phase-propagated intertwiner is no longer a
-    root-of-unity multiple of the normalized one, so instead of extracting a
-    root exponent we scale it to hit the target trace directly, then verify
-    T^c = rho(g^c) exactly.  Needs a nonvanishing unnormalized trace."""
-    R = rep.R
-    assert R % c == 0
-    d = rep.dim
-    entries = solve_intertwiner(rep, conj, generators, R)
-    T = [[None] * d for _ in range(d)]
-    for (i, j), e in entries.items():
-        T[i][j] = CycloNum.root(R, e)
-    for x in generators:
-        P, E = rep.matrix(x)
-        Pp, Ep = rep.matrix(conj(x))
-        lhs = _dense_mul(_monomial_to_dense(Pp, Ep, R), T)
-        rhs = _dense_mul(T, _monomial_to_dense(P, E, R))
-        if not _dense_eq(lhs, rhs):
-            raise NotInvariantError("intertwiner verification failed")
-    s1 = _dense_trace(T, R)
-    if s1.is_zero():
-        raise NoExtensionError(
-            "unnormalized intertwiner is traceless; cannot pin down the twist"
-        )
-    # candidate extensions are xi * (mu T) over c-th roots of unity xi, with
-    # pairwise distinct traces once Tr != 0, so matching the target trace
-    # both picks the twist and certifies uniqueness
-    mu = target_trace * _cyclo_inv(s1)
-    Ts = [[None if v is None else v * mu for v in row] for row in T]
-    Tc = Ts
-    for _ in range(c - 1):
-        Tc = _dense_mul(Tc, Ts)
-    Pg, Eg = rep.matrix(g_power_c)
-    if not _dense_eq(Tc, _monomial_to_dense(Pg, Eg, R)):
-        raise NoExtensionError("trace-matched scaling does not satisfy T^c = rho(g^c)")
-    return CyclicExtension(rep, Ts, c, R), None
-
-
-def extend_monomial_irrep(rep: MonomialRep, conj, g_power_c, c: int, generators, target_trace):
-    """Same contract as repkit.extend_invariant_irrep, but exponent-level:
-    requires the solved intertwiner to have monomial support (one entry per
-    row and column), which holds whenever conj permutes the inducing cosets."""
-    R = rep.R
-    assert R % c == 0
-    d = rep.dim
-    entries = solve_intertwiner(rep, conj, generators, R)
-    by_col = {}
-    for (i, j), e in entries.items():
-        by_col.setdefault(j, []).append((i, e))
-    if len(by_col) != d or any(len(v) != 1 for v in by_col.values()):
-        raise NotInvariantError("intertwiner support is not monomial")
-    P = tuple(by_col[j][0][0] for j in range(d))
-    E = tuple(by_col[j][0][1] % R for j in range(d))
-    if sorted(P) != list(range(d)):
-        raise NotInvariantError("intertwiner support is not a permutation")
-    for x in generators:
-        if monomial_mul(rep.matrix(conj(x)), (P, E), R) != monomial_mul(
-            (P, E), rep.matrix(x), R
-        ):
-            raise NotInvariantError("intertwiner verification failed")
-    # normalize T^c = rho(g^c) up to a scalar, then pick the c-th-root twist
-    # whose trace matches; the twist is unique because distinct c-th roots
-    # give distinct traces here (asserted)
-    Tc = (tuple(range(d)), (0,) * d)
-    for _ in range(c):
-        Tc = monomial_mul(Tc, (P, E), R)
-    Pg, Eg = rep.matrix(g_power_c)
-    if Tc[0] != tuple(Pg):
-        raise NotInvariantError("T^c does not have the support of rho(g^c)")
-    ratios = {(a - b) % R for a, b in zip(Tc[1], Eg)}
-    if len(ratios) != 1:
-        raise NotInvariantError("T^c is not a scalar multiple of rho(g^c)")
-    xi = ratios.pop()
-    f = next(t for t in range(R) if (c * t + xi) % R == 0)
-    diag = monomial_trace_exps((P, E), R)
-    chosen = None
-    candidates = []
-    for jj in range(c):
-        s = (f + jj * (R // c)) % R
-        tr = _exps_value([(x + s) % R for x in diag], R)
-        candidates.append(tr)
-        if tr == target_trace:
-            assert chosen is None, "trace does not pin down the scalar twist"
-            chosen = s
-    if chosen is None:
-        raise NoExtensionError(
-            f"no scalar twist matches the target trace; candidates: {candidates}"
-        )
-    Es = tuple((x + chosen) % R for x in E)
-    return MonomialExtension(rep, P, Es, c, R), chosen
-
-
 # -- eta_theta ---------------------------------------------------------------------
 
 
@@ -692,36 +512,35 @@ class RTheta:
     theta: ThetaData
     dq: DivQuotData
     rho_rep: MonomialRep
-    ext: MonomialExtension
-    root_exp: int
+    ext: MonomialExtension | CyclicExtension
+    root_exp: int | None
     sign: int
     hom_degree: int
     degree: int
 
-    def eta_prime_trace_exps(self, x):
-        """Exponent list of the extension character on the even-valuation
-        subgroup (elements (e, u) with n | e)."""
+    def _shift(self, x):
+        """(k, u1, shift) for an element x = (e, u) of the even-valuation
+        subgroup: u = zeta-bar^k u1, and theta's value exponent on Pi^e
+        zeta-bar^k."""
         e, u = x
         dq, theta = self.dq, self.theta
-        assert e % dq.n == 0
-        t = e // dq.n
-        k, u1 = dq.decompose(u)
-        shift = (
-            t * theta.pi_value_exp() + k * theta.zeta_value_exp()
-        ) % theta.R
-        return [(x_ + shift) % theta.R for x_ in self.ext.trace_exps(k, u1)]
-
-    def eta_prime_value(self, x) -> CycloNum:
-        if hasattr(self.ext, "trace_exps"):
-            return _exps_value(self.eta_prime_trace_exps(x), self.theta.R)
-        e, u = x
-        dq, theta = self.dq, self.theta
-        assert e % dq.n == 0
+        if e % dq.n:
+            raise OutsideSubgroupError(f"valuation {e} is not a multiple of n = {dq.n}")
         k, u1 = dq.decompose(u)
         shift = (
             (e // dq.n) * theta.pi_value_exp() + k * theta.zeta_value_exp()
         ) % theta.R
-        return self.ext.value(k, u1) * CycloNum.root(theta.R, shift)
+        return k, u1, shift
+
+    def eta_prime_trace_exps(self, x):
+        """Exponent list of the extension character on the even-valuation
+        subgroup (elements (e, u) with n | e); needs a MonomialExtension."""
+        k, u1, shift = self._shift(x)
+        return [(x_ + shift) % self.theta.R for x_ in self.ext.trace_exps(k, u1)]
+
+    def eta_prime_value(self, x) -> CycloNum:
+        k, u1, shift = self._shift(x)
+        return self.ext.value(k, u1) * CycloNum.root(self.theta.R, shift)
 
     def eta_trace_exps(self, x):
         """Exponent list of the full induced character on the quotient."""
@@ -735,20 +554,6 @@ class RTheta:
                 self.eta_prime_trace_exps((e, dq.ring.frobenius(u, (dq.n - j) % dq.n)))
             )
         return out
-
-    def eta_value(self, x) -> CycloNum:
-        e, u = x
-        dq = self.dq
-        if hasattr(self.ext, "trace_exps"):
-            return _exps_value(self.eta_trace_exps(x), self.theta.R)
-        tot = CycloNum.rational(self.theta.R, 0)
-        if e % dq.n:
-            return tot
-        for j in range(dq.n):
-            tot = tot + self.eta_prime_value(
-                (e, dq.ring.frobenius(u, (dq.n - j) % dq.n))
-            )
-        return tot
 
 
 def build_eta_theta(theta: ThetaData, dq: DivQuotData = None) -> RTheta:
@@ -769,18 +574,16 @@ def _build_eta_level2(theta: ThetaData, dq: DivQuotData = None) -> RTheta:
     rho = build_rho_psi(n, q, psi, R=R)
     sign = (-1) ** (n + n // rho.m)
     ring, F = dq.ring, dq.F
-    conj = lambda x: ring.scalar_conj(F.gen, x)
-    target = CycloNum.rational(R, sign)
-    try:
-        ext, root_exp = extend_monomial_irrep(
-            rho.rep, conj, ring.one, q**n - 1, rho.group.generators, target
-        )
-    except NotInvariantError:
-        # the halved-subgroup branch: scalar conjugation moves the inducing
-        # subgroup, so the intertwiner is dense; fall back to exact matrices
-        ext, root_exp = _extend_dense_by_trace(
-            rho.rep, conj, ring.one, q**n - 1, rho.group.generators, target
-        )
+    # on the halved-subgroup branch scalar conjugation moves the inducing
+    # subgroup, so the intertwiner is dense and so is the extension
+    ext, root_exp = extend_irrep(
+        rho.rep,
+        lambda x: ring.scalar_conj(F.gen, x),
+        ring.one,
+        q**n - 1,
+        rho.group.generators,
+        CycloNum.rational(R, sign),
+    )
     return RTheta(
         theta=theta,
         dq=dq,
@@ -812,7 +615,7 @@ def _build_eta_level3(theta: ThetaData, dq: DivQuotData = None, rep: MonomialRep
         H2 = _level3_pattern_subgroup(U3)
         rep = MonomialRep(U3, H2, _level3_sharp_exp(theta.chi), R)
     ring, F = dq.ring, dq.F
-    ext, root_exp = extend_monomial_irrep(
+    ext, root_exp = extend_irrep(
         rep,
         lambda x: ring.scalar_conj(F.gen, x),
         ring.one,
@@ -820,6 +623,9 @@ def _build_eta_level3(theta: ThetaData, dq: DivQuotData = None, rep: MonomialRep
         rep.group.generators,
         CycloNum.rational(R, 1),
     )
+    if root_exp is None:
+        # the level-3 comparison reads traces at the exponent level
+        raise NotInvariantError("level-3 intertwiner support is not monomial")
     # homological degree 2(h-1)(n-1) - r with r = 2 here
     return RTheta(
         theta=theta,
@@ -851,42 +657,37 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
     dq = divquot(n, q, 2, M)
     F = dq.F
     thetas = theta_family(n, q, 2, M)
+    # Mackey pairs (u, Pi^j-conjugate of u), decomposed as (k, u1); the
+    # theta-dependence of each pair's term enters only through zeta^delta
+    dec = {u: dq.decompose(u) for u in dq.units}
+    pairs = {
+        j: [(dec[u], dec[dq.ring.frobenius(u, (n - j) % n)]) for u in dq.units]
+        for j in range(1, n)
+    }
     cache = {}
     rows = []
+    irregular_mismatches = []
+    reducible_full = []
     for theta in thetas:
         R = theta.R
         psi = layer_as_additive_char(theta.units, theta.chi, theta.L, 2, q, R)
         key = psi.a
         if key not in cache:
             rt = _build_eta_level2(theta, dq)
-            if hasattr(rt.ext, "trace_exps"):
-                tables = {
-                    j: _mackey_delta_table(dq, rt.ext, j) for j in range(1, n)
-                }
-            else:
-                tables = {
-                    j: _mackey_delta_table_dense(dq, rt.ext, j)
-                    for j in range(1, n)
-                }
-            cache[key] = (rt, tables)
+            cache[key] = (rt, {j: rt.ext.delta_sums(pairs[j]) for j in range(1, n)})
         rt, tables = cache[key]
         m = psi.conductor_power() if psi.a else 1
         zv = theta.zeta_value_exp()
         inners = {}
         for j in range(1, n):
-            if hasattr(rt.ext, "trace_exps"):
-                rc = RootCounter(R)
-                for delta, counts in enumerate(tables[j]):
-                    for e_, c in enumerate(counts):
-                        if c:
-                            rc.add((e_ + delta * zv) % R, c)
-                val = rc.value()
-            else:
-                val = CycloNum.rational(R, 0)
-                for delta, prod in tables[j]:
-                    val = val + prod * CycloNum.root(R, (delta * zv) % R)
+            val = CycloNum.rational(R, 0)
+            for delta, part in tables[j]:
+                val = val + part * CycloNum.root(R, (delta * zv) % R)
             inners[j] = assert_nonneg_integer(val / len(dq.units))
-            assert inners[j] in (0, 1), "cross inner product of irreducibles"
+            if inners[j] not in (0, 1):
+                raise CharacterMismatchError(
+                    f"cross inner product {inners[j]} of irreducibles at j = {j}"
+                )
         irreducible = all(v == 0 for v in inners.values())
         # theta is fixed by Frobenius^j iff both the Teichmueller part and the
         # layer character are: theta(zeta^(q^j)) = theta(zeta) and
@@ -896,14 +697,11 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
             and F.frob(psi.a, q ** ((n - j) % n)) == psi.a
             for j in range(1, n)
         )
+        witness = {"zeta_exp": theta.zeta_exp, "psi": psi.a, "mackey": inners}
         if irreducible != regular:
-            raise CharacterMismatchError(
-                f"Mackey pattern {inners} contradicts regularity {regular}"
-            )
+            irregular_mismatches.append({**witness, "regular": regular})
         if m == n and not irreducible:
-            raise CharacterMismatchError(
-                "full-conductor layer character gave a reducible induction"
-            )
+            reducible_full.append(witness)
         rows.append(
             {
                 "zeta_exp": theta.zeta_exp,
@@ -918,6 +716,12 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
                 "irreducible": irreducible,
             }
         )
+    regular_witness = {"thetas": len(rows)}
+    if irregular_mismatches:
+        regular_witness["mismatches"] = irregular_mismatches
+    full_witness = {"full_conductor": sum(1 for r in rows if r["m"] == n)}
+    if reducible_full:
+        full_witness["reducible"] = reducible_full
     return {
         "suite": "eta-level2",
         "params": {"n": n, "q": q, "M": M},
@@ -925,62 +729,16 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
         "claims": [
             {
                 "claim": "Mackey irreducibility iff theta regular",
-                "status": "pass",
-                "witness": {"thetas": len(rows)},
+                "status": "fail" if irregular_mismatches else "pass",
+                "witness": regular_witness,
             },
             {
                 "claim": "full conductor q^n implies irreducible",
-                "status": "pass",
-                "witness": {
-                    "full_conductor": sum(1 for r in rows if r["m"] == n)
-                },
+                "status": "fail" if reducible_full else "pass",
+                "witness": full_witness,
             },
         ],
     }
-
-
-def _mackey_delta_table(dq: DivQuotData, ext: MonomialExtension, j: int):
-    """counts[delta][e]: contributions to the inner product of the Pi^j-
-    conjugate against the original, graded by the Teichmueller shift delta
-    (the theta-dependence enters only through zeta^delta)."""
-    R = ext.R
-    n = dq.n
-    Qn1 = dq.q**n - 1
-    table = [[0] * R for _ in range(Qn1)]
-    base = {}
-    for u in dq.units:
-        k, u1 = dq.decompose(u)
-        base[u] = (k, ext.trace_exps(k, u1))
-    s = (n - j) % n
-    for u in dq.units:
-        k, exps = base[u]
-        v = dq.ring.frobenius(u, s)
-        k2, exps2 = base[v]
-        row = table[(k2 - k) % Qn1]
-        for a in exps2:
-            for b in exps:
-                row[(a - b) % R] += 1
-    return table
-
-
-def _mackey_delta_table_dense(dq: DivQuotData, ext: CyclicExtension, j: int):
-    """Dense twin of _mackey_delta_table for the fallback extension: a list
-    of (delta, cyclotomic partial sum) pairs."""
-    R = ext.R
-    n = dq.n
-    base = {}
-    for u in dq.units:
-        k, u1 = dq.decompose(u)
-        base[u] = (k, ext.value(k, u1))
-    s = (n - j) % n
-    sums = {}
-    for u in dq.units:
-        k, val = base[u]
-        k2, val2 = base[dq.ring.frobenius(u, s)]
-        delta = (k2 - k) % (dq.q**n - 1)
-        term = val2 * val.conj()
-        sums[delta] = sums.get(delta, CycloNum.rational(R, 0)) + term
-    return sorted(sums.items())
 
 
 # -- the level-3 worked example -----------------------------------------------------
@@ -1110,7 +868,10 @@ def verify_main_example(
     Returns a report dict; raises CharacterMismatchError when the characters
     differ (expected for the alternative theta' reading)."""
     q = theta.q
-    assert theta.n == 2 and theta.h == 3
+    if theta.n != 2 or theta.h != 3:
+        raise UnsupportedParametersError(
+            f"the main example is (n, h) = (2, 3), not ({theta.n}, {theta.h})"
+        )
     if ctx is None:
         ctx = main_example_context(q, theta.M)
     R = theta.R
@@ -1216,12 +977,18 @@ def main_example_report(q: int, M: int = 1, norms: str = "auto") -> dict:
     thetas = theta_family(2, q, 3, M, conductor_m=2)
     check_all_norms = norms == "all" or (norms == "auto" and q == 2)
     rows = []
+    mismatches = []
     alt_fail = 0
     for i, theta in enumerate(thetas):
         check_inner = check_all_norms or (norms == "auto" and i % 50 == 0)
-        row = verify_main_example(theta, ctx, "pi-squared", check_inner=check_inner)
-        if "norm" in row and row["norm"] != 1:
-            raise CharacterMismatchError(f"extension-route norm {row['norm']} != 1")
+        try:
+            row = verify_main_example(theta, ctx, "pi-squared", check_inner=check_inner)
+        except CharacterMismatchError as exc:
+            mismatches.append({"theta": i, "error": str(exc)})
+            continue
+        if row.get("norm", 1) != 1:
+            mismatches.append({"theta": i, "error": f"extension-route norm {row['norm']} != 1"})
+            continue
         try:
             verify_main_example(theta, ctx, "pi-fourth")
             row["alternative_reading"] = "pass"
@@ -1229,6 +996,9 @@ def main_example_report(q: int, M: int = 1, norms: str = "auto") -> dict:
             row["alternative_reading"] = "fail"
             alt_fail += 1
         rows.append(row)
+    route_witness = {"thetas": len(thetas)}
+    if mismatches:
+        route_witness["mismatches"] = mismatches
     return {
         "suite": "main-example",
         "params": {"q": q, "M": M},
@@ -1236,8 +1006,8 @@ def main_example_report(q: int, M: int = 1, norms: str = "auto") -> dict:
         "claims": [
             {
                 "claim": "extension route equals theta'-induction (pi-squared reading)",
-                "status": "pass",
-                "witness": {"thetas": len(rows)},
+                "status": "fail" if mismatches else "pass",
+                "witness": route_witness,
             },
             {
                 "claim": "pi-fourth reading fails",

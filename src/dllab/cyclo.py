@@ -239,29 +239,28 @@ class CycloNum:
 
 
 @lru_cache(maxsize=None)
+def _power_residues(n: int) -> tuple:
+    """x^j mod Phi_n as integer coefficient tuples, for every j in [0, n).
+
+    Phi_n is monic with integer coefficients, so each residue is integral;
+    one loop multiplies by x and reduces, with no recursion over j."""
+    phi_cs = cyclotomic_poly(n)
+    deg = len(phi_cs) - 1
+    vec = [1] + [0] * (deg - 1)
+    out = []
+    for _ in range(n):
+        out.append(tuple(vec))
+        top = vec[-1]
+        vec = [0] + vec[:-1]
+        if top:
+            vec = [v - top * c for v, c in zip(vec, phi_cs)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _exp_vector(n: int, j: int) -> tuple:
     """zeta_n^j as a reduced Fraction tuple."""
-    deg = _degree(n)
-    j %= n
-    if j < deg:
-        cs = [Fraction(0)] * deg
-        cs[j] = Fraction(1)
-        return tuple(cs)
-    # multiply down from x^j by repeated squaring on exponent is overkill;
-    # j < n and the reduction rows cover degrees < 2*deg, so walk down.
-    vec = list(_exp_vector(n, j - 1))
-    rows = _reduction_rows(n)
-    out = [Fraction(0)] * deg
-    # multiply by x
-    top = vec[deg - 1]
-    shifted = [Fraction(0)] + vec[: deg - 1]
-    if top:
-        row = rows[deg]
-        for t in range(deg):
-            shifted[t] += top * row[t]
-    for t in range(deg):
-        out[t] = shifted[t]
-    return tuple(out)
+    return tuple(Fraction(c) for c in _power_residues(n)[j % n])
 
 
 class RootCounter:
@@ -279,9 +278,6 @@ class RootCounter:
 
     def add(self, exponent: int, count: int = 1):
         self.counts[exponent % self.n] += count
-
-    def add_counts(self, counts: np.ndarray):
-        self.counts += counts
 
     def value(self) -> CycloNum:
         return cyclo_from_counts(self.n, self.counts)

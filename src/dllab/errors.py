@@ -9,6 +9,10 @@ class MixedOrderError(DLLabError):
     """Cyclotomic operands with different root orders and no explicit lift."""
 
 
+class RootOrderError(DLLabError):
+    """A root order R is not divisible by an order the construction needs."""
+
+
 class NotInSubfieldError(DLLabError):
     """Element does not lie in the requested subfield."""
 
@@ -29,6 +33,11 @@ class MatrixShapeError(DLLabError):
 class OperandMismatchError(DLLabError):
     """Series operands over different coefficient fields, or batches with
     different row counts."""
+
+
+class OutsideSubgroupError(DLLabError):
+    """A group element lies outside the subgroup a map or character is
+    defined on."""
 
 
 class NotInvariantError(DLLabError):
@@ -56,4 +65,4 @@ class PrecisionLossError(DLLabError):
 
 
 class AllZeroError(DLLabError):
-    """Valuation of the zero series/matrix requested."""
+    """Valuation of the zero series/matrix, or the inverse of zero, requested."""

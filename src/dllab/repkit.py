@@ -13,10 +13,17 @@ products, trace comparisons), so the hot loops are integer-only.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd
 
-from .cyclo import CycloNum, RootCounter
-from .errors import NoExtensionError, NotIntegralError, NotInvariantError
+from .cyclo import CycloNum, RootCounter, cyclo_from_counts
+from .errors import (
+    AllZeroError,
+    MixedOrderError,
+    NoExtensionError,
+    NotIntegralError,
+    NotInvariantError,
+    RootOrderError,
+)
 
 
 class GroupModel:
@@ -25,31 +32,12 @@ class GroupModel:
         self.mul = mul
         self.inv = inv
         self.one = one
-        self.index = {g: i for i, g in enumerate(self.elements)}
         self.generators = generators
         self.name = name
         self._classes = None
-        self._class_of = None
 
     def __len__(self):
         return len(self.elements)
-
-    def order_of(self, g) -> int:
-        n, x = 1, g
-        while x != self.one:
-            x = self.mul(x, g)
-            n += 1
-        return n
-
-    def exponent(self) -> int:
-        e = 1
-        for g in self.generators or self.elements:
-            e = lcm(e, self.order_of(g))
-        # generator orders may miss the exponent in nonabelian groups; be safe
-        if self.generators is not None and len(self.elements) <= 4096:
-            for g in self.elements:
-                e = lcm(e, self.order_of(g))
-        return e
 
     def conj_classes(self):
         """Conjugacy classes as lists of elements; deterministic order.
@@ -83,12 +71,7 @@ class GroupModel:
                         queue.append(y)
             classes.append(orbit)
         self._classes = classes
-        self._class_of = seen
         return classes
-
-    def class_of(self, g) -> int:
-        self.conj_classes()
-        return self._class_of[g]
 
 
 # -- characters as exponent data ----------------------------------------------
@@ -108,15 +91,6 @@ class ExpChar:
     def value(self, g) -> CycloNum:
         return CycloNum.root(self.R, self.table[g])
 
-    def conjugate_by(self, a, big_mul, big_inv):
-        """The character h -> chi(a^-1 h a) on the same domain."""
-        ai = big_inv(a)
-        return ExpChar(
-            self.group,
-            {g: self.table[big_mul(big_mul(ai, g), a)] for g in self.table},
-            self.R,
-        )
-
 
 class SumChar:
     """A character whose values are sums of roots: element -> exponent tuple."""
@@ -135,9 +109,6 @@ class SumChar:
             rc.add(e)
         return rc.value()
 
-    def degree(self) -> int:
-        return len(self.lists[self.group.one])
-
 
 def inner_product(chi1, chi2, elements=None, order=None) -> CycloNum:
     """(1/|G|) sum chi1(g) * conj(chi2(g)), exact."""
@@ -145,7 +116,8 @@ def inner_product(chi1, chi2, elements=None, order=None) -> CycloNum:
     elements = group.elements if elements is None else elements
     order = len(elements) if order is None else order
     R = chi1.R
-    assert chi2.R == R
+    if chi2.R != R:
+        raise MixedOrderError(f"characters over root orders {R} and {chi2.R}")
     rc = RootCounter(R)
     for g in elements:
         l1 = chi1.lists[g] if isinstance(chi1, SumChar) else (chi1.table[g],)
@@ -207,7 +179,8 @@ def abelian_character_extensions(group: GroupModel, base: dict, R: int):
         while x not in chars[0]:
             x = group.mul(x, g)
             c += 1
-        assert R % c == 0, "root order must be divisible by element orders"
+        if R % c:
+            raise RootOrderError(f"root order {R} is not divisible by the element order {c}")
         powers = [group.one]
         for _ in range(c - 1):
             powers.append(group.mul(powers[-1], g))
@@ -317,6 +290,67 @@ class CyclicExtension:
                 tot = tot + entry * CycloNum.root(self.R, exps[j])
         return tot
 
+    def delta_sums(self, pairs):
+        """Sum of value(k2, u2) * conj(value(k1, u1)) over the pairs
+        ((k1, u1), (k2, u2)), grouped by delta = k2 - k1 mod c: sorted
+        (delta, CycloNum) pairs."""
+        vals = {}
+        sums = {}
+        for x, y in pairs:
+            for z in (x, y):
+                if z not in vals:
+                    vals[z] = self.value(*z)
+            delta = (y[0] - x[0]) % self.c
+            term = vals[y] * vals[x].conj()
+            sums[delta] = sums.get(delta, CycloNum.rational(self.R, 0)) + term
+        return sorted(sums.items())
+
+
+class MonomialExtension:
+    """Extension of a monomial irrep of N to N . <g> when the intertwiner is
+    itself monomial: T = (P, E) is a monomial matrix, and traces are exponent
+    lists, with no dense matrices."""
+
+    def __init__(self, rep: MonomialRep, P, E, c: int, R: int):
+        self.rep = rep
+        self.c = c
+        self.R = R
+        d = rep.dim
+        self.T_powers = [(tuple(range(d)), (0,) * d)]
+        for _ in range(c - 1):
+            self.T_powers.append(monomial_mul(self.T_powers[-1], (P, E), R))
+
+    def trace_exps(self, k: int, u):
+        """Exponent list of the trace of T^k rho(u)."""
+        m = monomial_mul(self.T_powers[k % self.c], self.rep.matrix(u), self.R)
+        return monomial_trace_exps(m, self.R)
+
+    def value(self, k: int, u) -> CycloNum:
+        return _exps_value(self.trace_exps(k, u), self.R)
+
+    def delta_sums(self, pairs):
+        """CyclicExtension.delta_sums, counted in integer exponent
+        differences per delta; each delta row is reduced once."""
+        R = self.R
+        exps = {}
+        rows = {}
+        for x, y in pairs:
+            for z in (x, y):
+                if z not in exps:
+                    exps[z] = self.trace_exps(*z)
+            row = rows.setdefault((y[0] - x[0]) % self.c, [0] * R)
+            for a in exps[y]:
+                for b in exps[x]:
+                    row[(a - b) % R] += 1
+        return [(delta, cyclo_from_counts(R, rows[delta])) for delta in sorted(rows)]
+
+
+def _exps_value(exps, R: int) -> CycloNum:
+    counts = [0] * R
+    for e in exps:
+        counts[e % R] += 1
+    return cyclo_from_counts(R, counts)
+
 
 def _dense_identity(d, R):
     one = CycloNum.rational(R, 1)
@@ -394,20 +428,83 @@ def solve_intertwiner(rep: MonomialRep, conj, generators, R: int):
     return {node: phase[node] for node in good[0]}
 
 
-def extend_invariant_irrep(
-    rep: MonomialRep, conj, g_power_c, c: int, generators, target_trace: CycloNum
-):
-    """Extension of rho along a cyclic c-step twist with the requested trace
-    at the twisting element.  Returns (CyclicExtension, chosen_root_exp).
+def extend_irrep(rep: MonomialRep, conj, g_power_c, c: int, generators, target_trace):
+    """Extension of the irreducible monomial rep rho of N to N . <g>, where
+    conj(x) = g x g^-1 preserves rho up to equivalence and g^c lies in N,
+    with trace target_trace at g.  Returns (extension, root_exp).
+
+    The intertwiner is solved once.  When its support is monomial (conj
+    permutes the inducing cosets), the extension is a MonomialExtension and
+    root_exp is the exponent of the chosen c-th-root twist.  Otherwise it is
+    a dense CyclicExtension scaled to the target trace, and root_exp is None.
     """
     R = rep.R
-    assert R % c == 0
+    if R % c:
+        raise RootOrderError(f"root order {R} is not divisible by the cycle length {c}")
     d = rep.dim
     entries = solve_intertwiner(rep, conj, generators, R)
+    by_col = {j: (i, e) for (i, j), e in entries.items()}
+    # one entry in every row and every column: a monomial matrix
+    if len(entries) == len(by_col) == len({i for i, _ in entries}) == d:
+        P = tuple(by_col[j][0] for j in range(d))
+        E = tuple(by_col[j][1] for j in range(d))
+        return _monomial_extension(rep, P, E, conj, g_power_c, c, generators, target_trace)
+    return _dense_extension(rep, entries, conj, g_power_c, c, generators, target_trace)
+
+
+def _monomial_extension(rep: MonomialRep, P, E, conj, g_power_c, c: int, generators, target_trace):
+    """Exponent-level extension along the monomial intertwiner (P, E)."""
+    R = rep.R
+    d = rep.dim
+    for x in generators:
+        if monomial_mul(rep.matrix(conj(x)), (P, E), R) != monomial_mul(
+            (P, E), rep.matrix(x), R
+        ):
+            raise NotInvariantError("intertwiner verification failed")
+    # normalize T^c = rho(g^c) up to a scalar, then pick the c-th-root twist
+    # whose trace matches; the twist must be unique
+    Tc = (tuple(range(d)), (0,) * d)
+    for _ in range(c):
+        Tc = monomial_mul(Tc, (P, E), R)
+    Pg, Eg = rep.matrix(g_power_c)
+    if Tc[0] != tuple(Pg):
+        raise NotInvariantError("T^c does not have the support of rho(g^c)")
+    ratios = {(a - b) % R for a, b in zip(Tc[1], Eg)}
+    if len(ratios) != 1:
+        raise NotInvariantError("T^c is not a scalar multiple of rho(g^c)")
+    xi = ratios.pop()
+    f = next(t for t in range(R) if (c * t + xi) % R == 0)
+    diag = monomial_trace_exps((P, E), R)
+    chosen = None
+    candidates = []
+    for jj in range(c):
+        s = (f + jj * (R // c)) % R
+        tr = _exps_value([(x + s) % R for x in diag], R)
+        candidates.append(tr)
+        if tr == target_trace:
+            if chosen is not None:
+                raise NoExtensionError("trace does not pin down the scalar twist")
+            chosen = s
+    if chosen is None:
+        raise NoExtensionError(
+            f"no scalar twist matches the target trace; candidates: {candidates}"
+        )
+    Es = tuple((x + chosen) % R for x in E)
+    return MonomialExtension(rep, P, Es, c, R), chosen
+
+
+def _dense_extension(rep: MonomialRep, entries, conj, g_power_c, c: int, generators, target_trace):
+    """Extension along a dense intertwiner (conj moves the inducing
+    subgroup), given as solve_intertwiner's entries.  The phase-propagated
+    intertwiner is then no longer a root-of-unity multiple of the normalized
+    one, so instead of extracting a root exponent we scale it to hit the
+    target trace directly, then verify T^c = rho(g^c) exactly.  Needs a
+    nonvanishing unnormalized trace."""
+    R = rep.R
+    d = rep.dim
     T = [[None] * d for _ in range(d)]
     for (i, j), e in entries.items():
         T[i][j] = CycloNum.root(R, e)
-    # verify the intertwining equations on the generators
     for x in generators:
         P, E = rep.matrix(x)
         Pp, Ep = rep.matrix(conj(x))
@@ -415,46 +512,37 @@ def extend_invariant_irrep(
         rhs = _dense_mul(T, _monomial_to_dense(P, E, R))
         if not _dense_eq(lhs, rhs):
             raise NotInvariantError("intertwiner verification failed")
-    # normalize so T^c = rho(g^c)
-    Tc = T
-    for _ in range(c - 1):
-        Tc = _dense_mul(Tc, T)
-    Pg, Eg = rep.matrix(g_power_c)
-    ratio = None  # Tc = ratio * rho(g^c); find the root exponent
-    for j in range(d):
-        entry = Tc[Pg[j]][j]
-        assert entry is not None, "T^c is not a scalar multiple of rho(g^c)"
-        r = entry * CycloNum.root(R, -Eg[j])
-        if ratio is None:
-            ratio = r
-        else:
-            assert ratio == r, "T^c is not a scalar multiple of rho(g^c)"
-    # all other entries must vanish
-    dense_g = _monomial_to_dense(Pg, Eg, R)
-    for i in range(d):
-        for j in range(d):
-            if dense_g[i][j] is None:
-                assert Tc[i][j] is None or Tc[i][j].is_zero()
-    xi = _root_exponent(ratio, R)
-    # scale T by zeta^f with c*f = -xi (mod R); smallest f deterministically
-    f = next(t for t in range(R) if (c * t + xi) % R == 0)
-    candidates = []
-    chosen = None
-    for jj in range(c):
-        s = (f + jj * (R // c)) % R
-        Ts = [
-            [None if e is None else e * CycloNum.root(R, s) for e in row] for row in T
-        ]
-        tr = _dense_trace(Ts, R)
-        candidates.append(tr)
-        if tr == target_trace and chosen is None:
-            chosen = (Ts, s)
-    if chosen is None:
+    s1 = _dense_trace(T, R)
+    if s1.is_zero():
         raise NoExtensionError(
-            f"no scalar twist matches the target trace; candidates: {candidates}"
+            "unnormalized intertwiner is traceless; cannot pin down the twist"
         )
-    Ts, s = chosen
-    return CyclicExtension(rep, Ts, c, R), s
+    # candidate extensions are xi * (mu T) over c-th roots of unity xi, with
+    # pairwise distinct traces once Tr != 0, so matching the target trace
+    # both picks the twist and certifies uniqueness
+    mu = target_trace * _cyclo_inv(s1)
+    Ts = [[None if v is None else v * mu for v in row] for row in T]
+    Tc = Ts
+    for _ in range(c - 1):
+        Tc = _dense_mul(Tc, Ts)
+    Pg, Eg = rep.matrix(g_power_c)
+    if not _dense_eq(Tc, _monomial_to_dense(Pg, Eg, R)):
+        raise NoExtensionError("trace-matched scaling does not satisfy T^c = rho(g^c)")
+    return CyclicExtension(rep, Ts, c, R), None
+
+
+def _cyclo_inv(x: CycloNum) -> CycloNum:
+    """1/x through the field norm: the product of the other Galois conjugates
+    divided by the (rational, nonzero) norm."""
+    n = x.n
+    num = CycloNum.rational(n, 1)
+    for j in range(2, n):
+        if gcd(j, n) == 1:
+            num = num * x.galois(j)
+    norm = (x * num).as_rational()
+    if norm == 0:
+        raise AllZeroError("inverse of zero")
+    return num / norm
 
 
 def _monomial_to_dense(P, E, R):
@@ -490,10 +578,3 @@ def _dense_trace(A, R):
         if A[i][i] is not None:
             tot = tot + A[i][i]
     return tot
-
-
-def _root_exponent(val: CycloNum, R: int) -> int:
-    for e in range(R):
-        if val == CycloNum.root(R, e):
-            return e
-    raise AssertionError("value is not a root of unity")

@@ -190,10 +190,6 @@ def twisted_ring(n: int, q: int, h: int, coeff_field: Field) -> TwistedRing:
 # Group elements are full ring tuples starting with 1.
 
 
-def unit_tuple(ring: TwistedRing, tail) -> tuple:
-    return (1,) + tuple(tail)
-
-
 def enumerate_unipotent(ring: TwistedRing, coords_field: Field = None):
     """All elements 1 + sum a_j tau^j with coefficients in coords_field
     (default: the full coefficient field), in deterministic index order."""
@@ -210,11 +206,6 @@ def enumerate_unipotent(ring: TwistedRing, coords_field: Field = None):
             yield from rec(tail + [v])
 
     yield from rec([])
-
-
-def center_coords(ring: TwistedRing):
-    """Indices j of the central coordinates {1 + a tau^n} (single index n)."""
-    return (ring.n,)
 
 
 def h_m_pattern(n: int, h: int, m: int) -> list[int]:
@@ -235,7 +226,7 @@ def h_m_pattern(n: int, h: int, m: int) -> list[int]:
     return out
 
 
-def nu_m(ring: TwistedRing, g, m: int, target_ring: TwistedRing):
+def nu_m(ring: TwistedRing, g, m: int):
     """Discard coordinates not divisible by m and reindex: tau^(m j) -> tau_1^j.
 
     Maps H_m(A) into the unipotent group of the (n/m, q^m, 2) ring.
@@ -284,11 +275,6 @@ def gnq_inv(field_a: Field, n: int, q: int, a):
 def gnq_frobenius(field_a: Field, q: int, a, s: int):
     fr = field_a.frob_map(field_a.frob_exp(q, s))
     return tuple([fr[x] for x in a])
-
-
-def h_prime_m_pattern(n: int, m: int) -> list[int]:
-    """Free coordinates of H'_m in G^{n,q}: same index pattern as H_m."""
-    return h_m_pattern(n, 2, m)
 
 
 def nu_prime_m(n: int, m: int, a):

@@ -193,3 +193,80 @@ def test_verify_rejects_non_positive_sizes(flag, value, capsys):
         run_cli(["verify", "--suite", "thm31", flag, value])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_verify_has_no_h_option(capsys):
+    # no verify suite reads a level; dump keeps its --h
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--suite", "orbit", "--q", "2", "--h", "7"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["verify", "--suite", "main-example", "--q", "2"],
+         "65d3b5f0463849eba10a44b27c0b9ea85c151628d86649d55f553fef98e48e2b"),
+        (["verify", "--suite", "thm31"],
+         "d290f699b1dbdf0dd24b94121fb870a016a8fbaf9ce8e2ed68eded13986f609e"),
+        (["verify", "--suite", "thm32"],
+         "ffd0e6affe60722a99ce337172c2509239ceb82b40bb53ed9fbd63a280637c9e"),
+        (["verify", "--suite", "orbit"],
+         "a6d1427fb3e3de03a044e79ee8d36dc5b30d5414b7081f2a60f6d1fe95de450d"),
+        (["verify", "--suite", "eta-level2", "--n", "2", "--q", "2"],
+         "be18eba79dcaee52ef0a0be22f3338a2f9de61ec73f2949939a572f94a3b9404"),
+        (["dump", "--kind", "char-table", "--n", "3", "--q", "2"],
+         "f62a8c7226b8c20e8860e6849bc325cf93ed615fe660c3dd9bfd6595d6b96296"),
+    ],
+    ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "char-table-n3q2"],
+)
+def test_groups_reports_match_golden_digest(argv, digest, capsys):
+    # the digests of the seed implementation's reports
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _stub_orbit(monkeypatch):
+    from dllab.charlib import AddChar
+
+    # every layer character reads as conductor q: the conductor-q^2 ones
+    # then contradict their transitive orbits
+    monkeypatch.setattr(AddChar, "conductor_power", lambda self: 1)
+
+
+def _stub_eta(monkeypatch):
+    from dllab import constructions
+
+    # every Mackey inner product reads 1: regular thetas look reducible
+    monkeypatch.setattr(constructions, "assert_nonneg_integer", lambda val: 1)
+
+
+def _stub_main_example(monkeypatch):
+    from dllab import constructions
+
+    monkeypatch.setattr(constructions, "_mackey_linear", lambda *args: False)
+
+
+@pytest.mark.parametrize(
+    "argv,stub,failing",
+    [
+        (["--suite", "orbit", "--q", "2"], _stub_orbit,
+         {"orbit on extensions transitive iff conductor q^2": "mismatches"}),
+        (["--suite", "eta-level2", "--n", "2", "--q", "2"], _stub_eta,
+         {"Mackey irreducibility iff theta regular": "mismatches",
+          "full conductor q^n implies irreducible": "reducible"}),
+        (["--suite", "main-example", "--q", "2"], _stub_main_example,
+         {"extension route equals theta'-induction (pi-squared reading)": "mismatches"}),
+    ],
+    ids=["orbit", "eta-level2", "main-example"],
+)
+def test_construction_mismatch_is_a_failing_claim(argv, stub, failing, monkeypatch, capsys):
+    stub(monkeypatch)
+    assert run_cli(["verify", *argv]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    statuses = {c["claim"]: c for c in rep["claims"]}
+    for name, key in failing.items():
+        assert statuses[name]["status"] == "fail"
+        assert statuses[name]["witness"][key]

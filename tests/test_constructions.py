@@ -1,21 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from dllab.charlib import AddChar, theta_family
 from dllab.constructions import (
     CycloNum,
-    _cyclo_inv,
-    _extend_dense_by_trace,
     _level3_pattern_subgroup,
     _level3_sharp_exp,
     build_eta_theta,
     build_rho_psi,
-    build_rho_psi_prime,
     divquot,
     divquot_order,
     eta_family_report,
-    extend_monomial_irrep,
     extension_orbit_report,
     gnq_group,
     gnq_lang_fiber_count,
@@ -27,7 +26,14 @@ from dllab.constructions import (
 )
 from dllab.errors import CharacterMismatchError, UnsupportedParametersError
 from dllab.ffield import field, splitting_params
-from dllab.repkit import MonomialRep, extend_invariant_irrep, inner_product
+from dllab.repkit import (
+    MonomialRep,
+    _cyclo_inv,
+    _dense_extension,
+    extend_irrep,
+    inner_product,
+    solve_intertwiner,
+)
 
 
 def _coeff_field(n, q):
@@ -98,7 +104,7 @@ def test_build_rho_psi_prime_mirror():
     F = _coeff_field(2, 2)
     for a in range(1, F.order):
         psi = AddChar(F, 2, a)
-        data = build_rho_psi_prime(2, 2, psi)
+        data = build_rho_psi(2, 2, psi, mirror=True)
         assert data.degree == (1 if psi.conductor_power() == 1 else 2)
         assert inner_product(data.char, data.char) == CycloNum.rational(
             data.R, 1
@@ -175,11 +181,12 @@ def test_monomial_extension_matches_dense():
     ring, F = dq.ring, dq.F
     conj = lambda x: ring.scalar_conj(F.gen, x)
     target = CycloNum.rational(theta.R, 1)
-    ext_m, _ = extend_monomial_irrep(
+    ext_m, _ = extend_irrep(
         rep, conj, ring.one, q**2 - 1, rep.group.generators, target
     )
-    ext_d, _ = extend_invariant_irrep(
-        rep, conj, ring.one, q**2 - 1, rep.group.generators, target
+    entries = solve_intertwiner(rep, conj, rep.group.generators, rep.R)
+    ext_d, _ = _dense_extension(
+        rep, entries, conj, ring.one, q**2 - 1, rep.group.generators, target
     )
     rng = random.Random(3)
     us = [U3.one] + [rng.choice(U3.elements) for _ in range(12)]
@@ -201,7 +208,7 @@ def test_dense_extension_restricts_to_rho():
     ring = dq.ring
     conj = lambda x: ring.scalar_conj(dq.F.gen, x)
     target = CycloNum.rational(12, (-1) ** (2 + 1))
-    ext, root_exp = _extend_dense_by_trace(
+    ext, root_exp = extend_irrep(
         data.rep, conj, ring.one, q**2 - 1, data.group.generators, target
     )
     assert root_exp is None
@@ -277,3 +284,97 @@ def test_main_example_report_q2():
     rep = main_example_report(2)
     assert len(rep["rows"]) == 24
     assert all(c["status"] == "pass" for c in rep["claims"])
+
+
+def test_monomial_delta_sums_match_dense():
+    # the integer-count Mackey table of the monomial extension against the
+    # dense extension's CycloNum partial sums, on the same intertwiner
+    theta = next(t for t in theta_family(2, 2, 2, 1) if t.zeta_exp == 1)
+    rt = build_eta_theta(theta)
+    assert rt.root_exp is not None
+    dq, rep = rt.dq, rt.rho_rep
+    ring, F = dq.ring, dq.F
+    conj = lambda x: ring.scalar_conj(F.gen, x)
+    entries = solve_intertwiner(rep, conj, rep.group.generators, rep.R)
+    dense, _ = _dense_extension(
+        rep, entries, conj, ring.one, 3, rep.group.generators,
+        CycloNum.rational(rep.R, rt.sign),
+    )
+    pairs = [(dq.decompose(u), dq.decompose(ring.frobenius(u, 1))) for u in dq.units]
+    assert rt.ext.delta_sums(pairs) == dense.delta_sums(pairs)
+
+
+def test_construction_checks_survive_python_O():
+    code = """
+from dllab.charlib import AddChar, theta_family
+from dllab.cyclo import CycloNum
+from dllab.errors import DLLabError
+from dllab.ffield import field
+from dllab.repkit import (ExpChar, GroupModel, MonomialRep, _cyclo_inv,
+    abelian_character_extensions, extend_irrep, inner_product)
+import dllab.constructions as C
+
+C4 = GroupModel(range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, 0, [1])
+# D4 as r^a s^b; its 2-dimensional irrep, with conjugation by s as the twist
+D4 = GroupModel([(a, b) for a in range(4) for b in range(2)],
+                lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 2),
+                lambda x: ((-x[0] if x[1] == 0 else x[0]) % 4, x[1]), (0, 0))
+rho = MonomialRep(D4, {(a, 0) for a in range(4)}, lambda h: h[0], 4)
+s = (0, 1)
+conj = lambda x: D4.mul(D4.mul(s, x), D4.inv(s))
+rt = C.build_eta_theta(theta_family(2, 2, 2, 1)[0])
+
+
+class BadRing:
+    def __init__(self, ring):
+        self.inv = ring.inv
+
+    def mul(self, a, b):
+        return (1, 1, 0, 0, 0)
+
+
+def stub(name, value):
+    setattr(C, name, value)
+
+
+ring_of = C.twisted_ring
+thunks = [
+    lambda: C.build_rho_psi(2, 2, AddChar(field(2, 4), 2, 1)),
+    lambda: C.build_rho_psi(2, 2, AddChar(field(2, 2), 2, 1), R=3),
+    lambda: abelian_character_extensions(C4, {0: 0}, 2),
+    lambda: extend_irrep(rho, conj, (0, 0), 3, [(1, 0), s], CycloNum.rational(4, 0)),
+    lambda: extend_irrep(rho, conj, (0, 0), 2, [(1, 0), s], CycloNum.rational(4, 0)),
+    lambda: _cyclo_inv(CycloNum.rational(12, 0)),
+    lambda: inner_product(ExpChar(C4, {g: 0 for g in range(4)}, 4),
+                          ExpChar(C4, {g: 0 for g in range(4)}, 2)),
+    lambda: rt.eta_prime_value((1, rt.dq.ring.one)),
+    lambda: C.verify_main_example(theta_family(2, 2, 2, 1)[0]),
+    lambda: (stub("assert_nonneg_integer", lambda val: 2), C.eta_family_report(2, 2)),
+    lambda: (stub("twisted_ring", lambda *a: BadRing(ring_of(*a))),
+             C.extension_orbit_report(2)),
+]
+for thunk in thunks:
+    try:
+        thunk()
+    except DLLabError as exc:
+        print(type(exc).__name__)
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [
+        "UnsupportedParametersError",
+        "RootOrderError",
+        "RootOrderError",
+        "RootOrderError",
+        "NoExtensionError",
+        "AllZeroError",
+        "MixedOrderError",
+        "OutsideSubgroupError",
+        "UnsupportedParametersError",
+        "CharacterMismatchError",
+        "OutsideSubgroupError",
+    ]

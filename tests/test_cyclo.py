@@ -106,3 +106,32 @@ def test_ring_axioms_sampled(c1, c2, e1, e2):
     assert (a + b) * z == a * z + b * z
     assert a * b == b * a
     assert (a - b) + b == a
+
+
+def _reference_power(n, j):
+    """x^j mod Phi_n by long division, as Fractions."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    poly = [0] * max(j + 1, deg)
+    poly[j] = 1
+    for i in range(len(poly) - 1, deg - 1, -1):
+        c = poly[i]
+        if c:
+            for t in range(deg + 1):
+                poly[i - deg + t] -= c * phi[t]
+    return tuple(Fraction(c) for c in poly[:deg])
+
+
+@pytest.mark.parametrize("n", [12, 28, 60])
+def test_exp_vector_matches_long_division(n):
+    from dllab.cyclo import _exp_vector
+
+    for j in range(-n, 2 * n):
+        assert _exp_vector(n, j) == _reference_power(n, j % n)
+
+
+def test_root_of_large_order_needs_no_recursion():
+    # 3100 = common_root_order(3, 5, 2, 1); a walk that recursed once per
+    # exponent overflowed the interpreter stack here
+    z = CycloNum.root(3100, 3099)
+    assert z * CycloNum.root(3100, 1) == CycloNum.rational(3100, 1)

@@ -13,8 +13,9 @@ from dllab.repkit import (
     abelian_character_extensions,
     all_linear_characters,
     assert_nonneg_integer,
+    _dense_extension,
     coset_transversal,
-    extend_invariant_irrep,
+    extend_irrep,
     induce_char,
     inner_product,
     monomial_mul,
@@ -104,27 +105,34 @@ def test_cyclic_extension_degree_one():
     N = GroupModel([0, 2, 4], C6.mul, C6.inv, 0, generators=[2])
     chi = {0: 0, 2: 2, 4: 4}  # exponent mod 6: chi(2) = zeta_6^2 (order 3)
     rep = MonomialRep(N, set(N.elements), lambda h: chi[h], 6)
-    ext, s = extend_invariant_irrep(
-        rep,
-        conj=lambda x: x,
-        g_power_c=0,
-        c=2,
-        generators=[2],
-        target_trace=CycloNum.root(6, 3),  # -1
-    )
-    assert ext.value(0, 0) == CycloNum.rational(6, 1)
-    assert ext.value(1, 0) == CycloNum.root(6, 3)
-    # consistency: value at (g * n) respects chi on N
-    assert ext.value(0, 2) == CycloNum.root(6, 2)
-    with pytest.raises(NoExtensionError):
-        extend_invariant_irrep(
+
+    def extend_dense(rep, conj, g_power_c, c, generators, target_trace):
+        entries = solve_intertwiner(rep, conj, generators, rep.R)
+        return _dense_extension(rep, entries, conj, g_power_c, c, generators, target_trace)
+
+    # the dispatching entry point (monomial here) and the dense path
+    for extend in (extend_irrep, extend_dense):
+        ext, s = extend(
             rep,
             conj=lambda x: x,
             g_power_c=0,
             c=2,
             generators=[2],
-            target_trace=CycloNum.root(6, 1),
+            target_trace=CycloNum.root(6, 3),  # -1
         )
+        assert ext.value(0, 0) == CycloNum.rational(6, 1)
+        assert ext.value(1, 0) == CycloNum.root(6, 3)
+        # consistency: value at (g * n) respects chi on N
+        assert ext.value(0, 2) == CycloNum.root(6, 2)
+        with pytest.raises(NoExtensionError):
+            extend(
+                rep,
+                conj=lambda x: x,
+                g_power_c=0,
+                c=2,
+                generators=[2],
+                target_trace=CycloNum.root(6, 1),
+            )
 
 
 def test_solve_intertwiner_identity_conj():

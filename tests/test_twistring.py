@@ -131,8 +131,8 @@ def test_nu_m_is_homomorphism_on_h_m():
     for a in F4.elements():
         for b in F4.elements():
             x, y = (1, 0, a), (1, 0, b)
-            assert nu_m(R, R.mul(x, y), 2, R1) == R1.mul(
-                nu_m(R, x, 2, R1), nu_m(R, y, 2, R1)
+            assert nu_m(R, R.mul(x, y), 2) == R1.mul(
+                nu_m(R, x, 2), nu_m(R, y, 2)
             )
 
 
@@ -147,8 +147,8 @@ def test_nu_m_homomorphism_n3():
             for b2 in (0, 3, 5):
                 for b3 in (1, 6):
                     x, y = (1, 0, a2, a3), (1, 0, b2, b3)
-                    assert nu_m(R, R.mul(x, y), 3, R1) == R1.mul(
-                        nu_m(R, x, 3, R1), nu_m(R, y, 3, R1)
+                    assert nu_m(R, R.mul(x, y), 3) == R1.mul(
+                        nu_m(R, x, 3), nu_m(R, y, 3)
                     )
 
 
