@@ -17,10 +17,16 @@ characters are enumerated exactly as root-exponent tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import itertools
+from dataclasses import dataclass
 from math import lcm
 
-from .errors import UnsupportedParametersError
+from .errors import (
+    CharacterMismatchError,
+    NotInSubfieldError,
+    RootOrderError,
+    UnsupportedParametersError,
+)
 from .ffield import Field, field, splitting_params
 from .matmodel import tp_mul
 from .repkit import ExpChar, GroupModel, abelian_character_extensions
@@ -57,9 +63,10 @@ class AddChar:
                 if self.F.trace(x, sub) == 0
             ):
                 # cross-check: equivalent to a in F_{q^m}
-                assert self.F.in_subfield(sub, self.a)
+                if not self.F.in_subfield(sub, self.a):
+                    raise NotInSubfieldError(f"a is not in F_(q^{m})")
                 return m
-        raise AssertionError("no conductor found")
+        raise UnsupportedParametersError(f"F_{self.F.order} is not over F_{self.q}")
 
     def factor_through_trace(self, m: int) -> "AddChar":
         """psi_1 on F_{q^m} with psi = psi_1 o Tr_{F_{q^n}/F_{q^m}}."""
@@ -89,16 +96,7 @@ def principal_units(L: Field, h: int) -> GroupModel:
             out = tuple(L.add(x, y) for x, y in zip(out, term))
         return out
 
-    els = []
-
-    def rec(tail):
-        if len(tail) == h - 1:
-            els.append((1,) + tuple(tail))
-            return
-        for b in L.elements():
-            rec(tail + [b])
-
-    rec([])
+    els = [(1,) + tail for tail in itertools.product(L.elements(), repeat=h - 1)]
     gens = [g for g in els if sum(1 for c in g[1:] if c) == 1]
     return GroupModel(els, mul, inv, (1,) + (0,) * (h - 1), generators=gens)
 
@@ -127,14 +125,15 @@ def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int
     restriction equals psi_a for a unique a; found by matching exponents.
     """
     p = L.p
-    assert R % p == 0
+    if R % p:
+        raise RootOrderError(f"root order {R} is not divisible by p = {p}")
     scale = R // p
     rest = central_layer_restriction(G, chi, L, h)
     for a in L.elements():
         psi = AddChar(L, q, a)
         if all(rest(b) == (psi.exp(b) * scale) % R for b in L.elements()):
             return psi
-    raise AssertionError("layer restriction is not additive")
+    raise CharacterMismatchError("layer restriction is not additive")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import itertools
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,9 +44,10 @@ from .constructions import (
     main_example_report,
     rho_family_report,
 )
-from .errors import DLLabError, SizeLimitExceededError
+from .errors import DLLabError
 from .ffield import field, grid_chunks, splitting_params
 from .matmodel import (
+    bounded_ring,
     in_Xh,
     n2_norm,
     nm_gnq,
@@ -86,24 +86,12 @@ def _claim(name: str, ok: bool, witness=None, params=None) -> dict:
     return out
 
 
-def _run_ordered(tasks, jobs: int):
-    """Run independent callables, preserving submission order in results."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        futures = [ex.submit(t) for t in tasks]
-        return [f.result() for f in futures]
-
-
 # -- verification suites ------------------------------------------------------------
 
 
 def _rho_suite(args, mirror: bool) -> dict:
     params = [(args.n, args.q)] if args.n and args.q else RHO_PARAMS
-    reports = _run_ordered(
-        [lambda nq=nq: rho_family_report(*nq, mirror=mirror) for nq in params],
-        args.jobs,
-    )
+    reports = [rho_family_report(n, q, mirror=mirror) for n, q in params]
     claims = []
     for (n, q), rep in zip(params, reports):
         ok = all(c["status"] == "pass" for c in rep["claims"])
@@ -154,7 +142,7 @@ def suite_eigenspaces(args) -> dict:
     claims = []
     for q in qs:
         _progress(f"[eigenspaces] twist table at q = {q}")
-        table = x3_twist_table(q, shards=max(args.jobs, 1))
+        table = x3_twist_table(q)
         collapsed = collapse_twist_table(table)
         p, e = splitting_params(q)
         F2 = field(p, 2 * e)
@@ -199,7 +187,7 @@ def suite_intertwiner(args) -> dict:
         psi = conductor2_char(q)
         for s in (1, 2):
             _progress(f"[intertwiner] sum at q = {q}, s = {s}")
-            val = exp_sum(spec, psi, s, shards=max(args.jobs, 1))
+            val = exp_sum(spec, psi, s)
             want = q ** (2 + 2 * s)
             claims.append(
                 _claim(
@@ -234,9 +222,7 @@ def suite_intertwiner(args) -> dict:
 
 def suite_trace(args) -> dict:
     params = [(args.n, args.q)] if args.n and args.q else RHO_PARAMS
-    reports = _run_ordered(
-        [lambda nq=nq: zeta_trace_suite(*nq) for nq in params], args.jobs
-    )
+    reports = [zeta_trace_suite(n, q) for n, q in params]
     claims = []
     for (n, q), rep in zip(params, reports):
         claims.append(
@@ -563,19 +549,24 @@ def suite_maximality(args) -> dict:
     }
 
 
+# Each suite with the verify options it reads besides --suite and --out.
+# Setting any other option is a usage error.  A suite that reads --n reads
+# it only as the pair (--n, --q).
 SUITES = {
-    "thm31": suite_thm31,
-    "thm32": suite_thm32,
-    "eigenspaces": suite_eigenspaces,
-    "intertwiner": suite_intertwiner,
-    "trace": suite_trace,
-    "eta-level2": suite_eta_level2,
-    "main-example": suite_main_example,
-    "orbit": suite_orbit,
-    "matrix-y": suite_matrix_y,
-    "series": suite_series,
-    "maximality": suite_maximality,
+    "thm31": (suite_thm31, {"n", "q"}),
+    "thm32": (suite_thm32, {"n", "q"}),
+    "eigenspaces": (suite_eigenspaces, {"q"}),
+    "intertwiner": (suite_intertwiner, {"q"}),
+    "trace": (suite_trace, {"n", "q"}),
+    "eta-level2": (suite_eta_level2, {"n", "q", "M"}),
+    "main-example": (suite_main_example, {"q", "M"}),
+    "orbit": (suite_orbit, {"q"}),
+    "matrix-y": (suite_matrix_y, {"max_size"}),
+    "series": (suite_series, {"seed"}),
+    "maximality": (suite_maximality, {"saturate", "max_size"}),
 }
+
+VERIFY_DEFAULTS = dict(n=None, q=None, M=1, max_size=2_000_000, saturate=False, seed=0)
 
 
 # -- dumps --------------------------------------------------------------------------
@@ -584,14 +575,7 @@ SUITES = {
 def _xh_members(n: int, q: int, h: int, s: int, max_size: int):
     """Check the parameters and the size bound, then return an iterator over
     (L, N) batches of the points of X (h = 2) or X_h, in grid order."""
-    p, e = splitting_params(q)
-    E = field(p, e * n * s)
-    ring = twisted_ring(n, q, h, E)
-    dim = ring.length - 1
-    if E.order**dim > max_size:
-        raise SizeLimitExceededError(
-            f"{E.order ** dim} candidate points exceed the bound {max_size}"
-        )
+    ring = bounded_ring(n, q, h, n * s, max_size)
     return (g[:, point_mask(ring, g)] for g in unipotent_chunks(ring))
 
 
@@ -676,16 +660,21 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dl-lab")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # no abbreviations: --h would otherwise be read as --help
-    v = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
+    # no abbreviations: --h would otherwise be read as --help.  An option
+    # left off the command line is absent from args (see _suite_args).
+    v = sub.add_parser(
+        "verify",
+        help="run a verification suite",
+        allow_abbrev=False,
+        argument_default=argparse.SUPPRESS,
+    )
     v.add_argument("--suite", required=True, choices=sorted(SUITES))
-    v.add_argument("--n", type=positive_int, default=None)
-    v.add_argument("--q", type=positive_int, default=None)
-    v.add_argument("--M", type=positive_int, default=1)
-    v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--max-size", type=int, default=2_000_000)
+    v.add_argument("--n", type=positive_int)
+    v.add_argument("--q", type=positive_int)
+    v.add_argument("--M", type=positive_int)
+    v.add_argument("--max-size", type=int)
     v.add_argument("--saturate", action="store_true")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=int)
     v.add_argument("--out", default=None)
 
     d = sub.add_parser("dump", help="write a deterministic CSV table")
@@ -699,9 +688,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _suite_args(ap: argparse.ArgumentParser, args) -> argparse.Namespace:
+    """Reject the verify options the suite does not read (usage error,
+    exit 2), then fill in the defaults of the options left off."""
+    reads = SUITES[args.suite][1]
+    unread = sorted(set(vars(args)) & set(VERIFY_DEFAULTS) - reads)
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        ap.error(f"suite {args.suite} does not read {flags}")
+    if "n" in reads and ("n" in args) != ("q" in args):
+        ap.error(f"suite {args.suite} reads --n and --q only together")
+    return argparse.Namespace(**{**VERIFY_DEFAULTS, **vars(args)})
+
+
 def _verify(args) -> int:
     try:
-        report = SUITES[args.suite](args)
+        report = SUITES[args.suite][0](args)
     except DLLabError as exc:
         report = {
             "suite": args.suite,
@@ -742,9 +744,10 @@ def _dump(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    ap = _build_parser()
+    args = ap.parse_args(argv)
     if args.command == "verify":
-        return _verify(args)
+        return _verify(_suite_args(ap, args))
     return _dump(args)
 
 

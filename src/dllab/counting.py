@@ -3,8 +3,8 @@
 Point sets are cut out by explicit polynomial conditions over small finite
 fields; characters contribute integer root exponents; results are exact
 elements of Q(zeta_p) accumulated through RootCounter.  Every enumeration
-is a fold over a partitionable index space, so shard results combine by
-plain addition and totals are independent of the shard count.
+walks its grid in itertools.product order, the order of
+ffield.grid_chunks, which the batched folds use.
 
 The twisted equations are of Artin-Schreier type, so all solutions over the
 algebraic closure already live in F_{q^(n p)}; the default enumeration
@@ -14,25 +14,24 @@ domain by another factor of p.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .charlib import AddChar
 from .cyclo import CycloNum, RootCounter, cyclo_from_counts
-from .errors import IdentityFailsError, SizeLimitExceededError
+from .errors import (
+    CharacterMismatchError,
+    IdentityFailsError,
+    MixedOrderError,
+    SizeLimitExceededError,
+    UnsupportedParametersError,
+)
 from .ffield import Field, field, splitting_params
-from .matmodel import in_Xh, point_mask, star_action, unipotent_chunks
+from .matmodel import bounded_ring, in_Xh, point_mask, star_action, unipotent_chunks
 from .repkit import assert_nonneg_integer
-from .twistring import TwistedRing, twisted_ring
-
-
-def shard_bounds(total: int, shards: int, shard: int) -> tuple[int, int]:
-    """Contiguous [lo, hi) block of an index space; earlier blocks absorb
-    the remainder so the blocks form a partition for every shard count."""
-    base, rem = divmod(total, shards)
-    lo = shard * base + min(shard, rem)
-    return lo, lo + base + (1 if shard < rem else 0)
+from .twistring import TwistedRing, enumerate_unipotent, twisted_ring
 
 
 # -- generic exponential sums --------------------------------------------------
@@ -52,15 +51,8 @@ class SumSpec:
         self.poly = poly
         self.name = name
 
-    def points(self, E: Field, shards: int = 1, shard: int = 0):
-        Q = E.order
-        lo, hi = shard_bounds(Q**self.dim, shards, shard)
-        for idx in range(lo, hi):
-            x, t = [], idx
-            for _ in range(self.dim):
-                x.append(t % Q)
-                t //= Q
-            x = tuple(x)
+    def points(self, E: Field):
+        for x in itertools.product(E.elements(), repeat=self.dim):
             if self.membership(E, x):
                 yield x
 
@@ -70,27 +62,23 @@ def exp_sum(
     psi: AddChar,
     s: int,
     max_size: int = 4_000_000,
-    shards: int = 1,
 ) -> CycloNum:
     """sum over x in S(F_{base^s}) of psi(Tr_{F_{base^s}/F_base}(P(x)))."""
     base = spec.base
-    assert psi.F is base, "character must live on the base field of the spec"
+    if psi.F is not base:
+        raise UnsupportedParametersError("psi must live on the base field of the spec")
     E = field(base.p, base.k * s)
     p = base.p
     fast = getattr(spec, "vector_counts", None)
     if fast is not None:
-        counts = np.zeros(p, dtype=np.int64)
-        for i in range(shards):
-            counts += fast(E, psi, shards, i)
-        return cyclo_from_counts(p, counts)
+        return cyclo_from_counts(p, fast(E, psi))
     if E.order**spec.dim > max_size:
         raise SizeLimitExceededError(
             f"{E.order}^{spec.dim} points exceed the bound {max_size}"
         )
     rc = RootCounter(p)
-    for i in range(shards):
-        for x in spec.points(E, shards, i):
-            rc.add(psi.exp(E.trace(spec.poly(E, x), base)))
+    for x in spec.points(E):
+        rc.add(psi.exp(E.trace(spec.poly(E, x), base)))
     return rc.value()
 
 
@@ -135,7 +123,7 @@ class IntertwinerSpec(SumSpec):
 
         super().__init__(base, 3, membership, poly, name="intertwiner-surface")
 
-    def vector_counts(self, E: Field, psi: AddChar, shards: int, shard: int):
+    def vector_counts(self, E: Field, psi: AddChar):
         q = self.q
         p = E.p
         v = E.vec
@@ -150,8 +138,7 @@ class IntertwinerSpec(SumSpec):
         for a2, c in enumerate(as_vals):
             as_sols.setdefault(int(c), []).append(a2)
         counts = np.zeros(p, dtype=np.int64)
-        lo, hi = shard_bounds(Q, shards, shard)
-        for a1 in range(lo, hi):
+        for a1 in range(Q):
             c = E.sub(
                 E.mul(E.frob(a1, q), E.frob(a1, q * q)), E.mul(a1, E.frob(a1, q))
             )
@@ -182,7 +169,8 @@ def conductor2_char(q: int) -> AddChar:
     p, e = splitting_params(q)
     base = field(p, 2 * e)
     psi = AddChar(base, q, base.gen)
-    assert psi.conductor_power() == 2
+    if psi.conductor_power() != 2:
+        raise CharacterMismatchError("psi of the generator has conductor below q^2")
     return psi
 
 
@@ -230,7 +218,8 @@ def inductive_check(
     identity requires the conductor exponent of psi not to divide j.
     """
     m = psi.conductor_power()
-    assert j % m != 0, "conductor exponent must not divide j"
+    if j % m == 0:
+        raise UnsupportedParametersError("conductor exponent must not divide j")
     big, fibre = inductive_spec(s2, f, p2, j, n, q)
     report = {"name": s2.name, "checks": []}
     for s in s_range:
@@ -292,10 +281,8 @@ def dl_intertwiner_sum(
     p, e = splitting_params(q)
     base = field(p, 2 * e)
     psi = psi or conductor2_char(q)
-    E = field(p, 2 * e * s)
-    if E.order**4 > max_size:
-        raise SizeLimitExceededError(f"{E.order}^4 points exceed {max_size}")
-    ring = twisted_ring(2, q, 3, E)
+    ring = bounded_ring(2, q, 3, 2 * s, max_size)
+    E = ring.coeff_field
     rc = RootCounter(p)
     for a1 in E.elements():
         for a2 in E.elements():
@@ -311,11 +298,8 @@ def dl_intertwiner_sum(
 def y3_locus_equality(q: int, s: int = 2, max_size: int = 300_000) -> bool:
     """Exhaustive check over F_{q^{2s}} that beta^{-1}(Y_3) coincides with
     the two-equation locus (the base surface plus the explicit a_4 value)."""
-    p, e = splitting_params(q)
-    E = field(p, 2 * e * s)
-    if E.order**4 > max_size:
-        raise SizeLimitExceededError(f"{E.order}^4 points exceed {max_size}")
-    ring = twisted_ring(2, q, 3, E)
+    ring = bounded_ring(2, q, 3, 2 * s, max_size)
+    E = ring.coeff_field
     spec = intertwiner_spec(q)
     for a1 in E.elements():
         for a2 in E.elements():
@@ -381,13 +365,8 @@ def twisted_count(query: TwistedFixedQuery, max_size: int = 300_000):
     p, e = splitting_params(query.q)
 
     def run(D):
-        E = field(p, e * D)
-        ring = twisted_ring(query.n, query.q, query.h, E)
-        dim = ring.length - 1
-        if E.order**dim > max_size:
-            raise SizeLimitExceededError(
-                f"{E.order}^{dim} points exceed {max_size}"
-            )
+        ring = bounded_ring(query.n, query.q, query.h, D, max_size)
+        E = ring.coeff_field
         Fqn = field(p, e * query.n)
         emb = E.embed_table(Fqn)
         right = (1,) + tuple(int(emb[c]) for c in query.right[1:])
@@ -397,13 +376,7 @@ def twisted_count(query: TwistedFixedQuery, max_size: int = 300_000):
         elif left[0] == "const_conj":
             left = ("const_conj", int(emb[left[1]]))
         count = 0
-        total = E.order**dim
-        for idx in range(total):
-            x, t = [1], idx
-            for _ in range(dim):
-                x.append(t % E.order)
-                t //= E.order
-            x = tuple(x)
+        for x in enumerate_unipotent(ring):
             if not _x_member(ring, x, query.point_set):
                 continue
             y = ring.frobenius(x, query.n)
@@ -445,7 +418,7 @@ def _x3_conditions(F: Field, q: int, Fq: Field, x) -> bool:
     return F.in_subfield(Fq, c2)
 
 
-def x3_twist_table(q: int, shards: int = 1) -> dict:
+def x3_twist_table(q: int) -> dict:
     """N(gamma, g) for the (n, h) = (2, 3) star-twisted count, tabulated on
     the invariants it actually depends on.
 
@@ -474,44 +447,36 @@ def x3_twist_table(q: int, shards: int = 1) -> dict:
         as_sols.setdefault(E.sub(E.frob(x, q2), x), []).append(x)
     rational = [a for a in E.elements() if E.frob(a, q2) == a]  # F_{q^2} in E
     table = {}
-    Q2 = F2.order
-    total_keys = Q2**4
-    for sh in range(shards):
-        lo, hi = shard_bounds(total_keys, shards, sh)
-        for kidx in range(lo, hi):
-            t = kidx
-            lam_i, t = t % Q2, t // Q2
-            g2_i, t = t % Q2, t // Q2
-            g3_i, t = t % Q2, t // Q2
-            d_i = t % Q2
-            lam, g2, g3, d = (int(emb[c]) for c in (lam_i, g2_i, g3_i, d_i))
-            g = (1, 0, g2, g3, d)  # mu = 0 slice: g4 - mu = d
-            count = 0
-            for a1 in rational:
-                c3 = E.add(E.sub(E.mul(E.frob(g2, q), a1), E.mul(lam, a1)), g3)
-                a3s = as_sols.get(c3, ())
-                if not a3s:
+    # lam runs fastest, so keys are inserted in the order lam, g2, g3, d
+    for d_i, g3_i, g2_i, lam_i in itertools.product(F2.elements(), repeat=4):
+        lam, g2, g3, d = (int(emb[c]) for c in (lam_i, g2_i, g3_i, d_i))
+        g = (1, 0, g2, g3, d)  # mu = 0 slice: g4 - mu = d
+        count = 0
+        for a1 in rational:
+            c3 = E.add(E.sub(E.mul(E.frob(g2, q), a1), E.mul(lam, a1)), g3)
+            a3s = as_sols.get(c3, ())
+            if not a3s:
+                continue
+            a1q1 = E.mul(a1, E.frob(a1, q))
+            for a2 in as_sols.get(E.sub(g2, lam), ()):
+                c1 = E.sub(E.add(E.frob(a2, q), a2), a1q1)
+                if not E.in_subfield(Fq, c1):
                     continue
-                a1q1 = E.mul(a1, E.frob(a1, q))
-                for a2 in as_sols.get(E.sub(g2, lam), ()):
-                    c1 = E.sub(E.add(E.frob(a2, q), a2), a1q1)
-                    if not E.in_subfield(Fq, c1):
-                        continue
-                    c4 = E.sub(
-                        E.add(E.add(d, E.mul(a2, g2)), E.mul(a1, E.frob(g3, q))),
-                        E.mul(lam, E.frob(a2, q2)),
-                    )
-                    a4s = as_sols.get(c4, ())
-                    for a3 in a3s:
-                        for a4 in a4s:
-                            x = (1, a1, a2, a3, a4)
-                            if not _x3_conditions(E, q, Fq, x):
-                                continue
-                            y = ring.frobenius(x, 2)
-                            if _star_closed(E, q, lam, 0, y) == ring.mul(x, g):
-                                count += 1
-            if count:
-                table[(lam_i, g2_i, g3_i, d_i)] = count
+                c4 = E.sub(
+                    E.add(E.add(d, E.mul(a2, g2)), E.mul(a1, E.frob(g3, q))),
+                    E.mul(lam, E.frob(a2, q2)),
+                )
+                a4s = as_sols.get(c4, ())
+                for a3 in a3s:
+                    for a4 in a4s:
+                        x = (1, a1, a2, a3, a4)
+                        if not _x3_conditions(E, q, Fq, x):
+                            continue
+                        y = ring.frobenius(x, 2)
+                        if _star_closed(E, q, lam, 0, y) == ring.mul(x, g):
+                            count += 1
+        if count:
+            table[(lam_i, g2_i, g3_i, d_i)] = count
     return table
 
 
@@ -526,7 +491,8 @@ def eigendim(chi1, chi2, table: dict, q: int) -> int:
     over F_{q^2}; chi2_sharp ignores the tau^3 coordinate of g.
     """
     R = chi1.R
-    assert chi2.R == R
+    if chi2.R != R:
+        raise MixedOrderError(f"characters with root orders {R} and {chi2.R}")
     rc = RootCounter(R)
     n2 = collapse_twist_table(table) if any(len(k) == 4 for k in table) else table
     q2 = q * q
@@ -594,26 +560,20 @@ def zeta_fixed_set(n: int, q: int, h: int, D: int = 0, max_size: int = 600_000):
     p, e = splitting_params(q)
     if D == 0:
         D = n * p
-    E = field(p, e * D)
+    ring = bounded_ring(n, q, h, D, max_size)
+    E, dim = ring.coeff_field, ring.length - 1
     Fqn = field(p, e * n)
     zeta = E.embed(Fqn, Fqn.gen)
-    ring = twisted_ring(n, q, h, E)
-    dim = ring.length - 1
-    if E.order**dim > max_size:
-        raise SizeLimitExceededError(f"{E.order}^{dim} points exceed {max_size}")
     point_set = "X" if h == 2 else "Xh"
     # scalar_conj(zeta, x) scales x_j by f_j, so it fixes x exactly when
     # x_j == 0 at every j with f_j != 1
-    moved = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f != 1]
+    free = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f == 1]
     out = []
-    for idx in range(E.order**dim):
-        x, t = [1], idx
-        for _ in range(dim):
-            x.append(t % E.order)
-            t //= E.order
+    for vals in itertools.product(E.elements(), repeat=len(free)):
+        x = [1] + [0] * dim
+        for j, v in zip(free, vals):
+            x[j] = v
         x = tuple(x)
-        if any(x[j] for j in moved):
-            continue
         if _x_member(ring, x, point_set):
             out.append(x)
     return out, ring, E
@@ -707,12 +667,7 @@ def zeta_trace_suite_level3(q: int) -> dict:
 def xh_point_count(n: int, q: int, h: int, s: int = 1, max_size: int = 50_000_000):
     """|X_h(F_{q^{n s}})| (h = 3 determinant condition) or |X(F_{q^{n s}})|
     (h = 2 Lang preimage), by direct enumeration."""
-    p, e = splitting_params(q)
-    E = field(p, e * n * s)
-    ring = twisted_ring(n, q, h, E)
-    dim = ring.length - 1
-    if E.order**dim > max_size:
-        raise SizeLimitExceededError(f"{E.order}^{dim} points exceed {max_size}")
+    ring = bounded_ring(n, q, h, n * s, max_size)
     return sum(int(point_mask(ring, g).sum()) for g in unipotent_chunks(ring))
 
 

@@ -18,7 +18,12 @@ from math import gcd
 
 import numpy as np
 
-from .errors import MixedOrderError, NotIntegralError
+from .errors import (
+    InexactDivisionError,
+    MixedOrderError,
+    NotIntegralError,
+    UnsupportedParametersError,
+)
 
 
 @lru_cache(maxsize=None)
@@ -40,12 +45,13 @@ def _polydiv_exact(num, den):
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c % den[dd] != 0:
-            raise ArithmeticError("non-exact division")
+            raise InexactDivisionError("non-exact division")
         q = c // den[dd]
         out[i - dd] = q
         for j in range(dd + 1):
             num[i - dd + j] -= q * den[j]
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise InexactDivisionError("division leaves a remainder")
     return out
 
 
@@ -85,7 +91,8 @@ class CycloNum:
         self.n = n
         deg = _degree(n)
         cs = tuple(Fraction(c) for c in coeffs)
-        assert len(cs) == deg
+        if len(cs) != deg:
+            raise MixedOrderError(f"{len(cs)} coefficients for degree {deg}")
         self.coeffs = cs
 
     # -- constructors -------------------------------------------------------
@@ -167,7 +174,8 @@ class CycloNum:
     def galois(self, j: int) -> "CycloNum":
         """The automorphism zeta -> zeta^j for gcd(j, n) == 1."""
         j %= self.n
-        assert gcd(j, self.n) == 1
+        if gcd(j, self.n) != 1:
+            raise UnsupportedParametersError(f"gcd({j}, {self.n}) != 1")
         deg = _degree(self.n)
         acc = [Fraction(0)] * deg
         for i, c in enumerate(self.coeffs):

@@ -52,6 +52,10 @@ class NotIntegralError(DLLabError):
     """An inner product failed to reduce to a nonnegative integer."""
 
 
+class InexactDivisionError(DLLabError):
+    """A polynomial division that must be exact leaves a remainder."""
+
+
 class IdentityFailsError(DLLabError):
     """A claimed sum identity does not hold; carries both values."""
 

@@ -463,17 +463,17 @@ class VecOps:
         return np.array([fn(a) for a in range(self.F.order)], dtype=np.int64)
 
 
-def grid_chunks(Q: int, dim: int, lo: int = 0, hi: int | None = None):
-    """The points of [0, Q)^dim with grid index in [lo, hi), as (dim, N)
-    int64 digit arrays of at most GRID_CHUNK columns.
+def grid_chunks(Q: int, dim: int):
+    """The points of [0, Q)^dim as (dim, N) int64 digit arrays of at most
+    GRID_CHUNK columns.
 
     Index order is itertools.product order: the last coordinate varies
-    fastest.  Shards of the index range fold independently.
+    fastest.  Scalar enumerations use itertools.product itself, so every
+    grid in the package is walked in this one order.
     """
-    if hi is None:
-        hi = Q**dim
-    for start in range(lo, hi, GRID_CHUNK):
-        t = np.arange(start, min(start + GRID_CHUNK, hi), dtype=np.int64)
+    total = Q**dim
+    for start in range(0, total, GRID_CHUNK):
+        t = np.arange(start, min(start + GRID_CHUNK, total), dtype=np.int64)
         out = np.empty((dim, len(t)), dtype=np.int64)
         for j in range(dim - 1, -1, -1):
             t, out[j] = np.divmod(t, Q)

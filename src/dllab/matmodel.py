@@ -337,10 +337,21 @@ def point_mask(ring: TwistedRing, g) -> np.ndarray:
     return in_Xh_batch(ring, g)
 
 
-def unipotent_chunks(ring: TwistedRing, lo: int = 0, hi: int | None = None):
-    """The unipotent elements 1 + a_1 tau + ... over the coefficient field
-    with grid index in [lo, hi), as (L, N) batches in grid_chunks order."""
-    for x in grid_chunks(ring.coeff_field.order, ring.length - 1, lo, hi):
+def bounded_ring(n: int, q: int, h: int, degree: int, max_size: int) -> TwistedRing:
+    """The (n, q, h) twisted ring over F_{q^degree}, once its unipotent grid
+    is known to hold at most max_size points."""
+    p, e = splitting_params(q)
+    ring = twisted_ring(n, q, h, field(p, e * degree))
+    Q, dim = ring.coeff_field.order, ring.length - 1
+    if Q**dim > max_size:
+        raise SizeLimitExceededError(f"{Q}^{dim} points exceed {max_size}")
+    return ring
+
+
+def unipotent_chunks(ring: TwistedRing):
+    """The unipotent elements 1 + a_1 tau + ... over the coefficient field,
+    as (L, N) batches in grid_chunks order."""
+    for x in grid_chunks(ring.coeff_field.order, ring.length - 1):
         yield np.concatenate([np.ones((1, x.shape[1]), dtype=np.int64), x])
 
 
@@ -352,32 +363,16 @@ def n2_norm(n: int, q: int, F: Field, tail) -> int:
     return d[1]
 
 
-def y_h_image(
-    n: int,
-    q: int,
-    h: int,
-    s: int,
-    max_size: int = 300_000,
-    shards: int = 1,
-    shard: int = 0,
-) -> set:
+def y_h_image(n: int, q: int, h: int, s: int, max_size: int = 300_000) -> set:
     """The finite set {F_{q^n}(g) g^{-1} : g in X_h(F_{q^{n s}})}.
 
     X_h is a Lang preimage of a closed subscheme Y_h, but Y_h has no simple
     general closed form; this builds it per extension degree as an explicit
-    point set.  Partitioned enumeration: shard results merge by set union.
+    point set, from one batched fold over the unipotent grid.
     """
-    p, e = splitting_params(q)
-    E = field(p, e * n * s)
-    ring = twisted_ring(n, q, h, E)
-    dim = ring.length - 1
-    if E.order**dim > max_size:
-        raise SizeLimitExceededError(f"{E.order}^{dim} points exceed {max_size}")
-    base, rem = divmod(E.order**dim, shards)
-    lo = shard * base + min(shard, rem)
-    hi = lo + base + (1 if shard < rem else 0)
+    ring = bounded_ring(n, q, h, n * s, max_size)
     out = set()
-    for g in unipotent_chunks(ring, lo, hi):
+    for g in unipotent_chunks(ring):
         g = g[:, in_Xh_batch(ring, g)]
         out.update(map(tuple, ring.lang_batch(g, n).T.tolist()))
     return out

@@ -19,13 +19,14 @@ over i + j = n.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import UnsupportedParametersError
-from .ffield import Field, field, splitting_params
+from .ffield import Field, splitting_params
 
 
 @dataclass(frozen=True)
@@ -190,22 +191,11 @@ def twisted_ring(n: int, q: int, h: int, coeff_field: Field) -> TwistedRing:
 # Group elements are full ring tuples starting with 1.
 
 
-def enumerate_unipotent(ring: TwistedRing, coords_field: Field = None):
-    """All elements 1 + sum a_j tau^j with coefficients in coords_field
-    (default: the full coefficient field), in deterministic index order."""
-    F = coords_field or ring.coeff_field
-    L = ring.length
-    emb = ring.coeff_field.embed_table(F) if F is not ring.coeff_field else None
-
-    def rec(tail):
-        if len(tail) == L - 1:
-            yield (1,) + tuple(tail)
-            return
-        for a in range(F.order):
-            v = int(emb[a]) if emb is not None else a
-            yield from rec(tail + [v])
-
-    yield from rec([])
+def enumerate_unipotent(ring: TwistedRing):
+    """All elements 1 + sum a_j tau^j over the coefficient field, in
+    itertools.product order: a_1 varies slowest."""
+    for tail in itertools.product(ring.coeff_field.elements(), repeat=ring.length - 1):
+        yield (1,) + tail
 
 
 def h_m_pattern(n: int, h: int, m: int) -> list[int]:
@@ -215,7 +205,8 @@ def h_m_pattern(n: int, h: int, m: int) -> list[int]:
     For h == 3 with n == 2 the relevant subgroups are indexed differently and
     handled by the callers.
     """
-    assert h == 2
+    if h != 2:
+        raise UnsupportedParametersError(f"H_m patterns are defined at h = 2, not {h}")
     out = []
     for j in range(1, n + 1):
         if 2 * j <= n:

@@ -52,7 +52,7 @@ def test_failing_claim_gives_exit_one(tmp_path, monkeypatch, capsys):
             "claims": [cli._claim("always wrong", False)],
         }
 
-    monkeypatch.setitem(cli.SUITES, "trace", broken)
+    monkeypatch.setitem(cli.SUITES, "trace", (broken, set()))
     rc = run_cli(["verify", "--suite", "trace", "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "always wrong" in capsys.readouterr().err
@@ -63,7 +63,7 @@ def test_reports_are_byte_identical(tmp_path):
     assert run_cli(["verify", "--suite", "thm31", "--n", "2", "--q", "2",
                     "--out", str(a)]) == 0
     assert run_cli(["verify", "--suite", "thm31", "--n", "2", "--q", "2",
-                    "--jobs", "4", "--out", str(b)]) == 0
+                    "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -155,7 +155,8 @@ def test_series_zero_determinant_is_a_counted_failure(monkeypatch):
     # a determinant that vanishes where the law predicts a valuation inside
     # the window fails the valuation claim; it is not a library error
     monkeypatch.setattr(cli, "mat_det_series", lambda A: A[0][0] - A[0][0])
-    rep = cli.suite_series(cli._build_parser().parse_args(["verify", "--suite", "series"]))
+    ap = cli._build_parser()
+    rep = cli.suite_series(cli._suite_args(ap, ap.parse_args(["verify", "--suite", "series"])))
     claim = next(c for c in rep["claims"] if c["claim"].startswith("determinant valuation"))
     assert claim["status"] == "fail"
     assert claim["witness"]["failures"] > 0
@@ -203,6 +204,43 @@ def test_verify_has_no_h_option(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--suite", "eigenspaces", "--q", "2", "--jobs", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "thm31", "--M", "2"],
+        ["--suite", "thm32", "--seed", "1"],
+        ["--suite", "eigenspaces", "--n", "2"],
+        ["--suite", "intertwiner", "--saturate"],
+        ["--suite", "trace", "--max-size", "100"],
+        ["--suite", "eta-level2", "--n", "2", "--q", "2", "--seed", "1"],
+        ["--suite", "main-example", "--q", "2", "--max-size", "100"],
+        ["--suite", "orbit", "--M", "1"],
+        ["--suite", "matrix-y", "--q", "2"],
+        ["--suite", "series", "--M", "2"],
+        ["--suite", "maximality", "--seed", "0"],
+        # options that used to be ignored, or accepted whatever their value
+        ["--suite", "maximality", "--n", "9", "--q", "9"],
+        ["--suite", "thm31", "--n", "2"],
+        ["--suite", "trace", "--q", "2"],
+        ["--suite", "orbit", "--jobs", "0"],
+        ["--suite", "orbit", "--jobs", "-3"],
+    ],
+    ids=lambda argv: "-".join(a.strip("-") for a in argv[1:]),
+)
+def test_verify_rejects_options_the_suite_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     [
@@ -218,8 +256,17 @@ def test_verify_has_no_h_option(capsys):
          "be18eba79dcaee52ef0a0be22f3338a2f9de61ec73f2949939a572f94a3b9404"),
         (["dump", "--kind", "char-table", "--n", "3", "--q", "2"],
          "f62a8c7226b8c20e8860e6849bc325cf93ed615fe660c3dd9bfd6595d6b96296"),
+        (["verify", "--suite", "intertwiner", "--q", "2"],
+         "2fdf9cba4d8c48def8ede7c784c9424f74b49189d9c78591bb10f1b65810e7b4"),
+        (["verify", "--suite", "trace"],
+         "8f3a8517005d032f07cf8c1411bee36d0a7412127e7084f8c85f08e75e304886"),
+        (["verify", "--suite", "eigenspaces", "--q", "2"],
+         "cfae799ce7d95558027df1a46c75f16c7f8cda5a48618f2d5b350e2aeed00479"),
+        (["dump", "--kind", "y-set", "--n", "2", "--q", "2", "--h", "3", "--s", "2"],
+         "9f6bfec2547f016748223a0a7be41e4768341b47b60ca653dd71ee2d138ba157"),
     ],
-    ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "char-table-n3q2"],
+    ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "char-table-n3q2",
+         "intertwiner-q2", "trace", "eigenspaces-q2", "y-set-n2q2h3s2"],
 )
 def test_groups_reports_match_golden_digest(argv, digest, capsys):
     # the digests of the seed implementation's reports

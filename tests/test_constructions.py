@@ -306,10 +306,15 @@ def test_monomial_delta_sums_match_dense():
 
 def test_construction_checks_survive_python_O():
     code = """
-from dllab.charlib import AddChar, theta_family
-from dllab.cyclo import CycloNum
+from types import SimpleNamespace as NS
+
+from dllab.charlib import AddChar, layer_as_additive_char, theta_family
+from dllab.counting import (conductor2_char, eigendim, exp_sum, inductive_check,
+    intertwiner_s2_data, intertwiner_spec)
+from dllab.cyclo import CycloNum, _polydiv_exact
 from dllab.errors import DLLabError
-from dllab.ffield import field
+from dllab.ffield import Field, field
+from dllab.twistring import h_m_pattern
 from dllab.repkit import (ExpChar, GroupModel, MonomialRep, _cyclo_inv,
     abelian_character_extensions, extend_irrep, inner_product)
 import dllab.constructions as C
@@ -323,6 +328,9 @@ rho = MonomialRep(D4, {(a, 0) for a in range(4)}, lambda h: h[0], 4)
 s = (0, 1)
 conj = lambda x: D4.mul(D4.mul(s, x), D4.inv(s))
 rt = C.build_eta_theta(theta_family(2, 2, 2, 1)[0])
+s2, f, p2, j, n = intertwiner_s2_data(2)
+F4 = Field(2, 2)
+F4.in_subfield = lambda sub, a: False  # contradicts the conductor kernel check
 
 
 class BadRing:
@@ -352,6 +360,20 @@ thunks = [
     lambda: (stub("assert_nonneg_integer", lambda val: 2), C.eta_family_report(2, 2)),
     lambda: (stub("twisted_ring", lambda *a: BadRing(ring_of(*a))),
              C.extension_orbit_report(2)),
+    lambda: exp_sum(intertwiner_spec(2), AddChar(field(2, 1), 2, 1), 1),
+    lambda: inductive_check(s2, f, p2, j, n, 2, AddChar(s2.base, 2, 1), (1,)),
+    lambda: eigendim(NS(R=4), NS(R=2), {}, 2),
+    lambda: h_m_pattern(2, 3, 1),
+    lambda: AddChar(F4, 2, 1).conductor_power(),
+    lambda: AddChar(field(2, 1), 4, 1).conductor_power(),
+    lambda: layer_as_additive_char(None, None, field(2, 2), 3, 2, 3),
+    lambda: layer_as_additive_char(None, NS(exp=lambda z: 1), field(2, 1), 2, 2, 2),
+    lambda: _polydiv_exact([1, 0, 1], [1, 2]),
+    lambda: _polydiv_exact([1, 0, 1], [1, 1]),
+    lambda: CycloNum(4, (1, 2, 3)),
+    lambda: CycloNum.rational(4, 1).galois(2),
+    # last: every character now reads as conductor q
+    lambda: (setattr(AddChar, "conductor_power", lambda self: 1), conductor2_char(2)),
 ]
 for thunk in thunks:
     try:
@@ -377,4 +399,17 @@ for thunk in thunks:
         "UnsupportedParametersError",
         "CharacterMismatchError",
         "OutsideSubgroupError",
+        "UnsupportedParametersError",
+        "UnsupportedParametersError",
+        "MixedOrderError",
+        "UnsupportedParametersError",
+        "NotInSubfieldError",
+        "UnsupportedParametersError",
+        "RootOrderError",
+        "CharacterMismatchError",
+        "InexactDivisionError",
+        "InexactDivisionError",
+        "MixedOrderError",
+        "UnsupportedParametersError",
+        "CharacterMismatchError",
     ]

@@ -14,7 +14,6 @@ from dllab.counting import (
     intertwiner_spec,
     maximality_probe,
     npp_identity,
-    shard_bounds,
     twisted_count,
     x3_twist_table,
     xh_point_count,
@@ -26,20 +25,10 @@ from dllab.counting import (
 )
 from dllab.charlib import layer_as_additive_char, principal_units, unit_characters
 from dllab.cyclo import CycloNum
+from dllab.errors import UnsupportedParametersError
 from dllab.ffield import VecOps, field
 from dllab.matmodel import in_Xh
 from dllab.twistring import twisted_ring
-
-
-def test_shard_bounds_partition():
-    for total in (0, 1, 7, 100, 101):
-        for shards in (1, 2, 3, 4, 7):
-            blocks = [shard_bounds(total, shards, i) for i in range(shards)]
-            assert blocks[0][0] == 0
-            assert blocks[-1][1] == total
-            for (a, b), (c, d) in zip(blocks, blocks[1:]):
-                assert b == c
-                assert a <= b
 
 
 def test_vecops_matches_field_ops():
@@ -84,15 +73,6 @@ def test_intertwiner_sum_generic_path_agrees():
         assert exp_sum(plain, psi, s) == exp_sum(fast, psi, s)
 
 
-def test_exp_sum_shard_invariance():
-    q = 2
-    fast = intertwiner_spec(q)
-    plain = SumSpec(fast.base, 3, fast.membership, fast.poly)
-    psi = conductor2_char(q)
-    for spec in (fast, plain):
-        assert exp_sum(spec, psi, 2, shards=1) == exp_sum(spec, psi, 2, shards=4)
-
-
 def test_exp_sum_trivial_map_counts_points():
     base = field(2, 2)
     spec = SumSpec(base, 2, lambda E, x: True, lambda E, x: 0)
@@ -123,7 +103,7 @@ def test_inductive_check_rejects_bad_conductor():
     base = s2.base
     psi1 = AddChar(base, q, base.embed(field(2, 1), 1))  # factors through F_q
     assert psi1.conductor_power() == 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(UnsupportedParametersError):
         inductive_check(s2, f, p2, j, n, q, psi1, (1,))
 
 
@@ -148,10 +128,9 @@ def test_twisted_count_identity_twist_counts_rational_points():
     assert count == q ** (n * n)
 
 
-def test_x3_twist_table_complete_and_shard_invariant():
+def test_x3_twist_table_complete():
     q = 2
     table = x3_twist_table(q)
-    assert table == x3_twist_table(q, shards=3)
 
     # independent completeness certificate: enumerate X_3 over F_{q^{2p}}
     # directly and, for each point and each lambda, read off the unique
@@ -255,7 +234,7 @@ def test_zeta_fixed_set_matches_scalar_conj_filter(n, q, h):
     point_set = "X" if h == 2 else "Xh"
     want = []
     for tail in itertools.product(E.elements(), repeat=ring.length - 1):
-        x = (1,) + tail[::-1]  # zeta_fixed_set runs a_1 fastest
+        x = (1,) + tail
         if ring.scalar_conj(zeta, x) == x and _x_member(ring, x, point_set):
             want.append(x)
     assert fixed == want

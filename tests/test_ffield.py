@@ -270,13 +270,14 @@ def test_vecops_need_tables():
         VecOps(field(3, 12))
 
 
+# the ids are those of the earlier (Q, dim, lo, hi) cases, so each case keeps
+# its test history
 @pytest.mark.parametrize(
-    "Q,dim,lo,hi",
-    [(2, 3, 0, None), (3, 4, 5, 70), (16, 4, 0, None), (16, 4, 4000, 9000), (27, 3, 0, None)],
+    "Q,dim", [(2, 3), (16, 4), (27, 3)], ids=["2-3-0-None", "16-4-0-None", "27-3-0-None"]
 )
-def test_grid_chunks_follow_product_order(Q, dim, lo, hi):
-    chunks = list(grid_chunks(Q, dim, lo, hi))
+def test_grid_chunks_follow_product_order(Q, dim):
+    chunks = list(grid_chunks(Q, dim))
     assert all(c.shape[0] == dim and 0 < c.shape[1] <= GRID_CHUNK for c in chunks)
     got = [tuple(col) for c in chunks for col in c.T.tolist()]
-    want = list(itertools.product(range(Q), repeat=dim))[lo:hi]
+    want = list(itertools.product(range(Q), repeat=dim))
     assert got == want

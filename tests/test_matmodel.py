@@ -239,14 +239,6 @@ def test_y_h_image_2_3_2_satisfies_closed_form():
     assert all(y3_member(ring, y) for y in img)
 
 
-def test_y_h_image_shard_union():
-    from dllab.matmodel import y_h_image
-
-    whole = y_h_image(2, 2, 3, 1)
-    parts = [y_h_image(2, 2, 3, 1, shards=3, shard=i) for i in range(3)]
-    assert set().union(*parts) == whole
-
-
 # (n, q, h, s) grids of X_h(F_{q^{n s}}); the (2, 2, 2, 2) and (2, 2, 3, 2)
 # grids hold non-members, and all but (2, 2, 3, 2) end in a partial chunk
 BATCH_GRIDS = [(2, 2, 3, 1), (2, 2, 3, 2), (2, 3, 3, 1), (3, 2, 2, 1), (3, 3, 2, 1), (2, 2, 2, 2)]
