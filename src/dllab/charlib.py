@@ -108,16 +108,6 @@ def unit_characters(G: GroupModel, R: int):
     ]
 
 
-def central_layer_restriction(G: GroupModel, chi: ExpChar, L: Field, h: int):
-    """The function b -> chi(1 + b pi^(h-1)) as exponents of zeta_R."""
-
-    def exp(b):
-        z = (1,) + (0,) * (h - 2) + (b,)
-        return chi.exp(z)
-
-    return exp
-
-
 def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int, R: int) -> AddChar:
     """Identify the restriction of chi to the last unit layer with psi_a.
 
@@ -128,10 +118,11 @@ def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int
     if R % p:
         raise RootOrderError(f"root order {R} is not divisible by p = {p}")
     scale = R // p
-    rest = central_layer_restriction(G, chi, L, h)
+    # b -> chi(1 + b pi^(h-1)) as exponents of zeta_R
+    rest = [chi.exp((1,) + (0,) * (h - 2) + (b,)) for b in L.elements()]
     for a in L.elements():
         psi = AddChar(L, q, a)
-        if all(rest(b) == (psi.exp(b) * scale) % R for b in L.elements()):
+        if all(r == (psi.exp(b) * scale) % R for b, r in zip(L.elements(), rest)):
             return psi
     raise CharacterMismatchError("layer restriction is not additive")
 

@@ -21,6 +21,7 @@ from .charlib import (
     unit_characters,
 )
 from .counting import (
+    IntertwinerSpec,
     collapse_twist_table,
     conductor2_char,
     dl_intertwiner_sum,
@@ -28,9 +29,9 @@ from .counting import (
     exp_sum,
     inductive_check,
     intertwiner_s2_data,
-    intertwiner_spec,
     maximality_probe,
     npp_identity,
+    x3_conditions,
     x3_twist_table,
     y3_locus_equality,
     y3_member,
@@ -44,17 +45,9 @@ from .constructions import (
     main_example_report,
     rho_family_report,
 )
-from .errors import DLLabError
+from .errors import DLLabError, SizeLimitExceededError
 from .ffield import field, grid_chunks, splitting_params
-from .matmodel import (
-    bounded_ring,
-    in_Xh,
-    n2_norm,
-    nm_gnq,
-    point_mask,
-    unipotent_chunks,
-    y_h_image,
-)
+from .matmodel import in_Xh, n2_norm, nm_gnq, xh_points, y_h_image
 from .serieslab import (
     SERIES_CHUNK,
     LaurentSeries,
@@ -67,7 +60,7 @@ from .serieslab import (
     xtilde_form,
     xtilde_matrix,
 )
-from .twistring import gnq_mul, twisted_ring
+from .twistring import enumerate_unipotent, gnq_mul, twisted_ring
 
 SCHEMA = 1
 RHO_PARAMS = [(2, 2), (2, 3), (3, 2)]
@@ -84,6 +77,14 @@ def _claim(name: str, ok: bool, witness=None, params=None) -> dict:
     if witness is not None:
         out["witness"] = witness
     return out
+
+
+def _lift_claims(rep: dict, params: dict) -> list:
+    """The claims of a library report as suite claims, each with params."""
+    return [
+        _claim(c["claim"], c["status"] == "pass", params=params, witness=c.get("witness"))
+        for c in rep["claims"]
+    ]
 
 
 # -- verification suites ------------------------------------------------------------
@@ -142,8 +143,7 @@ def suite_eigenspaces(args) -> dict:
     claims = []
     for q in qs:
         _progress(f"[eigenspaces] twist table at q = {q}")
-        table = x3_twist_table(q)
-        collapsed = collapse_twist_table(table)
+        collapsed = collapse_twist_table(x3_twist_table(q))
         p, e = splitting_params(q)
         F2 = field(p, 2 * e)
         units = principal_units(F2, 3)
@@ -158,7 +158,7 @@ def suite_eigenspaces(args) -> dict:
         for c1 in chars:
             for c2 in chars:
                 same = all(c1.exp(g) == c2.exp(g) for g in units.elements)
-                if eigendim(c1, c2, table, q) != (1 if same else 0):
+                if eigendim(c1, c2, collapsed, q) != (1 if same else 0):
                     bad += 1
         claims.append(
             _claim(
@@ -183,7 +183,7 @@ def suite_intertwiner(args) -> dict:
     qs = [args.q] if args.q else [2, 3]
     claims = []
     for q in qs:
-        spec = intertwiner_spec(q)
+        spec = IntertwinerSpec(q)
         psi = conductor2_char(q)
         for s in (1, 2):
             _progress(f"[intertwiner] sum at q = {q}, s = {s}")
@@ -259,11 +259,7 @@ def suite_eta_level2(args) -> dict:
         _progress(f"[eta-level2] sweeping thetas at ({n}, {q})")
         rep = eta_family_report(n, q, M=args.M)
         reports.append(rep)
-        for c in rep["claims"]:
-            claims.append(
-                _claim(c["claim"], c["status"] == "pass", params={"n": n, "q": q},
-                       witness=c.get("witness"))
-            )
+        claims += _lift_claims(rep, {"n": n, "q": q})
     return {
         "suite": "eta-level2",
         "params": {"pairs": params, "M": args.M},
@@ -280,11 +276,7 @@ def suite_main_example(args) -> dict:
         _progress(f"[main-example] q = {q} (both theta' readings)")
         rep = main_example_report(q, M=args.M)
         reports.append(rep)
-        for c in rep["claims"]:
-            claims.append(
-                _claim(c["claim"], c["status"] == "pass", params={"q": q},
-                       witness=c.get("witness"))
-            )
+        claims += _lift_claims(rep, {"q": q})
     return {
         "suite": "main-example",
         "params": {"q": qs, "M": args.M},
@@ -297,35 +289,20 @@ def suite_orbit(args) -> dict:
     qs = [args.q] if args.q else [2, 3]
     claims = []
     for q in qs:
-        rep = extension_orbit_report(q)
-        for c in rep["claims"]:
-            claims.append(
-                _claim(c["claim"], c["status"] == "pass", params={"q": q},
-                       witness=c.get("witness"))
-            )
+        claims += _lift_claims(extension_orbit_report(q), {"q": q})
     return {"suite": "orbit", "params": {"q": qs}, "claims": claims}
 
 
 def _x3_equations_agree(q: int) -> tuple:
     """Exhaustive check over F_{q^4} that reduced-norm membership in the
-    level-3 variety matches the two explicit coordinate equations."""
+    level-3 variety matches the two coordinate equations that
+    x3_twist_table filters with."""
     p, e = splitting_params(q)
-    A = field(p, 4 * e)
     Fq = field(p, e)
-    R = twisted_ring(2, q, 3, A)
+    R = twisted_ring(2, q, 3, field(p, 4 * e))
     checked = 0
-    for a1, a2, a3, a4 in itertools.product(A.elements(), repeat=4):
-        g = (1, a1, a2, a3, a4)
-        e1 = A.sub(A.add(A.frob(a2, q), a2), A.pow(a1, q + 1))
-        e2 = A.add(
-            A.add(A.frob(a4, q), a4),
-            A.sub(
-                A.pow(a2, q + 1),
-                A.add(A.mul(a1, A.frob(a3, q)), A.mul(a3, A.frob(a1, q))),
-            ),
-        )
-        expected = A.in_subfield(Fq, e1) and A.in_subfield(Fq, e2)
-        if in_Xh(R, g) != expected:
+    for g in enumerate_unipotent(R):
+        if in_Xh(R, g) != x3_conditions(R.coeff_field, q, Fq, g):
             return False, checked
         checked += 1
     return True, checked
@@ -340,7 +317,7 @@ def _lang_norm_identity(n: int, q: int) -> tuple:
     checked = 0
     for tail in itertools.product(range(A.order), repeat=n):
         g = (1,) + tail
-        nval = n2_norm(n, q, A, tail)
+        nval = n2_norm(R, tail)
         if R.lang(g, n)[n] != A.sub(A.frob(nval, q), nval):
             return False, checked
         checked += 1
@@ -572,19 +549,12 @@ VERIFY_DEFAULTS = dict(n=None, q=None, M=1, max_size=2_000_000, saturate=False, 
 # -- dumps --------------------------------------------------------------------------
 
 
-def _xh_members(n: int, q: int, h: int, s: int, max_size: int):
-    """Check the parameters and the size bound, then return an iterator over
-    (L, N) batches of the points of X (h = 2) or X_h, in grid order."""
-    ring = bounded_ring(n, q, h, n * s, max_size)
-    return (g[:, point_mask(ring, g)] for g in unipotent_chunks(ring))
-
-
 # Each dump checks its parameters and the size bound, then returns the
 # function that writes the table, so a bad run opens no output file.
 
 
 def dump_points(args):
-    members = _xh_members(args.n, args.q, args.h, args.s, args.max_size)
+    members = xh_points(args.n, args.q, args.h, args.s, args.max_size)
     dim = args.n * (args.h - 1)
 
     def write(out):
@@ -605,6 +575,11 @@ def dump_char_table(args):
     n, q = args.n, args.q
     p, e = splitting_params(q)
     F = field(p, e * n)
+    # the table costs (characters) x |U| = q^n * q^(n n) group-element visits
+    if q ** (n * (n + 1)) > args.max_size:
+        raise SizeLimitExceededError(
+            f"{q}^{n * (n + 1)} characters x elements exceed {args.max_size}"
+        )
     U, _ = unipotent_group(n, q)
     reps = [cls[0] for cls in U.conj_classes()]
 

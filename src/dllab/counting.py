@@ -7,15 +7,13 @@ walks its grid in itertools.product order, the order of
 ffield.grid_chunks, which the batched folds use.
 
 The twisted equations are of Artin-Schreier type, so all solutions over the
-algebraic closure already live in F_{q^(n p)}; the default enumeration
-domain reflects that, and an optional saturation re-check enlarges the
-domain by another factor of p.
+algebraic closure already live in F_{q^(n p)}; the enumeration domain
+reflects that.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .ffield import Field, field, splitting_params
-from .matmodel import bounded_ring, in_Xh, point_mask, star_action, unipotent_chunks
+from .matmodel import bounded_ring, point_member, star_action, xh_points
 from .repkit import assert_nonneg_integer
 from .twistring import TwistedRing, enumerate_unipotent, twisted_ring
 
@@ -50,11 +48,6 @@ class SumSpec:
         self.membership = membership
         self.poly = poly
         self.name = name
-
-    def points(self, E: Field):
-        for x in itertools.product(E.elements(), repeat=self.dim):
-            if self.membership(E, x):
-                yield x
 
 
 def exp_sum(
@@ -77,8 +70,9 @@ def exp_sum(
             f"{E.order}^{spec.dim} points exceed the bound {max_size}"
         )
     rc = RootCounter(p)
-    for x in spec.points(E):
-        rc.add(psi.exp(E.trace(spec.poly(E, x), base)))
+    for x in itertools.product(E.elements(), repeat=spec.dim):
+        if spec.membership(E, x):
+            rc.add(psi.exp(E.trace(spec.poly(E, x), base)))
     return rc.value()
 
 
@@ -159,10 +153,6 @@ class IntertwinerSpec(SumSpec):
         return counts
 
 
-def intertwiner_spec(q: int) -> IntertwinerSpec:
-    return IntertwinerSpec(q)
-
-
 def conductor2_char(q: int) -> AddChar:
     """A fixed additive character of F_{q^2} of conductor q^2: psi_a with a
     the field generator (which never lies in F_q)."""
@@ -234,7 +224,7 @@ def inductive_check(
 def intertwiner_s2_data(q: int):
     """The (S2, f, P2, j, n) tuple whose inductive completion is the
     intertwiner surface: f = a_1, j = 1, n = 2."""
-    spec3 = intertwiner_spec(q)
+    spec3 = IntertwinerSpec(q)
     base = spec3.base
 
     def membership(E, x):
@@ -273,122 +263,67 @@ def beta_map(ring: TwistedRing, factors, h):
     return ring.mul(ring.mul(left, h), right)
 
 
-def dl_intertwiner_sum(
-    q: int, s: int, psi: AddChar = None, max_size: int = 300_000
-) -> CycloNum:
-    """sum of psi(Tr(a_4)) over pairs ((a_1,a_2), 1+a_3 tau^3+a_4 tau^4) in
-    beta^{-1}(Y_3)(F_{q^{2s}}), the quotient-side form of the intertwiner sum."""
-    p, e = splitting_params(q)
-    base = field(p, 2 * e)
-    psi = psi or conductor2_char(q)
+def y3_preimage(ring: TwistedRing):
+    """The points (a_1, a_2, a_3, a_4) over the coefficient field of the pairs
+    ((a_1, a_2), 1 + a_3 tau^3 + a_4 tau^4) in beta^{-1}(Y_3), in grid order."""
+    E = ring.coeff_field
+    for a1, a2 in itertools.product(E.elements(), repeat=2):
+        factors = beta_factors(ring, (a1, a2))
+        for a3, a4 in itertools.product(E.elements(), repeat=2):
+            if y3_member(ring, beta_map(ring, factors, (1, 0, 0, a3, a4))):
+                yield a1, a2, a3, a4
+
+
+def dl_intertwiner_sum(q: int, s: int, max_size: int = 300_000) -> CycloNum:
+    """sum of psi(Tr(a_4)) over beta^{-1}(Y_3)(F_{q^{2s}}), with psi the
+    conductor-q^2 character: the quotient-side form of the intertwiner sum."""
+    psi = conductor2_char(q)
     ring = bounded_ring(2, q, 3, 2 * s, max_size)
     E = ring.coeff_field
-    rc = RootCounter(p)
-    for a1 in E.elements():
-        for a2 in E.elements():
-            factors = beta_factors(ring, (a1, a2))
-            for a3 in E.elements():
-                for a4 in E.elements():
-                    h = (1, 0, 0, a3, a4)
-                    if y3_member(ring, beta_map(ring, factors, h)):
-                        rc.add(psi.exp(E.trace(a4, base)))
+    rc = RootCounter(E.p)
+    for *_, a4 in y3_preimage(ring):
+        rc.add(psi.exp(E.trace(a4, psi.F)))
     return rc.value()
 
 
 def y3_locus_equality(q: int, s: int = 2, max_size: int = 300_000) -> bool:
     """Exhaustive check over F_{q^{2s}} that beta^{-1}(Y_3) coincides with
-    the two-equation locus (the base surface plus the explicit a_4 value)."""
+    the two-equation chart: the base surface plus the explicit a_4 value."""
     ring = bounded_ring(2, q, 3, 2 * s, max_size)
     E = ring.coeff_field
-    spec = intertwiner_spec(q)
-    for a1 in E.elements():
-        for a2 in E.elements():
-            on_surface = spec.membership(E, (a1, a2, 0))
-            factors = beta_factors(ring, (a1, a2))
-            for a3 in E.elements():
-                a4_val = spec.poly(E, (a1, a2, a3))
-                for a4 in E.elements():
-                    h = (1, 0, 0, a3, a4)
-                    inside = y3_member(ring, beta_map(ring, factors, h))
-                    if inside != (on_surface and a4 == a4_val):
-                        return False
-    return True
+    spec = IntertwinerSpec(q)
+    chart = [
+        (a1, a2, a3, spec.poly(E, (a1, a2, a3)))
+        for a1, a2, a3 in itertools.product(E.elements(), repeat=3)
+        if spec.membership(E, (a1, a2, 0))
+    ]
+    return list(y3_preimage(ring)) == chart
 
 
 # -- twisted fixed-point counts ------------------------------------------------
 
 
-@dataclass
-class TwistedFixedQuery:
-    """Count x in X_h(F_{q^D}) with left(F_{q^n}(x)) = x * right.
-
-    left is ('star', gamma) for the level-h unit action, ('const_conj', c)
-    for conjugation by a constant, or ('id',); point_set is 'Xh' (truncated
-    determinant condition) or 'X' (h = 2 Lang preimage of the vanishing top
-    coordinate).
-    """
-
-    n: int
-    q: int
-    h: int
-    left: tuple
-    right: tuple
-    D: int = 0
-    point_set: str = "Xh"
-    saturate: bool = False
-
-    def __post_init__(self):
-        if self.D == 0:
-            p, _ = splitting_params(self.q)
-            self.D = self.n * p
-
-
-def _x_member(ring: TwistedRing, g, point_set: str) -> bool:
-    if point_set == "Xh":
-        return in_Xh(ring, g)
-    # X: top coordinate of the Lang image vanishes
-    return ring.lang(g, ring.n)[ring.n] == 0
-
-
-def _apply_left(ring: TwistedRing, left, y):
-    kind = left[0]
-    if kind == "star":
-        return star_action(ring, left[1], y)
-    if kind == "const_conj":
-        return ring.scalar_conj(left[1], y)
-    return y
-
-
-def twisted_count(query: TwistedFixedQuery, max_size: int = 300_000):
-    """Exact solution count by honest enumeration; returns (count, saturated)
-    where saturated is None when the re-check was not requested."""
-    p, e = splitting_params(query.q)
-
-    def run(D):
-        ring = bounded_ring(query.n, query.q, query.h, D, max_size)
-        E = ring.coeff_field
-        Fqn = field(p, e * query.n)
-        emb = E.embed_table(Fqn)
-        right = (1,) + tuple(int(emb[c]) for c in query.right[1:])
-        left = query.left
-        if left[0] == "star":
-            left = ("star", tuple(int(emb[c]) for c in left[1]))
-        elif left[0] == "const_conj":
-            left = ("const_conj", int(emb[left[1]]))
-        count = 0
-        for x in enumerate_unipotent(ring):
-            if not _x_member(ring, x, query.point_set):
-                continue
-            y = ring.frobenius(x, query.n)
-            if _apply_left(ring, left, y) == ring.mul(x, right):
-                count += 1
-        return count
-
-    count = run(query.D)
-    saturated = None
-    if query.saturate:
-        saturated = run(query.D * p) == count
-    return count, saturated
+def twisted_count(n: int, q: int, h: int, gamma, right, max_size: int = 300_000) -> int:
+    """Count x in X(F_{q^(n p)}) (the point rule of matmodel.point_member)
+    with gamma * F_{q^n}(x) = x * right, by honest enumeration.  gamma is
+    None (no twist) or a star unit (1, lam, mu, ...) over F_{q^n}; right is
+    a unipotent element over F_{q^n}."""
+    p, e = splitting_params(q)
+    ring = bounded_ring(n, q, h, n * p, max_size)
+    emb = ring.coeff_field.embed_table(field(p, e * n))
+    right = (1,) + tuple(int(emb[c]) for c in right[1:])
+    if gamma is not None:
+        gamma = tuple(int(emb[c]) for c in gamma)
+    count = 0
+    for x in enumerate_unipotent(ring):
+        if not point_member(ring, x):
+            continue
+        y = ring.frobenius(x, n)
+        if gamma is not None:
+            y = star_action(ring, gamma, y)
+        if y == ring.mul(x, right):
+            count += 1
+    return count
 
 
 # -- the eigenspace kernel (n = 2, h = 3) --------------------------------------
@@ -406,7 +341,10 @@ def _star_closed(F: Field, q: int, lam: int, mu: int, x):
     )
 
 
-def _x3_conditions(F: Field, q: int, Fq: Field, x) -> bool:
+def x3_conditions(F: Field, q: int, Fq: Field, x) -> bool:
+    """The two coordinate equations of X_3 at n = 2 for x = 1 + a_1 tau +
+    ... + a_4 tau^4:  a_2^q + a_2 - a_1^(q+1) and
+    a_4^q + a_4 + a_2^(q+1) - a_1 a_3^q - a_3 a_1^q both lie in F_q."""
     _, a1, a2, a3, a4 = x
     c1 = F.sub(F.add(F.frob(a2, q), a2), F.mul(a1, F.frob(a1, q)))
     if not F.in_subfield(Fq, c1):
@@ -470,7 +408,7 @@ def x3_twist_table(q: int) -> dict:
                 for a3 in a3s:
                     for a4 in a4s:
                         x = (1, a1, a2, a3, a4)
-                        if not _x3_conditions(E, q, Fq, x):
+                        if not x3_conditions(E, q, Fq, x):
                             continue
                         y = ring.frobenius(x, 2)
                         if _star_closed(E, q, lam, 0, y) == ring.mul(x, g):
@@ -488,19 +426,19 @@ def eigendim(chi1, chi2, table: dict, q: int) -> int:
 
     with the Frobenius scalar q^2 hypothesis supplied by the intertwiner
     sum.  chi1, chi2 are characters of the principal units (1, lam, mu)
-    over F_{q^2}; chi2_sharp ignores the tau^3 coordinate of g.
+    over F_{q^2}; chi2_sharp ignores the tau^3 coordinate of g, so table is
+    the collapsed collapse_twist_table(x3_twist_table(q)).
     """
     R = chi1.R
     if chi2.R != R:
         raise MixedOrderError(f"characters with root orders {R} and {chi2.R}")
+    p, e = splitting_params(q)
+    F2 = field(p, 2 * e)
     rc = RootCounter(R)
-    n2 = collapse_twist_table(table) if any(len(k) == 4 for k in table) else table
-    q2 = q * q
-    for (lam_i, g2_i, d_i), cnt in n2.items():
-        for mu in range(q2):
+    for (lam_i, g2_i, d_i), cnt in table.items():
+        for mu in F2.elements():
             e1 = chi1.exp((1, lam_i, mu))
-            g4 = _f2_add(q, d_i, mu)
-            e2 = chi2.exp((1, g2_i, g4))
+            e2 = chi2.exp((1, g2_i, F2.add(d_i, mu)))
             rc.add(e2 - e1, cnt)
     val = rc.value() / q**12
     return assert_nonneg_integer(val)
@@ -514,11 +452,6 @@ def collapse_twist_table(table: dict) -> dict:
         key = (lam_i, g2_i, d_i)
         n2[key] = n2.get(key, 0) + cnt
     return n2
-
-
-def _f2_add(q: int, a: int, b: int) -> int:
-    p, e = splitting_params(q)
-    return field(p, 2 * e).add(a, b)
 
 
 def npp_identity(q: int) -> bool:
@@ -554,17 +487,14 @@ def npp_identity(q: int) -> bool:
 # -- fixed-point suites for the constant-conjugation traces --------------------
 
 
-def zeta_fixed_set(n: int, q: int, h: int, D: int = 0, max_size: int = 600_000):
-    """Points of X_h(F_{q^D}) fixed by conjugation with the Teichmueller
-    generator of F_{q^n}^x; h = 2 uses the Lang-preimage point set."""
+def zeta_fixed_set(n: int, q: int, h: int, max_size: int = 600_000):
+    """Points of X(F_{q^(n p)}) (the point rule of matmodel.point_member)
+    fixed by conjugation with the Teichmueller generator of F_{q^n}^x."""
     p, e = splitting_params(q)
-    if D == 0:
-        D = n * p
-    ring = bounded_ring(n, q, h, D, max_size)
+    ring = bounded_ring(n, q, h, n * p, max_size)
     E, dim = ring.coeff_field, ring.length - 1
     Fqn = field(p, e * n)
     zeta = E.embed(Fqn, Fqn.gen)
-    point_set = "X" if h == 2 else "Xh"
     # scalar_conj(zeta, x) scales x_j by f_j, so it fixes x exactly when
     # x_j == 0 at every j with f_j != 1
     free = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f == 1]
@@ -574,7 +504,7 @@ def zeta_fixed_set(n: int, q: int, h: int, D: int = 0, max_size: int = 600_000):
         for j, v in zip(free, vals):
             x[j] = v
         x = tuple(x)
-        if _x_member(ring, x, point_set):
+        if point_member(ring, x):
             out.append(x)
     return out, ring, E
 
@@ -667,8 +597,7 @@ def zeta_trace_suite_level3(q: int) -> dict:
 def xh_point_count(n: int, q: int, h: int, s: int = 1, max_size: int = 50_000_000):
     """|X_h(F_{q^{n s}})| (h = 3 determinant condition) or |X(F_{q^{n s}})|
     (h = 2 Lang preimage), by direct enumeration."""
-    ring = bounded_ring(n, q, h, n * s, max_size)
-    return sum(int(point_mask(ring, g).sum()) for g in unipotent_chunks(ring))
+    return sum(g.shape[1] for g in xh_points(n, q, h, s, max_size))
 
 
 def x_betti_data(n: int, q: int) -> list[dict]:

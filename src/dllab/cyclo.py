@@ -56,28 +56,6 @@ def _polydiv_exact(num, den):
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int):
-    """x^d mod Phi_n as Fraction tuples, for d in [0, 2*phi(n))."""
-    phi_cs = cyclotomic_poly(n)
-    deg = len(phi_cs) - 1
-    rows = []
-    for d in range(deg):
-        row = [Fraction(0)] * deg
-        row[d] = Fraction(1)
-        rows.append(tuple(row))
-    for d in range(deg, 2 * deg):
-        # x^d = x * x^(d-1), reduce the overflow coefficient
-        prev = rows[d - 1]
-        row = [Fraction(0)] + list(prev[: deg - 1])
-        top = prev[deg - 1]
-        if top:
-            for j in range(deg):
-                row[j] -= top * phi_cs[j]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
 def _degree(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
@@ -149,12 +127,12 @@ class CycloNum:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         prod[i + j] += a * b
-        rows = _reduction_rows(self.n)
+        # x^d with d >= deg reduces to the residue of x^(d mod n), as x^n = 1
         out = list(prod[:deg])
         for d in range(deg, 2 * deg - 1):
             c = prod[d]
             if c:
-                row = rows[d]
+                row = _exp_vector(self.n, d)
                 for j in range(deg):
                     out[j] += c * row[j]
         return CycloNum(self.n, out)

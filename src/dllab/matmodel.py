@@ -337,6 +337,13 @@ def point_mask(ring: TwistedRing, g) -> np.ndarray:
     return in_Xh_batch(ring, g)
 
 
+def point_member(ring: TwistedRing, g) -> bool:
+    """point_mask on one point: its scalar oracle."""
+    if ring.h == 2:
+        return ring.lang(g, ring.n)[ring.n] == 0
+    return in_Xh(ring, g)
+
+
 def bounded_ring(n: int, q: int, h: int, degree: int, max_size: int) -> TwistedRing:
     """The (n, q, h) twisted ring over F_{q^degree}, once its unipotent grid
     is known to hold at most max_size points."""
@@ -355,12 +362,21 @@ def unipotent_chunks(ring: TwistedRing):
         yield np.concatenate([np.ones((1, x.shape[1]), dtype=np.int64), x])
 
 
-def n2_norm(n: int, q: int, F: Field, tail) -> int:
-    """N(a_1, ..., a_n): pi-coefficient of det of the h=2 image of
-    1 + a_1 tau + ... + a_n tau^n.  Returns an index in F (not retracted)."""
-    ring = TwistedRing(n, q, 2, F)
-    d = det_iota(ring, (1,) + tuple(tail))
-    return d[1]
+def xh_points(n: int, q: int, h: int, s: int, max_size: int):
+    """Check the parameters and the size bound, then return an iterator over
+    (L, N) batches of the points of X (h = 2) or X_h over F_{q^{n s}}, in
+    grid order."""
+    ring = bounded_ring(n, q, h, n * s, max_size)
+    return (g[:, point_mask(ring, g)] for g in unipotent_chunks(ring))
+
+
+def n2_norm(ring: TwistedRing, tail) -> int:
+    """N(a_1, ..., a_n): pi-coefficient of det of the image of
+    1 + a_1 tau + ... + a_n tau^n in the h = 2 ring.  Returns an index in the
+    coefficient field (not retracted)."""
+    if ring.h != 2:
+        raise UnsupportedParametersError(f"the norm is read off at h = 2, not {ring.h}")
+    return det_iota(ring, (1,) + tuple(tail))[1]
 
 
 def y_h_image(n: int, q: int, h: int, s: int, max_size: int = 300_000) -> set:

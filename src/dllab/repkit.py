@@ -27,13 +27,12 @@ from .errors import (
 
 
 class GroupModel:
-    def __init__(self, elements, mul, inv, one, generators=None, name=""):
+    def __init__(self, elements, mul, inv, one, generators=None):
         self.elements = list(elements)
         self.mul = mul
         self.inv = inv
         self.one = one
         self.generators = generators
-        self.name = name
         self._classes = None
 
     def __len__(self):
@@ -199,13 +198,6 @@ def abelian_character_extensions(group: GroupModel, base: dict, R: int):
                 new_chars.append(ext)
         chars = new_chars
     return chars
-
-
-def all_linear_characters(group: GroupModel, R: int):
-    return [
-        ExpChar(group, t, R)
-        for t in abelian_character_extensions(group, {group.one: 0}, R)
-    ]
 
 
 # -- monomial (induced) representations ---------------------------------------

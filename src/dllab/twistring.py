@@ -52,10 +52,6 @@ class TwistedRing:
         return self.n * (self.h - 1) + 1
 
     @cached_property
-    def zero(self):
-        return (0,) * self.length
-
-    @cached_property
     def one(self):
         return (1,) + (0,) * (self.length - 1)
 
@@ -109,10 +105,6 @@ class TwistedRing:
     def lang(self, g, s: int):
         """F_{q^s}(g) * g^(-1)."""
         return self.mul(self.frobenius(g, s), self.inv(g))
-
-    def conj(self, g, x):
-        """g * x * g^(-1)."""
-        return self.mul(self.mul(g, x), self.inv(g))
 
     # -- batches: (L, N) arrays whose columns are ring elements ------------
 
@@ -222,15 +214,7 @@ def nu_m(ring: TwistedRing, g, m: int):
 
     Maps H_m(A) into the unipotent group of the (n/m, q^m, 2) ring.
     """
-    n = ring.n
-    n1 = n // m
-    out = [0] * (n1 + 1)
-    out[0] = g[0]
-    for j in range(1, n + 1):
-        if j % m == 0:
-            out[j // m] = g[j]
-        # non-multiples of m are discarded
-    return tuple(out)
+    return (g[0],) + nu_prime_m(ring.n, m, g[1:])
 
 
 # -- the mirror family G^{n,q} ------------------------------------------------

@@ -127,10 +127,18 @@ def test_dump_size_limit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", [["--max-size", "0"], ["--q", "6"], ["--s", "0"], ["--h", "4"]]
+    "bad",
+    [
+        ["--kind", "points", "--max-size", "0"],
+        ["--kind", "points", "--q", "6"],
+        ["--kind", "points", "--s", "0"],
+        ["--kind", "points", "--h", "4"],
+        ["--kind", "char-table", "--max-size", "0"],
+        ["--kind", "char-table", "--n", "3", "--q", "4"],
+    ],
 )
 def test_dump_rejects_bad_input_before_any_output(bad, capsys):
-    rc = run_cli(["dump", "--kind", "points", *bad])
+    rc = run_cli(["dump", *bad])
     assert rc == 1
     out = capsys.readouterr()
     assert out.out == ""

@@ -309,8 +309,8 @@ def test_construction_checks_survive_python_O():
 from types import SimpleNamespace as NS
 
 from dllab.charlib import AddChar, layer_as_additive_char, theta_family
-from dllab.counting import (conductor2_char, eigendim, exp_sum, inductive_check,
-    intertwiner_s2_data, intertwiner_spec)
+from dllab.counting import (IntertwinerSpec, conductor2_char, eigendim, exp_sum,
+    inductive_check, intertwiner_s2_data)
 from dllab.cyclo import CycloNum, _polydiv_exact
 from dllab.errors import DLLabError
 from dllab.ffield import Field, field
@@ -360,7 +360,7 @@ thunks = [
     lambda: (stub("assert_nonneg_integer", lambda val: 2), C.eta_family_report(2, 2)),
     lambda: (stub("twisted_ring", lambda *a: BadRing(ring_of(*a))),
              C.extension_orbit_report(2)),
-    lambda: exp_sum(intertwiner_spec(2), AddChar(field(2, 1), 2, 1), 1),
+    lambda: exp_sum(IntertwinerSpec(2), AddChar(field(2, 1), 2, 1), 1),
     lambda: inductive_check(s2, f, p2, j, n, 2, AddChar(s2.base, 2, 1), (1,)),
     lambda: eigendim(NS(R=4), NS(R=2), {}, 2),
     lambda: h_m_pattern(2, 3, 1),

@@ -2,8 +2,8 @@ import pytest
 
 from dllab.charlib import AddChar
 from dllab.counting import (
+    IntertwinerSpec,
     SumSpec,
-    TwistedFixedQuery,
     collapse_twist_table,
     conductor2_char,
     dl_intertwiner_sum,
@@ -11,7 +11,6 @@ from dllab.counting import (
     exp_sum,
     inductive_check,
     intertwiner_s2_data,
-    intertwiner_spec,
     maximality_probe,
     npp_identity,
     twisted_count,
@@ -57,7 +56,7 @@ def test_conductor2_char(q):
 # the closed-form value q^2 (q^2)^s of the three-variable character sum
 @pytest.mark.parametrize("q,s", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_intertwiner_sum_value(q, s):
-    spec = intertwiner_spec(q)
+    spec = IntertwinerSpec(q)
     psi = conductor2_char(q)
     val = exp_sum(spec, psi, s)
     assert val == CycloNum.rational(spec.base.p, q ** (2 + 2 * s))
@@ -66,7 +65,7 @@ def test_intertwiner_sum_value(q, s):
 def test_intertwiner_sum_generic_path_agrees():
     # same spec without the vectorized evaluator goes through the grid fold
     q = 2
-    fast = intertwiner_spec(q)
+    fast = IntertwinerSpec(q)
     plain = SumSpec(fast.base, 3, fast.membership, fast.poly)
     psi = conductor2_char(q)
     for s in (1, 2):
@@ -109,7 +108,7 @@ def test_inductive_check_rejects_bad_conductor():
 
 @pytest.mark.parametrize("q,s", [(2, 1), (2, 2), (3, 1)])
 def test_quotient_side_sum_agrees(q, s):
-    spec = intertwiner_spec(q)
+    spec = IntertwinerSpec(q)
     psi = conductor2_char(q)
     assert dl_intertwiner_sum(q, s) == exp_sum(spec, psi, s)
 
@@ -121,10 +120,7 @@ def test_y3_preimage_is_the_two_equation_locus():
 def test_twisted_count_identity_twist_counts_rational_points():
     # left = right = identity: solutions are the F_{q^n}-rational points
     q, n = 2, 2
-    query = TwistedFixedQuery(
-        n=n, q=q, h=2, left=("id",), right=(1, 0, 0), point_set="X"
-    )
-    count, _ = twisted_count(query)
+    count = twisted_count(n, q, 2, None, (1, 0, 0))
     assert count == q ** (n * n)
 
 
@@ -170,14 +166,7 @@ def test_x3_twist_table_matches_brute_force_with_nonzero_mu():
     table = x3_twist_table(q)
     lam_i, g2_i, g3_i, mu_i, g4_i = 1, 2, 1, 3, 2
     d_i = F2.sub(g4_i, mu_i)
-    query = TwistedFixedQuery(
-        n=2,
-        q=q,
-        h=3,
-        left=("star", (1, lam_i, mu_i)),
-        right=(1, 0, g2_i, g3_i, g4_i),
-    )
-    count, _ = twisted_count(query)
+    count = twisted_count(2, q, 3, (1, lam_i, mu_i), (1, 0, g2_i, g3_i, g4_i))
     assert count == table.get((lam_i, g2_i, g3_i, d_i), 0)
 
 
@@ -227,15 +216,14 @@ def test_zeta_fixed_set_is_central():
 def test_zeta_fixed_set_matches_scalar_conj_filter(n, q, h):
     import itertools
 
-    from dllab.counting import _x_member
+    from dllab.matmodel import point_member
 
     fixed, ring, E = zeta_fixed_set(n, q, h)
     zeta = E.embed(field(2, n), field(2, n).gen)
-    point_set = "X" if h == 2 else "Xh"
     want = []
     for tail in itertools.product(E.elements(), repeat=ring.length - 1):
         x = (1,) + tail
-        if ring.scalar_conj(zeta, x) == x and _x_member(ring, x, point_set):
+        if ring.scalar_conj(zeta, x) == x and point_member(ring, x):
             want.append(x)
     assert fixed == want
 

@@ -33,6 +33,8 @@ from dllab.matmodel import (
     n2_norm,
     nm_gnq,
     normalize_shape,
+    point_mask,
+    point_member,
     recover_from_matrix,
     star_action,
     unipotent_chunks,
@@ -106,7 +108,12 @@ def test_n2_closed_form_n2():
                 expected = A.sub(
                     A.add(a2, frob(A, a2, q)), A.pow(a1, q + 1)
                 )
-                assert n2_norm(2, q, A, (a1, a2)) == expected
+                assert n2_norm(twisted_ring(2, q, 2, A), (a1, a2)) == expected
+
+
+def test_n2_norm_rejects_a_level_3_ring():
+    with pytest.raises(UnsupportedParametersError):
+        n2_norm(twisted_ring(2, 2, 3, field(2, 2)), (0, 0))
 
 
 def test_n2_on_center_is_trace():
@@ -116,7 +123,7 @@ def test_n2_on_center_is_trace():
         Fq = field(p, Fqn.k // n)
         for a in Fqn.elements():
             tail = (0,) * (n - 1) + (a,)
-            got = n2_norm(n, q, Fqn, tail)
+            got = n2_norm(twisted_ring(n, q, 2, Fqn), tail)
             assert got == Fqn.embed(Fq, Fqn.trace(a, Fq))
 
 
@@ -130,7 +137,7 @@ def test_lang_top_coefficient_identity():
         rng = random.Random(13)
         for _ in range(30):
             g = (1,) + tuple(rng.randrange(A.order) for _ in range(n))
-            nval = n2_norm(n, q, A, g[1:])
+            nval = n2_norm(R, g[1:])
             top = R.lang(g, n)[n]
             assert top == A.sub(A.frob(nval, q), nval)
 
@@ -251,10 +258,12 @@ def test_batched_predicates_match_scalar_on_full_grid(n, q, h, s):
     seen = 0
     for g in unipotent_chunks(R):
         member = in_Xh_batch(R, g)
+        point = point_mask(R, g)
         lang = R.lang_batch(g, n)
         for c, x in enumerate(g.T.tolist()):
             x = tuple(x)
             assert member[c] == in_Xh(R, x)
+            assert point[c] == point_member(R, x)
             assert tuple(lang[:, c].tolist()) == R.lang(x, n)
         seen += g.shape[1]
     assert seen == R.coeff_field.order ** (R.length - 1)

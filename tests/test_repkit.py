@@ -2,6 +2,7 @@
 
 import pytest
 
+from dllab.charlib import unit_characters
 from dllab.cyclo import CycloNum
 from dllab.errors import NoExtensionError
 from dllab.ffield import field
@@ -11,7 +12,6 @@ from dllab.repkit import (
     GroupModel,
     MonomialRep,
     abelian_character_extensions,
-    all_linear_characters,
     assert_nonneg_integer,
     _dense_extension,
     coset_transversal,
@@ -44,7 +44,7 @@ def u22_group():
 
 def test_abelian_characters_orthogonal():
     G = cyclic_group(6)
-    chars = all_linear_characters(G, 6)
+    chars = unit_characters(G, 6)
     assert len(chars) == 6
     for c1 in chars:
         for c2 in chars:

@@ -1,10 +1,12 @@
 """Source hygiene of the dllab package, checked on the syntax tree.
 
 An `assert` statement vanishes under `python -O`, so no check in the package
-may use one; an imported name that nothing references is dead code.
+may use one; an imported name that nothing references is dead code; two
+functions with the same body are one computation written twice.
 """
 
 import ast
+import copy
 import pathlib
 
 import pytest
@@ -41,3 +43,39 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+class _RenameParams(ast.NodeTransformer):
+    def __init__(self, names):
+        self.names = names
+
+    def visit_Name(self, node):
+        node.id = self.names.get(node.id, node.id)
+        return node
+
+
+def _body_key(fn):
+    """fn's body without its docstring, parameters renamed by position."""
+    a = fn.args
+    params = a.posonlyargs + a.args + [a.vararg] + a.kwonlyargs + [a.kwarg]
+    names = {arg.arg: f"_arg{i}" for i, arg in enumerate(params) if arg is not None}
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    module = ast.Module(body=copy.deepcopy(body), type_ignores=[])
+    return ast.dump(_RenameParams(names).visit(module))
+
+
+def test_no_duplicate_function_bodies():
+    # dunder methods are exempt: operator twins of two types share bodies
+    seen, twins = {}, []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            where = f"{path.stem}.{node.name}"
+            key = _body_key(node)
+            if key in seen:
+                twins.append((seen[key], where))
+            seen.setdefault(key, where)
+    assert twins == [], f"functions with the same body: {twins}"
