@@ -9,6 +9,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import random
 import sys
 
@@ -47,7 +48,7 @@ from .constructions import (
 )
 from .errors import DLLabError, SizeLimitExceededError
 from .ffield import field, grid_chunks, splitting_params
-from .matmodel import in_Xh, n2_norm, nm_gnq, xh_points, y_h_image
+from .matmodel import in_Xh, n2_norm, nm_gnq_batch, xh_points, y_h_image
 from .serieslab import (
     SERIES_CHUNK,
     LaurentSeries,
@@ -60,7 +61,7 @@ from .serieslab import (
     xtilde_form,
     xtilde_matrix,
 )
-from .twistring import enumerate_unipotent, gnq_mul, twisted_ring
+from .twistring import enumerate_unipotent, twisted_ring
 
 SCHEMA = 1
 RHO_PARAMS = [(2, 2), (2, 3), (3, 2)]
@@ -90,9 +91,37 @@ def _lift_claims(rep: dict, params: dict) -> list:
 # -- verification suites ------------------------------------------------------------
 
 
+def _norm_homomorphism(n: int, q: int) -> tuple:
+    """Whether nm(x y) = nm(x) + nm(y) over all pairs of G^{n,q}, checked in
+    row-major order, and the witness: the pair count, plus the first failing
+    pair with both sides of the equation."""
+    G, F = gnq_group(n, q)
+    N = len(G)
+    nm = np.concatenate([nm_gnq_batch(n, q, F, a) for a in grid_chunks(F.order, n)])
+    witness = {"pairs": N * N}
+    for x, y in grid_chunks(N, 2):
+        lhs = nm[G.law_mul(x, y)]
+        rhs = F.vec.add(nm[x], nm[y])
+        bad = np.flatnonzero(lhs != rhs)
+        if len(bad):
+            i = bad[0]
+            witness["first_failure"] = {
+                "x": list(G.elements[x[i]]),
+                "y": list(G.elements[y[i]]),
+                "nm(xy)": int(lhs[i]),
+                "nm(x) + nm(y)": int(rhs[i]),
+            }
+            return False, witness
+    return True, witness
+
+
 def _rho_suite(args, mirror: bool) -> dict:
     params = [(args.n, args.q)] if args.n and args.q else RHO_PARAMS
-    reports = [rho_family_report(n, q, mirror=mirror) for n, q in params]
+    name = "thm32" if mirror else "thm31"
+    reports = []
+    for n, q in params:
+        _progress(f"[{name}] induced family at ({n}, {q})")
+        reports.append(rho_family_report(n, q, mirror=mirror))
     claims = []
     for (n, q), rep in zip(params, reports):
         ok = all(c["status"] == "pass" for c in rep["claims"])
@@ -111,22 +140,15 @@ def _rho_suite(args, mirror: bool) -> dict:
     if mirror:
         for n, q in params:
             _progress(f"[thm32] norm homomorphism check at ({n}, {q})")
-            G, F = gnq_group(n, q)
-            nm = {x: nm_gnq(n, q, F, x, k=1) for x in G.elements}
-            ok = all(
-                nm[gnq_mul(F, n, q, x, y)] == F.add(nm[x], nm[y])
-                for x in G.elements
-                for y in G.elements
-            )
+            ok, witness = _norm_homomorphism(n, q)
             claims.append(
                 _claim(
                     "norm map is a homomorphism to the additive group",
                     ok,
                     params={"n": n, "q": q},
-                    witness={"pairs": len(G.elements) ** 2},
+                    witness=witness,
                 )
             )
-    name = "thm32" if mirror else "thm31"
     return {"suite": name, "params": {"pairs": params}, "claims": claims, "reports": reports}
 
 
@@ -222,7 +244,10 @@ def suite_intertwiner(args) -> dict:
 
 def suite_trace(args) -> dict:
     params = [(args.n, args.q)] if args.n and args.q else RHO_PARAMS
-    reports = [zeta_trace_suite(n, q) for n, q in params]
+    reports = []
+    for n, q in params:
+        _progress(f"[trace] scalar-fixed set at ({n}, {q})")
+        reports.append(zeta_trace_suite(n, q))
     claims = []
     for (n, q), rep in zip(params, reports):
         claims.append(
@@ -236,6 +261,7 @@ def suite_trace(args) -> dict:
                 },
             )
         )
+    _progress("[trace] level-3 scalar-fixed set at (2, 2)")
     rep3 = zeta_trace_suite_level3(2)
     claims.append(
         _claim(
@@ -289,6 +315,7 @@ def suite_orbit(args) -> dict:
     qs = [args.q] if args.q else [2, 3]
     claims = []
     for q in qs:
+        _progress(f"[orbit] extension orbits at q = {q}")
         claims += _lift_claims(extension_orbit_report(q), {"q": q})
     return {"suite": "orbit", "params": {"q": qs}, "claims": claims}
 
@@ -510,6 +537,7 @@ def suite_series(args) -> dict:
 
 def suite_maximality(args) -> dict:
     s_range = (1, 2, 3) if args.saturate else (1, 2)
+    _progress(f"[maximality] point counts at (2, 2, 2), s in {s_range}")
     rep = maximality_probe(2, 2, 2, s_range=s_range, max_size=args.max_size)
     entries = [e for e in rep["counts"] if not e.get("skipped")]
     ok = bool(entries) and all(e["matches"] for e in entries)
@@ -614,11 +642,15 @@ def dump_y_set(args):
     return write
 
 
+# Each dump kind with the dump options it reads besides --kind and --out.
+# Setting any other option is a usage error.
 DUMPS = {
-    "points": dump_points,
-    "char-table": dump_char_table,
-    "y-set": dump_y_set,
+    "points": (dump_points, {"n", "q", "h", "s", "max_size"}),
+    "char-table": (dump_char_table, {"n", "q", "max_size"}),
+    "y-set": (dump_y_set, {"n", "q", "h", "s", "max_size"}),
 }
+
+DUMP_DEFAULTS = dict(n=2, q=2, h=2, s=1, max_size=2_000_000)
 
 
 # -- entry point --------------------------------------------------------------------
@@ -652,28 +684,44 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int)
     v.add_argument("--out", default=None)
 
-    d = sub.add_parser("dump", help="write a deterministic CSV table")
+    d = sub.add_parser(
+        "dump",
+        help="write a deterministic CSV table",
+        argument_default=argparse.SUPPRESS,
+    )
     d.add_argument("--kind", required=True, choices=sorted(DUMPS))
-    d.add_argument("--n", type=int, default=2)
-    d.add_argument("--q", type=int, default=2)
-    d.add_argument("--h", type=int, default=2)
-    d.add_argument("--s", type=int, default=1)
-    d.add_argument("--max-size", type=int, default=2_000_000)
+    d.add_argument("--n", type=int)
+    d.add_argument("--q", type=int)
+    d.add_argument("--h", type=int)
+    d.add_argument("--s", type=int)
+    d.add_argument("--max-size", type=int)
     d.add_argument("--out", default=None)
     return ap
 
 
-def _suite_args(ap: argparse.ArgumentParser, args) -> argparse.Namespace:
-    """Reject the verify options the suite does not read (usage error,
-    exit 2), then fill in the defaults of the options left off."""
-    reads = SUITES[args.suite][1]
-    unread = sorted(set(vars(args)) & set(VERIFY_DEFAULTS) - reads)
+def _declared_args(ap, args, what: str, reads: set, defaults: dict) -> argparse.Namespace:
+    """Reject the options of defaults that were set but are not in reads
+    (usage error, exit 2), then fill in the defaults of the options left
+    off."""
+    unread = sorted(set(vars(args)) & set(defaults) - reads)
     if unread:
         flags = ", ".join("--" + name.replace("_", "-") for name in unread)
-        ap.error(f"suite {args.suite} does not read {flags}")
+        ap.error(f"{what} does not read {flags}")
+    return argparse.Namespace(**{**defaults, **vars(args)})
+
+
+def _suite_args(ap: argparse.ArgumentParser, args) -> argparse.Namespace:
+    """The verify options of the suite; --n and --q come only together."""
+    reads = SUITES[args.suite][1]
+    out = _declared_args(ap, args, f"suite {args.suite}", reads, VERIFY_DEFAULTS)
     if "n" in reads and ("n" in args) != ("q" in args):
         ap.error(f"suite {args.suite} reads --n and --q only together")
-    return argparse.Namespace(**{**VERIFY_DEFAULTS, **vars(args)})
+    return out
+
+
+def _dump_args(ap: argparse.ArgumentParser, args) -> argparse.Namespace:
+    reads = DUMPS[args.kind][1]
+    return _declared_args(ap, args, f"dump kind {args.kind}", reads, DUMP_DEFAULTS)
 
 
 def _verify(args) -> int:
@@ -705,7 +753,7 @@ def _verify(args) -> int:
 
 def _dump(args) -> int:
     try:
-        write = DUMPS[args.kind](args)
+        write = DUMPS[args.kind][0](args)
         if args.out:
             with open(args.out, "w", newline="") as fh:
                 write(fh)
@@ -721,9 +769,18 @@ def _dump(args) -> int:
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if args.command == "verify":
-        return _verify(_suite_args(ap, args))
-    return _dump(args)
+    try:
+        if args.command == "verify":
+            status = _verify(_suite_args(ap, args))
+        else:
+            status = _dump(_dump_args(ap, args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull, so that the flush at
+        # interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .charlib import AddChar, ThetaData, layer_as_additive_char, theta_family
 from .cyclo import CycloNum, RootCounter
 from .errors import (
@@ -31,8 +33,8 @@ from .errors import (
     RootOrderError,
     UnsupportedParametersError,
 )
-from .ffield import Field, field, splitting_params
-from .matmodel import n2_norm, nm_gnq
+from .ffield import Field, chunked, digits_index, field, index_digits, splitting_params
+from .matmodel import n2_norm_batch, nm_gnq_batch
 from .repkit import (
     CyclicExtension,
     GroupModel,
@@ -41,6 +43,7 @@ from .repkit import (
     SumChar,
     abelian_character_extensions,
     assert_nonneg_integer,
+    conjugates,
     coset_transversal,
     extend_irrep,
     induce_char,
@@ -54,10 +57,11 @@ from .twistring import (
     gnq_frobenius,
     gnq_inv,
     gnq_mul,
+    gnq_index_law,
     h_m_pattern,
-    nu_m,
     nu_prime_m,
     twisted_ring,
+    unipotent_index_law,
 )
 
 MAX_N = 3
@@ -97,7 +101,8 @@ def unipotent_group(n: int, q: int, h: int = 2):
             g = [1] + [0] * (ring.length - 1)
             g[j] = b
             gens.append(tuple(g))
-    group = GroupModel(els, ring.mul, ring.inv, ring.one, generators=gens)
+    law = unipotent_index_law(ring)
+    group = GroupModel(els, ring.mul, ring.inv, ring.one, generators=gens, law=law)
     return group, ring
 
 
@@ -123,7 +128,7 @@ def gnq_group(n: int, q: int):
             g = [0] * n
             g[j] = b
             gens.append(tuple(g))
-    group = GroupModel(els, mul, inv, one, generators=gens)
+    group = GroupModel(els, mul, inv, one, generators=gens, law=gnq_index_law(F, n, q))
     return group, F
 
 
@@ -175,23 +180,25 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
     scale = R // p
     q1 = q**m
     Fq1 = field(p, e * m)
+    # coordinate j of an element sits at position j + shift; the norm reads
+    # the coordinates with m | j (nu'_m), as an element of the (n/m, q^m)
+    # family
     if mirror:
         group, _ = gnq_group(n, q)
+        shift = -1
 
-        def coord(a, j):
-            return a[j - 1]
-
-        def norm(a):
-            return nm_gnq(n1, q1, F, nu_prime_m(n, m, a), k=1)
+        def norms(kept):
+            return nm_gnq_batch(n1, q1, F, kept)
     else:
-        group, ring = unipotent_group(n, q, 2)
+        group, _ = unipotent_group(n, q, 2)
+        shift = 0
         ring1 = twisted_ring(n1, q1, 2, F)
 
-        def coord(g, j):
-            return g[j]
+        def norms(kept):
+            return n2_norm_batch(ring1, kept)
 
-        def norm(g):
-            return n2_norm(ring1, nu_m(ring, g, m)[1:])
+    def coord(g, j):
+        return g[j + shift]
 
     pattern = set(h_m_pattern(n, 2, m))
     Hset = frozenset(
@@ -200,7 +207,11 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
         if all(coord(g, j) == 0 for j in range(1, n + 1) if j not in pattern)
     )
     # the transferred character, tabulated once on the pattern subgroup
-    exps = {g: (psi1.exp(F.retract(Fq1, norm(g))) * scale) % R for g in Hset}
+    Hlist = list(Hset)
+    coords = np.array(Hlist, dtype=np.int64).T[1 + shift : n + 1 + shift]
+    nvals = chunked(norms, np.stack(nu_prime_m(n, m, coords))).tolist()
+    tab = {v: (psi1.exp(F.retract(Fq1, v)) * scale) % R for v in set(nvals)}
+    exps = {g: tab[v] for g, v in zip(Hlist, nvals)}
     chi_exp = exps.__getitem__
     branch = 1 if (m % 2 == 1 or n1 % 2 == 0) else 2
     if branch == 1:
@@ -458,7 +469,42 @@ def divquot(n: int, q: int, h: int, M: int = 1) -> DivQuotData:
             g = [1] + [0] * (L - 1)
             g[j] = b
             gens.append((0, tuple(g)))
-    group = GroupModel(els, mul, inv, one, generators=gens)
+
+    # element i is (e, u) with i = e |units| + (u_0 - 1) Q^(L-1) + (the index
+    # of u_1, ..., u_(L-1) in the grid of tails)
+    Q = F.order
+    tails = Q ** (L - 1)
+    v = F.vec
+
+    def decode(i):
+        e_, r = np.divmod(i, len(units))
+        u0, t = np.divmod(r, tails)
+        return e_, np.concatenate([u0[None] + 1, index_digits(t, Q, L - 1)])
+
+    def encode(e_, u):
+        return e_ * len(units) + (u[0] - 1) * tails + digits_index(u[1:], Q)
+
+    def frobenius(u, s):
+        """u^(q^s), with the twist s read per column."""
+        out = u
+        for k in range(1, n):
+            out = np.where(s == k, ring.frobenius_batch(u, k), out)
+        return out
+
+    def law_mul(i, j):
+        (a, u), (b, w) = decode(i), decode(j)
+        return encode((a + b) % nM, ring.mul_batch(frobenius(u, (-b) % n), w))
+
+    def law_inv(i):
+        a, u = decode(i)
+        u = frobenius(u, a % n)
+        # u = u_0 w with w unipotent: u^-1 = w^-1 u_0^-1, as in TwistedRing.inv
+        c = v.inv(u[0])
+        w = ring.inv_batch(v.mul(c[None], u))
+        scalar = np.concatenate([c[None], np.zeros((L - 1, len(i)), dtype=np.int64)])
+        return encode((-a) % nM, ring.mul_batch(w, scalar))
+
+    group = GroupModel(els, mul, inv, one, generators=gens, law=(law_mul, law_inv))
     dlog = {1: 0}
     t = 1
     for k in range(1, F.order - 1):
@@ -757,27 +803,33 @@ class MainExampleContext:
         S1 = [x for x in dq.group.elements if self.in_S1(x)]
         self.S1 = S1
         self.transversal = coset_transversal(dq.group, set(S1))
+        self._S1_mask = np.zeros(len(dq.group), dtype=bool)
+        self._S1_mask[dq.group.indices(S1)] = True
+        self._decomposed_memo = {}
         self._build_decomps()
         self._build_mackey_pairs()
+
+    def _decomposed(self, i):
+        """(e / n, k, h_2, h_4) for the element Pi^e zeta-bar^k h of the
+        inducing subgroup with index i, memoised."""
+        out = self._decomposed_memo.get(i)
+        if out is None:
+            e, u = self.dq.group.elements[i]
+            k, h = self.dq.decompose(u)
+            out = self._decomposed_memo[i] = (e // self.dq.n, k, h[2], h[4])
+        return out
 
     def _build_decomps(self):
         dq, group = self.dq, self.dq.group
         n = dq.n
-        pairs_t = [(t, group.inv(t)) for t in self.transversal]
-        self.rhs_decomp = []
-        self.lhs_decomp = []
         tmpl = self.template
-        u3 = self.U3
+        # conjugates t^-1 g t landing in the inducing subgroup, decomposed
+        conj = conjugates(group, group.indices(self.class_reps), group.indices(self.transversal))
+        self.rhs_decomp = [
+            [self._decomposed(x) for x in row if self._S1_mask[x]] for row in conj.tolist()
+        ]
+        self.lhs_decomp = []
         for g in self.class_reps:
-            # conjugates landing in the inducing subgroup, decomposed
-            dec = []
-            for t, ti in pairs_t:
-                x = group.mul(ti, group.mul(g, t))
-                if self.in_S1(x):
-                    e, u = x
-                    k, h = dq.decompose(u)
-                    dec.append((e // n, k, h[2], h[4]))
-            self.rhs_decomp.append(dec)
             # Frobenius twists of g for the index-n induction, with the
             # permutation part and coset remainders of the base rep cached
             lhs = []
@@ -786,36 +838,26 @@ class MainExampleContext:
                 for j in range(n):
                     v = dq.ring.frobenius(u, (n - j) % n)
                     k, u1 = dq.decompose(v)
-                    perm, hs = [], []
-                    for t in tmpl.transversal:
-                        w = u3.mul(u1, t)
-                        i = tmpl.coset_of[w]
-                        perm.append(i)
-                        hs.append(u3.mul(tmpl.inv_t[i], w))
-                    lhs.append((e // n, k, tuple(perm), tuple(hs)))
+                    lhs.append((e // n, k, *tmpl.support(u1)))
             self.lhs_decomp.append(lhs)
 
     def _build_mackey_pairs(self):
         """For each transversal element t outside the inducing subgroup, the
         pairs (s, t s t^-1) with both sides inside it, in decomposed form."""
-        dq, group = self.dq, self.dq.group
-        n = dq.n
+        group = self.dq.group
+        S1 = group.indices(self.S1)
+        T = group.indices(self.transversal)
+        # column k holds t_k s t_k^-1 for every s, in the order of S1
+        conj = conjugates(group, S1, group.law_inv(T))
         self.mackey_pairs = []
-        for t in self.transversal:
+        for k, t in enumerate(self.transversal):
             if self.in_S1(t):
                 continue
-            ti = group.inv(t)
-            pairs = []
-            for s in self.S1:
-                x = group.mul(t, group.mul(s, ti))
-                if self.in_S1(x):
-                    (e1, u1), (e2, u2) = s, x
-                    k1, h1 = dq.decompose(u1)
-                    k2, h2 = dq.decompose(u2)
-                    pairs.append(
-                        ((e1 // n, k1, h1[2], h1[4]), (e2 // n, k2, h2[2], h2[4]))
-                    )
-            self.mackey_pairs.append((t, pairs))
+            keep = self._S1_mask[conj[:, k]]
+            pairs = zip(S1[keep].tolist(), conj[keep, k].tolist())
+            self.mackey_pairs.append(
+                (t, [(self._decomposed(s), self._decomposed(x)) for s, x in pairs])
+            )
 
 
 @lru_cache(maxsize=None)

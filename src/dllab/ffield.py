@@ -452,6 +452,11 @@ class VecOps:
     def mul(self, x, y):
         return self._exp4[self._log[x] + self._log[y]]
 
+    def inv(self, x):
+        """Inverses of nonzero elements."""
+        n = self.F.order - 1
+        return self._exp4[(n - self._log[x]) % n]
+
     def frob(self, qpow: int) -> np.ndarray:
         """Permutation array a -> a^qpow, cached per exponent."""
         tab = self._frobs.get(qpow)
@@ -463,21 +468,49 @@ class VecOps:
         return np.array([fn(a) for a in range(self.F.order)], dtype=np.int64)
 
 
+def index_digits(t, Q: int, dim: int) -> np.ndarray:
+    """The points with grid indices t (a 1-D int array) as a (dim, N) array
+    of base-Q digits, most significant first: index order is
+    itertools.product order, the last coordinate varying fastest."""
+    out = np.empty((dim, len(t)), dtype=np.int64)
+    for j in range(dim - 1, -1, -1):
+        t, out[j] = np.divmod(t, Q)
+    return out
+
+
+def digits_index(d, Q: int) -> np.ndarray:
+    """Grid indices of the columns of a (dim, N) digit array; the inverse of
+    index_digits."""
+    t = np.zeros(d.shape[1], dtype=np.int64)
+    for row in d:
+        t = t * Q + row
+    return t
+
+
 def grid_chunks(Q: int, dim: int):
     """The points of [0, Q)^dim as (dim, N) int64 digit arrays of at most
-    GRID_CHUNK columns.
+    GRID_CHUNK columns, in index order.
 
-    Index order is itertools.product order: the last coordinate varies
-    fastest.  Scalar enumerations use itertools.product itself, so every
-    grid in the package is walked in this one order.
+    Scalar enumerations use itertools.product itself, so every grid in the
+    package is walked in this one order.
     """
     total = Q**dim
     for start in range(0, total, GRID_CHUNK):
         t = np.arange(start, min(start + GRID_CHUNK, total), dtype=np.int64)
-        out = np.empty((dim, len(t)), dtype=np.int64)
-        for j in range(dim - 1, -1, -1):
-            t, out[j] = np.divmod(t, Q)
-        yield out
+        yield index_digits(t, Q, dim)
+
+
+def chunked(fn, *arrays) -> np.ndarray:
+    """fn on arrays that share their last axis, GRID_CHUNK columns at a
+    time; the results are joined along their last axis."""
+    n = arrays[0].shape[-1]
+    return np.concatenate(
+        [
+            fn(*(a[..., s : s + GRID_CHUNK] for a in arrays))
+            for s in range(0, max(n, 1), GRID_CHUNK)
+        ],
+        axis=-1,
+    )
 
 
 @lru_cache(maxsize=None)

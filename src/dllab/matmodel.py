@@ -379,6 +379,15 @@ def n2_norm(ring: TwistedRing, tail) -> int:
     return det_iota(ring, (1,) + tuple(tail))[1]
 
 
+def n2_norm_batch(ring: TwistedRing, tails) -> np.ndarray:
+    """n2_norm on a batch: tails is an (n, N) array whose columns are
+    (a_1, ..., a_n)."""
+    if ring.h != 2:
+        raise UnsupportedParametersError(f"the norm is read off at h = 2, not {ring.h}")
+    g = np.concatenate([np.ones((1, tails.shape[1]), dtype=np.int64), tails])
+    return mat_det_batch(ring.coeff_field.vec, iota_prime_batch(ring, g))[1]
+
+
 def y_h_image(n: int, q: int, h: int, s: int, max_size: int = 300_000) -> set:
     """The finite set {F_{q^n}(g) g^{-1} : g in X_h(F_{q^{n s}})}.
 
@@ -452,3 +461,32 @@ def nm_gnq(n: int, q: int, F: Field, a, k: int = 1) -> int:
     if d[0] != 1 or any(d[1 : 2 * k + 1]):
         raise MatrixShapeError("norm shape violated")
     return d[2 * k + 1]
+
+
+def nm_gnq_batch(n: int, q: int, F: Field, a) -> np.ndarray:
+    """nm_gnq at level k = 1 on a batch: a is an (n, N) array whose columns
+    are (a_1, ..., a_n).
+
+    Entry (i, c) of the level-1 image over A[pi]/(pi^4) is
+    1 + a_n^(q^i) pi^3 on the diagonal; off it, with j = c - i mod n, it is
+    a_j^(q^i) pi, times one more pi below the diagonal, where W^j wraps
+    around.
+    """
+    N = a.shape[1]
+    rows = []
+    for i in range(n):
+        fr = F.vec.frob(F.frob_exp(q, i))
+        row = []
+        for c in range(n):
+            cs = [None] * 4
+            if c == i:
+                cs[0] = np.ones(N, dtype=np.int64)
+                cs[3] = fr[a[n - 1]]
+            else:
+                cs[1 + int(c < i)] = fr[a[(c - i) % n - 1]]
+            row.append(cs)
+        rows.append(row)
+    d = mat_det_batch(F.vec, rows)
+    if np.any(d[0] != 1) or any(c is not None and c.any() for c in d[1:3]):
+        raise MatrixShapeError("norm shape violated")
+    return np.zeros(N, dtype=np.int64) if d[3] is None else d[3]

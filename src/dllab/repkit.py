@@ -4,6 +4,16 @@ Groups are explicit: a GroupModel carries the full element list (hashable
 keys, deterministic order), multiplication and inversion callables, and a
 generating set used for conjugacy-class orbits.
 
+A group may also carry an index law: element i is elements[i], and the law is
+a pair of batched mul(a, b) and inv(a) on int arrays of such indices.  With a
+law, conj_classes, coset_transversal, induce_char and MonomialRep run on index
+arrays, GRID_CHUNK columns at a time: conjugation by each generator becomes
+one index permutation, and the classes are its orbits, found by min-label
+propagation with pointer jumping (the orbit algorithm of Holt, Eick and
+O'Brien's Handbook of Computational Group Theory, with the connected-components
+step of Shiloach and Vishkin).  Without a law the same functions run their
+scalar bodies, which stay as the oracles of the index bodies.
+
 Character values are tracked as root-of-unity data wherever possible: a
 linear character is a dict element -> exponent mod R, and an induced
 character stores, per element, the tuple of exponents whose root sum is the
@@ -13,7 +23,10 @@ products, trace comparisons), so the hot loops are integer-only.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
+
+import numpy as np
 
 from .cyclo import CycloNum, RootCounter, cyclo_from_counts
 from .errors import (
@@ -24,28 +37,85 @@ from .errors import (
     NotInvariantError,
     RootOrderError,
 )
+from .ffield import chunked
 
 
 class GroupModel:
-    def __init__(self, elements, mul, inv, one, generators=None):
+    def __init__(self, elements, mul, inv, one, generators=None, law=None):
         self.elements = list(elements)
         self.mul = mul
         self.inv = inv
         self.one = one
         self.generators = generators
+        self.law = law
         self._classes = None
 
     def __len__(self):
         return len(self.elements)
 
+    @cached_property
+    def index(self) -> dict:
+        """element -> its index in elements."""
+        return {g: i for i, g in enumerate(self.elements)}
+
+    def indices(self, elements) -> np.ndarray:
+        index = self.index
+        return np.array([index[g] for g in elements], dtype=np.int64)
+
+    def law_mul(self, a, b) -> np.ndarray:
+        """The index law's products of two index arrays of one length."""
+        return chunked(self.law[0], a, b)
+
+    def law_inv(self, a) -> np.ndarray:
+        return chunked(self.law[1], a)
+
     def conj_classes(self):
         """Conjugacy classes as lists of elements; deterministic order.
 
         Orbits are closed under conjugation by a generating set, which equals
-        closure under all inner automorphisms.
+        closure under all inner automorphisms.  Classes come in the order of
+        their least element index, and each starts with that element.
         """
-        if self._classes is not None:
-            return self._classes
+        if self._classes is None:
+            if self.law is not None and self.generators is not None:
+                self._classes = self._index_classes()
+            else:
+                self._classes = self._scalar_classes()
+        return self._classes
+
+    def _index_classes(self):
+        """The conjugation orbits of the generators on element indices.
+
+        Each label starts as the element's own index and only moves to a
+        smaller index in the same orbit: to a neighbour's label under a
+        generator's conjugation or its inverse, then to its own label's label
+        (pointer jumping).  At the fixed point every element is labelled by
+        the least index of its orbit.  Members of a class are in index order.
+        """
+        idx = np.arange(len(self.elements), dtype=np.int64)
+        gens = self.indices(self.generators)
+        # x -> s x s^-1 for each generator s, and its inverse permutation
+        perms = []
+        for p in conjugates(self, idx, self.law_inv(gens)).T:
+            p_inv = np.empty_like(p)
+            p_inv[p] = idx
+            perms += [p, p_inv]
+        label = idx
+        while True:
+            new = label
+            for p in perms:
+                new = np.minimum(new, new[p])
+            while not np.array_equal(new[new], new):
+                new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        order = np.argsort(label, kind="stable")
+        starts = np.flatnonzero(np.diff(label[order])) + 1
+        els = self.elements
+        return [[els[i] for i in part.tolist()] for part in np.split(order, starts)]
+
+    def _scalar_classes(self):
         gens = self.generators
         if gens is None:
             if len(self.elements) > 20000:
@@ -69,7 +139,6 @@ class GroupModel:
                         orbit.append(y)
                         queue.append(y)
             classes.append(orbit)
-        self._classes = classes
         return classes
 
 
@@ -138,6 +207,8 @@ def induce_char(group: GroupModel, subgroup_set, chi_exp, R: int, transversal=No
     """Character of Ind_H^G(chi) for a linear chi given by chi_exp(h) -> exp."""
     if transversal is None:
         transversal = coset_transversal(group, subgroup_set)
+    if group.law is not None:
+        return _index_induce_char(group, subgroup_set, chi_exp, R, transversal)
     inv_t = [group.inv(t) for t in transversal]
     lists = {}
     for g in group.elements:
@@ -150,8 +221,39 @@ def induce_char(group: GroupModel, subgroup_set, chi_exp, R: int, transversal=No
     return SumChar(group, lists, R)
 
 
+def conjugates(group: GroupModel, xs, ts) -> np.ndarray:
+    """For index arrays xs and ts, through the group's index law: the array
+    whose row r, column k is the index of t_k^-1 x_r t_k."""
+    N = len(xs)
+    out = np.empty((N, len(ts)), dtype=np.int64)
+    for k, (t, ti) in enumerate(zip(ts.tolist(), group.law_inv(ts).tolist())):
+        out[:, k] = group.law_mul(np.full(N, ti), group.law_mul(xs, np.full(N, t)))
+    return out
+
+
+def _index_induce_char(group: GroupModel, subgroup_set, chi_exp, R: int, transversal):
+    """induce_char on index arrays: row g of conj lists the conjugates
+    t^-1 g t in transversal order."""
+    els = group.elements
+    N = len(els)
+    H = group.indices(subgroup_set)
+    in_H = np.zeros(N, dtype=bool)
+    in_H[H] = True
+    chi = np.zeros(N, dtype=np.int64)
+    chi[H] = [chi_exp(els[h]) for h in H.tolist()]
+    conj = conjugates(group, np.arange(N, dtype=np.int64), group.indices(transversal))
+    lists = {
+        g: tuple(e for e, m in zip(es, ms) if m)
+        for g, es, ms in zip(els, chi[conj].tolist(), in_H[conj].tolist())
+    }
+    return SumChar(group, lists, R)
+
+
 def coset_transversal(group: GroupModel, subgroup_set):
     """Left-coset transversal in deterministic (universe order) fashion."""
+    if group.law is not None:
+        reps, _ = _index_cosets(group, subgroup_set)
+        return [group.elements[i] for i in reps]
     seen = set()
     reps = []
     for g in group.elements:
@@ -161,6 +263,22 @@ def coset_transversal(group: GroupModel, subgroup_set):
         for h in subgroup_set:
             seen.add(group.mul(g, h))
     return reps
+
+
+def _index_cosets(group: GroupModel, subgroup_set):
+    """(representatives, coset): the left cosets gH in the order of their
+    least element index, each represented by that index, and the coset
+    number of every element index."""
+    H = group.indices(subgroup_set)
+    coset = np.full(len(group), -1, dtype=np.int64)
+    reps = []
+    g = 0
+    while g < len(coset):
+        coset[group.law_mul(np.full(len(H), g), H)] = len(reps)
+        reps.append(g)
+        free = np.flatnonzero(coset[g:] < 0)
+        g = g + int(free[0]) if len(free) else len(coset)
+    return reps, coset
 
 
 def abelian_character_extensions(group: GroupModel, base: dict, R: int):
@@ -214,24 +332,52 @@ class MonomialRep:
         self.H = frozenset(subgroup_set)
         self.chi_exp = chi_exp
         self.R = R
-        self.transversal = coset_transversal(group, self.H)
+        self._support = None
+        if group.law is not None:
+            reps, self._coset_index = _index_cosets(group, self.H)
+            self.transversal = [group.elements[i] for i in reps]
+        else:
+            self.transversal = coset_transversal(group, self.H)
+            self._inv_t = [group.inv(t) for t in self.transversal]
+            self._coset_of = {}
+            for i, t in enumerate(self.transversal):
+                for h in self.H:
+                    self._coset_of[group.mul(t, h)] = i
         self.dim = len(self.transversal)
-        self.inv_t = [group.inv(t) for t in self.transversal]
-        self.coset_of = {}
-        for i, t in enumerate(self.transversal):
-            for h in self.H:
-                self.coset_of[group.mul(t, h)] = i
+
+    def support(self, g):
+        """(perm, hs) with g t_j = t_perm[j] hs[j] for every column j: the
+        part of the matrix of g that does not depend on chi."""
+        group = self.group
+        if group.law is not None:
+            if self._support is None:
+                self._support = self._index_support()
+            perm, h = self._support
+            i = group.index[g]
+            return tuple(perm[i].tolist()), tuple(group.elements[x] for x in h[i].tolist())
+        perm, hs = [], []
+        for t in self.transversal:
+            w = group.mul(g, t)
+            i = self._coset_of[w]
+            perm.append(i)
+            hs.append(group.mul(self._inv_t[i], w))
+        return tuple(perm), tuple(hs)
+
+    def _index_support(self):
+        """The supports of all elements at once, built on first use: index
+        arrays perm and h with g t_j = t_perm[g, j] h[g, j]."""
+        group = self.group
+        N = len(group)
+        idx = np.arange(N, dtype=np.int64)
+        T = group.indices(self.transversal)
+        w = np.stack([group.law_mul(idx, np.full(N, t)) for t in T], axis=1)
+        perm = self._coset_index[w]
+        h = group.law_mul(group.law_inv(T)[perm].ravel(), w.ravel()).reshape(w.shape)
+        return perm, h
 
     def matrix(self, g):
-        perm = [0] * self.dim
-        exps = [0] * self.dim
-        for j, t in enumerate(self.transversal):
-            w = self.group.mul(g, t)
-            i = self.coset_of[w]
-            h = self.group.mul(self.inv_t[i], w)
-            perm[j] = i
-            exps[j] = self.chi_exp(h)
-        return tuple(perm), tuple(exps)
+        perm, hs = self.support(g)
+        return perm, tuple(self.chi_exp(h) for h in hs)
 
     def character(self) -> SumChar:
         return induce_char(

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UnsupportedParametersError
-from .ffield import Field, splitting_params
+from .ffield import Field, digits_index, index_digits, splitting_params
 
 
 @dataclass(frozen=True)
@@ -190,6 +190,24 @@ def enumerate_unipotent(ring: TwistedRing):
         yield (1,) + tail
 
 
+def unipotent_index_law(ring: TwistedRing) -> tuple:
+    """The group law of the unipotent elements on their indices in
+    enumerate_unipotent order, as a pair (mul, inv) of functions on int
+    arrays: element i is 1 + (the base-Q digits of i) . (tau, ..., tau^(L-1))."""
+    Q, L = ring.coeff_field.order, ring.length
+
+    def elements(i):
+        return np.concatenate([np.ones((1, len(i)), dtype=np.int64), index_digits(i, Q, L - 1)])
+
+    def mul(i, j):
+        return digits_index(ring.mul_batch(elements(i), elements(j))[1:], Q)
+
+    def inv(i):
+        return digits_index(ring.inv_batch(elements(i))[1:], Q)
+
+    return mul, inv
+
+
 def h_m_pattern(n: int, h: int, m: int) -> list[int]:
     """Free coordinate positions of the subgroup H_m inside U (h == 2),
     or of H'_m; positions j in [1, n] with (j <= n/2 and m | j) or j > n/2.
@@ -232,6 +250,39 @@ def gnq_mul(field_a: Field, n: int, q: int, a, b):
             top = add(top, mul(ai, fr[bj]))
     out[n - 1] = top
     return tuple(out)
+
+
+def gnq_mul_batch(field_a: Field, n: int, q: int, a, b):
+    """gnq_mul on (n, N) batches whose columns are group elements."""
+    v = field_a.vec
+    out = v.add(a, b)
+    top = out[n - 1]
+    for i in range(1, n):
+        fr = v.frob(field_a.frob_exp(q, i))
+        top = v.add(top, v.mul(a[i - 1], fr[b[n - i - 1]]))
+    out[n - 1] = top
+    return out
+
+
+def gnq_index_law(field_a: Field, n: int, q: int) -> tuple:
+    """The group law of G^{n,q} on the indices of its elements in
+    itertools.product order, as a pair (mul, inv) of functions on int
+    arrays: element i is the base-Q digits of i."""
+    Q = field_a.order
+    v = field_a.vec
+
+    def mul(i, j):
+        a, b = index_digits(i, Q, n), index_digits(j, Q, n)
+        return digits_index(gnq_mul_batch(field_a, n, q, a, b), Q)
+
+    def inv(i):
+        # below the top the coordinates negate; the top is what makes a b = 1
+        a = index_digits(i, Q, n)
+        b = np.concatenate([v.neg(a[: n - 1]), np.zeros((1, len(i)), dtype=np.int64)])
+        b[n - 1] = v.neg(gnq_mul_batch(field_a, n, q, a, b)[n - 1])
+        return digits_index(b, Q)
+
+    return mul, inv
 
 
 def gnq_inv(field_a: Field, n: int, q: int, a):

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -325,3 +328,75 @@ def test_construction_mismatch_is_a_failing_claim(argv, stub, failing, monkeypat
     for name, key in failing.items():
         assert statuses[name]["status"] == "fail"
         assert statuses[name]["witness"][key]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "char-table", "--h", "3"],
+        ["--kind", "char-table", "--s", "5"],
+        ["--kind", "char-table", "--h", "3", "--s", "5"],
+    ],
+    ids=["char-table-h", "char-table-s", "char-table-h-s"],
+)
+def test_dump_rejects_options_the_kind_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["dump", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "points", "--n", "2", "--q", "2", "--h", "2", "--s", "1", "--max-size", "100"],
+        ["--kind", "y-set", "--n", "2", "--q", "2", "--h", "2", "--s", "1", "--max-size", "100"],
+        ["--kind", "char-table", "--n", "2", "--q", "2", "--max-size", "100"],
+    ],
+    ids=["points", "y-set", "char-table"],
+)
+def test_dump_accepts_every_option_the_kind_reads(argv, capsys):
+    assert run_cli(["dump", *argv]) == 0
+    assert capsys.readouterr().out
+
+
+def test_norm_homomorphism_failure_names_the_first_failing_pair(monkeypatch, capsys):
+    # the top coordinate as the "norm": additive except for the twisted term
+    # a_1 b_1^q, so the first failure in row-major order is x = y = (1, 0)
+    monkeypatch.setattr(cli, "nm_gnq_batch", lambda n, q, F, a: a[n - 1])
+    assert run_cli(["verify", "--suite", "thm32", "--n", "2", "--q", "2"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    claim = next(c for c in rep["claims"] if c["claim"].startswith("norm map"))
+    assert claim["status"] == "fail"
+    assert claim["witness"] == {
+        "pairs": 256,
+        "first_failure": {"x": [1, 0], "y": [1, 0], "nm(xy)": 1, "nm(x) + nm(y)": 0},
+    }
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dllab.cli", "dump", "--kind", "char-table"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the first row is written
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,tag",
+    [
+        (["--suite", "thm31", "--n", "2", "--q", "2"], "[thm31]"),
+        (["--suite", "trace", "--n", "2", "--q", "2"], "[trace]"),
+        (["--suite", "orbit", "--q", "2"], "[orbit]"),
+        (["--suite", "maximality"], "[maximality]"),
+    ],
+    ids=["thm31", "trace", "orbit", "maximality"],
+)
+def test_suites_report_progress_on_stderr(argv, tag, capsys):
+    assert run_cli(["verify", *argv]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(tag)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dllab.charlib import AddChar, theta_family
@@ -26,6 +27,7 @@ from dllab.constructions import (
 )
 from dllab.errors import CharacterMismatchError, UnsupportedParametersError
 from dllab.ffield import field, splitting_params
+from dllab.matmodel import n2_norm, n2_norm_batch, nm_gnq, nm_gnq_batch
 from dllab.repkit import (
     MonomialRep,
     _cyclo_inv,
@@ -74,6 +76,16 @@ def test_unsupported_parameters_rejected():
         unipotent_group(4, 2, 2)
     with pytest.raises(UnsupportedParametersError):
         divquot(2, 2, 4)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_batched_norms_match_scalar_at_every_element(n, q):
+    G, F = gnq_group(n, q)
+    a = np.array(G.elements).T
+    assert nm_gnq_batch(n, q, F, a).tolist() == [nm_gnq(n, q, F, x, k=1) for x in G.elements]
+    U, ring = unipotent_group(n, q)
+    tails = np.array(U.elements)[:, 1:].T
+    assert n2_norm_batch(ring, tails).tolist() == [n2_norm(ring, g[1:]) for g in U.elements]
 
 
 def test_gnq_lang_fiber_counts():
@@ -286,6 +298,32 @@ def test_main_example_report_q2():
     assert all(c["status"] == "pass" for c in rep["claims"])
 
 
+def test_main_example_context_matches_the_scalar_walks():
+    # the conjugates of the class representatives and the Mackey pairs, on
+    # index arrays, against element-by-element walks with the scalar law
+    ctx = main_example_context(2)
+    dq, G = ctx.dq, ctx.dq.group
+
+    def dec(x):
+        e, u = x
+        k, h = dq.decompose(u)
+        return (e // 2, k, h[2], h[4])
+
+    def inside(xs):
+        return [dec(x) for x in xs if ctx.in_S1(x)]
+
+    ts = [(t, G.inv(t)) for t in ctx.transversal]
+    assert ctx.rhs_decomp == [
+        inside(G.mul(ti, G.mul(g, t)) for t, ti in ts) for g in ctx.class_reps
+    ]
+    pairs = []
+    for t, ti in ts:
+        if not ctx.in_S1(t):
+            conj = [(s, G.mul(t, G.mul(s, ti))) for s in ctx.S1]
+            pairs.append((t, [(dec(s), dec(x)) for s, x in conj if ctx.in_S1(x)]))
+    assert ctx.mackey_pairs == pairs
+
+
 def test_monomial_delta_sums_match_dense():
     # the integer-count Mackey table of the monomial extension against the
     # dense extension's CycloNum partial sums, on the same intertwiner
@@ -308,10 +346,13 @@ def test_construction_checks_survive_python_O():
     code = """
 from types import SimpleNamespace as NS
 
+import numpy as np
+
 from dllab.charlib import AddChar, layer_as_additive_char, theta_family
 from dllab.counting import (IntertwinerSpec, conductor2_char, eigendim, exp_sum,
     inductive_check, intertwiner_s2_data)
 from dllab.cyclo import CycloNum, _polydiv_exact
+from dllab.matmodel import n2_norm_batch, nm_gnq_batch
 from dllab.errors import DLLabError
 from dllab.ffield import Field, field
 from dllab.twistring import h_m_pattern
@@ -331,6 +372,8 @@ rt = C.build_eta_theta(theta_family(2, 2, 2, 1)[0])
 s2, f, p2, j, n = intertwiner_s2_data(2)
 F4 = Field(2, 2)
 F4.in_subfield = lambda sub, a: False  # contradicts the conductor kernel check
+F4_broken = Field(2, 2)
+F4_broken.vec.mul = np.bitwise_xor  # 1 * 1 = 0 breaks the norm's determinant shape
 
 
 class BadRing:
@@ -372,6 +415,8 @@ thunks = [
     lambda: _polydiv_exact([1, 0, 1], [1, 1]),
     lambda: CycloNum(4, (1, 2, 3)),
     lambda: CycloNum.rational(4, 1).galois(2),
+    lambda: nm_gnq_batch(2, 2, F4_broken, np.array([[1], [0]])),
+    lambda: n2_norm_batch(ring_of(2, 2, 3, field(2, 2)), np.zeros((4, 1), dtype=np.int64)),
     # last: every character now reads as conductor q
     lambda: (setattr(AddChar, "conductor_power", lambda self: 1), conductor2_char(2)),
 ]
@@ -410,6 +455,8 @@ for thunk in thunks:
         "InexactDivisionError",
         "InexactDivisionError",
         "MixedOrderError",
+        "UnsupportedParametersError",
+        "MatrixShapeError",
         "UnsupportedParametersError",
         "CharacterMismatchError",
     ]

@@ -1,8 +1,10 @@
 """Group/character toolkit tests on small explicit groups."""
 
+import numpy as np
 import pytest
 
-from dllab.charlib import unit_characters
+from dllab.charlib import AddChar, unit_characters
+from dllab.constructions import build_rho_psi, divquot, gnq_group, unipotent_group
 from dllab.cyclo import CycloNum
 from dllab.errors import NoExtensionError
 from dllab.ffield import field
@@ -142,3 +144,84 @@ def test_solve_intertwiner_identity_conj():
     rep = MonomialRep(C4, set(C4.elements), lambda h: chi[h], 4)
     T = solve_intertwiner(rep, lambda x: x, [1], 4)
     assert set(T) == {(0, 0)} and T[(0, 0)] == 0
+
+
+
+# -- index laws against the scalar bodies ---------------------------------------
+
+LAW_PARAMS = [(2, 2), (2, 3), (3, 2)]
+
+
+def scalar_twin(G):
+    """The same group without its index law, so the scalar bodies run."""
+    return GroupModel(G.elements, G.mul, G.inv, G.one, generators=G.generators)
+
+
+def law_matches_scalar(G, a, b):
+    els = G.elements
+    prod = G.law_mul(a, b).tolist()
+    assert prod == [G.index[G.mul(els[x], els[y])] for x, y in zip(a.tolist(), b.tolist())]
+    inv = G.law_inv(a).tolist()
+    assert inv == [G.index[G.inv(els[x])] for x in a.tolist()]
+
+
+@pytest.mark.parametrize("family", [unipotent_group, gnq_group])
+@pytest.mark.parametrize("n,q", LAW_PARAMS)
+def test_index_law_matches_scalar_on_all_pairs(family, n, q):
+    G, _ = family(n, q)
+    N = len(G)
+    a, b = np.divmod(np.arange(N * N, dtype=np.int64), N)
+    law_matches_scalar(G, a, b)
+
+
+@pytest.mark.parametrize("params", [(2, 2, 3), (2, 2, 2, 2), (3, 2, 2)])
+def test_divquot_index_law_matches_scalar_on_a_sample(params):
+    G = divquot(*params).group
+    a, b = np.random.default_rng(3).integers(0, len(G), size=(2, 3000))
+    law_matches_scalar(G, a, b)
+
+
+def test_conj_classes_match_the_bfs_on_the_level3_quotient():
+    G = divquot(2, 2, 3).group
+    classes, bfs = G.conj_classes(), scalar_twin(G).conj_classes()
+    assert len(classes) == 54
+    assert [c[0] for c in classes] == [c[0] for c in bfs]
+    assert [len(c) for c in classes] == [len(c) for c in bfs]
+    assert all(set(c) == set(d) for c, d in zip(classes, bfs))
+
+
+def test_conj_classes_of_the_q3_quotient():
+    # the BFS takes about 17 s here, so only the invariants are checked
+    G = divquot(2, 3, 3).group
+    classes = G.conj_classes()
+    index = G.index
+    assert len(classes) == 639
+    assert sum(len(c) for c in classes) == len(G) == 104_976
+    assert all(index[c[0]] == min(index[x] for x in c) for c in classes)
+
+
+@pytest.mark.parametrize("family", [unipotent_group, gnq_group])
+@pytest.mark.parametrize("n,q", LAW_PARAMS)
+def test_conj_classes_match_the_bfs_on_the_unipotent_families(family, n, q):
+    G, _ = family(n, q)
+    classes, bfs = G.conj_classes(), scalar_twin(G).conj_classes()
+    assert [(c[0], len(c)) for c in classes] == [(c[0], len(c)) for c in bfs]
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["thm31", "thm32"])
+@pytest.mark.parametrize("n,q", LAW_PARAMS)
+def test_index_induction_matches_scalar_on_every_rho(mirror, n, q):
+    # thm31 at (3, 2) is also the family of dump --kind char-table --n 3 --q 2
+    _, F = gnq_group(n, q)
+    for a in F.elements():
+        data = build_rho_psi(n, q, AddChar(F, q, a), mirror=mirror)
+        G, rep, R = data.group, data.rep, data.R
+        S = scalar_twin(G)
+        srep = MonomialRep(S, rep.H, rep.chi_exp, R)
+        assert coset_transversal(G, rep.H) == coset_transversal(S, rep.H)
+        assert rep.transversal == srep.transversal
+        assert all(rep.support(g) == srep.support(g) for g in G.elements)
+        assert all(rep.matrix(g) == srep.matrix(g) for g in G.elements)
+        for H, chi in ((rep.H, rep.chi_exp), (data.pattern_subgroup, data.pattern_exp)):
+            fast, slow = induce_char(G, H, chi, R), induce_char(S, H, chi, R)
+            assert list(fast.lists.items()) == list(slow.lists.items())
