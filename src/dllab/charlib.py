@@ -10,14 +10,13 @@ such that psi_a factors through Tr_{F_{q^n}/F_{q^m}} and through no smaller
 trace; equivalently a lies in F_{q^m} and in no smaller layer.  The trivial
 character has conductor q (m = 1).
 
-Principal unit groups (1 + pi F_{q^n}[pi]/(pi^h))^x are modelled as tuples
-(1, b_1, ..., b_{h-1}) with truncated polynomial multiplication, and their
+Principal unit groups (1 + pi F_{q^n}[pi]/(pi^h))^x are the unipotent groups
+of the n = 1 twisted rings, tuples (1, b_1, ..., b_{h-1}), and their
 characters are enumerated exactly as root-exponent tables.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm
 
@@ -28,8 +27,8 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .ffield import Field, field, splitting_params
-from .matmodel import tp_mul
 from .repkit import ExpChar, GroupModel, abelian_character_extensions
+from .twistring import enumerate_unipotent, twisted_ring
 
 
 @dataclass(frozen=True)
@@ -80,25 +79,13 @@ def additive_chars(F: Field, q: int):
 
 
 def principal_units(L: Field, h: int) -> GroupModel:
-    """(1 + pi O_L / pi^h)^x as tuples (1, b_1, ..., b_{h-1})."""
-
-    def mul(a, b):
-        return tp_mul(L, a, b)
-
-    def inv(a):
-        # geometric series: (1 + m)^-1 = sum (-m)^k
-        m = (0,) + a[1:]
-        out = (1,) + (0,) * (h - 1)
-        term = out
-        neg = tuple(L.neg(c) for c in m)
-        for _ in range(h - 1):
-            term = tp_mul(L, term, neg)
-            out = tuple(L.add(x, y) for x, y in zip(out, term))
-        return out
-
-    els = [(1,) + tail for tail in itertools.product(L.elements(), repeat=h - 1)]
+    """(1 + pi O_L / pi^h)^x as tuples (1, b_1, ..., b_{h-1}): the unipotent
+    group of L[pi]/(pi^h), which is the n = 1 twisted ring over L whose twist
+    by q = |L| acts trivially."""
+    ring = twisted_ring(1, L.order, h, L)
+    els = list(enumerate_unipotent(ring))
     gens = [g for g in els if sum(1 for c in g[1:] if c) == 1]
-    return GroupModel(els, mul, inv, (1,) + (0,) * (h - 1), generators=gens)
+    return GroupModel(els, ring.mul, ring.inv, ring.one, generators=gens)
 
 
 def unit_characters(G: GroupModel, R: int):

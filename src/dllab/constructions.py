@@ -431,12 +431,13 @@ class DivQuotData:
     nM: int
     units: list
     dlog: dict
-    zbar_inv_pows: list
 
     def decompose(self, u):
-        """u = zeta-bar^k * u1 with u1 a principal unit."""
-        k = self.dlog[u[0]]
-        return k, self.ring.mul(self.zbar_inv_pows[k], u)
+        """u = zeta-bar^k * u1 with u1 a principal unit: zeta-bar^k is the
+        constant u_0, and a constant multiplies coefficientwise from the
+        left, so u1 = u_0^-1 u."""
+        c = self.F.inv(u[0])
+        return self.dlog[u[0]], tuple(self.F.mul(c, x) for x in u)
 
 
 @lru_cache(maxsize=None)
@@ -510,12 +511,6 @@ def divquot(n: int, q: int, h: int, M: int = 1) -> DivQuotData:
     for k in range(1, F.order - 1):
         t = F.mul(t, F.gen)
         dlog[t] = k
-    zbar_inv_pows = []
-    zi = ring.one
-    zinv = (F.inv(F.gen),) + (0,) * (L - 1)
-    for _ in range(F.order - 1):
-        zbar_inv_pows.append(zi)
-        zi = ring.mul(zi, zinv)
     return DivQuotData(
         n=n,
         q=q,
@@ -527,7 +522,6 @@ def divquot(n: int, q: int, h: int, M: int = 1) -> DivQuotData:
         nM=nM,
         units=units,
         dlog=dlog,
-        zbar_inv_pows=zbar_inv_pows,
     )
 
 
@@ -792,7 +786,7 @@ class MainExampleContext:
         n = 2
         dq = divquot(n, q, 3, M)
         self.dq = dq
-        self.U3, self.u3_ring = unipotent_group(n, q, 3)
+        self.U3, _ = unipotent_group(n, q, 3)
         self.H2 = _level3_pattern_subgroup(self.U3)
         self.template = MonomialRep(self.U3, self.H2, lambda g: 0, 1)
         classes = dq.group.conj_classes()
@@ -863,9 +857,6 @@ class MainExampleContext:
 @lru_cache(maxsize=None)
 def main_example_context(q: int, M: int = 1) -> MainExampleContext:
     return MainExampleContext(q, M)
-
-
-THETA_PRIME_READINGS = ("pi-squared", "pi-fourth")
 
 
 def _theta_prime_exp(theta: ThetaData, reading: str):

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .ffield import Field, field, splitting_params
-from .matmodel import bounded_ring, point_member, star_action, xh_points
+from .matmodel import bounded_ring, in_Xh, star_action, xh_points
 from .repkit import assert_nonneg_integer
 from .twistring import TwistedRing, enumerate_unipotent, twisted_ring
 
@@ -42,12 +42,11 @@ class SumSpec:
     so the same spec serves every extension degree.
     """
 
-    def __init__(self, base: Field, dim: int, membership, poly, name: str = ""):
+    def __init__(self, base: Field, dim: int, membership, poly):
         self.base = base
         self.dim = dim
         self.membership = membership
         self.poly = poly
-        self.name = name
 
 
 def exp_sum(
@@ -91,31 +90,34 @@ class IntertwinerSpec(SumSpec):
 
     def __init__(self, q: int):
         p, e = splitting_params(q)
-        base = field(p, 2 * e)
         self.q = q
+        super().__init__(field(p, 2 * e), 3, self.membership, self.poly)
 
-        def membership(E: Field, x):
-            a1, a2, _ = x
-            lhs = E.sub(E.frob(a2, q * q), a2)
-            rhs = E.sub(
-                E.mul(E.frob(a1, q), E.frob(a1, q * q)), E.mul(a1, E.frob(a1, q))
-            )
-            return lhs == rhs
+    def fibre_value(self, E: Field, a1: int) -> int:
+        """a_1^{q+q^2} - a_1^{1+q}, the value a_2^{q^2} - a_2 must take."""
+        q = self.q
+        return E.sub(
+            E.mul(E.frob(a1, q), E.frob(a1, q * q)), E.mul(a1, E.frob(a1, q))
+        )
 
-        def poly(E: Field, x):
-            a1, a2, a3 = x
-            t = E.sub(
-                E.mul(E.frob(a1, q), a3), E.mul(E.frob(a1, q * q), E.frob(a3, q))
-            )
-            return E.add(
-                t,
-                E.sub(
-                    E.mul(a2, E.frob(a2, q)),
-                    E.mul(E.frob(a2, q), E.frob(a2, q * q)),
-                ),
-            )
+    def a2_part(self, E: Field, a2: int) -> int:
+        """a_2^{1+q} - a_2^{q+q^2}, the part of P that depends on a_2 alone."""
+        q = self.q
+        return E.sub(
+            E.mul(a2, E.frob(a2, q)), E.mul(E.frob(a2, q), E.frob(a2, q * q))
+        )
 
-        super().__init__(base, 3, membership, poly, name="intertwiner-surface")
+    def membership(self, E: Field, x) -> bool:
+        a1, a2, _ = x
+        return E.sub(E.frob(a2, self.q * self.q), a2) == self.fibre_value(E, a1)
+
+    def poly(self, E: Field, x) -> int:
+        a1, a2, a3 = x
+        q = self.q
+        t = E.sub(
+            E.mul(E.frob(a1, q), a3), E.mul(E.frob(a1, q * q), E.frob(a3, q))
+        )
+        return E.add(t, self.a2_part(E, a2))
 
     def vector_counts(self, E: Field, psi: AddChar):
         q = self.q
@@ -133,10 +135,7 @@ class IntertwinerSpec(SumSpec):
             as_sols.setdefault(int(c), []).append(a2)
         counts = np.zeros(p, dtype=np.int64)
         for a1 in range(Q):
-            c = E.sub(
-                E.mul(E.frob(a1, q), E.frob(a1, q * q)), E.mul(a1, E.frob(a1, q))
-            )
-            sols = as_sols.get(c)
+            sols = as_sols.get(self.fibre_value(E, a1))
             if not sols:
                 continue
             t = v.sub(
@@ -145,11 +144,7 @@ class IntertwinerSpec(SumSpec):
             )
             bc = np.bincount(psie[t], minlength=p)
             for a2 in sols:
-                const = E.sub(
-                    E.mul(a2, E.frob(a2, q)),
-                    E.mul(E.frob(a2, q), E.frob(a2, q * q)),
-                )
-                counts += np.roll(bc, psi.exp(E.trace(const, self.base)))
+                counts += np.roll(bc, psi.exp(E.trace(self.a2_part(E, a2), self.base)))
         return counts
 
 
@@ -186,8 +181,8 @@ def inductive_spec(s2: SumSpec, f, p2, j: int, n: int, q: int):
     def s3_membership(E, x):
         return s2.membership(E, x) and f(E, x) == 0
 
-    big = SumSpec(s2.base, s2.dim + 1, s_membership, s_poly, name=s2.name + "+line")
-    fibre = SumSpec(s2.base, s2.dim, s3_membership, p2, name=s2.name + "-fibre")
+    big = SumSpec(s2.base, s2.dim + 1, s_membership, s_poly)
+    fibre = SumSpec(s2.base, s2.dim, s3_membership, p2)
     return big, fibre
 
 
@@ -211,7 +206,7 @@ def inductive_check(
     if j % m == 0:
         raise UnsupportedParametersError("conductor exponent must not divide j")
     big, fibre = inductive_spec(s2, f, p2, j, n, q)
-    report = {"name": s2.name, "checks": []}
+    report = {"checks": []}
     for s in s_range:
         lhs = exp_sum(big, psi, s, max_size=max_size)
         rhs = exp_sum(fibre, psi, s, max_size=max_size) * (q**n) ** s
@@ -225,18 +220,14 @@ def intertwiner_s2_data(q: int):
     """The (S2, f, P2, j, n) tuple whose inductive completion is the
     intertwiner surface: f = a_1, j = 1, n = 2."""
     spec3 = IntertwinerSpec(q)
-    base = spec3.base
 
     def membership(E, x):
         return spec3.membership(E, (x[0], x[1], 0))
 
     def p2(E, x):
-        a2 = x[1]
-        return E.sub(
-            E.mul(a2, E.frob(a2, q)), E.mul(E.frob(a2, q), E.frob(a2, q * q))
-        )
+        return spec3.a2_part(E, x[1])
 
-    s2 = SumSpec(base, 2, membership, p2, name="intertwiner-base")
+    s2 = SumSpec(spec3.base, 2, membership, p2)
     return s2, (lambda E, x: x[0]), p2, 1, 2
 
 
@@ -304,10 +295,10 @@ def y3_locus_equality(q: int, s: int = 2, max_size: int = 300_000) -> bool:
 
 
 def twisted_count(n: int, q: int, h: int, gamma, right, max_size: int = 300_000) -> int:
-    """Count x in X(F_{q^(n p)}) (the point rule of matmodel.point_member)
-    with gamma * F_{q^n}(x) = x * right, by honest enumeration.  gamma is
-    None (no twist) or a star unit (1, lam, mu, ...) over F_{q^n}; right is
-    a unipotent element over F_{q^n}."""
+    """Count x in X_h(F_{q^(n p)}) with gamma * F_{q^n}(x) = x * right, by
+    honest enumeration.  gamma is None (no twist) or a star unit
+    (1, lam, mu, ...) over F_{q^n}; right is a unipotent element over
+    F_{q^n}."""
     p, e = splitting_params(q)
     ring = bounded_ring(n, q, h, n * p, max_size)
     emb = ring.coeff_field.embed_table(field(p, e * n))
@@ -316,7 +307,7 @@ def twisted_count(n: int, q: int, h: int, gamma, right, max_size: int = 300_000)
         gamma = tuple(int(emb[c]) for c in gamma)
     count = 0
     for x in enumerate_unipotent(ring):
-        if not point_member(ring, x):
+        if not in_Xh(ring, x):
             continue
         y = ring.frobenius(x, n)
         if gamma is not None:
@@ -488,8 +479,8 @@ def npp_identity(q: int) -> bool:
 
 
 def zeta_fixed_set(n: int, q: int, h: int, max_size: int = 600_000):
-    """Points of X(F_{q^(n p)}) (the point rule of matmodel.point_member)
-    fixed by conjugation with the Teichmueller generator of F_{q^n}^x."""
+    """Points of X_h(F_{q^(n p)}) fixed by conjugation with the
+    Teichmueller generator of F_{q^n}^x."""
     p, e = splitting_params(q)
     ring = bounded_ring(n, q, h, n * p, max_size)
     E, dim = ring.coeff_field, ring.length - 1
@@ -504,7 +495,7 @@ def zeta_fixed_set(n: int, q: int, h: int, max_size: int = 600_000):
         for j, v in zip(free, vals):
             x[j] = v
         x = tuple(x)
-        if point_member(ring, x):
+        if in_Xh(ring, x):
             out.append(x)
     return out, ring, E
 
@@ -595,8 +586,7 @@ def zeta_trace_suite_level3(q: int) -> dict:
 
 
 def xh_point_count(n: int, q: int, h: int, s: int = 1, max_size: int = 50_000_000):
-    """|X_h(F_{q^{n s}})| (h = 3 determinant condition) or |X(F_{q^{n s}})|
-    (h = 2 Lang preimage), by direct enumeration."""
+    """|X_h(F_{q^{n s}})|, by direct enumeration."""
     return sum(g.shape[1] for g in xh_points(n, q, h, s, max_size))
 
 

@@ -328,22 +328,6 @@ def in_Xh_batch(ring: TwistedRing, g) -> np.ndarray:
     return ok
 
 
-def point_mask(ring: TwistedRing, g) -> np.ndarray:
-    """Membership of a batch of unipotent points in the variety whose points
-    are dumped and counted: the Lang preimage X = {pr_n(F_{q^n}(g) g^-1) = 0}
-    at h = 2, X_h at h >= 3."""
-    if ring.h == 2:
-        return ring.lang_batch(g, ring.n)[ring.n] == 0
-    return in_Xh_batch(ring, g)
-
-
-def point_member(ring: TwistedRing, g) -> bool:
-    """point_mask on one point: its scalar oracle."""
-    if ring.h == 2:
-        return ring.lang(g, ring.n)[ring.n] == 0
-    return in_Xh(ring, g)
-
-
 def bounded_ring(n: int, q: int, h: int, degree: int, max_size: int) -> TwistedRing:
     """The (n, q, h) twisted ring over F_{q^degree}, once its unipotent grid
     is known to hold at most max_size points."""
@@ -364,10 +348,9 @@ def unipotent_chunks(ring: TwistedRing):
 
 def xh_points(n: int, q: int, h: int, s: int, max_size: int):
     """Check the parameters and the size bound, then return an iterator over
-    (L, N) batches of the points of X (h = 2) or X_h over F_{q^{n s}}, in
-    grid order."""
+    (L, N) batches of the points of X_h over F_{q^{n s}}, in grid order."""
     ring = bounded_ring(n, q, h, n * s, max_size)
-    return (g[:, point_mask(ring, g)] for g in unipotent_chunks(ring))
+    return (g[:, in_Xh_batch(ring, g)] for g in unipotent_chunks(ring))
 
 
 def n2_norm(ring: TwistedRing, tail) -> int:

@@ -77,7 +77,7 @@ class GroupModel:
         their least element index, and each starts with that element.
         """
         if self._classes is None:
-            if self.law is not None and self.generators is not None:
+            if self.law is not None:
                 self._classes = self._index_classes()
             else:
                 self._classes = self._scalar_classes()
@@ -117,10 +117,6 @@ class GroupModel:
 
     def _scalar_classes(self):
         gens = self.generators
-        if gens is None:
-            if len(self.elements) > 20000:
-                raise ValueError("conjugacy classes need generators for large groups")
-            gens = self.elements
         inv_gens = [self.inv(g) for g in gens]
         seen = {}
         classes = []
@@ -178,11 +174,9 @@ class SumChar:
         return rc.value()
 
 
-def inner_product(chi1, chi2, elements=None, order=None) -> CycloNum:
+def inner_product(chi1, chi2) -> CycloNum:
     """(1/|G|) sum chi1(g) * conj(chi2(g)), exact."""
-    group = chi1.group
-    elements = group.elements if elements is None else elements
-    order = len(elements) if order is None else order
+    elements = chi1.group.elements
     R = chi1.R
     if chi2.R != R:
         raise MixedOrderError(f"characters over root orders {R} and {chi2.R}")
@@ -193,8 +187,7 @@ def inner_product(chi1, chi2, elements=None, order=None) -> CycloNum:
         for e1 in l1:
             for e2 in l2:
                 rc.add(e1 - e2)
-    val = rc.value() / order
-    return val
+    return rc.value() / len(elements)
 
 
 def assert_nonneg_integer(val: CycloNum) -> int:

@@ -10,6 +10,7 @@ from dllab.charlib import (
     unit_characters,
 )
 from dllab.ffield import field
+from dllab.matmodel import tp_mul
 from dllab.repkit import inner_product
 
 
@@ -73,15 +74,27 @@ def test_principal_units_group_axioms():
     assert G.mul(a, b) == G.mul(b, a)
 
 
+@pytest.mark.parametrize("p,k,h", [(2, 1, 3), (2, 2, 2), (2, 2, 3), (3, 2, 3)])
+def test_principal_units_are_truncated_polynomials(p, k, h):
+    # the n = 1 twisted ring multiplies as L[pi]/(pi^h): its twist is trivial
+    L = field(p, k)
+    G = principal_units(L, h)
+    assert len(G.elements) == L.order ** (h - 1)
+    for a in G.elements:
+        assert G.mul(a, G.inv(a)) == G.one
+        for b in G.elements:
+            assert G.mul(a, b) == tp_mul(L, a, b)
+
+
 def test_unit_characters_orthogonal():
     L = field(2, 1)
     G = principal_units(L, 3)  # Z/4 here: (1+pi)^2 = 1+pi^2 in char 2
     R = 4
     chis = unit_characters(G, R)
     assert len(chis) == len(G.elements)
-    ip = inner_product(chis[1], chis[1], G.elements, len(G.elements))
+    ip = inner_product(chis[1], chis[1])
     assert ip.as_integer() == 1
-    ip2 = inner_product(chis[1], chis[2], G.elements, len(G.elements))
+    ip2 = inner_product(chis[1], chis[2])
     assert ip2.is_zero()
 
 

@@ -159,13 +159,14 @@ def test_divquot_order_and_axioms():
 
 
 def test_divquot_decompose_roundtrip():
-    dq = divquot(2, 2, 2)
-    ring = dq.ring
-    for u in dq.units:
-        k, u1 = dq.decompose(u)
-        assert u1[0] == 1
-        zbar_k = ring.inv(dq.zbar_inv_pows[k])
-        assert ring.mul(zbar_k, u1) == u
+    for n, q, h in [(2, 2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2)]:
+        dq = divquot(n, q, h)
+        F, ring = dq.F, dq.ring
+        for u in dq.units:
+            k, u1 = dq.decompose(u)
+            assert u1[0] == 1
+            zbar_k = (F.pow(F.gen, k),) + (0,) * (ring.length - 1)
+            assert ring.mul(zbar_k, u1) == u
 
 
 def test_divquot_pi_is_central_torsion():

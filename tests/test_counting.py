@@ -216,14 +216,14 @@ def test_zeta_fixed_set_is_central():
 def test_zeta_fixed_set_matches_scalar_conj_filter(n, q, h):
     import itertools
 
-    from dllab.matmodel import point_member
+    from dllab.matmodel import in_Xh
 
     fixed, ring, E = zeta_fixed_set(n, q, h)
     zeta = E.embed(field(2, n), field(2, n).gen)
     want = []
     for tail in itertools.product(E.elements(), repeat=ring.length - 1):
         x = (1,) + tail
-        if ring.scalar_conj(zeta, x) == x and point_member(ring, x):
+        if ring.scalar_conj(zeta, x) == x and in_Xh(ring, x):
             want.append(x)
     assert fixed == want
 

@@ -1,7 +1,8 @@
 """Source hygiene of the dllab package, checked on the syntax tree.
 
 An `assert` statement vanishes under `python -O`, so no check in the package
-may use one; an imported name that nothing references is dead code; two
+may use one; an imported name that nothing references is dead code, and so is
+a module-level name that neither the package nor its tests reference; two
 functions with the same body are one computation written twice.
 """
 
@@ -13,6 +14,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dllab"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _tree(path):
@@ -79,3 +81,37 @@ def test_no_duplicate_function_bodies():
                 twins.append((seen[key], where))
             seen.setdefault(key, where)
     assert twins == [], f"functions with the same body: {twins}"
+
+
+def _referenced_names(path):
+    """Names that path reads, as a bare name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _module_level_names(path):
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def test_no_unreferenced_module_level_names():
+    used = set().union(*(_referenced_names(p) for p in MODULES + TESTS))
+    dead = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _module_level_names(path)
+        if name not in used
+    ]
+    assert dead == [], f"module-level names nothing references: {dead}"
