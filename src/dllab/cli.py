@@ -3,6 +3,9 @@
 Each suite composes library calls into a JSON report of independent claims;
 exit status 0 means every claim passed.  Long enumerations narrate progress
 on standard error only, so standard output stays pipe-friendly.
+
+Library layers above ffield are imported inside the command that runs them,
+so each command starts with only the layers it uses.
 """
 
 import argparse
@@ -15,53 +18,8 @@ import sys
 
 import numpy as np
 
-from .charlib import (
-    AddChar,
-    layer_as_additive_char,
-    principal_units,
-    unit_characters,
-)
-from .counting import (
-    IntertwinerSpec,
-    collapse_twist_table,
-    conductor2_char,
-    dl_intertwiner_sum,
-    eigendim,
-    exp_sum,
-    inductive_check,
-    intertwiner_s2_data,
-    maximality_probe,
-    npp_identity,
-    x3_conditions,
-    x3_twist_table,
-    y3_locus_equality,
-    y3_member,
-    zeta_trace_suite,
-    zeta_trace_suite_level3,
-)
-from .constructions import (
-    eta_family_report,
-    extension_orbit_report,
-    gnq_group,
-    main_example_report,
-    rho_family_report,
-)
-from .errors import DLLabError, SizeLimitExceededError
+from .errors import SizeLimitExceededError
 from .ffield import field, grid_chunks, splitting_params
-from .matmodel import in_Xh, n2_norm, nm_gnq_batch, xh_points, y_h_image
-from .serieslab import (
-    SERIES_CHUNK,
-    LaurentSeries,
-    SeriesBatch,
-    det_valuation,
-    mat_det_series,
-    mat_identity_series,
-    quotient_residual,
-    solve_quotient,
-    xtilde_form,
-    xtilde_matrix,
-)
-from .twistring import enumerate_unipotent, twisted_ring
 
 SCHEMA = 1
 RHO_PARAMS = [(2, 2), (2, 3), (3, 2)]
@@ -95,6 +53,9 @@ def _norm_homomorphism(n: int, q: int) -> tuple:
     """Whether nm(x y) = nm(x) + nm(y) over all pairs of G^{n,q}, checked in
     row-major order, and the witness: the pair count, plus the first failing
     pair with both sides of the equation."""
+    from .constructions import gnq_group
+    from .matmodel import nm_gnq_batch
+
     G, F = gnq_group(n, q)
     N = len(G)
     nm = np.concatenate([nm_gnq_batch(n, q, F, a) for a in grid_chunks(F.order, n)])
@@ -116,6 +77,8 @@ def _norm_homomorphism(n: int, q: int) -> tuple:
 
 
 def _rho_suite(args, mirror: bool) -> dict:
+    from .constructions import rho_family_report
+
     params = [(args.n, args.q)] if args.n and args.q else RHO_PARAMS
     name = "thm32" if mirror else "thm31"
     reports = []
@@ -161,12 +124,18 @@ def suite_thm32(args) -> dict:
 
 
 def suite_eigenspaces(args) -> dict:
+    from .charlib import layer_as_additive_char, principal_units, unit_characters
+    from .counting import collapse_twist_table, eigendim, npp_identity, x3_twist_table
+
     qs = [args.q] if args.q else [2, 3]
     claims = []
     for q in qs:
+        p, e = splitting_params(q)
+        # the twist table scans q^8 keys x q^2 rational a1
+        if q**10 > args.max_size:
+            raise SizeLimitExceededError(f"{q}^10 twist-table scans exceed {args.max_size}")
         _progress(f"[eigenspaces] twist table at q = {q}")
         collapsed = collapse_twist_table(x3_twist_table(q))
-        p, e = splitting_params(q)
         F2 = field(p, 2 * e)
         units = principal_units(F2, 3)
         R = p * p
@@ -202,6 +171,15 @@ def suite_eigenspaces(args) -> dict:
 
 
 def suite_intertwiner(args) -> dict:
+    from .counting import (
+        IntertwinerSpec,
+        conductor2_char,
+        dl_intertwiner_sum,
+        exp_sum,
+        inductive_check,
+        intertwiner_s2_data,
+    )
+
     qs = [args.q] if args.q else [2, 3]
     claims = []
     for q in qs:
@@ -243,6 +221,8 @@ def suite_intertwiner(args) -> dict:
 
 
 def suite_trace(args) -> dict:
+    from .counting import zeta_trace_suite, zeta_trace_suite_level3
+
     params = [(args.n, args.q)] if args.n and args.q else RHO_PARAMS
     reports = []
     for n, q in params:
@@ -278,6 +258,8 @@ def suite_trace(args) -> dict:
 
 
 def suite_eta_level2(args) -> dict:
+    from .constructions import eta_family_report
+
     params = [(args.n, args.q)] if args.n and args.q else [(2, 2), (3, 2)]
     claims = []
     reports = []
@@ -295,6 +277,8 @@ def suite_eta_level2(args) -> dict:
 
 
 def suite_main_example(args) -> dict:
+    from .constructions import main_example_report
+
     qs = [args.q] if args.q else [2, 3]
     claims = []
     reports = []
@@ -312,6 +296,8 @@ def suite_main_example(args) -> dict:
 
 
 def suite_orbit(args) -> dict:
+    from .constructions import extension_orbit_report
+
     qs = [args.q] if args.q else [2, 3]
     claims = []
     for q in qs:
@@ -324,6 +310,10 @@ def _x3_equations_agree(q: int) -> tuple:
     """Exhaustive check over F_{q^4} that reduced-norm membership in the
     level-3 variety matches the two coordinate equations that
     x3_twist_table filters with."""
+    from .counting import x3_conditions
+    from .matmodel import in_Xh
+    from .twistring import enumerate_unipotent, twisted_ring
+
     p, e = splitting_params(q)
     Fq = field(p, e)
     R = twisted_ring(2, q, 3, field(p, 4 * e))
@@ -338,6 +328,9 @@ def _x3_equations_agree(q: int) -> tuple:
 def _lang_norm_identity(n: int, q: int) -> tuple:
     """pr_n of the Lang image equals the Artin-Schreier image of the norm,
     exhaustively over F_{q^(2n)} at h = 2."""
+    from .matmodel import n2_norm
+    from .twistring import twisted_ring
+
     p, e = splitting_params(q)
     A = field(p, 2 * e * n)
     R = twisted_ring(n, q, 2, A)
@@ -352,6 +345,10 @@ def _lang_norm_identity(n: int, q: int) -> tuple:
 
 
 def suite_matrix_y(args) -> dict:
+    from .counting import y3_locus_equality, y3_member
+    from .matmodel import y_h_image
+    from .twistring import twisted_ring
+
     claims = []
     ok, checked = _x3_equations_agree(2)
     claims.append(
@@ -411,12 +408,10 @@ def _draw_window(F, rng, prec, vmin=0, vmax=2):
     return v, [rng.randrange(F.order) for _ in range(prec - v)]
 
 
-def _rand_series(F, rng, prec, vmin=0, vmax=2):
-    return LaurentSeries(F, *_draw_window(F, rng, prec, vmin, vmax), prec)
-
-
 def _window_batch(F, windows, prec):
     """Drawn windows (v >= 0, all ending at prec) as one SeriesBatch."""
+    from .serieslab import SeriesBatch
+
     rows = [[0] * v + cs for v, cs in windows]
     coeffs = np.array(rows, dtype=np.int64).reshape(len(rows), prec)
     return SeriesBatch(F, 0, coeffs, np.full(len(rows), prec))
@@ -424,6 +419,8 @@ def _window_batch(F, windows, prec):
 
 def _chunks(seq):
     """Consecutive slices of seq with SERIES_CHUNK items (the last may be short)."""
+    from .serieslab import SERIES_CHUNK
+
     for start in range(0, len(seq), SERIES_CHUNK):
         yield seq[start : start + SERIES_CHUNK]
 
@@ -437,6 +434,8 @@ def _valuation_failures(F, q, coeffs) -> int:
     """Rows of a batch where det(xtilde_matrix(coeffs)) breaks the valuation
     law: a predicted valuation inside the window must be attained, which a
     vanishing determinant fails, and beyond it the determinant must vanish."""
+    from .serieslab import det_valuation, mat_det_series, xtilde_matrix
+
     det = mat_det_series(xtilde_matrix(F, q, len(coeffs), coeffs))
     want = det_valuation(coeffs)
     return int(np.count_nonzero(np.where(want < det.prec, det.v != want, ~det.is_zero())))
@@ -445,6 +444,17 @@ def _valuation_failures(F, q, coeffs) -> int:
 def suite_series(args) -> dict:
     """Inputs are drawn from one seeded rng in a fixed order; each chunk of
     SERIES_CHUNK instances is drawn, then evaluated as one batch per entry."""
+    from .serieslab import (
+        LaurentSeries,
+        SeriesBatch,
+        mat_det_series,
+        mat_identity_series,
+        quotient_residual,
+        solve_quotient,
+        xtilde_form,
+        xtilde_matrix,
+    )
+
     rng = random.Random(args.seed)
     claims = []
     # quotient solver: residual vanishes and the two elimination orders agree
@@ -513,7 +523,7 @@ def suite_series(args) -> dict:
     F16 = field(2, 4)
     bad = 0
     for _ in range(200):
-        coeffs = tuple(_rand_series(F16, rng, 5, 0, 1) for _ in range(2))
+        coeffs = tuple(LaurentSeries(F16, *_draw_window(F16, rng, 5, 0, 1), 5) for _ in range(2))
         A = xtilde_matrix(F16, 2, 2, coeffs)
         det = mat_det_series(A)
         rational = all(
@@ -536,6 +546,8 @@ def suite_series(args) -> dict:
 
 
 def suite_maximality(args) -> dict:
+    from .counting import maximality_probe
+
     s_range = (1, 2, 3) if args.saturate else (1, 2)
     _progress(f"[maximality] point counts at (2, 2, 2), s in {s_range}")
     rep = maximality_probe(2, 2, 2, s_range=s_range, max_size=args.max_size)
@@ -560,7 +572,7 @@ def suite_maximality(args) -> dict:
 SUITES = {
     "thm31": (suite_thm31, {"n", "q"}),
     "thm32": (suite_thm32, {"n", "q"}),
-    "eigenspaces": (suite_eigenspaces, {"q"}),
+    "eigenspaces": (suite_eigenspaces, {"q", "max_size"}),
     "intertwiner": (suite_intertwiner, {"q"}),
     "trace": (suite_trace, {"n", "q"}),
     "eta-level2": (suite_eta_level2, {"n", "q", "M"}),
@@ -582,6 +594,8 @@ VERIFY_DEFAULTS = dict(n=None, q=None, M=1, max_size=2_000_000, saturate=False, 
 
 
 def dump_points(args):
+    from .matmodel import xh_points
+
     members = xh_points(args.n, args.q, args.h, args.s, args.max_size)
     dim = args.n * (args.h - 1)
 
@@ -598,6 +612,7 @@ def dump_points(args):
 
 
 def dump_char_table(args):
+    from .charlib import AddChar
     from .constructions import build_rho_psi, unipotent_group
 
     n, q = args.n, args.q
@@ -629,6 +644,8 @@ def dump_char_table(args):
 
 
 def dump_y_set(args):
+    from .matmodel import y_h_image
+
     img = y_h_image(args.n, args.q, args.h, args.s, max_size=args.max_size)
     dim = args.n * (args.h - 1)
 
@@ -727,7 +744,9 @@ def _dump_args(ap: argparse.ArgumentParser, args) -> argparse.Namespace:
 def _verify(args) -> int:
     try:
         report = SUITES[args.suite][0](args)
-    except DLLabError as exc:
+    except BrokenPipeError:
+        raise
+    except Exception as exc:
         report = {
             "suite": args.suite,
             "params": {},
@@ -760,7 +779,9 @@ def _dump(args) -> int:
             print(args.out)
         else:
             write(sys.stdout)
-    except DLLabError as exc:
+    except BrokenPipeError:
+        raise
+    except Exception as exc:
         _progress(f"error: {type(exc).__name__}: {exc}")
         return 1
     return 0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -59,6 +60,44 @@ def test_failing_claim_gives_exit_one(tmp_path, monkeypatch, capsys):
     rc = run_cli(["verify", "--suite", "trace", "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "always wrong" in capsys.readouterr().err
+
+
+def _raise_value_error(args):
+    raise ValueError("boom")
+
+
+def test_unexpected_suite_exception_is_a_failing_claim(monkeypatch, capsys):
+    monkeypatch.setitem(cli.SUITES, "trace", (_raise_value_error, set()))
+    assert run_cli(["verify", "--suite", "trace"]) == 1
+    out = capsys.readouterr()
+    assert json.loads(out.out)["claims"] == [
+        {
+            "claim": "suite completed without library errors",
+            "status": "fail",
+            "witness": {"error": "ValueError: boom"},
+        }
+    ]
+    assert "Traceback" not in out.err
+
+
+def test_unexpected_dump_exception_is_an_error_line(monkeypatch, capsys):
+    monkeypatch.setitem(cli.DUMPS, "points", (_raise_value_error, cli.DUMPS["points"][1]))
+    assert run_cli(["dump", "--kind", "points"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: ValueError: boom\n"
+
+
+@pytest.mark.parametrize("argv", [["--q", "5"], ["--q", "2", "--max-size", "1000"]],
+                         ids=["q5", "q2-max-size"])
+def test_eigenspaces_refuses_a_twist_table_beyond_max_size(argv, capsys):
+    # the table scans q^10 candidates: 5^10 exceeds the default 2,000,000
+    t0 = time.monotonic()
+    assert run_cli(["verify", "--suite", "eigenspaces", *argv]) == 1
+    assert time.monotonic() - t0 < 10
+    [claim] = json.loads(capsys.readouterr().out)["claims"]
+    assert claim["status"] == "fail"
+    assert claim["witness"]["error"].startswith("SizeLimitExceededError")
 
 
 def test_reports_are_byte_identical(tmp_path):
@@ -163,9 +202,11 @@ def test_series_report_matches_golden_digest(seed, digest, capsys):
 
 
 def test_series_zero_determinant_is_a_counted_failure(monkeypatch):
+    from dllab import serieslab
+
     # a determinant that vanishes where the law predicts a valuation inside
     # the window fails the valuation claim; it is not a library error
-    monkeypatch.setattr(cli, "mat_det_series", lambda A: A[0][0] - A[0][0])
+    monkeypatch.setattr(serieslab, "mat_det_series", lambda A: A[0][0] - A[0][0])
     ap = cli._build_parser()
     rep = cli.suite_series(cli._suite_args(ap, ap.parse_args(["verify", "--suite", "series"])))
     claim = next(c for c in rep["claims"] if c["claim"].startswith("determinant valuation"))
@@ -362,8 +403,12 @@ def test_dump_accepts_every_option_the_kind_reads(argv, capsys):
 
 def test_norm_homomorphism_failure_names_the_first_failing_pair(monkeypatch, capsys):
     # the top coordinate as the "norm": additive except for the twisted term
-    # a_1 b_1^q, so the first failure in row-major order is x = y = (1, 0)
-    monkeypatch.setattr(cli, "nm_gnq_batch", lambda n, q, F, a: a[n - 1])
+    # a_1 b_1^q, so the first failure in row-major order is x = y = (1, 0).
+    # constructions binds its own nm_gnq_batch at import: load it before the
+    # patch, so that only the norm check reads the stub
+    from dllab import constructions, matmodel  # noqa: F401
+
+    monkeypatch.setattr(matmodel, "nm_gnq_batch", lambda n, q, F, a: a[n - 1])
     assert run_cli(["verify", "--suite", "thm32", "--n", "2", "--q", "2"]) == 1
     rep = json.loads(capsys.readouterr().out)
     claim = next(c for c in rep["claims"] if c["claim"].startswith("norm map"))
@@ -400,3 +445,38 @@ def test_suites_report_progress_on_stderr(argv, tag, capsys):
     assert run_cli(["verify", *argv]) == 0
     err = capsys.readouterr().err
     assert err.startswith(tag)
+
+
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import dllab.cli
+argv = json.loads(sys.argv[1])
+status = 0
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = dllab.cli.main(argv)
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("dllab."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,layers",
+    [
+        ([], {"errors", "ffield"}),
+        (["dump", "--kind", "points", "--n", "2", "--q", "2", "--h", "2"],
+         {"errors", "ffield", "twistring", "matmodel"}),
+        (["dump", "--kind", "y-set"], {"errors", "ffield", "twistring", "matmodel"}),
+        (["verify", "--suite", "series"], {"errors", "ffield", "serieslab"}),
+    ],
+    ids=["import", "points", "y-set", "series"],
+)
+def test_commands_import_only_the_layers_they_run(argv, layers):
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    status, modules = json.loads(proc.stdout)
+    assert status == 0
+    assert modules == sorted(f"dllab.{m}" for m in layers | {"cli"})
