@@ -10,7 +10,6 @@ so each command starts with only the layers it uses.
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import random
@@ -306,42 +305,50 @@ def suite_orbit(args) -> dict:
     return {"suite": "orbit", "params": {"q": qs}, "claims": claims}
 
 
+def _first_failure(chunks) -> tuple:
+    """(ok, points checked before the first False) over a sequence of
+    boolean chunk masks, in order."""
+    checked = 0
+    for agree in chunks:
+        bad = np.flatnonzero(~agree)
+        if len(bad):
+            return False, checked + int(bad[0])
+        checked += len(agree)
+    return True, checked
+
+
 def _x3_equations_agree(q: int) -> tuple:
     """Exhaustive check over F_{q^4} that reduced-norm membership in the
     level-3 variety matches the two coordinate equations that
     x3_twist_table filters with."""
-    from .counting import x3_conditions
-    from .matmodel import in_Xh
-    from .twistring import enumerate_unipotent, twisted_ring
+    from .counting import x3_conditions_batch
+    from .matmodel import in_Xh_batch, unipotent_chunks
+    from .twistring import twisted_ring
 
     p, e = splitting_params(q)
-    Fq = field(p, e)
     R = twisted_ring(2, q, 3, field(p, 4 * e))
-    checked = 0
-    for g in enumerate_unipotent(R):
-        if in_Xh(R, g) != x3_conditions(R.coeff_field, q, Fq, g):
-            return False, checked
-        checked += 1
-    return True, checked
+    return _first_failure(
+        in_Xh_batch(R, g) == x3_conditions_batch(R.coeff_field, q, g)
+        for g in unipotent_chunks(R)
+    )
 
 
 def _lang_norm_identity(n: int, q: int) -> tuple:
     """pr_n of the Lang image equals the Artin-Schreier image of the norm,
     exhaustively over F_{q^(2n)} at h = 2."""
-    from .matmodel import n2_norm
+    from .matmodel import n2_norm_batch, unipotent_chunks
     from .twistring import twisted_ring
 
     p, e = splitting_params(q)
     A = field(p, 2 * e * n)
     R = twisted_ring(n, q, 2, A)
-    checked = 0
-    for tail in itertools.product(range(A.order), repeat=n):
-        g = (1,) + tail
-        nval = n2_norm(R, tail)
-        if R.lang(g, n)[n] != A.sub(A.frob(nval, q), nval):
-            return False, checked
-        checked += 1
-    return True, checked
+    frq = A.vec.frob(q)
+
+    def agree(g):
+        nval = n2_norm_batch(R, g[1:])
+        return R.lang_batch(g, n)[n] == A.vec.sub(frq[nval], nval)
+
+    return _first_failure(agree(g) for g in unipotent_chunks(R))
 
 
 def suite_matrix_y(args) -> dict:
@@ -717,13 +724,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _declared_args(ap, args, what: str, reads: set, defaults: dict) -> argparse.Namespace:
-    """Reject the options of defaults that were set but are not in reads
-    (usage error, exit 2), then fill in the defaults of the options left
-    off."""
+    """Reject the options of defaults that were set but are not in reads,
+    and an --out that cannot be written (usage errors, exit 2), then fill in
+    the defaults of the options left off."""
     unread = sorted(set(vars(args)) & set(defaults) - reads)
     if unread:
         flags = ", ".join("--" + name.replace("_", "-") for name in unread)
         ap.error(f"{what} does not read {flags}")
+    # os.access is False for a missing directory too
+    if args.out and (
+        os.path.isdir(args.out)
+        or not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK)
+    ):
+        ap.error(f"--out: cannot write a file at {args.out}")
     return argparse.Namespace(**{**defaults, **vars(args)})
 
 
@@ -739,6 +752,19 @@ def _suite_args(ap: argparse.ArgumentParser, args) -> argparse.Namespace:
 def _dump_args(ap: argparse.ArgumentParser, args) -> argparse.Namespace:
     reads = DUMPS[args.kind][1]
     return _declared_args(ap, args, f"dump kind {args.kind}", reads, DUMP_DEFAULTS)
+
+
+def _write_out(path: str, write, **open_args):
+    """write(fh) into a temporary file beside path, renamed onto path once
+    it returns, so a failed run leaves an existing file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", **open_args) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _verify(args) -> int:
@@ -758,8 +784,11 @@ def _verify(args) -> int:
     report = {"schema": SCHEMA, **report}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            _write_out(args.out, lambda fh: fh.write(text))
+        except OSError as exc:
+            _progress(f"error: {type(exc).__name__}: {exc}")
+            return 1
         print(args.out)
     else:
         sys.stdout.write(text)
@@ -774,8 +803,7 @@ def _dump(args) -> int:
     try:
         write = DUMPS[args.kind][0](args)
         if args.out:
-            with open(args.out, "w", newline="") as fh:
-                write(fh)
+            _write_out(args.out, write, newline="")
             print(args.out)
         else:
             write(sys.stdout)

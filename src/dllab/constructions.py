@@ -164,7 +164,7 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
     psi-tilde is psi_1 composed with the reduced norm of the reindexed
     (n/m, q^m) ring on the kept coordinates.  With mirror, the same
     construction runs on the second unipotent family, with the reduced norm
-    computed through the matrix embedding (nm_gnq at level k = 1)."""
+    computed through the level-1 matrix embedding (nm_gnq_batch)."""
     _require_small(n, 2)
     p, e = splitting_params(q)
     F = field(p, e * n)

@@ -26,7 +26,7 @@ from .errors import (
     SizeLimitExceededError,
     UnsupportedParametersError,
 )
-from .ffield import Field, field, splitting_params
+from .ffield import GRID_CHUNK, Field, field, index_digits, splitting_params
 from .matmodel import bounded_ring, in_Xh, star_action, xh_points
 from .repkit import assert_nonneg_integer
 from .twistring import TwistedRing, enumerate_unipotent, twisted_ring
@@ -240,29 +240,32 @@ def y3_member(ring: TwistedRing, b) -> bool:
     return b[2] == 0 and b[4] == F.neg(F.mul(b[3], F.frob(b[1], ring.q)))
 
 
-def beta_factors(ring: TwistedRing, x):
-    """(s(F_{q^2}(x)), s(x)^{-1}) for x = (a_1, a_2) and the section
-    s(a_1, a_2) = 1 + a_1 tau + a_2 tau^2.  Both depend on x alone, so loops
-    over h compute them once per x."""
-    sx = (1, x[0], x[1], 0, 0)
-    return ring.frobenius(sx, 2), ring.inv(sx)
-
-
-def beta_map(ring: TwistedRing, factors, h):
-    """beta(x, h) = s(F_{q^2}(x)) h s(x)^{-1}, from factors = beta_factors(ring, x)."""
-    left, right = factors
-    return ring.mul(ring.mul(left, h), right)
-
-
-def y3_preimage(ring: TwistedRing):
+def y3_preimage_batches(ring: TwistedRing):
     """The points (a_1, a_2, a_3, a_4) over the coefficient field of the pairs
-    ((a_1, a_2), 1 + a_3 tau^3 + a_4 tau^4) in beta^{-1}(Y_3), in grid order."""
-    E = ring.coeff_field
-    for a1, a2 in itertools.product(E.elements(), repeat=2):
-        factors = beta_factors(ring, (a1, a2))
-        for a3, a4 in itertools.product(E.elements(), repeat=2):
-            if y3_member(ring, beta_map(ring, factors, (1, 0, 0, a3, a4))):
-                yield a1, a2, a3, a4
+    (x, h) = ((a_1, a_2), 1 + a_3 tau^3 + a_4 tau^4) in beta^{-1}(Y_3), as
+    (4, N) batches in grid order; beta(x, h) = s(F_{q^2}(x)) h s(x)^{-1}
+    with s(a_1, a_2) = 1 + a_1 tau + a_2 tau^2.  h leaves the coefficients
+    b_0, b_1, b_2 of beta alone, so the pairs x are filtered on b_2 = 0 first;
+    then, for each surviving pair, (a_3, a_4) runs over its grid, GRID_CHUNK
+    columns at a time."""
+    F = ring.coeff_field
+    v = F.vec
+    Q = F.order
+    frq = v.frob(ring.q)
+    grid = index_digits(np.arange(Q * Q), Q, 2)
+    one, zero = np.ones_like(grid[:1]), np.zeros_like(grid)
+    sx = np.concatenate([one, grid, zero])
+    h = np.concatenate([one, zero, grid])
+    left, right = ring.frobenius_batch(sx, 2), ring.inv_batch(sx)
+    for x in np.flatnonzero(ring.mul_batch(left, right)[2] == 0):
+        # the pair's factors broadcast against a chunk of h, so no per-column
+        # copies of them are made
+        for start in range(0, Q * Q, GRID_CHUNK):
+            hs = h[:, start : start + GRID_CHUNK]
+            b = ring.mul_batch(ring.mul_batch(left[:, [x]], hs), right[:, [x]])
+            # the pair has b_2 = 0; Y_3's other equation decides
+            tails = hs[3:, b[4] == v.neg(v.mul(b[3], frq[b[1]]))]
+            yield np.concatenate([np.repeat(grid[:, [x]], tails.shape[1], axis=1), tails])
 
 
 def dl_intertwiner_sum(q: int, s: int, max_size: int = 300_000) -> CycloNum:
@@ -271,10 +274,11 @@ def dl_intertwiner_sum(q: int, s: int, max_size: int = 300_000) -> CycloNum:
     psi = conductor2_char(q)
     ring = bounded_ring(2, q, 3, 2 * s, max_size)
     E = ring.coeff_field
-    rc = RootCounter(E.p)
-    for *_, a4 in y3_preimage(ring):
-        rc.add(psi.exp(E.trace(a4, psi.F)))
-    return rc.value()
+    psie = E.vec.unary(lambda a: psi.exp(E.trace(a, psi.F)))
+    counts = np.zeros(E.p, dtype=np.int64)
+    for pts in y3_preimage_batches(ring):
+        counts += np.bincount(psie[pts[3]], minlength=E.p)
+    return cyclo_from_counts(E.p, counts)
 
 
 def y3_locus_equality(q: int, s: int = 2, max_size: int = 300_000) -> bool:
@@ -288,7 +292,8 @@ def y3_locus_equality(q: int, s: int = 2, max_size: int = 300_000) -> bool:
         for a1, a2, a3 in itertools.product(E.elements(), repeat=3)
         if spec.membership(E, (a1, a2, 0))
     ]
-    return list(y3_preimage(ring)) == chart
+    walk = np.concatenate(list(y3_preimage_batches(ring)), axis=1)
+    return list(map(tuple, walk.T.tolist())) == chart
 
 
 # -- twisted fixed-point counts ------------------------------------------------
@@ -345,6 +350,18 @@ def x3_conditions(F: Field, q: int, Fq: Field, x) -> bool:
     c2 = F.sub(c2, F.mul(a1, F.frob(a3, q)))
     c2 = F.sub(c2, F.mul(a3, F.frob(a1, q)))
     return F.in_subfield(Fq, c2)
+
+
+def x3_conditions_batch(F: Field, q: int, x) -> np.ndarray:
+    """x3_conditions on a batch: one boolean per column of x.  An element
+    lies in F_q when the q-power map fixes it."""
+    v = F.vec
+    frq = v.frob(q)
+    _, a1, a2, a3, a4 = x
+    c1 = v.sub(v.add(frq[a2], a2), v.mul(a1, frq[a1]))
+    c2 = v.add(v.add(frq[a4], a4), v.mul(a2, frq[a2]))
+    c2 = v.sub(v.sub(c2, v.mul(a1, frq[a3])), v.mul(a3, frq[a1]))
+    return (frq[c1] == c1) & (frq[c2] == c2)
 
 
 def x3_twist_table(q: int) -> dict:

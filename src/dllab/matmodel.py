@@ -63,24 +63,6 @@ def tp_frob(F: Field, a, q: int):
 # -- generic matrices over A[pi]/(pi^h) ---------------------------------------
 
 
-def mat_mul(F: Field, A, B):
-    n = len(A)
-    return tuple(
-        tuple(
-            _tp_sum(F, [tp_mul(F, A[i][k], B[k][j]) for k in range(n)])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def _tp_sum(F: Field, terms):
-    out = terms[0]
-    for t in terms[1:]:
-        out = tp_add(F, out, t)
-    return out
-
-
 def mat_det(F: Field, A):
     """Determinant by signed permutation expansion (n <= 4)."""
     n = len(A)
@@ -115,29 +97,6 @@ def _perm_sign(perm):
             if length % 2 == 0:
                 sign = -sign
     return sign
-
-
-def mat_identity(F: Field, n: int, h: int):
-    return tuple(
-        tuple(tp_scalar(F, 1 if i == j else 0, h) for j in range(n)) for i in range(n)
-    )
-
-
-def varpi_matrix(F: Field, n: int, h: int):
-    """W: superdiagonal ones, pi in the lower-left corner."""
-    zero = (0,) * h
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j == i + 1:
-                row.append(tp_scalar(F, 1, h))
-            elif i == n - 1 and j == 0:
-                row.append((0, 1) + (0,) * (h - 2))
-            else:
-                row.append(zero)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def normalize_shape(F: Field, A):
@@ -187,36 +146,6 @@ def iota_prime(ring: TwistedRing, a):
             row.append(tuple(cs))
         rows.append(tuple(row))
     return normalize_shape(F, tuple(rows))
-
-
-def iota_prime_via_varpi(ring: TwistedRing, a):
-    """Same embedding computed as sum_j diag(a_j twisted) W^j (cross-check)."""
-    F = ring.coeff_field
-    n, h, q = ring.n, ring.h, ring.q
-    acc = None
-    W = varpi_matrix(F, n, h)
-    Wj = mat_identity(F, n, h)
-    for j, aj in enumerate(a):
-        D = tuple(
-            tuple(
-                tp_scalar(
-                    F,
-                    F.frob(aj, F.frob_exp(q, i))
-                    if i == jj
-                    else 0,
-                    h,
-                )
-                for jj in range(n)
-            )
-            for i in range(n)
-        )
-        term = mat_mul(F, D, Wj)
-        acc = term if acc is None else tuple(
-            tuple(tp_add(F, acc[i][jj], term[i][jj]) for jj in range(n))
-            for i in range(n)
-        )
-        Wj = mat_mul(F, Wj, W)
-    return normalize_shape(F, acc)
 
 
 def recover_from_matrix(ring: TwistedRing, M):
@@ -353,18 +282,11 @@ def xh_points(n: int, q: int, h: int, s: int, max_size: int):
     return (g[:, in_Xh_batch(ring, g)] for g in unipotent_chunks(ring))
 
 
-def n2_norm(ring: TwistedRing, tail) -> int:
-    """N(a_1, ..., a_n): pi-coefficient of det of the image of
-    1 + a_1 tau + ... + a_n tau^n in the h = 2 ring.  Returns an index in the
-    coefficient field (not retracted)."""
-    if ring.h != 2:
-        raise UnsupportedParametersError(f"the norm is read off at h = 2, not {ring.h}")
-    return det_iota(ring, (1,) + tuple(tail))[1]
-
-
 def n2_norm_batch(ring: TwistedRing, tails) -> np.ndarray:
-    """n2_norm on a batch: tails is an (n, N) array whose columns are
-    (a_1, ..., a_n)."""
+    """N(a_1, ..., a_n), the pi-coefficient of det of the image of
+    1 + a_1 tau + ... + a_n tau^n in the h = 2 ring, on a batch: tails is
+    an (n, N) array whose columns are (a_1, ..., a_n).  Returns indices in
+    the coefficient field (not retracted)."""
     if ring.h != 2:
         raise UnsupportedParametersError(f"the norm is read off at h = 2, not {ring.h}")
     g = np.concatenate([np.ones((1, tails.shape[1]), dtype=np.int64), tails])
@@ -407,48 +329,10 @@ def star_action(ring: TwistedRing, gamma, x):
 # -- the mirror family: reduced norm for G^{n,q} ------------------------------
 
 
-def nm_gnq(n: int, q: int, F: Field, a, k: int = 1) -> int:
-    """Reduced norm G^{n,q}(A) -> F_q via the level-k matrix embedding.
-
-    The element 1 + sum a_j e_j maps to
-        I + diag-lift(a_n) pi^(2k+1) + pi^k sum_{j<n} diag-lift(a_j) W^j
-    over A[pi]/(pi^(2k+2)); the norm is the pi^(2k+1) coefficient of the
-    determinant, which lands in F_q.  Returns an index in F.
-    """
-    h = 2 * k + 2
-    W = varpi_matrix(F, n, h)
-    M = mat_identity(F, n, h)
-    Wj = mat_identity(F, n, h)
-    for j in range(1, n + 1):
-        Wj = mat_mul(F, Wj, W)
-        aj = a[j - 1]
-        deg = (2 * k + 1) if j == n else k
-        D = tuple(
-            tuple(
-                (0,) * deg
-                + (
-                    F.frob(aj, F.frob_exp(q, i))
-                    if i == jj
-                    else 0,
-                )
-                + (0,) * (h - deg - 1)
-                for jj in range(n)
-            )
-            for i in range(n)
-        )
-        term = mat_mul(F, D, Wj if j < n else mat_identity(F, n, h))
-        M = tuple(
-            tuple(tp_add(F, M[i][jj], term[i][jj]) for jj in range(n)) for i in range(n)
-        )
-    d = mat_det(F, M)
-    if d[0] != 1 or any(d[1 : 2 * k + 1]):
-        raise MatrixShapeError("norm shape violated")
-    return d[2 * k + 1]
-
-
 def nm_gnq_batch(n: int, q: int, F: Field, a) -> np.ndarray:
-    """nm_gnq at level k = 1 on a batch: a is an (n, N) array whose columns
-    are (a_1, ..., a_n).
+    """The reduced norm G^{n,q}(A) -> F_q, through the level-1 matrix
+    embedding, on a batch: a is an (n, N) array whose columns are
+    (a_1, ..., a_n).  Returns indices in F.
 
     Entry (i, c) of the level-1 image over A[pi]/(pi^4) is
     1 + a_n^(q^i) pi^3 on the diagonal; off it, with j = c - i mod n, it is

@@ -239,6 +239,64 @@ def test_failing_dump_keeps_existing_out_file(bad, tmp_path):
     assert out.read_text() == "keep me\n"
 
 
+def _never_run(args):
+    raise AssertionError("the suite ran")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "orbit", "--q", "2", "--out", "{missing}/x.json"],
+        ["dump", "--kind", "points", "--out", "{missing}/x.csv"],
+        ["verify", "--suite", "orbit", "--q", "2", "--out", "{tmp}"],
+    ],
+    ids=["verify-missing-dir", "dump-missing-dir", "verify-out-is-a-directory"],
+)
+def test_unwritable_out_is_a_usage_error_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli.SUITES, "orbit", (_never_run, cli.SUITES["orbit"][1]))
+    monkeypatch.setitem(cli.DUMPS, "points", (_never_run, cli.DUMPS["points"][1]))
+    argv = [a.format(missing=tmp_path / "missing-dir", tmp=tmp_path) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--out" in out.err and "Traceback" not in out.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_verify_write_keeps_existing_out_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "r.json"
+    out.write_text("keep me\n")
+
+    def refuse(src, dst):
+        raise OSError("no room")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert run_cli(["verify", "--suite", "orbit", "--q", "2", "--out", str(out)]) == 1
+    assert out.read_text() == "keep me\n"
+    assert list(tmp_path.iterdir()) == [out]
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: OSError: no room"
+
+
+def test_dump_failing_while_writing_keeps_existing_out_file(tmp_path, monkeypatch, capsys):
+    def half_written(args):
+        def write(fh):
+            fh.write("a1,a2\n0,1\n")
+            raise ValueError("stopped halfway")
+
+        return write
+
+    monkeypatch.setitem(cli.DUMPS, "points", (half_written, cli.DUMPS["points"][1]))
+    out = tmp_path / "x.csv"
+    out.write_text("keep me\n")
+    assert run_cli(["dump", "--kind", "points", "--out", str(out)]) == 1
+    assert out.read_text() == "keep me\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert capsys.readouterr().err == "error: ValueError: stopped halfway\n"
+
+
 @pytest.mark.parametrize("flag", ["--n", "--q", "--M"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_verify_rejects_non_positive_sizes(flag, value, capsys):
@@ -316,9 +374,14 @@ def test_verify_rejects_options_the_suite_does_not_read(argv, capsys):
          "cfae799ce7d95558027df1a46c75f16c7f8cda5a48618f2d5b350e2aeed00479"),
         (["dump", "--kind", "y-set", "--n", "2", "--q", "2", "--h", "3", "--s", "2"],
          "9f6bfec2547f016748223a0a7be41e4768341b47b60ca653dd71ee2d138ba157"),
+        (["verify", "--suite", "matrix-y"],
+         "521711257e88c9ccecfb196d2b0c1fa3813617889e2d64e27f59fadc65472bbe"),
+        (["verify", "--suite", "intertwiner"],
+         "8778d3a816626391f9f2e2b77f2edfdad7f07c2caab17d0c9651cc1703d11cc2"),
     ],
     ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "char-table-n3q2",
-         "intertwiner-q2", "trace", "eigenspaces-q2", "y-set-n2q2h3s2"],
+         "intertwiner-q2", "trace", "eigenspaces-q2", "y-set-n2q2h3s2", "matrix-y",
+         "intertwiner"],
 )
 def test_groups_reports_match_golden_digest(argv, digest, capsys):
     # the digests of the seed implementation's reports

@@ -27,7 +27,7 @@ from dllab.constructions import (
 )
 from dllab.errors import CharacterMismatchError, UnsupportedParametersError
 from dllab.ffield import field, splitting_params
-from dllab.matmodel import n2_norm, n2_norm_batch, nm_gnq, nm_gnq_batch
+from dllab.matmodel import n2_norm_batch, nm_gnq_batch
 from dllab.repkit import (
     MonomialRep,
     _cyclo_inv,
@@ -36,6 +36,7 @@ from dllab.repkit import (
     inner_product,
     solve_intertwiner,
 )
+from oracles import n2_norm, nm_gnq
 
 
 def _coeff_field(n, q):

@@ -28,16 +28,13 @@ from dllab.matmodel import (
     in_Xh,
     in_Xh_batch,
     iota_prime,
-    iota_prime_via_varpi,
-    mat_mul,
-    n2_norm,
-    nm_gnq,
     normalize_shape,
     recover_from_matrix,
     star_action,
     unipotent_chunks,
 )
 from dllab.twistring import TwistedRing, enumerate_unipotent, gnq_mul, twisted_ring
+from oracles import iota_prime_via_varpi, mat_mul, n2_norm, nm_gnq
 
 
 def frob(F, a, q):
