@@ -102,10 +102,6 @@ class TwistedRing:
         fr = F.frob_map(F.frob_exp(self.q, s))
         return tuple([fr[x] for x in a])
 
-    def lang(self, g, s: int):
-        """F_{q^s}(g) * g^(-1)."""
-        return self.mul(self.frobenius(g, s), self.inv(g))
-
     # -- batches: (L, N) arrays whose columns are ring elements ------------
 
     @cached_property
@@ -150,7 +146,7 @@ class TwistedRing:
         return F.vec.frob(F.frob_exp(self.q, s))[a]
 
     def lang_batch(self, g, s: int):
-        """lang on a batch of unipotent elements."""
+        """The Lang map F_{q^s}(g) * g^(-1) on a batch of unipotent elements."""
         return self.mul_batch(self.frobenius_batch(g, s), self.inv_batch(g))
 
     def scalar_conj_factors(self, c: int) -> tuple:

@@ -73,10 +73,22 @@ def lang_norm_identity(n: int, q: int) -> tuple:
     for tail in itertools.product(range(A.order), repeat=n):
         g = (1,) + tail
         nval = n2_norm(R, tail)
-        if R.lang(g, n)[n] != A.sub(A.frob(nval, q), nval):
+        if lang(R, g, n)[n] != A.sub(A.frob(nval, q), nval):
             return False, checked
         checked += 1
     return True, checked
+
+
+def lang(ring: TwistedRing, g, s: int):
+    """Oracle of TwistedRing.lang_batch: F_{q^s}(g) * g^(-1) for one element."""
+    return ring.mul(ring.frobenius(g, s), ring.inv(g))
+
+
+def draw_window(F, rng, prec, vmin=0, vmax=2):
+    """Oracle of cli._draw_rows: the random draws of one series window,
+    (v, coefficients at v..prec-1), by rng.randrange."""
+    v = rng.randrange(vmin, vmax + 1)
+    return v, [rng.randrange(F.order) for _ in range(prec - v)]
 
 
 def n2_norm(ring: TwistedRing, tail) -> int:

@@ -1,9 +1,12 @@
-"""The batched folds against their scalar oracles in oracles.py, on full grids.
+"""The batched folds against their scalar oracles in oracles.py, on full grids,
+and the series suite's row draws against the window draws they replace.
 
 The witness tests break one column of one chunk, in the first chunk and in a
 later one, and check that the failing claim counts the points checked before
 it exactly as the oracle does.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -31,6 +34,37 @@ def test_y3_walk_matches_scalar_walk(q, s, chunk, monkeypatch):
     assert all(b.shape[0] == 4 for b in batches)
     walk = [tuple(c) for b in batches for c in b.T.tolist()]
     assert walk == list(oracles.y3_preimage(ring))
+
+
+# the series suite's draws: ((p, k) of the field, precision, vmin, vmax)
+DRAW_SHAPES = [
+    ((2, 4), 6, 0, 2),
+    ((2, 6), 6, 0, 2),
+    ((3, 2), 6, 0, 2),
+    ((2, 2), 6, 0, 1),
+    ((2, 4), 5, 0, 1),
+]
+
+
+def _shape_id(shape):
+    (p, k), prec, vmin, vmax = shape
+    return f"F{p}^{k}-prec{prec}-v{vmin}..{vmax}"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("shape", DRAW_SHAPES, ids=_shape_id)
+def test_draw_rows_follow_the_window_stream(shape, seed):
+    # each count continues the stream where the last one left it, so rows
+    # also start mid-stream
+    (p, k), prec, vmin, vmax = shape
+    F = ffield.field(p, k)
+    rng, ref = random.Random(seed), random.Random(seed)
+    for count in (1, 255, 257, 768):
+        rows = cli._draw_rows(F, rng, prec, count, vmin, vmax)
+        windows = [oracles.draw_window(F, ref, prec, vmin, vmax) for _ in range(count)]
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[0] * v + cs for v, cs in windows]
+        assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3)])

@@ -2,8 +2,9 @@
 
 An `assert` statement vanishes under `python -O`, so no check in the package
 may use one; an imported name that nothing references is dead code, and so is
-a module-level name that neither the package nor its tests reference; two
-functions with the same body are one computation written twice.
+a module-level name that neither the package nor its tests reference, and so
+is an oracle in oracles.py that no test compares against; two functions with
+the same body are one computation written twice.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dllab"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
+ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
 
 
 def _tree(path):
@@ -83,10 +85,10 @@ def test_no_duplicate_function_bodies():
     assert twins == [], f"functions with the same body: {twins}"
 
 
-def _referenced_names(path):
-    """Names that path reads, as a bare name, an attribute or an import."""
+def _referenced_names(tree):
+    """Names that tree reads, as a bare name, an attribute or an import."""
     out = set()
-    for node in ast.walk(_tree(path)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -107,7 +109,7 @@ def _module_level_names(path):
 
 
 def test_no_unreferenced_module_level_names():
-    used = set().union(*(_referenced_names(p) for p in MODULES + TESTS))
+    used = set().union(*(_referenced_names(_tree(p)) for p in MODULES + TESTS))
     dead = [
         f"{path.stem}.{name}"
         for path in MODULES
@@ -115,3 +117,16 @@ def test_no_unreferenced_module_level_names():
         if name not in used
     ]
     assert dead == [], f"module-level names nothing references: {dead}"
+
+
+def test_every_oracle_is_compared_against():
+    # an oracle that no test module reads, directly or through another
+    # oracle, checks nothing
+    oracles = [n for n in _tree(ORACLES).body if isinstance(n, ast.FunctionDef)]
+    used = set().union(*(_referenced_names(_tree(p)) for p in TESTS if p.stem.startswith("test_")))
+    dead = [
+        fn.name
+        for fn in oracles
+        if fn.name not in used.union(*(_referenced_names(o) for o in oracles if o is not fn))
+    ]
+    assert dead == [], f"oracles nothing compares against: {dead}"
