@@ -43,9 +43,6 @@ class AddChar:
         """Exponent of zeta_p."""
         return self.F.absolute_trace(self.F.mul(self.a, x))
 
-    def is_trivial(self) -> bool:
-        return self.a == 0
-
     def conductor_power(self) -> int:
         """The m with conductor q^m, certified by a kernel check."""
         p, e = splitting_params(self.q)
@@ -72,10 +69,6 @@ class AddChar:
         p, e = splitting_params(self.q)
         sub = field(p, e * m)
         return AddChar(sub, self.q, self.F.retract(sub, self.a))
-
-
-def additive_chars(F: Field, q: int):
-    return [AddChar(F, q, a) for a in F.elements()]
 
 
 def principal_units(L: Field, h: int) -> GroupModel:

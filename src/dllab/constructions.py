@@ -525,11 +525,6 @@ def divquot(n: int, q: int, h: int, M: int = 1) -> DivQuotData:
     )
 
 
-def divquot_order(n: int, q: int, h: int, M: int = 1) -> int:
-    """nM (q^n - 1) q^(n^2 (h-1)): valuation grading times the unit count."""
-    return n * M * (q**n - 1) * q ** (n * n * (h - 1))
-
-
 # -- eta_theta ---------------------------------------------------------------------
 
 
@@ -568,10 +563,6 @@ class RTheta:
         k, u1, shift = self._shift(x)
         return [(x_ + shift) % self.theta.R for x_ in self.ext.trace_exps(k, u1)]
 
-    def eta_prime_value(self, x) -> CycloNum:
-        k, u1, shift = self._shift(x)
-        return self.ext.value(k, u1) * CycloNum.root(self.theta.R, shift)
-
     def eta_trace_exps(self, x):
         """Exponent list of the full induced character on the quotient."""
         e, u = x
@@ -584,16 +575,6 @@ class RTheta:
                 self.eta_prime_trace_exps((e, dq.ring.frobenius(u, (dq.n - j) % dq.n)))
             )
         return out
-
-
-def build_eta_theta(theta: ThetaData, dq: DivQuotData = None) -> RTheta:
-    if theta.h == 2:
-        return _build_eta_level2(theta, dq)
-    if theta.h == 3 and theta.n == 2:
-        return _build_eta_level3(theta, dq)
-    raise UnsupportedParametersError(
-        f"level {theta.h} at n = {theta.n} is outside the verified range"
-    )
 
 
 def _build_eta_level2(theta: ThetaData, dq: DivQuotData = None) -> RTheta:

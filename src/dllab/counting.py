@@ -29,7 +29,7 @@ from .errors import (
 from .ffield import GRID_CHUNK, Field, field, index_digits, splitting_params
 from .matmodel import bounded_ring, in_Xh, star_action, xh_points
 from .repkit import assert_nonneg_integer
-from .twistring import TwistedRing, enumerate_unipotent, twisted_ring
+from .twistring import TwistedRing, twisted_ring
 
 
 # -- generic exponential sums --------------------------------------------------
@@ -294,32 +294,6 @@ def y3_locus_equality(q: int, s: int = 2, max_size: int = 300_000) -> bool:
     ]
     walk = np.concatenate(list(y3_preimage_batches(ring)), axis=1)
     return list(map(tuple, walk.T.tolist())) == chart
-
-
-# -- twisted fixed-point counts ------------------------------------------------
-
-
-def twisted_count(n: int, q: int, h: int, gamma, right, max_size: int = 300_000) -> int:
-    """Count x in X_h(F_{q^(n p)}) with gamma * F_{q^n}(x) = x * right, by
-    honest enumeration.  gamma is None (no twist) or a star unit
-    (1, lam, mu, ...) over F_{q^n}; right is a unipotent element over
-    F_{q^n}."""
-    p, e = splitting_params(q)
-    ring = bounded_ring(n, q, h, n * p, max_size)
-    emb = ring.coeff_field.embed_table(field(p, e * n))
-    right = (1,) + tuple(int(emb[c]) for c in right[1:])
-    if gamma is not None:
-        gamma = tuple(int(emb[c]) for c in gamma)
-    count = 0
-    for x in enumerate_unipotent(ring):
-        if not in_Xh(ring, x):
-            continue
-        y = ring.frobenius(x, n)
-        if gamma is not None:
-            y = star_action(ring, gamma, y)
-        if y == ring.mul(x, right):
-            count += 1
-    return count
 
 
 # -- the eigenspace kernel (n = 2, h = 3) --------------------------------------

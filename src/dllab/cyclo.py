@@ -97,9 +97,7 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             other = CycloNum.rational(self.n, other)
         if other.n != self.n:
-            raise MixedOrderError(
-                f"orders {self.n} and {other.n}; lift with lift_to first"
-            )
+            raise MixedOrderError(f"orders {self.n} and {other.n}")
         return other
 
     def __add__(self, other):
@@ -162,22 +160,6 @@ class CycloNum:
                 for t in range(deg):
                     acc[t] += c * vec[t]
         return CycloNum(self.n, acc)
-
-    def lift_to(self, m: int) -> "CycloNum":
-        """Image in Q(zeta_m) for n | m (zeta_n = zeta_m^(m/n))."""
-        if m % self.n != 0:
-            raise MixedOrderError(f"{self.n} does not divide {m}")
-        if m == self.n:
-            return self
-        step = m // self.n
-        deg = _degree(m)
-        acc = [Fraction(0)] * deg
-        for i, c in enumerate(self.coeffs):
-            if c:
-                vec = _exp_vector(m, (i * step) % m)
-                for t in range(deg):
-                    acc[t] += c * vec[t]
-        return CycloNum(m, acc)
 
     # -- predicates ----------------------------------------------------------
 

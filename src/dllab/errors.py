@@ -6,7 +6,7 @@ class DLLabError(Exception):
 
 
 class MixedOrderError(DLLabError):
-    """Cyclotomic operands with different root orders and no explicit lift."""
+    """Cyclotomic operands or characters over different root orders."""
 
 
 class RootOrderError(DLLabError):
@@ -42,6 +42,11 @@ class OutsideSubgroupError(DLLabError):
 
 class NotInvariantError(DLLabError):
     """Representation is not invariant under the requested conjugation."""
+
+
+class NoIndexLawError(DLLabError):
+    """A group algorithm that runs on element indices was given a group
+    without an index law."""
 
 
 class NoExtensionError(DLLabError):

@@ -393,14 +393,6 @@ class Field:
             x = self.frob(x, sub.order)
         return self.retract(sub, t)
 
-    def norm(self, a: int, sub: "Field") -> int:
-        d = self.k // sub.k
-        nm, x = 1, a
-        for _ in range(d):
-            nm = self.mul(nm, x)
-            x = self.frob(x, sub.order)
-        return self.retract(sub, nm)
-
     def absolute_trace(self, a: int) -> int:
         """Tr to the prime field, returned as an integer in [0, p)."""
         return self.trace(a, field(self.p, 1))

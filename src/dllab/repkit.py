@@ -4,15 +4,16 @@ Groups are explicit: a GroupModel carries the full element list (hashable
 keys, deterministic order), multiplication and inversion callables, and a
 generating set used for conjugacy-class orbits.
 
-A group may also carry an index law: element i is elements[i], and the law is
-a pair of batched mul(a, b) and inv(a) on int arrays of such indices.  With a
-law, conj_classes, coset_transversal, induce_char and MonomialRep run on index
+The group algorithms run on an index law: element i is elements[i], and the
+law is a pair of batched mul(a, b) and inv(a) on int arrays of such indices.
+conj_classes, coset_transversal, induce_char and MonomialRep run on index
 arrays, GRID_CHUNK columns at a time: conjugation by each generator becomes
 one index permutation, and the classes are its orbits, found by min-label
 propagation with pointer jumping (the orbit algorithm of Holt, Eick and
 O'Brien's Handbook of Computational Group Theory, with the connected-components
-step of Shiloach and Vishkin).  Without a law the same functions run their
-scalar bodies, which stay as the oracles of the index bodies.
+step of Shiloach and Vishkin).  A group built without a law still multiplies
+through its scalar mul, which is all abelian_character_extensions uses; the
+four index algorithms raise NoIndexLawError on it.
 
 Character values are tracked as root-of-unity data wherever possible: a
 linear character is a dict element -> exponent mod R, and an induced
@@ -33,6 +34,7 @@ from .errors import (
     AllZeroError,
     MixedOrderError,
     NoExtensionError,
+    NoIndexLawError,
     NotIntegralError,
     NotInvariantError,
     RootOrderError,
@@ -40,8 +42,12 @@ from .errors import (
 from .ffield import chunked
 
 
+def _no_law(*indices):
+    raise NoIndexLawError("the group has no index law")
+
+
 class GroupModel:
-    def __init__(self, elements, mul, inv, one, generators=None, law=None):
+    def __init__(self, elements, mul, inv, one, generators=None, law=(_no_law, _no_law)):
         self.elements = list(elements)
         self.mul = mul
         self.inv = inv
@@ -77,10 +83,7 @@ class GroupModel:
         their least element index, and each starts with that element.
         """
         if self._classes is None:
-            if self.law is not None:
-                self._classes = self._index_classes()
-            else:
-                self._classes = self._scalar_classes()
+            self._classes = self._index_classes()
         return self._classes
 
     def _index_classes(self):
@@ -114,28 +117,6 @@ class GroupModel:
         starts = np.flatnonzero(np.diff(label[order])) + 1
         els = self.elements
         return [[els[i] for i in part.tolist()] for part in np.split(order, starts)]
-
-    def _scalar_classes(self):
-        gens = self.generators
-        inv_gens = [self.inv(g) for g in gens]
-        seen = {}
-        classes = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            orbit = [g]
-            seen[g] = len(classes)
-            queue = [g]
-            while queue:
-                x = queue.pop()
-                for s, si in zip(gens, inv_gens):
-                    y = self.mul(self.mul(s, x), si)
-                    if y not in seen:
-                        seen[y] = len(classes)
-                        orbit.append(y)
-                        queue.append(y)
-            classes.append(orbit)
-        return classes
 
 
 # -- characters as exponent data ----------------------------------------------
@@ -197,36 +178,10 @@ def assert_nonneg_integer(val: CycloNum) -> int:
 
 
 def induce_char(group: GroupModel, subgroup_set, chi_exp, R: int, transversal=None):
-    """Character of Ind_H^G(chi) for a linear chi given by chi_exp(h) -> exp."""
+    """Character of Ind_H^G(chi) for a linear chi given by chi_exp(h) -> exp:
+    row g of conj lists the conjugates t^-1 g t in transversal order."""
     if transversal is None:
         transversal = coset_transversal(group, subgroup_set)
-    if group.law is not None:
-        return _index_induce_char(group, subgroup_set, chi_exp, R, transversal)
-    inv_t = [group.inv(t) for t in transversal]
-    lists = {}
-    for g in group.elements:
-        exps = []
-        for t, ti in zip(transversal, inv_t):
-            h = group.mul(ti, group.mul(g, t))
-            if h in subgroup_set:
-                exps.append(chi_exp(h))
-        lists[g] = tuple(exps)
-    return SumChar(group, lists, R)
-
-
-def conjugates(group: GroupModel, xs, ts) -> np.ndarray:
-    """For index arrays xs and ts, through the group's index law: the array
-    whose row r, column k is the index of t_k^-1 x_r t_k."""
-    N = len(xs)
-    out = np.empty((N, len(ts)), dtype=np.int64)
-    for k, (t, ti) in enumerate(zip(ts.tolist(), group.law_inv(ts).tolist())):
-        out[:, k] = group.law_mul(np.full(N, ti), group.law_mul(xs, np.full(N, t)))
-    return out
-
-
-def _index_induce_char(group: GroupModel, subgroup_set, chi_exp, R: int, transversal):
-    """induce_char on index arrays: row g of conj lists the conjugates
-    t^-1 g t in transversal order."""
     els = group.elements
     N = len(els)
     H = group.indices(subgroup_set)
@@ -242,20 +197,20 @@ def _index_induce_char(group: GroupModel, subgroup_set, chi_exp, R: int, transve
     return SumChar(group, lists, R)
 
 
+def conjugates(group: GroupModel, xs, ts) -> np.ndarray:
+    """For index arrays xs and ts, through the group's index law: the array
+    whose row r, column k is the index of t_k^-1 x_r t_k."""
+    N = len(xs)
+    out = np.empty((N, len(ts)), dtype=np.int64)
+    for k, (t, ti) in enumerate(zip(ts.tolist(), group.law_inv(ts).tolist())):
+        out[:, k] = group.law_mul(np.full(N, ti), group.law_mul(xs, np.full(N, t)))
+    return out
+
+
 def coset_transversal(group: GroupModel, subgroup_set):
     """Left-coset transversal in deterministic (universe order) fashion."""
-    if group.law is not None:
-        reps, _ = _index_cosets(group, subgroup_set)
-        return [group.elements[i] for i in reps]
-    seen = set()
-    reps = []
-    for g in group.elements:
-        if g in seen:
-            continue
-        reps.append(g)
-        for h in subgroup_set:
-            seen.add(group.mul(g, h))
-    return reps
+    reps, _ = _index_cosets(group, subgroup_set)
+    return [group.elements[i] for i in reps]
 
 
 def _index_cosets(group: GroupModel, subgroup_set):
@@ -325,38 +280,20 @@ class MonomialRep:
         self.H = frozenset(subgroup_set)
         self.chi_exp = chi_exp
         self.R = R
-        self._support = None
-        if group.law is not None:
-            reps, self._coset_index = _index_cosets(group, self.H)
-            self.transversal = [group.elements[i] for i in reps]
-        else:
-            self.transversal = coset_transversal(group, self.H)
-            self._inv_t = [group.inv(t) for t in self.transversal]
-            self._coset_of = {}
-            for i, t in enumerate(self.transversal):
-                for h in self.H:
-                    self._coset_of[group.mul(t, h)] = i
+        reps, self._coset_index = _index_cosets(group, self.H)
+        self.transversal = [group.elements[i] for i in reps]
         self.dim = len(self.transversal)
 
     def support(self, g):
         """(perm, hs) with g t_j = t_perm[j] hs[j] for every column j: the
         part of the matrix of g that does not depend on chi."""
         group = self.group
-        if group.law is not None:
-            if self._support is None:
-                self._support = self._index_support()
-            perm, h = self._support
-            i = group.index[g]
-            return tuple(perm[i].tolist()), tuple(group.elements[x] for x in h[i].tolist())
-        perm, hs = [], []
-        for t in self.transversal:
-            w = group.mul(g, t)
-            i = self._coset_of[w]
-            perm.append(i)
-            hs.append(group.mul(self._inv_t[i], w))
-        return tuple(perm), tuple(hs)
+        perm, h = self._supports
+        i = group.index[g]
+        return tuple(perm[i].tolist()), tuple(group.elements[x] for x in h[i].tolist())
 
-    def _index_support(self):
+    @cached_property
+    def _supports(self):
         """The supports of all elements at once, built on first use: index
         arrays perm and h with g t_j = t_perm[g, j] h[g, j]."""
         group = self.group
@@ -455,9 +392,6 @@ class MonomialExtension:
         """Exponent list of the trace of T^k rho(u)."""
         m = monomial_mul(self.T_powers[k % self.c], self.rep.matrix(u), self.R)
         return monomial_trace_exps(m, self.R)
-
-    def value(self, k: int, u) -> CycloNum:
-        return _exps_value(self.trace_exps(k, u), self.R)
 
     def delta_sums(self, pairs):
         """CyclicExtension.delta_sums, counted in integer exponent

@@ -3,8 +3,9 @@
 Series are finite windows c_v pi^v + ... + c_{P-1} pi^{P-1}: everything at
 exponent >= P is unknown, not zero.  Precision propagates pessimistically
 (min over inputs, shifted by multiplication valuations), so a coefficient
-the window claims to know is always exact.  SeriesBatch evaluates many
-series at once under the same rules, and the matrix routines accept either.
+the window claims to know is always exact.  SeriesBatch holds N such
+series over one field and evaluates them together, and every routine below
+works on N matrices at once, one per row of its entries.
 
 The module houses the n x n matrix group machinery around the twisted
 Frobenius F(A) = varpi^{-1} A^phi varpi, where varpi has ones on the
@@ -36,141 +37,12 @@ from .ffield import Field
 SERIES_CHUNK = 256
 
 
-class LaurentSeries:
-    """A truncated Laurent series over a coefficient field of indices.
-
-    Stored as (valuation offset v, coefficient tuple, precision P) with the
-    window covering exponents [v, P).  A series that vanishes on its whole
-    window is stored with an empty tuple and v == P.
-    """
-
-    __slots__ = ("F", "v", "coeffs", "prec")
-
-    def __init__(self, F: Field, v: int, coeffs, prec: int):
-        coeffs = list(coeffs)[: max(0, prec - v)]
-        coeffs += [0] * (prec - v - len(coeffs))
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            v += 1
-        if not coeffs:
-            v = prec
-        self.F = F
-        self.v = v
-        self.coeffs = tuple(coeffs)
-        self.prec = prec
-
-    @staticmethod
-    def zero(F: Field, prec: int) -> "LaurentSeries":
-        return LaurentSeries(F, prec, (), prec)
-
-    @staticmethod
-    def const(F: Field, c: int, prec: int) -> "LaurentSeries":
-        return LaurentSeries(F, 0, (c,), prec)
-
-    @staticmethod
-    def one(F: Field, prec: int) -> "LaurentSeries":
-        return LaurentSeries.const(F, 1, prec)
-
-    @staticmethod
-    def pi_power(F: Field, j: int, prec: int) -> "LaurentSeries":
-        return LaurentSeries(F, j, (1,), prec)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def valuation(self) -> int:
-        if not self.coeffs:
-            raise AllZeroError("valuation of a series that vanishes on its window")
-        return self.v
-
-    def coeff(self, j: int) -> int:
-        """Coefficient of pi^j; exact for j < prec."""
-        if j >= self.prec:
-            raise PrecisionLossError(f"coefficient at pi^{j} outside window")
-        if j < self.v or j - self.v >= len(self.coeffs):
-            return 0
-        return self.coeffs[j - self.v]
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        F = self.F
-        if other.F is not F:
-            raise OperandMismatchError(f"adding a series over {other.F} to one over {F}")
-        prec = min(self.prec, other.prec)
-        v = min(self.v, other.v, prec)
-        out = [0] * (prec - v)
-        for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                j = s.v + i
-                if j < prec:
-                    out[j - v] = F.add(out[j - v], c)
-        return LaurentSeries(F, v, out, prec)
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(
-            self.F, self.v, [self.F.neg(c) for c in self.coeffs], self.prec
-        )
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        F = self.F
-        if other.F is not F:
-            raise OperandMismatchError(f"multiplying a series over {F} by one over {other.F}")
-        prec = min(self.v + other.prec, other.v + self.prec)
-        v = self.v + other.v
-        out = [0] * max(0, prec - v)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k < len(out) and b != 0:
-                    out[k] = F.add(out[k], F.mul(a, b))
-        return LaurentSeries(F, v, out, prec)
-
-    def shift(self, j: int) -> "LaurentSeries":
-        """Multiplication by pi^j (exact; the window shifts with it)."""
-        return LaurentSeries(self.F, self.v + j, self.coeffs, self.prec + j)
-
-    def map_coeffs(self, fn) -> "LaurentSeries":
-        return LaurentSeries(self.F, self.v, [fn(c) for c in self.coeffs], self.prec)
-
-    def frob(self, e: int) -> "LaurentSeries":
-        """Coefficientwise c -> c^e, for e a power of the characteristic."""
-        return self.map_coeffs(self.F.frob_map(e).__getitem__)
-
-    def truncate(self, prec: int) -> "LaurentSeries":
-        if prec > self.prec:
-            raise PrecisionLossError("cannot extend a window")
-        return LaurentSeries(self.F, self.v, self.coeffs, prec)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        if self.F is not other.F:
-            return False
-        prec = min(self.prec, other.prec)
-        a, b = self.truncate(prec), other.truncate(prec)
-        return a.v == b.v and a.coeffs == b.coeffs
-
-    def __hash__(self):
-        raise TypeError("truncated series are not hashable")
-
-    def __repr__(self):
-        terms = [
-            f"{c}*pi^{self.v + i}" for i, c in enumerate(self.coeffs) if c != 0
-        ]
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O(pi^{self.prec})>"
-
-
 class SeriesBatch:
     """N truncated Laurent series over one field, evaluated together.
 
-    Row r is a window [v[r], prec[r]) under the rules of LaurentSeries: a
-    product's window ends at min(v_a + prec_b, v_b + prec_a), a sum's at the
-    smaller end, leading zeros are stripped, and a row that vanishes on its
+    Row r is one series, the window [v[r], prec[r]) under the rules above:
+    a product's window ends at min(v_a + prec_b, v_b + prec_a), a sum's at
+    the smaller end, leading zeros are stripped, and a row that vanishes on its
     window has v == prec.  The coefficients sit in one dense (N, E) int64
     array whose column j holds exponent lo + j.  Entries outside a row's
     window are zero, and the array keeps only the columns between the first
@@ -212,24 +84,6 @@ class SeriesBatch:
     @staticmethod
     def one(F: Field, prec) -> "SeriesBatch":
         return SeriesBatch(F, 0, np.ones((len(prec), 1), dtype=np.int64), prec)
-
-    @staticmethod
-    def from_series(series) -> "SeriesBatch":
-        """Stack LaurentSeries over one field, one row each."""
-        F = series[0].F
-        lo = min(s.v for s in series)
-        c = np.zeros((len(series), max(s.v + len(s.coeffs) for s in series) - lo),
-                     dtype=np.int64)
-        for r, s in enumerate(series):
-            if s.F is not F:
-                raise OperandMismatchError(f"stacking series over {F} and {s.F}")
-            c[r, s.v - lo : s.v - lo + len(s.coeffs)] = s.coeffs
-        return SeriesBatch(F, lo, c, [s.prec for s in series])
-
-    def row(self, r: int) -> LaurentSeries:
-        v, prec = int(self.v[r]), int(self.prec[r])
-        cs = self._placed(v, prec - v)[r]
-        return LaurentSeries(self.F, v, cs.tolist(), prec)
 
     def __len__(self) -> int:
         return len(self.prec)
@@ -299,7 +153,7 @@ class SeriesBatch:
         return SeriesBatch._of(self.F, self.lo, c, self.v, self.prec)
 
     def equals(self, other: "SeriesBatch"):
-        """Per row, LaurentSeries equality: agreement on the common window."""
+        """Per row, whether the two series agree on their common window."""
         self._check(other)
         prec = np.minimum(self.prec, other.prec)
         a, b = self.truncate(prec), other.truncate(prec)
@@ -313,18 +167,19 @@ class SeriesBatch:
 
 
 # -- matrices -------------------------------------------------------------------
-# A matrix is a list of rows of entries that are all LaurentSeries, or all
-# SeriesBatch of one length: then row r of every entry forms the r-th matrix.
-# Every routine below has one body for both kinds of entry.
+# A matrix is a list of rows of SeriesBatch entries of one length: row r of
+# every entry forms the r-th matrix.  The routines use only the entries'
+# operators and their one/zero constructors, so the tests also run them on
+# matrices of single series, their scalar reference.
 
 
-def mat_identity_series(F: Field, n: int, prec, kind=LaurentSeries):
-    """The identity matrix with entries of the given kind; for SeriesBatch,
-    prec is per row."""
-    return [
-        [kind.one(F, prec) if i == j else kind.zero(F, prec) for j in range(n)]
-        for i in range(n)
-    ]
+def mat_identity_series(F: Field, n: int, prec):
+    """The identity matrix whose r-th matrix has window ends prec[r]."""
+    return _identity(SeriesBatch.one(F, prec), SeriesBatch.zero(F, prec), n)
+
+
+def _identity(one, zero, n: int):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def _sum_series(terms):
@@ -348,17 +203,9 @@ def mat_sub(A, B):
     return [[A[i][j] - B[i][j] for j in range(n)] for i in range(n)]
 
 
-def _least(values):
-    """min of ints, or the rowwise minimum of per-row int arrays."""
-    values = list(values)
-    if isinstance(values[0], np.ndarray):
-        return reduce(np.minimum, values)
-    return min(values)
-
-
 def mat_prec(A):
-    """The smallest window end over the entries (per row for batches)."""
-    return _least(e.prec for row in A for e in row)
+    """The smallest window end over the entries, per row."""
+    return reduce(np.minimum, (e.prec for row in A for e in row))
 
 
 @lru_cache(maxsize=None)
@@ -411,15 +258,6 @@ def frob_F(A, q: int):
     return out
 
 
-def varpi_series(F: Field, n: int, prec: int):
-    """The uniformizing matrix: ones on the superdiagonal, pi lower-left."""
-    out = [[LaurentSeries.zero(F, prec) for _ in range(n)] for _ in range(n)]
-    for i in range(n - 1):
-        out[i][i + 1] = LaurentSeries.one(F, prec)
-    out[n - 1][0] = LaurentSeries.pi_power(F, 1, prec)
-    return out
-
-
 # -- the quotient solver ---------------------------------------------------------
 
 
@@ -458,8 +296,8 @@ def solve_quotient(h, q: int, order: str = "stepwise"):
     F = h[0][0].F
     prec = mat_prec(h)
     inv = F.order // q  # phi^{-1} is c -> c^(|F|/q), exact on F
-    B = mat_identity_series(F, n, prec, type(h[0][0]))
-    g = mat_identity_series(F, n, prec, type(h[0][0]))
+    one, zero = h[0][0].one(F, prec), h[0][0].zero(F, prec)
+    B, g = _identity(one, zero, n), _identity(one, zero, n)
 
     def hB_entry(i, j):
         # h upper unipotent, B upper unipotent: only k in [i, j] contributes
@@ -499,20 +337,22 @@ def xtilde_matrix(F: Field, q: int, n: int, a_coeffs):
 
 
 def xtilde_form(A, q: int, Fq: Field):
-    """Coefficients (a_0, ..., a_{n-1}) when A has the twisted circulant
-    shape and det(A) is a nonzero series with all coefficients in F_q;
-    None otherwise."""
+    """(cand, ok): the candidate coefficients (a_0, ..., a_{n-1}), read off
+    the first row of A, and per row whether A has the twisted circulant
+    shape of cand and det(A) is a nonzero series with every coefficient in
+    F_q."""
     n = len(A)
-    cand = tuple(A[0][j] for j in range(n))
-    if A != xtilde_matrix(A[0][0].F, q, n, cand):
-        return None
+    cand = tuple(A[0])
+    F = cand[0].F
+    pattern = xtilde_matrix(F, q, n, cand)
+    ok = np.logical_and.reduce(
+        [x.equals(y) for rx, ry in zip(A, pattern) for x, y in zip(rx, ry)]
+    )
     det = mat_det_series(A)
-    if det.is_zero():
-        return None
-    F = det.F
-    if not all(F.in_subfield(Fq, c) for c in det.coeffs):
-        return None
-    return cand
+    in_Fq = np.zeros(F.order, dtype=bool)
+    in_Fq[F.embed_table(Fq)] = True
+    # entries outside a window are zero, which lies in F_q
+    return cand, ok & ~det.is_zero() & in_Fq[det.c].all(axis=1)
 
 
 # Above n * v + j for any window a suite can hold, far below int64 overflow.
@@ -521,7 +361,7 @@ _VANISHED = 1 << 40
 
 def det_valuation(a_coeffs):
     """Valuation of det(xtilde_matrix(a)): min over j of n*v_j + j, over the
-    series that do not vanish on their windows (per row for batches).
+    series that do not vanish on their windows, per row.
 
     The n! expansion is dominated by the n cyclic permutations; their
     normalized valuations n*v_j + j are distinct mod n, so the minimum is
@@ -529,7 +369,8 @@ def det_valuation(a_coeffs):
     """
     n = len(a_coeffs)
     # a vanishing series has v == prec; the offset puts its term past all others
-    out = _least(n * s.v + j + _VANISHED * s.is_zero() for j, s in enumerate(a_coeffs))
+    terms = (n * s.v + j + _VANISHED * s.is_zero() for j, s in enumerate(a_coeffs))
+    out = reduce(np.minimum, terms)
     if np.any(out >= _VANISHED):
         raise AllZeroError("all coefficient series vanish on their windows")
     return out

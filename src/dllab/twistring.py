@@ -223,14 +223,6 @@ def h_m_pattern(n: int, h: int, m: int) -> list[int]:
     return out
 
 
-def nu_m(ring: TwistedRing, g, m: int):
-    """Discard coordinates not divisible by m and reindex: tau^(m j) -> tau_1^j.
-
-    Maps H_m(A) into the unipotent group of the (n/m, q^m, 2) ring.
-    """
-    return (g[0],) + nu_prime_m(ring.n, m, g[1:])
-
-
 # -- the mirror family G^{n,q} ------------------------------------------------
 # Elements: tuples (a_1, ..., a_n) of coefficient-field indices.
 

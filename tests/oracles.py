@@ -1,24 +1,38 @@
-"""Scalar oracles of the batched library folds.
+"""Scalar oracles of the batched library paths.
 
-Each function here is the one-point-at-a-time form of a batched path in
-dllab, walking the same grid in the same order; the tests compare the two on
-full grids.  Nothing in the package imports this module.
+Each function here is the one-at-a-time form of a batched path in dllab: a
+point of a grid, a single truncated series, or a group element with the
+group's scalar mul and inv in place of its index law.  The oracles walk the
+same grids in the same order, and the tests compare the two.  Nothing in the
+package imports this module.
 """
 
 import itertools
 
+import numpy as np
+
 from dllab.counting import x3_conditions, y3_member
-from dllab.errors import MatrixShapeError, UnsupportedParametersError
+from dllab.errors import (
+    AllZeroError,
+    MatrixShapeError,
+    OperandMismatchError,
+    PrecisionLossError,
+    UnsupportedParametersError,
+)
 from dllab.ffield import Field, field, splitting_params
 from dllab.matmodel import (
+    bounded_ring,
     det_iota,
     in_Xh,
     mat_det,
     normalize_shape,
+    star_action,
     tp_add,
     tp_mul,
     tp_scalar,
 )
+from dllab.repkit import SumChar, _exps_value
+from dllab.serieslab import SeriesBatch, mat_det_series, xtilde_matrix
 from dllab.twistring import TwistedRing, enumerate_unipotent, twisted_ring
 
 
@@ -212,3 +226,310 @@ def iota_prime_via_varpi(ring: TwistedRing, a):
         )
         Wj = mat_mul(F, Wj, W)
     return normalize_shape(F, acc)
+
+
+def twisted_count(n: int, q: int, h: int, gamma, right, max_size: int = 300_000) -> int:
+    """Oracle of counting.x3_twist_table, which tabulates these counts:
+    the x in X_h(F_{q^(n p)}) with gamma * F_{q^n}(x) = x * right, by honest
+    enumeration.  gamma is None (no twist) or a star unit (1, lam, mu, ...)
+    over F_{q^n}; right is a unipotent element over F_{q^n}."""
+    p, e = splitting_params(q)
+    ring = bounded_ring(n, q, h, n * p, max_size)
+    emb = ring.coeff_field.embed_table(field(p, e * n))
+    right = (1,) + tuple(int(emb[c]) for c in right[1:])
+    if gamma is not None:
+        gamma = tuple(int(emb[c]) for c in gamma)
+    count = 0
+    for x in enumerate_unipotent(ring):
+        if not in_Xh(ring, x):
+            continue
+        y = ring.frobenius(x, n)
+        if gamma is not None:
+            y = star_action(ring, gamma, y)
+        if y == ring.mul(x, right):
+            count += 1
+    return count
+
+
+# -- truncated Laurent series, one at a time ---------------------------------------
+
+
+class LaurentSeries:
+    """Oracle of one row of serieslab.SeriesBatch: a truncated Laurent series
+    over a coefficient field of indices.
+
+    Stored as (valuation offset v, coefficient tuple, precision P) with the
+    window covering exponents [v, P).  A series that vanishes on its whole
+    window is stored with an empty tuple and v == P.  The serieslab matrix
+    routines take matrices of these entries as well as of batches.
+    """
+
+    __slots__ = ("F", "v", "coeffs", "prec")
+
+    def __init__(self, F: Field, v: int, coeffs, prec: int):
+        coeffs = list(coeffs)[: max(0, prec - v)]
+        coeffs += [0] * (prec - v - len(coeffs))
+        while coeffs and coeffs[0] == 0:
+            coeffs.pop(0)
+            v += 1
+        if not coeffs:
+            v = prec
+        self.F = F
+        self.v = v
+        self.coeffs = tuple(coeffs)
+        self.prec = prec
+
+    @staticmethod
+    def zero(F: Field, prec: int) -> "LaurentSeries":
+        return LaurentSeries(F, prec, (), prec)
+
+    @staticmethod
+    def const(F: Field, c: int, prec: int) -> "LaurentSeries":
+        return LaurentSeries(F, 0, (c,), prec)
+
+    @staticmethod
+    def one(F: Field, prec: int) -> "LaurentSeries":
+        return LaurentSeries.const(F, 1, prec)
+
+    @staticmethod
+    def pi_power(F: Field, j: int, prec: int) -> "LaurentSeries":
+        return LaurentSeries(F, j, (1,), prec)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def valuation(self) -> int:
+        if not self.coeffs:
+            raise AllZeroError("valuation of a series that vanishes on its window")
+        return self.v
+
+    def coeff(self, j: int) -> int:
+        """Coefficient of pi^j; exact for j < prec."""
+        if j >= self.prec:
+            raise PrecisionLossError(f"coefficient at pi^{j} outside window")
+        if j < self.v or j - self.v >= len(self.coeffs):
+            return 0
+        return self.coeffs[j - self.v]
+
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        F = self.F
+        if other.F is not F:
+            raise OperandMismatchError(f"adding a series over {other.F} to one over {F}")
+        prec = min(self.prec, other.prec)
+        v = min(self.v, other.v, prec)
+        out = [0] * (prec - v)
+        for s in (self, other):
+            for i, c in enumerate(s.coeffs):
+                j = s.v + i
+                if j < prec:
+                    out[j - v] = F.add(out[j - v], c)
+        return LaurentSeries(F, v, out, prec)
+
+    def __neg__(self) -> "LaurentSeries":
+        return LaurentSeries(
+            self.F, self.v, [self.F.neg(c) for c in self.coeffs], self.prec
+        )
+
+    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self + (-other)
+
+    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        F = self.F
+        if other.F is not F:
+            raise OperandMismatchError(f"multiplying a series over {F} by one over {other.F}")
+        prec = min(self.v + other.prec, other.v + self.prec)
+        v = self.v + other.v
+        out = [0] * max(0, prec - v)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                k = i + j
+                if k < len(out) and b != 0:
+                    out[k] = F.add(out[k], F.mul(a, b))
+        return LaurentSeries(F, v, out, prec)
+
+    def shift(self, j: int) -> "LaurentSeries":
+        """Multiplication by pi^j (exact; the window shifts with it)."""
+        return LaurentSeries(self.F, self.v + j, self.coeffs, self.prec + j)
+
+    def map_coeffs(self, fn) -> "LaurentSeries":
+        return LaurentSeries(self.F, self.v, [fn(c) for c in self.coeffs], self.prec)
+
+    def frob(self, e: int) -> "LaurentSeries":
+        """Coefficientwise c -> c^e, for e a power of the characteristic."""
+        return self.map_coeffs(self.F.frob_map(e).__getitem__)
+
+    def truncate(self, prec: int) -> "LaurentSeries":
+        if prec > self.prec:
+            raise PrecisionLossError("cannot extend a window")
+        return LaurentSeries(self.F, self.v, self.coeffs, prec)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        if self.F is not other.F:
+            return False
+        prec = min(self.prec, other.prec)
+        a, b = self.truncate(prec), other.truncate(prec)
+        return a.v == b.v and a.coeffs == b.coeffs
+
+    def __hash__(self):
+        raise TypeError("truncated series are not hashable")
+
+    def __repr__(self):
+        terms = [
+            f"{c}*pi^{self.v + i}" for i, c in enumerate(self.coeffs) if c != 0
+        ]
+        body = " + ".join(terms) if terms else "0"
+        return f"<{body} + O(pi^{self.prec})>"
+
+
+def series_identity(F: Field, n: int, prec: int):
+    """Oracle of serieslab.mat_identity_series: one identity matrix."""
+    one, zero = LaurentSeries.one(F, prec), LaurentSeries.zero(F, prec)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def series_batch(series) -> SeriesBatch:
+    """The SeriesBatch whose row r is the LaurentSeries series[r]."""
+    F = series[0].F
+    lo = min(s.v for s in series)
+    c = np.zeros((len(series), max(s.v + len(s.coeffs) for s in series) - lo),
+                 dtype=np.int64)
+    for r, s in enumerate(series):
+        if s.F is not F:
+            raise OperandMismatchError(f"stacking series over {F} and {s.F}")
+        c[r, s.v - lo : s.v - lo + len(s.coeffs)] = s.coeffs
+    return SeriesBatch(F, lo, c, [s.prec for s in series])
+
+
+def batch_row(batch: SeriesBatch, r: int) -> LaurentSeries:
+    """Row r of a SeriesBatch as a LaurentSeries."""
+    v, prec = int(batch.v[r]), int(batch.prec[r])
+    cs = batch._placed(v, prec - v)[r]
+    return LaurentSeries(batch.F, v, cs.tolist(), prec)
+
+
+def xtilde_form(A, q: int, Fq: Field):
+    """Oracle of serieslab.xtilde_form on one matrix: coefficients
+    (a_0, ..., a_{n-1}) when A has the twisted circulant shape and det(A) is
+    a nonzero series with all coefficients in F_q; None otherwise."""
+    n = len(A)
+    cand = tuple(A[0][j] for j in range(n))
+    if A != xtilde_matrix(A[0][0].F, q, n, cand):
+        return None
+    det = mat_det_series(A)
+    if det.is_zero():
+        return None
+    F = det.F
+    if not all(F.in_subfield(Fq, c) for c in det.coeffs):
+        return None
+    return cand
+
+
+def round_trip_failures(F: Field, Fq: Field, q: int, rows) -> list:
+    """Oracle of cli._round_trip_failures, one instance of rows at a time."""
+    out = []
+    for windows in rows.tolist():
+        coeffs = tuple(LaurentSeries(F, 0, w, len(w)) for w in windows)
+        n = len(coeffs)
+        A = xtilde_matrix(F, q, n, coeffs)
+        det = mat_det_series(A)
+        rational = all(F.in_subfield(Fq, det.coeff(t)) for t in range(det.v, det.prec))
+        got = xtilde_form(A, q, Fq)
+        if rational:
+            out.append(got != coeffs or xtilde_matrix(F, q, n, got) != A)
+        else:
+            out.append(got is not None)
+    return out
+
+
+# -- group algorithms through the scalar mul and inv --------------------------------
+
+
+def table_law(elements, mul, inv):
+    """An index law for a small group, read off its full multiplication and
+    inversion tables."""
+    els = list(elements)
+    index = {g: i for i, g in enumerate(els)}
+    table = np.array([[index[mul(a, b)] for b in els] for a in els], dtype=np.int64)
+    inverse = np.array([index[inv(a)] for a in els], dtype=np.int64)
+    return (lambda a, b: table[a, b]), (lambda a: inverse[a])
+
+
+def conj_classes(group):
+    """Oracle of GroupModel.conj_classes: the conjugation orbits of the
+    generators, grown breadth-first from each element not yet seen."""
+    gens = group.generators
+    inv_gens = [group.inv(g) for g in gens]
+    seen = {}
+    classes = []
+    for g in group.elements:
+        if g in seen:
+            continue
+        orbit = [g]
+        seen[g] = len(classes)
+        queue = [g]
+        while queue:
+            x = queue.pop()
+            for s, si in zip(gens, inv_gens):
+                y = group.mul(group.mul(s, x), si)
+                if y not in seen:
+                    seen[y] = len(classes)
+                    orbit.append(y)
+                    queue.append(y)
+        classes.append(orbit)
+    return classes
+
+
+def coset_transversal(group, subgroup_set):
+    """Oracle of repkit.coset_transversal."""
+    seen = set()
+    reps = []
+    for g in group.elements:
+        if g in seen:
+            continue
+        reps.append(g)
+        for h in subgroup_set:
+            seen.add(group.mul(g, h))
+    return reps
+
+
+def induce_char(group, subgroup_set, chi_exp, R: int) -> SumChar:
+    """Oracle of repkit.induce_char."""
+    transversal = coset_transversal(group, subgroup_set)
+    inv_t = [group.inv(t) for t in transversal]
+    lists = {}
+    for g in group.elements:
+        exps = []
+        for t, ti in zip(transversal, inv_t):
+            h = group.mul(ti, group.mul(g, t))
+            if h in subgroup_set:
+                exps.append(chi_exp(h))
+        lists[g] = tuple(exps)
+    return SumChar(group, lists, R)
+
+
+def monomial_supports(group, subgroup_set) -> tuple:
+    """Oracle of MonomialRep's transversal and supports: (transversal,
+    {g: (perm, hs)}) with g t_j = t_perm[j] hs[j], by coset lookup."""
+    transversal = coset_transversal(group, subgroup_set)
+    inv_t = [group.inv(t) for t in transversal]
+    coset_of = {group.mul(t, h): i for i, t in enumerate(transversal) for h in subgroup_set}
+    supports = {}
+    for g in group.elements:
+        perm, hs = [], []
+        for t in transversal:
+            w = group.mul(g, t)
+            i = coset_of[w]
+            perm.append(i)
+            hs.append(group.mul(inv_t[i], w))
+        supports[g] = (tuple(perm), tuple(hs))
+    return transversal, supports
+
+
+def monomial_extension_value(ext, k: int, u):
+    """Oracle of a MonomialExtension's character against the dense
+    CyclicExtension.value: the trace of T^k rho(u) as a CycloNum."""
+    return _exps_value(ext.trace_exps(k, u), ext.R)

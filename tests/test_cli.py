@@ -88,10 +88,11 @@ def test_unexpected_dump_exception_is_an_error_line(monkeypatch, capsys):
     assert out.err == "error: ValueError: boom\n"
 
 
-@pytest.mark.parametrize("argv", [["--q", "5"], ["--q", "2", "--max-size", "1000"]],
-                         ids=["q5", "q2-max-size"])
+@pytest.mark.parametrize("argv", [["--q", "5"], ["--q", "2", "--max-size", "1000"], ["--q", "4"]],
+                         ids=["q5", "q2-max-size", "q4"])
 def test_eigenspaces_refuses_a_twist_table_beyond_max_size(argv, capsys):
-    # the table scans q^10 candidates: 5^10 exceeds the default 2,000,000
+    # the table scans q^12 (key, a1, a2) triples: 4^12 exceeds the default
+    # 2,000,000, and 2^12 exceeds 1000
     t0 = time.monotonic()
     assert run_cli(["verify", "--suite", "eigenspaces", *argv]) == 1
     assert time.monotonic() - t0 < 10
@@ -216,6 +217,9 @@ def test_series_zero_determinant_is_a_counted_failure(monkeypatch):
         claim = next(c for c in rep["claims"] if c["claim"].startswith("determinant valuation"))
         assert claim["status"] == "fail"
         assert claim["witness"]["failures"] == failures
+        # a vanishing determinant lies over F_q but is never recovered
+        claim = next(c for c in rep["claims"] if c["claim"].startswith("pattern matrix"))
+        assert claim["witness"] == {"instances": 200, "failures": 200}
 
 
 @pytest.mark.parametrize("bad", [["--n", "2", "--h", "4"], ["--n", "4", "--h", "2"]])

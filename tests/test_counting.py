@@ -13,7 +13,6 @@ from dllab.counting import (
     intertwiner_s2_data,
     maximality_probe,
     npp_identity,
-    twisted_count,
     x3_twist_table,
     xh_point_count,
     y3_locus_equality,
@@ -28,6 +27,7 @@ from dllab.errors import UnsupportedParametersError
 from dllab.ffield import VecOps, field
 from dllab.matmodel import in_Xh
 from dllab.twistring import twisted_ring
+from oracles import twisted_count
 
 
 def test_vecops_matches_field_ops():

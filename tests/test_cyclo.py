@@ -46,14 +46,6 @@ def test_conjugation_and_modulus():
     assert (z * z.conj()) == CycloNum.rational(12, 1)
 
 
-def test_lift_to_compatible():
-    assert CycloNum.root(3, 1).lift_to(12) == CycloNum.root(12, 4)
-    assert CycloNum.root(4, 1).lift_to(12) == CycloNum.root(12, 3)
-    a = CycloNum.root(3, 1) + CycloNum.rational(3, 2)
-    b = a.lift_to(24)
-    assert b == CycloNum.root(24, 8) + CycloNum.rational(24, 2)
-
-
 def test_mixed_order_raises():
     with pytest.raises(MixedOrderError):
         CycloNum.root(3, 1) + CycloNum.root(4, 1)

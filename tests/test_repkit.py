@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import oracles
 from dllab.charlib import AddChar, unit_characters
 from dllab.constructions import build_rho_psi, divquot, gnq_group, unipotent_group
 from dllab.cyclo import CycloNum
-from dllab.errors import NoExtensionError
+from dllab.errors import NoExtensionError, NoIndexLawError
 from dllab.ffield import field
 from dllab.repkit import (
     CyclicExtension,
@@ -26,13 +27,24 @@ from dllab.repkit import (
 from dllab.twistring import enumerate_unipotent, twisted_ring
 
 
+def tabled(elements, mul, inv, one, generators):
+    """A small group with the index law read off its tables."""
+    law = oracles.table_law(elements, mul, inv)
+    return GroupModel(elements, mul, inv, one, generators=generators, law=law)
+
+
 def cyclic_group(n):
-    return GroupModel(
-        range(n),
-        mul=lambda a, b: (a + b) % n,
-        inv=lambda a: (-a) % n,
-        one=0,
-        generators=[1],
+    return tabled(range(n), lambda a, b: (a + b) % n, lambda a: (-a) % n, 0, [1])
+
+
+def dihedral4():
+    """D4 as pairs (a, b) for r^a s^b."""
+    return tabled(
+        [(a, b) for a in range(4) for b in range(2)],
+        lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 2),
+        lambda x: ((-x[0] if x[1] == 0 else x[0]) % 4, x[1]),
+        (0, 0),
+        [(1, 0), (0, 1)],
     )
 
 
@@ -41,7 +53,7 @@ def u22_group():
     R = twisted_ring(2, 2, 2, field(2, 2))
     els = list(enumerate_unipotent(R))
     gens = [g for g in els if sum(1 for c in g[1:] if c) == 1]
-    return GroupModel(els, mul=R.mul, inv=R.inv, one=R.one, generators=gens), R
+    return tabled(els, R.mul, R.inv, R.one, gens), R
 
 
 def test_abelian_characters_orthogonal():
@@ -104,7 +116,7 @@ def test_monomial_rep_multiplicative():
 def test_cyclic_extension_degree_one():
     # N = C3 inside C6; extend a character of C3 to C6 with trace -1 at g=3
     C6 = cyclic_group(6)
-    N = GroupModel([0, 2, 4], C6.mul, C6.inv, 0, generators=[2])
+    N = tabled([0, 2, 4], C6.mul, C6.inv, 0, [2])
     chi = {0: 0, 2: 2, 4: 4}  # exponent mod 6: chi(2) = zeta_6^2 (order 3)
     rep = MonomialRep(N, set(N.elements), lambda h: chi[h], 6)
 
@@ -122,10 +134,12 @@ def test_cyclic_extension_degree_one():
             generators=[2],
             target_trace=CycloNum.root(6, 3),  # -1
         )
-        assert ext.value(0, 0) == CycloNum.rational(6, 1)
-        assert ext.value(1, 0) == CycloNum.root(6, 3)
+        value = ext.value if isinstance(ext, CyclicExtension) else (
+            lambda k, u: oracles.monomial_extension_value(ext, k, u))
+        assert value(0, 0) == CycloNum.rational(6, 1)
+        assert value(1, 0) == CycloNum.root(6, 3)
         # consistency: value at (g * n) respects chi on N
-        assert ext.value(0, 2) == CycloNum.root(6, 2)
+        assert value(0, 2) == CycloNum.root(6, 2)
         with pytest.raises(NoExtensionError):
             extend(
                 rep,
@@ -147,14 +161,68 @@ def test_solve_intertwiner_identity_conj():
 
 
 
-# -- index laws against the scalar bodies ---------------------------------------
+# -- index laws against the scalar oracles ---------------------------------------
 
 LAW_PARAMS = [(2, 2), (2, 3), (3, 2)]
 
 
-def scalar_twin(G):
-    """The same group without its index law, so the scalar bodies run."""
-    return GroupModel(G.elements, G.mul, G.inv, G.one, generators=G.generators)
+def assert_index_bodies_match_scalar(G, H, chi, R):
+    """coset_transversal, MonomialRep and induce_char on (G, H, chi) against
+    the oracles that use G's scalar mul and inv."""
+    transversal, supports = oracles.monomial_supports(G, H)
+    rep = MonomialRep(G, H, chi, R)
+    assert coset_transversal(G, H) == oracles.coset_transversal(G, H) == transversal
+    assert rep.transversal == transversal
+    assert all(rep.support(g) == supports[g] for g in G.elements)
+    for g in G.elements:
+        perm, hs = supports[g]
+        assert rep.matrix(g) == (perm, tuple(chi(h) for h in hs))
+    fast, slow = induce_char(G, H, chi, R), oracles.induce_char(G, H, chi, R)
+    assert list(fast.lists.items()) == list(slow.lists.items())
+
+
+def assert_classes_match_bfs(G):
+    classes, bfs = G.conj_classes(), oracles.conj_classes(G)
+    assert [c[0] for c in classes] == [c[0] for c in bfs]
+    assert [len(c) for c in classes] == [len(c) for c in bfs]
+    assert all(set(c) == set(d) for c, d in zip(classes, bfs))
+
+
+# (group, [(subgroup, exponent of its linear character, root order)])
+TOY_GROUPS = {
+    "C4": lambda: (cyclic_group(4), [({0}, lambda h: 0, 4), ({0, 2}, lambda h: h, 4),
+                                     (set(range(4)), lambda h: h, 4)]),
+    "D4": lambda: (dihedral4(), [({(a, 0) for a in range(4)}, lambda h: h[0], 4),
+                                 ({(0, 0), (0, 1)}, lambda h: 2 * h[1], 4),
+                                 ({(0, 0), (2, 0)}, lambda h: h[0], 4)]),
+    "C6": lambda: (cyclic_group(6), [({0, 2, 4}, lambda h: h, 6), ({0, 3}, lambda h: h, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_GROUPS))
+def test_index_bodies_match_scalar_oracles_on_toy_groups(name):
+    G, cases = TOY_GROUPS[name]()
+    N = len(G)
+    a, b = np.divmod(np.arange(N * N, dtype=np.int64), N)
+    law_matches_scalar(G, a, b)
+    assert_classes_match_bfs(G)
+    for H, chi, R in cases:
+        assert_index_bodies_match_scalar(G, H, chi, R)
+
+
+def test_index_algorithms_refuse_a_group_without_a_law():
+    C4 = cyclic_group(4)
+    G = GroupModel(C4.elements, C4.mul, C4.inv, 0, generators=[1])
+    H = {0, 2}
+    for thunk in (
+        G.conj_classes,
+        lambda: coset_transversal(G, H),
+        lambda: induce_char(G, H, lambda h: 0, 4),
+        lambda: induce_char(G, H, lambda h: 0, 4, transversal=[0, 1]),
+        lambda: MonomialRep(G, H, lambda h: 0, 4),
+    ):
+        with pytest.raises(NoIndexLawError):
+            thunk()
 
 
 def law_matches_scalar(G, a, b):
@@ -183,11 +251,8 @@ def test_divquot_index_law_matches_scalar_on_a_sample(params):
 
 def test_conj_classes_match_the_bfs_on_the_level3_quotient():
     G = divquot(2, 2, 3).group
-    classes, bfs = G.conj_classes(), scalar_twin(G).conj_classes()
-    assert len(classes) == 54
-    assert [c[0] for c in classes] == [c[0] for c in bfs]
-    assert [len(c) for c in classes] == [len(c) for c in bfs]
-    assert all(set(c) == set(d) for c, d in zip(classes, bfs))
+    assert len(G.conj_classes()) == 54
+    assert_classes_match_bfs(G)
 
 
 def test_conj_classes_of_the_q3_quotient():
@@ -204,7 +269,7 @@ def test_conj_classes_of_the_q3_quotient():
 @pytest.mark.parametrize("n,q", LAW_PARAMS)
 def test_conj_classes_match_the_bfs_on_the_unipotent_families(family, n, q):
     G, _ = family(n, q)
-    classes, bfs = G.conj_classes(), scalar_twin(G).conj_classes()
+    classes, bfs = G.conj_classes(), oracles.conj_classes(G)
     assert [(c[0], len(c)) for c in classes] == [(c[0], len(c)) for c in bfs]
 
 
@@ -216,12 +281,7 @@ def test_index_induction_matches_scalar_on_every_rho(mirror, n, q):
     for a in F.elements():
         data = build_rho_psi(n, q, AddChar(F, q, a), mirror=mirror)
         G, rep, R = data.group, data.rep, data.R
-        S = scalar_twin(G)
-        srep = MonomialRep(S, rep.H, rep.chi_exp, R)
-        assert coset_transversal(G, rep.H) == coset_transversal(S, rep.H)
-        assert rep.transversal == srep.transversal
-        assert all(rep.support(g) == srep.support(g) for g in G.elements)
-        assert all(rep.matrix(g) == srep.matrix(g) for g in G.elements)
-        for H, chi in ((rep.H, rep.chi_exp), (data.pattern_subgroup, data.pattern_exp)):
-            fast, slow = induce_char(G, H, chi, R), induce_char(S, H, chi, R)
-            assert list(fast.lists.items()) == list(slow.lists.items())
+        assert_index_bodies_match_scalar(G, rep.H, rep.chi_exp, R)
+        fast = induce_char(G, data.pattern_subgroup, data.pattern_exp, R)
+        slow = oracles.induce_char(G, data.pattern_subgroup, data.pattern_exp, R)
+        assert list(fast.lists.items()) == list(slow.lists.items())

@@ -9,23 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from dllab import cli
 from dllab.errors import AllZeroError, OperandMismatchError, PrecisionLossError
 from dllab.ffield import field
 from dllab.serieslab import (
-    LaurentSeries,
     SeriesBatch,
     det_valuation,
     frob_F,
     mat_det_series,
     mat_identity_series,
     mat_mul,
-    mat_sub,
     quotient_residual,
     solve_quotient,
-    varpi_series,
     xtilde_form,
     xtilde_matrix,
 )
+from oracles import LaurentSeries, batch_row, series_batch, series_identity
 
 
 def rand_series(F, rng, prec, vmin=0, vmax=2):
@@ -34,7 +34,7 @@ def rand_series(F, rng, prec, vmin=0, vmax=2):
 
 
 def rand_upper_unipotent(F, rng, n, prec):
-    h = mat_identity_series(F, n, prec)
+    h = series_identity(F, n, prec)
     for i in range(n):
         for j in range(i + 1, n):
             h[i][j] = rand_series(F, rng, prec)
@@ -73,11 +73,11 @@ def test_series_zero_has_no_valuation():
 def test_frob_identity_and_diag():
     F = field(2, 4)  # F_{q^4}, q = 2
     q, n, prec = 2, 4, 5
-    I = mat_identity_series(F, n, prec)
+    I = series_identity(F, n, prec)
     assert frob_F(I, q) == I
     # diag(a, a^q, a^{q^2}, a^{q^3}) is F-stable for a in F_{q^n}
     a = F.gen
-    D = mat_identity_series(F, n, prec)
+    D = series_identity(F, n, prec)
     for i in range(n):
         D[i][i] = LaurentSeries.const(F, F.frob(a, q**i), prec)
     assert frob_F(D, q) == D
@@ -100,7 +100,11 @@ def test_frob_matches_varpi_conjugation():
     rng = random.Random(11)
     for _ in range(10):
         A = [[rand_series(F, rng, prec) for _ in range(n)] for _ in range(n)]
-        W = varpi_series(F, n, prec)
+        # varpi: ones on the superdiagonal, pi in the lower-left corner
+        W = [[LaurentSeries.zero(F, prec)] * n for _ in range(n)]
+        for i in range(n - 1):
+            W[i][i + 1] = LaurentSeries.one(F, prec)
+        W[n - 1][0] = LaurentSeries.pi_power(F, 1, prec)
         lhs = mat_mul(W, frob_F(A, q))
         Aphi = [[e.map_coeffs(lambda c: F.frob(c, q)) for e in row] for row in A]
         rhs = mat_mul(Aphi, W)
@@ -119,14 +123,14 @@ def test_frob_is_multiplicative_sampled():
 
 def test_frob_requires_two_digits():
     F = field(2, 2)
-    I = mat_identity_series(F, 2, 1)
+    I = series_identity(F, 2, 1)
     with pytest.raises(PrecisionLossError):
         frob_F(I, 2)
 
 
 def test_solve_quotient_identity():
     F = field(2, 4)
-    I = mat_identity_series(F, 3, 6)
+    I = series_identity(F, 3, 6)
     B, g = solve_quotient(I, 2)
     assert B == I and g == I
 
@@ -137,7 +141,7 @@ def test_solve_quotient_n2_reads_off_h():
     rng = random.Random(19)
     h = rand_upper_unipotent(F, rng, 2, 6)
     B, g = solve_quotient(h, 2)
-    assert B == mat_identity_series(F, 2, 6)
+    assert B == series_identity(F, 2, 6)
     assert g == h
 
 
@@ -165,12 +169,13 @@ def test_solve_quotient_residual_and_uniqueness(p, k, q, n):
 
 
 def test_xtilde_round_trip_and_examples():
+    # the scalar oracle; the batch is compared against it below
     q, n, prec = 2, 2, 5
     Fq = field(2, 1)
     F4 = field(2, 4)
     # identity
-    I = mat_identity_series(F4, n, prec)
-    got = xtilde_form(I, q, Fq)
+    I = series_identity(F4, n, prec)
+    got = oracles.xtilde_form(I, q, Fq)
     assert got is not None
     assert got[0] == LaurentSeries.one(F4, prec) and got[1].is_zero()
 
@@ -179,17 +184,17 @@ def test_xtilde_round_trip_and_examples():
     a = F4.embed(F2, F2.gen)
     coeffs = (LaurentSeries.const(F4, a, prec), LaurentSeries.zero(F4, prec))
     A = xtilde_matrix(F4, q, n, coeffs)
-    got = xtilde_form(A, q, Fq)
+    got = oracles.xtilde_form(A, q, Fq)
     assert got == coeffs
     assert xtilde_matrix(F4, q, n, got) == A
 
     # pattern violation: break the phi-twist
     A[1][1] = LaurentSeries.const(F4, F4.gen, prec)
-    assert xtilde_form(A, q, Fq) is None
+    assert oracles.xtilde_form(A, q, Fq) is None
 
     # correct pattern but determinant not rational over F_q
     bad = (LaurentSeries.const(F4, F4.gen, prec), LaurentSeries.zero(F4, prec))
-    assert xtilde_form(xtilde_matrix(F4, q, n, bad), q, Fq) is None
+    assert oracles.xtilde_form(xtilde_matrix(F4, q, n, bad), q, Fq) is None
 
 
 def test_det_valuation_basic():
@@ -281,7 +286,7 @@ def key(s):
 
 
 def rows(batch):
-    return [key(batch.row(r)) for r in range(len(batch))]
+    return [key(batch_row(batch, r)) for r in range(len(batch))]
 
 
 def check_invariants(batch):
@@ -318,7 +323,7 @@ def test_batch_ops_match_scalar_rows(pk, data):
     n = data.draw(st.integers(1, 5))
     a = data.draw(series_lists(F, n))
     b = data.draw(series_lists(F, n))
-    A, B = SeriesBatch.from_series(a), SeriesBatch.from_series(b)
+    A, B = series_batch(a), series_batch(b)
     j = data.draw(st.integers(-4, 4))
     e = data.draw(st.sampled_from([F.p**i for i in range(2 * F.k + 1)]))
     cut = min(s.prec for s in a) - data.draw(st.integers(0, 3))
@@ -349,7 +354,7 @@ def test_batch_operand_above_the_other_window(pk):
     c = F.order - 1
     a = [LaurentSeries(F, 5, [c, 1], 8), LaurentSeries.zero(F, 9), LaurentSeries(F, -2, [1], 0)]
     b = [LaurentSeries(F, 0, [1, c], 3), LaurentSeries(F, 1, [c], 2), LaurentSeries.zero(F, -4)]
-    A, B = SeriesBatch.from_series(a), SeriesBatch.from_series(b)
+    A, B = series_batch(a), series_batch(b)
     for batch, want in [
         (A + B, [x + y for x, y in zip(a, b)]),
         (B + A, [y + x for x, y in zip(a, b)]),
@@ -378,7 +383,7 @@ def test_batch_rejects_wider_window_and_mismatched_operands():
 def stack(mats):
     """Matrices of LaurentSeries, stacked entrywise into one batch matrix."""
     n = len(mats[0])
-    return [[SeriesBatch.from_series([M[i][j] for M in mats]) for j in range(n)] for i in range(n)]
+    return [[series_batch([M[i][j] for M in mats]) for j in range(n)] for i in range(n)]
 
 
 def assert_rows_match(batch_mat, scalar_mats):
@@ -391,7 +396,7 @@ def test_batched_det_matches_scalar_on_full_f4_grid():
     F = field(2, 2)
     singles = [LaurentSeries(F, 0, cs, 5) for cs in itertools.product(range(4), repeat=3)]
     pairs = list(itertools.product(singles, repeat=2))
-    coeffs = [SeriesBatch.from_series([p[t] for p in pairs]) for t in range(2)]
+    coeffs = [series_batch([p[t] for p in pairs]) for t in range(2)]
     det = mat_det_series(xtilde_matrix(F, 2, 2, coeffs))
     assert rows(det) == [key(mat_det_series(xtilde_matrix(F, 2, 2, list(p)))) for p in pairs]
 
@@ -402,7 +407,7 @@ def test_batched_det_and_valuation_match_scalar_3x3(q, pk):
     rng = random.Random(q)
     samples = [[rand_series(F, rng, 6, 0, 1) for _ in range(3)] for _ in range(150)]
     samples = [s for s in samples if not all(x.is_zero() for x in s)]
-    coeffs = [SeriesBatch.from_series([s[t] for s in samples]) for t in range(3)]
+    coeffs = [series_batch([s[t] for s in samples]) for t in range(3)]
     A = xtilde_matrix(F, q, 3, coeffs)
     assert_rows_match(A, [xtilde_matrix(F, q, 3, s) for s in samples])
     det = mat_det_series(A)
@@ -428,18 +433,64 @@ def test_batched_solver_matches_scalar_on_suite_configs(p, k, q, n):
 
 def test_batched_frob_requires_two_digits_in_every_row():
     F = field(2, 2)
-    I = mat_identity_series(F, 2, np.array([3, 1, 4]), SeriesBatch)
+    I = mat_identity_series(F, 2, np.array([3, 1, 4]))
     with pytest.raises(PrecisionLossError):
         frob_F(I, 2)
+
+
+def assert_xtilde_form_matches_scalar(mats, q, Fq):
+    """The batched xtilde_form on the stacked matrices against the scalar
+    oracle on each: the mask, and the coefficients wherever it is set."""
+    cand, ok = xtilde_form(stack(mats), q, Fq)
+    want = [oracles.xtilde_form(M, q, Fq) for M in mats]
+    assert ok.tolist() == [w is not None for w in want]
+    for r, w in enumerate(want):
+        if w is not None:
+            assert [key(batch_row(c, r)) for c in cand] == [key(x) for x in w]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_round_trip_and_xtilde_form_match_scalar_on_drawn_pairs(seed):
+    # the series suite's 200 instances, drawn the same way
+    F16, Fq = field(2, 4), field(2, 1)
+    rows = cli._draw_rows(F16, random.Random(seed), 5, 2 * 200, 0, 1).reshape(200, 2, 5)
+    got = cli._round_trip_failures(F16, Fq, 2, rows)
+    assert got.tolist() == oracles.round_trip_failures(F16, Fq, 2, rows)
+    mats = [xtilde_matrix(F16, 2, 2, [LaurentSeries(F16, 0, w, 5) for w in pair])
+            for pair in rows.tolist()]
+    assert_xtilde_form_matches_scalar(mats, 2, Fq)
+
+
+def test_round_trip_and_xtilde_form_match_scalar_on_edge_rows():
+    F16, Fq = field(2, 4), field(2, 1)
+    q, prec = 2, 5
+    a = F16.embed(field(2, 2), 2)  # in F_4, so det = Nm(a) lies in F_2
+    g = F16.gen  # det = g^3 does not
+    rows = np.zeros((4, 2, prec), dtype=np.int64)
+    rows[0, 0, 0] = a  # rational: recovered
+    rows[1, 0, 0] = g  # non-rational: rejected
+    rows[3, 1, 2] = 1  # det = pi^5: rational at a positive valuation
+    # row 2 stays zero: the determinant vanishes, and the round trip fails
+    got = cli._round_trip_failures(F16, Fq, q, rows)
+    assert got.tolist() == oracles.round_trip_failures(F16, Fq, q, rows)
+    assert got.tolist() == [False, False, True, False]
+    mats = [xtilde_matrix(F16, q, 2, [LaurentSeries(F16, 0, w, prec) for w in pair])
+            for pair in rows.tolist()]
+    # a matrix of the wrong shape: the phi-twist on the diagonal is broken
+    broken = [row[:] for row in mats[0]]
+    broken[1][1] = LaurentSeries.const(F16, F16.gen, prec)
+    assert_xtilde_form_matches_scalar(mats + [broken], q, Fq)
+    _, ok = xtilde_form(stack(mats + [broken]), q, Fq)
+    assert ok.tolist() == [True, False, False, True, False]
 
 
 def test_series_checks_survive_python_O():
     code = (
         "from dllab.errors import DLLabError\n"
         "from dllab.ffield import field\n"
-        "from dllab.serieslab import LaurentSeries, xtilde_matrix\n"
-        "a = LaurentSeries.one(field(2, 2), 3)\n"
-        "b = LaurentSeries.one(field(2, 4), 3)\n"
+        "from dllab.serieslab import SeriesBatch, xtilde_matrix\n"
+        "a = SeriesBatch.one(field(2, 2), [3])\n"
+        "b = SeriesBatch.one(field(2, 4), [3])\n"
         "for thunk in (lambda: a + b, lambda: a * b,\n"
         "              lambda: xtilde_matrix(field(2, 2), 2, 3, [a, a])):\n"
         "    try:\n"

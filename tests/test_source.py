@@ -3,8 +3,9 @@
 An `assert` statement vanishes under `python -O`, so no check in the package
 may use one; an imported name that nothing references is dead code, and so is
 a module-level name that neither the package nor its tests reference, and so
-is an oracle in oracles.py that no test compares against; two functions with
-the same body are one computation written twice.
+is a function, class or method that only the tests reference, and so is an
+oracle in oracles.py that no test compares against; two functions with the
+same body are one computation written twice.
 """
 
 import ast
@@ -117,6 +118,41 @@ def test_no_unreferenced_module_level_names():
         if name not in used
     ]
     assert dead == [], f"module-level names nothing references: {dead}"
+
+
+# Definitions the package reaches without naming them, each with the reason.
+REFERENCE_EXEMPT = {
+    "cli.main": "the entry point of the dl-lab console script in pyproject.toml",
+    "counting.vector_counts": "exp_sum looks it up with getattr as a spec's optional fast path",
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(path):
+    """f"{module}.{name}" of every function, class and method defined in path,
+    at any depth."""
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{path.stem}.{node.name}"
+
+
+def test_every_definition_is_referenced_from_the_package():
+    # a name that only the tests reference is API that no command runs; a
+    # scalar body the tests compare against belongs in oracles.py
+    used = set().union(*(_referenced_names(_tree(p)) for p in MODULES))
+    defined = [d for path in MODULES for d in _definitions(path)]
+    assert set(REFERENCE_EXEMPT) <= set(defined), "stale exemptions"
+    dead = [
+        d
+        for d in defined
+        if d not in REFERENCE_EXEMPT
+        and not _is_dunder(d.split(".")[1])
+        and d.split(".")[1] not in used
+    ]
+    assert dead == [], f"definitions only the tests reference: {dead}"
 
 
 def test_every_oracle_is_compared_against():

@@ -17,7 +17,7 @@ from dllab.twistring import (
     gnq_inv,
     gnq_mul,
     h_m_pattern,
-    nu_m,
+    nu_prime_m,
     twisted_ring,
 )
 from oracles import lang
@@ -121,6 +121,11 @@ def test_h_m_patterns_frozen():
     assert h_m_pattern(2, 2, 2) == [2]
     assert h_m_pattern(3, 2, 1) == [1, 2, 3]
     assert h_m_pattern(3, 2, 3) == [2, 3]
+
+
+def nu_m(ring, g, m):
+    """nu_m on a unipotent element: nu_prime_m on its coordinates."""
+    return (g[0],) + nu_prime_m(ring.n, m, g[1:])
 
 
 def test_nu_m_is_homomorphism_on_h_m():
