@@ -543,44 +543,9 @@ class RTheta:
     hom_degree: int
     degree: int
 
-    def _shift(self, x):
-        """(k, u1, shift) for an element x = (e, u) of the even-valuation
-        subgroup: u = zeta-bar^k u1, and theta's value exponent on Pi^e
-        zeta-bar^k."""
-        e, u = x
-        dq, theta = self.dq, self.theta
-        if e % dq.n:
-            raise OutsideSubgroupError(f"valuation {e} is not a multiple of n = {dq.n}")
-        k, u1 = dq.decompose(u)
-        shift = (
-            (e // dq.n) * theta.pi_value_exp() + k * theta.zeta_value_exp()
-        ) % theta.R
-        return k, u1, shift
 
-    def eta_prime_trace_exps(self, x):
-        """Exponent list of the extension character on the even-valuation
-        subgroup (elements (e, u) with n | e); needs a MonomialExtension."""
-        k, u1, shift = self._shift(x)
-        return [(x_ + shift) % self.theta.R for x_ in self.ext.trace_exps(k, u1)]
-
-    def eta_trace_exps(self, x):
-        """Exponent list of the full induced character on the quotient."""
-        e, u = x
-        dq = self.dq
-        if e % dq.n:
-            return []
-        out = []
-        for j in range(dq.n):
-            out.extend(
-                self.eta_prime_trace_exps((e, dq.ring.frobenius(u, (dq.n - j) % dq.n)))
-            )
-        return out
-
-
-def _build_eta_level2(theta: ThetaData, dq: DivQuotData = None) -> RTheta:
+def _build_eta_level2(theta: ThetaData, dq: DivQuotData) -> RTheta:
     n, q, R = theta.n, theta.q, theta.R
-    if dq is None:
-        dq = divquot(n, q, 2, theta.M)
     psi = layer_as_additive_char(theta.units, theta.chi, theta.L, 2, q, R)
     rho = build_rho_psi(n, q, psi, R=R)
     sign = (-1) ** (n + n // rho.m)
@@ -617,14 +582,15 @@ def _level3_sharp_exp(chi):
     return exp
 
 
-def _build_eta_level3(theta: ThetaData, dq: DivQuotData = None, rep: MonomialRep = None) -> RTheta:
+def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext) -> RTheta:
+    """The extension-route construction on ctx's division quotient: the
+    induction of theta-sharp from the pattern subgroup, a copy of ctx's
+    theta-independent template, extended along the Teichmueller generator."""
     n, q, R = 2, theta.q, theta.R
-    if dq is None:
-        dq = divquot(n, q, 3, theta.M)
-    if rep is None:
-        U3, _ = unipotent_group(n, q, 3)
-        H2 = _level3_pattern_subgroup(U3)
-        rep = MonomialRep(U3, H2, _level3_sharp_exp(theta.chi), R)
+    dq = ctx.dq
+    rep = copy.copy(ctx.template)
+    rep.chi_exp = _level3_sharp_exp(theta.chi)
+    rep.R = R
     ring, F = dq.ring, dq.F
     ext, root_exp = extend_irrep(
         rep,
@@ -840,88 +806,100 @@ def main_example_context(q: int, M: int = 1) -> MainExampleContext:
     return MainExampleContext(q, M)
 
 
-def _theta_prime_exp(theta: ThetaData, reading: str):
+def _theta_prime_exp(theta: ThetaData):
     """theta' on decomposed subgroup elements (t, k, h2, h4): the pattern
     coordinates are read as a unit of the quadratic field, with the second
-    coordinate entering at pi^2 (default) or discarded as pi^4 (the
-    alternative reading; pi^4 vanishes at level 3)."""
+    coordinate entering at pi^2.  The alternative reading, with it at pi^4,
+    is this map at h4 = 0 (pi^4 vanishes at level 3)."""
     zv, pv, R = theta.zeta_value_exp(), theta.pi_value_exp(), theta.R
     chi = theta.chi
-    if reading == "pi-squared":
-        def exp(dec):
-            t, k, h2, h4 = dec
-            return (t * pv + k * zv + chi.exp((1, h2, h4))) % R
-    elif reading == "pi-fourth":
-        def exp(dec):
-            t, k, h2, h4 = dec
-            return (t * pv + k * zv + chi.exp((1, h2, 0))) % R
-    else:
-        raise ValueError(f"unknown reading {reading!r}")
+
+    def exp(dec):
+        t, k, h2, h4 = dec
+        return (t * pv + k * zv + chi.exp((1, h2, h4))) % R
+
     return exp
 
 
-def verify_main_example(
-    theta: ThetaData,
-    ctx: MainExampleContext = None,
-    reading: str = "pi-squared",
-    check_inner: bool = False,
-) -> dict:
-    """Compare the extension-route construction against the direct induction
-    of theta' from the even-valuation pattern subgroup, class by class.
+def _class_traces(rt: RTheta, ctx: MainExampleContext) -> list:
+    """Per class representative g of ctx, the exponent list of the
+    extension-route character at g: over the Frobenius twists
+    Pi^e zeta-bar^k u1 of g, the traces of T^k rho(u1) shifted by theta's
+    exponent on Pi^e zeta-bar^k; empty when g has odd valuation."""
+    theta, R = rt.theta, rt.theta.R
+    zv, pv = theta.zeta_value_exp(), theta.pi_value_exp()
+    chi = theta.chi
+    Tk, c = rt.ext.T_powers, rt.ext.c
+    out = []
+    for decomp in ctx.lhs_decomp:
+        row = []
+        for t, k, perm, hs in decomp:
+            exps = tuple(chi.exp((1, h[2], h[4])) for h in hs)
+            m = monomial_mul(Tk[k % c], (perm, exps), R)
+            shift = (t * pv + k * zv) % R
+            row.extend((x + shift) % R for x in monomial_trace_exps(m, R))
+        out.append(row)
+    return out
 
-    Returns a report dict; raises CharacterMismatchError when the characters
-    differ (expected for the alternative theta' reading)."""
-    q = theta.q
+
+def _same_sum(lhs, rhs, R: int) -> bool:
+    """Whether two exponent lists sum to the same cyclotomic number, settled
+    exactly."""
+    rc = RootCounter(R)
+    for x in lhs:
+        rc.add(x)
+    for x in rhs:
+        rc.add(x, -1)
+    return rc.value().is_zero()
+
+
+def verify_main_example(theta: ThetaData, ctx: MainExampleContext, check_inner: bool) -> dict:
+    """Compare the extension-route construction against the direct induction
+    of theta' from the even-valuation pattern subgroup, class by class, for
+    both readings of theta' from one build of the construction.
+
+    Returns the report row; raises CharacterMismatchError when the pi^2
+    reading differs.  The row's alternative_reading is "fail" when the pi^4
+    reading differs at some class or fails the Mackey test."""
     if theta.n != 2 or theta.h != 3:
         raise UnsupportedParametersError(
             f"the main example is (n, h) = (2, 3), not ({theta.n}, {theta.h})"
         )
-    if ctx is None:
-        ctx = main_example_context(q, theta.M)
     R = theta.R
-    rep = copy.copy(ctx.template)
-    rep.chi_exp = _level3_sharp_exp(theta.chi)
-    rep.R = R
-    rt = _build_eta_level3(theta, ctx.dq, rep)
-    tp_exp = _theta_prime_exp(theta, reading)
-    zv, pv = theta.zeta_value_exp(), theta.pi_value_exp()
-    chi = theta.chi
-    Tk = rt.ext.T_powers
-    c = rt.ext.c
+    rt = _build_eta_level3(theta, ctx)
+    tp_exp = _theta_prime_exp(theta)
+
+    def alt_exp(dec):
+        return tp_exp((*dec[:3], 0))
+
+    traces = _class_traces(rt, ctx)
     fallbacks = 0
-    for ci, g in enumerate(ctx.class_reps):
-        lhs = []
-        for t, k, perm, hs in ctx.lhs_decomp[ci]:
-            exps = tuple(chi.exp((1, h[2], h[4])) for h in hs)
-            m = monomial_mul(Tk[k % c], (perm, exps), R)
-            shift = (t * pv + k * zv) % R
-            lhs.extend((x + shift) % R for x in monomial_trace_exps(m, R))
-        rhs = [tp_exp(dec) % R for dec in ctx.rhs_decomp[ci]]
-        if sorted(lhs) != sorted(rhs):
+    alt_agrees = True
+    for ci, lhs in enumerate(traces):
+        key = sorted(lhs)
+        rhs = [tp_exp(dec) for dec in ctx.rhs_decomp[ci]]
+        if key != sorted(rhs):
             # multiset equality is sufficient but not necessary; settle
             # exactly before declaring a mismatch
             fallbacks += 1
-            rc = RootCounter(R)
-            for x in lhs:
-                rc.add(x)
-            for x in rhs:
-                rc.add(x, -1)
-            if not rc.value().is_zero():
+            if not _same_sum(lhs, rhs, R):
                 raise CharacterMismatchError(
                     f"characters differ at class {ci} (size {ctx.class_sizes[ci]}): "
-                    f"{sorted(lhs)} vs {sorted(rhs)}"
+                    f"{key} vs {sorted(rhs)}"
                 )
+        if alt_agrees:
+            alt = [alt_exp(dec) for dec in ctx.rhs_decomp[ci]]
+            alt_agrees = key == sorted(alt) or _same_sum(lhs, alt, R)
     # trace of the rederived induction at the Teichmueller generator
     trace = _eta_zero_trace(theta, ctx)
-    if trace != CycloNum.root(R, zv):
+    if trace != CycloNum.root(R, theta.zeta_value_exp()):
         raise CharacterMismatchError(f"trace at the scalar generator is {trace}")
     # Mackey: theta'-induction is irreducible
-    irreducible = _mackey_linear(theta, ctx, tp_exp)
-    if not irreducible:
+    if not _mackey_linear(theta, ctx, tp_exp):
         raise CharacterMismatchError("induced character fails the Mackey test")
     report = {
         "zeta_exp": theta.zeta_exp,
-        "reading": reading,
+        "reading": "pi-squared",
         "root_exp": rt.root_exp,
         "degree": rt.degree,
         "hom_degree": rt.hom_degree,
@@ -930,7 +908,15 @@ def verify_main_example(
         "irreducible": True,
     }
     if check_inner:
-        report["norm"] = _class_norm(rt, ctx)
+        # squared norm of the extension-route character from its class traces
+        rc = RootCounter(R)
+        for exps, size in zip(traces, ctx.class_sizes):
+            for a in exps:
+                for b in exps:
+                    rc.add(a - b, size)
+        report["norm"] = assert_nonneg_integer(rc.value() / len(ctx.dq.group))
+    alt_passes = alt_agrees and _mackey_linear(theta, ctx, alt_exp)
+    report["alternative_reading"] = "pass" if alt_passes else "fail"
     return report
 
 
@@ -938,7 +924,7 @@ def _eta_zero_trace(theta: ThetaData, ctx: MainExampleContext) -> CycloNum:
     """Trace at zeta-bar of the induction of theta-sharp from the scalar
     times pattern subgroup up to the full unit group (independent of the
     extension route)."""
-    dq, u3, R = ctx.dq, ctx.U3, theta.R
+    dq, R = ctx.dq, theta.R
     ring, F = dq.ring, dq.F
     zbar = (F.gen,) + (0,) * (ring.length - 1)
     rc = RootCounter(R)
@@ -961,18 +947,6 @@ def _mackey_linear(theta: ThetaData, ctx: MainExampleContext, tp_exp) -> bool:
     return True
 
 
-def _class_norm(rt: RTheta, ctx: MainExampleContext) -> int:
-    """Squared norm of the extension-route character from class data."""
-    R = rt.theta.R
-    rc = RootCounter(R)
-    for g, size in zip(ctx.class_reps, ctx.class_sizes):
-        exps = rt.eta_trace_exps(g)
-        for a in exps:
-            for b in exps:
-                rc.add(a - b, size)
-    return assert_nonneg_integer(rc.value() / len(ctx.dq.group))
-
-
 def main_example_report(q: int, M: int = 1) -> dict:
     """Sweep every level-3 theta whose layer restriction has full quadratic
     conductor: the default theta' reading must agree class by class with the
@@ -985,21 +959,15 @@ def main_example_report(q: int, M: int = 1) -> dict:
     mismatches = []
     alt_fail = 0
     for i, theta in enumerate(thetas):
-        check_inner = q == 2 or i % 50 == 0
         try:
-            row = verify_main_example(theta, ctx, "pi-squared", check_inner=check_inner)
+            row = verify_main_example(theta, ctx, q == 2 or i % 50 == 0)
         except CharacterMismatchError as exc:
             mismatches.append({"theta": i, "error": str(exc)})
             continue
         if row.get("norm", 1) != 1:
             mismatches.append({"theta": i, "error": f"extension-route norm {row['norm']} != 1"})
             continue
-        try:
-            verify_main_example(theta, ctx, "pi-fourth")
-            row["alternative_reading"] = "pass"
-        except CharacterMismatchError:
-            row["alternative_reading"] = "fail"
-            alt_fail += 1
+        alt_fail += row["alternative_reading"] == "fail"
         rows.append(row)
     route_witness = {"thetas": len(thetas)}
     if mismatches:

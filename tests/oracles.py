@@ -12,10 +12,12 @@ import itertools
 import numpy as np
 
 from dllab.counting import x3_conditions, y3_member
+from dllab.cyclo import RootCounter
 from dllab.errors import (
     AllZeroError,
     MatrixShapeError,
     OperandMismatchError,
+    OutsideSubgroupError,
     PrecisionLossError,
     UnsupportedParametersError,
 )
@@ -31,7 +33,7 @@ from dllab.matmodel import (
     tp_mul,
     tp_scalar,
 )
-from dllab.repkit import SumChar, _exps_value
+from dllab.repkit import SumChar, _exps_value, assert_nonneg_integer
 from dllab.serieslab import SeriesBatch, mat_det_series, xtilde_matrix
 from dllab.twistring import TwistedRing, enumerate_unipotent, twisted_ring
 
@@ -533,3 +535,44 @@ def monomial_extension_value(ext, k: int, u):
     """Oracle of a MonomialExtension's character against the dense
     CyclicExtension.value: the trace of T^k rho(u) as a CycloNum."""
     return _exps_value(ext.trace_exps(k, u), ext.R)
+
+
+def eta_prime_trace_exps(rt, x):
+    """The extension character of rt on the even-valuation subgroup: for
+    x = (e, u) with n | e and u = zeta-bar^k u1, the exponent list of the
+    trace of T^k rho(u1), shifted by theta's exponent on Pi^e zeta-bar^k."""
+    e, u = x
+    dq, theta = rt.dq, rt.theta
+    if e % dq.n:
+        raise OutsideSubgroupError(f"valuation {e} is not a multiple of n = {dq.n}")
+    k, u1 = dq.decompose(u)
+    shift = ((e // dq.n) * theta.pi_value_exp() + k * theta.zeta_value_exp()) % theta.R
+    return [(x_ + shift) % theta.R for x_ in rt.ext.trace_exps(k, u1)]
+
+
+def eta_trace_exps(rt, x):
+    """Oracle of constructions._class_traces at one element x = (e, u) of
+    the division quotient: the exponent list of the induced character, one
+    element and one Frobenius twist at a time."""
+    e, u = x
+    dq = rt.dq
+    if e % dq.n:
+        return []
+    out = []
+    for j in range(dq.n):
+        out.extend(eta_prime_trace_exps(rt, (e, dq.ring.frobenius(u, (dq.n - j) % dq.n))))
+    return out
+
+
+def class_norm(rt, ctx) -> int:
+    """Oracle of verify_main_example's norm: the squared norm of the
+    extension-route character, walked class by class through
+    eta_trace_exps."""
+    R = rt.theta.R
+    rc = RootCounter(R)
+    for g, size in zip(ctx.class_reps, ctx.class_sizes):
+        exps = eta_trace_exps(rt, g)
+        for a in exps:
+            for b in exps:
+                rc.add(a - b, size)
+    return assert_nonneg_integer(rc.value() / len(ctx.dq.group))

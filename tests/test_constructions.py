@@ -11,6 +11,7 @@ from dllab.constructions import (
     CycloNum,
     _build_eta_level2,
     _build_eta_level3,
+    _class_traces,
     _level3_pattern_subgroup,
     _level3_sharp_exp,
     build_rho_psi,
@@ -25,7 +26,7 @@ from dllab.constructions import (
     unipotent_group,
     verify_main_example,
 )
-from dllab.errors import CharacterMismatchError, UnsupportedParametersError
+from dllab.errors import UnsupportedParametersError
 from dllab.ffield import field, splitting_params
 from dllab.matmodel import n2_norm_batch, nm_gnq_batch
 from dllab.repkit import (
@@ -36,7 +37,7 @@ from dllab.repkit import (
     inner_product,
     solve_intertwiner,
 )
-from oracles import monomial_extension_value, n2_norm, nm_gnq
+from oracles import class_norm, eta_trace_exps, monomial_extension_value, n2_norm, nm_gnq
 
 
 def _coeff_field(n, q):
@@ -235,10 +236,10 @@ def test_dense_extension_restricts_to_rho():
 
 def test_build_eta_theta_degrees():
     theta2 = theta_family(2, 2, 2, 1)[-1]
-    rt = _build_eta_level2(theta2)
+    rt = _build_eta_level2(theta2, divquot(2, 2, 2, 1))
     assert rt.degree == 2 * rt.rho_rep.dim or rt.rho_rep.dim == 1
     theta3 = theta_family(2, 2, 3, 1, conductor_m=2)[0]
-    rt3 = _build_eta_level3(theta3)
+    rt3 = _build_eta_level3(theta3, main_example_context(2))
     assert rt3.hom_degree == 2
     assert rt3.degree == 2 * 2**2
 
@@ -262,14 +263,29 @@ def test_verify_main_example_single_theta():
     rep = verify_main_example(theta, ctx, check_inner=True)
     assert rep["irreducible"]
     assert rep["degree"] == 8
-    with pytest.raises(CharacterMismatchError):
-        verify_main_example(theta, ctx, reading="pi-fourth")
+    assert rep["alternative_reading"] == "fail"
 
 
-def test_main_example_report_q2():
+def test_main_example_report_q2(monkeypatch):
+    # both theta' readings and the norm come from one build of eta per theta
+    # and one class walk, which equals the oracle's element-by-element walk
+    from dllab import constructions
+
+    built = []
+
+    def counted(theta, ctx):
+        built.append(_build_eta_level3(theta, ctx))
+        return built[-1]
+
+    monkeypatch.setattr(constructions, "_build_eta_level3", counted)
     rep = main_example_report(2)
     assert len(rep["rows"]) == 24
     assert all(c["status"] == "pass" for c in rep["claims"])
+    assert len(built) == 24
+    ctx = main_example_context(2)
+    for rt, row in zip(built, rep["rows"]):
+        assert _class_traces(rt, ctx) == [eta_trace_exps(rt, g) for g in ctx.class_reps]
+        assert row["norm"] == class_norm(rt, ctx) == 1
 
 
 def test_main_example_context_matches_the_scalar_walks():
@@ -302,7 +318,7 @@ def test_monomial_delta_sums_match_dense():
     # the integer-count Mackey table of the monomial extension against the
     # dense extension's CycloNum partial sums, on the same intertwiner
     theta = next(t for t in theta_family(2, 2, 2, 1) if t.zeta_exp == 1)
-    rt = _build_eta_level2(theta)
+    rt = _build_eta_level2(theta, divquot(2, 2, 2, 1))
     assert rt.root_exp is not None
     dq, rep = rt.dq, rt.rho_rep
     ring, F = dq.ring, dq.F
@@ -344,7 +360,6 @@ D4 = GroupModel(D4_els, D4_mul, D4_inv, (0, 0), law=table_law(D4_els, D4_mul, D4
 rho = MonomialRep(D4, {(a, 0) for a in range(4)}, lambda h: h[0], 4)
 s = (0, 1)
 conj = lambda x: D4.mul(D4.mul(s, x), D4.inv(s))
-rt = C._build_eta_level2(theta_family(2, 2, 2, 1)[0])
 s2, f, p2, j, n = intertwiner_s2_data(2)
 F4 = Field(2, 2)
 F4.in_subfield = lambda sub, a: False  # contradicts the conductor kernel check
@@ -374,8 +389,7 @@ thunks = [
     lambda: _cyclo_inv(CycloNum.rational(12, 0)),
     lambda: inner_product(ExpChar(C4, {g: 0 for g in range(4)}, 4),
                           ExpChar(C4, {g: 0 for g in range(4)}, 2)),
-    lambda: rt.eta_prime_trace_exps((1, rt.dq.ring.one)),
-    lambda: C.verify_main_example(theta_family(2, 2, 2, 1)[0]),
+    lambda: C.verify_main_example(theta_family(2, 2, 2, 1)[0], C.main_example_context(2), False),
     lambda: (stub("assert_nonneg_integer", lambda val: 2), C.eta_family_report(2, 2)),
     lambda: (stub("twisted_ring", lambda *a: BadRing(ring_of(*a))),
              C.extension_orbit_report(2)),
@@ -417,7 +431,6 @@ for thunk in thunks:
         "NoExtensionError",
         "AllZeroError",
         "MixedOrderError",
-        "OutsideSubgroupError",
         "UnsupportedParametersError",
         "CharacterMismatchError",
         "OutsideSubgroupError",

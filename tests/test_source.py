@@ -131,28 +131,100 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _class_level_reads(cls):
+    """Bare names read in a class body outside its methods, such as the
+    methods that `add, mul = _add_digits, _mul_poly` aliases."""
+    out = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        out.update(
+            node.id
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        )
+    return out
+
+
 def _definitions(path):
-    """f"{module}.{name}" of every function, class and method defined in path,
-    at any depth."""
-    for node in ast.walk(_tree(path)):
+    """(f"{module}.{name}", references) for every function, class and method
+    defined in path, at any depth.  A method is referenced by an attribute
+    read, or by a read in its own class body; anything else by a bare name,
+    an import or an attribute read."""
+    tree = _tree(path)
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            reads = _class_level_reads(node)
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    methods[stmt] = reads
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield f"{path.stem}.{node.name}"
+            yield f"{path.stem}.{node.name}", methods.get(node)
+
+
+def _unreferenced_definitions(paths, exempt=()):
+    """Definitions in paths, other than dunders and exempt ones, that no
+    module in paths references."""
+    trees = [_tree(p) for p in paths]
+    attrs, names = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    dead = []
+    for path in paths:
+        for d, class_reads in _definitions(path):
+            name = d.split(".")[1]
+            if d in exempt or _is_dunder(name) or name in attrs:
+                continue
+            if name not in (names if class_reads is None else class_reads):
+                dead.append(d)
+    return dead
 
 
 def test_every_definition_is_referenced_from_the_package():
     # a name that only the tests reference is API that no command runs; a
     # scalar body the tests compare against belongs in oracles.py
-    used = set().union(*(_referenced_names(_tree(p)) for p in MODULES))
-    defined = [d for path in MODULES for d in _definitions(path)]
+    defined = [d for path in MODULES for d, _ in _definitions(path)]
     assert set(REFERENCE_EXEMPT) <= set(defined), "stale exemptions"
-    dead = [
-        d
-        for d in defined
-        if d not in REFERENCE_EXEMPT
-        and not _is_dunder(d.split(".")[1])
-        and d.split(".")[1] not in used
-    ]
+    dead = _unreferenced_definitions(MODULES, REFERENCE_EXEMPT)
     assert dead == [], f"definitions only the tests reference: {dead}"
+
+
+def test_a_method_read_only_as_a_local_name_is_unreferenced(tmp_path):
+    # a local variable that shares a method's name does not reference it;
+    # an attribute read, an alias in the class body and a bare-name call of
+    # a module-level function do
+    path = tmp_path / "toy.py"
+    path.write_text(
+        "class Field:\n"
+        "    def norm(self, a):\n"
+        "        return a\n"
+        "\n"
+        "    def _mul(self, a, b):\n"
+        "        return a * b\n"
+        "\n"
+        "    def trace(self, a):\n"
+        "        return a\n"
+        "\n"
+        "    mul = _mul\n"
+        "\n"
+        "\n"
+        "def helper(a):\n"
+        "    return a\n"
+        "\n"
+        "\n"
+        "def report(F, a):\n"
+        "    norm = helper(a)\n"
+        "    return F.trace(norm) + F.mul(a, a)\n"
+    )
+    assert sorted(_unreferenced_definitions([path])) == ["toy.Field", "toy.norm", "toy.report"]
 
 
 def test_every_oracle_is_compared_against():
