@@ -73,8 +73,15 @@ def test_criterion_03_eigenspaces():
     def body():
         _all_pass(cli.suite_eigenspaces(_args(q=2)))
         t0 = time.monotonic()
-        _all_pass(cli.suite_eigenspaces(_args(q=3)))
+        rep = cli.suite_eigenspaces(_args(q=3))
         assert time.monotonic() - t0 < 300
+        _all_pass(rep)
+        # the digest of the q = 3 report as `verify --suite eigenspaces --q 3`
+        # prints it
+        text = json.dumps({"schema": cli.SCHEMA, **rep}, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "73822d45331f398c2c320644e6c5b0c8ac1469395bf9eba9ea2d0b8cee69528d"
+        )
 
     _gate(3, "eigenspace dimensions are Kronecker deltas, pair counts match", body)
 

@@ -386,10 +386,14 @@ def test_verify_rejects_options_the_suite_does_not_read(argv, capsys):
          "521711257e88c9ccecfb196d2b0c1fa3813617889e2d64e27f59fadc65472bbe"),
         (["verify", "--suite", "intertwiner"],
          "8778d3a816626391f9f2e2b77f2edfdad7f07c2caab17d0c9651cc1703d11cc2"),
+        (["verify", "--suite", "eta-level2"],
+         "b25630648b9d43ef1149cebfc341f2fd9cc373ab77570bacf5f6615a1d6915bf"),
+        (["verify", "--suite", "maximality"],
+         "cd5011c91df1b0bcb11f9a0b2988ec420da21d15baf5c8bd1780b9cda0c3dc0f"),
     ],
     ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "char-table-n3q2",
          "intertwiner-q2", "trace", "eigenspaces-q2", "y-set-n2q2h3s2", "matrix-y",
-         "intertwiner"],
+         "intertwiner", "eta-level2", "maximality"],
 )
 def test_groups_reports_match_golden_digest(argv, digest, capsys):
     # the digests of the seed implementation's reports
