@@ -11,6 +11,7 @@ so each command starts with only the layers it uses.
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -22,6 +23,7 @@ from .ffield import field, grid_chunks, splitting_params
 
 SCHEMA = 1
 RHO_PARAMS = [(2, 2), (2, 3), (3, 2)]
+ETA_PARAMS = [(2, 2), (3, 2)]
 
 
 def _progress(msg: str):
@@ -43,6 +45,28 @@ def _lift_claims(rep: dict, params: dict) -> list:
         _claim(c["claim"], c["status"] == "pass", params=params, witness=c.get("witness"))
         for c in rep["claims"]
     ]
+
+
+def _pairs(args, default) -> list:
+    """The (n, q) pairs of a suite that reads --n and --q together."""
+    return [(args.n, args.q)] if args.n and args.q else default
+
+
+def _qs(args) -> list:
+    return [args.q] if args.q else [2, 3]
+
+
+def _power(base: int, exp: int):
+    """base ** exp, or inf past 1024 bits: a run size sees raw command-line
+    values, and building a huge integer could take longer than any run."""
+    if exp > 0 and abs(base) > 1 and exp * abs(base).bit_length() > 1024:
+        return math.inf
+    return base**exp
+
+
+def _grid(n: int, q: int, h: int, degree: int):
+    """Points of the unipotent grid of the (n, q, h) twisted ring over F_{q^degree}."""
+    return _power(q, degree * n * (h - 1))
 
 
 # -- verification suites ------------------------------------------------------------
@@ -78,7 +102,7 @@ def _norm_homomorphism(n: int, q: int) -> tuple:
 def _rho_suite(args, mirror: bool) -> dict:
     from .constructions import rho_family_report
 
-    params = [(args.n, args.q)] if args.n and args.q else RHO_PARAMS
+    params = _pairs(args, RHO_PARAMS)
     name = "thm32" if mirror else "thm31"
     reports = []
     for n, q in params:
@@ -126,14 +150,10 @@ def suite_eigenspaces(args) -> dict:
     from .charlib import layer_as_additive_char, principal_units, unit_characters
     from .counting import collapse_twist_table, eigendim, npp_identity, x3_twist_table
 
-    qs = [args.q] if args.q else [2, 3]
+    qs = _qs(args)
     claims = []
     for q in qs:
         p, e = splitting_params(q)
-        # the twist table scans (key, a1, a2) triples: q^8 keys x q^2
-        # rational a1 x q^2 a2 in an Artin-Schreier fibre
-        if q**12 > args.max_size:
-            raise SizeLimitExceededError(f"{q}^12 twist-table scans exceed {args.max_size}")
         _progress(f"[eigenspaces] twist table at q = {q}")
         collapsed = collapse_twist_table(x3_twist_table(q))
         F2 = field(p, 2 * e)
@@ -180,7 +200,7 @@ def suite_intertwiner(args) -> dict:
         intertwiner_s2_data,
     )
 
-    qs = [args.q] if args.q else [2, 3]
+    qs = _qs(args)
     claims = []
     for q in qs:
         spec = IntertwinerSpec(q)
@@ -197,7 +217,8 @@ def suite_intertwiner(args) -> dict:
                     witness={"expected": want, "observed": repr(val)},
                 )
             )
-        for s in (1, 2) if q == 2 else (1,):
+        s_range = _intertwiner_degrees(q)
+        for s in s_range:
             got = dl_intertwiner_sum(q, s)
             claims.append(
                 _claim(
@@ -206,7 +227,6 @@ def suite_intertwiner(args) -> dict:
                     params={"q": q, "s": s},
                 )
             )
-        s_range = (1, 2) if q == 2 else (1,)
         s2, f, p2, j, n = intertwiner_s2_data(q)
         rep = inductive_check(s2, f, p2, j, n, q, psi, s_range)
         claims.append(
@@ -220,10 +240,14 @@ def suite_intertwiner(args) -> dict:
     return {"suite": "intertwiner", "params": {"q": qs}, "claims": claims}
 
 
+def _intertwiner_degrees(q: int) -> tuple:
+    return (1, 2) if q == 2 else (1,)
+
+
 def suite_trace(args) -> dict:
     from .counting import zeta_trace_suite, zeta_trace_suite_level3
 
-    params = [(args.n, args.q)] if args.n and args.q else RHO_PARAMS
+    params = _pairs(args, RHO_PARAMS)
     reports = []
     for n, q in params:
         _progress(f"[trace] scalar-fixed set at ({n}, {q})")
@@ -260,7 +284,7 @@ def suite_trace(args) -> dict:
 def suite_eta_level2(args) -> dict:
     from .constructions import eta_family_report
 
-    params = [(args.n, args.q)] if args.n and args.q else [(2, 2), (3, 2)]
+    params = _pairs(args, ETA_PARAMS)
     claims = []
     reports = []
     for n, q in params:
@@ -276,10 +300,21 @@ def suite_eta_level2(args) -> dict:
     }
 
 
+def _eta_size(args):
+    """theta x n |G|: each of the q^n (q^n - 1) M thetas is induced from an
+    index-n subgroup, so its character over the n M (q^n - 1) q^(n n)
+    elements of the division quotient G is n |G| terms."""
+    M = args.M
+    return max(
+        _power(q, n) * (_power(q, n) - 1) ** 2 * M * M * n * n * _power(q, n * n)
+        for n, q in _pairs(args, ETA_PARAMS)
+    )
+
+
 def suite_main_example(args) -> dict:
     from .constructions import main_example_report
 
-    qs = [args.q] if args.q else [2, 3]
+    qs = _qs(args)
     claims = []
     reports = []
     for q in qs:
@@ -298,7 +333,7 @@ def suite_main_example(args) -> dict:
 def suite_orbit(args) -> dict:
     from .constructions import extension_orbit_report
 
-    qs = [args.q] if args.q else [2, 3]
+    qs = _qs(args)
     claims = []
     for q in qs:
         _progress(f"[orbit] extension orbits at q = {q}")
@@ -370,7 +405,7 @@ def suite_matrix_y(args) -> dict:
     _progress("[matrix-y] level-3 Lang image")
     E = field(2, 4)
     ring3 = twisted_ring(2, 2, 3, E)
-    img = y_h_image(2, 2, 3, 2, max_size=args.max_size)
+    img = y_h_image(2, 2, 3, 2)
     claims.append(
         _claim(
             "level-3 Lang image satisfies the closed-form locus equations",
@@ -380,7 +415,7 @@ def suite_matrix_y(args) -> dict:
         )
     )
     for n, q in [(2, 2), (2, 3)]:
-        img2 = y_h_image(n, q, 2, 1, max_size=args.max_size)
+        img2 = y_h_image(n, q, 2, 1)
         claims.append(
             _claim(
                 "level-2 Lang image lies in the vanishing-top-coordinate locus",
@@ -392,7 +427,7 @@ def suite_matrix_y(args) -> dict:
     claims.append(
         _claim(
             "pullback of the locus equals the two-equation chart",
-            y3_locus_equality(2, s=2, max_size=args.max_size),
+            y3_locus_equality(2, s=2),
             params={"q": 2, "s": 2},
         )
     )
@@ -558,9 +593,11 @@ def suite_maximality(args) -> dict:
 
     s_range = (1, 2, 3) if args.saturate else (1, 2)
     _progress(f"[maximality] point counts at (2, 2, 2), s in {s_range}")
-    rep = maximality_probe(2, 2, 2, s_range=s_range, max_size=args.max_size)
-    entries = [e for e in rep["counts"] if not e.get("skipped")]
+    # a degree whose grid exceeds --max-size is skipped
+    admitted = [s for s in s_range if _grid(2, 2, 2, 2 * s) <= args.max_size]
+    entries = maximality_probe(2, 2, 2, s_range=admitted)["counts"]
     ok = bool(entries) and all(e["matches"] for e in entries)
+    skipped = [{"s": s, "count": None, "skipped": True} for s in s_range if s not in admitted]
     return {
         "suite": "maximality",
         "params": {"n": 2, "q": 2, "h": 2, "s_range": list(s_range)},
@@ -568,27 +605,49 @@ def suite_maximality(args) -> dict:
             _claim(
                 "point counts attain the bound forced by purity",
                 ok,
-                witness={"counts": rep["counts"]},
+                witness={"counts": entries + skipped},
             )
         ],
     }
 
 
-# Each suite with the verify options it reads besides --suite and --out.
-# Setting any other option is a usage error.  A suite that reads --n reads
-# it only as the pair (--n, --q).
+# Each suite with the verify options it reads besides --suite, --max-size
+# and --out, and the size of its largest enumeration, which the runner
+# compares with --max-size.  Setting any other option is a usage error.  A
+# suite that reads --n reads it only as the pair (--n, --q).
 SUITES = {
-    "thm31": (suite_thm31, {"n", "q"}),
-    "thm32": (suite_thm32, {"n", "q"}),
-    "eigenspaces": (suite_eigenspaces, {"q", "max_size"}),
-    "intertwiner": (suite_intertwiner, {"q"}),
-    "trace": (suite_trace, {"n", "q"}),
-    "eta-level2": (suite_eta_level2, {"n", "q", "M"}),
-    "main-example": (suite_main_example, {"q", "M"}),
-    "orbit": (suite_orbit, {"q"}),
-    "matrix-y": (suite_matrix_y, {"max_size"}),
-    "series": (suite_series, {"seed"}),
-    "maximality": (suite_maximality, {"saturate", "max_size"}),
+    # q^n characters x q^(n n) group elements
+    "thm31": (suite_thm31, {"n", "q"},
+              lambda a: max(_power(q, n * (n + 1)) for n, q in _pairs(a, RHO_PARAMS))),
+    # the norm check's q^(2 n n) pairs of group elements, which outnumber
+    # characters x group elements
+    "thm32": (suite_thm32, {"n", "q"},
+              lambda a: max(_power(q, 2 * n * n) for n, q in _pairs(a, RHO_PARAMS))),
+    # the twist table's (key, a1, a2) scans: q^8 keys x q^2 rational a1 x
+    # q^2 a2 in an Artin-Schreier fibre
+    "eigenspaces": (suite_eigenspaces, {"q"}, lambda a: max(_power(q, 12) for q in _qs(a))),
+    # the beta^-1(Y_3) walk over F_{q^(2s)}, which outgrows the chart sums
+    "intertwiner": (suite_intertwiner, {"q"}, lambda a: max(
+        _grid(2, q, 3, 2 * _intertwiner_degrees(q)[-1]) for q in _qs(a))),
+    # the grids over F_{q^(n p)} that hold the scalar-fixed sets
+    "trace": (suite_trace, {"n", "q"}, lambda a: max(
+        [_grid(2, 2, 3, 4)]
+        + [_grid(n, q, 2, n * splitting_params(q)[0]) for n, q in _pairs(a, RHO_PARAMS)])),
+    "eta-level2": (suite_eta_level2, {"n", "q", "M"}, _eta_size),
+    # theta x class-walk rows: (q^2 - q) q^2 (q^2 - 1) M thetas, each
+    # walking about M q^7 rows (2,754 at q = 3, where M q^7 is 2,187); this
+    # outgrows the 2 M (q^2 - 1) q^8 elements of the quotient
+    "main-example": (suite_main_example, {"q", "M"}, lambda a: max(
+        (q * q - q) * q * q * (q * q - 1) * a.M * a.M * _power(q, 7) for q in _qs(a))),
+    # q^2 - 1 layer characters x q^2 conjugators x q^4 subgroup elements
+    "orbit": (suite_orbit, {"q"}, lambda a: max((q * q - 1) * _power(q, 6) for q in _qs(a))),
+    # the grids of the level-3 checks and of the Lang/norm identity
+    "matrix-y": (suite_matrix_y, set(), lambda a: max(
+        [_grid(2, 2, 3, 4)] + [_grid(n, q, 2, 2 * n) for n, q in RHO_PARAMS])),
+    # the determinant-valuation samples
+    "series": (suite_series, {"seed"}, lambda a: 10_000),
+    # the grid at s = 1, which every run counts
+    "maximality": (suite_maximality, {"saturate"}, lambda a: _grid(2, 2, 2, 2)),
 }
 
 VERIFY_DEFAULTS = dict(n=None, q=None, M=1, max_size=2_000_000, saturate=False, seed=0)
@@ -597,14 +656,14 @@ VERIFY_DEFAULTS = dict(n=None, q=None, M=1, max_size=2_000_000, saturate=False, 
 # -- dumps --------------------------------------------------------------------------
 
 
-# Each dump checks its parameters and the size bound, then returns the
-# function that writes the table, so a bad run opens no output file.
+# Each dump checks its parameters, then returns the function that writes the
+# table, so a bad run opens no output file.
 
 
 def dump_points(args):
     from .matmodel import xh_points
 
-    members = xh_points(args.n, args.q, args.h, args.s, args.max_size)
+    members = xh_points(args.n, args.q, args.h, args.s)
     dim = args.n * (args.h - 1)
 
     def write(out):
@@ -626,11 +685,6 @@ def dump_char_table(args):
     n, q = args.n, args.q
     p, e = splitting_params(q)
     F = field(p, e * n)
-    # the table costs (characters) x |U| = q^n * q^(n n) group-element visits
-    if q ** (n * (n + 1)) > args.max_size:
-        raise SizeLimitExceededError(
-            f"{q}^{n * (n + 1)} characters x elements exceed {args.max_size}"
-        )
     U, _ = unipotent_group(n, q)
     reps = [cls[0] for cls in U.conj_classes()]
 
@@ -654,7 +708,7 @@ def dump_char_table(args):
 def dump_y_set(args):
     from .matmodel import y_h_image
 
-    img = y_h_image(args.n, args.q, args.h, args.s, max_size=args.max_size)
+    img = y_h_image(args.n, args.q, args.h, args.s)
     dim = args.n * (args.h - 1)
 
     def write(out):
@@ -667,12 +721,19 @@ def dump_y_set(args):
     return write
 
 
-# Each dump kind with the dump options it reads besides --kind and --out.
-# Setting any other option is a usage error.
+def _point_grid(args):
+    """The unipotent grid over F_{q^(n s)} that the point fold walks."""
+    return _grid(args.n, args.q, args.h, args.n * args.s)
+
+
+# Each dump kind with the dump options it reads besides --kind, --max-size
+# and --out, and the size of its enumeration, which the runner compares with
+# --max-size.  Setting any other option is a usage error.
 DUMPS = {
-    "points": (dump_points, {"n", "q", "h", "s", "max_size"}),
-    "char-table": (dump_char_table, {"n", "q", "max_size"}),
-    "y-set": (dump_y_set, {"n", "q", "h", "s", "max_size"}),
+    "points": (dump_points, {"n", "q", "h", "s"}, _point_grid),
+    # q^n characters x q^(n n) group elements
+    "char-table": (dump_char_table, {"n", "q"}, lambda a: _power(a.q, a.n * (a.n + 1))),
+    "y-set": (dump_y_set, {"n", "q", "h", "s"}, _point_grid),
 }
 
 DUMP_DEFAULTS = dict(n=2, q=2, h=2, s=1, max_size=2_000_000)
@@ -725,10 +786,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _declared_args(ap, args, what: str, reads: set, defaults: dict) -> argparse.Namespace:
-    """Reject the options of defaults that were set but are not in reads,
-    and an --out that cannot be written (usage errors, exit 2), then fill in
-    the defaults of the options left off."""
-    unread = sorted(set(vars(args)) & set(defaults) - reads)
+    """Reject the options of defaults other than --max-size that were set
+    but are not in reads, and an --out that cannot be written (usage errors,
+    exit 2), then fill in the defaults of the options left off."""
+    unread = sorted(set(vars(args)) & set(defaults) - reads - {"max_size"})
     if unread:
         flags = ", ".join("--" + name.replace("_", "-") for name in unread)
         ap.error(f"{what} does not read {flags}")
@@ -755,6 +816,11 @@ def _dump_args(ap: argparse.ArgumentParser, args) -> argparse.Namespace:
     return _declared_args(ap, args, f"dump kind {args.kind}", reads, DUMP_DEFAULTS)
 
 
+def _admit(size, max_size: int):
+    if size > max_size:
+        raise SizeLimitExceededError(f"largest enumeration {size} exceeds --max-size {max_size}")
+
+
 def _write_out(path: str, write, **open_args):
     """write(fh) into a temporary file beside path, renamed onto path once
     it returns, so a failed run leaves an existing file as it was."""
@@ -769,8 +835,10 @@ def _write_out(path: str, write, **open_args):
 
 
 def _verify(args) -> int:
+    suite, _, size = SUITES[args.suite]
     try:
-        report = SUITES[args.suite][0](args)
+        _admit(size(args), args.max_size)
+        report = suite(args)
     except BrokenPipeError:
         raise
     except Exception as exc:
@@ -801,8 +869,10 @@ def _verify(args) -> int:
 
 
 def _dump(args) -> int:
+    dump, _, size = DUMPS[args.kind]
     try:
-        write = DUMPS[args.kind][0](args)
+        _admit(size(args), args.max_size)
+        write = dump(args)
         if args.out:
             _write_out(args.out, write, newline="")
             print(args.out)

@@ -23,11 +23,10 @@ from .errors import (
     CharacterMismatchError,
     IdentityFailsError,
     MixedOrderError,
-    SizeLimitExceededError,
     UnsupportedParametersError,
 )
 from .ffield import GRID_CHUNK, Field, field, index_digits, splitting_params
-from .matmodel import bounded_ring, in_Xh, star_action, xh_points
+from .matmodel import in_Xh, star_action, xh_points
 from .repkit import assert_nonneg_integer
 from .twistring import TwistedRing, twisted_ring
 
@@ -49,12 +48,7 @@ class SumSpec:
         self.poly = poly
 
 
-def exp_sum(
-    spec: SumSpec,
-    psi: AddChar,
-    s: int,
-    max_size: int = 4_000_000,
-) -> CycloNum:
+def exp_sum(spec: SumSpec, psi: AddChar, s: int) -> CycloNum:
     """sum over x in S(F_{base^s}) of psi(Tr_{F_{base^s}/F_base}(P(x)))."""
     base = spec.base
     if psi.F is not base:
@@ -64,10 +58,6 @@ def exp_sum(
     fast = getattr(spec, "vector_counts", None)
     if fast is not None:
         return cyclo_from_counts(p, fast(E, psi))
-    if E.order**spec.dim > max_size:
-        raise SizeLimitExceededError(
-            f"{E.order}^{spec.dim} points exceed the bound {max_size}"
-        )
     rc = RootCounter(p)
     for x in itertools.product(E.elements(), repeat=spec.dim):
         if spec.membership(E, x):
@@ -195,7 +185,6 @@ def inductive_check(
     q: int,
     psi: AddChar,
     s_range,
-    max_size: int = 4_000_000,
 ) -> dict:
     """Check exp_sum(S, P, psi, s) = (q^n)^s * exp_sum(S3, P3, psi, s).
 
@@ -208,8 +197,8 @@ def inductive_check(
     big, fibre = inductive_spec(s2, f, p2, j, n, q)
     report = {"checks": []}
     for s in s_range:
-        lhs = exp_sum(big, psi, s, max_size=max_size)
-        rhs = exp_sum(fibre, psi, s, max_size=max_size) * (q**n) ** s
+        lhs = exp_sum(big, psi, s)
+        rhs = exp_sum(fibre, psi, s) * (q**n) ** s
         if lhs != rhs:
             raise IdentityFailsError(f"s={s}: {lhs} != {rhs}")
         report["checks"].append({"s": s, "value": repr(lhs)})
@@ -268,11 +257,12 @@ def y3_preimage_batches(ring: TwistedRing):
             yield np.concatenate([np.repeat(grid[:, [x]], tails.shape[1], axis=1), tails])
 
 
-def dl_intertwiner_sum(q: int, s: int, max_size: int = 300_000) -> CycloNum:
+def dl_intertwiner_sum(q: int, s: int) -> CycloNum:
     """sum of psi(Tr(a_4)) over beta^{-1}(Y_3)(F_{q^{2s}}), with psi the
     conductor-q^2 character: the quotient-side form of the intertwiner sum."""
     psi = conductor2_char(q)
-    ring = bounded_ring(2, q, 3, 2 * s, max_size)
+    p, e = splitting_params(q)
+    ring = twisted_ring(2, q, 3, field(p, 2 * e * s))
     E = ring.coeff_field
     psie = E.vec.unary(lambda a: psi.exp(E.trace(a, psi.F)))
     counts = np.zeros(E.p, dtype=np.int64)
@@ -281,10 +271,11 @@ def dl_intertwiner_sum(q: int, s: int, max_size: int = 300_000) -> CycloNum:
     return cyclo_from_counts(E.p, counts)
 
 
-def y3_locus_equality(q: int, s: int = 2, max_size: int = 300_000) -> bool:
+def y3_locus_equality(q: int, s: int = 2) -> bool:
     """Exhaustive check over F_{q^{2s}} that beta^{-1}(Y_3) coincides with
     the two-equation chart: the base surface plus the explicit a_4 value."""
-    ring = bounded_ring(2, q, 3, 2 * s, max_size)
+    p, e = splitting_params(q)
+    ring = twisted_ring(2, q, 3, field(p, 2 * e * s))
     E = ring.coeff_field
     spec = IntertwinerSpec(q)
     chart = [
@@ -469,11 +460,11 @@ def npp_identity(q: int) -> bool:
 # -- fixed-point suites for the constant-conjugation traces --------------------
 
 
-def zeta_fixed_set(n: int, q: int, h: int, max_size: int = 600_000):
+def zeta_fixed_set(n: int, q: int, h: int):
     """Points of X_h(F_{q^(n p)}) fixed by conjugation with the
     Teichmueller generator of F_{q^n}^x."""
     p, e = splitting_params(q)
-    ring = bounded_ring(n, q, h, n * p, max_size)
+    ring = twisted_ring(n, q, h, field(p, e * n * p))
     E, dim = ring.coeff_field, ring.length - 1
     Fqn = field(p, e * n)
     zeta = E.embed(Fqn, Fqn.gen)
@@ -576,9 +567,9 @@ def zeta_trace_suite_level3(q: int) -> dict:
 # -- point counts and the maximality probe -------------------------------------
 
 
-def xh_point_count(n: int, q: int, h: int, s: int = 1, max_size: int = 50_000_000):
+def xh_point_count(n: int, q: int, h: int, s: int = 1):
     """|X_h(F_{q^{n s}})|, by direct enumeration."""
-    return sum(g.shape[1] for g in xh_points(n, q, h, s, max_size))
+    return sum(g.shape[1] for g in xh_points(n, q, h, s))
 
 
 def x_betti_data(n: int, q: int) -> list[dict]:
@@ -620,17 +611,13 @@ def x_point_prediction(n: int, q: int, s: int) -> int:
     return total
 
 
-def maximality_probe(n: int, q: int, h: int, s_range=(1,), max_size: int = 2_000_000):
+def maximality_probe(n: int, q: int, h: int, s_range=(1,)):
     """Record |X_h(F_{q^{n s}})|; for h = 2 compare with the point counts
     forced by purity and the known per-character Betti data (never asserted
     for h = 3, where the analogue is only conjectural)."""
     report = {"n": n, "q": q, "h": h, "counts": []}
     for s in s_range:
-        try:
-            c = xh_point_count(n, q, h, s, max_size=max_size)
-        except SizeLimitExceededError:
-            report["counts"].append({"s": s, "count": None, "skipped": True})
-            continue
+        c = xh_point_count(n, q, h, s)
         entry = {"s": s, "count": c}
         if h == 2:
             entry["prediction"] = x_point_prediction(n, q, s)

@@ -22,11 +22,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import (
-    MatrixShapeError,
-    SizeLimitExceededError,
-    UnsupportedParametersError,
-)
+from .errors import MatrixShapeError, UnsupportedParametersError
 from .ffield import Field, VecOps, field, grid_chunks, splitting_params
 from .twistring import TwistedRing, twisted_ring
 
@@ -257,17 +253,6 @@ def in_Xh_batch(ring: TwistedRing, g) -> np.ndarray:
     return ok
 
 
-def bounded_ring(n: int, q: int, h: int, degree: int, max_size: int) -> TwistedRing:
-    """The (n, q, h) twisted ring over F_{q^degree}, once its unipotent grid
-    is known to hold at most max_size points."""
-    p, e = splitting_params(q)
-    ring = twisted_ring(n, q, h, field(p, e * degree))
-    Q, dim = ring.coeff_field.order, ring.length - 1
-    if Q**dim > max_size:
-        raise SizeLimitExceededError(f"{Q}^{dim} points exceed {max_size}")
-    return ring
-
-
 def unipotent_chunks(ring: TwistedRing):
     """The unipotent elements 1 + a_1 tau + ... over the coefficient field,
     as (L, N) batches in grid_chunks order."""
@@ -275,10 +260,11 @@ def unipotent_chunks(ring: TwistedRing):
         yield np.concatenate([np.ones((1, x.shape[1]), dtype=np.int64), x])
 
 
-def xh_points(n: int, q: int, h: int, s: int, max_size: int):
-    """Check the parameters and the size bound, then return an iterator over
-    (L, N) batches of the points of X_h over F_{q^{n s}}, in grid order."""
-    ring = bounded_ring(n, q, h, n * s, max_size)
+def xh_points(n: int, q: int, h: int, s: int):
+    """Check the parameters, then return an iterator over (L, N) batches of
+    the points of X_h over F_{q^{n s}}, in grid order."""
+    p, e = splitting_params(q)
+    ring = twisted_ring(n, q, h, field(p, e * n * s))
     return (g[:, in_Xh_batch(ring, g)] for g in unipotent_chunks(ring))
 
 
@@ -293,14 +279,15 @@ def n2_norm_batch(ring: TwistedRing, tails) -> np.ndarray:
     return mat_det_batch(ring.coeff_field.vec, iota_prime_batch(ring, g))[1]
 
 
-def y_h_image(n: int, q: int, h: int, s: int, max_size: int = 300_000) -> set:
+def y_h_image(n: int, q: int, h: int, s: int) -> set:
     """The finite set {F_{q^n}(g) g^{-1} : g in X_h(F_{q^{n s}})}.
 
     X_h is a Lang preimage of a closed subscheme Y_h, but Y_h has no simple
     general closed form; this builds it per extension degree as an explicit
     point set, from one batched fold over the unipotent grid.
     """
-    ring = bounded_ring(n, q, h, n * s, max_size)
+    p, e = splitting_params(q)
+    ring = twisted_ring(n, q, h, field(p, e * n * s))
     out = set()
     for g in unipotent_chunks(ring):
         g = g[:, in_Xh_batch(ring, g)]

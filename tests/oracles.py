@@ -23,7 +23,6 @@ from dllab.errors import (
 )
 from dllab.ffield import Field, field, splitting_params
 from dllab.matmodel import (
-    bounded_ring,
     det_iota,
     in_Xh,
     mat_det,
@@ -230,13 +229,13 @@ def iota_prime_via_varpi(ring: TwistedRing, a):
     return normalize_shape(F, acc)
 
 
-def twisted_count(n: int, q: int, h: int, gamma, right, max_size: int = 300_000) -> int:
+def twisted_count(n: int, q: int, h: int, gamma, right) -> int:
     """Oracle of counting.x3_twist_table, which tabulates these counts:
     the x in X_h(F_{q^(n p)}) with gamma * F_{q^n}(x) = x * right, by honest
     enumeration.  gamma is None (no twist) or a star unit (1, lam, mu, ...)
     over F_{q^n}; right is a unipotent element over F_{q^n}."""
     p, e = splitting_params(q)
-    ring = bounded_ring(n, q, h, n * p, max_size)
+    ring = twisted_ring(n, q, h, field(p, e * n * p))
     emb = ring.coeff_field.embed_table(field(p, e * n))
     right = (1,) + tuple(int(emb[c]) for c in right[1:])
     if gamma is not None:

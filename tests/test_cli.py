@@ -56,7 +56,7 @@ def test_failing_claim_gives_exit_one(tmp_path, monkeypatch, capsys):
             "claims": [cli._claim("always wrong", False)],
         }
 
-    monkeypatch.setitem(cli.SUITES, "trace", (broken, set()))
+    monkeypatch.setitem(cli.SUITES, "trace", (broken, *cli.SUITES["trace"][1:]))
     rc = run_cli(["verify", "--suite", "trace", "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "always wrong" in capsys.readouterr().err
@@ -67,7 +67,7 @@ def _raise_value_error(args):
 
 
 def test_unexpected_suite_exception_is_a_failing_claim(monkeypatch, capsys):
-    monkeypatch.setitem(cli.SUITES, "trace", (_raise_value_error, set()))
+    monkeypatch.setitem(cli.SUITES, "trace", (_raise_value_error, *cli.SUITES["trace"][1:]))
     assert run_cli(["verify", "--suite", "trace"]) == 1
     out = capsys.readouterr()
     assert json.loads(out.out)["claims"] == [
@@ -81,7 +81,7 @@ def test_unexpected_suite_exception_is_a_failing_claim(monkeypatch, capsys):
 
 
 def test_unexpected_dump_exception_is_an_error_line(monkeypatch, capsys):
-    monkeypatch.setitem(cli.DUMPS, "points", (_raise_value_error, cli.DUMPS["points"][1]))
+    monkeypatch.setitem(cli.DUMPS, "points", (_raise_value_error, *cli.DUMPS["points"][1:]))
     assert run_cli(["dump", "--kind", "points"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -261,8 +261,8 @@ def _never_run(args):
     ids=["verify-missing-dir", "dump-missing-dir", "verify-out-is-a-directory"],
 )
 def test_unwritable_out_is_a_usage_error_before_any_work(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(cli.SUITES, "orbit", (_never_run, cli.SUITES["orbit"][1]))
-    monkeypatch.setitem(cli.DUMPS, "points", (_never_run, cli.DUMPS["points"][1]))
+    monkeypatch.setitem(cli.SUITES, "orbit", (_never_run, *cli.SUITES["orbit"][1:]))
+    monkeypatch.setitem(cli.DUMPS, "points", (_never_run, *cli.DUMPS["points"][1:]))
     argv = [a.format(missing=tmp_path / "missing-dir", tmp=tmp_path) for a in argv]
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
@@ -296,7 +296,7 @@ def test_dump_failing_while_writing_keeps_existing_out_file(tmp_path, monkeypatc
 
         return write
 
-    monkeypatch.setitem(cli.DUMPS, "points", (half_written, cli.DUMPS["points"][1]))
+    monkeypatch.setitem(cli.DUMPS, "points", (half_written, *cli.DUMPS["points"][1:]))
     out = tmp_path / "x.csv"
     out.write_text("keep me\n")
     assert run_cli(["dump", "--kind", "points", "--out", str(out)]) == 1
@@ -336,9 +336,7 @@ def test_verify_has_no_jobs_option(capsys):
         ["--suite", "thm32", "--seed", "1"],
         ["--suite", "eigenspaces", "--n", "2"],
         ["--suite", "intertwiner", "--saturate"],
-        ["--suite", "trace", "--max-size", "100"],
         ["--suite", "eta-level2", "--n", "2", "--q", "2", "--seed", "1"],
-        ["--suite", "main-example", "--q", "2", "--max-size", "100"],
         ["--suite", "orbit", "--M", "1"],
         ["--suite", "matrix-y", "--q", "2"],
         ["--suite", "series", "--M", "2"],
@@ -357,6 +355,120 @@ def test_verify_rejects_options_the_suite_does_not_read(argv, capsys):
         run_cli(["verify", *argv])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def _verify_argv_id(argv):
+    return "-".join(a.strip("-") for a in argv[1:])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "trace", "--max-size", "100"],
+        ["--suite", "main-example", "--q", "2", "--max-size", "100"],
+    ]
+    + [["--suite", suite, "--max-size", "1"] for suite in sorted(cli.SUITES)],
+    ids=_verify_argv_id,
+)
+def test_verify_accepts_max_size_for_every_suite(argv, monkeypatch, capsys):
+    # every suite reads --max-size: a bound below the run's size is a
+    # refusal report, not a usage error
+    suite = argv[1]
+    monkeypatch.setitem(cli.SUITES, suite, (_never_run, *cli.SUITES[suite][1:]))
+    assert run_cli(["verify", *argv]) == 1
+    [claim] = json.loads(capsys.readouterr().out)["claims"]
+    assert claim["witness"]["error"].startswith("SizeLimitExceededError")
+
+
+def _size(table, argv):
+    """The size that the runner compares with --max-size for argv."""
+    ap = cli._build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "verify":
+        return table[args.suite][2](cli._suite_args(ap, args))
+    return table[args.kind][2](cli._dump_args(ap, args))
+
+
+def test_every_suite_and_dump_declares_a_size():
+    for entry in [*cli.SUITES.values(), *cli.DUMPS.values()]:
+        fn, reads, size = entry
+        assert callable(size) and "max_size" not in reads
+
+
+def _perfbench_invocations():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.json")
+    with open(path) as fh:
+        workloads = json.load(fh)["workloads"]
+    for workload in workloads.values():
+        for inv in workload["invocations"]:
+            extra = ["--seed", str(inv["seed_offset"])] if "seed_offset" in inv else []
+            yield inv["argv"] + extra
+
+
+def test_default_runs_and_benchmark_invocations_fit_the_default_bound():
+    runs = [["verify", "--suite", suite] for suite in cli.SUITES]
+    runs += [["dump", "--kind", kind] for kind in cli.DUMPS]
+    runs += list(_perfbench_invocations())
+    assert len(runs) > len(cli.SUITES) + len(cli.DUMPS)
+    for argv in runs:
+        table = cli.SUITES if argv[0] == "verify" else cli.DUMPS
+        assert _size(table, argv) <= cli.VERIFY_DEFAULTS["max_size"] == 2_000_000, argv
+
+
+# runs that enumerate far past the default bound, each refused before any work
+PROBES = [
+    ["--suite", "thm31", "--n", "3", "--q", "4"],
+    ["--suite", "thm32", "--n", "3", "--q", "3"],
+    ["--suite", "eta-level2", "--n", "3", "--q", "3"],
+    ["--suite", "eta-level2", "--n", "2", "--q", "4"],
+    ["--suite", "orbit", "--q", "9"],
+    ["--suite", "main-example", "--q", "4"],
+    ["--suite", "main-example", "--q", "2", "--M", "50"],
+    ["--suite", "main-example", "--q", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", PROBES, ids=_verify_argv_id)
+def test_probes_are_refused_before_any_work(argv, monkeypatch, capsys):
+    suite = argv[1]
+    monkeypatch.setitem(cli.SUITES, suite, (_never_run, *cli.SUITES[suite][1:]))
+    t0 = time.monotonic()
+    assert run_cli(["verify", *argv]) == 1
+    assert time.monotonic() - t0 < 2
+    out = capsys.readouterr()
+    [claim] = json.loads(out.out)["claims"]
+    assert claim["status"] == "fail"
+    assert claim["witness"]["error"].startswith("SizeLimitExceededError")
+    assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("argv", PROBES, ids=_verify_argv_id)
+def test_max_size_equal_to_the_size_admits_the_run(argv, monkeypatch, capsys):
+    suite, reached = argv[1], []
+
+    def body(args):
+        reached.append(args.max_size)
+        return {"suite": suite, "params": {}, "claims": [cli._claim("reached", True)]}
+
+    size = _size(cli.SUITES, ["verify", *argv])
+    monkeypatch.setitem(cli.SUITES, suite, (body, *cli.SUITES[suite][1:]))
+    assert run_cli(["verify", *argv, "--max-size", str(size)]) == 0
+    assert reached == [size]
+    assert run_cli(["verify", *argv, "--max-size", str(size - 1)]) == 1
+    assert reached == [size]
+
+
+def test_a_larger_max_size_admits_a_trace_run_beyond_the_default(capsys):
+    # the scalar-fixed set at (2, 8) lies in a 4096^2 grid over F_(2^12):
+    # past the default bound, and past the 600,000 that the library's own
+    # bound allowed before the runner owned the bound
+    argv = ["verify", "--suite", "trace", "--n", "2", "--q", "8"]
+    assert run_cli(argv) == 1
+    [claim] = json.loads(capsys.readouterr().out)["claims"]
+    assert claim["witness"]["error"].startswith("SizeLimitExceededError")
+    assert run_cli([*argv, "--max-size", str(4096**2)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [c["params"] for c in rep["claims"]] == [{"n": 2, "q": 8}, {"n": 2, "q": 2, "h": 3}]
 
 
 @pytest.mark.parametrize(

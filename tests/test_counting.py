@@ -254,7 +254,7 @@ def test_maximality_probe_h2_n3():
 
 
 def test_maximality_probe_h3_records_count():
-    report = maximality_probe(2, 2, 3, s_range=(1,), max_size=2_000_000)
+    report = maximality_probe(2, 2, 3, s_range=(1,))
     entry = report["counts"][0]
     assert entry["count"] is not None
     assert "prediction" not in entry

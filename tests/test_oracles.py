@@ -14,7 +14,7 @@ import pytest
 import oracles
 from dllab import cli, counting, ffield, matmodel
 from dllab.ffield import digits_index
-from dllab.matmodel import bounded_ring
+from dllab.twistring import twisted_ring
 
 
 def _matrix_y_claims():
@@ -29,7 +29,7 @@ def test_y3_walk_matches_scalar_walk(q, s, chunk, monkeypatch):
     # the points and their order; a small chunk splits the (a_3, a_4)
     # expansion inside and across pairs
     monkeypatch.setattr(counting, "GRID_CHUNK", chunk)
-    ring = bounded_ring(2, q, 3, 2 * s, 300_000)
+    ring = twisted_ring(2, q, 3, ffield.field(*ffield.splitting_params(q ** (2 * s))))
     batches = list(counting.y3_preimage_batches(ring))
     assert all(b.shape[0] == 4 for b in batches)
     walk = [tuple(c) for b in batches for c in b.T.tolist()]
@@ -78,7 +78,7 @@ def test_x3_fold_matches_oracle():
 
 def test_x3_batch_equations_match_scalar_equations():
     q = 2
-    ring = bounded_ring(2, q, 3, 4, 100_000)
+    ring = twisted_ring(2, q, 3, ffield.field(2, 4))
     F, Fq = ring.coeff_field, ffield.field(2, 1)
     for g in matmodel.unipotent_chunks(ring):
         got = counting.x3_conditions_batch(F, q, g).tolist()

@@ -5,7 +5,9 @@ may use one; an imported name that nothing references is dead code, and so is
 a module-level name that neither the package nor its tests reference, and so
 is a function, class or method that only the tests reference, and so is an
 oracle in oracles.py that no test compares against; two functions with the
-same body are one computation written twice.
+same body are one computation written twice.  The size of a run is bounded
+by the command line alone, so no other function takes a size bound or raises
+SizeLimitExceededError.
 """
 
 import ast
@@ -238,3 +240,59 @@ def test_every_oracle_is_compared_against():
         if fn.name not in used.union(*(_referenced_names(o) for o in oracles if o is not fn))
     ]
     assert dead == [], f"oracles nothing compares against: {dead}"
+
+
+def _size_bounds(path):
+    """(name, line) of each function in path that takes a max_size parameter
+    or raises SizeLimitExceededError."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+        if any(arg is not None and arg.arg == "max_size" for arg in params):
+            out.append((node.name, node.lineno))
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Raise):
+                exc = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
+                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                if name == "SizeLimitExceededError":
+                    out.append((node.name, sub.lineno))
+    return out
+
+
+def test_only_the_command_line_bounds_run_sizes():
+    # the runner compares each run's size with --max-size before any work;
+    # a second bound in the library would disagree with it
+    found = {
+        path.name: _size_bounds(path) for path in MODULES + [ORACLES] if path.name != "cli.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_a_size_bound_outside_the_command_line_is_found(tmp_path):
+    path = tmp_path / "toy.py"
+    path.write_text(
+        "from errors import SizeLimitExceededError\n"
+        "import errors\n"
+        "\n"
+        "\n"
+        "def walk(grid, max_size=100):\n"
+        "    return grid\n"
+        "\n"
+        "\n"
+        "class Ring:\n"
+        "    def points(self, n):\n"
+        "        if n > 10:\n"
+        "            raise SizeLimitExceededError(n)\n"
+        "        return n\n"
+        "\n"
+        "    def more(self, n, *, max_size):\n"
+        "        raise errors.SizeLimitExceededError\n"
+        "\n"
+        "\n"
+        "def fine(n):\n"
+        "    return sorted(range(n))\n"
+    )
+    assert _size_bounds(path) == [("walk", 5), ("points", 12), ("more", 15), ("more", 16)]
