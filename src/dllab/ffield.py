@@ -48,24 +48,16 @@ PRIMITIVE_POLYS = {
     (3, 8): (2, 0, 0, 1, 2, 0, 1, 1, 1),
     (3, 9): (1, 0, 0, 0, 0, 0, 2, 2, 1, 1),
     (3, 10): (2, 0, 0, 0, 1, 1, 1, 0, 0, 2, 1),
-    (3, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1),
-    (3, 12): (2, 0, 0, 0, 0, 0, 2, 2, 2, 0, 2, 0, 1),
     (5, 1): (2, 1),
     (5, 2): (3, 2, 1),
     (5, 3): (2, 0, 1, 1),
     (5, 4): (3, 0, 2, 2, 1),
     (5, 5): (2, 0, 0, 0, 3, 1),
     (5, 6): (3, 0, 1, 0, 0, 1, 1),
-    (5, 7): (2, 0, 0, 0, 0, 0, 1, 1),
-    (5, 8): (3, 0, 0, 0, 1, 2, 4, 1, 1),
-    (5, 9): (2, 0, 0, 0, 0, 0, 4, 0, 2, 1),
-    (5, 10): (3, 0, 0, 0, 0, 1, 0, 0, 2, 4, 1),
-    (5, 11): (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1),
-    # no (5, 12) entry: a norm-compatible polynomial has not been computed,
-    # and an incompatible one would silently break the subfield embeddings
 }
 
-# Largest field for which exp/log, Zech and Frobenius lookup lists are built.
+# Every field above is at most this large, so every field builds its
+# exp/log, Zech and Frobenius lookup lists.
 EXPLOG_ORDER_LIMIT = 1 << 16
 
 # Points per array yielded by grid_chunks: large enough that numpy dominates
@@ -74,32 +66,19 @@ EXPLOG_ORDER_LIMIT = 1 << 16
 GRID_CHUNK = 4096
 
 
-class _PowMap:
-    """Indexable a -> a^e, computed on access; the Frobenius map of a field
-    too large for lookup lists."""
-
-    __slots__ = ("_pow", "_e")
-
-    def __init__(self, pow_fn, e: int):
-        self._pow, self._e = pow_fn, e
-
-    def __getitem__(self, a: int) -> int:
-        return self._pow(a, self._e)
-
-
 class Field:
     """The finite field F_{p^k} with a fixed primitive polynomial.
 
     All element-level operations take and return integer indices.
 
-    A field of order <= EXPLOG_ORDER_LIMIT is table-driven.  Construction
-    builds exp/log lists for the generator g and installs ``add``, ``sub``,
-    ``neg``, ``mul`` and ``inv`` as instance attributes, which shadow the
-    methods of the same names.  In characteristic 2 addition is XOR of the
-    indices.  For odd p it uses Zech logarithms Z(d) = log(1 + g^d), since
-    g^i + g^j = g^(i + Z(j - i)) (Lidl-Niederreiter, *Finite Fields*).
-    Larger fields use the digit-loop and polynomial methods below, which
-    the tests also use as the oracle for the tables.
+    Every field is table-driven.  Construction builds exp/log lists for the
+    generator g from the polynomial product and installs ``add``, ``sub``,
+    ``neg``, ``mul`` and ``inv`` as instance attributes.  In characteristic
+    2 addition is XOR of the indices.  For odd p it uses Zech logarithms
+    Z(d) = log(1 + g^d), since g^i + g^j = g^(i + Z(j - i))
+    (Lidl-Niederreiter, *Finite Fields*), built with digitwise addition.
+    The digit-loop and polynomial methods below build the tables, and the
+    tests use them as the oracle of the tables.
     """
 
     def __init__(self, p: int, k: int):
@@ -116,14 +95,11 @@ class Field:
         self.gen = p if k > 1 else (-self.poly[0]) % p
         # reductions of x^d for d in [k, 2k-2], as coefficient tuples
         self._xpow = self._build_xpow()
-        self._exp = None
-        self._log = None
-        self._frob_maps: dict[int, list[int] | _PowMap] = {}
+        self._frob_maps: dict[int, list[int]] = {}
         self._embed_tabs: dict[int, np.ndarray] = {}
         self._retract_maps: dict[int, dict[int, int]] = {}
-        if self.order <= EXPLOG_ORDER_LIMIT:
-            self._build_explog()
-            self._install_table_ops()
+        self._build_explog()
+        self._install_table_ops()
 
     def __repr__(self):
         return f"F_{self.p}^{self.k}" if self.k > 1 else f"F_{self.p}"
@@ -168,9 +144,6 @@ class Field:
             mul *= p
         return r
 
-    def _sub_digits(self, a: int, b: int) -> int:
-        return self._add_digits(a, self._neg_digits(b))
-
     def _mul_poly(self, a: int, b: int) -> int:
         p, k = self.p, self.k
         ca, cb = self.coeffs(a), self.coeffs(b)
@@ -188,13 +161,6 @@ class Field:
                     out[j] = (out[j] + c * red[j]) % p
         return self.from_coeffs(out)
 
-    add, neg, sub, mul = _add_digits, _neg_digits, _sub_digits, _mul_poly
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.order - 2)
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -202,16 +168,7 @@ class Field:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 0
-        e %= self.order - 1
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        r, b = 1, a
-        while e:
-            if e & 1:
-                r = self._mul_poly(r, b)
-            b = self._mul_poly(b, b)
-            e >>= 1
-        return r
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
 
     # -- Frobenius ----------------------------------------------------------
 
@@ -221,20 +178,17 @@ class Field:
         return pow(q, i, self.order - 1) if self.order > 2 else 1
 
     def frob_map(self, q: int):
-        """a -> a^q for q a power of p, as something indexable by a: a cached
-        list, or a _PowMap above EXPLOG_ORDER_LIMIT.  Hoist it out of loops."""
+        """a -> a^q for q a power of p, as a cached list indexed by a.  Hoist
+        it out of loops."""
         tab = self._frob_maps.get(q)
         if tab is None:
-            if self._exp is None:
-                tab = _PowMap(self.pow, q)
-            else:
-                n = self.order - 1
-                e = q % n
-                tab = self._frob_maps.get(e)
-                if tab is None:
-                    exp = self._exp
-                    tab = [0] + [exp[lg * e % n] for lg in self._log[1:]]
-                    self._frob_maps[e] = tab
+            n = self.order - 1
+            e = q % n
+            tab = self._frob_maps.get(e)
+            if tab is None:
+                exp = self._exp
+                tab = [0] + [exp[lg * e % n] for lg in self._log[1:]]
+                self._frob_maps[e] = tab
             self._frob_maps[q] = tab
         return tab
 
@@ -245,10 +199,8 @@ class Field:
             tab = self.frob_map(q)
         return tab[a]
 
-    def frob_table(self, q: int):
-        """Index array a -> a^q, or None above EXPLOG_ORDER_LIMIT."""
-        if self._exp is None:
-            return None
+    def frob_table(self, q: int) -> np.ndarray:
+        """Index array a -> a^q."""
         return np.array(self.frob_map(q), dtype=np.int64)
 
     @cached_property
@@ -288,7 +240,7 @@ class Field:
         self._log = log
 
     def _install_table_ops(self):
-        """Shadow add/sub/neg/mul/inv with closures over the lookup lists."""
+        """Install add/sub/neg/mul/inv as closures over the lookup lists."""
         n = self.order - 1
         exp, log = self._exp, self._log
         # exp2[i + j] == g^(i + j) for 0 <= i, j < n, with no reduction mod n
@@ -310,8 +262,7 @@ class Field:
             return
 
         zech = self._build_zech()
-        half = n // 2  # g^half == -1, checked by _build_zech
-        neg_tab = [0] + [exp2[lg + half] for lg in log[1:]]
+        neg_tab = [self._neg_digits(a) for a in range(self.order)]
 
         # log[b] - la lies in (-n, n); a negative index reads zech[d + n],
         # and g^d == g^(d + n).
@@ -408,8 +359,6 @@ class VecOps:
     """
 
     def __init__(self, F: Field):
-        if F._exp is None:
-            raise UnsupportedParametersError(f"{F} has no exp/log tables to vectorise")
         self.F = F
         n = F.order - 1
         exp = np.array(F._exp, dtype=np.int64)

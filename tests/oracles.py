@@ -37,6 +37,11 @@ from dllab.serieslab import SeriesBatch, mat_det_series, xtilde_matrix
 from dllab.twistring import TwistedRing, enumerate_unipotent, twisted_ring
 
 
+def sub_digits(F: Field, a: int, b: int) -> int:
+    """Oracle of Field.sub: a - b digit by digit."""
+    return F._add_digits(a, F._neg_digits(b))
+
+
 def beta_factors(ring: TwistedRing, x):
     """(s(F_{q^2}(x)), s(x)^{-1}) for x = (a_1, a_2) and the section
     s(a_1, a_2) = 1 + a_1 tau + a_2 tau^2.  Both depend on x alone, so loops

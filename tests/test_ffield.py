@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from dllab.errors import DLLabError, NotInSubfieldError, UnsupportedParametersError
 from dllab.ffield import (
     EXPLOG_ORDER_LIMIT,
@@ -32,7 +33,7 @@ VEC_FIELDS = sorted(pk for pk in PRIMITIVE_POLYS if pk[0] ** pk[1] <= 729)
 
 # every field the benchmark workloads build
 WORKLOAD_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 6), (3, 6)]
-TABLE_FIELDS = sorted(pk for pk in PRIMITIVE_POLYS if pk[0] ** pk[1] <= EXPLOG_ORDER_LIMIT)
+TABLE_FIELDS = sorted(PRIMITIVE_POLYS)
 
 
 def _frob_oracle(F, a, i):
@@ -108,7 +109,7 @@ def test_gen_is_primitive_small():
 
 
 @pytest.mark.parametrize(
-    "k_sub,k_mid,k_top,p", [(2, 4, 12, 2), (1, 2, 6, 3), (2, 6, 12, 3), (1, 2, 4, 5)]
+    "k_sub,k_mid,k_top,p", [(2, 4, 12, 2), (1, 2, 6, 3), (2, 4, 8, 3), (1, 2, 4, 5)]
 )
 def test_embedding_tower_compatible(k_sub, k_mid, k_top, p):
     S, M, T = field(p, k_sub), field(p, k_mid), field(p, k_top)
@@ -184,7 +185,7 @@ def test_table_ops_match_digit_oracle_exhaustive(p, k):
         assert F.neg(a) == F._neg_digits(a)
         for b in els:
             assert F.add(a, b) == F._add_digits(a, b)
-            assert F.sub(a, b) == F._sub_digits(a, b)
+            assert F.sub(a, b) == oracles.sub_digits(F, a, b)
     for i in range(k + 1):
         got = [F.frob(a, p**i) for a in els]
         assert got == [F.pow(a, p**i) for a in els]
@@ -200,7 +201,7 @@ def test_table_ops_match_digit_oracle_sampled(pk, data):
     b = data.draw(st.integers(0, F.order - 1))
     i = data.draw(st.integers(0, 2 * k))
     assert F.add(a, b) == F._add_digits(a, b)
-    assert F.sub(a, b) == F._sub_digits(a, b)
+    assert F.sub(a, b) == oracles.sub_digits(F, a, b)
     assert F.neg(a) == F._neg_digits(a)
     assert F.mul(a, b) == F._mul_poly(a, b)
     if b:
@@ -209,12 +210,11 @@ def test_table_ops_match_digit_oracle_sampled(pk, data):
     assert F.frob(a, F.frob_exp(p, i)) == F.frob(a, p**i)
 
 
-def test_large_field_keeps_digit_path():
-    F = field(3, 12)
-    assert F.order > EXPLOG_ORDER_LIMIT
-    a, b = 5, 7 + 3**11
-    assert F.add(a, b) == F._add_digits(a, b)
-    assert F.frob(a, 3) == F.frob_map(3)[a] == F.pow(a, 3)
+def test_every_field_is_table_driven():
+    # a field above EXPLOG_ORDER_LIMIT has no defining polynomial
+    with pytest.raises(UnsupportedParametersError, match="no defining polynomial"):
+        field(3, 12)
+    assert max(p**k for p, k in PRIMITIVE_POLYS) <= EXPLOG_ORDER_LIMIT
 
 
 def test_non_primitive_generator_is_a_typed_error(monkeypatch):
@@ -254,11 +254,6 @@ def test_vecops_match_scalar_table_ops(pk, data):
     assert v.mul(c, x).tolist() == [F.mul(c, s) for s in a]
     assert v.add(x, c).tolist() == [F.add(s, c) for s in a]
     assert v.sub(c, x).tolist() == [F.sub(c, s) for s in a]
-
-
-def test_vecops_need_tables():
-    with pytest.raises(UnsupportedParametersError):
-        VecOps(field(3, 12))
 
 
 # the ids are those of the earlier (Q, dim, lo, hi) cases, so each case keeps
