@@ -724,8 +724,8 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
 class MainExampleContext:
     """Shared theta-independent state for the (n, h) = (2, 3) comparison:
     conjugacy classes of the division quotient, coset decompositions into the
-    even-valuation subgroup with scalar part split off, and the intertwining
-    pair cache for the Mackey test."""
+    even-valuation subgroup with scalar part split off, the intertwining
+    pair cache for the Mackey test, and the rows of the trace at zeta-bar."""
 
     def __init__(self, q: int, M: int = 1):
         self.q = q
@@ -736,6 +736,14 @@ class MainExampleContext:
         self.U3, _ = unipotent_group(n, q, 3)
         self.H2 = _level3_pattern_subgroup(self.U3)
         self.template = MonomialRep(self.U3, self.H2, lambda g: 0, 1)
+        # (k, h_2, h_4) of t^-1 zeta-bar t = zeta-bar^k h for each template
+        # transversal element t with h in the pattern subgroup (h_1 = 0)
+        ring = dq.ring
+        zbar = (dq.F.gen,) + (0,) * (ring.length - 1)
+        conj = (ring.mul(ring.inv(t), ring.mul(zbar, t)) for t in self.template.transversal)
+        self.zero_trace_rows = [
+            (k, h[2], h[4]) for k, h in map(dq.decompose, conj) if h[1] == 0
+        ]
         classes = dq.group.conj_classes()
         self.class_reps = [c[0] for c in classes]
         self.class_sizes = [len(c) for c in classes]
@@ -924,16 +932,10 @@ def _eta_zero_trace(theta: ThetaData, ctx: MainExampleContext) -> CycloNum:
     """Trace at zeta-bar of the induction of theta-sharp from the scalar
     times pattern subgroup up to the full unit group (independent of the
     extension route)."""
-    dq, R = ctx.dq, theta.R
-    ring, F = dq.ring, dq.F
-    zbar = (F.gen,) + (0,) * (ring.length - 1)
+    R, zv, chi = theta.R, theta.zeta_value_exp(), theta.chi
     rc = RootCounter(R)
-    zv = theta.zeta_value_exp()
-    for t in ctx.template.transversal:
-        x = ring.mul(ring.inv(t), ring.mul(zbar, t))
-        k, h = dq.decompose(x)
-        if h[1] == 0:
-            rc.add((k * zv + theta.chi.exp((1, h[2], h[4]))) % R)
+    for k, h2, h4 in ctx.zero_trace_rows:
+        rc.add((k * zv + chi.exp((1, h2, h4))) % R)
     return rc.value()
 
 
