@@ -300,17 +300,6 @@ def suite_eta_level2(args) -> dict:
     }
 
 
-def _eta_size(args):
-    """theta x n |G|: each of the q^n (q^n - 1) M thetas is induced from an
-    index-n subgroup, so its character over the n M (q^n - 1) q^(n n)
-    elements of the division quotient G is n |G| terms."""
-    M = args.M
-    return max(
-        _power(q, n) * (_power(q, n) - 1) ** 2 * M * M * n * n * _power(q, n * n)
-        for n, q in _pairs(args, ETA_PARAMS)
-    )
-
-
 def suite_main_example(args) -> dict:
     from .constructions import main_example_report
 
@@ -633,7 +622,11 @@ SUITES = {
     "trace": (suite_trace, {"n", "q"}, lambda a: max(
         [_grid(2, 2, 3, 4)]
         + [_grid(n, q, 2, n * splitting_params(q)[0]) for n, q in _pairs(a, RHO_PARAMS)])),
-    "eta-level2": (suite_eta_level2, {"n", "q", "M"}, _eta_size),
+    # theta x n |G|: q^n (q^n - 1) M thetas, each induced from an index-n
+    # subgroup of the division quotient G of n M (q^n - 1) q^(n n) elements
+    "eta-level2": (suite_eta_level2, {"n", "q", "M"}, lambda a: max(
+        n * n * (a.M * (_power(q, n) - 1)) ** 2 * _power(q, n + n * n)
+        for n, q in _pairs(a, ETA_PARAMS))),
     # theta x class-walk rows: (q^2 - q) q^2 (q^2 - 1) M thetas, each
     # walking about M q^7 rows (2,754 at q = 3, where M q^7 is 2,187); this
     # outgrows the 2 M (q^2 - 1) q^8 elements of the quotient

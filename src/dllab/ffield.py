@@ -262,7 +262,8 @@ class Field:
             return
 
         zech = self._build_zech()
-        neg_tab = [self._neg_digits(a) for a in range(self.order)]
+        half = n // 2  # g^half == -1, checked by _build_zech
+        neg_tab = [0] + [exp2[lg + half] for lg in log[1:]]
 
         # log[b] - la lies in (-n, n); a negative index reads zech[d + n],
         # and g^d == g^(d + n).
@@ -354,8 +355,9 @@ class VecOps:
 
     Uses the lookup lists of a table-driven field: addition is XOR for p = 2
     and a Zech-logarithm lookup for odd p, multiplication goes through
-    exp/log, and negation and Frobenius are permutation arrays.  Operands may
-    be arrays of any shape or Python ints, which broadcast.
+    exp/log, and negation (built digit by digit, so the tests compare it with
+    the scalar table) and Frobenius are permutation arrays.  Operands may be
+    arrays of any shape or Python ints, which broadcast.
     """
 
     def __init__(self, F: Field):
@@ -376,7 +378,7 @@ class VecOps:
         # log b - log a ranges over [-2n, 2n] once zeros are in; four copies
         # index it without a reduction mod n, as numpy wraps negative indices
         self._zech4 = np.tile(zech, 4)
-        self._neg = np.array([F.neg(a) for a in range(F.order)], dtype=np.int64)
+        self._neg = np.array([F._neg_digits(a) for a in range(F.order)], dtype=np.int64)
 
     def add(self, x, y):
         # g^a + g^b == g^(a + Z(b - a)); Z == 2n where g^a + g^b == 0
