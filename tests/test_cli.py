@@ -380,13 +380,13 @@ def test_verify_accepts_max_size_for_every_suite(argv, monkeypatch, capsys):
     assert claim["witness"]["error"].startswith("SizeLimitExceededError")
 
 
-def _size(table, argv):
+def _size(argv):
     """The size that the runner compares with --max-size for argv."""
     ap = cli._build_parser()
     args = ap.parse_args(argv)
     if args.command == "verify":
-        return table[args.suite][2](cli._suite_args(ap, args))
-    return table[args.kind][2](cli._dump_args(ap, args))
+        return cli.SUITES[args.suite][2](cli._suite_args(ap, args))
+    return cli.DUMPS[args.kind][2](cli._dump_args(ap, args))
 
 
 def test_every_suite_and_dump_declares_a_size():
@@ -410,9 +410,9 @@ def test_default_runs_and_benchmark_invocations_fit_the_default_bound():
     runs += [["dump", "--kind", kind] for kind in cli.DUMPS]
     runs += list(_perfbench_invocations())
     assert len(runs) > len(cli.SUITES) + len(cli.DUMPS)
+    assert cli.VERIFY_DEFAULTS["max_size"] == cli.DUMP_DEFAULTS["max_size"] == 2_000_000
     for argv in runs:
-        table = cli.SUITES if argv[0] == "verify" else cli.DUMPS
-        assert _size(table, argv) <= cli.VERIFY_DEFAULTS["max_size"] == 2_000_000, argv
+        assert _size(argv) <= 2_000_000, argv
 
 
 # runs that enumerate far past the default bound, each refused before any work
@@ -450,7 +450,7 @@ def test_max_size_equal_to_the_size_admits_the_run(argv, monkeypatch, capsys):
         reached.append(args.max_size)
         return {"suite": suite, "params": {}, "claims": [cli._claim("reached", True)]}
 
-    size = _size(cli.SUITES, ["verify", *argv])
+    size = _size(["verify", *argv])
     monkeypatch.setitem(cli.SUITES, suite, (body, *cli.SUITES[suite][1:]))
     assert run_cli(["verify", *argv, "--max-size", str(size)]) == 0
     assert reached == [size]
@@ -459,9 +459,8 @@ def test_max_size_equal_to_the_size_admits_the_run(argv, monkeypatch, capsys):
 
 
 def test_a_larger_max_size_admits_a_trace_run_beyond_the_default(capsys):
-    # the scalar-fixed set at (2, 8) lies in a 4096^2 grid over F_(2^12):
-    # past the default bound, and past the 600,000 that the library's own
-    # bound allowed before the runner owned the bound
+    # the scalar-fixed set at (2, 8) lies in a 4096^2 grid over F_(2^12),
+    # past the default bound; only --max-size decides whether it runs
     argv = ["verify", "--suite", "trace", "--n", "2", "--q", "8"]
     assert run_cli(argv) == 1
     [claim] = json.loads(capsys.readouterr().out)["claims"]
