@@ -390,8 +390,7 @@ def _size(argv):
 
 
 def test_every_suite_and_dump_declares_a_size():
-    for entry in [*cli.SUITES.values(), *cli.DUMPS.values()]:
-        fn, reads, size = entry
+    for _, reads, size in [*cli.SUITES.values(), *cli.DUMPS.values()]:
         assert callable(size) and "max_size" not in reads
 
 
