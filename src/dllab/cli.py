@@ -488,7 +488,7 @@ def _round_trip_failures(F, Fq, q, rows):
     A = xtilde_matrix(F, q, n, coeffs)
     det = mat_det_series(A)
     # a lies in F_q iff a^|F_q| == a
-    rational = (F.vec.frob(Fq.order)[det.c] == det.c).all(axis=1)
+    rational = (F.vec.frob(Fq.order)[det.c] == det.c).all(axis=0)
     got, ok = xtilde_form(A, q, Fq)
     back = xtilde_matrix(F, q, n, got)
     exact = np.logical_and.reduce(

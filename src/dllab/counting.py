@@ -171,7 +171,23 @@ def inductive_spec(s2: SumSpec, f, p2, j: int, n: int, q: int):
     def s3_membership(E, x):
         return s2.membership(E, x) and f(E, x) == 0
 
+    def vector_counts(E, psi):
+        # walk S2 only, and fold y over all of A^1 at once: one row of
+        # P(x, y) per point x
+        v = E.vec
+        pts = [x for x in itertools.product(E.elements(), repeat=s2.dim) if s2.membership(E, x)]
+        fx = np.array([f(E, x) for x in pts], dtype=np.int64)[:, None]
+        p2x = np.array([p2(E, x) for x in pts], dtype=np.int64)[:, None]
+        y = np.arange(E.order, dtype=np.int64)
+        t = v.sub(
+            v.mul(v.frob(q**j)[fx], y),
+            v.mul(v.frob(q**n)[fx], v.frob(q ** (n - j))[y]),
+        )
+        psie = v.unary(lambda a: psi.exp(E.trace(a, s2.base)))
+        return np.bincount(psie[v.add(t, p2x)].ravel(), minlength=E.p)
+
     big = SumSpec(s2.base, s2.dim + 1, s_membership, s_poly)
+    big.vector_counts = vector_counts
     fibre = SumSpec(s2.base, s2.dim, s3_membership, p2)
     return big, fibre
 

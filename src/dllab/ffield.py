@@ -456,16 +456,20 @@ def chunked(fn, *arrays) -> np.ndarray:
     )
 
 
+_CHARACTERISTICS = sorted({p for p, _ in PRIMITIVE_POLYS})
+
+
 @lru_cache(maxsize=None)
 def field(p: int, k: int) -> Field:
     return Field(p, k)
 
 
 def splitting_params(q: int) -> tuple[int, int]:
-    """Decompose a prime power q = p^e; raises if q is not a prime power."""
+    """Decompose a prime power q = p^e; raises if q is not a prime power or
+    its characteristic has no fields in PRIMITIVE_POLYS."""
     if q < 2:
         raise UnsupportedParametersError("q is not a prime power")
-    for p in (2, 3, 5, 7, 11, 13):
+    for p in _CHARACTERISTICS:
         if q % p == 0:
             e = 0
             while q % p == 0:

@@ -5,7 +5,7 @@ exponent >= P is unknown, not zero.  Precision propagates pessimistically
 (min over inputs, shifted by multiplication valuations), so a coefficient
 the window claims to know is always exact.  SeriesBatch holds N such
 series over one field and evaluates them together, and every routine below
-works on N matrices at once, one per row of its entries.
+works on N matrices at once, one per series index of its entries.
 
 The module houses the n x n matrix group machinery around the twisted
 Frobenius F(A) = varpi^{-1} A^phi varpi, where varpi has ones on the
@@ -30,45 +30,65 @@ from .errors import (
 )
 from .ffield import Field
 
-# Rows per SeriesBatch that the series suite draws and evaluates at once.
-# At 256 rows a series child peaks at about 30.5 MB RSS (Python 3.11,
-# numpy 2.4; importing numpy alone takes about 27 MB); 1024 rows added
-# about 2 MB, and one 10,000-row batch about 30 MB.
+# Series per SeriesBatch that the series suite draws and evaluates at once.
+# At 256 a series child peaks at about 30.0 MB RSS (Python 3.11, numpy 2.4,
+# src compiled at start; importing numpy alone takes about 26.8 MB and
+# dllab.cli about 29.0 MB); 1024 added about 1.8 MB, and one 10,000-series
+# batch about 24 MB.
 SERIES_CHUNK = 256
 
 
 class SeriesBatch:
     """N truncated Laurent series over one field, evaluated together.
 
-    Row r is one series, the window [v[r], prec[r]) under the rules above:
-    a product's window ends at min(v_a + prec_b, v_b + prec_a), a sum's at
-    the smaller end, leading zeros are stripped, and a row that vanishes on its
-    window has v == prec.  The coefficients sit in one dense (N, E) int64
-    array whose column j holds exponent lo + j.  Entries outside a row's
-    window are zero, and the array keeps only the columns between the first
-    and the last nonzero entry of any row.  All field arithmetic goes through
-    the field's VecOps kernel.  Batches are never modified in place.
+    Series r is the window [v[r], prec[r]) under the rules above: a
+    product's window ends at min(v_a + prec_b, v_b + prec_a), a sum's at the
+    smaller end, leading zeros are stripped, and a series that vanishes on
+    its window has v == prec.  The coefficients sit in one dense (E, N)
+    int64 array, exponent-major and C-contiguous: row j holds exponent lo + j
+    of every series, and column r is series r.  A batch has a few exponents
+    and hundreds of series, so with the batch axis last every elementwise
+    kernel, anti-diagonal sum and scan runs along the long axis.  Entries
+    outside a window are zero, and the array keeps only the rows between the
+    first and the last nonzero entry of any series.  All field arithmetic
+    goes through the field's VecOps kernel.  Batches are never modified in
+    place.
     """
 
     __slots__ = ("F", "lo", "c", "v", "prec")
 
     def __init__(self, F: Field, lo: int, coeffs, prec):
-        """Row r of coeffs (exponent lo + j in column j) cut to the window
-        ending at prec[r]; v is its first nonzero exponent, or prec[r]."""
-        prec = np.asarray(prec, dtype=np.int64)
-        c = np.asarray(coeffs, dtype=np.int64)
-        c = np.where(lo + np.arange(c.shape[1]) < prec[:, None], c, 0)
+        """Row r of coeffs (exponent lo + j in column j) is series r, cut to
+        the window ending at prec[r]; coeffs is copied once, transposed."""
+        c = np.asarray(coeffs, dtype=np.int64).T.copy()
+        self._window(F, lo, c, np.asarray(prec, dtype=np.int64))
+
+    @classmethod
+    def _cut(cls, F: Field, lo: int, c, prec, v=None) -> "SeriesBatch":
+        """A batch from an (E, N) array, row j at exponent lo + j, cut to
+        the windows ending at prec; v, when known, saves the scan for it."""
+        out = object.__new__(cls)
+        out._window(F, lo, c, prec, v)
+        return out
+
+    def _window(self, F: Field, lo: int, c, prec, v=None):
+        """Zero c at and above prec, strip the all-zero rows at both ends,
+        and take v as each series' first nonzero exponent, or prec."""
+        if (prec < lo + len(c)).any():
+            c = np.where((lo + np.arange(len(c)))[:, None] < prec, c, 0)
         nz = c != 0
-        cols = np.flatnonzero(nz.any(axis=0))
+        rows = nz.any(axis=1).nonzero()[0]
         self.F, self.prec = F, prec
-        if cols.size == 0:
-            self.lo, self.c, self.v = 0, c[:, :0], prec
+        if rows.size == 0:
+            self.lo, self.c, self.v = 0, c[:0], prec
             return
-        first, end = cols[0], cols[-1] + 1
-        nz = nz[:, first:end]
+        first, end = rows[0], rows[-1] + 1
         self.lo = lo + int(first)
-        self.c = c[:, first:end]
-        self.v = np.where(nz.any(axis=1), self.lo + nz.argmax(axis=1), prec)
+        self.c = c[first:end]
+        if v is None:
+            nz = nz[first:end]
+            v = np.where(nz.any(axis=0), self.lo + nz.argmax(axis=0), prec)
+        self.v = v
 
     @classmethod
     def _of(cls, F: Field, lo: int, c, v, prec) -> "SeriesBatch":
@@ -79,11 +99,13 @@ class SeriesBatch:
 
     @staticmethod
     def zero(F: Field, prec) -> "SeriesBatch":
-        return SeriesBatch(F, 0, np.zeros((len(prec), 0), dtype=np.int64), prec)
+        prec = np.asarray(prec, dtype=np.int64)
+        return SeriesBatch._cut(F, 0, np.zeros((0, len(prec)), dtype=np.int64), prec)
 
     @staticmethod
     def one(F: Field, prec) -> "SeriesBatch":
-        return SeriesBatch(F, 0, np.ones((len(prec), 1), dtype=np.int64), prec)
+        prec = np.asarray(prec, dtype=np.int64)
+        return SeriesBatch._cut(F, 0, np.ones((1, len(prec)), dtype=np.int64), prec)
 
     def __len__(self) -> int:
         return len(self.prec)
@@ -97,18 +119,18 @@ class SeriesBatch:
         return self.F.vec
 
     def _placed(self, lo: int, width: int):
-        """The coefficients in columns for exponents lo .. lo + width - 1."""
-        out = np.zeros((len(self), width), dtype=np.int64)
-        a, b = max(self.lo, lo), min(self.lo + self.c.shape[1], lo + width)
+        """The coefficients in rows for exponents lo .. lo + width - 1."""
+        out = np.zeros((width, len(self)), dtype=np.int64)
+        a, b = max(self.lo, lo), min(self.lo + len(self.c), lo + width)
         if a < b:
-            out[:, a - lo : b - lo] = self.c[:, a - self.lo : b - self.lo]
+            out[a - lo : b - lo] = self.c[a - self.lo : b - self.lo]
         return out
 
     def _span(self, other: "SeriesBatch"):
-        """(lo, width) covering the stored columns of both operands."""
-        parts = [s for s in (self, other) if s.c.shape[1]]
+        """(lo, width) covering the stored rows of both operands."""
+        parts = [s for s in (self, other) if len(s.c)]
         lo = min((s.lo for s in parts), default=0)
-        return lo, max((s.lo + s.c.shape[1] for s in parts), default=lo) - lo
+        return lo, max((s.lo + len(s.c) for s in parts), default=lo) - lo
 
     def is_zero(self):
         return self.v == self.prec
@@ -117,7 +139,7 @@ class SeriesBatch:
         vec = self._check(other)
         lo, width = self._span(other)
         total = vec.add(self._placed(lo, width), other._placed(lo, width))
-        return SeriesBatch(self.F, lo, total, np.minimum(self.prec, other.prec))
+        return SeriesBatch._cut(self.F, lo, total, np.minimum(self.prec, other.prec))
 
     def __neg__(self) -> "SeriesBatch":
         return SeriesBatch._of(self.F, self.lo, self.F.vec.neg(self.c), self.v, self.prec)
@@ -129,23 +151,28 @@ class SeriesBatch:
         vec = self._check(other)
         prec = np.minimum(self.v + other.prec, other.v + self.prec)
         a, b = self.c, other.c
-        ea, eb = a.shape[1], b.shape[1]
-        out = np.zeros((len(self), max(0, ea + eb - 1)), dtype=np.int64)
+        ea, eb = len(a), len(b)
+        out = np.zeros((max(0, ea + eb - 1), len(self)), dtype=np.int64)
         if ea and eb:
-            terms = vec.mul(a[:, :, None], b[:, None, :])
+            terms = vec.mul(a[:, None], b[None])
             for i in range(ea):
-                out[:, i : i + eb] = vec.add(out[:, i : i + eb], terms[:, i])
-        return SeriesBatch(self.F, self.lo + other.lo, out, prec)
+                out[i : i + eb] = vec.add(out[i : i + eb], terms[i])
+        # over a field the product of the leading terms is nonzero, and it
+        # lies inside the window unless a factor vanishes on its own
+        v = np.minimum(self.v + other.v, prec)
+        return SeriesBatch._cut(self.F, self.lo + other.lo, out, prec, v)
 
     def shift(self, j: int) -> "SeriesBatch":
         """Multiplication by pi^j (exact; every window shifts with it)."""
         return SeriesBatch._of(self.F, self.lo + j, self.c, self.v + j, self.prec + j)
 
     def truncate(self, prec) -> "SeriesBatch":
-        """Cut every row to the window ending at prec (an int or per row)."""
+        """Cut every series to the window ending at prec (an int or per series)."""
         if np.any(prec > self.prec):
             raise PrecisionLossError("cannot extend a window")
-        return SeriesBatch(self.F, self.lo, self.c, np.minimum(self.prec, prec))
+        prec = np.minimum(self.prec, prec)
+        # a leading term below the new end survives the cut
+        return SeriesBatch._cut(self.F, self.lo, self.c, prec, np.minimum(self.v, prec))
 
     def frob(self, e: int) -> "SeriesBatch":
         """Coefficientwise c -> c^e, for e a power of the characteristic."""
@@ -153,22 +180,22 @@ class SeriesBatch:
         return SeriesBatch._of(self.F, self.lo, c, self.v, self.prec)
 
     def equals(self, other: "SeriesBatch"):
-        """Per row, whether the two series agree on their common window."""
+        """Per series, whether the two batches agree on their common window."""
         self._check(other)
         prec = np.minimum(self.prec, other.prec)
         a, b = self.truncate(prec), other.truncate(prec)
         lo, width = a._span(b)
-        return (a._placed(lo, width) == b._placed(lo, width)).all(axis=1)
+        return (a._placed(lo, width) == b._placed(lo, width)).all(axis=0)
 
     def __eq__(self, other):
-        raise TypeError("compare series batches row by row with equals()")
+        raise TypeError("compare series batches series by series with equals()")
 
     __hash__ = None
 
 
 # -- matrices -------------------------------------------------------------------
-# A matrix is a list of rows of SeriesBatch entries of one length: row r of
-# every entry forms the r-th matrix.  The routines use only the entries'
+# A matrix is a list of rows of SeriesBatch entries of one length: series r
+# of every entry forms the r-th matrix.  The routines use only the entries'
 # operators and their one/zero constructors, so the tests also run them on
 # matrices of single series, their scalar reference.
 
@@ -204,7 +231,7 @@ def mat_sub(A, B):
 
 
 def mat_prec(A):
-    """The smallest window end over the entries, per row."""
+    """The smallest window end over the entries, per series."""
     return reduce(np.minimum, (e.prec for row in A for e in row))
 
 
@@ -338,7 +365,7 @@ def xtilde_matrix(F: Field, q: int, n: int, a_coeffs):
 
 def xtilde_form(A, q: int, Fq: Field):
     """(cand, ok): the candidate coefficients (a_0, ..., a_{n-1}), read off
-    the first row of A, and per row whether A has the twisted circulant
+    the first row of A, and per series whether A has the twisted circulant
     shape of cand and det(A) is a nonzero series with every coefficient in
     F_q."""
     n = len(A)
@@ -352,7 +379,7 @@ def xtilde_form(A, q: int, Fq: Field):
     in_Fq = np.zeros(F.order, dtype=bool)
     in_Fq[F.embed_table(Fq)] = True
     # entries outside a window are zero, which lies in F_q
-    return cand, ok & ~det.is_zero() & in_Fq[det.c].all(axis=1)
+    return cand, ok & ~det.is_zero() & in_Fq[det.c].all(axis=0)
 
 
 # Above n * v + j for any window a suite can hold, far below int64 overflow.
@@ -361,7 +388,7 @@ _VANISHED = 1 << 40
 
 def det_valuation(a_coeffs):
     """Valuation of det(xtilde_matrix(a)): min over j of n*v_j + j, over the
-    series that do not vanish on their windows, per row.
+    series that do not vanish on their windows, per series index.
 
     The n! expansion is dominated by the n cyclic permutations; their
     normalized valuations n*v_j + j are distinct mod n, so the minimum is

@@ -413,7 +413,7 @@ def series_batch(series) -> SeriesBatch:
 def batch_row(batch: SeriesBatch, r: int) -> LaurentSeries:
     """Row r of a SeriesBatch as a LaurentSeries."""
     v, prec = int(batch.v[r]), int(batch.prec[r])
-    cs = batch._placed(v, prec - v)[r]
+    cs = batch._placed(v, prec - v)[:, r]
     return LaurentSeries(batch.F, v, cs.tolist(), prec)
 
 

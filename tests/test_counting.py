@@ -10,6 +10,7 @@ from dllab.counting import (
     eigendim,
     exp_sum,
     inductive_check,
+    inductive_spec,
     intertwiner_s2_data,
     maximality_probe,
     npp_identity,
@@ -85,6 +86,17 @@ def test_inductive_reduction(q, s_range):
     psi = conductor2_char(q)
     report = inductive_check(s2, f, p2, j, n, q, psi, s_range)
     assert len(report["checks"]) == len(s_range)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_inductive_spec_vector_counts_match_the_scalar_walk(s):
+    # the same S = S2 x A^1 without the batched fold walks E^3 tuple by tuple
+    q = 2
+    s2, f, p2, j, n = intertwiner_s2_data(q)
+    big, _ = inductive_spec(s2, f, p2, j, n, q)
+    plain = SumSpec(big.base, big.dim, big.membership, big.poly)
+    psi = conductor2_char(q)
+    assert exp_sum(big, psi, s) == exp_sum(plain, psi, s)
 
 
 def test_inductive_reduction_degenerate_fibre():

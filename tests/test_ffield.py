@@ -177,6 +177,24 @@ def test_splitting_params_rejects_non_prime_powers(q):
         splitting_params(q)
 
 
+@pytest.mark.parametrize("q", [7, 11, 13, 49])
+def test_splitting_params_rejects_characteristics_without_fields(q):
+    # no defining polynomial of these characteristics, so no field to build
+    with pytest.raises(UnsupportedParametersError, match="unsupported characteristic"):
+        splitting_params(q)
+
+
+def test_splitting_params_accepts_only_characteristics_with_fields():
+    accepted = set()
+    for q in range(2, 100):
+        try:
+            accepted.add(splitting_params(q)[0])
+        except UnsupportedParametersError:
+            pass
+    assert all((p, 1) in PRIMITIVE_POLYS for p in accepted)
+    assert accepted == {p for p, _ in PRIMITIVE_POLYS}
+
+
 @pytest.mark.parametrize("p,k", WORKLOAD_FIELDS)
 def test_table_ops_match_digit_oracle_exhaustive(p, k):
     F = field(p, k)

@@ -290,17 +290,20 @@ def rows(batch):
 
 
 def check_invariants(batch):
-    """Zero outside every window, v the first nonzero exponent or prec, and
-    no all-zero column at either end of the array."""
-    exps = batch.lo + np.arange(batch.c.shape[1])
-    inside = (exps >= batch.v[:, None]) & (exps < batch.prec[:, None])
+    """The exponent-major layout: c is one C-contiguous (E, N) array with a
+    column per series.  Then zero outside every window, v the first nonzero
+    exponent or prec, and no all-zero row at either end of the array."""
+    assert batch.c.ndim == 2 and batch.c.flags.c_contiguous
+    assert batch.c.shape[1] == len(batch)
+    exps = batch.lo + np.arange(batch.c.shape[0])
+    inside = (exps[:, None] >= batch.v) & (exps[:, None] < batch.prec)
     assert not np.any(batch.c[~inside])
     assert np.all(batch.v <= batch.prec)
     for r in range(len(batch)):
         if batch.v[r] < batch.prec[r]:
-            assert batch.c[r, batch.v[r] - batch.lo] != 0
-    if batch.c.shape[1]:
-        assert batch.c[:, 0].any() and batch.c[:, -1].any()
+            assert batch.c[batch.v[r] - batch.lo, r] != 0
+    if batch.c.shape[0]:
+        assert batch.c[0].any() and batch.c[-1].any()
 
 
 @st.composite
@@ -401,18 +404,29 @@ def test_batched_det_matches_scalar_on_full_f4_grid():
     assert rows(det) == [key(mat_det_series(xtilde_matrix(F, 2, 2, list(p)))) for p in pairs]
 
 
-@pytest.mark.parametrize("q,pk", [(2, (2, 2)), (3, (3, 2)), (4, (2, 6))])
-def test_batched_det_and_valuation_match_scalar_3x3(q, pk):
+def assert_det_and_valuation_match_scalar(q, pk, n):
     F = field(*pk)
     rng = random.Random(q)
-    samples = [[rand_series(F, rng, 6, 0, 1) for _ in range(3)] for _ in range(150)]
+    samples = [[rand_series(F, rng, 6, 0, 1) for _ in range(n)] for _ in range(150)]
     samples = [s for s in samples if not all(x.is_zero() for x in s)]
-    coeffs = [series_batch([s[t] for s in samples]) for t in range(3)]
-    A = xtilde_matrix(F, q, 3, coeffs)
-    assert_rows_match(A, [xtilde_matrix(F, q, 3, s) for s in samples])
+    coeffs = [series_batch([s[t] for s in samples]) for t in range(n)]
+    A = xtilde_matrix(F, q, n, coeffs)
+    assert_rows_match(A, [xtilde_matrix(F, q, n, s) for s in samples])
     det = mat_det_series(A)
-    assert rows(det) == [key(mat_det_series(xtilde_matrix(F, q, 3, s))) for s in samples]
+    check_invariants(det)
+    assert rows(det) == [key(mat_det_series(xtilde_matrix(F, q, n, s))) for s in samples]
     assert det_valuation(coeffs).tolist() == [det_valuation(s) for s in samples]
+
+
+@pytest.mark.parametrize("q,pk", [(2, (2, 2)), (3, (3, 2)), (4, (2, 6))])
+def test_batched_det_and_valuation_match_scalar_3x3(q, pk):
+    assert_det_and_valuation_match_scalar(q, pk, 3)
+
+
+def test_batched_det_and_valuation_match_scalar_4x4_over_f9():
+    # 24 signed terms per determinant through the Zech-table addition and
+    # negation of odd characteristic; the suite runs F_9 only at n = 2
+    assert_det_and_valuation_match_scalar(3, (3, 2), 4)
 
 
 @pytest.mark.parametrize("p,k,q,n", [(2, 4, 2, 3), (2, 6, 2, 3), (3, 2, 3, 2), (2, 4, 4, 3)])
