@@ -148,7 +148,7 @@ def suite_thm32(args) -> dict:
 
 def suite_eigenspaces(args) -> dict:
     from .charlib import layer_as_additive_char, principal_units, unit_characters
-    from .counting import collapse_twist_table, eigendim, npp_identity, x3_twist_table
+    from .counting import collapse_twist_table, eigendims, npp_identity, x3_twist_table
 
     qs = _qs(args)
     claims = []
@@ -165,12 +165,11 @@ def suite_eigenspaces(args) -> dict:
             if layer_as_additive_char(units, c, F2, 3, q, R).conductor_power() == 2
         ]
         _progress(f"[eigenspaces] {len(chars)} characters, {len(chars) ** 2} pairs")
-        bad = 0
-        for c1 in chars:
-            for c2 in chars:
-                same = all(c1.exp(g) == c2.exp(g) for g in units.elements)
-                if eigendim(c1, c2, collapsed, q) != (1 if same else 0):
-                    bad += 1
+        tables = [[c.exp(g) for g in units.elements] for c in chars]
+        dims = eigendims(chars, collapsed, q).tolist()
+        bad = sum(
+            d != (t1 == t2) for t1, row in zip(tables, dims) for t2, d in zip(tables, row)
+        )
         claims.append(
             _claim(
                 "eigenspace dimension is the Kronecker delta on conductor-q^2 pairs",

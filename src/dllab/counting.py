@@ -18,15 +18,15 @@ import itertools
 import numpy as np
 
 from .charlib import AddChar
-from .cyclo import CycloNum, RootCounter, cyclo_from_counts
+from .cyclo import CycloNum, RootCounter, cyclo_from_counts, reduce_counts
 from .errors import (
     CharacterMismatchError,
     IdentityFailsError,
     MixedOrderError,
     UnsupportedParametersError,
 )
-from .ffield import GRID_CHUNK, Field, field, index_digits, splitting_params
-from .matmodel import in_Xh, star_action, xh_points
+from .ffield import GRID_CHUNK, Field, field, grid_chunks, index_digits, splitting_params
+from .matmodel import in_Xh_batch, star_action, xh_points
 from .repkit import assert_nonneg_integer
 from .twistring import TwistedRing, twisted_ring
 
@@ -306,36 +306,12 @@ def y3_locus_equality(q: int, s: int = 2) -> bool:
 # -- the eigenspace kernel (n = 2, h = 3) --------------------------------------
 
 
-def _star_closed(F: Field, q: int, lam: int, mu: int, x):
-    """(1 + lam pi + mu pi^2) * x for x = 1 + a_1 tau + ... + a_4 tau^4."""
-    _, a1, a2, a3, a4 = x
-    return (
-        1,
-        a1,
-        F.add(lam, a2),
-        F.add(a3, F.mul(lam, a1)),
-        F.add(mu, F.add(a4, F.mul(lam, a2))),
-    )
-
-
-def x3_conditions(F: Field, q: int, Fq: Field, x) -> bool:
-    """The two coordinate equations of X_3 at n = 2 for x = 1 + a_1 tau +
-    ... + a_4 tau^4:  a_2^q + a_2 - a_1^(q+1) and
-    a_4^q + a_4 + a_2^(q+1) - a_1 a_3^q - a_3 a_1^q both lie in F_q."""
-    _, a1, a2, a3, a4 = x
-    c1 = F.sub(F.add(F.frob(a2, q), a2), F.mul(a1, F.frob(a1, q)))
-    if not F.in_subfield(Fq, c1):
-        return False
-    c2 = F.add(F.frob(a4, q), a4)
-    c2 = F.add(c2, F.mul(a2, F.frob(a2, q)))
-    c2 = F.sub(c2, F.mul(a1, F.frob(a3, q)))
-    c2 = F.sub(c2, F.mul(a3, F.frob(a1, q)))
-    return F.in_subfield(Fq, c2)
-
-
 def x3_conditions_batch(F: Field, q: int, x) -> np.ndarray:
-    """x3_conditions on a batch: one boolean per column of x.  An element
-    lies in F_q when the q-power map fixes it."""
+    """The two coordinate equations of X_3 at n = 2 on a batch x whose
+    columns are 1 + a_1 tau + ... + a_4 tau^4 (row 0 is not read):
+    a_2^q + a_2 - a_1^(q+1) and a_4^q + a_4 + a_2^(q+1) - a_1 a_3^q - a_3 a_1^q
+    both lie in F_q.  One boolean per column; an element lies in F_q when
+    the q-power map fixes it."""
     v = F.vec
     frq = v.frob(q)
     _, a1, a2, a3, a4 = x
@@ -345,6 +321,112 @@ def x3_conditions_batch(F: Field, q: int, x) -> np.ndarray:
     return (frq[c1] == c1) & (frq[c2] == c2)
 
 
+def _as_fibres(E: Field, q2: int, kernel):
+    """The Artin-Schreier fibres x^{q^2} - x = c over E.  The map is
+    additive with kernel F_{q^2}, given as E-indices in kernel, so the fibre
+    over the value at x is x + kernel.  The fibres form one (|E|, q^2) table
+    and a mask of the c that have one; every x of a fibre writes the same
+    set into its row."""
+    v = E.vec
+    idx = np.arange(E.order, dtype=np.int64)
+    vals = v.sub(v.frob(q2), idx)
+    fib = np.zeros((E.order, q2), dtype=np.int64)
+    fib[vals] = v.add(idx[:, None], kernel)
+    has = np.zeros(E.order, dtype=bool)
+    has[vals] = True
+    return fib, has
+
+
+def _widen(batches, width: int):
+    """The columns of batches in slices small enough that expanding each
+    column width times stays within GRID_CHUNK columns."""
+    step = max(1, GRID_CHUNK // width)
+    for cols in batches:
+        for s in range(0, cols.shape[1], step):
+            yield cols[:, s : s + step]
+
+
+def twist_counts(q: int, t) -> np.ndarray:
+    """The counts of x3_twist_table at the key indices t (a 1-D int array):
+    key index t has the base-q^2 digits (d, g3, g2, lam), lam least
+    significant, so index order is the table's key order.
+
+    Candidates are generated from the componentwise equations, GRID_CHUNK
+    columns at a time: a_1 runs over F_{q^2}, a_2 over its Artin-Schreier
+    fibre, then a_3 and a_4 over theirs; each fibre holds q^2 points or
+    none.  The candidates are filtered by the equations of X_3, then
+    re-verified against the twisted equation itself via the ring
+    multiplication, so a transcription error in the component form could
+    only lose solutions, never admit wrong ones; completeness is certified
+    against the brute-force count in the tests.
+    """
+    p, e = splitting_params(q)
+    q2 = q * q
+    E = field(p, 2 * e * p)
+    F2 = field(p, 2 * e)
+    v = E.vec
+    frq, frq2 = v.frob(q), v.frob(q2)
+    ring = twisted_ring(2, q, 3, E)
+    rational = E.embed_table(F2)  # F_{q^2} in E
+    fib, has = _as_fibres(E, q2, rational)
+    nkeys = F2.order**4
+    # key[:, t] is (lam, g2, g3, d) in E
+    key = rational[index_digits(np.arange(nkeys), F2.order, 4)[::-1]]
+
+    def with_a1(t):
+        # rows t, a1, c3: the keys t with a nonempty a_2-fibre, each with
+        # every a1 in F_{q^2} whose a_3-fibre is nonempty
+        lam, g2, _, _ = key[:, t]
+        t = np.repeat(t[has[v.sub(g2, lam)]], q2)
+        a1 = np.resize(rational, len(t))
+        lam, g2, g3, _ = key[:, t]
+        c3 = v.add(v.sub(v.mul(frq[g2], a1), v.mul(lam, a1)), g3)
+        keep = has[c3]
+        return np.stack([t[keep], a1[keep], c3[keep]])
+
+    def with_a2(cols):
+        # rows t, a1, c3, a2, c4: each a2 in the fibre over g2 - lam, kept
+        # when c1 lies in F_q and the a_4-fibre over c4 is nonempty
+        lam, g2, _, _ = key[:, cols[0]]
+        a2 = fib[v.sub(g2, lam)].ravel()
+        t, a1, c3 = np.repeat(cols, q2, axis=1)
+        lam, g2, g3, d = key[:, t]
+        c1 = v.sub(v.add(frq[a2], a2), v.mul(a1, frq[a1]))
+        c4 = v.add(v.add(d, v.mul(a2, g2)), v.mul(a1, frq[g3]))
+        c4 = v.sub(c4, v.mul(lam, frq2[a2]))
+        keep = (frq[c1] == c1) & has[c4]
+        return np.stack([t[keep], a1[keep], c3[keep], a2[keep], c4[keep]])
+
+    def solutions(cols):
+        # the key index of each solution with a3 in the fibre over c3 and
+        # a4 in the fibre over c4
+        t, a1, c3, a2, c4 = cols
+        at = np.repeat(np.arange(len(t)), q2 * q2)
+        a3 = np.repeat(fib[c3], q2, axis=1).ravel()
+        a4 = np.tile(fib[c4], q2).ravel()
+        keep = x3_conditions_batch(E, q, (None, a1[at], a2[at], a3, a4))
+        at = at[keep]
+        x = np.stack([np.ones_like(at), a1[at], a2[at], a3[keep], a4[keep]])
+        t = t[at]
+        lam, g2, g3, d = key[:, t]
+        one, zero = x[0], np.zeros_like(t)
+        _, y1, y2, y3, y4 = ring.frobenius_batch(x, 2)
+        star = np.stack(  # (1 + lam pi) * y, the mu = 0 slice
+            [one, y1, v.add(lam, y2), v.add(y3, v.mul(lam, y1)), v.add(y4, v.mul(lam, y2))]
+        )
+        ok = np.ones(len(t), dtype=bool)
+        for a, b in zip(star, ring.mul_batch(x, np.stack([one, zero, g2, g3, d]))):
+            ok &= a == b
+        return t[ok]
+
+    t = np.asarray(t, dtype=np.int64)
+    counts = np.zeros(nkeys, dtype=np.int64)
+    keys = (with_a1(c[0]) for c in _widen([t[None]], q2))
+    for cols in _widen((with_a2(c) for c in _widen(keys, q2)), q2 * q2):
+        counts += np.bincount(solutions(cols), minlength=nkeys)
+    return counts[t]
+
+
 def x3_twist_table(q: int) -> dict:
     """N(gamma, g) for the (n, h) = (2, 3) star-twisted count, tabulated on
     the invariants it actually depends on.
@@ -352,85 +434,63 @@ def x3_twist_table(q: int) -> dict:
     gamma = 1 + lam pi + mu pi^2 and g = 1 + g2 tau^2 + g3 tau^3 + g4 tau^4
     enter the defining equations only through (lam, g2, g3, g4 - mu): mu and
     g4 both act on the tau^4 component alone.  Keys are those quadruples
-    over F_{q^2}; values count solutions over F_{q^{2p}}, where every
-    Artin-Schreier fibre of the system saturates.
-
-    Candidates are generated from the componentwise equations, then every
-    candidate is re-verified against the twisted equation itself via the
-    ring multiplication, so a transcription error in the component form
-    could only lose solutions, never admit wrong ones; completeness is
-    certified against the brute-force count in the tests.
+    over F_{q^2}, lam fastest, with a nonzero count; values count solutions
+    over F_{q^{2p}}, where every Artin-Schreier fibre of the system
+    saturates.  twist_counts computes them.
     """
     p, e = splitting_params(q)
-    q2 = q * q
-    E = field(p, 2 * e * p)
-    F2 = field(p, 2 * e)
-    Fq = field(p, e)
-    emb = E.embed_table(F2)
-    ring = twisted_ring(2, q, 3, E)
-    # Artin-Schreier preimages x^{q^2} - x = c over E
-    as_sols: dict[int, list[int]] = {}
-    for x in E.elements():
-        as_sols.setdefault(E.sub(E.frob(x, q2), x), []).append(x)
-    rational = [a for a in E.elements() if E.frob(a, q2) == a]  # F_{q^2} in E
-    table = {}
-    # lam runs fastest, so keys are inserted in the order lam, g2, g3, d
-    for d_i, g3_i, g2_i, lam_i in itertools.product(F2.elements(), repeat=4):
-        lam, g2, g3, d = (int(emb[c]) for c in (lam_i, g2_i, g3_i, d_i))
-        g = (1, 0, g2, g3, d)  # mu = 0 slice: g4 - mu = d
-        count = 0
-        for a1 in rational:
-            c3 = E.add(E.sub(E.mul(E.frob(g2, q), a1), E.mul(lam, a1)), g3)
-            a3s = as_sols.get(c3, ())
-            if not a3s:
-                continue
-            a1q1 = E.mul(a1, E.frob(a1, q))
-            for a2 in as_sols.get(E.sub(g2, lam), ()):
-                c1 = E.sub(E.add(E.frob(a2, q), a2), a1q1)
-                if not E.in_subfield(Fq, c1):
-                    continue
-                c4 = E.sub(
-                    E.add(E.add(d, E.mul(a2, g2)), E.mul(a1, E.frob(g3, q))),
-                    E.mul(lam, E.frob(a2, q2)),
-                )
-                a4s = as_sols.get(c4, ())
-                for a3 in a3s:
-                    for a4 in a4s:
-                        x = (1, a1, a2, a3, a4)
-                        if not x3_conditions(E, q, Fq, x):
-                            continue
-                        y = ring.frobenius(x, 2)
-                        if _star_closed(E, q, lam, 0, y) == ring.mul(x, g):
-                            count += 1
-        if count:
-            table[(lam_i, g2_i, g3_i, d_i)] = count
-    return table
+    Q2 = field(p, 2 * e).order
+    t = np.arange(Q2**4, dtype=np.int64)
+    counts = twist_counts(q, t)
+    digits = index_digits(t, Q2, 4)[::-1].T.tolist()
+    return {tuple(digits[i]): c for i, c in enumerate(counts.tolist()) if c}
 
 
-def eigendim(chi1, chi2, table: dict, q: int) -> int:
+def eigendims(chars, table: dict, q: int) -> np.ndarray:
     """dim of the (chi1, chi2-sharp) eigenspace of the level-3 surface in
-    its only nonvanishing degree:
+    its only nonvanishing degree, for every pair of chars: entry (i, j) is
 
-        q^{-12} sum_{gamma, g} chi1(gamma)^{-1} chi2_sharp(g) N(gamma, g),
+        q^{-12} sum_{gamma, g} chi1(gamma)^{-1} chi2_sharp(g) N(gamma, g)
 
-    with the Frobenius scalar q^2 hypothesis supplied by the intertwiner
-    sum.  chi1, chi2 are characters of the principal units (1, lam, mu)
-    over F_{q^2}; chi2_sharp ignores the tau^3 coordinate of g, so table is
-    the collapsed collapse_twist_table(x3_twist_table(q)).
+    for chi1, chi2 = chars[i], chars[j], with the Frobenius scalar q^2
+    hypothesis supplied by the intertwiner sum.  The chars are characters
+    of the principal units (1, lam, mu) over F_{q^2}; chi2_sharp ignores the
+    tau^3 coordinate of g, so table is the collapsed
+    collapse_twist_table(x3_twist_table(q)).
+
+    Each character's exponents are read once over the (key, mu) rows of the
+    table; each pair's sum is an integer count vector over the roots, and
+    all of them are reduced mod Phi_R in one call.
     """
-    R = chi1.R
-    if chi2.R != R:
-        raise MixedOrderError(f"characters with root orders {R} and {chi2.R}")
+    R = chars[0].R
+    for chi in chars:
+        if chi.R != R:
+            raise MixedOrderError(f"characters with root orders {R} and {chi.R}")
     p, e = splitting_params(q)
     F2 = field(p, 2 * e)
-    rc = RootCounter(R)
-    for (lam_i, g2_i, d_i), cnt in table.items():
-        for mu in F2.elements():
-            e1 = chi1.exp((1, lam_i, mu))
-            e2 = chi2.exp((1, g2_i, F2.add(d_i, mu)))
-            rc.add(e2 - e1, cnt)
-    val = rc.value() / q**12
-    return assert_nonneg_integer(val)
+    Q2, C = F2.order, len(chars)
+    keys = np.array(list(table), dtype=np.int64).reshape(-1, 3)
+    mu = np.tile(np.arange(Q2, dtype=np.int64), len(keys))
+    lam, g2, d = np.repeat(keys, Q2, axis=0).T
+    cnt = np.repeat(np.array(list(table.values()), dtype=np.int64), Q2)
+    exps = np.zeros((C, Q2, Q2), dtype=np.int64)
+    for c, chi in enumerate(chars):
+        for (_, b1, b2), x in chi.table.items():
+            exps[c, b1, b2] = x
+    e1 = exps[:, lam, mu]  # chi1(1, lam, mu) per (key, mu) row
+    e2 = exps[:, g2, F2.vec.add(d, mu)]  # chi2(1, g2, d + mu)
+    counts = np.zeros((C, C * R), dtype=np.int64)
+    slot = R * np.arange(C, dtype=np.int64)[:, None]
+    weights = np.tile(cnt, C)
+    for c in range(C):
+        np.add.at(counts[c], (slot + (e2 - e1[c]) % R).ravel(), weights)
+    scale = q**12
+    dims = []
+    for row in reduce_counts(R, counts.reshape(C * C, R)).tolist():
+        if row[0] < 0 or row[0] % scale or any(row[1:]):
+            assert_nonneg_integer(CycloNum(R, row) / scale)
+        dims.append(row[0] // scale)
+    return np.array(dims, dtype=np.int64).reshape(C, C)
 
 
 def collapse_twist_table(table: dict) -> dict:
@@ -488,13 +548,11 @@ def zeta_fixed_set(n: int, q: int, h: int):
     # x_j == 0 at every j with f_j != 1
     free = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f == 1]
     out = []
-    for vals in itertools.product(E.elements(), repeat=len(free)):
-        x = [1] + [0] * dim
-        for j, v in zip(free, vals):
-            x[j] = v
-        x = tuple(x)
-        if in_Xh(ring, x):
-            out.append(x)
+    for vals in grid_chunks(E.order, len(free)):
+        x = np.zeros((dim + 1, vals.shape[1]), dtype=np.int64)
+        x[0] = 1
+        x[free] = vals
+        out.extend(map(tuple, x[:, in_Xh_batch(ring, x)].T.tolist()))
     return out, ring, E
 
 

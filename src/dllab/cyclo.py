@@ -7,7 +7,9 @@ floating point is used anywhere.
 Two helpers matter for performance elsewhere: RootCounter accumulates
 integer multiplicities of root-of-unity exponents (numpy vector of counts)
 and converts to a CycloNum only at the end, so hot loops stay in integer
-arithmetic.
+arithmetic; reduce_counts turns many such count vectors into coefficient
+rows with one integer matrix product, since the power basis mod Phi_n is
+integral (Washington, Introduction to Cyclotomic Fields, ch. 2).
 """
 
 from __future__ import annotations
@@ -251,14 +253,38 @@ class RootCounter:
         return cyclo_from_counts(self.n, self.counts)
 
 
+@lru_cache(maxsize=None)
+def _residue_matrix(n: int) -> tuple:
+    """(the (n, phi(n)) int64 matrix of _power_residues(n), the largest
+    column sum of its absolute values)."""
+    rows = _power_residues(n)
+    bound = max(sum(abs(c) for c in col) for col in zip(*rows))
+    return np.array(rows, dtype=np.int64), bound
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def reduce_counts(n: int, counts) -> np.ndarray:
+    """Row r of counts (shape (N, n)) stands for sum_e counts[r, e] zeta_n^e;
+    returns the exact int64 power-basis coefficients, shape (N, phi(n)), as
+    one matrix product.  Refuses counts whose products could leave int64."""
+    try:
+        counts = np.asarray(counts, dtype=np.int64)
+    except OverflowError:
+        raise UnsupportedParametersError(f"counts past int64 for root order {n}") from None
+    if counts.ndim != 2 or counts.shape[1] != n:
+        raise MixedOrderError(f"counts of shape {counts.shape} for root order {n}")
+    res, col = _residue_matrix(n)
+    if counts.size:
+        top = max(int(counts.max()), -int(counts.min()))
+        if top * col > _INT64_MAX:
+            raise UnsupportedParametersError(
+                f"counts up to {top} leave int64 in the reduction mod Phi_{n}"
+            )
+    return counts @ res
+
+
 def cyclo_from_counts(n: int, counts) -> CycloNum:
     """Sum of counts[e] * zeta_n^e as a CycloNum."""
-    deg = _degree(n)
-    acc = [Fraction(0)] * deg
-    for e, c in enumerate(counts):
-        c = int(c)
-        if c:
-            vec = _exp_vector(n, e)
-            for t in range(deg):
-                acc[t] += c * vec[t]
-    return CycloNum(n, acc)
+    return CycloNum(n, reduce_counts(n, [counts])[0].tolist())

@@ -29,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclo import CycloNum, RootCounter, cyclo_from_counts
+from .cyclo import CycloNum, RootCounter, cyclo_from_counts, reduce_counts
 from .errors import (
     AllZeroError,
     MixedOrderError,
@@ -410,13 +410,6 @@ class MonomialExtension:
         return [(delta, cyclo_from_counts(R, rows[delta])) for delta in sorted(rows)]
 
 
-def _exps_value(exps, R: int) -> CycloNum:
-    counts = [0] * R
-    for e in exps:
-        counts[e % R] += 1
-    return cyclo_from_counts(R, counts)
-
-
 def _dense_identity(d, R):
     one = CycloNum.rational(R, 1)
     return [[one if i == j else None for j in range(d)] for i in range(d)]
@@ -539,21 +532,21 @@ def _monomial_extension(rep: MonomialRep, P, E, conj, g_power_c, c: int, generat
         raise NotInvariantError("T^c is not a scalar multiple of rho(g^c)")
     xi = ratios.pop()
     f = next(t for t in range(R) if (c * t + xi) % R == 0)
-    diag = monomial_trace_exps((P, E), R)
-    chosen = None
-    candidates = []
-    for jj in range(c):
-        s = (f + jj * (R // c)) % R
-        tr = _exps_value([(x + s) % R for x in diag], R)
-        candidates.append(tr)
-        if tr == target_trace:
-            if chosen is not None:
-                raise NoExtensionError("trace does not pin down the scalar twist")
-            chosen = s
-    if chosen is None:
+    # the c candidate traces, as one (c, R) count array reduced in one call
+    shifts = (f + np.arange(c, dtype=np.int64) * (R // c)) % R
+    exps = (np.array(monomial_trace_exps((P, E), R), dtype=np.int64) + shifts[:, None]) % R
+    rows = np.arange(c, dtype=np.int64)[:, None] * R
+    traces = reduce_counts(R, np.bincount((rows + exps).ravel(), minlength=c * R).reshape(c, R))
+    want = target_trace.coeffs if target_trace.n == R else None
+    hits = [jj for jj, row in enumerate(traces.tolist()) if tuple(row) == want]
+    if len(hits) > 1:
+        raise NoExtensionError("trace does not pin down the scalar twist")
+    if not hits:
+        candidates = [CycloNum(R, row) for row in traces.tolist()]
         raise NoExtensionError(
             f"no scalar twist matches the target trace; candidates: {candidates}"
         )
+    chosen = int(shifts[hits[0]])
     Es = tuple((x + chosen) % R for x in E)
     return MonomialExtension(rep, P, Es, c, R), chosen
 

@@ -8,14 +8,16 @@ package imports this module.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
-from dllab.counting import x3_conditions, y3_member
-from dllab.cyclo import RootCounter
+from dllab.counting import y3_member
+from dllab.cyclo import RootCounter, _exp_vector, _degree, cyclo_from_counts
 from dllab.errors import (
     AllZeroError,
     MatrixShapeError,
+    MixedOrderError,
     OperandMismatchError,
     OutsideSubgroupError,
     PrecisionLossError,
@@ -32,9 +34,23 @@ from dllab.matmodel import (
     tp_mul,
     tp_scalar,
 )
-from dllab.repkit import SumChar, _exps_value, assert_nonneg_integer
+from dllab.repkit import SumChar, assert_nonneg_integer
 from dllab.serieslab import SeriesBatch, mat_det_series, xtilde_matrix
 from dllab.twistring import TwistedRing, enumerate_unipotent, twisted_ring
+
+
+def cyclo_coeffs(n: int, counts) -> list:
+    """Oracle of cyclo.reduce_counts on one row: the power-basis
+    coefficients of sum_e counts[e] zeta_n^e, as Fractions added one
+    residue at a time."""
+    acc = [Fraction(0)] * _degree(n)
+    for e, c in enumerate(counts):
+        c = int(c)
+        if c:
+            vec = _exp_vector(n, e)
+            for t in range(len(acc)):
+                acc[t] += c * vec[t]
+    return acc
 
 
 def sub_digits(F: Field, a: int, b: int) -> int:
@@ -66,6 +82,126 @@ def y3_preimage(ring: TwistedRing):
         for a3, a4 in itertools.product(E.elements(), repeat=2):
             if y3_member(ring, beta_map(ring, factors, (1, 0, 0, a3, a4))):
                 yield a1, a2, a3, a4
+
+
+def x3_conditions(F: Field, q: int, Fq: Field, x) -> bool:
+    """Oracle of counting.x3_conditions_batch: the two coordinate equations
+    of X_3 at n = 2 for x = 1 + a_1 tau + ... + a_4 tau^4, a_2^q + a_2 -
+    a_1^(q+1) and a_4^q + a_4 + a_2^(q+1) - a_1 a_3^q - a_3 a_1^q both lie in
+    F_q."""
+    _, a1, a2, a3, a4 = x
+    c1 = F.sub(F.add(F.frob(a2, q), a2), F.mul(a1, F.frob(a1, q)))
+    if not F.in_subfield(Fq, c1):
+        return False
+    c2 = F.add(F.frob(a4, q), a4)
+    c2 = F.add(c2, F.mul(a2, F.frob(a2, q)))
+    c2 = F.sub(c2, F.mul(a1, F.frob(a3, q)))
+    c2 = F.sub(c2, F.mul(a3, F.frob(a1, q)))
+    return F.in_subfield(Fq, c2)
+
+
+def star_closed(F: Field, lam: int, mu: int, x):
+    """(1 + lam pi + mu pi^2) * x for x = 1 + a_1 tau + ... + a_4 tau^4."""
+    _, a1, a2, a3, a4 = x
+    return (
+        1,
+        a1,
+        F.add(lam, a2),
+        F.add(a3, F.mul(lam, a1)),
+        F.add(mu, F.add(a4, F.mul(lam, a2))),
+    )
+
+
+def x3_twist_table(q: int, keys=None) -> dict:
+    """Oracle of counting.x3_twist_table, one key and one candidate at a
+    time, restricted to the keys in keys when it is given.  Artin-Schreier
+    preimages come from a dict of lists, and every candidate goes through
+    the scalar x3_conditions and ring multiplication."""
+    p, e = splitting_params(q)
+    q2 = q * q
+    E = field(p, 2 * e * p)
+    F2 = field(p, 2 * e)
+    Fq = field(p, e)
+    emb = E.embed_table(F2)
+    ring = twisted_ring(2, q, 3, E)
+    # Artin-Schreier preimages x^{q^2} - x = c over E
+    as_sols: dict[int, list[int]] = {}
+    for x in E.elements():
+        as_sols.setdefault(E.sub(E.frob(x, q2), x), []).append(x)
+    rational = [a for a in E.elements() if E.frob(a, q2) == a]  # F_{q^2} in E
+    table = {}
+    # lam runs fastest, so keys are inserted in the order lam, g2, g3, d
+    for d_i, g3_i, g2_i, lam_i in itertools.product(F2.elements(), repeat=4):
+        if keys is not None and (lam_i, g2_i, g3_i, d_i) not in keys:
+            continue
+        lam, g2, g3, d = (int(emb[c]) for c in (lam_i, g2_i, g3_i, d_i))
+        g = (1, 0, g2, g3, d)  # mu = 0 slice: g4 - mu = d
+        count = 0
+        for a1 in rational:
+            c3 = E.add(E.sub(E.mul(E.frob(g2, q), a1), E.mul(lam, a1)), g3)
+            a3s = as_sols.get(c3, ())
+            if not a3s:
+                continue
+            a1q1 = E.mul(a1, E.frob(a1, q))
+            for a2 in as_sols.get(E.sub(g2, lam), ()):
+                c1 = E.sub(E.add(E.frob(a2, q), a2), a1q1)
+                if not E.in_subfield(Fq, c1):
+                    continue
+                c4 = E.sub(
+                    E.add(E.add(d, E.mul(a2, g2)), E.mul(a1, E.frob(g3, q))),
+                    E.mul(lam, E.frob(a2, q2)),
+                )
+                a4s = as_sols.get(c4, ())
+                for a3 in a3s:
+                    for a4 in a4s:
+                        x = (1, a1, a2, a3, a4)
+                        if not x3_conditions(E, q, Fq, x):
+                            continue
+                        y = ring.frobenius(x, 2)
+                        if star_closed(E, lam, 0, y) == ring.mul(x, g):
+                            count += 1
+        if count:
+            table[(lam_i, g2_i, g3_i, d_i)] = count
+    return table
+
+
+def eigendim(chi1, chi2, table: dict, q: int) -> int:
+    """Oracle of counting.eigendims at one pair: q^{-12} sum over the
+    collapsed table and mu of chi1(1, lam, mu)^{-1} chi2(1, g2, d + mu)
+    N(lam, g2, d), through a RootCounter."""
+    R = chi1.R
+    if chi2.R != R:
+        raise MixedOrderError(f"characters with root orders {R} and {chi2.R}")
+    p, e = splitting_params(q)
+    F2 = field(p, 2 * e)
+    rc = RootCounter(R)
+    for (lam_i, g2_i, d_i), cnt in table.items():
+        for mu in F2.elements():
+            e1 = chi1.exp((1, lam_i, mu))
+            e2 = chi2.exp((1, g2_i, F2.add(d_i, mu)))
+            rc.add(e2 - e1, cnt)
+    return assert_nonneg_integer(rc.value() / q**12)
+
+
+def zeta_fixed_set(n: int, q: int, h: int) -> list:
+    """Oracle of counting.zeta_fixed_set: the points of X_h(F_{q^(n p)})
+    fixed by conjugation with the Teichmueller generator, one point of the
+    free-coordinate grid at a time through the scalar in_Xh."""
+    p, e = splitting_params(q)
+    ring = twisted_ring(n, q, h, field(p, e * n * p))
+    E, dim = ring.coeff_field, ring.length - 1
+    Fqn = field(p, e * n)
+    zeta = E.embed(Fqn, Fqn.gen)
+    free = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f == 1]
+    out = []
+    for vals in itertools.product(E.elements(), repeat=len(free)):
+        x = [1] + [0] * dim
+        for j, v in zip(free, vals):
+            x[j] = v
+        x = tuple(x)
+        if in_Xh(ring, x):
+            out.append(x)
+    return out
 
 
 def x3_equations_agree(q: int) -> tuple:
@@ -538,7 +674,10 @@ def monomial_supports(group, subgroup_set) -> tuple:
 def monomial_extension_value(ext, k: int, u):
     """Oracle of a MonomialExtension's character against the dense
     CyclicExtension.value: the trace of T^k rho(u) as a CycloNum."""
-    return _exps_value(ext.trace_exps(k, u), ext.R)
+    counts = [0] * ext.R
+    for e in ext.trace_exps(k, u):
+        counts[e % ext.R] += 1
+    return cyclo_from_counts(ext.R, counts)
 
 
 def eta_prime_trace_exps(rt, x):

@@ -339,7 +339,7 @@ from types import SimpleNamespace as NS
 import numpy as np
 
 from dllab.charlib import AddChar, layer_as_additive_char, theta_family
-from dllab.counting import (IntertwinerSpec, conductor2_char, eigendim, exp_sum,
+from dllab.counting import (IntertwinerSpec, conductor2_char, eigendims, exp_sum,
     inductive_check, intertwiner_s2_data)
 from dllab.cyclo import CycloNum, _polydiv_exact
 from dllab.matmodel import n2_norm_batch, nm_gnq_batch
@@ -395,7 +395,7 @@ thunks = [
              C.extension_orbit_report(2)),
     lambda: exp_sum(IntertwinerSpec(2), AddChar(field(2, 1), 2, 1), 1),
     lambda: inductive_check(s2, f, p2, j, n, 2, AddChar(s2.base, 2, 1), (1,)),
-    lambda: eigendim(NS(R=4), NS(R=2), {}, 2),
+    lambda: eigendims([NS(R=4), NS(R=2)], {}, 2),
     lambda: h_m_pattern(2, 3, 1),
     lambda: AddChar(F4, 2, 1).conductor_power(),
     lambda: AddChar(field(2, 1), 4, 1).conductor_power(),

@@ -7,7 +7,7 @@ from dllab.counting import (
     collapse_twist_table,
     conductor2_char,
     dl_intertwiner_sum,
-    eigendim,
+    eigendims,
     exp_sum,
     inductive_check,
     inductive_spec,
@@ -20,14 +20,14 @@ from dllab.counting import (
     zeta_fixed_set,
     zeta_trace_suite,
     zeta_trace_suite_level3,
-    _star_closed,
 )
 from dllab.charlib import layer_as_additive_char, principal_units, unit_characters
 from dllab.cyclo import CycloNum
-from dllab.errors import UnsupportedParametersError
+from dllab.errors import NotIntegralError, UnsupportedParametersError
 from dllab.ffield import VecOps, field
 from dllab.matmodel import in_Xh
 from dllab.twistring import twisted_ring
+import oracles
 from oracles import twisted_count
 
 
@@ -160,7 +160,7 @@ def test_x3_twist_table_complete():
         fx = ring.frobenius(x, 2)
         for lam_i in range(F2.order):
             lam = int(emb[lam_i])
-            g = ring.mul(ring.inv(x), _star_closed(E, q, lam, 0, fx))
+            g = ring.mul(ring.inv(x), oracles.star_closed(E, lam, 0, fx))
             if g[1] != 0:
                 continue
             if not all(E.in_subfield(F2, c) for c in g[2:]):
@@ -182,24 +182,46 @@ def test_x3_twist_table_matches_brute_force_with_nonzero_mu():
     assert count == table.get((lam_i, g2_i, g3_i, d_i), 0)
 
 
-def test_eigendim_is_kronecker_delta():
-    # the delta pattern is claimed for characters whose central-layer
-    # restriction has full conductor q^2
-    q = 2
-    table = collapse_twist_table(x3_twist_table(q))
+def _conductor2_chars():
+    """The units of level 3 over F_4 and their characters of conductor 4."""
     F2 = field(2, 2)
     units = principal_units(F2, 3)
-    R = 4
-    chars = [
+    return units, [
         c
-        for c in unit_characters(units, R)
-        if layer_as_additive_char(units, c, F2, 3, q, R).conductor_power() == 2
+        for c in unit_characters(units, 4)
+        if layer_as_additive_char(units, c, F2, 3, 2, 4).conductor_power() == 2
     ]
+
+
+def test_eigendim_is_kronecker_delta():
+    # the delta pattern is claimed for characters whose central-layer
+    # restriction has full conductor q^2; every pair's dimension is the
+    # one the scalar RootCounter sum gives
+    q = 2
+    table = collapse_twist_table(x3_twist_table(q))
+    units, chars = _conductor2_chars()
     assert len(chars) == 8
-    for c1 in chars:
-        for c2 in chars:
+    dims = eigendims(chars, table, q)
+    assert dims.shape == (8, 8)
+    for i, c1 in enumerate(chars):
+        for j, c2 in enumerate(chars):
             want = 1 if all(c1.exp(g) == c2.exp(g) for g in units.elements) else 0
-            assert eigendim(c1, c2, table, q) == want
+            assert dims[i, j] == want == oracles.eigendim(c1, c2, table, q)
+
+
+def test_eigendims_raise_on_a_sum_that_is_not_q12_times_an_integer():
+    # a table count off by one moves every pair's sum off the multiples of
+    # q^12; the first pair is refused with the scalar sum's message
+    q = 2
+    table = collapse_twist_table(x3_twist_table(q))
+    key = next(iter(table))
+    table[key] += 1
+    _, chars = _conductor2_chars()
+    with pytest.raises(NotIntegralError) as got:
+        eigendims(chars, table, q)
+    with pytest.raises(NotIntegralError) as want:
+        oracles.eigendim(chars[0], chars[0], table, q)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("q", [2, 3])

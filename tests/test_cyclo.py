@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dllab.cyclo import CycloNum, RootCounter, cyclo_from_counts, cyclotomic_poly
-from dllab.errors import MixedOrderError, NotIntegralError
+import numpy as np
+
+import oracles
+from dllab.cyclo import CycloNum, RootCounter, cyclo_from_counts, cyclotomic_poly, reduce_counts
+from dllab.errors import MixedOrderError, NotIntegralError, UnsupportedParametersError
 
 
 def test_cyclotomic_poly_oracles():
@@ -81,6 +84,36 @@ def test_root_counter_matches_direct_sum():
 
 def test_cyclo_from_counts_vanishing():
     assert cyclo_from_counts(9, [1] * 9).is_zero()
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 25])
+def test_reduce_counts_matches_the_fraction_loop(n):
+    rng = np.random.default_rng(n)
+    counts = rng.integers(-10**6, 10**6, size=(40, n))
+    counts[0] = 0
+    counts[1] = 1
+    got = reduce_counts(n, counts)
+    assert got.dtype == np.int64 and got.shape == (40, len(cyclotomic_poly(n)) - 1)
+    assert [list(row) for row in got.tolist()] == [oracles.cyclo_coeffs(n, row) for row in counts]
+    assert cyclo_from_counts(n, counts[2]).coeffs == tuple(oracles.cyclo_coeffs(n, counts[2]))
+
+
+def test_reduce_counts_refuses_counts_that_could_leave_int64():
+    # x^j mod Phi_4 is +-1 or +-x, so each column of |residues| sums to 2:
+    # a count of 2^62 could reach 2^63, one past int64, and 2^62 - 1 cannot
+    big = 2**62
+    with pytest.raises(UnsupportedParametersError):
+        reduce_counts(4, [[big, 0, 0, 0]])
+    with pytest.raises(UnsupportedParametersError):
+        reduce_counts(4, [[0, 0, -big, 0]])
+    with pytest.raises(UnsupportedParametersError):
+        reduce_counts(4, [[2**63, 0, 0, 0]])
+    assert reduce_counts(4, [[big - 1, 0, 0, 0]]).tolist() == [[big - 1, 0]]
+
+
+def test_reduce_counts_refuses_a_row_of_another_order():
+    with pytest.raises(MixedOrderError):
+        reduce_counts(8, np.zeros((2, 4), dtype=np.int64))
 
 
 @given(

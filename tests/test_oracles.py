@@ -7,6 +7,7 @@ it exactly as the oracle does.
 """
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -82,7 +83,29 @@ def test_x3_batch_equations_match_scalar_equations():
     F, Fq = ring.coeff_field, ffield.field(2, 1)
     for g in matmodel.unipotent_chunks(ring):
         got = counting.x3_conditions_batch(F, q, g).tolist()
-        assert got == [counting.x3_conditions(F, q, Fq, tuple(c)) for c in g.T.tolist()]
+        assert got == [oracles.x3_conditions(F, q, Fq, tuple(c)) for c in g.T.tolist()]
+
+
+def test_x3_twist_table_matches_the_scalar_table():
+    # items in order: the key order is part of the table
+    assert list(counting.x3_twist_table(2).items()) == list(oracles.x3_twist_table(2).items())
+
+
+def test_a_q3_key_chunk_matches_the_scalar_table():
+    # the 81 keys with d = g3 = 0 are the first 81 key indices
+    t0 = time.monotonic()
+    counts = counting.twist_counts(3, np.arange(81))
+    keys = {(lam, g2, 0, 0) for g2 in range(9) for lam in range(9)}
+    want = oracles.x3_twist_table(3, keys)
+    assert {(t % 9, t // 9, 0, 0): int(c) for t, c in enumerate(counts) if c} == want
+    assert len(want) > 1
+    assert time.monotonic() - t0 < 2
+
+
+@pytest.mark.parametrize("n,q,h", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
+def test_zeta_fixed_set_matches_the_scalar_walk(n, q, h):
+    # the parameter sets of the trace suite; points and their order
+    assert counting.zeta_fixed_set(n, q, h)[0] == oracles.zeta_fixed_set(n, q, h)
 
 
 # grid indices of the broken point: in the first chunk and in the third

@@ -151,6 +151,43 @@ def test_cyclic_extension_degree_one():
             )
 
 
+@pytest.mark.parametrize("target,want", [
+    (CycloNum.root(6, 3), 3),
+    (CycloNum.rational(6, 1), 0),
+    (CycloNum.root(6, 1), "no scalar twist matches the target trace; candidates: [1, -1]"),
+])
+def test_monomial_twist_is_the_candidate_with_the_target_trace(target, want):
+    # C3 inside C6, c = 2: the two candidate twists have traces 1 and -1
+    C6 = cyclic_group(6)
+    N = tabled([0, 2, 4], C6.mul, C6.inv, 0, [2])
+    rep = MonomialRep(N, set(N.elements), lambda h: h, 6)
+    if isinstance(want, int):
+        assert extend_irrep(rep, lambda x: x, 0, 2, [2], target)[1] == want
+    else:
+        with pytest.raises(NoExtensionError) as got:
+            extend_irrep(rep, lambda x: x, 0, 2, [2], target)
+        assert str(got.value) == want
+
+
+@pytest.mark.parametrize("target,want", [
+    (0, "trace does not pin down the scalar twist"),
+    (1, "no scalar twist matches the target trace; candidates: [0, 0]"),
+])
+def test_traceless_monomial_twists_are_refused(target, want):
+    # the 2-dimensional irrep of D4 extended along conjugation by s: both
+    # candidate traces vanish, so a zero target matches twice
+    D4 = dihedral4()
+    rho = MonomialRep(D4, {(a, 0) for a in range(4)}, lambda h: h[0], 4)
+    s = (0, 1)
+
+    def conj(x):
+        return D4.mul(D4.mul(s, x), D4.inv(s))
+
+    with pytest.raises(NoExtensionError) as got:
+        extend_irrep(rho, conj, (0, 0), 2, [(1, 0), s], CycloNum.rational(4, target))
+    assert str(got.value) == want
+
+
 def test_solve_intertwiner_identity_conj():
     # trivial conjugation: T must be scalar for an irreducible rep
     C4 = cyclic_group(4)

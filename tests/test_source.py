@@ -7,7 +7,8 @@ is a function, class or method that only the tests reference, and so is an
 oracle in oracles.py that no test compares against; two functions with the
 same body are one computation written twice.  The size of a run is bounded
 by the command line alone, so no other function takes a size bound or raises
-SizeLimitExceededError.
+SizeLimitExceededError.  Exact sums stay in integers: no float dtype, and no
+np.bincount with weights, which sums in float64.
 """
 
 import ast
@@ -126,6 +127,7 @@ def test_no_unreferenced_module_level_names():
 REFERENCE_EXEMPT = {
     "cli.main": "the entry point of the dl-lab console script in pyproject.toml",
     "counting.vector_counts": "exp_sum looks it up with getattr as a spec's optional fast path",
+    "matmodel.in_Xh": "perfbench/tracer.py wraps it by name for matmodel.member_ratio",
 }
 
 
@@ -296,3 +298,68 @@ def test_a_size_bound_outside_the_command_line_is_found(tmp_path):
         "    return sorted(range(n))\n"
     )
     assert _size_bounds(path) == [("walk", 5), ("points", 12), ("more", 15), ("more", 16)]
+
+
+FLOAT_DTYPES = {"float", "float16", "float32", "float64", "floating"}
+
+
+def _float_sums(path):
+    """(what, line) of each np.bincount call with weights, and each float
+    dtype named as float, np.float64, np.floating or a "float..." string."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+            if name == "bincount" and (
+                len(node.args) > 1 or any(k.arg == "weights" for k in node.keywords)
+            ):
+                out.append(("bincount weights", node.lineno))
+            for k in node.keywords:
+                v = k.value
+                if k.arg == "dtype" and isinstance(v, ast.Constant) and "float" in str(v.value):
+                    out.append((v.value, node.lineno))
+        elif isinstance(node, ast.Name) and node.id in FLOAT_DTYPES:
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_DTYPES:
+            out.append((node.attr, node.lineno))
+    return sorted(out, key=lambda hit: hit[1])
+
+
+def test_exact_sums_stay_in_integers():
+    found = {path.name: _float_sums(path) for path in MODULES}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_a_float_sum_in_the_package_is_found(tmp_path):
+    path = tmp_path / "toy.py"
+    path.write_text(
+        "import numpy as np\n"
+        "\n"
+        "\n"
+        "def fold(idx, cnt, n):\n"
+        "    return np.bincount(idx, weights=cnt, minlength=n)\n"
+        "\n"
+        "\n"
+        "def fold_positional(idx, cnt):\n"
+        "    return np.bincount(idx, cnt)\n"
+        "\n"
+        "\n"
+        "def scale(a):\n"
+        "    b = np.zeros(3, dtype=np.float64)\n"
+        "    c = a.astype(float)\n"
+        "    d = np.ones(2, dtype='float32')\n"
+        "    return np.issubdtype(a.dtype, np.floating), b, c, d\n"
+        "\n"
+        "\n"
+        "def fine(idx, n):\n"
+        "    return np.bincount(idx, minlength=n).astype(np.int64)\n"
+    )
+    assert _float_sums(path) == [
+        ("bincount weights", 5),
+        ("bincount weights", 9),
+        ("float64", 13),
+        ("float", 14),
+        ("float32", 15),
+        ("floating", 16),
+    ]
