@@ -191,22 +191,23 @@ def suite_eigenspaces(args) -> dict:
 
 def suite_intertwiner(args) -> dict:
     from .counting import (
-        IntertwinerSpec,
         conductor2_char,
         dl_intertwiner_sum,
         exp_sum,
         inductive_check,
         intertwiner_s2_data,
+        intertwiner_surface,
     )
 
     qs = _qs(args)
     claims = []
     for q in qs:
-        spec = IntertwinerSpec(q)
+        spec = intertwiner_surface(q)
         psi = conductor2_char(q)
+        vals = {}
         for s in (1, 2):
             _progress(f"[intertwiner] sum at q = {q}, s = {s}")
-            val = exp_sum(spec, psi, s)
+            val = vals[s] = exp_sum(spec, psi, s)
             want = q ** (2 + 2 * s)
             claims.append(
                 _claim(
@@ -222,12 +223,11 @@ def suite_intertwiner(args) -> dict:
             claims.append(
                 _claim(
                     "quotient-side sum agrees with the affine-chart sum",
-                    got == exp_sum(spec, psi, s),
+                    got == vals[s],
                     params={"q": q, "s": s},
                 )
             )
-        s2, f, p2, j, n = intertwiner_s2_data(q)
-        rep = inductive_check(s2, f, p2, j, n, q, psi, s_range)
+        rep = inductive_check(*intertwiner_s2_data(q), q, psi, s_range)
         claims.append(
             _claim(
                 "fibration step reduces the sum to the smaller stratum",

@@ -2,9 +2,11 @@
 
 Point sets are cut out by explicit polynomial conditions over small finite
 fields; characters contribute integer root exponents; results are exact
-elements of Q(zeta_p) accumulated through RootCounter.  Every enumeration
-walks its grid in itertools.product order, the order of
-ffield.grid_chunks, which the batched folds use.
+elements of Q(zeta_p).  Every exponential sum is exp_sum over a SumSpec
+whose points come as (dim, N) index batches: the psi-Tr table of its map is
+counted with np.bincount and the counts reduced by cyclo_from_counts.
+Every enumeration walks its grid in itertools.product order, the order of
+ffield.grid_chunks.
 
 The twisted equations are of Artin-Schreier type, so all solutions over the
 algebraic closure already live in F_{q^(n p)}; the enumeration domain
@@ -13,7 +15,8 @@ reflects that.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,108 +37,43 @@ from .twistring import TwistedRing, twisted_ring
 # -- generic exponential sums --------------------------------------------------
 
 
+@dataclass(frozen=True)
 class SumSpec:
     """A point set S inside A^dim over a base field, with a map P: S -> A^1.
 
-    Both are per-point callables receiving the working extension field E,
-    so the same spec serves every extension degree.
+    points(E) yields the points of S(E) as (dim, N) index batches in grid
+    order, and poly(E, x) maps such a batch to one E-index per column; both
+    receive the working extension field E, so the same spec serves every
+    extension degree.
     """
 
-    def __init__(self, base: Field, dim: int, membership, poly):
-        self.base = base
-        self.dim = dim
-        self.membership = membership
-        self.poly = poly
+    base: Field
+    dim: int
+    points: Callable
+    poly: Callable
 
 
 def exp_sum(spec: SumSpec, psi: AddChar, s: int) -> CycloNum:
-    """sum over x in S(F_{base^s}) of psi(Tr_{F_{base^s}/F_base}(P(x)))."""
+    """sum over x in S(F_{base^s}) of psi(Tr_{F_{base^s}/F_base}(P(x))):
+    the psi-Tr table over P of each batch, counted by np.bincount."""
     base = spec.base
     if psi.F is not base:
         raise UnsupportedParametersError("psi must live on the base field of the spec")
     E = field(base.p, base.k * s)
-    p = base.p
-    fast = getattr(spec, "vector_counts", None)
-    if fast is not None:
-        return cyclo_from_counts(p, fast(E, psi))
-    rc = RootCounter(p)
-    for x in itertools.product(E.elements(), repeat=spec.dim):
-        if spec.membership(E, x):
-            rc.add(psi.exp(E.trace(spec.poly(E, x), base)))
-    return rc.value()
+    psie = np.array([psi.exp(E.trace(a, base)) for a in E.elements()], dtype=np.int64)
+    counts = np.zeros(E.p, dtype=np.int64)
+    for x in spec.points(E):
+        counts += np.bincount(psie[spec.poly(E, x)], minlength=E.p)
+    return cyclo_from_counts(E.p, counts)
 
 
-# -- the intertwiner-sum instance ----------------------------------------------
-
-
-class IntertwinerSpec(SumSpec):
-    """The surface S in A^3 over F_{q^2} cut out by
-
-        a_2^{q^2} - a_2 = a_1^{q+q^2} - a_1^{1+q}
-
-    together with P(a_1,a_2,a_3) = a_1^q a_3 - a_1^{q^2} a_3^q
-    + a_2^{1+q} - a_2^{q+q^2}.  Comes with a vectorized evaluator so the
-    q = 3, s = 2 sum (about 4*10^8 raw tuples) finishes in seconds.
-    """
-
-    def __init__(self, q: int):
-        p, e = splitting_params(q)
-        self.q = q
-        super().__init__(field(p, 2 * e), 3, self.membership, self.poly)
-
-    def fibre_value(self, E: Field, a1: int) -> int:
-        """a_1^{q+q^2} - a_1^{1+q}, the value a_2^{q^2} - a_2 must take."""
-        q = self.q
-        return E.sub(
-            E.mul(E.frob(a1, q), E.frob(a1, q * q)), E.mul(a1, E.frob(a1, q))
-        )
-
-    def a2_part(self, E: Field, a2: int) -> int:
-        """a_2^{1+q} - a_2^{q+q^2}, the part of P that depends on a_2 alone."""
-        q = self.q
-        return E.sub(
-            E.mul(a2, E.frob(a2, q)), E.mul(E.frob(a2, q), E.frob(a2, q * q))
-        )
-
-    def membership(self, E: Field, x) -> bool:
-        a1, a2, _ = x
-        return E.sub(E.frob(a2, self.q * self.q), a2) == self.fibre_value(E, a1)
-
-    def poly(self, E: Field, x) -> int:
-        a1, a2, a3 = x
-        q = self.q
-        t = E.sub(
-            E.mul(E.frob(a1, q), a3), E.mul(E.frob(a1, q * q), E.frob(a3, q))
-        )
-        return E.add(t, self.a2_part(E, a2))
-
-    def vector_counts(self, E: Field, psi: AddChar):
-        q = self.q
-        p = E.p
-        v = E.vec
-        Q = E.order
-        frq = v.frob(q)
-        frq2 = v.frob(q * q)
-        idx = np.arange(Q, dtype=np.int64)
-        psie = v.unary(lambda a: psi.exp(E.trace(a, self.base)))
-        # group a_2 by the Artin-Schreier value a_2^{q^2} - a_2
-        as_vals = v.sub(frq2[idx], idx)
-        as_sols: dict[int, list[int]] = {}
-        for a2, c in enumerate(as_vals):
-            as_sols.setdefault(int(c), []).append(a2)
-        counts = np.zeros(p, dtype=np.int64)
-        for a1 in range(Q):
-            sols = as_sols.get(self.fibre_value(E, a1))
-            if not sols:
-                continue
-            t = v.sub(
-                v.mul(E.frob(a1, q), idx),
-                v.mul(E.frob(a1, q * q), frq[idx]),
-            )
-            bc = np.bincount(psie[t], minlength=p)
-            for a2 in sols:
-                counts += np.roll(bc, psi.exp(E.trace(self.a2_part(E, a2), self.base)))
-        return counts
+def _widen(batches, width: int):
+    """The columns of batches in slices small enough that expanding each
+    column width times stays within GRID_CHUNK columns."""
+    step = max(1, GRID_CHUNK // width)
+    for cols in batches:
+        for s in range(0, cols.shape[1], step):
+            yield cols[:, s : s + step]
 
 
 def conductor2_char(q: int) -> AddChar:
@@ -152,55 +90,36 @@ def conductor2_char(q: int) -> AddChar:
 # -- the inductive reduction ---------------------------------------------------
 
 
-def inductive_spec(s2: SumSpec, f, p2, j: int, n: int, q: int):
+def inductive_spec(s2: SumSpec, f, j: int, n: int, q: int):
     """S = S2 x A^1 with P(x, y) = f(x)^{q^j} y - f(x)^{q^n} y^{q^{n-j}} + P2(x),
-    and the fibre locus S3 = {x in S2 : f(x) = 0} with P3 = P2."""
+    and the fibre locus S3 = {x in S2 : f(x) = 0} with P3 = P2, where P2 is
+    s2.poly and f(E, x) gives one E-index per column of a batch x."""
 
-    def s_membership(E, x):
-        return s2.membership(E, x[:-1])
+    def s_points(E):
+        # each point of S2 against all of A^1, y fastest
+        y = np.arange(E.order, dtype=np.int64)
+        for x in _widen(s2.points(E), E.order):
+            yield np.concatenate([np.repeat(x, E.order, axis=1), np.tile(y, (1, x.shape[1]))])
 
     def s_poly(E, x):
-        y = x[-1]
-        fx = f(E, x[:-1])
-        t = E.sub(
-            E.mul(E.frob(fx, q**j), y),
-            E.mul(E.frob(fx, q**n), E.frob(y, q ** (n - j))),
-        )
-        return E.add(t, p2(E, x[:-1]))
-
-    def s3_membership(E, x):
-        return s2.membership(E, x) and f(E, x) == 0
-
-    def vector_counts(E, psi):
-        # walk S2 only, and fold y over all of A^1 at once: one row of
-        # P(x, y) per point x
         v = E.vec
-        pts = [x for x in itertools.product(E.elements(), repeat=s2.dim) if s2.membership(E, x)]
-        fx = np.array([f(E, x) for x in pts], dtype=np.int64)[:, None]
-        p2x = np.array([p2(E, x) for x in pts], dtype=np.int64)[:, None]
-        y = np.arange(E.order, dtype=np.int64)
+        y, fx = x[-1], f(E, x[:-1])
         t = v.sub(
             v.mul(v.frob(q**j)[fx], y),
             v.mul(v.frob(q**n)[fx], v.frob(q ** (n - j))[y]),
         )
-        psie = v.unary(lambda a: psi.exp(E.trace(a, s2.base)))
-        return np.bincount(psie[v.add(t, p2x)].ravel(), minlength=E.p)
+        return v.add(t, s2.poly(E, x[:-1]))
 
-    big = SumSpec(s2.base, s2.dim + 1, s_membership, s_poly)
-    big.vector_counts = vector_counts
-    fibre = SumSpec(s2.base, s2.dim, s3_membership, p2)
-    return big, fibre
+    def s3_points(E):
+        for x in s2.points(E):
+            yield x[:, f(E, x) == 0]
+
+    big = SumSpec(s2.base, s2.dim + 1, s_points, s_poly)
+    return big, SumSpec(s2.base, s2.dim, s3_points, s2.poly)
 
 
 def inductive_check(
-    s2: SumSpec,
-    f,
-    p2,
-    j: int,
-    n: int,
-    q: int,
-    psi: AddChar,
-    s_range,
+    s2: SumSpec, f, j: int, n: int, q: int, psi: AddChar, s_range
 ) -> dict:
     """Check exp_sum(S, P, psi, s) = (q^n)^s * exp_sum(S3, P3, psi, s).
 
@@ -210,7 +129,7 @@ def inductive_check(
     m = psi.conductor_power()
     if j % m == 0:
         raise UnsupportedParametersError("conductor exponent must not divide j")
-    big, fibre = inductive_spec(s2, f, p2, j, n, q)
+    big, fibre = inductive_spec(s2, f, j, n, q)
     report = {"checks": []}
     for s in s_range:
         lhs = exp_sum(big, psi, s)
@@ -222,18 +141,35 @@ def inductive_check(
 
 
 def intertwiner_s2_data(q: int):
-    """The (S2, f, P2, j, n) tuple whose inductive completion is the
-    intertwiner surface: f = a_1, j = 1, n = 2."""
-    spec3 = IntertwinerSpec(q)
+    """The (S2, f, j, n) tuple whose inductive completion is the intertwiner
+    surface: S2 in A^2 over F_{q^2} is cut out by the Artin-Schreier equation
 
-    def membership(E, x):
-        return spec3.membership(E, (x[0], x[1], 0))
+        a_2^{q^2} - a_2 = a_1^{q+q^2} - a_1^{1+q},
+
+    P2(a_1, a_2) = a_2^{1+q} - a_2^{q+q^2}, f = a_1, j = 1 and n = 2."""
+    p, e = splitting_params(q)
+
+    def points(E):
+        v = E.vec
+        frq, frq2 = v.frob(q), v.frob(q * q)
+        for x in grid_chunks(E.order, 2):
+            a1, a2 = x
+            rhs = v.sub(v.mul(frq[a1], frq2[a1]), v.mul(a1, frq[a1]))
+            yield x[:, v.sub(frq2[a2], a2) == rhs]
 
     def p2(E, x):
-        return spec3.a2_part(E, x[1])
+        v = E.vec
+        frq = v.frob(q)[x[1]]
+        return v.sub(v.mul(x[1], frq), v.mul(frq, v.frob(q * q)[x[1]]))
 
-    s2 = SumSpec(spec3.base, 2, membership, p2)
-    return s2, (lambda E, x: x[0]), p2, 1, 2
+    return SumSpec(field(p, 2 * e), 2, points, p2), (lambda E, x: x[0]), 1, 2
+
+
+def intertwiner_surface(q: int) -> SumSpec:
+    """The surface S in A^3 over F_{q^2} cut out by S2's equation in
+    (a_1, a_2), with P(a_1, a_2, a_3) = a_1^q a_3 - a_1^{q^2} a_3^q
+    + a_2^{1+q} - a_2^{q+q^2}: the inductive completion of S2."""
+    return inductive_spec(*intertwiner_s2_data(q), q)[0]
 
 
 # -- the Lang-quotient sum over beta^{-1}(Y_3) ---------------------------------
@@ -277,30 +213,23 @@ def dl_intertwiner_sum(q: int, s: int) -> CycloNum:
     """sum of psi(Tr(a_4)) over beta^{-1}(Y_3)(F_{q^{2s}}), with psi the
     conductor-q^2 character: the quotient-side form of the intertwiner sum."""
     psi = conductor2_char(q)
-    p, e = splitting_params(q)
-    ring = twisted_ring(2, q, 3, field(p, 2 * e * s))
-    E = ring.coeff_field
-    psie = E.vec.unary(lambda a: psi.exp(E.trace(a, psi.F)))
-    counts = np.zeros(E.p, dtype=np.int64)
-    for pts in y3_preimage_batches(ring):
-        counts += np.bincount(psie[pts[3]], minlength=E.p)
-    return cyclo_from_counts(E.p, counts)
+
+    def points(E):
+        return y3_preimage_batches(twisted_ring(2, q, 3, E))
+
+    return exp_sum(SumSpec(psi.F, 4, points, lambda E, x: x[3]), psi, s)
 
 
 def y3_locus_equality(q: int, s: int = 2) -> bool:
     """Exhaustive check over F_{q^{2s}} that beta^{-1}(Y_3) coincides with
-    the two-equation chart: the base surface plus the explicit a_4 value."""
-    p, e = splitting_params(q)
-    ring = twisted_ring(2, q, 3, field(p, 2 * e * s))
+    the two-equation chart: the base surface plus the explicit a_4 value,
+    point for point and in the same order."""
+    spec = intertwiner_surface(q)
+    ring = twisted_ring(2, q, 3, field(spec.base.p, spec.base.k * s))
     E = ring.coeff_field
-    spec = IntertwinerSpec(q)
-    chart = [
-        (a1, a2, a3, spec.poly(E, (a1, a2, a3)))
-        for a1, a2, a3 in itertools.product(E.elements(), repeat=3)
-        if spec.membership(E, (a1, a2, 0))
-    ]
-    walk = np.concatenate(list(y3_preimage_batches(ring)), axis=1)
-    return list(map(tuple, walk.T.tolist())) == chart
+    chart = [np.concatenate([x, spec.poly(E, x)[None]]) for x in spec.points(E)]
+    walk = list(y3_preimage_batches(ring))
+    return np.array_equal(np.concatenate(walk, axis=1), np.concatenate(chart, axis=1))
 
 
 # -- the eigenspace kernel (n = 2, h = 3) --------------------------------------
@@ -335,15 +264,6 @@ def _as_fibres(E: Field, q2: int, kernel):
     has = np.zeros(E.order, dtype=bool)
     has[vals] = True
     return fib, has
-
-
-def _widen(batches, width: int):
-    """The columns of batches in slices small enough that expanding each
-    column width times stays within GRID_CHUNK columns."""
-    step = max(1, GRID_CHUNK // width)
-    for cols in batches:
-        for s in range(0, cols.shape[1], step):
-            yield cols[:, s : s + step]
 
 
 def twist_counts(q: int, t) -> np.ndarray:
@@ -567,16 +487,17 @@ def zeta_trace_suite(n: int, q: int) -> dict:
     p, e = splitting_params(q)
     Fqn = field(p, e * n)
     fixed, ring, E = zeta_fixed_set(n, q, 2)
-    emb = E.embed_table(Fqn)
+    # Fix(z) for every z at once: x is fixed by 1 + z tau^n (column z of g)
+    # exactly when x g = x
+    x = np.array(fixed, dtype=np.int64).reshape(-1, ring.length).T[:, :, None]
+    g = np.zeros((ring.length, 1, Fqn.order), dtype=np.int64)
+    g[0], g[n] = 1, E.embed_table(Fqn)
+    fix_of = (ring.mul_batch(x, g) == x).all(axis=0).sum(axis=0).tolist()
     results = []
     for a in Fqn.elements():
         psi = AddChar(Fqn, q, a)
         rc = RootCounter(p)
-        for z in Fqn.elements():
-            zel = [0] * ring.length
-            zel[0] = 1
-            zel[n] = int(emb[z])
-            fix = sum(1 for x in fixed if ring.mul(x, tuple(zel)) == x)
+        for z, fix in enumerate(fix_of):
             if fix:
                 rc.add(-psi.exp(z), fix)
         val = rc.value()

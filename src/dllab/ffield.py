@@ -407,9 +407,6 @@ class VecOps:
             tab = self._frobs[qpow] = self.F.frob_table(qpow)
         return tab
 
-    def unary(self, fn):
-        return np.array([fn(a) for a in range(self.F.order)], dtype=np.int64)
-
 
 def index_digits(t, Q: int, dim: int) -> np.ndarray:
     """The points with grid indices t (a 1-D int array) as a (dim, N) array

@@ -29,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclo import CycloNum, RootCounter, cyclo_from_counts, reduce_counts
+from .cyclo import CycloNum, RootCounter, reduce_counts
 from .errors import (
     AllZeroError,
     MixedOrderError,
@@ -395,7 +395,7 @@ class MonomialExtension:
 
     def delta_sums(self, pairs):
         """CyclicExtension.delta_sums, counted in integer exponent
-        differences per delta; each delta row is reduced once."""
+        differences per delta; all delta rows are reduced in one call."""
         R = self.R
         exps = {}
         rows = {}
@@ -407,7 +407,10 @@ class MonomialExtension:
             for a in exps[y]:
                 for b in exps[x]:
                     row[(a - b) % R] += 1
-        return [(delta, cyclo_from_counts(R, rows[delta])) for delta in sorted(rows)]
+        deltas = sorted(rows)
+        counts = np.array([rows[d] for d in deltas], dtype=np.int64).reshape(-1, R)
+        coeffs = reduce_counts(R, counts)
+        return [(d, CycloNum(R, c)) for d, c in zip(deltas, coeffs.tolist())]
 
 
 def _dense_identity(d, R):

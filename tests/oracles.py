@@ -84,6 +84,35 @@ def y3_preimage(ring: TwistedRing):
                 yield a1, a2, a3, a4
 
 
+def exp_sum_walk(base: Field, dim: int, membership, poly, psi, s: int):
+    """Oracle of counting.exp_sum: the sum of psi(Tr(poly(E, x))) over the
+    x in E^dim, E = F_{base^s}, with membership(E, x), one tuple at a time
+    through a RootCounter."""
+    E = field(base.p, base.k * s)
+    rc = RootCounter(base.p)
+    for x in itertools.product(E.elements(), repeat=dim):
+        if membership(E, x):
+            rc.add(psi.exp(E.trace(poly(E, x), base)))
+    return rc.value()
+
+
+def intertwiner_membership(q: int, E: Field, x) -> bool:
+    """The intertwiner surface's equation a_2^{q^2} - a_2 =
+    a_1^{q+q^2} - a_1^{1+q} at x = (a_1, a_2, ...), on scalars."""
+    a1, a2 = x[:2]
+    rhs = E.sub(E.mul(E.frob(a1, q), E.frob(a1, q * q)), E.mul(a1, E.frob(a1, q)))
+    return E.sub(E.frob(a2, q * q), a2) == rhs
+
+
+def intertwiner_poly(q: int, E: Field, x) -> int:
+    """P(a_1, a_2, a_3) = a_1^q a_3 - a_1^{q^2} a_3^q + a_2^{1+q} -
+    a_2^{q+q^2} on scalars; at a_3 = 0 it is S2's P2(a_1, a_2)."""
+    a1, a2, a3 = x
+    t = E.sub(E.mul(E.frob(a1, q), a3), E.mul(E.frob(a1, q * q), E.frob(a3, q)))
+    p2 = E.sub(E.mul(a2, E.frob(a2, q)), E.mul(E.frob(a2, q), E.frob(a2, q * q)))
+    return E.add(t, p2)
+
+
 def x3_conditions(F: Field, q: int, Fq: Field, x) -> bool:
     """Oracle of counting.x3_conditions_batch: the two coordinate equations
     of X_3 at n = 2 for x = 1 + a_1 tau + ... + a_4 tau^4, a_2^q + a_2 -

@@ -339,8 +339,8 @@ from types import SimpleNamespace as NS
 import numpy as np
 
 from dllab.charlib import AddChar, layer_as_additive_char, theta_family
-from dllab.counting import (IntertwinerSpec, conductor2_char, eigendims, exp_sum,
-    inductive_check, intertwiner_s2_data)
+from dllab.counting import (conductor2_char, eigendims, exp_sum, inductive_check,
+    intertwiner_s2_data, intertwiner_surface)
 from dllab.cyclo import CycloNum, _polydiv_exact
 from dllab.matmodel import n2_norm_batch, nm_gnq_batch
 from dllab.errors import DLLabError
@@ -360,7 +360,7 @@ D4 = GroupModel(D4_els, D4_mul, D4_inv, (0, 0), law=table_law(D4_els, D4_mul, D4
 rho = MonomialRep(D4, {(a, 0) for a in range(4)}, lambda h: h[0], 4)
 s = (0, 1)
 conj = lambda x: D4.mul(D4.mul(s, x), D4.inv(s))
-s2, f, p2, j, n = intertwiner_s2_data(2)
+s2, f, j, n = intertwiner_s2_data(2)
 F4 = Field(2, 2)
 F4.in_subfield = lambda sub, a: False  # contradicts the conductor kernel check
 F4_broken = Field(2, 2)
@@ -393,8 +393,8 @@ thunks = [
     lambda: (stub("assert_nonneg_integer", lambda val: 2), C.eta_family_report(2, 2)),
     lambda: (stub("twisted_ring", lambda *a: BadRing(ring_of(*a))),
              C.extension_orbit_report(2)),
-    lambda: exp_sum(IntertwinerSpec(2), AddChar(field(2, 1), 2, 1), 1),
-    lambda: inductive_check(s2, f, p2, j, n, 2, AddChar(s2.base, 2, 1), (1,)),
+    lambda: exp_sum(intertwiner_surface(2), AddChar(field(2, 1), 2, 1), 1),
+    lambda: inductive_check(s2, f, j, n, 2, AddChar(s2.base, 2, 1), (1,)),
     lambda: eigendims([NS(R=4), NS(R=2)], {}, 2),
     lambda: h_m_pattern(2, 3, 1),
     lambda: AddChar(F4, 2, 1).conductor_power(),

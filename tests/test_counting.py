@@ -1,8 +1,11 @@
+import itertools
+from functools import partial
+
+import numpy as np
 import pytest
 
 from dllab.charlib import AddChar
 from dllab.counting import (
-    IntertwinerSpec,
     SumSpec,
     collapse_twist_table,
     conductor2_char,
@@ -12,6 +15,7 @@ from dllab.counting import (
     inductive_check,
     inductive_spec,
     intertwiner_s2_data,
+    intertwiner_surface,
     maximality_probe,
     npp_identity,
     x3_twist_table,
@@ -24,7 +28,7 @@ from dllab.counting import (
 from dllab.charlib import layer_as_additive_char, principal_units, unit_characters
 from dllab.cyclo import CycloNum
 from dllab.errors import NotIntegralError, UnsupportedParametersError
-from dllab.ffield import VecOps, field
+from dllab.ffield import VecOps, field, grid_chunks
 from dllab.matmodel import in_Xh
 from dllab.twistring import twisted_ring
 import oracles
@@ -32,8 +36,6 @@ from oracles import twisted_count
 
 
 def test_vecops_matches_field_ops():
-    import numpy as np
-
     F = field(3, 2)
     v = VecOps(F)
     xs = np.arange(F.order)
@@ -57,72 +59,92 @@ def test_conductor2_char(q):
 # the closed-form value q^2 (q^2)^s of the three-variable character sum
 @pytest.mark.parametrize("q,s", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_intertwiner_sum_value(q, s):
-    spec = IntertwinerSpec(q)
+    spec = intertwiner_surface(q)
     psi = conductor2_char(q)
     val = exp_sum(spec, psi, s)
     assert val == CycloNum.rational(spec.base.p, q ** (2 + 2 * s))
 
 
+def _intertwiner_walk(q, s, psi):
+    """The surface sum through the scalar walk over E^3."""
+    base = psi.F
+    member = partial(oracles.intertwiner_membership, q)
+    poly = partial(oracles.intertwiner_poly, q)
+    return oracles.exp_sum_walk(base, 3, member, poly, psi, s)
+
+
 def test_intertwiner_sum_generic_path_agrees():
-    # same spec without the vectorized evaluator goes through the grid fold
-    q = 2
-    fast = IntertwinerSpec(q)
-    plain = SumSpec(fast.base, 3, fast.membership, fast.poly)
-    psi = conductor2_char(q)
-    for s in (1, 2):
-        assert exp_sum(plain, psi, s) == exp_sum(fast, psi, s)
+    # the batched surface sum against the scalar walk, tuple by tuple
+    for q, s in [(2, 1), (2, 2), (3, 1)]:
+        psi = conductor2_char(q)
+        assert exp_sum(intertwiner_surface(q), psi, s) == _intertwiner_walk(q, s, psi)
 
 
 def test_exp_sum_trivial_map_counts_points():
     base = field(2, 2)
-    spec = SumSpec(base, 2, lambda E, x: True, lambda E, x: 0)
     psi = AddChar(base, 2, base.gen)
-    assert exp_sum(spec, psi, 1) == CycloNum.rational(2, base.order**2)
+    spec = SumSpec(
+        base, 2, lambda E: grid_chunks(E.order, 2), lambda E, x: np.zeros(x.shape[1], dtype=np.int64)
+    )
+    for s in (1, 2):
+        want = CycloNum.rational(2, base.order ** (2 * s))
+        assert exp_sum(spec, psi, s) == want
+        assert oracles.exp_sum_walk(base, 2, lambda E, x: True, lambda E, x: 0, psi, s) == want
 
 
 @pytest.mark.parametrize("q,s_range", [(2, (1, 2)), (3, (1,))])
 def test_inductive_reduction(q, s_range):
-    s2, f, p2, j, n = intertwiner_s2_data(q)
     psi = conductor2_char(q)
-    report = inductive_check(s2, f, p2, j, n, q, psi, s_range)
+    report = inductive_check(*intertwiner_s2_data(q), q, psi, s_range)
     assert len(report["checks"]) == len(s_range)
 
 
-@pytest.mark.parametrize("s", [1, 2])
-def test_inductive_spec_vector_counts_match_the_scalar_walk(s):
-    # the same S = S2 x A^1 without the batched fold walks E^3 tuple by tuple
-    q = 2
-    s2, f, p2, j, n = intertwiner_s2_data(q)
-    big, _ = inductive_spec(s2, f, p2, j, n, q)
-    plain = SumSpec(big.base, big.dim, big.membership, big.poly)
+@pytest.mark.parametrize("q,s", [(2, 1), (2, 2), (3, 1)])
+def test_inductive_spec_matches_the_scalar_walk(q, s):
+    # S = S2 x A^1 gives the points of the scalar membership walk over E^3,
+    # in its order; the fibre's sum is the scalar walk over {a_1 = 0}
+    big, fibre = inductive_spec(*intertwiner_s2_data(q), q)
+    E = field(big.base.p, big.base.k * s)
+    member = partial(oracles.intertwiner_membership, q)
+    poly = partial(oracles.intertwiner_poly, q)
+    walk = [list(x) for x in itertools.product(E.elements(), repeat=3) if member(E, x)]
+    assert np.concatenate(list(big.points(E)), axis=1).T.tolist() == walk
     psi = conductor2_char(q)
-    assert exp_sum(big, psi, s) == exp_sum(plain, psi, s)
+    want = oracles.exp_sum_walk(
+        fibre.base,
+        2,
+        lambda E, x: x[0] == 0 and member(E, x),
+        lambda E, x: poly(E, (*x, 0)),
+        psi,
+        s,
+    )
+    assert exp_sum(fibre, psi, s) == want
 
 
 def test_inductive_reduction_degenerate_fibre():
     # f identically zero: the fibre is all of S2 and the identity reduces to
     # the affine-line factor, which holds for every character
     q = 2
-    s2, _, p2, j, n = intertwiner_s2_data(q)
+    s2, _, j, n = intertwiner_s2_data(q)
     psi = conductor2_char(q)
-    inductive_check(s2, lambda E, x: 0, p2, j, n, q, psi, (1, 2))
+    zeros = lambda E, x: np.zeros(x.shape[1], dtype=np.int64)
+    inductive_check(s2, zeros, j, n, q, psi, (1, 2))
 
 
 def test_inductive_check_rejects_bad_conductor():
     q = 2
-    s2, f, p2, j, n = intertwiner_s2_data(q)
+    s2, f, j, n = intertwiner_s2_data(q)
     base = s2.base
     psi1 = AddChar(base, q, base.embed(field(2, 1), 1))  # factors through F_q
     assert psi1.conductor_power() == 1
     with pytest.raises(UnsupportedParametersError):
-        inductive_check(s2, f, p2, j, n, q, psi1, (1,))
+        inductive_check(s2, f, j, n, q, psi1, (1,))
 
 
 @pytest.mark.parametrize("q,s", [(2, 1), (2, 2), (3, 1)])
 def test_quotient_side_sum_agrees(q, s):
-    spec = IntertwinerSpec(q)
     psi = conductor2_char(q)
-    assert dl_intertwiner_sum(q, s) == exp_sum(spec, psi, s)
+    assert dl_intertwiner_sum(q, s) == _intertwiner_walk(q, s, psi)
 
 
 def test_y3_preimage_is_the_two_equation_locus():

@@ -8,7 +8,9 @@ oracle in oracles.py that no test compares against; two functions with the
 same body are one computation written twice.  The size of a run is bounded
 by the command line alone, so no other function takes a size bound or raises
 SizeLimitExceededError.  Exact sums stay in integers: no float dtype, and no
-np.bincount with weights, which sums in float64.
+np.bincount with weights, which sums in float64.  No attribute is looked up
+by name (getattr, hasattr), so no optional fast path hides behind a name
+that the reference checks cannot see.
 """
 
 import ast
@@ -126,7 +128,6 @@ def test_no_unreferenced_module_level_names():
 # Definitions the package reaches without naming them, each with the reason.
 REFERENCE_EXEMPT = {
     "cli.main": "the entry point of the dl-lab console script in pyproject.toml",
-    "counting.vector_counts": "exp_sum looks it up with getattr as a spec's optional fast path",
     "matmodel.in_Xh": "perfbench/tracer.py wraps it by name for matmodel.member_ratio",
 }
 
@@ -363,3 +364,45 @@ def test_a_float_sum_in_the_package_is_found(tmp_path):
         ("float32", 15),
         ("floating", 16),
     ]
+
+
+NAME_LOOKUPS = {"getattr", "hasattr"}
+
+
+def _name_lookups(path):
+    """(name, line) of each getattr or hasattr call in path, bare or as an
+    attribute such as builtins.getattr."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name in NAME_LOOKUPS:
+                out.append((name, node.lineno))
+    return out
+
+
+def test_no_attribute_lookups_by_name():
+    # a spec's optional method found by getattr is a second path that no
+    # reference check reaches; every path is called by its name
+    found = {path.name: _name_lookups(path) for path in MODULES}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_an_attribute_lookup_by_name_is_found(tmp_path):
+    path = tmp_path / "toy.py"
+    path.write_text(
+        "import builtins\n"
+        "\n"
+        "\n"
+        "def fold(spec, E):\n"
+        "    fast = getattr(spec, 'vector_counts', None)\n"
+        "    if hasattr(spec, 'points'):\n"
+        "        return spec.points(E)\n"
+        "    return builtins.getattr(spec, 'poly')(E) if fast is None else fast(E)\n"
+        "\n"
+        "\n"
+        "def fine(spec, E):\n"
+        "    return spec.getattr_count + len(spec.points(E))\n"
+    )
+    assert _name_lookups(path) == [("getattr", 5), ("hasattr", 6), ("getattr", 8)]
