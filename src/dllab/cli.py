@@ -227,7 +227,7 @@ def suite_intertwiner(args) -> dict:
                     params={"q": q, "s": s},
                 )
             )
-        rep = inductive_check(*intertwiner_s2_data(q), q, psi, s_range)
+        rep = inductive_check(*intertwiner_s2_data(q), q, psi, {s: vals[s] for s in s_range})
         claims.append(
             _claim(
                 "fibration step reduces the sum to the smaller stratum",

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charlib import AddChar, ThetaData, layer_as_additive_char, theta_family
-from .cyclo import CycloNum, RootCounter
+from .cyclo import CycloNum, cyclo_from_counts, difference_counts, reduce_counts
 from .errors import (
     CharacterMismatchError,
     NoExtensionError,
@@ -48,8 +48,6 @@ from .repkit import (
     extend_irrep,
     induce_char,
     inner_product,
-    monomial_mul,
-    monomial_trace_exps,
 )
 from .twistring import (
     TwistedRing,
@@ -722,91 +720,71 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
 
 
 class MainExampleContext:
-    """Shared theta-independent state for the (n, h) = (2, 3) comparison:
-    conjugacy classes of the division quotient, coset decompositions into the
-    even-valuation subgroup with scalar part split off, the intertwining
-    pair cache for the Mackey test, and the rows of the trace at zeta-bar."""
+    """Shared theta-independent index tables for the (n, h) = (2, 3)
+    comparison, built once per (q, M).  The inducing subgroup S1 (even
+    valuation, scalar part times the pattern subgroup) is taken in
+    group-index order; column i of dec is (t, k, h_2 Q + h_4) for its element
+    Pi^(2t) zeta-bar^k h at position i.  The other tables:
+
+    - rhs: (class, position) of each conjugate t^-1 g t of a class
+      representative g by a transversal element t that lands in S1;
+    - mackey: (group, s, t s t^-1) positions for each transversal element t
+      outside S1, numbered from 0 in transversal order, and each s of S1
+      whose conjugate stays in S1;
+    - zero_rows: (k, h_2 Q + h_4) of t^-1 zeta-bar t = zeta-bar^k h for each
+      template transversal element t with h in the pattern subgroup;
+    - lhs: one row per Frobenius twist Pi^(2t) zeta-bar^k u1 of each
+      even-valuation class representative, (class, t, k, perm, pattern), with
+      perm and pattern (h_2 Q + h_4 of each h) the template support of u1.
+    """
 
     def __init__(self, q: int, M: int = 1):
-        self.q = q
-        self.M = M
         n = 2
         dq = divquot(n, q, 3, M)
         self.dq = dq
         self.U3, _ = unipotent_group(n, q, 3)
         self.H2 = _level3_pattern_subgroup(self.U3)
         self.template = MonomialRep(self.U3, self.H2, lambda g: 0, 1)
-        # (k, h_2, h_4) of t^-1 zeta-bar t = zeta-bar^k h for each template
-        # transversal element t with h in the pattern subgroup (h_1 = 0)
-        ring = dq.ring
-        zbar = (dq.F.gen,) + (0,) * (ring.length - 1)
-        conj = (ring.mul(ring.inv(t), ring.mul(zbar, t)) for t in self.template.transversal)
-        self.zero_trace_rows = [
-            (k, h[2], h[4]) for k, h in map(dq.decompose, conj) if h[1] == 0
-        ]
-        classes = dq.group.conj_classes()
+        group, ring, F = dq.group, dq.ring, dq.F
+        Q = F.order
+        classes = group.conj_classes()
         self.class_reps = [c[0] for c in classes]
         self.class_sizes = [len(c) for c in classes]
-        # subgroup: even valuation, scalar part times the pattern subgroup
-        self.in_S1 = lambda x: x[0] % n == 0 and x[1][1] == 0
-        S1 = [x for x in dq.group.elements if self.in_S1(x)]
-        self.S1 = S1
-        self.transversal = coset_transversal(dq.group, set(S1))
-        self._S1_mask = np.zeros(len(dq.group), dtype=bool)
-        self._S1_mask[dq.group.indices(S1)] = True
-        self._decomposed_memo = {}
-        self._build_decomps()
-        self._build_mackey_pairs()
-
-    def _decomposed(self, i):
-        """(e / n, k, h_2, h_4) for the element Pi^e zeta-bar^k h of the
-        inducing subgroup with index i, memoised."""
-        out = self._decomposed_memo.get(i)
-        if out is None:
-            e, u = self.dq.group.elements[i]
-            k, h = self.dq.decompose(u)
-            out = self._decomposed_memo[i] = (e // self.dq.n, k, h[2], h[4])
-        return out
-
-    def _build_decomps(self):
-        dq, group = self.dq, self.dq.group
-        n = dq.n
-        tmpl = self.template
-        # conjugates t^-1 g t landing in the inducing subgroup, decomposed
-        conj = conjugates(group, group.indices(self.class_reps), group.indices(self.transversal))
-        self.rhs_decomp = [
-            [self._decomposed(x) for x in row if self._S1_mask[x]] for row in conj.tolist()
-        ]
-        self.lhs_decomp = []
-        for g in self.class_reps:
-            # Frobenius twists of g for the index-n induction, with the
-            # permutation part and coset remainders of the base rep cached
-            lhs = []
-            e, u = g
-            if e % n == 0:
-                for j in range(n):
-                    v = dq.ring.frobenius(u, (n - j) % n)
-                    k, u1 = dq.decompose(v)
-                    lhs.append((e // n, k, *tmpl.support(u1)))
-            self.lhs_decomp.append(lhs)
-
-    def _build_mackey_pairs(self):
-        """For each transversal element t outside the inducing subgroup, the
-        pairs (s, t s t^-1) with both sides inside it, in decomposed form."""
-        group = self.dq.group
-        S1 = group.indices(self.S1)
-        T = group.indices(self.transversal)
-        # column k holds t_k s t_k^-1 for every s, in the order of S1
-        conj = conjugates(group, S1, group.law_inv(T))
-        self.mackey_pairs = []
-        for k, t in enumerate(self.transversal):
-            if self.in_S1(t):
+        # group index i is (e, units[r]) with (e, r) = divmod(i, |units|)
+        e, r = np.divmod(np.arange(len(group), dtype=np.int64), len(dq.units))
+        units = np.array(dq.units, dtype=np.int64).T
+        S1 = np.flatnonzero((e % n == 0) & (units[1, r] == 0))
+        pos = np.full(len(group), -1, dtype=np.int64)
+        pos[S1] = np.arange(len(S1))
+        # u = zeta-bar^k u1 with u1 = u_0^-1 u, as in DivQuotData.decompose
+        dlog = np.zeros(Q, dtype=np.int64)
+        dlog[list(dq.dlog)] = list(dq.dlog.values())
+        u = units[:, r[S1]]
+        h2, h4 = F.vec.mul(F.vec.inv(u[0]), u[[2, 4]])
+        self.dec = np.stack([e[S1] // n, dlog[u[0]], h2 * Q + h4])
+        T = group.indices(coset_transversal(group, [group.elements[i] for i in S1.tolist()]))
+        conj = pos[conjugates(group, group.indices(self.class_reps), T)]
+        cls, col = np.nonzero(conj >= 0)
+        self.rhs = np.stack([cls, conj[cls, col]])
+        # row k holds t_k s t_k^-1 for every s, in the order of S1
+        outside = T[pos[T] < 0]
+        conj = pos[conjugates(group, S1, group.law_inv(outside))].T
+        grp, s = np.nonzero(conj >= 0)
+        self.mackey = np.stack([grp, s, conj[grp, s]])
+        self.mackey_groups = len(outside)
+        zbar = (F.gen,) + (0,) * (ring.length - 1)
+        conj = (ring.mul(ring.inv(t), ring.mul(zbar, t)) for t in self.template.transversal)
+        rows = [(k, h[2] * Q + h[4]) for k, h in map(dq.decompose, conj) if h[1] == 0]
+        self.zero_rows = np.array(rows, dtype=np.int64).T
+        rows = []
+        for ci, (e_, u_) in enumerate(self.class_reps):
+            if e_ % n:
                 continue
-            keep = self._S1_mask[conj[:, k]]
-            pairs = zip(S1[keep].tolist(), conj[keep, k].tolist())
-            self.mackey_pairs.append(
-                (t, [(self._decomposed(s), self._decomposed(x)) for s, x in pairs])
-            )
+            for j in range(n):
+                k, u1 = dq.decompose(ring.frobenius(u_, (n - j) % n))
+                perm, hs = self.template.support(u1)
+                rows.append((ci, e_ // n, k, *perm, *(h[2] * Q + h[4] for h in hs)))
+        self.lhs = np.array(rows, dtype=np.int64).reshape(len(rows), 3 + 2 * self.template.dim)
 
 
 @lru_cache(maxsize=None)
@@ -814,51 +792,34 @@ def main_example_context(q: int, M: int = 1) -> MainExampleContext:
     return MainExampleContext(q, M)
 
 
-def _theta_prime_exp(theta: ThetaData):
-    """theta' on decomposed subgroup elements (t, k, h2, h4): the pattern
-    coordinates are read as a unit of the quadratic field, with the second
-    coordinate entering at pi^2.  The alternative reading, with it at pi^4,
-    is this map at h4 = 0 (pi^4 vanishes at level 3)."""
-    zv, pv, R = theta.zeta_value_exp(), theta.pi_value_exp(), theta.R
-    chi = theta.chi
-
-    def exp(dec):
-        t, k, h2, h4 = dec
-        return (t * pv + k * zv + chi.exp((1, h2, h4))) % R
-
-    return exp
+def _class_counts(cls, exps, classes: int, R: int) -> np.ndarray:
+    """The (classes, R) counts of the exponents exps by their class cls."""
+    return np.bincount(cls * R + exps, minlength=classes * R).reshape(classes, R)
 
 
-def _class_traces(rt: RTheta, ctx: MainExampleContext) -> list:
-    """Per class representative g of ctx, the exponent list of the
-    extension-route character at g: over the Frobenius twists
-    Pi^e zeta-bar^k u1 of g, the traces of T^k rho(u1) shifted by theta's
-    exponent on Pi^e zeta-bar^k; empty when g has odd valuation."""
+def _class_traces(rt: RTheta, ctx: MainExampleContext, chi) -> np.ndarray:
+    """Per class representative g of ctx, the counts of the exponents of the
+    extension-route character at g, as a (classes, R) array.  Over the
+    Frobenius twists Pi^(2t) zeta-bar^k u1 of g, column j of T^k rho(u1) is
+    fixed when P^k[perm[j]] == j, with exponent E^k[perm[j]] + chi[pattern[j]]
+    shifted by theta's exponent on Pi^(2t) zeta-bar^k, where (P^k, E^k) is
+    T^k; a class of odd valuation has a zero row.  chi is theta's table on
+    the pattern coordinates."""
     theta, R = rt.theta, rt.theta.R
-    zv, pv = theta.zeta_value_exp(), theta.pi_value_exp()
-    chi = theta.chi
-    Tk, c = rt.ext.T_powers, rt.ext.c
-    out = []
-    for decomp in ctx.lhs_decomp:
-        row = []
-        for t, k, perm, hs in decomp:
-            exps = tuple(chi.exp((1, h[2], h[4])) for h in hs)
-            m = monomial_mul(Tk[k % c], (perm, exps), R)
-            shift = (t * pv + k * zv) % R
-            row.extend((x + shift) % R for x in monomial_trace_exps(m, R))
-        out.append(row)
-    return out
+    d = ctx.template.dim
+    P, E = (np.array(x, dtype=np.int64) for x in zip(*rt.ext.T_powers))
+    cls, t, k = ctx.lhs[:, :3].T
+    perm, pattern = ctx.lhs[:, 3 : 3 + d], ctx.lhs[:, 3 + d :]
+    fixed = P[k[:, None], perm] == np.arange(d)
+    shift = t * theta.pi_value_exp() + k * theta.zeta_value_exp()
+    exps = (E[k[:, None], perm] + chi[pattern] + shift[:, None]) % R
+    cls = np.broadcast_to(cls[:, None], fixed.shape)
+    return _class_counts(cls[fixed], exps[fixed], len(ctx.class_reps), R)
 
 
-def _same_sum(lhs, rhs, R: int) -> bool:
-    """Whether two exponent lists sum to the same cyclotomic number, settled
-    exactly."""
-    rc = RootCounter(R)
-    for x in lhs:
-        rc.add(x)
-    for x in rhs:
-        rc.add(x, -1)
-    return rc.value().is_zero()
+def _sorted_exps(counts) -> list:
+    """The sorted exponent list with the given counts."""
+    return np.repeat(np.arange(len(counts)), counts).tolist()
 
 
 def verify_main_example(theta: ThetaData, ctx: MainExampleContext, check_inner: bool) -> dict:
@@ -866,44 +827,52 @@ def verify_main_example(theta: ThetaData, ctx: MainExampleContext, check_inner: 
     of theta' from the even-valuation pattern subgroup, class by class, for
     both readings of theta' from one build of the construction.
 
-    Returns the report row; raises CharacterMismatchError when the pi^2
-    reading differs.  The row's alternative_reading is "fail" when the pi^4
-    reading differs at some class or fails the Mackey test."""
+    theta' reads the pattern coordinates as a unit of the quadratic field,
+    with the second coordinate entering at pi^2; the alternative reading,
+    with it at pi^4, drops h_4 (pi^4 vanishes at level 3).  Returns the
+    report row; raises CharacterMismatchError when the pi^2 reading differs.
+    The row's alternative_reading is "fail" when the pi^4 reading differs at
+    some class or fails the Mackey test."""
     if theta.n != 2 or theta.h != 3:
         raise UnsupportedParametersError(
             f"the main example is (n, h) = (2, 3), not ({theta.n}, {theta.h})"
         )
-    R = theta.R
+    R, Q = theta.R, theta.L.order
+    zv = theta.zeta_value_exp()
     rt = _build_eta_level3(theta, ctx)
-    tp_exp = _theta_prime_exp(theta)
-
-    def alt_exp(dec):
-        return tp_exp((*dec[:3], 0))
-
-    traces = _class_traces(rt, ctx)
-    fallbacks = 0
-    alt_agrees = True
-    for ci, lhs in enumerate(traces):
-        key = sorted(lhs)
-        rhs = [tp_exp(dec) for dec in ctx.rhs_decomp[ci]]
-        if key != sorted(rhs):
-            # multiset equality is sufficient but not necessary; settle
-            # exactly before declaring a mismatch
-            fallbacks += 1
-            if not _same_sum(lhs, rhs, R):
-                raise CharacterMismatchError(
-                    f"characters differ at class {ci} (size {ctx.class_sizes[ci]}): "
-                    f"{key} vs {sorted(rhs)}"
-                )
-        if alt_agrees:
-            alt = [alt_exp(dec) for dec in ctx.rhs_decomp[ci]]
-            alt_agrees = key == sorted(alt) or _same_sum(lhs, alt, R)
-    # trace of the rederived induction at the Teichmueller generator
-    trace = _eta_zero_trace(theta, ctx)
-    if trace != CycloNum.root(R, theta.zeta_value_exp()):
+    # theta on the units (1, h_2, h_4), which come in product order
+    chi = np.array([theta.chi.exp(g) for g in theta.units.elements], dtype=np.int64)
+    t, k, pattern = ctx.dec
+    base = t * theta.pi_value_exp() + k * zv
+    tp = (base + chi[pattern]) % R
+    alt = (base + chi[pattern - pattern % Q]) % R
+    classes = len(ctx.class_reps)
+    cls, at = ctx.rhs
+    lhs = _class_traces(rt, ctx, chi)
+    rhs = _class_counts(cls, tp[at], classes, R)
+    alt_rhs = _class_counts(cls, alt[at], classes, R)
+    # equal count rows are equal multisets; multiset equality is sufficient
+    # but not necessary, so the rows that differ are settled exactly
+    differ = np.flatnonzero((lhs != rhs).any(axis=1))
+    alt_differ = np.flatnonzero((lhs != alt_rhs).any(axis=1))
+    diffs = np.concatenate([lhs[differ] - rhs[differ], lhs[alt_differ] - alt_rhs[alt_differ]])
+    unequal = reduce_counts(R, diffs).any(axis=1)
+    bad = differ[unequal[: len(differ)]]
+    if len(bad):
+        ci = int(bad[0])
+        raise CharacterMismatchError(
+            f"characters differ at class {ci} (size {ctx.class_sizes[ci]}): "
+            f"{_sorted_exps(lhs[ci])} vs {_sorted_exps(rhs[ci])}"
+        )
+    # trace of the rederived induction at the Teichmueller generator: the
+    # induction of theta-sharp from the scalar times pattern subgroup up to
+    # the full unit group (independent of the extension route)
+    zk, zpattern = ctx.zero_rows
+    trace = cyclo_from_counts(R, np.bincount((zk * zv + chi[zpattern]) % R, minlength=R))
+    if trace != CycloNum.root(R, zv):
         raise CharacterMismatchError(f"trace at the scalar generator is {trace}")
     # Mackey: theta'-induction is irreducible
-    if not _mackey_linear(theta, ctx, tp_exp):
+    if not _mackey_linear(ctx, tp):
         raise CharacterMismatchError("induced character fails the Mackey test")
     report = {
         "zeta_exp": theta.zeta_exp,
@@ -911,42 +880,28 @@ def verify_main_example(theta: ThetaData, ctx: MainExampleContext, check_inner: 
         "root_exp": rt.root_exp,
         "degree": rt.degree,
         "hom_degree": rt.hom_degree,
-        "classes": len(ctx.class_reps),
-        "fallback_compares": fallbacks,
+        "classes": classes,
+        "fallback_compares": len(differ),
         "irreducible": True,
     }
     if check_inner:
         # squared norm of the extension-route character from its class traces
-        rc = RootCounter(R)
-        for exps, size in zip(traces, ctx.class_sizes):
-            for a in exps:
-                for b in exps:
-                    rc.add(a - b, size)
-        report["norm"] = assert_nonneg_integer(rc.value() / len(ctx.dq.group))
-    alt_passes = alt_agrees and _mackey_linear(theta, ctx, alt_exp)
+        sizes = np.array(ctx.class_sizes, dtype=np.int64)[:, None]
+        norm = cyclo_from_counts(R, difference_counts(lhs * sizes, lhs))
+        report["norm"] = assert_nonneg_integer(norm / len(ctx.dq.group))
+    alt_passes = not unequal[len(differ) :].any() and _mackey_linear(ctx, alt)
     report["alternative_reading"] = "pass" if alt_passes else "fail"
     return report
 
 
-def _eta_zero_trace(theta: ThetaData, ctx: MainExampleContext) -> CycloNum:
-    """Trace at zeta-bar of the induction of theta-sharp from the scalar
-    times pattern subgroup up to the full unit group (independent of the
-    extension route)."""
-    R, zv, chi = theta.R, theta.zeta_value_exp(), theta.chi
-    rc = RootCounter(R)
-    for k, h2, h4 in ctx.zero_trace_rows:
-        rc.add((k * zv + chi.exp((1, h2, h4))) % R)
-    return rc.value()
-
-
-def _mackey_linear(theta: ThetaData, ctx: MainExampleContext, tp_exp) -> bool:
-    """Mackey test for the induction of a linear character: for every
-    transversal element outside the subgroup, conjugation must move the
-    character somewhere on the intersection."""
-    for t, pairs in ctx.mackey_pairs:
-        if not any(tp_exp(a) != tp_exp(b) for a, b in pairs):
-            return False
-    return True
+def _mackey_linear(ctx: MainExampleContext, exps) -> bool:
+    """Mackey test for the induction of a linear character, given by its
+    exponents exps on the positions of S1: for every transversal element
+    outside the subgroup, conjugation must move the character somewhere on
+    the intersection."""
+    grp, s, x = ctx.mackey
+    moved = np.bincount(grp[exps[s] != exps[x]], minlength=ctx.mackey_groups)
+    return bool(moved.all())
 
 
 def main_example_report(q: int, M: int = 1) -> dict:

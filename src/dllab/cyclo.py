@@ -4,12 +4,12 @@ Numbers are stored as exact rational coefficient vectors in the power basis
 1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial.  No
 floating point is used anywhere.
 
-Two helpers matter for performance elsewhere: RootCounter accumulates
-integer multiplicities of root-of-unity exponents (numpy vector of counts)
-and converts to a CycloNum only at the end, so hot loops stay in integer
-arithmetic; reduce_counts turns many such count vectors into coefficient
-rows with one integer matrix product, since the power basis mod Phi_n is
-integral (Washington, Introduction to Cyclotomic Fields, ch. 2).
+Exact sums of roots of unity stay in integers until the end: a sum
+sum_e counts[e] zeta_n^e is a count vector indexed by the exponent e, and
+reduce_counts turns many such vectors into coefficient rows with one integer
+matrix product, since the power basis mod Phi_n is integral (Washington,
+Introduction to Cyclotomic Fields, ch. 2).  Every count of root exponents
+in the package is reduced through it.
 """
 
 from __future__ import annotations
@@ -233,26 +233,6 @@ def _exp_vector(n: int, j: int) -> tuple:
     return tuple(Fraction(c) for c in _power_residues(n)[j % n])
 
 
-class RootCounter:
-    """Accumulates an integer combination of roots of unity of order n.
-
-    add(exponent, count) is an O(1) integer operation; value() reduces to a
-    CycloNum once.
-    """
-
-    __slots__ = ("n", "counts")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.counts = np.zeros(n, dtype=np.int64)
-
-    def add(self, exponent: int, count: int = 1):
-        self.counts[exponent % self.n] += count
-
-    def value(self) -> CycloNum:
-        return cyclo_from_counts(self.n, self.counts)
-
-
 @lru_cache(maxsize=None)
 def _residue_matrix(n: int) -> tuple:
     """(the (n, phi(n)) int64 matrix of _power_residues(n), the largest
@@ -288,3 +268,15 @@ def reduce_counts(n: int, counts) -> np.ndarray:
 def cyclo_from_counts(n: int, counts) -> CycloNum:
     """Sum of counts[e] * zeta_n^e as a CycloNum."""
     return CycloNum(n, reduce_counts(n, [counts])[0].tolist())
+
+
+def difference_counts(a, b) -> np.ndarray:
+    """The count vector of sum_r (sum_x a[r, x] zeta_n^x)(sum_y b[r, y] zeta_n^-y)
+    for count rows a and b of shape (N, n): entry e sums (a^T b)[x, y] over
+    x - y = e mod n."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    n = a.shape[1]
+    e = np.arange(n)
+    out = np.zeros(n, dtype=np.int64)
+    np.add.at(out, (e[:, None] - e) % n, a.T @ b)
+    return out

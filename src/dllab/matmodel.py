@@ -52,10 +52,6 @@ def tp_scalar(F: Field, c: int, h: int):
     return (c,) + (0,) * (h - 1)
 
 
-def tp_frob(F: Field, a, q: int):
-    return tuple(F.frob(x, q) for x in a)
-
-
 # -- generic matrices over A[pi]/(pi^h) ---------------------------------------
 
 
@@ -142,26 +138,6 @@ def iota_prime(ring: TwistedRing, a):
             row.append(tuple(cs))
         rows.append(tuple(row))
     return normalize_shape(F, tuple(rows))
-
-
-def recover_from_matrix(ring: TwistedRing, M):
-    """Inverse of iota_prime on its image: read coefficients off the first
-    row, then check the full matrix agrees.  Returns None if M is not in
-    the image."""
-    L = ring.length
-    a = [0] * L
-    for j in range(ring.n):
-        entry = M[0][j]
-        for jp in range(ring.h):
-            idx = ring.n * jp + j
-            if idx < L:
-                a[idx] = entry[jp]
-            elif entry[jp] != 0:
-                return None
-    a = tuple(a)
-    if iota_prime(ring, a) != normalize_shape(ring.coeff_field, M):
-        return None
-    return a
 
 
 # -- determinant conditions and norms -----------------------------------------
@@ -295,21 +271,35 @@ def y_h_image(n: int, q: int, h: int, s: int) -> set:
     return out
 
 
-def star_action(ring: TwistedRing, gamma, x):
-    """Left action of a truncated-polynomial unit gamma (tuple of h
-    coefficients over A, gamma[0] != 0) on ring elements, via left
-    multiplication by the diagonal lift diag(gamma, gamma^q, ...)."""
+def star_action_batch(ring: TwistedRing, gamma, x) -> np.ndarray:
+    """Left action of truncated-polynomial units on ring elements, on a
+    batch: column c of gamma (h coefficients over A, gamma[0] != 0) acts on
+    column c of x (an (L, N) batch) by left multiplication of iota(x) with
+    the diagonal lift diag(gamma, gamma^q, ...).  The image is read off the
+    product's first row, and the product must be iota of that image."""
     F = ring.coeff_field
-    n, h, q = ring.n, ring.h, ring.q
-    M = iota_prime(ring, x)
+    v = F.vec
+    n, h, q, L = ring.n, ring.h, ring.q, ring.length
     rows = []
-    for i in range(n):
-        qi = F.frob_exp(q, i)
-        gi = tp_frob(F, gamma, qi)
-        rows.append(tuple(tp_mul(F, gi, M[i][j]) for j in range(n)))
-    out = recover_from_matrix(ring, normalize_shape(F, tuple(rows)))
-    if out is None:
-        raise MatrixShapeError("star action left the embedded image")
+    for i, row in enumerate(iota_prime_batch(ring, x)):
+        fr = v.frob(F.frob_exp(q, i))
+        gi = [fr[c] for c in gamma]
+        rows.append([_batch_tp_mul(v, gi, entry) for entry in row])
+    # row 0 holds a_(n jp + j) at (0, j), coefficient jp; every such index
+    # is below L
+    out = np.zeros((L, x.shape[1]), dtype=np.int64)
+    for j, entry in enumerate(rows[0]):
+        for jp, c in enumerate(entry[: h - (j > 0)]):
+            if c is not None:
+                out[n * jp + j] = c
+    zero = np.zeros(x.shape[1], dtype=np.int64)
+    for i, (got, want) in enumerate(zip(rows, iota_prime_batch(ring, out))):
+        for j, (a, b) in enumerate(zip(got, want)):
+            # entries above the diagonal are defined only modulo pi^(h-1)
+            for c in range(h - (i < j)):
+                ac, bc = (zero if e[c] is None else e[c] for e in (a, b))
+                if not np.array_equal(ac, bc):
+                    raise MatrixShapeError("star action left the embedded image")
     return out
 
 

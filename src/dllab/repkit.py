@@ -29,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .cyclo import CycloNum, RootCounter, reduce_counts
+from .cyclo import CycloNum, cyclo_from_counts, difference_counts, reduce_counts
 from .errors import (
     AllZeroError,
     MixedOrderError,
@@ -149,10 +149,17 @@ class SumChar:
         return self.lists[g]
 
     def value(self, g) -> CycloNum:
-        rc = RootCounter(self.R)
-        for e in self.lists[g]:
-            rc.add(e)
-        return rc.value()
+        return cyclo_from_counts(self.R, _count_rows(self, [g])[0])
+
+
+def _count_rows(chi, elements) -> np.ndarray:
+    """Row i counts the exponents of chi's value at elements[i]; shape
+    (len(elements), R)."""
+    R = chi.R
+    lists = [chi.lists[g] if isinstance(chi, SumChar) else (chi.table[g],) for g in elements]
+    rows = np.repeat(np.arange(len(lists)), [len(x) for x in lists])
+    exps = np.array([e for x in lists for e in x], dtype=np.int64) % R
+    return np.bincount(rows * R + exps, minlength=len(lists) * R).reshape(-1, R)
 
 
 def inner_product(chi1, chi2) -> CycloNum:
@@ -161,14 +168,8 @@ def inner_product(chi1, chi2) -> CycloNum:
     R = chi1.R
     if chi2.R != R:
         raise MixedOrderError(f"characters over root orders {R} and {chi2.R}")
-    rc = RootCounter(R)
-    for g in elements:
-        l1 = chi1.lists[g] if isinstance(chi1, SumChar) else (chi1.table[g],)
-        l2 = chi2.lists[g] if isinstance(chi2, SumChar) else (chi2.table[g],)
-        for e1 in l1:
-            for e2 in l2:
-                rc.add(e1 - e2)
-    return rc.value() / len(elements)
+    counts = difference_counts(_count_rows(chi1, elements), _count_rows(chi2, elements))
+    return cyclo_from_counts(R, counts) / len(elements)
 
 
 def assert_nonneg_integer(val: CycloNum) -> int:

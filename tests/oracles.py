@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from dllab.counting import y3_member
-from dllab.cyclo import RootCounter, _exp_vector, _degree, cyclo_from_counts
+from dllab.cyclo import _exp_vector, _degree, cyclo_from_counts
 from dllab.errors import (
     AllZeroError,
     MatrixShapeError,
@@ -27,9 +27,9 @@ from dllab.ffield import Field, field, splitting_params
 from dllab.matmodel import (
     det_iota,
     in_Xh,
+    iota_prime,
     mat_det,
     normalize_shape,
-    star_action,
     tp_add,
     tp_mul,
     tp_scalar,
@@ -87,13 +87,13 @@ def y3_preimage(ring: TwistedRing):
 def exp_sum_walk(base: Field, dim: int, membership, poly, psi, s: int):
     """Oracle of counting.exp_sum: the sum of psi(Tr(poly(E, x))) over the
     x in E^dim, E = F_{base^s}, with membership(E, x), one tuple at a time
-    through a RootCounter."""
+    into a count list."""
     E = field(base.p, base.k * s)
-    rc = RootCounter(base.p)
+    counts = [0] * base.p
     for x in itertools.product(E.elements(), repeat=dim):
         if membership(E, x):
-            rc.add(psi.exp(E.trace(poly(E, x), base)))
-    return rc.value()
+            counts[psi.exp(E.trace(poly(E, x), base)) % base.p] += 1
+    return cyclo_from_counts(base.p, counts)
 
 
 def intertwiner_membership(q: int, E: Field, x) -> bool:
@@ -197,19 +197,19 @@ def x3_twist_table(q: int, keys=None) -> dict:
 def eigendim(chi1, chi2, table: dict, q: int) -> int:
     """Oracle of counting.eigendims at one pair: q^{-12} sum over the
     collapsed table and mu of chi1(1, lam, mu)^{-1} chi2(1, g2, d + mu)
-    N(lam, g2, d), through a RootCounter."""
+    N(lam, g2, d), one term at a time into a count list."""
     R = chi1.R
     if chi2.R != R:
         raise MixedOrderError(f"characters with root orders {R} and {chi2.R}")
     p, e = splitting_params(q)
     F2 = field(p, 2 * e)
-    rc = RootCounter(R)
+    counts = [0] * R
     for (lam_i, g2_i, d_i), cnt in table.items():
         for mu in F2.elements():
             e1 = chi1.exp((1, lam_i, mu))
             e2 = chi2.exp((1, g2_i, F2.add(d_i, mu)))
-            rc.add(e2 - e1, cnt)
-    return assert_nonneg_integer(rc.value() / q**12)
+            counts[(e2 - e1) % R] += cnt
+    return assert_nonneg_integer(cyclo_from_counts(R, counts) / q**12)
 
 
 def zeta_fixed_set(n: int, q: int, h: int) -> list:
@@ -397,6 +397,49 @@ def iota_prime_via_varpi(ring: TwistedRing, a):
         )
         Wj = mat_mul(F, Wj, W)
     return normalize_shape(F, acc)
+
+
+def tp_frob(F: Field, a, q: int):
+    return tuple(F.frob(x, q) for x in a)
+
+
+def recover_from_matrix(ring: TwistedRing, M):
+    """Inverse of iota_prime on its image: read coefficients off the first
+    row, then check the full matrix agrees.  Returns None if M is not in
+    the image."""
+    L = ring.length
+    a = [0] * L
+    for j in range(ring.n):
+        entry = M[0][j]
+        for jp in range(ring.h):
+            idx = ring.n * jp + j
+            if idx < L:
+                a[idx] = entry[jp]
+            elif entry[jp] != 0:
+                return None
+    a = tuple(a)
+    if iota_prime(ring, a) != normalize_shape(ring.coeff_field, M):
+        return None
+    return a
+
+
+def star_action(ring: TwistedRing, gamma, x):
+    """Oracle of matmodel.star_action_batch at one (gamma, x): left action of
+    a truncated-polynomial unit gamma (tuple of h coefficients over A,
+    gamma[0] != 0) on the ring element x, via left multiplication by the
+    diagonal lift diag(gamma, gamma^q, ...)."""
+    F = ring.coeff_field
+    n, q = ring.n, ring.q
+    M = iota_prime(ring, x)
+    rows = []
+    for i in range(n):
+        qi = F.frob_exp(q, i)
+        gi = tp_frob(F, gamma, qi)
+        rows.append(tuple(tp_mul(F, gi, M[i][j]) for j in range(n)))
+    out = recover_from_matrix(ring, normalize_shape(F, tuple(rows)))
+    if out is None:
+        raise MatrixShapeError("star action left the embedded image")
+    return out
 
 
 def twisted_count(n: int, q: int, h: int, gamma, right) -> int:
@@ -725,7 +768,8 @@ def eta_prime_trace_exps(rt, x):
 def eta_trace_exps(rt, x):
     """Oracle of constructions._class_traces at one element x = (e, u) of
     the division quotient: the exponent list of the induced character, one
-    element and one Frobenius twist at a time."""
+    element and one Frobenius twist at a time, whose counts are that
+    function's row for the class of x."""
     e, u = x
     dq = rt.dq
     if e % dq.n:
@@ -741,10 +785,10 @@ def class_norm(rt, ctx) -> int:
     extension-route character, walked class by class through
     eta_trace_exps."""
     R = rt.theta.R
-    rc = RootCounter(R)
+    counts = [0] * R
     for g, size in zip(ctx.class_reps, ctx.class_sizes):
         exps = eta_trace_exps(rt, g)
         for a in exps:
             for b in exps:
-                rc.add(a - b, size)
-    return assert_nonneg_integer(rc.value() / len(ctx.dq.group))
+                counts[(a - b) % R] += size
+    return assert_nonneg_integer(cyclo_from_counts(R, counts) / len(ctx.dq.group))

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -26,7 +27,7 @@ from dllab.constructions import (
     unipotent_group,
     verify_main_example,
 )
-from dllab.errors import UnsupportedParametersError
+from dllab.errors import CharacterMismatchError, UnsupportedParametersError
 from dllab.ffield import field, splitting_params
 from dllab.matmodel import n2_norm_batch, nm_gnq_batch
 from dllab.repkit import (
@@ -37,7 +38,8 @@ from dllab.repkit import (
     inner_product,
     solve_intertwiner,
 )
-from oracles import class_norm, eta_trace_exps, monomial_extension_value, n2_norm, nm_gnq
+import oracles
+from oracles import monomial_extension_value, n2_norm, nm_gnq
 
 
 def _coeff_field(n, q):
@@ -266,9 +268,22 @@ def test_verify_main_example_single_theta():
     assert rep["alternative_reading"] == "fail"
 
 
+def _chi_table(theta):
+    """theta on the units (1, h_2, h_4), indexed by h_2 Q + h_4."""
+    return np.array([theta.chi.exp(g) for g in theta.units.elements], dtype=np.int64)
+
+
+def _oracle_counts(rt, ctx):
+    """The count rows of _class_traces from the element-by-element walk."""
+    R = rt.theta.R
+    rows = [np.array(oracles.eta_trace_exps(rt, g), dtype=np.int64) for g in ctx.class_reps]
+    return np.array([np.bincount(row, minlength=R) for row in rows])
+
+
 def test_main_example_report_q2(monkeypatch):
     # both theta' readings and the norm come from one build of eta per theta
-    # and one class walk, which equals the oracle's element-by-element walk
+    # and one pass over the index tables, whose count rows are the counts of
+    # the oracle's element-by-element walk
     from dllab import constructions
 
     built = []
@@ -284,34 +299,97 @@ def test_main_example_report_q2(monkeypatch):
     assert len(built) == 24
     ctx = main_example_context(2)
     for rt, row in zip(built, rep["rows"]):
-        assert _class_traces(rt, ctx) == [eta_trace_exps(rt, g) for g in ctx.class_reps]
-        assert row["norm"] == class_norm(rt, ctx) == 1
+        counts = _class_traces(rt, ctx, _chi_table(rt.theta))
+        assert np.array_equal(counts, _oracle_counts(rt, ctx))
+        assert row["norm"] == oracles.class_norm(rt, ctx) == 1
+
+
+def test_main_example_q3_rows_match_the_oracle():
+    # three thetas at q = 3, spread over the family; the context is called
+    # as main_example_report calls it, so a cached one is shared
+    ctx = main_example_context(3, 1)
+    thetas = theta_family(2, 3, 3, 1, conductor_m=2)
+    for theta in thetas[:: len(thetas) // 3][:3]:
+        rt = _build_eta_level3(theta, ctx)
+        counts = _class_traces(rt, ctx, _chi_table(theta))
+        assert np.array_equal(counts, _oracle_counts(rt, ctx))
+        row = verify_main_example(theta, ctx, check_inner=True)
+        assert row["norm"] == oracles.class_norm(rt, ctx) == 1
 
 
 def test_main_example_context_matches_the_scalar_walks():
-    # the conjugates of the class representatives and the Mackey pairs, on
-    # index arrays, against element-by-element walks with the scalar law
+    # the index tables of the context against element-by-element walks with
+    # the scalar law
     ctx = main_example_context(2)
     dq, G = ctx.dq, ctx.dq.group
+    Q = dq.F.order
 
     def dec(x):
         e, u = x
         k, h = dq.decompose(u)
-        return (e // 2, k, h[2], h[4])
+        return [e // 2, k, h[2] * Q + h[4]]
 
-    def inside(xs):
-        return [dec(x) for x in xs if ctx.in_S1(x)]
+    S1 = [x for x in G.elements if x[0] % 2 == 0 and x[1][1] == 0]
+    pos = {x: i for i, x in enumerate(S1)}
+    assert ctx.dec.T.tolist() == [dec(x) for x in S1]
+    ts = [(t, G.inv(t)) for t in oracles.coset_transversal(G, set(S1))]
+    rhs = []
+    for ci, g in enumerate(ctx.class_reps):
+        for t, ti in ts:
+            x = G.mul(ti, G.mul(g, t))
+            if x in pos:
+                rhs.append([ci, pos[x]])
+    assert ctx.rhs.T.tolist() == rhs
+    mackey = []
+    for grp, (t, ti) in enumerate((t, ti) for t, ti in ts if t not in pos):
+        for s in S1:
+            x = G.mul(t, G.mul(s, ti))
+            if x in pos:
+                mackey.append([grp, pos[s], pos[x]])
+    assert ctx.mackey.T.tolist() == mackey
+    assert ctx.mackey_groups == len(ts) - 1
+    _, supports = oracles.monomial_supports(ctx.U3, ctx.H2)
+    lhs = []
+    for ci, (e, u) in enumerate(ctx.class_reps):
+        if e % 2 == 0:
+            for j in range(2):
+                k, u1 = dq.decompose(dq.ring.frobenius(u, (2 - j) % 2))
+                perm, hs = supports[u1]
+                lhs.append([ci, e // 2, k, *perm, *(h[2] * Q + h[4] for h in hs)])
+    assert ctx.lhs.tolist() == lhs
 
-    ts = [(t, G.inv(t)) for t in ctx.transversal]
-    assert ctx.rhs_decomp == [
-        inside(G.mul(ti, G.mul(g, t)) for t, ti in ts) for g in ctx.class_reps
-    ]
-    pairs = []
-    for t, ti in ts:
-        if not ctx.in_S1(t):
-            conj = [(s, G.mul(t, G.mul(s, ti))) for s in ctx.S1]
-            pairs.append((t, [(dec(s), dec(x)) for s, x in conj if ctx.in_S1(x)]))
-    assert ctx.mackey_pairs == pairs
+
+def test_main_example_settles_differing_multisets_exactly(monkeypatch):
+    # a full coset of the p-th roots of unity sums to zero: added to every
+    # class row it changes every multiset but no value, so every class is
+    # settled exactly and passes; one extra root is a real difference
+    from dllab import constructions
+
+    ctx = main_example_context(2)
+    theta = theta_family(2, 2, 3, 1, conductor_m=2)[0]
+    want = verify_main_example(theta, ctx, check_inner=True)
+    R, p = theta.R, 2
+    traces = constructions._class_traces
+
+    def padded(rt, ctx, chi):
+        counts = traces(rt, ctx, chi).copy()
+        counts[:, :: R // p] += 1
+        return counts
+
+    monkeypatch.setattr(constructions, "_class_traces", padded)
+    got = verify_main_example(theta, ctx, check_inner=True)
+    assert got == {**want, "fallback_compares": want["classes"]}
+
+    def one_more(rt, ctx, chi):
+        counts = traces(rt, ctx, chi).copy()
+        counts[0, 0] += 1
+        return counts
+
+    monkeypatch.setattr(constructions, "_class_traces", one_more)
+    # class 0 is the identity, where both sides are eight copies of 1
+    message = f"characters differ at class 0 (size 1): {[0] * 9} vs {[0] * 8}"
+    with pytest.raises(CharacterMismatchError, match=re.escape(message)):
+        verify_main_example(theta, ctx, check_inner=True)
 
 
 def test_monomial_delta_sums_match_dense():
@@ -394,7 +472,7 @@ thunks = [
     lambda: (stub("twisted_ring", lambda *a: BadRing(ring_of(*a))),
              C.extension_orbit_report(2)),
     lambda: exp_sum(intertwiner_surface(2), AddChar(field(2, 1), 2, 1), 1),
-    lambda: inductive_check(s2, f, j, n, 2, AddChar(s2.base, 2, 1), (1,)),
+    lambda: inductive_check(s2, f, j, n, 2, AddChar(s2.base, 2, 1), {1: 0}),
     lambda: eigendims([NS(R=4), NS(R=2)], {}, 2),
     lambda: h_m_pattern(2, 3, 1),
     lambda: AddChar(F4, 2, 1).conductor_power(),

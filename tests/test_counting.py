@@ -27,7 +27,7 @@ from dllab.counting import (
 )
 from dllab.charlib import layer_as_additive_char, principal_units, unit_characters
 from dllab.cyclo import CycloNum
-from dllab.errors import NotIntegralError, UnsupportedParametersError
+from dllab.errors import IdentityFailsError, NotIntegralError, UnsupportedParametersError
 from dllab.ffield import VecOps, field, grid_chunks
 from dllab.matmodel import in_Xh
 from dllab.twistring import twisted_ring
@@ -84,7 +84,7 @@ def test_exp_sum_trivial_map_counts_points():
     base = field(2, 2)
     psi = AddChar(base, 2, base.gen)
     spec = SumSpec(
-        base, 2, lambda E: grid_chunks(E.order, 2), lambda E, x: np.zeros(x.shape[1], dtype=np.int64)
+        base, lambda E: grid_chunks(E.order, 2), lambda E, x: np.zeros(x.shape[1], dtype=np.int64)
     )
     for s in (1, 2):
         want = CycloNum.rational(2, base.order ** (2 * s))
@@ -95,8 +95,13 @@ def test_exp_sum_trivial_map_counts_points():
 @pytest.mark.parametrize("q,s_range", [(2, (1, 2)), (3, (1,))])
 def test_inductive_reduction(q, s_range):
     psi = conductor2_char(q)
-    report = inductive_check(*intertwiner_s2_data(q), q, psi, s_range)
-    assert len(report["checks"]) == len(s_range)
+    sums = {s: exp_sum(intertwiner_surface(q), psi, s) for s in s_range}
+    report = inductive_check(*intertwiner_s2_data(q), q, psi, sums)
+    assert [c["s"] for c in report["checks"]] == list(s_range)
+    # a surface sum that is off by one is refused
+    sums[s_range[-1]] = sums[s_range[-1]] + 1
+    with pytest.raises(IdentityFailsError):
+        inductive_check(*intertwiner_s2_data(q), q, psi, sums)
 
 
 @pytest.mark.parametrize("q,s", [(2, 1), (2, 2), (3, 1)])
@@ -128,7 +133,8 @@ def test_inductive_reduction_degenerate_fibre():
     s2, _, j, n = intertwiner_s2_data(q)
     psi = conductor2_char(q)
     zeros = lambda E, x: np.zeros(x.shape[1], dtype=np.int64)
-    inductive_check(s2, zeros, j, n, q, psi, (1, 2))
+    big, _ = inductive_spec(s2, zeros, j, n, q)
+    inductive_check(s2, zeros, j, n, q, psi, {s: exp_sum(big, psi, s) for s in (1, 2)})
 
 
 def test_inductive_check_rejects_bad_conductor():
@@ -138,7 +144,7 @@ def test_inductive_check_rejects_bad_conductor():
     psi1 = AddChar(base, q, base.embed(field(2, 1), 1))  # factors through F_q
     assert psi1.conductor_power() == 1
     with pytest.raises(UnsupportedParametersError):
-        inductive_check(s2, f, j, n, q, psi1, (1,))
+        inductive_check(s2, f, j, n, q, psi1, {1: exp_sum(intertwiner_surface(q), psi1, 1)})
 
 
 @pytest.mark.parametrize("q,s", [(2, 1), (2, 2), (3, 1)])
@@ -218,7 +224,7 @@ def _conductor2_chars():
 def test_eigendim_is_kronecker_delta():
     # the delta pattern is claimed for characters whose central-layer
     # restriction has full conductor q^2; every pair's dimension is the
-    # one the scalar RootCounter sum gives
+    # one the scalar sum of oracles.eigendim gives
     q = 2
     table = collapse_twist_table(x3_twist_table(q))
     units, chars = _conductor2_chars()

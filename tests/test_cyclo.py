@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 import numpy as np
 
 import oracles
-from dllab.cyclo import CycloNum, RootCounter, cyclo_from_counts, cyclotomic_poly, reduce_counts
+from dllab.cyclo import (
+    CycloNum,
+    cyclo_from_counts,
+    cyclotomic_poly,
+    difference_counts,
+    reduce_counts,
+)
 from dllab.errors import MixedOrderError, NotIntegralError, UnsupportedParametersError
 
 
@@ -73,13 +79,26 @@ def test_galois_automorphism():
     assert g == CycloNum.root(7, 2) + CycloNum.root(7, 6)
 
 
-def test_root_counter_matches_direct_sum():
-    rc = RootCounter(12)
+def test_cyclo_from_counts_matches_direct_sum():
+    # repeated exponents add up and a negative count subtracts
+    counts = [0] * 12
     direct = CycloNum.rational(12, 0)
     for e, c in [(0, 3), (5, 2), (11, 1), (5, 4), (3, -2)]:
-        rc.add(e, c)
+        counts[e] += c
         direct = direct + CycloNum.rational(12, c) * CycloNum.root(12, e)
-    assert rc.value() == direct
+    assert cyclo_from_counts(12, counts) == direct
+
+
+@pytest.mark.parametrize("n", [4, 9, 12])
+def test_difference_counts_matches_the_product_of_sums(n):
+    # sum_r A_r * conj(B_r), with A_r and B_r the root sums of the count rows
+    rng = np.random.default_rng(n)
+    a = rng.integers(-3, 4, size=(5, n))
+    b = rng.integers(0, 4, size=(5, n))
+    direct = CycloNum.rational(n, 0)
+    for ra, rb in zip(a.tolist(), b.tolist()):
+        direct = direct + cyclo_from_counts(n, ra) * cyclo_from_counts(n, rb).conj()
+    assert cyclo_from_counts(n, difference_counts(a, b)) == direct
 
 
 def test_cyclo_from_counts_vanishing():

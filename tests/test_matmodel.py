@@ -29,12 +29,19 @@ from dllab.matmodel import (
     in_Xh_batch,
     iota_prime,
     normalize_shape,
-    recover_from_matrix,
-    star_action,
+    star_action_batch,
     unipotent_chunks,
 )
 from dllab.twistring import TwistedRing, enumerate_unipotent, gnq_mul, twisted_ring
-from oracles import iota_prime_via_varpi, lang, mat_mul, n2_norm, nm_gnq
+from oracles import (
+    iota_prime_via_varpi,
+    lang,
+    mat_mul,
+    n2_norm,
+    nm_gnq,
+    recover_from_matrix,
+    star_action,
+)
 
 
 def frob(F, a, q):
@@ -163,6 +170,7 @@ def test_star_action_closed_form():
     q = 2
     A = field(2, 2)
     R = twisted_ring(2, q, 3, A)
+    gammas, xs, want = [], [], []
     for lam, mu in itertools.product(A.elements(), repeat=2):
         gamma = (1, lam, mu)
         for a1, a3 in itertools.product(A.elements(), repeat=2):
@@ -177,6 +185,27 @@ def test_star_action_closed_form():
                     A.add(mu, A.add(a4, A.mul(lam, a2))),
                 )
                 assert got == expected
+                gammas.append(gamma)
+                xs.append(x)
+                want.append(expected)
+    # the batched action, all pairs in one call
+    got = star_action_batch(R, np.array(gammas).T, np.array(xs).T)
+    assert got.T.tolist() == [list(w) for w in want]
+
+
+def test_star_action_batch_matches_the_scalar_action():
+    # random units gamma over F_4 and random ring elements x over F_16,
+    # leading coefficients included
+    A = field(2, 4)
+    R = twisted_ring(2, 2, 3, A)
+    emb = A.embed_table(field(2, 2))
+    rng = np.random.default_rng(23)
+    gammas = emb[rng.integers(0, 4, size=(3, 600))]
+    gammas[0] = emb[rng.integers(1, 4, size=600)]
+    xs = rng.integers(0, A.order, size=(R.length, 600))
+    got = star_action_batch(R, gammas, xs)
+    for g, x, y in zip(gammas.T.tolist(), xs.T.tolist(), got.T.tolist()):
+        assert tuple(y) == star_action(R, tuple(g), tuple(x))
 
 
 def test_star_action_is_group_action():
