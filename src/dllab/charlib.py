@@ -18,7 +18,10 @@ characters are enumerated exactly as root-exponent tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
+
+import numpy as np
 
 from .errors import (
     CharacterMismatchError,
@@ -39,9 +42,16 @@ class AddChar:
     q: int
     a: int
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """x -> the exponent of zeta_p at x, as an index array over F: the
+        absolute trace table read at a x."""
+        F = self.F
+        return F.trace_table(field(F.p, 1))[F.vec.mul(self.a, np.arange(F.order, dtype=np.int64))]
+
     def exp(self, x: int) -> int:
         """Exponent of zeta_p."""
-        return self.F.absolute_trace(self.F.mul(self.a, x))
+        return int(self.table[x])
 
     def conductor_power(self) -> int:
         """The m with conductor q^m, certified by a kernel check."""
@@ -53,11 +63,7 @@ class AddChar:
             sub = field(p, e * m)
             # does psi factor through Tr to F_{q^m}?  check triviality on the
             # trace kernel
-            if all(
-                self.exp(x) == 0
-                for x in self.F.elements()
-                if self.F.trace(x, sub) == 0
-            ):
+            if not self.table[self.F.trace_table(sub) == 0].any():
                 # cross-check: equivalent to a in F_{q^m}
                 if not self.F.in_subfield(sub, self.a):
                     raise NotInSubfieldError(f"a is not in F_(q^{m})")
@@ -97,12 +103,11 @@ def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int
     p = L.p
     if R % p:
         raise RootOrderError(f"root order {R} is not divisible by p = {p}")
-    scale = R // p
     # b -> chi(1 + b pi^(h-1)) as exponents of zeta_R
-    rest = [chi.exp((1,) + (0,) * (h - 2) + (b,)) for b in L.elements()]
+    rest = np.array([chi.exp((1,) + (0,) * (h - 2) + (b,)) for b in L.elements()])
     for a in L.elements():
         psi = AddChar(L, q, a)
-        if all(r == (psi.exp(b) * scale) % R for b, r in zip(L.elements(), rest)):
+        if (psi.table * (R // p) == rest).all():
             return psi
     raise CharacterMismatchError("layer restriction is not additive")
 

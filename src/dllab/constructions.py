@@ -10,8 +10,9 @@ the Teichmueller generator, grade by theta(pi), induce along the index-n
 valuation subgroup.
 
 Everything is exponent-level until a value is actually compared: characters
-are dicts/lists of exponents of a fixed root of unity zeta_R, and CycloNum
-arithmetic only happens at inner products and trace comparisons.
+are dicts of exponents, or count rows of exponents, of a fixed root of unity
+zeta_R, and CycloNum arithmetic only happens at inner products and trace
+comparisons.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +30,21 @@ from .cyclo import CycloNum, cyclo_from_counts, difference_counts, reduce_counts
 from .errors import (
     CharacterMismatchError,
     NoExtensionError,
+    NotInSubfieldError,
     NotInvariantError,
     OutsideSubgroupError,
     RootOrderError,
     UnsupportedParametersError,
 )
-from .ffield import Field, chunked, digits_index, field, index_digits, splitting_params
-from .matmodel import n2_norm_batch, nm_gnq_batch
+from .ffield import (
+    Field,
+    chunked,
+    digits_index,
+    field,
+    grid_chunks,
+    index_digits,
+    splitting_params,
+)
 from .repkit import (
     CyclicExtension,
     GroupModel,
@@ -52,10 +62,11 @@ from .repkit import (
 from .twistring import (
     TwistedRing,
     enumerate_unipotent,
-    gnq_frobenius,
-    gnq_inv,
-    gnq_mul,
     gnq_index_law,
+    gnq_inv,
+    gnq_inv_batch,
+    gnq_mul,
+    gnq_mul_batch,
     h_m_pattern,
     nu_prime_m,
     twisted_ring,
@@ -84,10 +95,14 @@ def _basis_powers(F: Field):
     return out
 
 
-@lru_cache(maxsize=None)
 def unipotent_group(n: int, q: int, h: int = 2):
     """Principal units of the twisted truncated ring over F_{q^n}, as an
-    explicit GroupModel.  Returns (group, ring)."""
+    explicit GroupModel.  Returns (group, ring), one pair per (n, q, h)."""
+    return _unipotent_group(n, q, h)
+
+
+@lru_cache(maxsize=None)
+def _unipotent_group(n: int, q: int, h: int):
     _require_small(n, h)
     p, e = splitting_params(q)
     F = field(p, e * n)
@@ -175,12 +190,68 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
         R = p * p
     if R % p:
         raise RootOrderError(f"root order {R} is not divisible by p = {p}")
-    scale = R // p
-    q1 = q**m
-    Fq1 = field(p, e * m)
-    # coordinate j of an element sits at position j + shift; the norm reads
-    # the coordinates with m | j (nu'_m), as an element of the (n/m, q^m)
-    # family
+    pat = _pattern_data(n, q, m, mirror)
+    # the transferred character on the pattern subgroup: psi_1 of the norms
+    norms = F.retract_table(field(p, e * m))[pat.norms]
+    if (norms < 0).any():
+        raise NotInSubfieldError(f"a reduced norm does not lie in F_{q**m}")
+    exps = dict(zip(pat.H, ((psi1.table[norms] * (R // p)) % R).tolist()))
+    chi_exp = exps.__getitem__
+    rep = copy.copy(pat.template)
+    rep.R = R
+    if pat.branch == 1:
+        rep.chi_exp = chi_exp
+    else:
+        ext = _halved_extension(pat, chi_exp, R)
+        rep.chi_exp = ext.__getitem__
+    char = rep.character()
+    return RhoData(
+        psi=psi,
+        n=n,
+        q=q,
+        m=m,
+        n1=n1,
+        branch=pat.branch,
+        group=pat.group,
+        rep=rep,
+        char=char,
+        pattern_subgroup=pat.Hset,
+        pattern_exp=chi_exp,
+        R=R,
+        degree=rep.dim,
+        hom_degree=n + n1 - 2,
+        frob_scalar=(-1) ** (n - n1) * q ** (n * (n + n1 - 2) // 2),
+    )
+
+
+class _PatternData(NamedTuple):
+    """The psi-independent part of build_rho_psi at one conductor exponent:
+    the pattern subgroup H (elements in index order, and as a set), the
+    reduced norms of its kept coordinates (indices in F_{q^n}), the branch,
+    the inducing subgroup's elements on the halved branch, a template
+    MonomialRep of the inducing subgroup whose copies take chi, and a
+    transversal of H."""
+
+    group: GroupModel
+    H: list
+    Hset: frozenset
+    norms: np.ndarray
+    branch: int
+    enlarged: list
+    template: MonomialRep
+    transversal: list
+
+
+@lru_cache(maxsize=None)
+def _pattern_data(n: int, q: int, m: int, mirror: bool) -> _PatternData:
+    # matmodel is imported here, so the suites that build no rho never load it
+    from .matmodel import n2_norm_batch, nm_gnq_batch
+
+    p, e = splitting_params(q)
+    F = field(p, e * n)
+    n1, q1 = n // m, q**m
+    # coordinate j of an element sits in column j + shift; the norm reads the
+    # coordinates with m | j (nu'_m), as an element of the (n/m, q^m) family
     if mirror:
         group, _ = gnq_group(n, q)
         shift = -1
@@ -195,72 +266,43 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
         def norms(kept):
             return n2_norm_batch(ring1, kept)
 
-    def coord(g, j):
-        return g[j + shift]
-
+    coords = np.array(group.elements, dtype=np.int64)[:, 1 + shift : n + 1 + shift].T
     pattern = set(h_m_pattern(n, 2, m))
-    Hset = frozenset(
-        g
-        for g in group.elements
-        if all(coord(g, j) == 0 for j in range(1, n + 1) if j not in pattern)
-    )
-    # the transferred character, tabulated once on the pattern subgroup
-    Hlist = list(Hset)
-    coords = np.array(Hlist, dtype=np.int64).T[1 + shift : n + 1 + shift]
-    nvals = chunked(norms, np.stack(nu_prime_m(n, m, coords))).tolist()
-    tab = {v: (psi1.exp(F.retract(Fq1, v)) * scale) % R for v in set(nvals)}
-    exps = {g: tab[v] for g, v in zip(Hlist, nvals)}
-    chi_exp = exps.__getitem__
+    zero = [j - 1 for j in range(1, n + 1) if j not in pattern]
+    H = np.flatnonzero(~coords[zero].any(axis=0))
+    Hlist = [group.elements[i] for i in H.tolist()]
+    Hset = frozenset(Hlist)
+    nvals = chunked(norms, np.stack(nu_prime_m(n, m, coords[:, H])))
     branch = 1 if (m % 2 == 1 or n1 % 2 == 0) else 2
-    if branch == 1:
-        rep = MonomialRep(group, Hset, chi_exp, R)
-    else:
-        rep = _halved_branch(group, Hset, chi_exp, R, n, p, e, F, coord)
-    char = rep.character()
-    return RhoData(
-        psi=psi,
-        n=n,
-        q=q,
-        m=m,
-        n1=n1,
-        branch=branch,
-        group=group,
-        rep=rep,
-        char=char,
-        pattern_subgroup=Hset,
-        pattern_exp=chi_exp,
-        R=R,
-        degree=rep.dim,
-        hom_degree=n + n1 - 2,
-        frob_scalar=(-1) ** (n - n1) * q ** (n * (n + n1 - 2) // 2),
-    )
+    enlarged = []
+    if branch == 2:
+        # m = 2 and n = 2 here: enlarge the pattern subgroup by the first
+        # coordinate restricted to F_q, the half-size subfield
+        if n != 2:
+            raise UnsupportedParametersError(
+                "halved branch implemented for n = 2 only (the middle-coordinate "
+                "subgroup is abelian there)"
+            )
+        allowed = np.zeros(F.order, dtype=bool)
+        allowed[F.embed_table(field(p, e))] = True
+        enlarged = [group.elements[i] for i in np.flatnonzero(allowed[coords[0]]).tolist()]
+    template = MonomialRep(group, enlarged or Hset, None, 1)
+    T = coset_transversal(group, Hset) if enlarged else template.transversal
+    return _PatternData(group, Hlist, Hset, nvals, branch, enlarged, template, T)
 
 
-def _halved_branch(U, Hset, chi_exp, R, n, p, e, F, coord):
-    """Even-m/odd-n1 branch: enlarge the pattern subgroup by the middle
-    coordinate restricted to the half-size subfield, extend the transferred
-    character there, and induce the extension instead."""
-    if n != 2:
-        raise UnsupportedParametersError(
-            "halved branch implemented for n = 2 only (the middle-coordinate "
-            "subgroup is abelian there)"
-        )
-    half = n // 2
-    Fhalf = field(p, e * half)
-    allowed = set(int(v) for v in F.embed_table(Fhalf))
-    Gset = frozenset(
-        g
-        for g in U.elements
-        if all(g[j] == 0 for j in range(1, n + 1) if j not in (half, n))
-        and coord(g, half) in allowed
-    )
-    Gmodel = GroupModel(sorted(Gset), U.mul, U.inv, U.one)
-    base = {h: chi_exp(h) for h in sorted(Hset)}
+def _halved_extension(pat: _PatternData, chi_exp, R: int) -> dict:
+    """Even-m/odd-n1 branch: extend the transferred character from the
+    pattern subgroup to the enlarged subgroup, whose induction replaces its
+    own."""
+    U = pat.group
+    # index order is product order, the sorted order of the elements
+    Gmodel = GroupModel(pat.enlarged, U.mul, U.inv, U.one)
+    base = {h: chi_exp(h) for h in sorted(pat.Hset)}
     exts = abelian_character_extensions(Gmodel, base, R)
     if not exts:
         raise NoExtensionError("transferred character does not extend to the enlarged subgroup")
-    ext = exts[0]
-    return MonomialRep(U, Gset, lambda g: ext[g], R)
+    return exts[0]
 
 
 def _check_rho(data: RhoData, mirror: bool):
@@ -273,15 +315,17 @@ def _check_rho(data: RhoData, mirror: bool):
     ip = assert_nonneg_integer(inner_product(data.char, data.char))
     if ip != 1:
         raise CharacterMismatchError(f"squared norm {ip} != 1")
-    for v in F.elements():
-        z = (0,) * (n - 1) + (v,) if mirror else (1,) + (0,) * (n - 1) + (v,)
-        exps = data.char.exps(z)
-        want = (data.psi.exp(v) * scale) % R
-        if len(exps) != data.degree or any(x % R != want for x in exps):
-            raise CharacterMismatchError(f"central character differs at {z}")
+    # the value at each central element z must be degree times psi(v)
+    z = [(0,) * (n - 1) + (v,) if mirror else (1,) + (0,) * (n - 1) + (v,) for v in F.elements()]
+    rows = data.char.counts[data.group.indices(z)]
+    want = (data.psi.table * scale) % R
+    bad = (rows[np.arange(F.order), want] != data.degree) | (rows.sum(axis=1) != data.degree)
+    if bad.any():
+        raise CharacterMismatchError(f"central character differs at {z[np.flatnonzero(bad)[0]]}")
     checks = {"norm": ip, "branch": data.branch}
     if data.branch == 2:
-        ind = induce_char(data.group, data.pattern_subgroup, data.pattern_exp, R)
+        T = _pattern_data(n, q, data.m, mirror).transversal
+        ind = induce_char(data.group, data.pattern_subgroup, data.pattern_exp, R, T)
         ind_norm = assert_nonneg_integer(inner_product(ind, ind))
         mult = assert_nonneg_integer(inner_product(ind, data.char))
         if ind_norm != q**n or mult != q ** (n // 2):
@@ -295,23 +339,22 @@ def _check_rho(data: RhoData, mirror: bool):
 
 def gnq_lang_fiber_count(n: int, q: int, s: int = 1) -> int:
     """|X'(F_{q^{n s}})|: mirror points whose Lang image (with the q^n-power
-    Frobenius, matching the h = 2 convention of counting.xh_point_count) has
+    Frobenius, matching the h = 2 convention of matmodel.xh_point_count) has
     vanishing top coordinate."""
     p, e = splitting_params(q)
     F = field(p, e * n * s)
-    count = 0
-    for a in itertools.product(range(F.order), repeat=n):
-        y = gnq_mul(F, n, q, gnq_frobenius(F, q, a, n), gnq_inv(F, n, q, a))
-        if y[n - 1] == 0:
-            count += 1
-    return count
+    frob = F.vec.frob(F.frob_exp(q, n))
+    return sum(
+        int(np.count_nonzero(gnq_mul_batch(F, n, q, frob[a], gnq_inv_batch(F, n, q, a))[n - 1] == 0))
+        for a in grid_chunks(F.order, n)
+    )
 
 
 def rho_family_report(n: int, q: int, mirror: bool = False) -> dict:
     """Full verification sweep over every additive character of F_{q^n}:
     irreducibility, central character, branch multiplicities, and the
     alternating-sum consistency with the Lang-fiber point count."""
-    from .counting import xh_point_count
+    from .matmodel import xh_point_count
 
     p, e = splitting_params(q)
     F = field(p, e * n)
@@ -357,36 +400,32 @@ def extension_orbit_report(q: int) -> dict:
     transitive exactly when the layer character has conductor q^2."""
     p, e = splitting_params(q)
     F = field(p, 2 * e)
+    Q = F.order
     ring = twisted_ring(2, q, 3, F)
-    V = [
-        (1, 0, 0, a3, a4)
-        for a3 in F.elements()
-        for a4 in F.elements()
-    ]
-    vidx = {v: i for i, v in enumerate(V)}
+    # every x v x^-1 at once, for x = 1 + beta tau (beta slowest) and
+    # v = 1 + a3 tau^3 + a4 tau^4 in product order; none depends on psi
+    beta, a3, a4 = index_digits(np.arange(Q**3, dtype=np.int64), Q, 3)
+    zero = np.zeros(Q**3, dtype=np.int64)
+    x = np.stack([zero + 1, beta, zero, zero, zero])
+    v = np.stack([zero + 1, zero, zero, a3, a4])
+    w = ring.mul_batch(ring.mul_batch(x, v), ring.inv_batch(x))
+    bad = np.flatnonzero((w[1] != 0) | (w[2] != 0) | (w[3] != v[3]))
+    if len(bad):
+        x, v, w = (tuple(y[:, bad[0]].tolist()) for y in (x, v, w))
+        raise OutsideSubgroupError(f"{x} conjugates {v} to {w}, outside the subgroup")
+    # the first Q^2 columns (beta = 0) list V in product order, and row beta
+    # of w4 holds the a4 of each x v x^-1 in that order, so psi's orbit rows
+    # are its table read there
+    a3, a4, w4 = a3[: Q * Q], a4[: Q * Q], w[4].reshape(Q, Q * Q)
+    psis = [AddChar(F, q, a) for a in F.elements()]
+    lam = np.stack([psi.table[a3] for psi in psis])
     rows = []
     mismatches = []
-    for a in F.elements():
-        if a == 0:
-            continue
-        psi = AddChar(F, q, a)
+    for psi in psis[1:]:
+        a = psi.a
         m = psi.conductor_power()
-        all_ext = set()
-        for mu in F.elements():
-            lam = AddChar(F, q, mu)
-            all_ext.add(tuple((psi.exp(v[4]) + lam.exp(v[3])) % p for v in V))
-        base = tuple(psi.exp(v[4]) % p for v in V)
-        orbit = set()
-        for beta in F.elements():
-            x = (1, beta, 0, 0, 0)
-            xi = ring.inv(x)
-            conj_tab = []
-            for v in V:
-                w = ring.mul(ring.mul(x, v), xi)
-                if w[1] != 0 or w[2] != 0 or w[3] != v[3]:
-                    raise OutsideSubgroupError(f"{x} conjugates {v} to {w}, outside the subgroup")
-                conj_tab.append(base[vidx[(1, 0, 0, w[3], w[4])]])
-            orbit.add(tuple(conj_tab))
+        all_ext = {r.tobytes() for r in (psi.table[a4] + lam) % p}
+        orbit = {r.tobytes() for r in psi.table[w4]}
         if not orbit <= all_ext:
             raise CharacterMismatchError(f"a conjugate of psi = {a} is not an extension")
         transitive = orbit == all_ext
@@ -438,8 +477,13 @@ class DivQuotData:
         return self.dlog[u[0]], tuple(self.F.mul(c, x) for x in u)
 
 
-@lru_cache(maxsize=None)
 def divquot(n: int, q: int, h: int, M: int = 1) -> DivQuotData:
+    """The division quotient of (n, q, h, M), built once per tuple."""
+    return _divquot(n, q, h, M)
+
+
+@lru_cache(maxsize=None)
+def _divquot(n: int, q: int, h: int, M: int) -> DivQuotData:
     _require_small(n, h)
     p, e = splitting_params(q)
     F = field(p, e * n)
@@ -787,8 +831,13 @@ class MainExampleContext:
         self.lhs = np.array(rows, dtype=np.int64).reshape(len(rows), 3 + 2 * self.template.dim)
 
 
-@lru_cache(maxsize=None)
 def main_example_context(q: int, M: int = 1) -> MainExampleContext:
+    """The MainExampleContext of (q, M), built once per pair."""
+    return _main_example_context(q, M)
+
+
+@lru_cache(maxsize=None)
+def _main_example_context(q: int, M: int) -> MainExampleContext:
     return MainExampleContext(q, M)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .ffield import GRID_CHUNK, Field, field, grid_chunks, index_digits, splitting_params
-from .matmodel import in_Xh_batch, star_action_batch, xh_points
+from .matmodel import in_Xh_batch, star_action_batch, xh_point_count
 from .repkit import assert_nonneg_integer
 from .twistring import TwistedRing, twisted_ring
 
@@ -60,7 +60,7 @@ def exp_sum(spec: SumSpec, psi: AddChar, s: int) -> CycloNum:
     if psi.F is not base:
         raise UnsupportedParametersError("psi must live on the base field of the spec")
     E = field(base.p, base.k * s)
-    psie = np.array([psi.exp(E.trace(a, base)) for a in E.elements()], dtype=np.int64)
+    psie = psi.table[E.trace_table(base)]
     counts = np.zeros(E.p, dtype=np.int64)
     for x in spec.points(E):
         counts += np.bincount(psie[spec.poly(E, x)], minlength=E.p)
@@ -494,7 +494,7 @@ def zeta_trace_suite(n: int, q: int) -> dict:
     results = []
     for a in Fqn.elements():
         psi = AddChar(Fqn, q, a)
-        exps = np.array([-psi.exp(z) for z in Fqn.elements()], dtype=np.int64) % p
+        exps = -psi.table % p
         counts = np.zeros(p, dtype=np.int64)
         np.add.at(counts, exps, fix_of)
         val = cyclo_from_counts(p, counts)
@@ -558,11 +558,6 @@ def zeta_trace_suite_level3(q: int) -> dict:
 
 
 # -- point counts and the maximality probe -------------------------------------
-
-
-def xh_point_count(n: int, q: int, h: int, s: int = 1):
-    """|X_h(F_{q^{n s}})|, by direct enumeration."""
-    return sum(g.shape[1] for g in xh_points(n, q, h, s))
 
 
 def x_betti_data(n: int, q: int) -> list[dict]:

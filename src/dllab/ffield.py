@@ -97,7 +97,8 @@ class Field:
         self._xpow = self._build_xpow()
         self._frob_maps: dict[int, list[int]] = {}
         self._embed_tabs: dict[int, np.ndarray] = {}
-        self._retract_maps: dict[int, dict[int, int]] = {}
+        self._retract_tabs: dict[int, np.ndarray] = {}
+        self._trace_tabs: dict[int, np.ndarray] = {}
         self._build_explog()
         self._install_table_ops()
 
@@ -318,19 +319,26 @@ class Field:
                     acc = self.add(acc, c)  # prime-field constants embed as-is
                 tab[a] = acc
             self._embed_tabs[sub.k] = tab
-            self._retract_maps[sub.k] = {int(v): i for i, v in enumerate(tab)}
+            back = np.full(self.order, -1, dtype=np.int64)
+            back[tab] = np.arange(sub.order)
+            self._retract_tabs[sub.k] = back
         return tab
 
     def embed(self, sub: "Field", a: int) -> int:
         return int(self.embed_table(sub)[a])
 
+    def retract_table(self, sub: "Field") -> np.ndarray:
+        """Index array inverting embed_table: a -> its index in sub, and -1
+        for a outside sub."""
+        self.embed_table(sub)
+        return self._retract_tabs[sub.k]
+
     def retract(self, sub: "Field", a: int) -> int:
         """Inverse of embed; raises NotInSubfieldError if a is not in the image."""
-        self.embed_table(sub)
-        try:
-            return self._retract_maps[sub.k][a]
-        except KeyError:
-            raise NotInSubfieldError(f"element {a} of {self} not in {sub}") from None
+        r = int(self.retract_table(sub)[a])
+        if r < 0:
+            raise NotInSubfieldError(f"element {a} of {self} not in {sub}")
+        return r
 
     def in_subfield(self, sub: "Field", a: int) -> bool:
         # a in F_{p^m}  <=>  a^(p^m) == a
@@ -345,9 +353,22 @@ class Field:
             x = self.frob(x, sub.order)
         return self.retract(sub, t)
 
-    def absolute_trace(self, a: int) -> int:
-        """Tr to the prime field, returned as an integer in [0, p)."""
-        return self.trace(a, field(self.p, 1))
+    def trace_table(self, sub: "Field") -> np.ndarray:
+        """Index array a -> Tr_{self/sub}(a) as an index in sub, the sum of
+        the conjugates a^(|sub|^i); cached per subfield."""
+        tab = self._trace_tabs.get(sub.k)
+        if tab is None:
+            back = self.retract_table(sub)
+            v = self.vec
+            x = t = np.arange(self.order, dtype=np.int64)
+            for _ in range(self.k // sub.k - 1):
+                x = v.frob(sub.order)[x]
+                t = v.add(t, x)
+            tab = back[t]
+            if (tab < 0).any():
+                raise NotInSubfieldError(f"a trace of {self} does not lie in {sub}")
+            self._trace_tabs[sub.k] = tab
+        return tab
 
 
 class VecOps:

@@ -244,6 +244,11 @@ def xh_points(n: int, q: int, h: int, s: int):
     return (g[:, in_Xh_batch(ring, g)] for g in unipotent_chunks(ring))
 
 
+def xh_point_count(n: int, q: int, h: int, s: int = 1):
+    """|X_h(F_{q^{n s}})|, by direct enumeration."""
+    return sum(g.shape[1] for g in xh_points(n, q, h, s))
+
+
 def n2_norm_batch(ring: TwistedRing, tails) -> np.ndarray:
     """N(a_1, ..., a_n), the pi-coefficient of det of the image of
     1 + a_1 tau + ... + a_n tau^n in the h = 2 ring, on a batch: tails is

@@ -17,9 +17,10 @@ four index algorithms raise NoIndexLawError on it.
 
 Character values are tracked as root-of-unity data wherever possible: a
 linear character is a dict element -> exponent mod R, and an induced
-character stores, per element, the tuple of exponents whose root sum is the
-value.  Exact CycloNum arithmetic happens only at the boundaries (inner
-products, trace comparisons), so the hot loops are integer-only.
+character is a (|G|, R) count array whose row i counts the exponents of the
+roots that sum to its value at element i.  Exact CycloNum arithmetic happens
+only at the boundaries (inner products, trace comparisons), so the hot loops
+are integer-only.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     NotInvariantError,
     RootOrderError,
 )
-from .ffield import chunked
+from .ffield import GRID_CHUNK, chunked
 
 
 def _no_law(*indices):
@@ -136,40 +137,36 @@ class ExpChar:
     def value(self, g) -> CycloNum:
         return CycloNum.root(self.R, self.table[g])
 
+    @property
+    def counts(self) -> np.ndarray:
+        """One-hot count rows over the group's elements, as in SumChar."""
+        els = self.group.elements
+        counts = np.zeros((len(els), self.R), dtype=np.int64)
+        counts[np.arange(len(els)), [self.table[g] % self.R for g in els]] = 1
+        return counts
+
 
 class SumChar:
-    """A character whose values are sums of roots: element -> exponent tuple."""
+    """A character whose values are sums of roots: row i of counts, a
+    (|G|, R) array, counts the exponents of zeta_R that sum to the value at
+    element i."""
 
-    def __init__(self, group, lists: dict, R: int):
+    def __init__(self, group, counts: np.ndarray, R: int):
         self.group = group
-        self.lists = lists
+        self.counts = counts
         self.R = R
 
-    def exps(self, g):
-        return self.lists[g]
-
     def value(self, g) -> CycloNum:
-        return cyclo_from_counts(self.R, _count_rows(self, [g])[0])
-
-
-def _count_rows(chi, elements) -> np.ndarray:
-    """Row i counts the exponents of chi's value at elements[i]; shape
-    (len(elements), R)."""
-    R = chi.R
-    lists = [chi.lists[g] if isinstance(chi, SumChar) else (chi.table[g],) for g in elements]
-    rows = np.repeat(np.arange(len(lists)), [len(x) for x in lists])
-    exps = np.array([e for x in lists for e in x], dtype=np.int64) % R
-    return np.bincount(rows * R + exps, minlength=len(lists) * R).reshape(-1, R)
+        return cyclo_from_counts(self.R, self.counts[self.group.index[g]])
 
 
 def inner_product(chi1, chi2) -> CycloNum:
     """(1/|G|) sum chi1(g) * conj(chi2(g)), exact."""
-    elements = chi1.group.elements
     R = chi1.R
     if chi2.R != R:
         raise MixedOrderError(f"characters over root orders {R} and {chi2.R}")
-    counts = difference_counts(_count_rows(chi1, elements), _count_rows(chi2, elements))
-    return cyclo_from_counts(R, counts) / len(elements)
+    counts = difference_counts(chi1.counts, chi2.counts)
+    return cyclo_from_counts(R, counts) / len(chi1.group.elements)
 
 
 def assert_nonneg_integer(val: CycloNum) -> int:
@@ -179,33 +176,47 @@ def assert_nonneg_integer(val: CycloNum) -> int:
 
 
 def induce_char(group: GroupModel, subgroup_set, chi_exp, R: int, transversal=None):
-    """Character of Ind_H^G(chi) for a linear chi given by chi_exp(h) -> exp:
-    row g of conj lists the conjugates t^-1 g t in transversal order."""
+    """Character of Ind_H^G(chi) for a linear chi given by chi_exp(h) -> exp,
+    as count rows: row g counts chi(t^-1 g t) over the transversal elements
+    t with t^-1 g t in H."""
     if transversal is None:
         transversal = coset_transversal(group, subgroup_set)
-    els = group.elements
-    N = len(els)
+    N = len(group)
     H = group.indices(subgroup_set)
     in_H = np.zeros(N, dtype=bool)
     in_H[H] = True
-    chi = np.zeros(N, dtype=np.int64)
-    chi[H] = [chi_exp(els[h]) for h in H.tolist()]
     conj = conjugates(group, np.arange(N, dtype=np.int64), group.indices(transversal))
-    lists = {
-        g: tuple(e for e, m in zip(es, ms) if m)
-        for g, es, ms in zip(els, chi[conj].tolist(), in_H[conj].tolist())
-    }
-    return SumChar(group, lists, R)
+    g, k = np.nonzero(in_H[conj])
+    return _induced(group, H, chi_exp, R, g, conj[g, k])
+
+
+def _induced(group: GroupModel, H, chi_exp, R: int, g, h) -> SumChar:
+    """The SumChar whose row g[i] counts chi_exp(h[i]) for every i, with chi
+    given on the element indices H."""
+    els = group.elements
+    N = len(els)
+    chi = np.zeros(N, dtype=np.int64)
+    chi[H] = [chi_exp(els[x]) % R for x in H.tolist()]
+    return SumChar(group, np.bincount(g * R + chi[h], minlength=N * R).reshape(N, R), R)
+
+
+def _pair_table(fn, n: int, K: int) -> np.ndarray:
+    """fn(x, k) over the n K pairs (x, k) in row-major order, GRID_CHUNK
+    pairs at a time, as an (n, K) array."""
+    out = np.empty(n * K, dtype=np.int64)
+    for s in range(0, n * K, GRID_CHUNK):
+        x, k = np.divmod(np.arange(s, min(s + GRID_CHUNK, n * K), dtype=np.int64), K)
+        out[s : s + len(x)] = fn(x, k)
+    return out.reshape(n, K)
 
 
 def conjugates(group: GroupModel, xs, ts) -> np.ndarray:
     """For index arrays xs and ts, through the group's index law: the array
-    whose row r, column k is the index of t_k^-1 x_r t_k."""
-    N = len(xs)
-    out = np.empty((N, len(ts)), dtype=np.int64)
-    for k, (t, ti) in enumerate(zip(ts.tolist(), group.law_inv(ts).tolist())):
-        out[:, k] = group.law_mul(np.full(N, ti), group.law_mul(xs, np.full(N, t)))
-    return out
+    whose row r, column k is the index of t_k^-1 x_r t_k, from one pass over
+    all (r, k) pairs."""
+    mul = group.law[0]
+    inv_ts = group.law_inv(ts)
+    return _pair_table(lambda x, k: mul(inv_ts[k], mul(xs[x], ts[k])), len(xs), len(ts))
 
 
 def coset_transversal(group: GroupModel, subgroup_set):
@@ -281,9 +292,17 @@ class MonomialRep:
         self.H = frozenset(subgroup_set)
         self.chi_exp = chi_exp
         self.R = R
-        reps, self._coset_index = _index_cosets(group, self.H)
+        reps, coset = _index_cosets(group, self.H)
         self.transversal = [group.elements[i] for i in reps]
-        self.dim = len(self.transversal)
+        self.dim = len(reps)
+        # the supports of all elements at once: index arrays perm and h with
+        # g t_j = t_perm[g, j] h[g, j]
+        mul = group.law[0]
+        T = np.array(reps, dtype=np.int64)
+        w = _pair_table(lambda g, k: mul(g, T[k]), len(group), self.dim)
+        perm = coset[w]
+        h = group.law_mul(group.law_inv(T)[perm].ravel(), w.ravel()).reshape(w.shape)
+        self._supports = perm, h
 
     def support(self, g):
         """(perm, hs) with g t_j = t_perm[j] hs[j] for every column j: the
@@ -293,27 +312,16 @@ class MonomialRep:
         i = group.index[g]
         return tuple(perm[i].tolist()), tuple(group.elements[x] for x in h[i].tolist())
 
-    @cached_property
-    def _supports(self):
-        """The supports of all elements at once, built on first use: index
-        arrays perm and h with g t_j = t_perm[g, j] h[g, j]."""
-        group = self.group
-        N = len(group)
-        idx = np.arange(N, dtype=np.int64)
-        T = group.indices(self.transversal)
-        w = np.stack([group.law_mul(idx, np.full(N, t)) for t in T], axis=1)
-        perm = self._coset_index[w]
-        h = group.law_mul(group.law_inv(T)[perm].ravel(), w.ravel()).reshape(w.shape)
-        return perm, h
-
     def matrix(self, g):
         perm, hs = self.support(g)
         return perm, tuple(self.chi_exp(h) for h in hs)
 
     def character(self) -> SumChar:
-        return induce_char(
-            self.group, self.H, self.chi_exp, self.R, self.transversal
-        )
+        """induce_char's count rows, read off the supports: t_j^-1 g t_j lies
+        in H exactly when perm[g, j] == j, and then it is h[g, j]."""
+        perm, h = self._supports
+        g, j = np.nonzero(perm == np.arange(self.dim))
+        return _induced(self.group, self.group.indices(self.H), self.chi_exp, self.R, g, h[g, j])
 
 
 def monomial_mul(m1, m2, R):

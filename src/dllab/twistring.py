@@ -257,20 +257,24 @@ def gnq_index_law(field_a: Field, n: int, q: int) -> tuple:
     itertools.product order, as a pair (mul, inv) of functions on int
     arrays: element i is the base-Q digits of i."""
     Q = field_a.order
-    v = field_a.vec
 
     def mul(i, j):
         a, b = index_digits(i, Q, n), index_digits(j, Q, n)
         return digits_index(gnq_mul_batch(field_a, n, q, a, b), Q)
 
     def inv(i):
-        # below the top the coordinates negate; the top is what makes a b = 1
-        a = index_digits(i, Q, n)
-        b = np.concatenate([v.neg(a[: n - 1]), np.zeros((1, len(i)), dtype=np.int64)])
-        b[n - 1] = v.neg(gnq_mul_batch(field_a, n, q, a, b)[n - 1])
-        return digits_index(b, Q)
+        return digits_index(gnq_inv_batch(field_a, n, q, index_digits(i, Q, n)), Q)
 
     return mul, inv
+
+
+def gnq_inv_batch(field_a: Field, n: int, q: int, a):
+    """gnq_inv on an (n, N) batch: below the top the coordinates negate, and
+    the top is what makes a b = 1."""
+    v = field_a.vec
+    b = np.concatenate([v.neg(a[: n - 1]), np.zeros((1, a.shape[1]), dtype=np.int64)])
+    b[n - 1] = v.neg(gnq_mul_batch(field_a, n, q, a, b)[n - 1])
+    return b
 
 
 def gnq_inv(field_a: Field, n: int, q: int, a):
@@ -284,11 +288,6 @@ def gnq_inv(field_a: Field, n: int, q: int, a):
             top = add(top, mul(ai, fr[aj]))
     neg[n - 1] = top
     return tuple(neg)
-
-
-def gnq_frobenius(field_a: Field, q: int, a, s: int):
-    fr = field_a.frob_map(field_a.frob_exp(q, s))
-    return tuple([fr[x] for x in a])
 
 
 def nu_prime_m(n: int, m: int, a):

@@ -12,10 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from dllab.charlib import AddChar
 from dllab.counting import y3_member
 from dllab.cyclo import _exp_vector, _degree, cyclo_from_counts
 from dllab.errors import (
     AllZeroError,
+    CharacterMismatchError,
     MatrixShapeError,
     MixedOrderError,
     OperandMismatchError,
@@ -36,7 +38,7 @@ from dllab.matmodel import (
 )
 from dllab.repkit import SumChar, assert_nonneg_integer
 from dllab.serieslab import SeriesBatch, mat_det_series, xtilde_matrix
-from dllab.twistring import TwistedRing, enumerate_unipotent, twisted_ring
+from dllab.twistring import TwistedRing, enumerate_unipotent, gnq_inv, gnq_mul, twisted_ring
 
 
 def cyclo_coeffs(n: int, counts) -> list:
@@ -711,18 +713,17 @@ def coset_transversal(group, subgroup_set):
 
 
 def induce_char(group, subgroup_set, chi_exp, R: int) -> SumChar:
-    """Oracle of repkit.induce_char."""
+    """Oracle of repkit.induce_char: row g counts chi_exp(t^-1 g t) over the
+    transversal, one conjugate at a time."""
     transversal = coset_transversal(group, subgroup_set)
     inv_t = [group.inv(t) for t in transversal]
-    lists = {}
-    for g in group.elements:
-        exps = []
+    counts = np.zeros((len(group.elements), R), dtype=np.int64)
+    for i, g in enumerate(group.elements):
         for t, ti in zip(transversal, inv_t):
             h = group.mul(ti, group.mul(g, t))
             if h in subgroup_set:
-                exps.append(chi_exp(h))
-        lists[g] = tuple(exps)
-    return SumChar(group, lists, R)
+                counts[i, chi_exp(h) % R] += 1
+    return SumChar(group, counts, R)
 
 
 def monomial_supports(group, subgroup_set) -> tuple:
@@ -792,3 +793,81 @@ def class_norm(rt, ctx) -> int:
             for b in exps:
                 counts[(a - b) % R] += size
     return assert_nonneg_integer(cyclo_from_counts(R, counts) / len(ctx.dq.group))
+
+
+# -- additive characters, the extension orbit and the mirror Lang fibre ----------
+
+
+def addchar_exp(psi, x: int) -> int:
+    """Oracle of AddChar.exp and its table: the absolute trace of a x, one
+    Frobenius conjugate at a time."""
+    F = psi.F
+    return F.trace(F.mul(psi.a, x), field(F.p, 1))
+
+
+def conductor_power(psi) -> int:
+    """Oracle of AddChar.conductor_power: the least m | n such that psi is
+    trivial on the kernel of the trace to F_{q^m}, element by element."""
+    p, e = splitting_params(psi.q)
+    F = psi.F
+    n = F.k // e
+    for m in range(1, n + 1):
+        sub = field(p, e * m)
+        if n % m == 0 and all(
+            addchar_exp(psi, x) == 0 for x in F.elements() if F.trace(x, sub) == 0
+        ):
+            return m
+    raise UnsupportedParametersError(f"F_{F.order} is not over F_{psi.q}")
+
+
+def extension_orbit_rows(q: int) -> list:
+    """Oracle of extension_orbit_report's rows: each conjugate x v x^-1
+    through the ring's scalar mul and inv, and each character value through
+    addchar_exp."""
+    p, e = splitting_params(q)
+    F = field(p, 2 * e)
+    ring = twisted_ring(2, q, 3, F)
+    V = [(1, 0, 0, a3, a4) for a3 in F.elements() for a4 in F.elements()]
+    vidx = {v: i for i, v in enumerate(V)}
+    rows = []
+    for a in range(1, F.order):
+        psi = AddChar(F, q, a)
+        all_ext = {
+            tuple((addchar_exp(psi, v[4]) + addchar_exp(AddChar(F, q, mu), v[3])) % p for v in V)
+            for mu in F.elements()
+        }
+        base = [addchar_exp(psi, v[4]) for v in V]
+        orbit = set()
+        for beta in F.elements():
+            x = (1, beta, 0, 0, 0)
+            xi = ring.inv(x)
+            row = []
+            for v in V:
+                w = ring.mul(ring.mul(x, v), xi)
+                if w[1] != 0 or w[2] != 0 or w[3] != v[3]:
+                    raise OutsideSubgroupError(f"{x} conjugates {v} to {w}, outside the subgroup")
+                row.append(base[vidx[(1, 0, 0, w[3], w[4])]])
+            orbit.add(tuple(row))
+        if not orbit <= all_ext:
+            raise CharacterMismatchError(f"a conjugate of psi = {a} is not an extension")
+        m = conductor_power(psi)
+        rows.append({"psi": a, "m": m, "orbit": len(orbit), "extensions": len(all_ext)})
+    return rows
+
+
+def gnq_frobenius(field_a: Field, q: int, a, s: int):
+    """Coordinatewise q^s power on one element of the mirror family."""
+    fr = field_a.frob_map(field_a.frob_exp(q, s))
+    return tuple([fr[x] for x in a])
+
+
+def gnq_lang_fiber_count(n: int, q: int, s: int = 1) -> int:
+    """Oracle of constructions.gnq_lang_fiber_count, one point at a time
+    through the scalar mirror law."""
+    p, e = splitting_params(q)
+    F = field(p, e * n * s)
+    count = 0
+    for a in itertools.product(range(F.order), repeat=n):
+        y = gnq_mul(F, n, q, gnq_frobenius(F, q, a, n), gnq_inv(F, n, q, a))
+        count += y[n - 1] == 0
+    return count

@@ -1,5 +1,7 @@
 import pytest
 
+import oracles
+
 from dllab.charlib import (
     AddChar,
     common_root_order,
@@ -22,6 +24,16 @@ def test_addchar_is_additive_and_nontrivial():
                 assert (psi.exp(x) + psi.exp(y)) % 2 == psi.exp(F.add(x, y)) % 2
         if a != 0:
             assert any(psi.exp(x) != 0 for x in F.elements())
+
+
+@pytest.mark.parametrize("p,k,q", [(2, 2, 2), (2, 3, 2), (3, 2, 3), (2, 4, 2), (2, 4, 4)])
+def test_addchar_tables_match_the_scalar_oracles(p, k, q):
+    F = field(p, k)
+    for a in F.elements():
+        psi = AddChar(F, q, a)
+        assert psi.table.tolist() == [oracles.addchar_exp(psi, x) for x in F.elements()]
+        assert [psi.exp(x) for x in F.elements()] == psi.table.tolist()
+        assert psi.conductor_power() == oracles.conductor_power(psi)
 
 
 def test_conductor_counts_q2():

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dllab import cli
 
@@ -662,8 +666,14 @@ print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("dllab."
          {"errors", "ffield", "twistring", "matmodel"}),
         (["dump", "--kind", "y-set"], {"errors", "ffield", "twistring", "matmodel"}),
         (["verify", "--suite", "series"], {"errors", "ffield", "serieslab"}),
+        # the rho families read the point count from matmodel, not counting
+        (["verify", "--suite", "thm31", "--n", "2", "--q", "2"],
+         {"errors", "ffield", "twistring", "matmodel", "cyclo", "repkit", "charlib",
+          "constructions"}),
+        (["verify", "--suite", "orbit", "--q", "2"],
+         {"errors", "ffield", "twistring", "cyclo", "repkit", "charlib", "constructions"}),
     ],
-    ids=["import", "points", "y-set", "series"],
+    ids=["import", "points", "y-set", "series", "thm31", "orbit"],
 )
 def test_commands_import_only_the_layers_they_run(argv, layers):
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -675,3 +685,53 @@ def test_commands_import_only_the_layers_they_run(argv, layers):
     status, modules = json.loads(proc.stdout)
     assert status == 0
     assert modules == sorted(f"dllab.{m}" for m in layers | {"cli"})
+
+
+# -- every command line ends in a report, a table or a usage error -------------
+
+# values that are valid, out of range, malformed, empty or huge; half the
+# draws are small valid values, so that runs get admitted too
+HOSTILE = ["0", "-1", "1", "2", "3", "4", "5", "6", "7", "9", "2.5", "x", "", " 2", "1" * 20]
+VALUES = st.one_of(st.sampled_from(["1", "2", "3"]), st.sampled_from(HOSTILE))
+FLAGS = ["--n", "--q", "--M", "--h", "--s", "--seed", "--jobs"]
+
+
+@st.composite
+def command_lines(draw):
+    """verify or dump with any suite or kind (or none known), options drawn
+    mostly from the ones it reads, with hostile values, and --max-size at
+    most 200,000, so that every admitted run is small."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from([*sorted(cli.SUITES), "nope"]))
+        argv, reads = ["verify", "--suite", name], cli.SUITES.get(name, (0, set()))[1]
+    else:
+        name = draw(st.sampled_from([*sorted(cli.DUMPS), "nope"]))
+        argv, reads = ["dump", "--kind", name], cli.DUMPS.get(name, (0, set()))[1]
+    own = [f"--{o}" for o in sorted(reads) if o != "saturate"]
+    flags = draw(st.sampled_from([own, own, FLAGS])) or FLAGS
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True, max_size=4))
+    if "--n" in chosen and "--q" not in chosen and "--q" in own:
+        chosen.append("--q")  # suites read --n only with --q
+    for flag in chosen:
+        argv += [flag, draw(VALUES)]
+    if draw(st.sampled_from([False, False, False, True])):
+        argv.append("--saturate")
+    return argv + ["--max-size", str(draw(st.one_of(st.just(200_000), st.integers(-1, 200_000))))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=command_lines())
+def test_every_command_line_ends_in_a_report_or_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if status == 2:
+        assert out.getvalue() == ""
+    elif argv[0] == "verify":
+        claims = json.loads(out.getvalue())["claims"]
+        assert (status == 0) == all(c["status"] == "pass" for c in claims)

@@ -150,6 +150,22 @@ def test_extension_orbit_report():
     assert rep["claims"][0]["status"] == "pass"
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_extension_orbit_rows_match_the_scalar_walk(q):
+    assert extension_orbit_report(q)["rows"] == oracles.extension_orbit_rows(q)
+
+
+@pytest.mark.parametrize("n,q,s", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2)])
+def test_gnq_lang_fiber_count_matches_the_scalar_walk(n, q, s):
+    assert gnq_lang_fiber_count(n, q, s) == oracles.gnq_lang_fiber_count(n, q, s)
+
+
+def test_group_caches_are_keyed_on_the_parameters_not_the_call_form():
+    assert unipotent_group(3, 2) is unipotent_group(3, 2, 2) is unipotent_group(n=3, q=2, h=2)
+    assert main_example_context(2) is main_example_context(2, 1) is main_example_context(q=2, M=1)
+    assert divquot(2, 2, 3) is divquot(2, 2, 3, 1)
+
+
 def test_divquot_order_and_axioms():
     dq = divquot(2, 2, 3)
     # nM (q^n - 1) q^(n^2 (h - 1)): valuation grading times the unit count
@@ -447,10 +463,11 @@ F4_broken.vec.mul = np.bitwise_xor  # 1 * 1 = 0 breaks the norm's determinant sh
 
 class BadRing:
     def __init__(self, ring):
-        self.inv = ring.inv
+        self.inv_batch = ring.inv_batch
 
-    def mul(self, a, b):
-        return (1, 1, 0, 0, 0)
+    def mul_batch(self, a, b):
+        # every product is 1 + tau
+        return np.stack([a[0] * 0 + 1, a[0] * 0 + 1] + [a[0] * 0] * 3)
 
 
 def stub(name, value):

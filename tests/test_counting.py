@@ -19,7 +19,6 @@ from dllab.counting import (
     maximality_probe,
     npp_identity,
     x3_twist_table,
-    xh_point_count,
     y3_locus_equality,
     zeta_fixed_set,
     zeta_trace_suite,
@@ -29,7 +28,7 @@ from dllab.charlib import layer_as_additive_char, principal_units, unit_characte
 from dllab.cyclo import CycloNum
 from dllab.errors import IdentityFailsError, NotIntegralError, UnsupportedParametersError
 from dllab.ffield import VecOps, field, grid_chunks
-from dllab.matmodel import in_Xh
+from dllab.matmodel import in_Xh, xh_point_count
 from dllab.twistring import twisted_ring
 import oracles
 from oracles import twisted_count
@@ -278,7 +277,7 @@ def test_zeta_fixed_set_is_central():
 def test_zeta_fixed_set_matches_scalar_conj_filter(n, q, h):
     import itertools
 
-    from dllab.matmodel import in_Xh
+    from dllab.matmodel import in_Xh, xh_point_count
 
     fixed, ring, E = zeta_fixed_set(n, q, h)
     zeta = E.embed(field(2, n), field(2, n).gen)

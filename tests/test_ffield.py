@@ -141,6 +141,15 @@ def test_trace_transitivity_and_surjectivity():
     assert values == set(F4.elements())
 
 
+@pytest.mark.parametrize("p,k,m", [(2, 1, 1), (2, 4, 1), (2, 4, 2), (2, 6, 3), (3, 2, 1), (3, 4, 2), (5, 2, 1)])
+def test_trace_and_retract_tables_match_the_scalar_forms(p, k, m):
+    F, sub = field(p, k), field(p, m)
+    assert F.trace_table(sub).tolist() == [F.trace(a, sub) for a in F.elements()]
+    inside = set(F.embed_table(sub).tolist())
+    back = F.retract_table(sub).tolist()
+    assert back == [F.retract(sub, a) if a in inside else -1 for a in F.elements()]
+
+
 def test_subfield_membership_count():
     F64, F8 = field(2, 6), field(2, 3)
     members = [a for a in F64.elements() if F64.in_subfield(F8, a)]

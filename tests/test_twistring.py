@@ -13,14 +13,13 @@ from dllab.ffield import field
 from dllab.twistring import (
     TwistedRing,
     enumerate_unipotent,
-    gnq_frobenius,
     gnq_inv,
     gnq_mul,
     h_m_pattern,
     nu_prime_m,
     twisted_ring,
 )
-from oracles import lang
+from oracles import gnq_frobenius, lang
 
 
 def ring_2_2_2():
