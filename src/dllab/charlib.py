@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,8 +31,10 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .ffield import Field, field, splitting_params
-from .repkit import ExpChar, GroupModel, abelian_character_extensions
 from .twistring import enumerate_unipotent, twisted_ring
+
+if TYPE_CHECKING:
+    from .repkit import ExpChar, GroupModel
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,8 @@ def principal_units(L: Field, h: int) -> GroupModel:
     """(1 + pi O_L / pi^h)^x as tuples (1, b_1, ..., b_{h-1}): the unipotent
     group of L[pi]/(pi^h), which is the n = 1 twisted ring over L whose twist
     by q = |L| acts trivially."""
+    from .repkit import GroupModel
+
     ring = twisted_ring(1, L.order, h, L)
     els = list(enumerate_unipotent(ring))
     gens = [g for g in els if sum(1 for c in g[1:] if c) == 1]
@@ -89,6 +94,8 @@ def principal_units(L: Field, h: int) -> GroupModel:
 
 def unit_characters(G: GroupModel, R: int):
     """All characters of the abelian unit group, deterministic order."""
+    from .repkit import ExpChar, abelian_character_extensions
+
     return [
         ExpChar(G, t, R) for t in abelian_character_extensions(G, {G.one: 0}, R)
     ]

@@ -26,7 +26,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .charlib import AddChar, ThetaData, layer_as_additive_char, theta_family
-from .cyclo import CycloNum, cyclo_from_counts, difference_counts, reduce_counts
+from .cyclo import (
+    CycloNum,
+    assert_nonneg_integer,
+    count_rows,
+    cyclo_from_counts,
+    difference_counts,
+    reduce_counts,
+)
 from .errors import (
     CharacterMismatchError,
     NoExtensionError,
@@ -52,7 +59,6 @@ from .repkit import (
     MonomialRep,
     SumChar,
     abelian_character_extensions,
-    assert_nonneg_integer,
     conjugates,
     coset_transversal,
     extend_irrep,
@@ -163,7 +169,7 @@ class RhoData:
     rep: MonomialRep
     char: SumChar
     pattern_subgroup: frozenset
-    pattern_exp: object  # the transferred character on the pattern subgroup
+    pattern_exp: dict  # the transferred character on the pattern subgroup
     R: int
     degree: int
     hom_degree: int
@@ -196,14 +202,11 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
     if (norms < 0).any():
         raise NotInSubfieldError(f"a reduced norm does not lie in F_{q**m}")
     exps = dict(zip(pat.H, ((psi1.table[norms] * (R // p)) % R).tolist()))
-    chi_exp = exps.__getitem__
+    ext = exps if pat.branch == 1 else _halved_extension(pat, exps, R)
     rep = copy.copy(pat.template)
     rep.R = R
-    if pat.branch == 1:
-        rep.chi_exp = chi_exp
-    else:
-        ext = _halved_extension(pat, chi_exp, R)
-        rep.chi_exp = ext.__getitem__
+    rep.chi = np.zeros(len(pat.group), dtype=np.int64)
+    rep.chi[pat.group.indices(ext)] = list(ext.values())
     char = rep.character()
     return RhoData(
         psi=psi,
@@ -216,7 +219,7 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
         rep=rep,
         char=char,
         pattern_subgroup=pat.Hset,
-        pattern_exp=chi_exp,
+        pattern_exp=exps,
         R=R,
         degree=rep.dim,
         hom_degree=n + n1 - 2,
@@ -291,15 +294,14 @@ def _pattern_data(n: int, q: int, m: int, mirror: bool) -> _PatternData:
     return _PatternData(group, Hlist, Hset, nvals, branch, enlarged, template, T)
 
 
-def _halved_extension(pat: _PatternData, chi_exp, R: int) -> dict:
-    """Even-m/odd-n1 branch: extend the transferred character from the
-    pattern subgroup to the enlarged subgroup, whose induction replaces its
-    own."""
+def _halved_extension(pat: _PatternData, exps: dict, R: int) -> dict:
+    """Even-m/odd-n1 branch: extend the transferred character, given as
+    exponents on the pattern subgroup, to the enlarged subgroup, whose
+    induction replaces its own."""
     U = pat.group
     # index order is product order, the sorted order of the elements
     Gmodel = GroupModel(pat.enlarged, U.mul, U.inv, U.one)
-    base = {h: chi_exp(h) for h in sorted(pat.Hset)}
-    exts = abelian_character_extensions(Gmodel, base, R)
+    exts = abelian_character_extensions(Gmodel, exps, R)
     if not exts:
         raise NoExtensionError("transferred character does not extend to the enlarged subgroup")
     return exts[0]
@@ -325,7 +327,7 @@ def _check_rho(data: RhoData, mirror: bool):
     checks = {"norm": ip, "branch": data.branch}
     if data.branch == 2:
         T = _pattern_data(n, q, data.m, mirror).transversal
-        ind = induce_char(data.group, data.pattern_subgroup, data.pattern_exp, R, T)
+        ind = induce_char(data.group, data.pattern_subgroup, data.pattern_exp.__getitem__, R, T)
         ind_norm = assert_nonneg_integer(inner_product(ind, ind))
         mult = assert_nonneg_integer(inner_product(ind, data.char))
         if ind_norm != q**n or mult != q ** (n // 2):
@@ -578,7 +580,6 @@ class RTheta:
 
     theta: ThetaData
     dq: DivQuotData
-    rho_rep: MonomialRep
     ext: MonomialExtension | CyclicExtension
     root_exp: int | None
     sign: int
@@ -605,7 +606,6 @@ def _build_eta_level2(theta: ThetaData, dq: DivQuotData) -> RTheta:
     return RTheta(
         theta=theta,
         dq=dq,
-        rho_rep=rho.rep,
         ext=ext,
         root_exp=root_exp,
         sign=sign,
@@ -614,14 +614,10 @@ def _build_eta_level2(theta: ThetaData, dq: DivQuotData) -> RTheta:
     )
 
 
-def _level3_sharp_exp(chi):
-    """chi-sharp on the coordinate subgroup {1 + a2 t^2 + a3 t^3 + a4 t^4}:
-    read (a2, a4) as a level-2 principal unit of the quadratic field."""
-
-    def exp(g):
-        return chi.exp((1, g[2], g[4]))
-
-    return exp
+def _unit_exps(theta: ThetaData) -> np.ndarray:
+    """theta on the principal units (1, h_2, h_4), which come in product
+    order, as exponents indexed by h_2 Q + h_4."""
+    return np.array([theta.chi.exp(g) for g in theta.units.elements], dtype=np.int64)
 
 
 def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext) -> RTheta:
@@ -631,7 +627,9 @@ def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext) -> RTheta:
     n, q, R = 2, theta.q, theta.R
     dq = ctx.dq
     rep = copy.copy(ctx.template)
-    rep.chi_exp = _level3_sharp_exp(theta.chi)
+    # theta-sharp reads (a_2, a_4) of 1 + a_2 t^2 + a_3 t^3 + a_4 t^4 as a
+    # level-2 principal unit of the quadratic field
+    rep.chi = _unit_exps(theta)[ctx.sharp]
     rep.R = R
     ring, F = dq.ring, dq.F
     ext, root_exp = extend_irrep(
@@ -649,7 +647,6 @@ def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext) -> RTheta:
     return RTheta(
         theta=theta,
         dq=dq,
-        rho_rep=rep,
         ext=ext,
         root_exp=root_exp,
         sign=1,
@@ -676,11 +673,15 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
     dq = divquot(n, q, 2, M)
     F = dq.F
     thetas = theta_family(n, q, 2, M)
-    # Mackey pairs (u, Pi^j-conjugate of u), decomposed as (k, u1); the
-    # theta-dependence of each pair's term enters only through zeta^delta
-    dec = {u: dq.decompose(u) for u in dq.units}
+    # Mackey pairs (u, Pi^j-conjugate of u) decomposed as (k, u1), with u1 an
+    # index of rho's group, as the rows (k1, u1, k2, u2) of one array per j;
+    # the theta-dependence of each pair's term enters only through zeta^delta
+    index = unipotent_group(n, q, 2)[0].index
+    dec = {u: (k, index[u1]) for u, (k, u1) in zip(dq.units, map(dq.decompose, dq.units))}
     pairs = {
-        j: [(dec[u], dec[dq.ring.frobenius(u, (n - j) % n)]) for u in dq.units]
+        j: np.array(
+            [dec[u] + dec[dq.ring.frobenius(u, (n - j) % n)] for u in dq.units], dtype=np.int64
+        ).T
         for j in range(1, n)
     }
     cache = {}
@@ -777,9 +778,11 @@ class MainExampleContext:
       whose conjugate stays in S1;
     - zero_rows: (k, h_2 Q + h_4) of t^-1 zeta-bar t = zeta-bar^k h for each
       template transversal element t with h in the pattern subgroup;
-    - lhs: one row per Frobenius twist Pi^(2t) zeta-bar^k u1 of each
-      even-valuation class representative, (class, t, k, perm, pattern), with
-      perm and pattern (h_2 Q + h_4 of each h) the template support of u1.
+    - lhs: (class, t, k, u1) for each Frobenius twist Pi^(2t) zeta-bar^k u1
+      of each even-valuation class representative, with u1 an index of the
+      template's group;
+    - sharp: h_2 Q + h_4 for each element 1 + h_1 t + ... + h_4 t^4 of the
+      template's group, where theta-sharp reads the units table.
     """
 
     def __init__(self, q: int, M: int = 1):
@@ -788,7 +791,7 @@ class MainExampleContext:
         self.dq = dq
         self.U3, _ = unipotent_group(n, q, 3)
         self.H2 = _level3_pattern_subgroup(self.U3)
-        self.template = MonomialRep(self.U3, self.H2, lambda g: 0, 1)
+        self.template = MonomialRep(self.U3, self.H2, None, 1)
         group, ring, F = dq.group, dq.ring, dq.F
         Q = F.order
         classes = group.conj_classes()
@@ -826,9 +829,10 @@ class MainExampleContext:
                 continue
             for j in range(n):
                 k, u1 = dq.decompose(ring.frobenius(u_, (n - j) % n))
-                perm, hs = self.template.support(u1)
-                rows.append((ci, e_ // n, k, *perm, *(h[2] * Q + h[4] for h in hs)))
-        self.lhs = np.array(rows, dtype=np.int64).reshape(len(rows), 3 + 2 * self.template.dim)
+                rows.append((ci, e_ // n, k, self.U3.index[u1]))
+        self.lhs = np.array(rows, dtype=np.int64).T
+        h = np.array(self.U3.elements, dtype=np.int64).T
+        self.sharp = h[2] * Q + h[4]
 
 
 def main_example_context(q: int, M: int = 1) -> MainExampleContext:
@@ -841,29 +845,17 @@ def _main_example_context(q: int, M: int) -> MainExampleContext:
     return MainExampleContext(q, M)
 
 
-def _class_counts(cls, exps, classes: int, R: int) -> np.ndarray:
-    """The (classes, R) counts of the exponents exps by their class cls."""
-    return np.bincount(cls * R + exps, minlength=classes * R).reshape(classes, R)
-
-
-def _class_traces(rt: RTheta, ctx: MainExampleContext, chi) -> np.ndarray:
+def _class_traces(rt: RTheta, ctx: MainExampleContext) -> np.ndarray:
     """Per class representative g of ctx, the counts of the exponents of the
     extension-route character at g, as a (classes, R) array.  Over the
-    Frobenius twists Pi^(2t) zeta-bar^k u1 of g, column j of T^k rho(u1) is
-    fixed when P^k[perm[j]] == j, with exponent E^k[perm[j]] + chi[pattern[j]]
-    shifted by theta's exponent on Pi^(2t) zeta-bar^k, where (P^k, E^k) is
-    T^k; a class of odd valuation has a zero row.  chi is theta's table on
-    the pattern coordinates."""
+    Frobenius twists Pi^(2t) zeta-bar^k u1 of g, these are the exponents of
+    the fixed columns of T^k rho(u1), shifted by theta's exponent on
+    Pi^(2t) zeta-bar^k; a class of odd valuation has a zero row."""
     theta, R = rt.theta, rt.theta.R
-    d = ctx.template.dim
-    P, E = (np.array(x, dtype=np.int64) for x in zip(*rt.ext.T_powers))
-    cls, t, k = ctx.lhs[:, :3].T
-    perm, pattern = ctx.lhs[:, 3 : 3 + d], ctx.lhs[:, 3 + d :]
-    fixed = P[k[:, None], perm] == np.arange(d)
+    cls, t, k, u = ctx.lhs
+    row, exps = rt.ext.trace_entries(k, u)
     shift = t * theta.pi_value_exp() + k * theta.zeta_value_exp()
-    exps = (E[k[:, None], perm] + chi[pattern] + shift[:, None]) % R
-    cls = np.broadcast_to(cls[:, None], fixed.shape)
-    return _class_counts(cls[fixed], exps[fixed], len(ctx.class_reps), R)
+    return count_rows(cls[row], exps + shift[row], len(ctx.class_reps), R)
 
 
 def _sorted_exps(counts) -> list:
@@ -889,17 +881,16 @@ def verify_main_example(theta: ThetaData, ctx: MainExampleContext, check_inner: 
     R, Q = theta.R, theta.L.order
     zv = theta.zeta_value_exp()
     rt = _build_eta_level3(theta, ctx)
-    # theta on the units (1, h_2, h_4), which come in product order
-    chi = np.array([theta.chi.exp(g) for g in theta.units.elements], dtype=np.int64)
+    chi = _unit_exps(theta)
     t, k, pattern = ctx.dec
     base = t * theta.pi_value_exp() + k * zv
     tp = (base + chi[pattern]) % R
     alt = (base + chi[pattern - pattern % Q]) % R
     classes = len(ctx.class_reps)
     cls, at = ctx.rhs
-    lhs = _class_traces(rt, ctx, chi)
-    rhs = _class_counts(cls, tp[at], classes, R)
-    alt_rhs = _class_counts(cls, alt[at], classes, R)
+    lhs = _class_traces(rt, ctx)
+    rhs = count_rows(cls, tp[at], classes, R)
+    alt_rhs = count_rows(cls, alt[at], classes, R)
     # equal count rows are equal multisets; multiset equality is sufficient
     # but not necessary, so the rows that differ are settled exactly
     differ = np.flatnonzero((lhs != rhs).any(axis=1))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charlib import AddChar
-from .cyclo import CycloNum, cyclo_from_counts, reduce_counts
+from .cyclo import CycloNum, assert_nonneg_integer, cyclo_from_counts, reduce_counts
 from .errors import (
     CharacterMismatchError,
     IdentityFailsError,
@@ -29,8 +29,6 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .ffield import GRID_CHUNK, Field, field, grid_chunks, index_digits, splitting_params
-from .matmodel import in_Xh_batch, star_action_batch, xh_point_count
-from .repkit import assert_nonneg_integer
 from .twistring import TwistedRing, twisted_ring
 
 
@@ -457,6 +455,8 @@ def npp_identity(q: int) -> bool:
 def zeta_fixed_set(n: int, q: int, h: int):
     """Points of X_h(F_{q^(n p)}) fixed by conjugation with the
     Teichmueller generator of F_{q^n}^x."""
+    from .matmodel import in_Xh_batch
+
     p, e = splitting_params(q)
     ring = twisted_ring(n, q, h, field(p, e * n * p))
     E, dim = ring.coeff_field, ring.length - 1
@@ -520,6 +520,7 @@ def zeta_trace_suite_level3(q: int) -> dict:
 
         sum_gamma chi(gamma)^{-1} Fix(gamma | X_3^zeta) = q^{n(h-1)}."""
     from .charlib import principal_units, unit_characters
+    from .matmodel import star_action_batch
 
     n, h = 2, 3
     p, e = splitting_params(q)
@@ -603,6 +604,8 @@ def maximality_probe(n: int, q: int, h: int, s_range=(1,)):
     """Record |X_h(F_{q^{n s}})|; for h = 2 compare with the point counts
     forced by purity and the known per-character Betti data (never asserted
     for h = 3, where the analogue is only conjectural)."""
+    from .matmodel import xh_point_count
+
     report = {"n": n, "q": q, "h": h, "counts": []}
     for s in s_range:
         c = xh_point_count(n, q, h, s)

@@ -270,6 +270,18 @@ def cyclo_from_counts(n: int, counts) -> CycloNum:
     return CycloNum(n, reduce_counts(n, [counts])[0].tolist())
 
 
+def assert_nonneg_integer(val: CycloNum) -> int:
+    if not val.is_nonneg_integer():
+        raise NotIntegralError(f"inner product not a nonnegative integer: {val}")
+    return val.as_integer()
+
+
+def count_rows(rows, exps, N: int, n: int) -> np.ndarray:
+    """The (N, n) count rows in which row rows[i] counts the exponent
+    exps[i] mod n, for every i."""
+    return np.bincount(rows * n + exps % n, minlength=N * n).reshape(N, n)
+
+
 def difference_counts(a, b) -> np.ndarray:
     """The count vector of sum_r (sum_x a[r, x] zeta_n^x)(sum_y b[r, y] zeta_n^-y)
     for count rows a and b of shape (N, n): entry e sums (a^T b)[x, y] over

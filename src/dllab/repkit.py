@@ -21,6 +21,13 @@ character is a (|G|, R) count array whose row i counts the exponents of the
 roots that sum to its value at element i.  Exact CycloNum arithmetic happens
 only at the boundaries (inner products, trace comparisons), so the hot loops
 are integer-only.
+
+A monomial matrix has one form, index arrays.  A MonomialRep holds the
+supports of every element and its chi as an exponent table over element
+indices, so rho(g) is (perm[g], chi[h[g]]); a MonomialExtension holds the
+powers T^k of its intertwiner as (c, d) arrays, so the traces of T^k rho(u)
+for arrays of (k, u) are one gather (MonomialExtension.trace_entries).  The
+intertwiner solve and both extension routes read the same arrays.
 """
 
 from __future__ import annotations
@@ -30,13 +37,12 @@ from math import gcd
 
 import numpy as np
 
-from .cyclo import CycloNum, cyclo_from_counts, difference_counts, reduce_counts
+from .cyclo import CycloNum, count_rows, cyclo_from_counts, difference_counts, reduce_counts
 from .errors import (
     AllZeroError,
     MixedOrderError,
     NoExtensionError,
     NoIndexLawError,
-    NotIntegralError,
     NotInvariantError,
     RootOrderError,
 )
@@ -88,14 +94,9 @@ class GroupModel:
         return self._classes
 
     def _index_classes(self):
-        """The conjugation orbits of the generators on element indices.
-
-        Each label starts as the element's own index and only moves to a
-        smaller index in the same orbit: to a neighbour's label under a
-        generator's conjugation or its inverse, then to its own label's label
-        (pointer jumping).  At the fixed point every element is labelled by
-        the least index of its orbit.  Members of a class are in index order.
-        """
+        """The conjugation orbits of the generators on element indices, each
+        labelled by its least index by _orbit_labels.  Members of a class are
+        in index order."""
         idx = np.arange(len(self.elements), dtype=np.int64)
         gens = self.indices(self.generators)
         # x -> s x s^-1 for each generator s, and its inverse permutation
@@ -104,20 +105,32 @@ class GroupModel:
             p_inv = np.empty_like(p)
             p_inv[p] = idx
             perms += [p, p_inv]
-        label = idx
-        while True:
-            new = label
-            for p in perms:
-                new = np.minimum(new, new[p])
-            while not np.array_equal(new[new], new):
-                new = new[new]
-            if np.array_equal(new, label):
-                break
-            label = new
+        label = _orbit_labels(len(idx), perms)
         order = np.argsort(label, kind="stable")
         starts = np.flatnonzero(np.diff(label[order])) + 1
         els = self.elements
         return [[els[i] for i in part.tolist()] for part in np.split(order, starts)]
+
+
+def _orbit_labels(n: int, perms) -> np.ndarray:
+    """The least point of each point's orbit under the group that the index
+    permutations perms of range(n) generate.
+
+    Each label starts as the point's own index and only moves to a smaller
+    index in the same orbit: to a neighbour's label under a permutation, then
+    to its own label's label (pointer jumping).  At the fixed point every
+    point is labelled by the least index of its orbit.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        new = label
+        for p in perms:
+            new = np.minimum(new, new[p])
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 # -- characters as exponent data ----------------------------------------------
@@ -140,10 +153,8 @@ class ExpChar:
     @property
     def counts(self) -> np.ndarray:
         """One-hot count rows over the group's elements, as in SumChar."""
-        els = self.group.elements
-        counts = np.zeros((len(els), self.R), dtype=np.int64)
-        counts[np.arange(len(els)), [self.table[g] % self.R for g in els]] = 1
-        return counts
+        exps = np.array([self.table[g] for g in self.group.elements], dtype=np.int64)
+        return count_rows(np.arange(len(exps)), exps, len(exps), self.R)
 
 
 class SumChar:
@@ -169,12 +180,6 @@ def inner_product(chi1, chi2) -> CycloNum:
     return cyclo_from_counts(R, counts) / len(chi1.group.elements)
 
 
-def assert_nonneg_integer(val: CycloNum) -> int:
-    if not val.is_nonneg_integer():
-        raise NotIntegralError(f"inner product not a nonnegative integer: {val}")
-    return val.as_integer()
-
-
 def induce_char(group: GroupModel, subgroup_set, chi_exp, R: int, transversal=None):
     """Character of Ind_H^G(chi) for a linear chi given by chi_exp(h) -> exp,
     as count rows: row g counts chi(t^-1 g t) over the transversal elements
@@ -185,19 +190,17 @@ def induce_char(group: GroupModel, subgroup_set, chi_exp, R: int, transversal=No
     H = group.indices(subgroup_set)
     in_H = np.zeros(N, dtype=bool)
     in_H[H] = True
+    chi = np.zeros(N, dtype=np.int64)
+    chi[H] = [chi_exp(group.elements[x]) for x in H.tolist()]
     conj = conjugates(group, np.arange(N, dtype=np.int64), group.indices(transversal))
     g, k = np.nonzero(in_H[conj])
-    return _induced(group, H, chi_exp, R, g, conj[g, k])
+    return _induced(group, chi, R, g, conj[g, k])
 
 
-def _induced(group: GroupModel, H, chi_exp, R: int, g, h) -> SumChar:
-    """The SumChar whose row g[i] counts chi_exp(h[i]) for every i, with chi
-    given on the element indices H."""
-    els = group.elements
-    N = len(els)
-    chi = np.zeros(N, dtype=np.int64)
-    chi[H] = [chi_exp(els[x]) % R for x in H.tolist()]
-    return SumChar(group, np.bincount(g * R + chi[h], minlength=N * R).reshape(N, R), R)
+def _induced(group: GroupModel, chi, R: int, g, h) -> SumChar:
+    """The SumChar whose row g[i] counts chi[h[i]] mod R for every i, with chi
+    an exponent table over the element indices."""
+    return SumChar(group, count_rows(g, chi[h], len(group), R), R)
 
 
 def _pair_table(fn, n: int, K: int) -> np.ndarray:
@@ -282,15 +285,18 @@ def abelian_character_extensions(group: GroupModel, base: dict, R: int):
 
 
 class MonomialRep:
-    """Ind_H^G(chi) with explicit monomial matrices.
+    """Ind_H^G(chi) as index arrays.
 
-    A matrix is a pair (perm, exps): it sends e_j to zeta_R^exps[j] * e_perm[j].
+    With (perm, h) = _supports, g t_j = t_perm[g, j] h[g, j] for every element
+    index g and column j, and chi is the exponent table of the linear
+    character over the element indices, read on H.  So the matrix of g sends
+    e_j to zeta_R^chi[h[g, j]] e_perm[g, j].
     """
 
-    def __init__(self, group: GroupModel, subgroup_set, chi_exp, R: int):
+    def __init__(self, group: GroupModel, subgroup_set, chi, R: int):
         self.group = group
         self.H = frozenset(subgroup_set)
-        self.chi_exp = chi_exp
+        self.chi = chi
         self.R = R
         reps, coset = _index_cosets(group, self.H)
         self.transversal = [group.elements[i] for i in reps]
@@ -304,38 +310,19 @@ class MonomialRep:
         h = group.law_mul(group.law_inv(T)[perm].ravel(), w.ravel()).reshape(w.shape)
         self._supports = perm, h
 
-    def support(self, g):
-        """(perm, hs) with g t_j = t_perm[j] hs[j] for every column j: the
-        part of the matrix of g that does not depend on chi."""
-        group = self.group
+    def matrices(self, g):
+        """(perm, exps) at the element indices g: the matrix of g[r] sends e_j
+        to zeta_R^exps[r, j] e_perm[r, j], with exps reduced mod R.  A single
+        index gives one row."""
         perm, h = self._supports
-        i = group.index[g]
-        return tuple(perm[i].tolist()), tuple(group.elements[x] for x in h[i].tolist())
-
-    def matrix(self, g):
-        perm, hs = self.support(g)
-        return perm, tuple(self.chi_exp(h) for h in hs)
+        return perm[g], self.chi[h[g]] % self.R
 
     def character(self) -> SumChar:
         """induce_char's count rows, read off the supports: t_j^-1 g t_j lies
         in H exactly when perm[g, j] == j, and then it is h[g, j]."""
         perm, h = self._supports
         g, j = np.nonzero(perm == np.arange(self.dim))
-        return _induced(self.group, self.group.indices(self.H), self.chi_exp, self.R, g, h[g, j])
-
-
-def monomial_mul(m1, m2, R):
-    """(m1 m2) e_j = m1 (exps2[j] e_{perm2[j]})."""
-    p1, e1 = m1
-    p2, e2 = m2
-    perm = tuple(p1[p2[j]] for j in range(len(p2)))
-    exps = tuple((e2[j] + e1[p2[j]]) % R for j in range(len(p2)))
-    return perm, exps
-
-
-def monomial_trace_exps(m, R):
-    perm, exps = m
-    return tuple(exps[j] % R for j in range(len(perm)) if perm[j] == j)
+        return _induced(self.group, self.chi, self.R, g, h[g, j])
 
 
 class CyclicExtension:
@@ -351,15 +338,15 @@ class CyclicExtension:
         self.rep = rep
         self.c = c
         self.R = R
-        d = rep.dim
-        self.T_powers = [_dense_identity(d, R)]
+        self.T_powers = [_monomial_to_dense(range(rep.dim), (0,) * rep.dim, R)]
         for _ in range(c - 1):
             self.T_powers.append(_dense_mul(self.T_powers[-1], T_matrix))
 
-    def value(self, k: int, u) -> CycloNum:
-        """Trace of T^k rho(u) (the character at g^k * u)."""
+    def value(self, k: int, u: int) -> CycloNum:
+        """Trace of T^k rho(u) (the character at g^k * u), for the element
+        index u."""
         Tk = self.T_powers[k % self.c]
-        perm, exps = self.rep.matrix(u)
+        perm, exps = (a.tolist() for a in self.rep.matrices(u))
         tot = CycloNum.rational(self.R, 0)
         for j in range(self.rep.dim):
             entry = Tk[j][perm[j]]  # row j of (T^k rho(u)) trace term
@@ -368,16 +355,17 @@ class CyclicExtension:
         return tot
 
     def delta_sums(self, pairs):
-        """Sum of value(k2, u2) * conj(value(k1, u1)) over the pairs
-        ((k1, u1), (k2, u2)), grouped by delta = k2 - k1 mod c: sorted
-        (delta, CycloNum) pairs."""
+        """Sum of value(k2, u2) * conj(value(k1, u1)) over the columns
+        (k1, u1, k2, u2) of the (4, N) index array pairs, grouped by
+        delta = k2 - k1 mod c: sorted (delta, CycloNum) pairs."""
         vals = {}
         sums = {}
-        for x, y in pairs:
+        for k1, u1, k2, u2 in pairs.T.tolist():
+            x, y = (k1, u1), (k2, u2)
             for z in (x, y):
                 if z not in vals:
                     vals[z] = self.value(*z)
-            delta = (y[0] - x[0]) % self.c
+            delta = (k2 - k1) % self.c
             term = vals[y] * vals[x].conj()
             sums[delta] = sums.get(delta, CycloNum.rational(self.R, 0)) + term
         return sorted(sums.items())
@@ -385,46 +373,40 @@ class CyclicExtension:
 
 class MonomialExtension:
     """Extension of a monomial irrep of N to N . <g> when the intertwiner is
-    itself monomial: T = (P, E) is a monomial matrix, and traces are exponent
-    lists, with no dense matrices."""
+    itself monomial: T^k sends e_j to zeta_R^E[k, j] e_P[k, j], with P and E
+    (c, d) index arrays, and traces are exponent counts, with no dense
+    matrices."""
 
     def __init__(self, rep: MonomialRep, P, E, c: int, R: int):
         self.rep = rep
+        self.P = P
+        self.E = E
         self.c = c
         self.R = R
-        d = rep.dim
-        self.T_powers = [(tuple(range(d)), (0,) * d)]
-        for _ in range(c - 1):
-            self.T_powers.append(monomial_mul(self.T_powers[-1], (P, E), R))
 
-    def trace_exps(self, k: int, u):
-        """Exponent list of the trace of T^k rho(u)."""
-        m = monomial_mul(self.T_powers[k % self.c], self.rep.matrix(u), self.R)
-        return monomial_trace_exps(m, self.R)
+    def trace_entries(self, k, u):
+        """For index arrays k and u of one length: (r, exps), the index r[i]
+        into k and u and the exponent mod R of each nonzero diagonal entry of
+        T^k[r[i]] rho(u[r[i]]).  rho(u) sends e_j to e_perm[j] and T^k sends
+        that on to e_P[k, perm[j]], so column j is fixed when that is j."""
+        perm, exps = self.rep.matrices(u)
+        k = k % self.c
+        r, j = np.nonzero(self.P[k[:, None], perm] == np.arange(self.rep.dim))
+        return r, (self.E[k[r], perm[r, j]] + exps[r, j]) % self.R
 
     def delta_sums(self, pairs):
         """CyclicExtension.delta_sums, counted in integer exponent
-        differences per delta; all delta rows are reduced in one call."""
+        differences: the traces of each side as count rows, the rows of one
+        delta paired by difference_counts, and all delta rows reduced in one
+        call."""
         R = self.R
-        exps = {}
-        rows = {}
-        for x, y in pairs:
-            for z in (x, y):
-                if z not in exps:
-                    exps[z] = self.trace_exps(*z)
-            row = rows.setdefault((y[0] - x[0]) % self.c, [0] * R)
-            for a in exps[y]:
-                for b in exps[x]:
-                    row[(a - b) % R] += 1
-        deltas = sorted(rows)
-        counts = np.array([rows[d] for d in deltas], dtype=np.int64).reshape(-1, R)
-        coeffs = reduce_counts(R, counts)
+        k1, u1, k2, u2 = pairs
+        a, b = (count_rows(*self.trace_entries(k, u), len(k), R) for k, u in ((k2, u2), (k1, u1)))
+        delta = (k2 - k1) % self.c
+        deltas = np.unique(delta).tolist()
+        counts = [difference_counts(a[delta == d], b[delta == d]) for d in deltas]
+        coeffs = reduce_counts(R, np.array(counts, dtype=np.int64).reshape(-1, R))
         return [(d, CycloNum(R, c)) for d, c in zip(deltas, coeffs.tolist())]
-
-
-def _dense_identity(d, R):
-    one = CycloNum.rational(R, 1)
-    return [[one if i == j else None for j in range(d)] for i in range(d)]
 
 
 def _dense_mul(A, B):
@@ -445,6 +427,13 @@ def _dense_mul(A, B):
     return out
 
 
+def _generator_matrices(rep: MonomialRep, conj, generators):
+    """(P, E, Pc, Ec): the matrices of rho(x) and of rho(conj(x)) for the
+    generators x, as MonomialRep.matrices rows."""
+    index = rep.group.indices
+    return (*rep.matrices(index(generators)), *rep.matrices(index([conj(x) for x in generators])))
+
+
 def solve_intertwiner(rep: MonomialRep, conj, generators, R: int):
     """Phase propagation solve of rho(g x g^-1) T = T rho(x) over the given
     generators of N.  Returns T as a dict (i, j) -> exponent, determined up
@@ -453,49 +442,39 @@ def solve_intertwiner(rep: MonomialRep, conj, generators, R: int):
     Every equation relates exactly two entries of T because both sides are
     monomial, so the solution space decomposes along connected components of
     an entry graph; Schur's lemma forces exactly one consistent component.
+    The graph's nodes are the entries k d + j.  Each generator's equations
+    permute them, so the components are orbits, labelled by their least
+    node; the phases spread from those nodes one edge layer at a time, and a
+    component is consistent when every edge agrees with them.
     """
     d = rep.dim
-    edges = {(i, j): [] for i in range(d) for j in range(d)}
-    for x in generators:
-        P, E = rep.matrix(x)
-        Pp, Ep = rep.matrix(conj(x))
-        # T[Pp[k], P[j]] = T[k, j] + Ep[k] - E[j]
-        for k in range(d):
-            for j in range(d):
-                a = (k, j)
-                b = (Pp[k], P[j])
-                delta = (Ep[k] - E[j]) % R
-                edges[a].append((b, delta))
-                edges[b].append((a, (-delta) % R))
-    phase = {}
-    components = []
-    for seed in sorted(edges):
-        if seed in phase:
-            continue
-        comp = [seed]
-        phase[seed] = 0
-        consistent = True
-        queue = [seed]
-        while queue:
-            u = queue.pop()
-            for v, delta in edges[u]:
-                w = (phase[u] + delta) % R
-                if v in phase:
-                    if phase[v] != w:
-                        consistent = False
-                else:
-                    phase[v] = w
-                    comp.append(v)
-                    queue.append(v)
-        components.append((comp, consistent))
-    good = [comp for comp, ok in components if ok]
-    if not good:
+    P, E, Pp, Ep = _generator_matrices(rep, conj, generators)
+    # T[Pp[k], P[j]] = T[k, j] + Ep[k] - E[j]: an edge from a = k d + j to
+    # b[x, a] for each generator x, walked in both directions
+    a = np.arange(d * d, dtype=np.int64)
+    k, j = np.divmod(a, d)
+    b = Pp[:, k] * d + P[:, j]
+    delta = ((Ep[:, k] - E[:, j]) % R).ravel()
+    a = np.broadcast_to(a, b.shape).ravel()
+    src, dst = np.concatenate([a, b.ravel()]), np.concatenate([b.ravel(), a])
+    step = np.concatenate([delta, -delta % R])
+    comp = _orbit_labels(d * d, b)
+    phase = np.where(comp == np.arange(d * d), 0, -1)
+    while True:
+        grow = (phase[src] >= 0) & (phase[dst] < 0)
+        if not grow.any():
+            break
+        phase[dst[grow]] = (phase[src[grow]] + step[grow]) % R
+    good = np.setdiff1d(comp, comp[src[phase[dst] != (phase[src] + step) % R]])
+    if not len(good):
         raise NotInvariantError("no intertwiner: representation not invariant")
     if len(good) > 1:
         raise NotInvariantError(
             "intertwiner space not one-dimensional; representation reducible?"
         )
-    return {node: phase[node] for node in good[0]}
+    nodes = np.flatnonzero(comp == good[0])
+    i, j = np.divmod(nodes, d)
+    return dict(zip(zip(i.tolist(), j.tolist()), phase[nodes].tolist()))
 
 
 def extend_irrep(rep: MonomialRep, conj, g_power_c, c: int, generators, target_trace):
@@ -516,39 +495,41 @@ def extend_irrep(rep: MonomialRep, conj, g_power_c, c: int, generators, target_t
     by_col = {j: (i, e) for (i, j), e in entries.items()}
     # one entry in every row and every column: a monomial matrix
     if len(entries) == len(by_col) == len({i for i, _ in entries}) == d:
-        P = tuple(by_col[j][0] for j in range(d))
-        E = tuple(by_col[j][1] for j in range(d))
+        P, E = np.array([by_col[j] for j in range(d)], dtype=np.int64).T
         return _monomial_extension(rep, P, E, conj, g_power_c, c, generators, target_trace)
     return _dense_extension(rep, entries, conj, g_power_c, c, generators, target_trace)
 
 
 def _monomial_extension(rep: MonomialRep, P, E, conj, g_power_c, c: int, generators, target_trace):
-    """Exponent-level extension along the monomial intertwiner (P, E)."""
+    """Exponent-level extension along the monomial intertwiner T, which sends
+    e_j to zeta_R^E[j] e_P[j] for index arrays P and E."""
     R = rep.R
     d = rep.dim
-    for x in generators:
-        if monomial_mul(rep.matrix(conj(x)), (P, E), R) != monomial_mul(
-            (P, E), rep.matrix(x), R
-        ):
-            raise NotInvariantError("intertwiner verification failed")
+    Px, Ex, Pc, Ec = _generator_matrices(rep, conj, generators)
+    # rho(conj(x)) T == T rho(x) for every generator, exponents mod R
+    if not np.array_equal(Pc[:, P], P[Px]) or ((E + Ec[:, P] - Ex - E[Px]) % R).any():
+        raise NotInvariantError("intertwiner verification failed")
+    # T^k for k = 0, ..., c: T^k = T^(k-1) T sends e_j to e_(P^(k-1)[P[j]])
+    powers = [(np.arange(d, dtype=np.int64), np.zeros(d, dtype=np.int64))]
+    for _ in range(c):
+        Pk, Ek = powers[-1]
+        powers.append((Pk[P], (E + Ek[P]) % R))
+    Pk, Ek = (np.stack(x) for x in zip(*powers))
     # normalize T^c = rho(g^c) up to a scalar, then pick the c-th-root twist
     # whose trace matches; the twist must be unique
-    Tc = (tuple(range(d)), (0,) * d)
-    for _ in range(c):
-        Tc = monomial_mul(Tc, (P, E), R)
-    Pg, Eg = rep.matrix(g_power_c)
-    if Tc[0] != tuple(Pg):
+    Pg, Eg = rep.matrices(rep.group.index[g_power_c])
+    if not np.array_equal(Pk[c], Pg):
         raise NotInvariantError("T^c does not have the support of rho(g^c)")
-    ratios = {(a - b) % R for a, b in zip(Tc[1], Eg)}
+    ratios = np.unique((Ek[c] - Eg) % R)
     if len(ratios) != 1:
         raise NotInvariantError("T^c is not a scalar multiple of rho(g^c)")
-    xi = ratios.pop()
+    xi = int(ratios[0])
     f = next(t for t in range(R) if (c * t + xi) % R == 0)
     # the c candidate traces, as one (c, R) count array reduced in one call
     shifts = (f + np.arange(c, dtype=np.int64) * (R // c)) % R
-    exps = (np.array(monomial_trace_exps((P, E), R), dtype=np.int64) + shifts[:, None]) % R
-    rows = np.arange(c, dtype=np.int64)[:, None] * R
-    traces = reduce_counts(R, np.bincount((rows + exps).ravel(), minlength=c * R).reshape(c, R))
+    exps = E[P == np.arange(d)] + shifts[:, None]
+    rows = np.arange(c).repeat(exps.shape[1])
+    traces = reduce_counts(R, count_rows(rows, exps.ravel(), c, R))
     want = target_trace.coeffs if target_trace.n == R else None
     hits = [jj for jj, row in enumerate(traces.tolist()) if tuple(row) == want]
     if len(hits) > 1:
@@ -559,8 +540,9 @@ def _monomial_extension(rep: MonomialRep, P, E, conj, g_power_c, c: int, generat
             f"no scalar twist matches the target trace; candidates: {candidates}"
         )
     chosen = int(shifts[hits[0]])
-    Es = tuple((x + chosen) % R for x in E)
-    return MonomialExtension(rep, P, Es, c, R), chosen
+    # the twisted T^k is zeta_R^(k chosen) T^k
+    Ek = (Ek[:c] + np.arange(c, dtype=np.int64)[:, None] * chosen) % R
+    return MonomialExtension(rep, Pk[:c], Ek, c, R), chosen
 
 
 def _dense_extension(rep: MonomialRep, entries, conj, g_power_c, c: int, generators, target_trace):
@@ -575,9 +557,7 @@ def _dense_extension(rep: MonomialRep, entries, conj, g_power_c, c: int, generat
     T = [[None] * d for _ in range(d)]
     for (i, j), e in entries.items():
         T[i][j] = CycloNum.root(R, e)
-    for x in generators:
-        P, E = rep.matrix(x)
-        Pp, Ep = rep.matrix(conj(x))
+    for P, E, Pp, Ep in zip(*(a.tolist() for a in _generator_matrices(rep, conj, generators))):
         lhs = _dense_mul(_monomial_to_dense(Pp, Ep, R), T)
         rhs = _dense_mul(T, _monomial_to_dense(P, E, R))
         if not _dense_eq(lhs, rhs):
@@ -595,7 +575,7 @@ def _dense_extension(rep: MonomialRep, entries, conj, g_power_c, c: int, generat
     Tc = Ts
     for _ in range(c - 1):
         Tc = _dense_mul(Tc, Ts)
-    Pg, Eg = rep.matrix(g_power_c)
+    Pg, Eg = (a.tolist() for a in rep.matrices(rep.group.index[g_power_c]))
     if not _dense_eq(Tc, _monomial_to_dense(Pg, Eg, R)):
         raise NoExtensionError("trace-matched scaling does not satisfy T^c = rho(g^c)")
     return CyclicExtension(rep, Ts, c, R), None

@@ -255,15 +255,16 @@ def gnq_mul_batch(field_a: Field, n: int, q: int, a, b):
 def gnq_index_law(field_a: Field, n: int, q: int) -> tuple:
     """The group law of G^{n,q} on the indices of its elements in
     itertools.product order, as a pair (mul, inv) of functions on int
-    arrays: element i is the base-Q digits of i."""
+    arrays: element i is the base-Q digits of i, decoded once for all Q^n
+    elements when the law is built."""
     Q = field_a.order
+    digits = index_digits(np.arange(Q**n, dtype=np.int64), Q, n)
 
     def mul(i, j):
-        a, b = index_digits(i, Q, n), index_digits(j, Q, n)
-        return digits_index(gnq_mul_batch(field_a, n, q, a, b), Q)
+        return digits_index(gnq_mul_batch(field_a, n, q, digits[:, i], digits[:, j]), Q)
 
     def inv(i):
-        return digits_index(gnq_inv_batch(field_a, n, q, index_digits(i, Q, n)), Q)
+        return digits_index(gnq_inv_batch(field_a, n, q, digits[:, i]), Q)
 
     return mul, inv
 

@@ -9,17 +9,19 @@ package imports this module.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from dllab.charlib import AddChar
 from dllab.counting import y3_member
-from dllab.cyclo import _exp_vector, _degree, cyclo_from_counts
+from dllab.cyclo import _exp_vector, _degree, assert_nonneg_integer, cyclo_from_counts
 from dllab.errors import (
     AllZeroError,
     CharacterMismatchError,
     MatrixShapeError,
     MixedOrderError,
+    NotInvariantError,
     OperandMismatchError,
     OutsideSubgroupError,
     PrecisionLossError,
@@ -36,7 +38,7 @@ from dllab.matmodel import (
     tp_mul,
     tp_scalar,
 )
-from dllab.repkit import SumChar, assert_nonneg_integer
+from dllab.repkit import SumChar
 from dllab.serieslab import SeriesBatch, mat_det_series, xtilde_matrix
 from dllab.twistring import TwistedRing, enumerate_unipotent, gnq_inv, gnq_mul, twisted_ring
 
@@ -726,31 +728,174 @@ def induce_char(group, subgroup_set, chi_exp, R: int) -> SumChar:
     return SumChar(group, counts, R)
 
 
-def monomial_supports(group, subgroup_set) -> tuple:
-    """Oracle of MonomialRep's transversal and supports: (transversal,
-    {g: (perm, hs)}) with g t_j = t_perm[j] hs[j], by coset lookup."""
+@lru_cache(maxsize=None)
+def _support_lookup(group, subgroup_set: frozenset) -> tuple:
+    """(transversal, support) with support(g) = (perm, hs) such that
+    g t_j = t_perm[j] hs[j], by coset lookup through the scalar law."""
     transversal = coset_transversal(group, subgroup_set)
     inv_t = [group.inv(t) for t in transversal]
     coset_of = {group.mul(t, h): i for i, t in enumerate(transversal) for h in subgroup_set}
-    supports = {}
-    for g in group.elements:
+
+    def support(g):
         perm, hs = [], []
         for t in transversal:
             w = group.mul(g, t)
             i = coset_of[w]
             perm.append(i)
             hs.append(group.mul(inv_t[i], w))
-        supports[g] = (tuple(perm), tuple(hs))
-    return transversal, supports
+        return tuple(perm), tuple(hs)
+
+    return transversal, support
 
 
-def monomial_extension_value(ext, k: int, u):
+def monomial_supports(group, subgroup_set) -> tuple:
+    """Oracle of MonomialRep's transversal and supports: (transversal,
+    {g: (perm, hs)}) with g t_j = t_perm[j] hs[j], by coset lookup."""
+    transversal, support = _support_lookup(group, frozenset(subgroup_set))
+    return transversal, {g: support(g) for g in group.elements}
+
+
+def exp_table(group, subgroup_set, chi_exp):
+    """A linear character given one element at a time, as the exponent
+    table over group indices that MonomialRep takes: chi_exp on the
+    subgroup and zero off it."""
+    chi = np.zeros(len(group.elements), dtype=np.int64)
+    for h in subgroup_set:
+        chi[group.index[h]] = chi_exp(h)
+    return chi
+
+
+def monomial_matrices(rep, chi_exp=None):
+    """Oracle of MonomialRep.matrices, one element at a time: a function
+    g -> (perm, exps) of tuples, with g t_j = t_perm[j] h_j by coset lookup
+    and exps[j] = chi_exp(h_j) mod R.  chi_exp defaults to reading rep's
+    table at one element."""
+    if chi_exp is None:
+        def chi_exp(h):
+            return int(rep.chi[rep.group.index[h]])
+
+    _, support = _support_lookup(rep.group, rep.H)
+
+    @lru_cache(maxsize=None)
+    def matrix(g):
+        perm, hs = support(g)
+        return perm, tuple(chi_exp(h) % rep.R for h in hs)
+
+    return matrix
+
+
+def monomial_mul(m1, m2, R):
+    """Oracle of the monomial products on index arrays: (m1 m2) e_j =
+    m1 (exps2[j] e_{perm2[j]}) on (perm, exps) tuples."""
+    p1, e1 = m1
+    p2, e2 = m2
+    perm = tuple(p1[p2[j]] for j in range(len(p2)))
+    exps = tuple((e2[j] + e1[p2[j]]) % R for j in range(len(p2)))
+    return perm, exps
+
+
+def monomial_trace_exps(m, R):
+    """The exponents of the diagonal entries of the monomial matrix m."""
+    perm, exps = m
+    return tuple(exps[j] % R for j in range(len(perm)) if perm[j] == j)
+
+
+def trace_exps(ext, k: int, u, matrix):
+    """Oracle of MonomialExtension.trace_entries at one element u: the
+    exponent list of the trace of T^k rho(u), with T^k multiplied out from
+    T = (P[1], E[1]) by monomial_mul and rho(u) = matrix(u)."""
+    d = ext.rep.dim
+    T = tuple(ext.P[1].tolist()), tuple(ext.E[1].tolist())
+    Tk = (tuple(range(d)), (0,) * d)
+    for _ in range(k % ext.c):
+        Tk = monomial_mul(Tk, T, ext.R)
+    return monomial_trace_exps(monomial_mul(Tk, matrix(u), ext.R), ext.R)
+
+
+def monomial_delta_sums(ext, pairs, matrix):
+    """Oracle of MonomialExtension.delta_sums: the trace exponents of each
+    (k, u) through trace_exps, and each delta's row counted one exponent
+    pair at a time."""
+    R = ext.R
+    els = ext.rep.group.elements
+    exps = {}
+    rows = {}
+    for k1, u1, k2, u2 in pairs.T.tolist():
+        x, y = (k1, u1), (k2, u2)
+        for z in (x, y):
+            if z not in exps:
+                exps[z] = trace_exps(ext, z[0], els[z[1]], matrix)
+        row = rows.setdefault((k2 - k1) % ext.c, [0] * R)
+        for a in exps[y]:
+            for b in exps[x]:
+                row[(a - b) % R] += 1
+    return [(d, cyclo_from_counts(R, rows[d])) for d in sorted(rows)]
+
+
+def monomial_extension_value(ext, k: int, u, matrix):
     """Oracle of a MonomialExtension's character against the dense
     CyclicExtension.value: the trace of T^k rho(u) as a CycloNum."""
     counts = [0] * ext.R
-    for e in ext.trace_exps(k, u):
+    for e in trace_exps(ext, k, u, matrix):
         counts[e % ext.R] += 1
     return cyclo_from_counts(ext.R, counts)
+
+
+def solve_intertwiner(matrix, conj, generators, d: int, R: int):
+    """Oracle of repkit.solve_intertwiner: the seed's phase propagation over
+    the entry graph, one equation at a time, on tuple matrices."""
+    edges = {(i, j): [] for i in range(d) for j in range(d)}
+    for x in generators:
+        P, E = matrix(x)
+        Pp, Ep = matrix(conj(x))
+        # T[Pp[k], P[j]] = T[k, j] + Ep[k] - E[j]
+        for k in range(d):
+            for j in range(d):
+                a = (k, j)
+                b = (Pp[k], P[j])
+                delta = (Ep[k] - E[j]) % R
+                edges[a].append((b, delta))
+                edges[b].append((a, (-delta) % R))
+    phase = {}
+    components = []
+    for seed in sorted(edges):
+        if seed in phase:
+            continue
+        comp = [seed]
+        phase[seed] = 0
+        consistent = True
+        queue = [seed]
+        while queue:
+            u = queue.pop()
+            for v, delta in edges[u]:
+                w = (phase[u] + delta) % R
+                if v in phase:
+                    if phase[v] != w:
+                        consistent = False
+                else:
+                    phase[v] = w
+                    comp.append(v)
+                    queue.append(v)
+        components.append((comp, consistent))
+    good = [comp for comp, ok in components if ok]
+    if not good:
+        raise NotInvariantError("no intertwiner: representation not invariant")
+    if len(good) > 1:
+        raise NotInvariantError(
+            "intertwiner space not one-dimensional; representation reducible?"
+        )
+    return {node: phase[node] for node in good[0]}
+
+
+def level3_sharp_exp(chi):
+    """Oracle of the level-3 rep's table: chi-sharp on the coordinate
+    subgroup {1 + a2 t^2 + a3 t^3 + a4 t^4}, reading (a2, a4) as a level-2
+    principal unit of the quadratic field, one element at a time."""
+
+    def exp(g):
+        return chi.exp((1, g[2], g[4]))
+
+    return exp
 
 
 def eta_prime_trace_exps(rt, x):
@@ -763,7 +908,8 @@ def eta_prime_trace_exps(rt, x):
         raise OutsideSubgroupError(f"valuation {e} is not a multiple of n = {dq.n}")
     k, u1 = dq.decompose(u)
     shift = ((e // dq.n) * theta.pi_value_exp() + k * theta.zeta_value_exp()) % theta.R
-    return [(x_ + shift) % theta.R for x_ in rt.ext.trace_exps(k, u1)]
+    exps = trace_exps(rt.ext, k, u1, monomial_matrices(rt.ext.rep))
+    return [(x_ + shift) % theta.R for x_ in exps]
 
 
 def eta_trace_exps(rt, x):

@@ -672,8 +672,14 @@ print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("dllab."
           "constructions"}),
         (["verify", "--suite", "orbit", "--q", "2"],
          {"errors", "ffield", "twistring", "cyclo", "repkit", "charlib", "constructions"}),
+        # the surface sums need neither matrices nor groups; the eigenspaces
+        # read the unit characters, which need groups but no matrices
+        (["verify", "--suite", "intertwiner", "--q", "2"],
+         {"errors", "ffield", "twistring", "cyclo", "charlib", "counting"}),
+        (["verify", "--suite", "eigenspaces", "--q", "2"],
+         {"errors", "ffield", "twistring", "cyclo", "repkit", "charlib", "counting"}),
     ],
-    ids=["import", "points", "y-set", "series", "thm31", "orbit"],
+    ids=["import", "points", "y-set", "series", "thm31", "orbit", "intertwiner", "eigenspaces"],
 )
 def test_commands_import_only_the_layers_they_run(argv, layers):
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import re
@@ -14,7 +15,6 @@ from dllab.constructions import (
     _build_eta_level3,
     _class_traces,
     _level3_pattern_subgroup,
-    _level3_sharp_exp,
     build_rho_psi,
     divquot,
     eta_family_report,
@@ -31,6 +31,7 @@ from dllab.errors import CharacterMismatchError, UnsupportedParametersError
 from dllab.ffield import field, splitting_params
 from dllab.matmodel import n2_norm_batch, nm_gnq_batch
 from dllab.repkit import (
+    MonomialExtension,
     MonomialRep,
     _cyclo_inv,
     _dense_extension,
@@ -211,7 +212,8 @@ def test_monomial_extension_matches_dense():
     dq = divquot(2, q, 3, theta.M)
     U3, _ = unipotent_group(2, q, 3)
     H2 = _level3_pattern_subgroup(U3)
-    rep = MonomialRep(U3, H2, _level3_sharp_exp(theta.chi), theta.R)
+    sharp = oracles.level3_sharp_exp(theta.chi)
+    rep = MonomialRep(U3, H2, oracles.exp_table(U3, U3.elements, sharp), theta.R)
     ring, F = dq.ring, dq.F
     conj = lambda x: ring.scalar_conj(F.gen, x)
     target = CycloNum.rational(theta.R, 1)
@@ -224,9 +226,10 @@ def test_monomial_extension_matches_dense():
     )
     rng = random.Random(3)
     us = [U3.one] + [rng.choice(U3.elements) for _ in range(12)]
+    matrix = oracles.monomial_matrices(rep, sharp)
     for k in range(q**2 - 1):
         for u in us:
-            assert monomial_extension_value(ext_m, k, u) == ext_d.value(k, u)
+            assert monomial_extension_value(ext_m, k, u, matrix) == ext_d.value(k, U3.index[u])
 
 
 def test_dense_extension_restricts_to_rho():
@@ -246,16 +249,16 @@ def test_dense_extension_restricts_to_rho():
         data.rep, conj, ring.one, q**2 - 1, data.group.generators, target
     )
     assert root_exp is None
-    assert ext.value(1, ring.one) == target
+    assert ext.value(1, data.group.index[ring.one]) == target
     # restriction to the unit group is the original character
-    for g in data.group.elements:
-        assert ext.value(0, g) == data.char.value(g)
+    for i, g in enumerate(data.group.elements):
+        assert ext.value(0, i) == data.char.value(g)
 
 
 def test_build_eta_theta_degrees():
     theta2 = theta_family(2, 2, 2, 1)[-1]
     rt = _build_eta_level2(theta2, divquot(2, 2, 2, 1))
-    assert rt.degree == 2 * rt.rho_rep.dim or rt.rho_rep.dim == 1
+    assert rt.degree == 2 * rt.ext.rep.dim or rt.ext.rep.dim == 1
     theta3 = theta_family(2, 2, 3, 1, conductor_m=2)[0]
     rt3 = _build_eta_level3(theta3, main_example_context(2))
     assert rt3.hom_degree == 2
@@ -284,11 +287,6 @@ def test_verify_main_example_single_theta():
     assert rep["alternative_reading"] == "fail"
 
 
-def _chi_table(theta):
-    """theta on the units (1, h_2, h_4), indexed by h_2 Q + h_4."""
-    return np.array([theta.chi.exp(g) for g in theta.units.elements], dtype=np.int64)
-
-
 def _oracle_counts(rt, ctx):
     """The count rows of _class_traces from the element-by-element walk."""
     R = rt.theta.R
@@ -315,7 +313,7 @@ def test_main_example_report_q2(monkeypatch):
     assert len(built) == 24
     ctx = main_example_context(2)
     for rt, row in zip(built, rep["rows"]):
-        counts = _class_traces(rt, ctx, _chi_table(rt.theta))
+        counts = _class_traces(rt, ctx)
         assert np.array_equal(counts, _oracle_counts(rt, ctx))
         assert row["norm"] == oracles.class_norm(rt, ctx) == 1
 
@@ -327,7 +325,7 @@ def test_main_example_q3_rows_match_the_oracle():
     thetas = theta_family(2, 3, 3, 1, conductor_m=2)
     for theta in thetas[:: len(thetas) // 3][:3]:
         rt = _build_eta_level3(theta, ctx)
-        counts = _class_traces(rt, ctx, _chi_table(theta))
+        counts = _class_traces(rt, ctx)
         assert np.array_equal(counts, _oracle_counts(rt, ctx))
         row = verify_main_example(theta, ctx, check_inner=True)
         assert row["norm"] == oracles.class_norm(rt, ctx) == 1
@@ -364,15 +362,21 @@ def test_main_example_context_matches_the_scalar_walks():
                 mackey.append([grp, pos[s], pos[x]])
     assert ctx.mackey.T.tolist() == mackey
     assert ctx.mackey_groups == len(ts) - 1
-    _, supports = oracles.monomial_supports(ctx.U3, ctx.H2)
     lhs = []
     for ci, (e, u) in enumerate(ctx.class_reps):
         if e % 2 == 0:
             for j in range(2):
                 k, u1 = dq.decompose(dq.ring.frobenius(u, (2 - j) % 2))
-                perm, hs = supports[u1]
-                lhs.append([ci, e // 2, k, *perm, *(h[2] * Q + h[4] for h in hs)])
-    assert ctx.lhs.tolist() == lhs
+                lhs.append([ci, e // 2, k, ctx.U3.index[u1]])
+    assert ctx.lhs.T.tolist() == lhs
+    assert ctx.sharp.tolist() == [g[2] * Q + g[4] for g in ctx.U3.elements]
+    # the template's supports, which every theta's rep shares
+    transversal, supports = oracles.monomial_supports(ctx.U3, ctx.H2)
+    perm, h = ctx.template._supports
+    assert ctx.template.transversal == transversal
+    for i, g in enumerate(ctx.U3.elements):
+        hs = tuple(ctx.U3.elements[x] for x in h[i].tolist())
+        assert (tuple(perm[i].tolist()), hs) == supports[g]
 
 
 def test_main_example_settles_differing_multisets_exactly(monkeypatch):
@@ -387,8 +391,8 @@ def test_main_example_settles_differing_multisets_exactly(monkeypatch):
     R, p = theta.R, 2
     traces = constructions._class_traces
 
-    def padded(rt, ctx, chi):
-        counts = traces(rt, ctx, chi).copy()
+    def padded(rt, ctx):
+        counts = traces(rt, ctx).copy()
         counts[:, :: R // p] += 1
         return counts
 
@@ -396,8 +400,8 @@ def test_main_example_settles_differing_multisets_exactly(monkeypatch):
     got = verify_main_example(theta, ctx, check_inner=True)
     assert got == {**want, "fallback_compares": want["classes"]}
 
-    def one_more(rt, ctx, chi):
-        counts = traces(rt, ctx, chi).copy()
+    def one_more(rt, ctx):
+        counts = traces(rt, ctx).copy()
         counts[0, 0] += 1
         return counts
 
@@ -414,7 +418,7 @@ def test_monomial_delta_sums_match_dense():
     theta = next(t for t in theta_family(2, 2, 2, 1) if t.zeta_exp == 1)
     rt = _build_eta_level2(theta, divquot(2, 2, 2, 1))
     assert rt.root_exp is not None
-    dq, rep = rt.dq, rt.rho_rep
+    dq, rep = rt.dq, rt.ext.rep
     ring, F = dq.ring, dq.F
     conj = lambda x: ring.scalar_conj(F.gen, x)
     entries = solve_intertwiner(rep, conj, rep.group.generators, rep.R)
@@ -422,12 +426,68 @@ def test_monomial_delta_sums_match_dense():
         rep, entries, conj, ring.one, 3, rep.group.generators,
         CycloNum.rational(rep.R, rt.sign),
     )
-    pairs = [(dq.decompose(u), dq.decompose(ring.frobenius(u, 1))) for u in dq.units]
+    index = rep.group.index
+    pairs = []
+    for u in dq.units:
+        (k1, u1), (k2, u2) = dq.decompose(u), dq.decompose(ring.frobenius(u, 1))
+        pairs.append([k1, index[u1], k2, index[u2]])
+    pairs = np.array(pairs, dtype=np.int64).T
     assert rt.ext.delta_sums(pairs) == dense.delta_sums(pairs)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2)])
+def test_monomial_delta_sums_match_the_scalar_walk(monkeypatch, n, q):
+    # every monomial psi key of eta_family_report: its Mackey pair arrays
+    # against dq.decompose one unit at a time, and its delta sums against the
+    # trace_exps walk over tuple matrices
+    calls = []
+    fast = MonomialExtension.delta_sums
+
+    def recorded(ext, pairs):
+        calls.append((ext, pairs, fast(ext, pairs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(MonomialExtension, "delta_sums", recorded)
+    eta_family_report(n, q)
+    dq = divquot(n, q, 2, 1)
+    U, _ = unipotent_group(n, q, 2)
+    keys = {(2, 2): 2, (3, 2): 8}[n, q]  # the psi with m < n at (2, 2), all at (3, 2)
+    assert len(calls) == keys * (n - 1)
+    for c, (ext, pairs, sums) in enumerate(calls):
+        j = c % (n - 1) + 1
+        want = []
+        for u in dq.units:
+            (k1, u1), (k2, u2) = dq.decompose(u), dq.decompose(dq.ring.frobenius(u, (n - j) % n))
+            want.append([k1, U.index[u1], k2, U.index[u2]])
+        assert pairs.T.tolist() == want
+        assert sums == oracles.monomial_delta_sums(ext, pairs, oracles.monomial_matrices(ext.rep))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_level3_intertwiners_match_the_scalar_solve(q):
+    # every theta of main-example at q = 2 and three spread over q = 3: the
+    # chi table of the rep against theta-sharp, and the array solve against
+    # the seed's phase propagation on tuple matrices
+    ctx = main_example_context(q)
+    thetas = theta_family(2, q, 3, 1, conductor_m=2)
+    if q == 3:
+        thetas = thetas[:: len(thetas) // 3][:3]
+    ring, F = ctx.dq.ring, ctx.dq.F
+    conj = lambda x: ring.scalar_conj(F.gen, x)
+    for theta in thetas:
+        rep = _build_eta_level3(theta, ctx).ext.rep
+        sharp = oracles.level3_sharp_exp(theta.chi)
+        assert rep.chi.tolist() == [sharp(g) for g in ctx.U3.elements]
+        gens = ctx.U3.generators
+        fast = solve_intertwiner(rep, conj, gens, rep.R)
+        matrix = oracles.monomial_matrices(rep, sharp)
+        slow = oracles.solve_intertwiner(matrix, conj, gens, rep.dim, rep.R)
+        assert fast == slow
 
 
 def test_construction_checks_survive_python_O():
     code = """
+import json
 from types import SimpleNamespace as NS
 
 import numpy as np
@@ -441,9 +501,10 @@ from dllab.errors import DLLabError
 from dllab.ffield import Field, field
 from dllab.twistring import h_m_pattern
 from dllab.repkit import (ExpChar, GroupModel, MonomialRep, _cyclo_inv,
-    abelian_character_extensions, extend_irrep, inner_product)
+    _dense_extension, _monomial_extension, abelian_character_extensions, extend_irrep,
+    inner_product)
 import dllab.constructions as C
-from oracles import table_law
+from oracles import exp_table, table_law
 
 C4 = GroupModel(range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, 0, [1])
 # D4 as r^a s^b; its 2-dimensional irrep, with conjugation by s as the twist
@@ -451,9 +512,13 @@ D4_mul = lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 2)
 D4_inv = lambda x: ((-x[0] if x[1] == 0 else x[0]) % 4, x[1])
 D4_els = [(a, b) for a in range(4) for b in range(2)]
 D4 = GroupModel(D4_els, D4_mul, D4_inv, (0, 0), law=table_law(D4_els, D4_mul, D4_inv))
-rho = MonomialRep(D4, {(a, 0) for a in range(4)}, lambda h: h[0], 4)
+rotations = {(a, 0) for a in range(4)}
+rho = MonomialRep(D4, rotations, exp_table(D4, rotations, lambda h: h[0]), 4)
 s = (0, 1)
 conj = lambda x: D4.mul(D4.mul(s, x), D4.inv(s))
+# T = 1: it does not intertwine conjugation by s; with the identity conj it
+# does, but T^2 = 1 is not rho(s) (a swap) nor a multiple of rho(r) = diag(i, -i)
+one_T = (np.arange(2), np.zeros(2, dtype=np.int64))
 s2, f, j, n = intertwiner_s2_data(2)
 F4 = Field(2, 2)
 F4.in_subfield = lambda sub, a: False  # contradicts the conductor kernel check
@@ -481,6 +546,13 @@ thunks = [
     lambda: abelian_character_extensions(C4, {0: 0}, 2),
     lambda: extend_irrep(rho, conj, (0, 0), 3, [(1, 0), s], CycloNum.rational(4, 0)),
     lambda: extend_irrep(rho, conj, (0, 0), 2, [(1, 0), s], CycloNum.rational(4, 0)),
+    lambda: _monomial_extension(rho, *one_T, conj, (0, 0), 2, [(1, 0), s], CycloNum.rational(4, 0)),
+    lambda: _monomial_extension(rho, *one_T, lambda x: x, s, 2, [(1, 0), s],
+                                CycloNum.rational(4, 0)),
+    lambda: _monomial_extension(rho, *one_T, lambda x: x, (1, 0), 2, [(1, 0), s],
+                                CycloNum.rational(4, 0)),
+    lambda: _dense_extension(rho, {(0, 0): 0, (1, 1): 0}, conj, (0, 0), 2, [(1, 0), s],
+                             CycloNum.rational(4, 0)),
     lambda: _cyclo_inv(CycloNum.rational(12, 0)),
     lambda: inner_product(ExpChar(C4, {g: 0 for g in range(4)}, 4),
                           ExpChar(C4, {g: 0 for g in range(4)}, 2)),
@@ -509,7 +581,7 @@ for thunk in thunks:
     try:
         thunk()
     except DLLabError as exc:
-        print(type(exc).__name__)
+        print(json.dumps([type(exc).__name__, str(exc)]))
 """
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     tests = os.path.dirname(os.path.abspath(__file__))
@@ -518,12 +590,24 @@ for thunk in thunks:
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == [
+    raised = [json.loads(line) for line in out.stdout.splitlines()]
+    # the array checks of the two extension routes keep their messages
+    assert [message for _, message in raised[5:9]] == [
+        "intertwiner verification failed",
+        "T^c does not have the support of rho(g^c)",
+        "T^c is not a scalar multiple of rho(g^c)",
+        "intertwiner verification failed",
+    ]
+    assert [name for name, _ in raised] == [
         "UnsupportedParametersError",
         "RootOrderError",
         "RootOrderError",
         "RootOrderError",
         "NoExtensionError",
+        "NotInvariantError",
+        "NotInvariantError",
+        "NotInvariantError",
+        "NotInvariantError",
         "AllZeroError",
         "MixedOrderError",
         "UnsupportedParametersError",

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from dllab.charlib import AddChar, unit_characters
 from dllab.constructions import build_rho_psi, divquot, gnq_group, unipotent_group
-from dllab.cyclo import CycloNum
+from dllab.cyclo import CycloNum, assert_nonneg_integer
 from dllab.errors import NoExtensionError, NoIndexLawError
 from dllab.ffield import field
 from dllab.repkit import (
@@ -15,13 +15,11 @@ from dllab.repkit import (
     GroupModel,
     MonomialRep,
     abelian_character_extensions,
-    assert_nonneg_integer,
     _dense_extension,
     coset_transversal,
     extend_irrep,
     induce_char,
     inner_product,
-    monomial_mul,
     solve_intertwiner,
 )
 from dllab.twistring import enumerate_unipotent, twisted_ring
@@ -101,16 +99,22 @@ def test_transversal_covers_group():
 
 
 def test_monomial_rep_multiplicative():
+    # the index-array matrices, read as tuples, multiply as the oracle's
+    # tuple product says, on all pairs
     G, R = u22_group()
     H = {g for g in G.elements if g[1] == 0}  # the center, abelian
     sub = GroupModel(
         [g for g in G.elements if g[1] == 0], G.mul, G.inv, G.one, generators=None
     )
     chi = abelian_character_extensions(sub, {G.one: 0}, 4)[1]
-    rep = MonomialRep(G, H, lambda h: chi[h], 4)
-    for a in G.elements[:6]:
-        for b in G.elements[:6]:
-            assert rep.matrix(G.mul(a, b)) == monomial_mul(rep.matrix(a), rep.matrix(b), 4)
+    rep = MonomialRep(G, H, oracles.exp_table(G, H, chi.__getitem__), 4)
+
+    def matrix(g):
+        return tuple(tuple(a.tolist()) for a in rep.matrices(G.index[g]))
+
+    for a in G.elements:
+        for b in G.elements:
+            assert matrix(G.mul(a, b)) == oracles.monomial_mul(matrix(a), matrix(b), 4)
 
 
 def test_cyclic_extension_degree_one():
@@ -118,7 +122,8 @@ def test_cyclic_extension_degree_one():
     C6 = cyclic_group(6)
     N = tabled([0, 2, 4], C6.mul, C6.inv, 0, [2])
     chi = {0: 0, 2: 2, 4: 4}  # exponent mod 6: chi(2) = zeta_6^2 (order 3)
-    rep = MonomialRep(N, set(N.elements), lambda h: chi[h], 6)
+    rep = MonomialRep(N, set(N.elements), oracles.exp_table(N, N.elements, chi.__getitem__), 6)
+    matrix = oracles.monomial_matrices(rep, chi.__getitem__)
 
     def extend_dense(rep, conj, g_power_c, c, generators, target_trace):
         entries = solve_intertwiner(rep, conj, generators, rep.R)
@@ -134,8 +139,8 @@ def test_cyclic_extension_degree_one():
             generators=[2],
             target_trace=CycloNum.root(6, 3),  # -1
         )
-        value = ext.value if isinstance(ext, CyclicExtension) else (
-            lambda k, u: oracles.monomial_extension_value(ext, k, u))
+        value = (lambda k, u: ext.value(k, N.index[u])) if isinstance(ext, CyclicExtension) else (
+            lambda k, u: oracles.monomial_extension_value(ext, k, u, matrix))
         assert value(0, 0) == CycloNum.rational(6, 1)
         assert value(1, 0) == CycloNum.root(6, 3)
         # consistency: value at (g * n) respects chi on N
@@ -160,7 +165,7 @@ def test_monomial_twist_is_the_candidate_with_the_target_trace(target, want):
     # C3 inside C6, c = 2: the two candidate twists have traces 1 and -1
     C6 = cyclic_group(6)
     N = tabled([0, 2, 4], C6.mul, C6.inv, 0, [2])
-    rep = MonomialRep(N, set(N.elements), lambda h: h, 6)
+    rep = MonomialRep(N, set(N.elements), oracles.exp_table(N, N.elements, lambda h: h), 6)
     if isinstance(want, int):
         assert extend_irrep(rep, lambda x: x, 0, 2, [2], target)[1] == want
     else:
@@ -177,7 +182,8 @@ def test_traceless_monomial_twists_are_refused(target, want):
     # the 2-dimensional irrep of D4 extended along conjugation by s: both
     # candidate traces vanish, so a zero target matches twice
     D4 = dihedral4()
-    rho = MonomialRep(D4, {(a, 0) for a in range(4)}, lambda h: h[0], 4)
+    H = {(a, 0) for a in range(4)}
+    rho = MonomialRep(D4, H, oracles.exp_table(D4, H, lambda h: h[0]), 4)
     s = (0, 1)
 
     def conj(x):
@@ -192,7 +198,7 @@ def test_solve_intertwiner_identity_conj():
     # trivial conjugation: T must be scalar for an irreducible rep
     C4 = cyclic_group(4)
     chi = {0: 0, 1: 1, 2: 2, 3: 3}
-    rep = MonomialRep(C4, set(C4.elements), lambda h: chi[h], 4)
+    rep = MonomialRep(C4, set(C4.elements), oracles.exp_table(C4, C4.elements, chi.__getitem__), 4)
     T = solve_intertwiner(rep, lambda x: x, [1], 4)
     assert set(T) == {(0, 0)} and T[(0, 0)] == 0
 
@@ -205,15 +211,17 @@ LAW_PARAMS = [(2, 2), (2, 3), (3, 2)]
 
 def assert_index_bodies_match_scalar(G, H, chi, R):
     """coset_transversal, MonomialRep and induce_char on (G, H, chi) against
-    the oracles that use G's scalar mul and inv."""
+    the oracles that use G's scalar mul and inv: the supports and the
+    matrices read through the chi table, on every element."""
     transversal, supports = oracles.monomial_supports(G, H)
-    rep = MonomialRep(G, H, chi, R)
+    rep = MonomialRep(G, H, oracles.exp_table(G, H, chi), R)
     assert coset_transversal(G, H) == oracles.coset_transversal(G, H) == transversal
     assert rep.transversal == transversal
-    assert all(rep.support(g) == supports[g] for g in G.elements)
-    for g in G.elements:
-        perm, hs = supports[g]
-        assert rep.matrix(g) == (perm, tuple(chi(h) for h in hs))
+    perm, h = rep._supports
+    matrix = oracles.monomial_matrices(rep, chi)
+    for i, g in enumerate(G.elements):
+        assert (tuple(perm[i].tolist()), tuple(G.elements[x] for x in h[i].tolist())) == supports[g]
+        assert tuple(tuple(a.tolist()) for a in rep.matrices(i)) == matrix(g)
     fast, slow = induce_char(G, H, chi, R), oracles.induce_char(G, H, chi, R)
     assert np.array_equal(fast.counts, slow.counts)
     assert np.array_equal(rep.character().counts, slow.counts)
@@ -257,7 +265,7 @@ def test_index_algorithms_refuse_a_group_without_a_law():
         lambda: coset_transversal(G, H),
         lambda: induce_char(G, H, lambda h: 0, 4),
         lambda: induce_char(G, H, lambda h: 0, 4, transversal=[0, 1]),
-        lambda: MonomialRep(G, H, lambda h: 0, 4),
+        lambda: MonomialRep(G, H, np.zeros(4, dtype=np.int64), 4),
     ):
         with pytest.raises(NoIndexLawError):
             thunk()
@@ -319,8 +327,17 @@ def test_index_induction_matches_scalar_on_every_rho(mirror, n, q):
     for a in F.elements():
         data = build_rho_psi(n, q, AddChar(F, q, a), mirror=mirror)
         G, rep, R = data.group, data.rep, data.R
-        assert_index_bodies_match_scalar(G, rep.H, rep.chi_exp, R)
-        fast = induce_char(G, data.pattern_subgroup, data.pattern_exp, R)
-        slow = oracles.induce_char(G, data.pattern_subgroup, data.pattern_exp, R)
+        # the chi table extends the transferred character on the pattern
+        # subgroup, and is that character on branch 1
+        pattern = data.pattern_exp
+        assert rep.chi[G.indices(pattern)].tolist() == list(pattern.values())
+        assert data.branch == 2 or set(pattern) == rep.H
+
+        def chi(h):
+            return int(rep.chi[G.index[h]])
+
+        assert_index_bodies_match_scalar(G, rep.H, chi, R)
+        fast = induce_char(G, data.pattern_subgroup, pattern.__getitem__, R)
+        slow = oracles.induce_char(G, data.pattern_subgroup, pattern.__getitem__, R)
         assert np.array_equal(fast.counts, slow.counts)
-        assert np.array_equal(data.char.counts, oracles.induce_char(G, rep.H, rep.chi_exp, R).counts)
+        assert np.array_equal(data.char.counts, oracles.induce_char(G, rep.H, chi, R).counts)
