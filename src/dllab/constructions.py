@@ -12,7 +12,8 @@ valuation subgroup.
 Everything is exponent-level until a value is actually compared: characters
 are dicts of exponents, or count rows of exponents, of a fixed root of unity
 zeta_R, and CycloNum arithmetic only happens at inner products and trace
-comparisons.
+comparisons.  The Mackey sums of eta-level2 stay count rows through the whole
+combination over delta and j, with one reduction per theta.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .cyclo import (
     cyclo_from_counts,
     difference_counts,
     reduce_counts,
+    rotate_counts,
 )
 from .errors import (
     CharacterMismatchError,
@@ -61,6 +63,7 @@ from .repkit import (
     abelian_character_extensions,
     conjugates,
     coset_transversal,
+    delta_sums,
     extend_irrep,
     induce_char,
     inner_product,
@@ -620,16 +623,17 @@ def _unit_exps(theta: ThetaData) -> np.ndarray:
     return np.array([theta.chi.exp(g) for g in theta.units.elements], dtype=np.int64)
 
 
-def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext) -> RTheta:
+def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext, chi) -> RTheta:
     """The extension-route construction on ctx's division quotient: the
     induction of theta-sharp from the pattern subgroup, a copy of ctx's
-    theta-independent template, extended along the Teichmueller generator."""
+    theta-independent template, extended along the Teichmueller generator.
+    chi is theta's units table, _unit_exps(theta)."""
     n, q, R = 2, theta.q, theta.R
     dq = ctx.dq
     rep = copy.copy(ctx.template)
     # theta-sharp reads (a_2, a_4) of 1 + a_2 t^2 + a_3 t^3 + a_4 t^4 as a
     # level-2 principal unit of the quadratic field
-    rep.chi = _unit_exps(theta)[ctx.sharp]
+    rep.chi = chi[ctx.sharp]
     rep.R = R
     ring, F = dq.ring, dq.F
     ext, root_exp = extend_irrep(
@@ -694,16 +698,16 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
         key = psi.a
         if key not in cache:
             rt = _build_eta_level2(theta, dq)
-            cache[key] = (rt, {j: rt.ext.delta_sums(pairs[j]) for j in range(1, n)})
+            cache[key] = (rt, [delta_sums(rt.ext, pairs[j]) for j in range(1, n)])
         rt, tables = cache[key]
         m = psi.conductor_power() if psi.a else 1
         zv = theta.zeta_value_exp()
+        # the delta row times zeta^(delta zv), summed over delta for each j,
+        # all j reduced in one call
+        sums = [rotate_counts(counts, deltas * zv).sum(axis=0) for deltas, counts in tables]
         inners = {}
-        for j in range(1, n):
-            val = CycloNum.rational(R, 0)
-            for delta, part in tables[j]:
-                val = val + part * CycloNum.root(R, (delta * zv) % R)
-            inners[j] = assert_nonneg_integer(val / len(dq.units))
+        for j, row in zip(range(1, n), reduce_counts(R, np.array(sums).reshape(-1, R)).tolist()):
+            inners[j] = assert_nonneg_integer(CycloNum(R, row) / len(dq.units))
             if inners[j] not in (0, 1):
                 raise CharacterMismatchError(
                     f"cross inner product {inners[j]} of irreducibles at j = {j}"
@@ -880,8 +884,8 @@ def verify_main_example(theta: ThetaData, ctx: MainExampleContext, check_inner: 
         )
     R, Q = theta.R, theta.L.order
     zv = theta.zeta_value_exp()
-    rt = _build_eta_level3(theta, ctx)
     chi = _unit_exps(theta)
+    rt = _build_eta_level3(theta, ctx, chi)
     t, k, pattern = ctx.dec
     base = t * theta.pi_value_exp() + k * zv
     tp = (base + chi[pattern]) % R

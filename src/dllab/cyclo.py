@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -145,24 +144,6 @@ class CycloNum:
         inv = Fraction(1) / Fraction(other)
         return CycloNum(self.n, tuple(a * inv for a in self.coeffs))
 
-    def conj(self) -> "CycloNum":
-        """Complex conjugation zeta -> zeta^(-1)."""
-        return self.galois(-1)
-
-    def galois(self, j: int) -> "CycloNum":
-        """The automorphism zeta -> zeta^j for gcd(j, n) == 1."""
-        j %= self.n
-        if gcd(j, self.n) != 1:
-            raise UnsupportedParametersError(f"gcd({j}, {self.n}) != 1")
-        deg = _degree(self.n)
-        acc = [Fraction(0)] * deg
-        for i, c in enumerate(self.coeffs):
-            if c:
-                vec = _exp_vector(self.n, (i * j) % self.n)
-                for t in range(deg):
-                    acc[t] += c * vec[t]
-        return CycloNum(self.n, acc)
-
     # -- predicates ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -193,11 +174,6 @@ class CycloNum:
         if not self.is_integer():
             raise NotIntegralError(f"not an integer: {self}")
         return int(self.coeffs[0])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise NotIntegralError(f"not rational: {self}")
-        return self.coeffs[0]
 
     def __repr__(self):
         terms = [
@@ -292,3 +268,11 @@ def difference_counts(a, b) -> np.ndarray:
     out = np.zeros(n, dtype=np.int64)
     np.add.at(out, (e[:, None] - e) % n, a.T @ b)
     return out
+
+
+def rotate_counts(counts, shifts) -> np.ndarray:
+    """Count rows along the last axis of counts, each times zeta_n^shift for
+    its entry of shifts (shape counts.shape[:-1], or broadcast to it): the
+    count at exponent e moves to e + shift mod n."""
+    n = counts.shape[-1]
+    return np.take_along_axis(counts, (np.arange(n) - shifts[..., None]) % n, axis=-1)

@@ -26,25 +26,35 @@ A monomial matrix has one form, index arrays.  A MonomialRep holds the
 supports of every element and its chi as an exponent table over element
 indices, so rho(g) is (perm[g], chi[h[g]]); a MonomialExtension holds the
 powers T^k of its intertwiner as (c, d) arrays, so the traces of T^k rho(u)
-for arrays of (k, u) are one gather (MonomialExtension.trace_entries).  The
-intertwiner solve and both extension routes read the same arrays.
+for arrays of (k, u) are one gather (MonomialExtension.trace_entries).  A
+dense intertwiner is a (d, d, R) count tensor, multiplied by one exponent
+gather and einsum and reduced mod Phi_R, and a CyclicExtension holds its
+powers so.  Both extensions give the traces as count rows (trace_counts),
+which the one Mackey-sum body, delta_sums, reads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
-from .cyclo import CycloNum, count_rows, cyclo_from_counts, difference_counts, reduce_counts
+from .cyclo import (
+    CycloNum,
+    count_rows,
+    cyclo_from_counts,
+    difference_counts,
+    reduce_counts,
+    rotate_counts,
+)
 from .errors import (
-    AllZeroError,
+    InexactDivisionError,
     MixedOrderError,
     NoExtensionError,
     NoIndexLawError,
     NotInvariantError,
     RootOrderError,
+    UnsupportedParametersError,
 )
 from .ffield import GRID_CHUNK, chunked
 
@@ -327,48 +337,35 @@ class MonomialRep:
 
 class CyclicExtension:
     """An extension of an irreducible monomial rep rho of N to N . <g>,
-    where conjugation by g preserves rho up to equivalence and g^c lies in N.
+    where conjugation by g preserves rho up to equivalence and g^c lies in N,
+    along a dense intertwiner.
 
-    Stores the intertwiner T (rho(g x g^-1) = T rho(x) T^-1) normalized so
-    T^c = rho(g^c), as a matrix of exact cyclotomic entries, possibly scaled
-    by a chosen c-th root of unity to match a target trace.
+    The extension sends g to A / N for an integer N > 0, and A^0, ...,
+    A^(c-1) are stored as one (c, d, d, R) count tensor: entry (k, i, j)
+    counts the root exponents that sum to A^k[i, j], reduced mod Phi_R.
     """
 
-    def __init__(self, rep: MonomialRep, T_matrix, c: int, R: int):
+    def __init__(self, rep: MonomialRep, A, N: int, c: int, R: int):
         self.rep = rep
+        self.A = A
+        self.N = N
         self.c = c
         self.R = R
-        self.T_powers = [_monomial_to_dense(range(rep.dim), (0,) * rep.dim, R)]
-        for _ in range(c - 1):
-            self.T_powers.append(_dense_mul(self.T_powers[-1], T_matrix))
 
-    def value(self, k: int, u: int) -> CycloNum:
-        """Trace of T^k rho(u) (the character at g^k * u), for the element
-        index u."""
-        Tk = self.T_powers[k % self.c]
-        perm, exps = (a.tolist() for a in self.rep.matrices(u))
-        tot = CycloNum.rational(self.R, 0)
-        for j in range(self.rep.dim):
-            entry = Tk[j][perm[j]]  # row j of (T^k rho(u)) trace term
-            if entry is not None:
-                tot = tot + entry * CycloNum.root(self.R, exps[j])
-        return tot
-
-    def delta_sums(self, pairs):
-        """Sum of value(k2, u2) * conj(value(k1, u1)) over the columns
-        (k1, u1, k2, u2) of the (4, N) index array pairs, grouped by
-        delta = k2 - k1 mod c: sorted (delta, CycloNum) pairs."""
-        vals = {}
-        sums = {}
-        for k1, u1, k2, u2 in pairs.T.tolist():
-            x, y = (k1, u1), (k2, u2)
-            for z in (x, y):
-                if z not in vals:
-                    vals[z] = self.value(*z)
-            delta = (k2 - k1) % self.c
-            term = vals[y] * vals[x].conj()
-            sums[delta] = sums.get(delta, CycloNum.rational(self.R, 0)) + term
-        return sorted(sums.items())
+    def trace_counts(self, k, u):
+        """The traces of T^k rho(u) = A^k rho(u) / N^k for index arrays k and
+        u of one length, as (len(k), R) coefficient rows padded with zeros.
+        rho(u) sends e_j to zeta_R^exps[j] e_perm[j], so the diagonal entry j
+        of A^k rho(u) is A^k[j, perm[j]] zeta_R^exps[j].  Character values
+        are algebraic integers, so the division by N^k must be exact."""
+        perm, exps = self.rep.matrices(u)
+        k = k % self.c
+        entries = self.A[k[:, None], np.arange(self.rep.dim), perm]
+        counts = _reduced(self.R, rotate_counts(entries, exps).sum(axis=1))
+        Nk = self.N ** k[:, None]
+        if (counts % Nk).any():
+            raise InexactDivisionError(f"a trace of A^k rho(u) is not divisible by {self.N}^k")
+        return counts // Nk
 
 
 class MonomialExtension:
@@ -394,37 +391,22 @@ class MonomialExtension:
         r, j = np.nonzero(self.P[k[:, None], perm] == np.arange(self.rep.dim))
         return r, (self.E[k[r], perm[r, j]] + exps[r, j]) % self.R
 
-    def delta_sums(self, pairs):
-        """CyclicExtension.delta_sums, counted in integer exponent
-        differences: the traces of each side as count rows, the rows of one
-        delta paired by difference_counts, and all delta rows reduced in one
-        call."""
-        R = self.R
-        k1, u1, k2, u2 = pairs
-        a, b = (count_rows(*self.trace_entries(k, u), len(k), R) for k, u in ((k2, u2), (k1, u1)))
-        delta = (k2 - k1) % self.c
-        deltas = np.unique(delta).tolist()
-        counts = [difference_counts(a[delta == d], b[delta == d]) for d in deltas]
-        coeffs = reduce_counts(R, np.array(counts, dtype=np.int64).reshape(-1, R))
-        return [(d, CycloNum(R, c)) for d, c in zip(deltas, coeffs.tolist())]
+    def trace_counts(self, k, u):
+        """The traces of T^k rho(u) as (len(k), R) count rows."""
+        return count_rows(*self.trace_entries(k, u), len(k), self.R)
 
 
-def _dense_mul(A, B):
-    d = len(A)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = None
-            for k in range(d):
-                a, b = A[i][k], B[k][j]
-                if a is not None and b is not None:
-                    acc = a * b if acc is None else acc + a * b
-            if acc is not None and acc.is_zero():
-                acc = None
-            row.append(acc)
-        out.append(row)
-    return out
+def delta_sums(ext, pairs):
+    """The Mackey sums of either extension: trace(k2, u2) conj(trace(k1, u1))
+    from ext.trace_counts over the columns (k1, u1, k2, u2) of the (4, N)
+    index array pairs, summed for each delta = k2 - k1 mod c.  Returns the
+    deltas that occur, in order, and one unreduced count row for each."""
+    k1, u1, k2, u2 = pairs
+    a, b = ext.trace_counts(k2, u2), ext.trace_counts(k1, u1)
+    delta = (k2 - k1) % ext.c
+    deltas = np.unique(delta)
+    counts = [difference_counts(a[delta == d], b[delta == d]) for d in deltas.tolist()]
+    return deltas, np.array(counts, dtype=np.int64).reshape(-1, ext.R)
 
 
 def _generator_matrices(rep: MonomialRep, conj, generators):
@@ -485,7 +467,8 @@ def extend_irrep(rep: MonomialRep, conj, g_power_c, c: int, generators, target_t
     The intertwiner is solved once.  When its support is monomial (conj
     permutes the inducing cosets), the extension is a MonomialExtension and
     root_exp is the exponent of the chosen c-th-root twist.  Otherwise it is
-    a dense CyclicExtension scaled to the target trace, and root_exp is None.
+    a CyclicExtension, the dense intertwiner as a count tensor scaled to the
+    target trace over an integer denominator, and root_exp is None.
     """
     R = rep.R
     if R % c:
@@ -548,83 +531,71 @@ def _monomial_extension(rep: MonomialRep, P, E, conj, g_power_c, c: int, generat
 def _dense_extension(rep: MonomialRep, entries, conj, g_power_c, c: int, generators, target_trace):
     """Extension along a dense intertwiner (conj moves the inducing
     subgroup), given as solve_intertwiner's entries.  The phase-propagated
-    intertwiner is then no longer a root-of-unity multiple of the normalized
-    one, so instead of extracting a root exponent we scale it to hit the
-    target trace directly, then verify T^c = rho(g^c) exactly.  Needs a
-    nonvanishing unnormalized trace."""
+    intertwiner T is then no longer a root-of-unity multiple of the
+    normalized one, so it is scaled to hit the target trace directly: with
+    s1 = Tr T and N = s1 conj(s1), the extension sends g to A / N for
+    A = target conj(s1) T, and A^c = N^c rho(g^c) is verified exactly.
+    Candidate extensions differ by c-th roots of unity, with pairwise
+    distinct traces once s1 != 0, so matching the target trace both picks
+    the twist and certifies uniqueness.  Matrices are (d, d, R) count
+    tensors, reduced by _count_matmul, so equal matrices are equal arrays."""
     R = rep.R
     d = rep.dim
-    T = [[None] * d for _ in range(d)]
-    for (i, j), e in entries.items():
-        T[i][j] = CycloNum.root(R, e)
-    for P, E, Pp, Ep in zip(*(a.tolist() for a in _generator_matrices(rep, conj, generators))):
-        lhs = _dense_mul(_monomial_to_dense(Pp, Ep, R), T)
-        rhs = _dense_mul(T, _monomial_to_dense(P, E, R))
-        if not _dense_eq(lhs, rhs):
+    cols = np.arange(d)
+    ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+    T = _count_matrix(ij[:, 0], ij[:, 1], list(entries.values()), d, R)
+    for P, E, Pp, Ep in zip(*_generator_matrices(rep, conj, generators)):
+        lhs = _count_matmul(_count_matrix(Pp, cols, Ep, d, R), T)
+        if not np.array_equal(lhs, _count_matmul(T, _count_matrix(P, cols, E, d, R))):
             raise NotInvariantError("intertwiner verification failed")
-    s1 = _dense_trace(T, R)
-    if s1.is_zero():
+    s1 = T[cols, cols].sum(axis=0)
+    if not reduce_counts(R, [s1]).any():
         raise NoExtensionError(
             "unnormalized intertwiner is traceless; cannot pin down the twist"
         )
-    # candidate extensions are xi * (mu T) over c-th roots of unity xi, with
-    # pairwise distinct traces once Tr != 0, so matching the target trace
-    # both picks the twist and certifies uniqueness
-    mu = target_trace * _cyclo_inv(s1)
-    Ts = [[None if v is None else v * mu for v in row] for row in T]
-    Tc = Ts
-    for _ in range(c - 1):
-        Tc = _dense_mul(Tc, Ts)
-    Pg, Eg = (a.tolist() for a in rep.matrices(rep.group.index[g_power_c]))
-    if not _dense_eq(Tc, _monomial_to_dense(Pg, Eg, R)):
+    # s1 != 0, so N is positive once rational
+    norm = reduce_counts(R, [difference_counts([s1], [s1])])[0]
+    if norm[1:].any():
+        raise NoExtensionError(f"|Tr T|^2 = {CycloNum(R, norm.tolist())} is not rational")
+    N = int(norm[0])
+    if target_trace.n != R or any(x.denominator != 1 for x in target_trace.coeffs):
+        raise NoExtensionError(f"target trace {target_trace} is not an integer of Q(zeta_{R})")
+    scale = np.zeros(R, dtype=np.int64)
+    scale[: len(target_trace.coeffs)] = [int(x) for x in target_trace.coeffs]
+    scale = _count_matmul(scale[None, None], s1[None, None, -np.arange(R) % R])
+    A = _count_matmul(np.eye(d, dtype=np.int64)[:, :, None] * scale, T)
+    powers = [_count_matrix(cols, cols, 0, d, R)]
+    for _ in range(c):
+        powers.append(_count_matmul(powers[-1], A))
+    Pg, Eg = rep.matrices(rep.group.index[g_power_c])
+    if not np.array_equal(powers[c], _reduced(R, N**c * _count_matrix(Pg, cols, Eg, d, R))):
         raise NoExtensionError("trace-matched scaling does not satisfy T^c = rho(g^c)")
-    return CyclicExtension(rep, Ts, c, R), None
+    return CyclicExtension(rep, np.stack(powers[:c]), N, c, R), None
 
 
-def _cyclo_inv(x: CycloNum) -> CycloNum:
-    """1/x through the field norm: the product of the other Galois conjugates
-    divided by the (rational, nonzero) norm."""
-    n = x.n
-    num = CycloNum.rational(n, 1)
-    for j in range(2, n):
-        if gcd(j, n) == 1:
-            num = num * x.galois(j)
-    norm = (x * num).as_rational()
-    if norm == 0:
-        raise AllZeroError("inverse of zero")
-    return num / norm
-
-
-def _monomial_to_dense(P, E, R):
-    d = len(P)
-    M = [[None] * d for _ in range(d)]
-    for j in range(d):
-        M[P[j]][j] = CycloNum.root(R, E[j])
+def _count_matrix(rows, cols, exps, d: int, R: int) -> np.ndarray:
+    """The (d, d, R) count tensor of the matrix with entry zeta_R^exps[i] at
+    (rows[i], cols[i]) for every i, and zeros elsewhere."""
+    M = np.zeros((d, d, R), dtype=np.int64)
+    M[rows, cols, np.asarray(exps) % R] = 1
     return M
 
 
-def _dense_eq(A, B):
-    d = len(A)
-    for i in range(d):
-        for j in range(d):
-            av = A[i][j]
-            bv = B[i][j]
-            if av is None and bv is None:
-                continue
-            if av is None:
-                if not bv.is_zero():
-                    return False
-            elif bv is None:
-                if not av.is_zero():
-                    return False
-            elif av != bv:
-                return False
-    return True
+def _count_matmul(X, Y) -> np.ndarray:
+    """The product of the matrices with (a, b, R) and (b, c, R) count tensors
+    X and Y, reduced: the roots zeta^x of X[i, k] and zeta^y of Y[k, j] meet
+    at x + y in entry (i, j), through Y's rows rotated by every x."""
+    R = X.shape[-1]
+    top = int(np.abs(X).max(initial=0)) * int(np.abs(Y).max(initial=0)) * X.shape[1] * R
+    if top > np.iinfo(np.int64).max:
+        raise UnsupportedParametersError(f"a count matrix product leaves int64 for root order {R}")
+    shifted = rotate_counts(Y[:, :, None, :], np.arange(R)[None, None, :])
+    return _reduced(R, np.einsum("ikx,kjxe->ije", X, shifted))
 
 
-def _dense_trace(A, R):
-    tot = CycloNum.rational(R, 0)
-    for i in range(len(A)):
-        if A[i][i] is not None:
-            tot = tot + A[i][i]
-    return tot
+def _reduced(R: int, counts) -> np.ndarray:
+    """counts, an array of count rows along its last axis of length R,
+    reduced mod Phi_R: the power-basis coefficients padded with zeros, in
+    the same shape, so two rows are equal values exactly when equal."""
+    coeffs = reduce_counts(R, counts.reshape(-1, R))
+    return np.pad(coeffs, ((0, 0), (0, R - coeffs.shape[1]))).reshape(counts.shape)

@@ -10,17 +10,20 @@ package imports this module.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
 from dllab.charlib import AddChar
 from dllab.counting import y3_member
-from dllab.cyclo import _exp_vector, _degree, assert_nonneg_integer, cyclo_from_counts
+from dllab.cyclo import CycloNum, _exp_vector, _degree, assert_nonneg_integer, cyclo_from_counts
 from dllab.errors import (
     AllZeroError,
     CharacterMismatchError,
     MatrixShapeError,
     MixedOrderError,
+    NoExtensionError,
+    NotIntegralError,
     NotInvariantError,
     OperandMismatchError,
     OutsideSubgroupError,
@@ -833,13 +836,147 @@ def monomial_delta_sums(ext, pairs, matrix):
 
 
 def monomial_extension_value(ext, k: int, u, matrix):
-    """Oracle of a MonomialExtension's character against the dense
-    CyclicExtension.value: the trace of T^k rho(u) as a CycloNum."""
+    """Oracle of a MonomialExtension's character against the dense route's
+    dense_value: the trace of T^k rho(u) as a CycloNum."""
     counts = [0] * ext.R
     for e in trace_exps(ext, k, u, matrix):
         counts[e % ext.R] += 1
     return cyclo_from_counts(ext.R, counts)
 
+
+def galois(x, j: int):
+    """Oracle automorphism zeta -> zeta^j of Q(zeta_n), gcd(j, n) == 1, on
+    a CycloNum, one power-basis coefficient at a time."""
+    n = x.n
+    j %= n
+    if gcd(j, n) != 1:
+        raise UnsupportedParametersError(f"gcd({j}, {n}) != 1")
+    acc = [Fraction(0)] * _degree(n)
+    for i, c in enumerate(x.coeffs):
+        if c:
+            vec = _exp_vector(n, (i * j) % n)
+            for t in range(len(acc)):
+                acc[t] += c * vec[t]
+    return CycloNum(n, acc)
+
+
+def conj(x):
+    """Complex conjugation zeta -> zeta^-1 of a CycloNum."""
+    return galois(x, -1)
+
+
+def cyclo_inv(x):
+    """1/x through the field norm: the product of the other Galois
+    conjugates divided by the (rational, nonzero) norm."""
+    n = x.n
+    num = CycloNum.rational(n, 1)
+    for j in range(2, n):
+        if gcd(j, n) == 1:
+            num = num * galois(x, j)
+    norm = x * num
+    if not norm.is_rational():
+        raise NotIntegralError(f"not rational: {norm}")
+    norm = norm.coeffs[0]
+    if norm == 0:
+        raise AllZeroError("inverse of zero")
+    return num / norm
+
+
+def monomial_to_dense(P, E, R):
+    """The matrix sending e_j to zeta_R^E[j] e_P[j], as rows of CycloNum
+    entries with None for zero."""
+    d = len(P)
+    M = [[None] * d for _ in range(d)]
+    for j in range(d):
+        M[P[j]][j] = CycloNum.root(R, E[j])
+    return M
+
+
+def dense_mul(A, B):
+    d = len(A)
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            acc = None
+            for k in range(d):
+                a, b = A[i][k], B[k][j]
+                if a is not None and b is not None:
+                    acc = a * b if acc is None else acc + a * b
+            if acc is not None and acc.is_zero():
+                acc = None
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def dense_eq(A, B):
+    zero = lambda v: v is None or v.is_zero()
+    d = len(A)
+    return all(
+        (zero(A[i][j]) and zero(B[i][j])) or (
+            A[i][j] is not None and B[i][j] is not None and A[i][j] == B[i][j])
+        for i in range(d)
+        for j in range(d)
+    )
+
+
+def dense_extension(rep, entries, conj_map, g_power_c, c: int, generators, target_trace):
+    """Oracle of repkit._dense_extension: the seed's route on rows of
+    CycloNum entries.  T is scaled by mu = target / Tr T, inverted through
+    the Galois norm, and checked against (mu T)^c = rho(g^c).  Returns the
+    powers (mu T)^k for k < c."""
+    R, d = rep.R, rep.dim
+    T = [[None] * d for _ in range(d)]
+    for (i, j), e in entries.items():
+        T[i][j] = CycloNum.root(R, e)
+    index = rep.group.index
+    for x in generators:
+        P, E = (a.tolist() for a in rep.matrices(index[x]))
+        Pp, Ep = (a.tolist() for a in rep.matrices(index[conj_map(x)]))
+        if not dense_eq(dense_mul(monomial_to_dense(Pp, Ep, R), T),
+                        dense_mul(T, monomial_to_dense(P, E, R))):
+            raise NotInvariantError("intertwiner verification failed")
+    s1 = CycloNum.rational(R, 0)
+    for i in range(d):
+        if T[i][i] is not None:
+            s1 = s1 + T[i][i]
+    if s1.is_zero():
+        raise NoExtensionError("unnormalized intertwiner is traceless; cannot pin down the twist")
+    mu = target_trace * cyclo_inv(s1)
+    Ts = [[None if v is None else v * mu for v in row] for row in T]
+    powers = [monomial_to_dense(range(d), (0,) * d, R)]
+    for _ in range(c):
+        powers.append(dense_mul(powers[-1], Ts))
+    Pg, Eg = (a.tolist() for a in rep.matrices(index[g_power_c]))
+    if not dense_eq(powers[c], monomial_to_dense(Pg, Eg, R)):
+        raise NoExtensionError("trace-matched scaling does not satisfy T^c = rho(g^c)")
+    return powers[:c]
+
+
+def dense_value(rep, powers, k: int, u: int):
+    """Trace of T^k rho(u) for the element index u, with T^k = powers[k mod
+    c] from dense_extension, as a CycloNum."""
+    Tk = powers[k % len(powers)]
+    perm, exps = (a.tolist() for a in rep.matrices(u))
+    tot = CycloNum.rational(rep.R, 0)
+    for j in range(rep.dim):
+        if Tk[j][perm[j]] is not None:
+            tot = tot + Tk[j][perm[j]] * CycloNum.root(rep.R, exps[j])
+    return tot
+
+
+def dense_delta_sums(values, c: int, pairs):
+    """Oracle of repkit.delta_sums on a dense extension, from a table
+    values of (k, u) -> dense_value(k, u): sorted (delta, CycloNum) pairs,
+    each the sum of values[k2, u2] * conj(values[k1, u1]) over the columns
+    (k1, u1, k2, u2) of pairs with delta = k2 - k1 mod c."""
+    sums = {}
+    for k1, u1, k2, u2 in pairs.T.tolist():
+        term = values[k2 % c, u2] * conj(values[k1 % c, u1])
+        delta = (k2 - k1) % c
+        sums[delta] = sums[delta] + term if delta in sums else term
+    return sorted(sums.items())
 
 def solve_intertwiner(matrix, conj, generators, d: int, R: int):
     """Oracle of repkit.solve_intertwiner: the seed's phase propagation over

@@ -486,6 +486,8 @@ def test_a_larger_max_size_admits_a_trace_run_beyond_the_default(capsys):
          "a6d1427fb3e3de03a044e79ee8d36dc5b30d5414b7081f2a60f6d1fe95de450d"),
         (["verify", "--suite", "eta-level2", "--n", "2", "--q", "2"],
          "be18eba79dcaee52ef0a0be22f3338a2f9de61ec73f2949939a572f94a3b9404"),
+        (["verify", "--suite", "eta-level2", "--n", "2", "--q", "3"],
+         "64f20bcc85bd86215c1b9a803a092e9f590b73a979551d2b0528c5b8d7ed1a0e"),
         (["dump", "--kind", "char-table", "--n", "3", "--q", "2"],
          "f62a8c7226b8c20e8860e6849bc325cf93ed615fe660c3dd9bfd6595d6b96296"),
         (["verify", "--suite", "intertwiner", "--q", "2"],
@@ -505,9 +507,9 @@ def test_a_larger_max_size_admits_a_trace_run_beyond_the_default(capsys):
         (["verify", "--suite", "maximality"],
          "cd5011c91df1b0bcb11f9a0b2988ec420da21d15baf5c8bd1780b9cda0c3dc0f"),
     ],
-    ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "char-table-n3q2",
-         "intertwiner-q2", "trace", "eigenspaces-q2", "y-set-n2q2h3s2", "matrix-y",
-         "intertwiner", "eta-level2", "maximality"],
+    ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "eta-level2-n2q3",
+         "char-table-n3q2", "intertwiner-q2", "trace", "eigenspaces-q2", "y-set-n2q2h3s2",
+         "matrix-y", "intertwiner", "eta-level2", "maximality"],
 )
 def test_groups_reports_match_golden_digest(argv, digest, capsys):
     # the digests of the seed implementation's reports

@@ -15,6 +15,7 @@ from dllab.constructions import (
     _build_eta_level3,
     _class_traces,
     _level3_pattern_subgroup,
+    _unit_exps,
     build_rho_psi,
     divquot,
     eta_family_report,
@@ -27,14 +28,16 @@ from dllab.constructions import (
     unipotent_group,
     verify_main_example,
 )
+from dllab.cyclo import reduce_counts
 from dllab.errors import CharacterMismatchError, UnsupportedParametersError
 from dllab.ffield import field, splitting_params
 from dllab.matmodel import n2_norm_batch, nm_gnq_batch
 from dllab.repkit import (
+    CyclicExtension,
     MonomialExtension,
     MonomialRep,
-    _cyclo_inv,
     _dense_extension,
+    delta_sums,
     extend_irrep,
     inner_product,
     solve_intertwiner,
@@ -198,10 +201,9 @@ def test_divquot_pi_is_central_torsion():
     assert pi == dq.group.one
 
 
-def test_cyclo_inv():
-    x = CycloNum.root(12, 5) + CycloNum.rational(12, 3)
-    y = _cyclo_inv(x)
-    assert (x * y) == CycloNum.rational(12, 1)
+def _values(counts, R):
+    """The CycloNum values of count rows of length R."""
+    return [CycloNum(R, row) for row in reduce_counts(R, counts).tolist()]
 
 
 def test_monomial_extension_matches_dense():
@@ -226,10 +228,13 @@ def test_monomial_extension_matches_dense():
     )
     rng = random.Random(3)
     us = [U3.one] + [rng.choice(U3.elements) for _ in range(12)]
+    grid = [(k, u) for k in range(q**2 - 1) for u in us]
+    k = np.array([k for k, _ in grid], dtype=np.int64)
+    u = U3.indices([u for _, u in grid])
     matrix = oracles.monomial_matrices(rep, sharp)
-    for k in range(q**2 - 1):
-        for u in us:
-            assert monomial_extension_value(ext_m, k, u, matrix) == ext_d.value(k, U3.index[u])
+    want = [monomial_extension_value(ext_m, k, u, matrix) for k, u in grid]
+    assert _values(ext_d.trace_counts(k, u), theta.R) == want
+    assert _values(ext_m.trace_counts(k, u), theta.R) == want
 
 
 def test_dense_extension_restricts_to_rho():
@@ -249,10 +254,12 @@ def test_dense_extension_restricts_to_rho():
         data.rep, conj, ring.one, q**2 - 1, data.group.generators, target
     )
     assert root_exp is None
-    assert ext.value(1, data.group.index[ring.one]) == target
+    one = np.array([data.group.index[ring.one]])
+    assert _values(ext.trace_counts(np.ones(1, dtype=np.int64), one), 12) == [target]
     # restriction to the unit group is the original character
-    for i, g in enumerate(data.group.elements):
-        assert ext.value(0, i) == data.char.value(g)
+    u = np.arange(len(data.group))
+    got = ext.trace_counts(np.zeros_like(u), u)
+    assert _values(got, 12) == [data.char.value(g) for g in data.group.elements]
 
 
 def test_build_eta_theta_degrees():
@@ -260,7 +267,7 @@ def test_build_eta_theta_degrees():
     rt = _build_eta_level2(theta2, divquot(2, 2, 2, 1))
     assert rt.degree == 2 * rt.ext.rep.dim or rt.ext.rep.dim == 1
     theta3 = theta_family(2, 2, 3, 1, conductor_m=2)[0]
-    rt3 = _build_eta_level3(theta3, main_example_context(2))
+    rt3 = _build_eta_level3(theta3, main_example_context(2), _unit_exps(theta3))
     assert rt3.hom_degree == 2
     assert rt3.degree == 2 * 2**2
 
@@ -302,8 +309,8 @@ def test_main_example_report_q2(monkeypatch):
 
     built = []
 
-    def counted(theta, ctx):
-        built.append(_build_eta_level3(theta, ctx))
+    def counted(theta, ctx, chi):
+        built.append(_build_eta_level3(theta, ctx, chi))
         return built[-1]
 
     monkeypatch.setattr(constructions, "_build_eta_level3", counted)
@@ -324,7 +331,7 @@ def test_main_example_q3_rows_match_the_oracle():
     ctx = main_example_context(3, 1)
     thetas = theta_family(2, 3, 3, 1, conductor_m=2)
     for theta in thetas[:: len(thetas) // 3][:3]:
-        rt = _build_eta_level3(theta, ctx)
+        rt = _build_eta_level3(theta, ctx, _unit_exps(theta))
         counts = _class_traces(rt, ctx)
         assert np.array_equal(counts, _oracle_counts(rt, ctx))
         row = verify_main_example(theta, ctx, check_inner=True)
@@ -432,7 +439,33 @@ def test_monomial_delta_sums_match_dense():
         (k1, u1), (k2, u2) = dq.decompose(u), dq.decompose(ring.frobenius(u, 1))
         pairs.append([k1, index[u1], k2, index[u2]])
     pairs = np.array(pairs, dtype=np.int64).T
-    assert rt.ext.delta_sums(pairs) == dense.delta_sums(pairs)
+
+    def reduced(sums):
+        return sums[0].tolist(), _values(sums[1], rep.R)
+
+    assert reduced(delta_sums(rt.ext, pairs)) == reduced(delta_sums(dense, pairs))
+
+
+def _recorded_eta_family(monkeypatch, n, q):
+    """eta_family_report(n, q), recording each RTheta it builds and each
+    delta_sums call it makes, as (ext, pairs, result)."""
+    from dllab import constructions
+
+    builds, calls = [], []
+    build, sums = constructions._build_eta_level2, constructions.delta_sums
+
+    def recorded_build(theta, dq):
+        builds.append(build(theta, dq))
+        return builds[-1]
+
+    def recorded_sums(ext, pairs):
+        calls.append((ext, pairs, sums(ext, pairs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(constructions, "_build_eta_level2", recorded_build)
+    monkeypatch.setattr(constructions, "delta_sums", recorded_sums)
+    eta_family_report(n, q)
+    return builds, calls
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2)])
@@ -440,15 +473,8 @@ def test_monomial_delta_sums_match_the_scalar_walk(monkeypatch, n, q):
     # every monomial psi key of eta_family_report: its Mackey pair arrays
     # against dq.decompose one unit at a time, and its delta sums against the
     # trace_exps walk over tuple matrices
-    calls = []
-    fast = MonomialExtension.delta_sums
-
-    def recorded(ext, pairs):
-        calls.append((ext, pairs, fast(ext, pairs)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(MonomialExtension, "delta_sums", recorded)
-    eta_family_report(n, q)
+    _, calls = _recorded_eta_family(monkeypatch, n, q)
+    calls = [call for call in calls if isinstance(call[0], MonomialExtension)]
     dq = divquot(n, q, 2, 1)
     U, _ = unipotent_group(n, q, 2)
     keys = {(2, 2): 2, (3, 2): 8}[n, q]  # the psi with m < n at (2, 2), all at (3, 2)
@@ -460,7 +486,35 @@ def test_monomial_delta_sums_match_the_scalar_walk(monkeypatch, n, q):
             (k1, u1), (k2, u2) = dq.decompose(u), dq.decompose(dq.ring.frobenius(u, (n - j) % n))
             want.append([k1, U.index[u1], k2, U.index[u2]])
         assert pairs.T.tolist() == want
-        assert sums == oracles.monomial_delta_sums(ext, pairs, oracles.monomial_matrices(ext.rep))
+        deltas, counts = sums
+        want = oracles.monomial_delta_sums(ext, pairs, oracles.monomial_matrices(ext.rep))
+        assert list(zip(deltas.tolist(), _values(counts, ext.R))) == want
+
+
+@pytest.mark.parametrize("q,keys", [(2, 2), (3, 6)])
+def test_dense_extensions_match_the_cyclonum_route(monkeypatch, q, keys):
+    # every dense psi key of eta_family_report at n = 2: the count-tensor
+    # traces on every (k, u) and the delta sums on the Mackey pairs against
+    # the seed's route on rows of CycloNum entries
+    builds, calls = _recorded_eta_family(monkeypatch, 2, q)
+    dense = [rt for rt in builds if isinstance(rt.ext, CyclicExtension)]
+    calls = [call for call in calls if isinstance(call[0], CyclicExtension)]
+    assert len(dense) == len(calls) == keys
+    for rt, (ext, pairs, (deltas, counts)) in zip(dense, calls):
+        assert ext is rt.ext
+        rep, R, c = ext.rep, ext.R, ext.c
+        ring, F = rt.dq.ring, rt.dq.F
+        conj = lambda x: ring.scalar_conj(F.gen, x)
+        gens = rep.group.generators
+        entries = solve_intertwiner(rep, conj, gens, R)
+        target = CycloNum.rational(R, rt.sign)
+        powers = oracles.dense_extension(rep, entries, conj, ring.one, c, gens, target)
+        grid = [(k, u) for k in range(c) for u in range(len(rep.group))]
+        values = {z: oracles.dense_value(rep, powers, *z) for z in grid}
+        k, u = np.array(grid, dtype=np.int64).T
+        assert _values(ext.trace_counts(k, u), R) == list(values.values())
+        want = oracles.dense_delta_sums(values, c, pairs)
+        assert list(zip(deltas.tolist(), _values(counts, R))) == want
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -475,7 +529,7 @@ def test_level3_intertwiners_match_the_scalar_solve(q):
     ring, F = ctx.dq.ring, ctx.dq.F
     conj = lambda x: ring.scalar_conj(F.gen, x)
     for theta in thetas:
-        rep = _build_eta_level3(theta, ctx).ext.rep
+        rep = _build_eta_level3(theta, ctx, _unit_exps(theta)).ext.rep
         sharp = oracles.level3_sharp_exp(theta.chi)
         assert rep.chi.tolist() == [sharp(g) for g in ctx.U3.elements]
         gens = ctx.U3.generators
@@ -500,7 +554,7 @@ from dllab.matmodel import n2_norm_batch, nm_gnq_batch
 from dllab.errors import DLLabError
 from dllab.ffield import Field, field
 from dllab.twistring import h_m_pattern
-from dllab.repkit import (ExpChar, GroupModel, MonomialRep, _cyclo_inv,
+from dllab.repkit import (CyclicExtension, ExpChar, GroupModel, MonomialRep,
     _dense_extension, _monomial_extension, abelian_character_extensions, extend_irrep,
     inner_product)
 import dllab.constructions as C
@@ -519,6 +573,11 @@ conj = lambda x: D4.mul(D4.mul(s, x), D4.inv(s))
 # T = 1: it does not intertwine conjugation by s; with the identity conj it
 # does, but T^2 = 1 is not rho(s) (a swap) nor a multiple of rho(r) = diag(i, -i)
 one_T = (np.arange(2), np.zeros(2, dtype=np.int64))
+# over no generators T = diag(1, zeta_8) passes, but |Tr T|^2 = 2 + sqrt(2)
+rho8 = MonomialRep(D4, rotations, exp_table(D4, rotations, lambda h: 2 * h[0]), 8)
+# A^1 = diag(1, 0) with N = 2: the trace at g is 1/2, not an algebraic integer
+half_A = np.zeros((2, 2, 2, 4), dtype=np.int64)
+half_A[:, 0, 0, 0] = half_A[0, 1, 1, 0] = 1
 s2, f, j, n = intertwiner_s2_data(2)
 F4 = Field(2, 2)
 F4.in_subfield = lambda sub, a: False  # contradicts the conductor kernel check
@@ -553,7 +612,12 @@ thunks = [
                                 CycloNum.rational(4, 0)),
     lambda: _dense_extension(rho, {(0, 0): 0, (1, 1): 0}, conj, (0, 0), 2, [(1, 0), s],
                              CycloNum.rational(4, 0)),
-    lambda: _cyclo_inv(CycloNum.rational(12, 0)),
+    lambda: _dense_extension(rho8, {(0, 0): 0, (1, 1): 1}, conj, (0, 0), 2, [],
+                             CycloNum.rational(8, 1)),
+    lambda: _dense_extension(rho, {(0, 0): 0, (1, 1): 0}, lambda x: x, (0, 0), 2, [(1, 0), s],
+                             CycloNum.rational(4, "1/2")),
+    lambda: CyclicExtension(rho, half_A, 2, 2, 4).trace_counts(np.ones(1, dtype=np.int64),
+                                                              np.zeros(1, dtype=np.int64)),
     lambda: inner_product(ExpChar(C4, {g: 0 for g in range(4)}, 4),
                           ExpChar(C4, {g: 0 for g in range(4)}, 2)),
     lambda: C.verify_main_example(theta_family(2, 2, 2, 1)[0], C.main_example_context(2), False),
@@ -571,7 +635,6 @@ thunks = [
     lambda: _polydiv_exact([1, 0, 1], [1, 2]),
     lambda: _polydiv_exact([1, 0, 1], [1, 1]),
     lambda: CycloNum(4, (1, 2, 3)),
-    lambda: CycloNum.rational(4, 1).galois(2),
     lambda: nm_gnq_batch(2, 2, F4_broken, np.array([[1], [0]])),
     lambda: n2_norm_batch(ring_of(2, 2, 3, field(2, 2)), np.zeros((4, 1), dtype=np.int64)),
     # last: every character now reads as conductor q
@@ -592,11 +655,14 @@ for thunk in thunks:
     assert out.returncode == 0, out.stderr
     raised = [json.loads(line) for line in out.stdout.splitlines()]
     # the array checks of the two extension routes keep their messages
-    assert [message for _, message in raised[5:9]] == [
+    assert [message for _, message in raised[5:12]] == [
         "intertwiner verification failed",
         "T^c does not have the support of rho(g^c)",
         "T^c is not a scalar multiple of rho(g^c)",
         "intertwiner verification failed",
+        "|Tr T|^2 = 2 + 1*z8^1 + -1*z8^3 is not rational",
+        "target trace 1/2 is not an integer of Q(zeta_4)",
+        "a trace of A^k rho(u) is not divisible by 2^k",
     ]
     assert [name for name, _ in raised] == [
         "UnsupportedParametersError",
@@ -608,7 +674,9 @@ for thunk in thunks:
         "NotInvariantError",
         "NotInvariantError",
         "NotInvariantError",
-        "AllZeroError",
+        "NoExtensionError",
+        "NoExtensionError",
+        "InexactDivisionError",
         "MixedOrderError",
         "UnsupportedParametersError",
         "CharacterMismatchError",
@@ -624,7 +692,6 @@ for thunk in thunks:
         "InexactDivisionError",
         "InexactDivisionError",
         "MixedOrderError",
-        "UnsupportedParametersError",
         "MatrixShapeError",
         "UnsupportedParametersError",
         "CharacterMismatchError",

@@ -6,11 +6,10 @@ import pytest
 import oracles
 from dllab.charlib import AddChar, unit_characters
 from dllab.constructions import build_rho_psi, divquot, gnq_group, unipotent_group
-from dllab.cyclo import CycloNum, assert_nonneg_integer
+from dllab.cyclo import CycloNum, assert_nonneg_integer, reduce_counts
 from dllab.errors import NoExtensionError, NoIndexLawError
 from dllab.ffield import field
 from dllab.repkit import (
-    CyclicExtension,
     ExpChar,
     GroupModel,
     MonomialRep,
@@ -123,7 +122,6 @@ def test_cyclic_extension_degree_one():
     N = tabled([0, 2, 4], C6.mul, C6.inv, 0, [2])
     chi = {0: 0, 2: 2, 4: 4}  # exponent mod 6: chi(2) = zeta_6^2 (order 3)
     rep = MonomialRep(N, set(N.elements), oracles.exp_table(N, N.elements, chi.__getitem__), 6)
-    matrix = oracles.monomial_matrices(rep, chi.__getitem__)
 
     def extend_dense(rep, conj, g_power_c, c, generators, target_trace):
         entries = solve_intertwiner(rep, conj, generators, rep.R)
@@ -139,8 +137,11 @@ def test_cyclic_extension_degree_one():
             generators=[2],
             target_trace=CycloNum.root(6, 3),  # -1
         )
-        value = (lambda k, u: ext.value(k, N.index[u])) if isinstance(ext, CyclicExtension) else (
-            lambda k, u: oracles.monomial_extension_value(ext, k, u, matrix))
+
+        def value(k, u):
+            counts = ext.trace_counts(np.array([k]), N.indices([u]))
+            return CycloNum(6, reduce_counts(6, counts)[0].tolist())
+
         assert value(0, 0) == CycloNum.rational(6, 1)
         assert value(1, 0) == CycloNum.root(6, 3)
         # consistency: value at (g * n) respects chi on N
