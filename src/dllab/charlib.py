@@ -11,8 +11,9 @@ trace; equivalently a lies in F_{q^m} and in no smaller layer.  The trivial
 character has conductor q (m = 1).
 
 Principal unit groups (1 + pi F_{q^n}[pi]/(pi^h))^x are the unipotent groups
-of the n = 1 twisted rings, tuples (1, b_1, ..., b_{h-1}), and their
-characters are enumerated exactly as root-exponent tables.
+of the n = 1 twisted rings, with the index law of elements (1, b_1, ...,
+b_{h-1}) in product order, and their characters are enumerated exactly as
+root-exponent tables over those indices.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .ffield import Field, field, splitting_params
-from .twistring import enumerate_unipotent, twisted_ring
+from .twistring import enumerate_unipotent, twisted_ring, unipotent_index_law
 
 if TYPE_CHECKING:
     from .repkit import ExpChar, GroupModel
@@ -51,10 +52,6 @@ class AddChar:
         absolute trace table read at a x."""
         F = self.F
         return F.trace_table(field(F.p, 1))[F.vec.mul(self.a, np.arange(F.order, dtype=np.int64))]
-
-    def exp(self, x: int) -> int:
-        """Exponent of zeta_p."""
-        return int(self.table[x])
 
     def conductor_power(self) -> int:
         """The m with conductor q^m, certified by a kernel check."""
@@ -89,16 +86,16 @@ def principal_units(L: Field, h: int) -> GroupModel:
     ring = twisted_ring(1, L.order, h, L)
     els = list(enumerate_unipotent(ring))
     gens = [g for g in els if sum(1 for c in g[1:] if c) == 1]
-    return GroupModel(els, ring.mul, ring.inv, ring.one, generators=gens)
+    return GroupModel(els, *unipotent_index_law(ring), generators=gens)
 
 
 def unit_characters(G: GroupModel, R: int):
     """All characters of the abelian unit group, deterministic order."""
     from .repkit import ExpChar, abelian_character_extensions
 
-    return [
-        ExpChar(G, t, R) for t in abelian_character_extensions(G, {G.one: 0}, R)
-    ]
+    # extend the trivial character of the identity, element 0
+    tables = abelian_character_extensions(G, np.arange(len(G)), ([0], [0]), R)
+    return [ExpChar(G, t, R) for t in tables]
 
 
 def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int, R: int) -> AddChar:
@@ -110,8 +107,9 @@ def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int
     p = L.p
     if R % p:
         raise RootOrderError(f"root order {R} is not divisible by p = {p}")
-    # b -> chi(1 + b pi^(h-1)) as exponents of zeta_R
-    rest = np.array([chi.exp((1,) + (0,) * (h - 2) + (b,)) for b in L.elements()])
+    # b -> chi(1 + b pi^(h-1)) as exponents of zeta_R: these elements come
+    # first in product order, at the indices b
+    rest = chi.table[: L.order]
     for a in L.elements():
         psi = AddChar(L, q, a)
         if (psi.table * (R // p) == rest).all():

@@ -84,7 +84,7 @@ def _norm_homomorphism(n: int, q: int) -> tuple:
     nm = np.concatenate([nm_gnq_batch(n, q, F, a) for a in grid_chunks(F.order, n)])
     witness = {"pairs": N * N}
     for x, y in grid_chunks(N, 2):
-        lhs = nm[G.law_mul(x, y)]
+        lhs = nm[G.mul(x, y)]
         rhs = F.vec.add(nm[x], nm[y])
         bad = np.flatnonzero(lhs != rhs)
         if len(bad):
@@ -165,11 +165,9 @@ def suite_eigenspaces(args) -> dict:
             if layer_as_additive_char(units, c, F2, 3, q, R).conductor_power() == 2
         ]
         _progress(f"[eigenspaces] {len(chars)} characters, {len(chars) ** 2} pairs")
-        tables = [[c.exp(g) for g in units.elements] for c in chars]
-        dims = eigendims(chars, collapsed, q).tolist()
-        bad = sum(
-            d != (t1 == t2) for t1, row in zip(tables, dims) for t2, d in zip(tables, row)
-        )
+        tables = np.stack([c.table for c in chars])
+        equal = (tables[:, None] == tables[None]).all(axis=2)
+        bad = int(np.count_nonzero(eigendims(chars, collapsed, q) != equal))
         claims.append(
             _claim(
                 "eigenspace dimension is the Kronecker delta on conductor-q^2 pairs",

@@ -10,10 +10,11 @@ the Teichmueller generator, grade by theta(pi), induce along the index-n
 valuation subgroup.
 
 Everything is exponent-level until a value is actually compared: characters
-are dicts of exponents, or count rows of exponents, of a fixed root of unity
-zeta_R, and CycloNum arithmetic only happens at inner products and trace
-comparisons.  The Mackey sums of eta-level2 stay count rows through the whole
-combination over delta and j, with one reduction per theta.
+are exponent tables over element indices, or count rows of exponents, of a
+fixed root of unity zeta_R, and CycloNum arithmetic only happens at inner
+products and trace comparisons.  The Mackey sums of eta-level2 stay count
+rows through the whole combination over delta and j, with one reduction per
+theta.
 """
 
 from __future__ import annotations
@@ -72,9 +73,7 @@ from .twistring import (
     TwistedRing,
     enumerate_unipotent,
     gnq_index_law,
-    gnq_inv,
     gnq_inv_batch,
-    gnq_mul,
     gnq_mul_batch,
     h_m_pattern,
     nu_prime_m,
@@ -123,8 +122,7 @@ def _unipotent_group(n: int, q: int, h: int):
             g = [1] + [0] * (ring.length - 1)
             g[j] = b
             gens.append(tuple(g))
-    law = unipotent_index_law(ring)
-    group = GroupModel(els, ring.mul, ring.inv, ring.one, generators=gens, law=law)
+    group = GroupModel(els, *unipotent_index_law(ring), generators=gens)
     return group, ring
 
 
@@ -136,21 +134,13 @@ def gnq_group(n: int, q: int):
     p, e = splitting_params(q)
     F = field(p, e * n)
     els = [tuple(t) for t in itertools.product(range(F.order), repeat=n)]
-    one = (0,) * n
-
-    def mul(a, b):
-        return gnq_mul(F, n, q, a, b)
-
-    def inv(a):
-        return gnq_inv(F, n, q, a)
-
     gens = []
     for j in range(n):
         for b in _basis_powers(F):
             g = [0] * n
             g[j] = b
             gens.append(tuple(g))
-    group = GroupModel(els, mul, inv, one, generators=gens, law=gnq_index_law(F, n, q))
+    group = GroupModel(els, *gnq_index_law(F, n, q), generators=gens)
     return group, F
 
 
@@ -204,12 +194,15 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
     norms = F.retract_table(field(p, e * m))[pat.norms]
     if (norms < 0).any():
         raise NotInSubfieldError(f"a reduced norm does not lie in F_{q**m}")
-    exps = dict(zip(pat.H, ((psi1.table[norms] * (R // p)) % R).tolist()))
-    ext = exps if pat.branch == 1 else _halved_extension(pat, exps, R)
+    exps = (psi1.table[norms] * (R // p)) % R
+    # the character of the inducing subgroup: the transferred one itself, or
+    # on the halved branch its first extension to the enlarged subgroup
+    exts = abelian_character_extensions(pat.group, pat.inducing, (pat.H, exps), R)
+    if not len(exts):
+        raise NoExtensionError("transferred character does not extend to the enlarged subgroup")
     rep = copy.copy(pat.template)
     rep.R = R
-    rep.chi = np.zeros(len(pat.group), dtype=np.int64)
-    rep.chi[pat.group.indices(ext)] = list(ext.values())
+    rep.chi = exts[0]
     char = rep.character()
     return RhoData(
         psi=psi,
@@ -222,7 +215,7 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
         rep=rep,
         char=char,
         pattern_subgroup=pat.Hset,
-        pattern_exp=exps,
+        pattern_exp=dict(zip([pat.group.elements[i] for i in pat.H.tolist()], exps.tolist())),
         R=R,
         degree=rep.dim,
         hom_degree=n + n1 - 2,
@@ -232,18 +225,18 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
 
 class _PatternData(NamedTuple):
     """The psi-independent part of build_rho_psi at one conductor exponent:
-    the pattern subgroup H (elements in index order, and as a set), the
-    reduced norms of its kept coordinates (indices in F_{q^n}), the branch,
-    the inducing subgroup's elements on the halved branch, a template
-    MonomialRep of the inducing subgroup whose copies take chi, and a
-    transversal of H."""
+    the pattern subgroup H (element indices in increasing order, and the
+    elements as a set), the reduced norms of its kept coordinates (indices
+    in F_{q^n}), the branch, the indices of the inducing subgroup (H, or on
+    the halved branch the enlarged subgroup), a template MonomialRep of the
+    inducing subgroup whose copies take chi, and a transversal of H."""
 
     group: GroupModel
-    H: list
+    H: np.ndarray
     Hset: frozenset
     norms: np.ndarray
     branch: int
-    enlarged: list
+    inducing: np.ndarray
     template: MonomialRep
     transversal: list
 
@@ -276,11 +269,10 @@ def _pattern_data(n: int, q: int, m: int, mirror: bool) -> _PatternData:
     pattern = set(h_m_pattern(n, 2, m))
     zero = [j - 1 for j in range(1, n + 1) if j not in pattern]
     H = np.flatnonzero(~coords[zero].any(axis=0))
-    Hlist = [group.elements[i] for i in H.tolist()]
-    Hset = frozenset(Hlist)
+    Hset = frozenset(group.elements[i] for i in H.tolist())
     nvals = chunked(norms, np.stack(nu_prime_m(n, m, coords[:, H])))
     branch = 1 if (m % 2 == 1 or n1 % 2 == 0) else 2
-    enlarged = []
+    inducing = H
     if branch == 2:
         # m = 2 and n = 2 here: enlarge the pattern subgroup by the first
         # coordinate restricted to F_q, the half-size subfield
@@ -291,23 +283,10 @@ def _pattern_data(n: int, q: int, m: int, mirror: bool) -> _PatternData:
             )
         allowed = np.zeros(F.order, dtype=bool)
         allowed[F.embed_table(field(p, e))] = True
-        enlarged = [group.elements[i] for i in np.flatnonzero(allowed[coords[0]]).tolist()]
-    template = MonomialRep(group, enlarged or Hset, None, 1)
-    T = coset_transversal(group, Hset) if enlarged else template.transversal
-    return _PatternData(group, Hlist, Hset, nvals, branch, enlarged, template, T)
-
-
-def _halved_extension(pat: _PatternData, exps: dict, R: int) -> dict:
-    """Even-m/odd-n1 branch: extend the transferred character, given as
-    exponents on the pattern subgroup, to the enlarged subgroup, whose
-    induction replaces its own."""
-    U = pat.group
-    # index order is product order, the sorted order of the elements
-    Gmodel = GroupModel(pat.enlarged, U.mul, U.inv, U.one)
-    exts = abelian_character_extensions(Gmodel, exps, R)
-    if not exts:
-        raise NoExtensionError("transferred character does not extend to the enlarged subgroup")
-    return exts[0]
+        inducing = np.flatnonzero(allowed[coords[0]])
+    template = MonomialRep(group, [group.elements[i] for i in inducing.tolist()], None, 1)
+    T = coset_transversal(group, Hset) if branch == 2 else template.transversal
+    return _PatternData(group, H, Hset, nvals, branch, inducing, template, T)
 
 
 def _check_rho(data: RhoData, mirror: bool):
@@ -472,14 +451,14 @@ class DivQuotData:
     group: GroupModel
     nM: int
     units: list
-    dlog: dict
 
     def decompose(self, u):
-        """u = zeta-bar^k * u1 with u1 a principal unit: zeta-bar^k is the
-        constant u_0, and a constant multiplies coefficientwise from the
-        left, so u1 = u_0^-1 u."""
-        c = self.F.inv(u[0])
-        return self.dlog[u[0]], tuple(self.F.mul(c, x) for x in u)
+        """u = zeta-bar^k * u1 with u1 a principal unit, for the units u that
+        are the columns of an (L, N) array: zeta-bar^k is the constant u_0,
+        and a constant multiplies coefficientwise from the left, so u1 =
+        u_0^-1 u.  Returns (k, u1)."""
+        v = self.F.vec
+        return v.log(u[0]), v.mul(v.inv(u[0]), u)
 
 
 def divquot(n: int, q: int, h: int, M: int = 1) -> DivQuotData:
@@ -495,21 +474,11 @@ def _divquot(n: int, q: int, h: int, M: int) -> DivQuotData:
     ring = twisted_ring(n, q, h, F)
     nM = n * M
     L = ring.length
-
-    def mul(x, y):
-        (a, u), (b, v) = x, y
-        return ((a + b) % nM, ring.mul(ring.frobenius(u, (-b) % n), v))
-
-    def inv(x):
-        a, u = x
-        return ((-a) % nM, ring.inv(ring.frobenius(u, a % n)))
-
     units = []
     for u0 in range(1, F.order):
         for tail in itertools.product(range(F.order), repeat=L - 1):
             units.append((u0,) + tail)
     els = [(e_, u) for e_ in range(nM) for u in units]
-    one = (0, ring.one)
     zbar = (F.gen,) + (0,) * (L - 1)
     gens = [(1 % nM, ring.one), (0, zbar)]
     for j in range(1, L):
@@ -519,7 +488,7 @@ def _divquot(n: int, q: int, h: int, M: int) -> DivQuotData:
             gens.append((0, tuple(g)))
 
     # element i is (e, u) with i = e |units| + (u_0 - 1) Q^(L-1) + (the index
-    # of u_1, ..., u_(L-1) in the grid of tails)
+    # of u_1, ..., u_(L-1) in the grid of tails); the identity is element 0
     Q = F.order
     tails = Q ** (L - 1)
     v = F.vec
@@ -539,25 +508,21 @@ def _divquot(n: int, q: int, h: int, M: int) -> DivQuotData:
             out = np.where(s == k, ring.frobenius_batch(u, k), out)
         return out
 
-    def law_mul(i, j):
+    def mul(i, j):
+        """(a, u)(b, w) = (a + b, u^(q^-b) w)."""
         (a, u), (b, w) = decode(i), decode(j)
         return encode((a + b) % nM, ring.mul_batch(frobenius(u, (-b) % n), w))
 
-    def law_inv(i):
+    def inv(i):
         a, u = decode(i)
         u = frobenius(u, a % n)
-        # u = u_0 w with w unipotent: u^-1 = w^-1 u_0^-1, as in TwistedRing.inv
+        # u = u_0 w with w unipotent: u^-1 = w^-1 u_0^-1
         c = v.inv(u[0])
         w = ring.inv_batch(v.mul(c[None], u))
         scalar = np.concatenate([c[None], np.zeros((L - 1, len(i)), dtype=np.int64)])
         return encode((-a) % nM, ring.mul_batch(w, scalar))
 
-    group = GroupModel(els, mul, inv, one, generators=gens, law=(law_mul, law_inv))
-    dlog = {1: 0}
-    t = 1
-    for k in range(1, F.order - 1):
-        t = F.mul(t, F.gen)
-        dlog[t] = k
+    group = GroupModel(els, mul, inv, generators=gens)
     return DivQuotData(
         n=n,
         q=q,
@@ -568,7 +533,6 @@ def _divquot(n: int, q: int, h: int, M: int) -> DivQuotData:
         group=group,
         nM=nM,
         units=units,
-        dlog=dlog,
     )
 
 
@@ -617,23 +581,17 @@ def _build_eta_level2(theta: ThetaData, dq: DivQuotData) -> RTheta:
     )
 
 
-def _unit_exps(theta: ThetaData) -> np.ndarray:
-    """theta on the principal units (1, h_2, h_4), which come in product
-    order, as exponents indexed by h_2 Q + h_4."""
-    return np.array([theta.chi.exp(g) for g in theta.units.elements], dtype=np.int64)
-
-
-def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext, chi) -> RTheta:
+def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext) -> RTheta:
     """The extension-route construction on ctx's division quotient: the
     induction of theta-sharp from the pattern subgroup, a copy of ctx's
-    theta-independent template, extended along the Teichmueller generator.
-    chi is theta's units table, _unit_exps(theta)."""
+    theta-independent template, extended along the Teichmueller generator."""
     n, q, R = 2, theta.q, theta.R
     dq = ctx.dq
     rep = copy.copy(ctx.template)
     # theta-sharp reads (a_2, a_4) of 1 + a_2 t^2 + a_3 t^3 + a_4 t^4 as a
-    # level-2 principal unit of the quadratic field
-    rep.chi = chi[ctx.sharp]
+    # level-2 principal unit (1, a_2, a_4) of the quadratic field, the unit
+    # at index a_2 Q + a_4
+    rep.chi = theta.chi.table[ctx.sharp]
     rep.R = R
     ring, F = dq.ring, dq.F
     ext, root_exp = extend_irrep(
@@ -680,12 +638,15 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
     # Mackey pairs (u, Pi^j-conjugate of u) decomposed as (k, u1), with u1 an
     # index of rho's group, as the rows (k1, u1, k2, u2) of one array per j;
     # the theta-dependence of each pair's term enters only through zeta^delta
-    index = unipotent_group(n, q, 2)[0].index
-    dec = {u: (k, index[u1]) for u, (k, u1) in zip(dq.units, map(dq.decompose, dq.units))}
+    units = np.array(dq.units, dtype=np.int64).T
+
+    def dec(u):
+        # rho's group lists the principal units in product order
+        k, u1 = dq.decompose(u)
+        return k, digits_index(u1[1:], F.order)
+
     pairs = {
-        j: np.array(
-            [dec[u] + dec[dq.ring.frobenius(u, (n - j) % n)] for u in dq.units], dtype=np.int64
-        ).T
+        j: np.stack([*dec(units), *dec(dq.ring.frobenius_batch(units, (n - j) % n))])
         for j in range(1, n)
     }
     cache = {}
@@ -807,34 +768,35 @@ class MainExampleContext:
         S1 = np.flatnonzero((e % n == 0) & (units[1, r] == 0))
         pos = np.full(len(group), -1, dtype=np.int64)
         pos[S1] = np.arange(len(S1))
-        # u = zeta-bar^k u1 with u1 = u_0^-1 u, as in DivQuotData.decompose
-        dlog = np.zeros(Q, dtype=np.int64)
-        dlog[list(dq.dlog)] = list(dq.dlog.values())
-        u = units[:, r[S1]]
-        h2, h4 = F.vec.mul(F.vec.inv(u[0]), u[[2, 4]])
-        self.dec = np.stack([e[S1] // n, dlog[u[0]], h2 * Q + h4])
+        k, u1 = dq.decompose(units[:, r[S1]])
+        self.dec = np.stack([e[S1] // n, k, u1[2] * Q + u1[4]])
         T = group.indices(coset_transversal(group, [group.elements[i] for i in S1.tolist()]))
-        conj = pos[conjugates(group, group.indices(self.class_reps), T)]
+        reps = group.indices(self.class_reps)
+        conj = pos[conjugates(group, reps, T)]
         cls, col = np.nonzero(conj >= 0)
         self.rhs = np.stack([cls, conj[cls, col]])
         # row k holds t_k s t_k^-1 for every s, in the order of S1
         outside = T[pos[T] < 0]
-        conj = pos[conjugates(group, S1, group.law_inv(outside))].T
+        conj = pos[conjugates(group, S1, chunked(group.inv, outside))].T
         grp, s = np.nonzero(conj >= 0)
         self.mackey = np.stack([grp, s, conj[grp, s]])
         self.mackey_groups = len(outside)
-        zbar = (F.gen,) + (0,) * (ring.length - 1)
-        conj = (ring.mul(ring.inv(t), ring.mul(zbar, t)) for t in self.template.transversal)
-        rows = [(k, h[2] * Q + h[4]) for k, h in map(dq.decompose, conj) if h[1] == 0]
-        self.zero_rows = np.array(rows, dtype=np.int64).T
-        rows = []
-        for ci, (e_, u_) in enumerate(self.class_reps):
-            if e_ % n:
-                continue
-            for j in range(n):
-                k, u1 = dq.decompose(ring.frobenius(u_, (n - j) % n))
-                rows.append((ci, e_ // n, k, self.U3.index[u1]))
-        self.lhs = np.array(rows, dtype=np.int64).T
+        # t^-1 zeta-bar t for the template transversal, all of valuation 0,
+        # so their group indices are unit indices
+        zbar = group.indices([(0, (F.gen,) + (0,) * (ring.length - 1))])
+        ts = group.indices([(0, t) for t in self.template.transversal])
+        k, h = dq.decompose(units[:, conjugates(group, zbar, ts)[0]])
+        keep = h[1] == 0
+        self.zero_rows = np.stack([k[keep], h[2, keep] * Q + h[4, keep]])
+        # the Frobenius twists of each even-valuation class representative,
+        # class by class; U3 lists the principal units in product order
+        even = np.flatnonzero(e[reps] % n == 0)
+        u = units[:, r[reps[even]]]
+        twists = np.stack([ring.frobenius_batch(u, (n - j) % n) for j in range(n)], axis=2)
+        k, u1 = dq.decompose(twists.reshape(ring.length, -1))
+        self.lhs = np.stack(
+            [np.repeat(even, n), np.repeat(e[reps[even]] // n, n), k, digits_index(u1[1:], Q)]
+        )
         h = np.array(self.U3.elements, dtype=np.int64).T
         self.sharp = h[2] * Q + h[4]
 
@@ -884,8 +846,8 @@ def verify_main_example(theta: ThetaData, ctx: MainExampleContext, check_inner: 
         )
     R, Q = theta.R, theta.L.order
     zv = theta.zeta_value_exp()
-    chi = _unit_exps(theta)
-    rt = _build_eta_level3(theta, ctx, chi)
+    chi = theta.chi.table
+    rt = _build_eta_level3(theta, ctx)
     t, k, pattern = ctx.dec
     base = t * theta.pi_value_exp() + k * zv
     tp = (base + chi[pattern]) % R

@@ -389,10 +389,8 @@ def eigendims(chars, table: dict, q: int) -> np.ndarray:
     mu = np.tile(np.arange(Q2, dtype=np.int64), len(keys))
     lam, g2, d = np.repeat(keys, Q2, axis=0).T
     cnt = np.repeat(np.array(list(table.values()), dtype=np.int64), Q2)
-    exps = np.zeros((C, Q2, Q2), dtype=np.int64)
-    for c, chi in enumerate(chars):
-        for (_, b1, b2), x in chi.table.items():
-            exps[c, b1, b2] = x
+    # the units (1, b1, b2) come in product order, at the indices b1 Q2 + b2
+    exps = np.stack([chi.table for chi in chars]).reshape(C, Q2, Q2)
     e1 = exps[:, lam, mu]  # chi1(1, lam, mu) per (key, mu) row
     e2 = exps[:, g2, F2.vec.add(d, mu)]  # chi2(1, g2, d + mu)
     counts = np.zeros((C, C * R), dtype=np.int64)
@@ -544,7 +542,7 @@ def zeta_trace_suite_level3(q: int) -> dict:
     fix_of = fix_of.reshape(U, N).sum(axis=1)
     results = []
     for chi in unit_characters(units, R):
-        exps = np.array([-chi.exp(g) for g in units.elements], dtype=np.int64) % R
+        exps = -chi.table % R
         counts = np.zeros(R, dtype=np.int64)
         np.add.at(counts, exps, fix_of)
         ok = cyclo_from_counts(R, counts) == CycloNum.rational(R, target)

@@ -44,11 +44,6 @@ class NotInvariantError(DLLabError):
     """Representation is not invariant under the requested conjugation."""
 
 
-class NoIndexLawError(DLLabError):
-    """A group algorithm that runs on element indices was given a group
-    without an index law."""
-
-
 class NoExtensionError(DLLabError):
     """No extension with the requested trace exists."""
 

@@ -421,6 +421,10 @@ class VecOps:
         n = self.F.order - 1
         return self._exp4[(n - self._log[x]) % n]
 
+    def log(self, x):
+        """The logs of nonzero elements to the base F.gen."""
+        return self._log[x]
+
     def frob(self, qpow: int) -> np.ndarray:
         """Permutation array a -> a^qpow, cached per exponent."""
         tab = self._frobs.get(qpow)

@@ -1,26 +1,24 @@
 """Finite group and character toolkit.
 
 Groups are explicit: a GroupModel carries the full element list (hashable
-keys, deterministic order), multiplication and inversion callables, and a
+keys, deterministic order, the identity first), its group law and a
 generating set used for conjugacy-class orbits.
 
-The group algorithms run on an index law: element i is elements[i], and the
-law is a pair of batched mul(a, b) and inv(a) on int arrays of such indices.
-conj_classes, coset_transversal, induce_char and MonomialRep run on index
+The law is an index law: element i is elements[i], and mul(a, b) and inv(a)
+are batched on int arrays of such indices.  conj_classes, coset_transversal,
+induce_char, MonomialRep and abelian_character_extensions run on index
 arrays, GRID_CHUNK columns at a time: conjugation by each generator becomes
 one index permutation, and the classes are its orbits, found by min-label
 propagation with pointer jumping (the orbit algorithm of Holt, Eick and
-O'Brien's Handbook of Computational Group Theory, with the connected-components
-step of Shiloach and Vishkin).  A group built without a law still multiplies
-through its scalar mul, which is all abelian_character_extensions uses; the
-four index algorithms raise NoIndexLawError on it.
+O'Brien's Handbook of Computational Group Theory, with the
+connected-components step of Shiloach and Vishkin).
 
 Character values are tracked as root-of-unity data wherever possible: a
-linear character is a dict element -> exponent mod R, and an induced
-character is a (|G|, R) count array whose row i counts the exponents of the
-roots that sum to its value at element i.  Exact CycloNum arithmetic happens
-only at the boundaries (inner products, trace comparisons), so the hot loops
-are integer-only.
+linear character is an exponent table over the element indices, and an
+induced character is a (|G|, R) count array whose row i counts the exponents
+of the roots that sum to its value at element i.  Exact CycloNum arithmetic
+happens only at the boundaries (inner products, trace comparisons), so the
+hot loops are integer-only.
 
 A monomial matrix has one form, index arrays.  A MonomialRep holds the
 supports of every element and its chi as an exponent table over element
@@ -51,7 +49,6 @@ from .errors import (
     InexactDivisionError,
     MixedOrderError,
     NoExtensionError,
-    NoIndexLawError,
     NotInvariantError,
     RootOrderError,
     UnsupportedParametersError,
@@ -59,18 +56,15 @@ from .errors import (
 from .ffield import GRID_CHUNK, chunked
 
 
-def _no_law(*indices):
-    raise NoIndexLawError("the group has no index law")
-
-
 class GroupModel:
-    def __init__(self, elements, mul, inv, one, generators=None, law=(_no_law, _no_law)):
+    """A finite group on its element list: mul and inv are the index law,
+    and the identity is element 0."""
+
+    def __init__(self, elements, mul, inv, generators):
         self.elements = list(elements)
         self.mul = mul
         self.inv = inv
-        self.one = one
         self.generators = generators
-        self.law = law
         self._classes = None
 
     def __len__(self):
@@ -84,13 +78,6 @@ class GroupModel:
     def indices(self, elements) -> np.ndarray:
         index = self.index
         return np.array([index[g] for g in elements], dtype=np.int64)
-
-    def law_mul(self, a, b) -> np.ndarray:
-        """The index law's products of two index arrays of one length."""
-        return chunked(self.law[0], a, b)
-
-    def law_inv(self, a) -> np.ndarray:
-        return chunked(self.law[1], a)
 
     def conj_classes(self):
         """Conjugacy classes as lists of elements; deterministic order.
@@ -111,7 +98,7 @@ class GroupModel:
         gens = self.indices(self.generators)
         # x -> s x s^-1 for each generator s, and its inverse permutation
         perms = []
-        for p in conjugates(self, idx, self.law_inv(gens)).T:
+        for p in conjugates(self, idx, chunked(self.inv, gens)).T:
             p_inv = np.empty_like(p)
             p_inv[p] = idx
             perms += [p, p_inv]
@@ -147,24 +134,18 @@ def _orbit_labels(n: int, perms) -> np.ndarray:
 
 
 class ExpChar:
-    """A linear character: element -> exponent of zeta_R."""
+    """A linear character: table[i] is its exponent of zeta_R at element i."""
 
-    def __init__(self, group, table: dict, R: int):
+    def __init__(self, group, table: np.ndarray, R: int):
         self.group = group
         self.table = table
         self.R = R
 
-    def exp(self, g) -> int:
-        return self.table[g]
-
-    def value(self, g) -> CycloNum:
-        return CycloNum.root(self.R, self.table[g])
-
     @property
     def counts(self) -> np.ndarray:
         """One-hot count rows over the group's elements, as in SumChar."""
-        exps = np.array([self.table[g] for g in self.group.elements], dtype=np.int64)
-        return count_rows(np.arange(len(exps)), exps, len(exps), self.R)
+        N = len(self.table)
+        return count_rows(np.arange(N), self.table, N, self.R)
 
 
 class SumChar:
@@ -227,8 +208,8 @@ def conjugates(group: GroupModel, xs, ts) -> np.ndarray:
     """For index arrays xs and ts, through the group's index law: the array
     whose row r, column k is the index of t_k^-1 x_r t_k, from one pass over
     all (r, k) pairs."""
-    mul = group.law[0]
-    inv_ts = group.law_inv(ts)
+    mul = group.mul
+    inv_ts = chunked(group.inv, ts)
     return _pair_table(lambda x, k: mul(inv_ts[k], mul(xs[x], ts[k])), len(xs), len(ts))
 
 
@@ -247,47 +228,50 @@ def _index_cosets(group: GroupModel, subgroup_set):
     reps = []
     g = 0
     while g < len(coset):
-        coset[group.law_mul(np.full(len(H), g), H)] = len(reps)
+        coset[chunked(group.mul, np.full(len(H), g), H)] = len(reps)
         reps.append(g)
         free = np.flatnonzero(coset[g:] < 0)
         g = g + int(free[0]) if len(free) else len(coset)
     return reps, coset
 
 
-def abelian_character_extensions(group: GroupModel, base: dict, R: int):
-    """All characters of an abelian group extending the partial character
-    'base' (a dict element -> exponent defined on a subgroup).
+def abelian_character_extensions(group: GroupModel, members, base, R: int) -> np.ndarray:
+    """All characters of the abelian subgroup with the element indices
+    members (increasing) that extend the partial character base, a pair
+    (indices, exponents) on a subgroup of it.  Returns one exponent table
+    over the group's element indices per character, zero off members, as a
+    (characters, |group|) array.
 
-    Deterministic order: elements are adjoined in universe order and root
+    Deterministic order: elements are adjoined in index order and root
     choices are taken in increasing exponent order.
     """
-    chars = [dict(base)]
-    for g in group.elements:
-        if g in chars[0]:
+    idx, exps = (np.asarray(x, dtype=np.int64) for x in base)
+    chars = np.zeros((1, len(group)), dtype=np.int64)
+    chars[0, idx] = exps
+    known = np.zeros(len(group), dtype=bool)
+    known[idx] = True
+    for g in np.asarray(members).tolist():
+        if known[g]:
             continue
-        c, x = 1, g
-        while x not in chars[0]:
-            x = group.mul(x, g)
-            c += 1
+        # g, g^2, ..., g^c with c the order of g modulo the known subgroup
+        powers = [np.array([g])]
+        while not known[powers[-1][0]]:
+            powers.append(group.mul(powers[-1], powers[0]))
+        c = len(powers)
         if R % c:
             raise RootOrderError(f"root order {R} is not divisible by the element order {c}")
-        powers = [group.one]
-        for _ in range(c - 1):
-            powers.append(group.mul(powers[-1], g))
-        new_chars = []
-        for chi in chars:
-            e = chi[x] % R
-            for t in range(c):
-                num = e + t * R
-                if num % c:
-                    continue
-                f = (num // c) % R
-                ext = dict(chi)
-                for d, ed in chi.items():
-                    for i in range(1, c):
-                        ext[group.mul(d, powers[i])] = (ed + i * f) % R
-                new_chars.append(ext)
-        chars = new_chars
+        # the root choices: f with c f = chi(g^c) mod R, in increasing order
+        num = chars[:, powers[-1][0], None] % R + R * np.arange(c)
+        rows, t = np.nonzero(num % c == 0)
+        f = (num[rows, t] // c) % R
+        # d g^i for the known d (d slowest) and i = 1, ..., c - 1
+        D = np.flatnonzero(known)
+        gi = np.concatenate(powers[:-1])
+        cosets = chunked(group.mul, np.repeat(D, c - 1), np.tile(gi, len(D)))
+        i = np.arange(1, c)
+        chars = chars[rows]
+        chars[:, cosets] = ((chars[:, D, None] + i * f[:, None, None]) % R).reshape(len(rows), -1)
+        known[cosets] = True
     return chars
 
 
@@ -313,11 +297,11 @@ class MonomialRep:
         self.dim = len(reps)
         # the supports of all elements at once: index arrays perm and h with
         # g t_j = t_perm[g, j] h[g, j]
-        mul = group.law[0]
+        mul = group.mul
         T = np.array(reps, dtype=np.int64)
         w = _pair_table(lambda g, k: mul(g, T[k]), len(group), self.dim)
         perm = coset[w]
-        h = group.law_mul(group.law_inv(T)[perm].ravel(), w.ravel()).reshape(w.shape)
+        h = chunked(mul, chunked(group.inv, T)[perm].ravel(), w.ravel()).reshape(w.shape)
         self._supports = perm, h
 
     def matrices(self, g):

@@ -1,14 +1,15 @@
 """Twisted truncated polynomial rings and their unipotent groups.
 
 R(A) = A<tau>/(tau^(n(h-1)+1)) with the commutation rule tau*a = a^q*tau.
-Elements are tuples of n(h-1)+1 field-element indices over a coefficient
-field A containing F_{q^n}.  Multiplication:
+An element is n(h-1)+1 field-element indices over a coefficient field A
+containing F_{q^n}, and the ring works on batches of them, the columns of
+(n(h-1)+1, N) int arrays.  Multiplication:
 
     (sum a_i tau^i)(sum b_j tau^j) = sum_k ( sum_{i+j=k} a_i * b_j^(q^i) ) tau^k
 
 The unit group with constant coefficient 1 is the unipotent group U; its
 center is spanned by the tau^n coefficient.  A second family of groups G is
-carried by the same coefficient tuples with the group law
+carried by the same coefficients with the group law
 
     (1 + sum a_j e_j)(1 + sum b_j e_j),   e_i e_j = e_n if i + j = n else 0,
     e_j a = a^(q^j) e_j,
@@ -61,47 +62,6 @@ class TwistedRing:
         F = self.coeff_field
         return [F.frob_map(F.frob_exp(self.q, i)) for i in range(self.length)]
 
-    def mul(self, a, b):
-        F = self.coeff_field
-        add, mul = F.add, F.mul
-        frobs = self._frob_maps
-        L = self.length
-        out = [0] * L
-        for i, ai in enumerate(a):
-            if ai:
-                fr = frobs[i]
-                for j in range(L - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, fr[bj]))
-        return tuple(out)
-
-    def inv(self, a):
-        if a[0] == 0:
-            raise ZeroDivisionError("not a unit")
-        F = self.coeff_field
-        add, mul, neg = F.add, F.mul, F.neg
-        L = self.length
-        c = F.inv(a[0])
-        # a = a0 * w with w unipotent; scalars multiply coefficientwise from the left
-        w = [mul(c, x) for x in a]
-        neg_m = tuple([0] + [neg(x) for x in w[1:]])  # w = 1 + m, m nilpotent
-        inv_w = self.one
-        term = self.one
-        for _ in range(L - 1):
-            term = self.mul(term, neg_m)
-            if not any(term):
-                break
-            inv_w = tuple([add(u, v) for u, v in zip(inv_w, term)])
-        # a^(-1) = w^(-1) * a0^(-1); right multiplication by a constant twists
-        return self.mul(inv_w, (c,) + (0,) * (L - 1))
-
-    def frobenius(self, a, s: int):
-        """Coefficientwise q^s power."""
-        F = self.coeff_field
-        fr = F.frob_map(F.frob_exp(self.q, s))
-        return tuple([fr[x] for x in a])
-
     # -- batches: (L, N) arrays whose columns are ring elements ------------
 
     @cached_property
@@ -111,7 +71,7 @@ class TwistedRing:
         return [F.vec.frob(F.frob_exp(self.q, i)) for i in range(self.length)]
 
     def mul_batch(self, a, b):
-        """mul on batches."""
+        """The ring product on batches."""
         v = self.coeff_field.vec
         frobs = self._frob_arrays
         L = self.length
@@ -124,7 +84,7 @@ class TwistedRing:
         return np.stack(out)
 
     def inv_batch(self, a):
-        """inv on a batch of unipotent elements (constant coefficient 1).
+        """The inverses of a batch of unipotent elements (constant coefficient 1).
 
         Coefficient k of a * b is b_k + sum_{i=1..k} a_i b_{k-i}^(q^i), so
         b = a^(-1) follows from b_0 = 1 by solving for b_1, b_2, ... in turn.
@@ -159,14 +119,7 @@ class TwistedRing:
 
     def scalar_conj(self, c: int, x):
         """Conjugation by the constant c in A^x: coefficient j scales by c^(1-q^j)."""
-        F = self.coeff_field
-        mul, inv = F.mul, F.inv
-        frobs = self._frob_maps
-        out = [x[0]]
-        for j in range(1, self.length):
-            xj = x[j]
-            out.append(mul(mul(c, inv(frobs[j][c])), xj) if xj else 0)
-        return tuple(out)
+        return (x[0],) + tuple(map(self.coeff_field.mul, self.scalar_conj_factors(c), x[1:]))
 
 
 def twisted_ring(n: int, q: int, h: int, coeff_field: Field) -> TwistedRing:
@@ -227,21 +180,9 @@ def h_m_pattern(n: int, h: int, m: int) -> list[int]:
 # Elements: tuples (a_1, ..., a_n) of coefficient-field indices.
 
 
-def gnq_mul(field_a: Field, n: int, q: int, a, b):
-    add, mul = field_a.add, field_a.mul
-    out = [add(x, y) for x, y in zip(a, b)]
-    top = out[n - 1]
-    for i in range(1, n):
-        ai, bj = a[i - 1], b[n - i - 1]
-        if ai and bj:
-            fr = field_a.frob_map(field_a.frob_exp(q, i))
-            top = add(top, mul(ai, fr[bj]))
-    out[n - 1] = top
-    return tuple(out)
-
-
 def gnq_mul_batch(field_a: Field, n: int, q: int, a, b):
-    """gnq_mul on (n, N) batches whose columns are group elements."""
+    """The group law of G^{n,q} on (n, N) batches whose columns are group
+    elements."""
     v = field_a.vec
     out = v.add(a, b)
     top = out[n - 1]
@@ -270,25 +211,12 @@ def gnq_index_law(field_a: Field, n: int, q: int) -> tuple:
 
 
 def gnq_inv_batch(field_a: Field, n: int, q: int, a):
-    """gnq_inv on an (n, N) batch: below the top the coordinates negate, and
-    the top is what makes a b = 1."""
+    """The inverses in G^{n,q} of an (n, N) batch: below the top the
+    coordinates negate, and the top is what makes a b = 1."""
     v = field_a.vec
     b = np.concatenate([v.neg(a[: n - 1]), np.zeros((1, a.shape[1]), dtype=np.int64)])
     b[n - 1] = v.neg(gnq_mul_batch(field_a, n, q, a, b)[n - 1])
     return b
-
-
-def gnq_inv(field_a: Field, n: int, q: int, a):
-    add, mul = field_a.add, field_a.mul
-    neg = [field_a.neg(x) for x in a]
-    top = neg[n - 1]
-    for i in range(1, n):
-        ai, aj = a[i - 1], a[n - i - 1]
-        if ai and aj:
-            fr = field_a.frob_map(field_a.frob_exp(q, i))
-            top = add(top, mul(ai, fr[aj]))
-    neg[n - 1] = top
-    return tuple(neg)
 
 
 def nu_prime_m(n: int, m: int, a):

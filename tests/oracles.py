@@ -1,8 +1,9 @@
 """Scalar oracles of the batched library paths.
 
 Each function here is the one-at-a-time form of a batched path in dllab: a
-point of a grid, a single truncated series, or a group element with the
-group's scalar mul and inv in place of its index law.  The oracles walk the
+point of a grid, a single truncated series, or a group element with its
+family's tuple law (mul, inv) from this module in place of the group's index
+law.  The oracles walk the
 same grids in the same order, and the tests compare the two.  Nothing in the
 package imports this module.
 """
@@ -28,6 +29,7 @@ from dllab.errors import (
     OperandMismatchError,
     OutsideSubgroupError,
     PrecisionLossError,
+    RootOrderError,
     UnsupportedParametersError,
 )
 from dllab.ffield import Field, field, splitting_params
@@ -43,7 +45,7 @@ from dllab.matmodel import (
 )
 from dllab.repkit import SumChar
 from dllab.serieslab import SeriesBatch, mat_det_series, xtilde_matrix
-from dllab.twistring import TwistedRing, enumerate_unipotent, gnq_inv, gnq_mul, twisted_ring
+from dllab.twistring import TwistedRing, enumerate_unipotent, twisted_ring
 
 
 def cyclo_coeffs(n: int, counts) -> list:
@@ -70,13 +72,13 @@ def beta_factors(ring: TwistedRing, x):
     s(a_1, a_2) = 1 + a_1 tau + a_2 tau^2.  Both depend on x alone, so loops
     over h compute them once per x."""
     sx = (1, x[0], x[1], 0, 0)
-    return ring.frobenius(sx, 2), ring.inv(sx)
+    return ring_frobenius(ring, sx, 2), ring_inv(ring, sx)
 
 
 def beta_map(ring: TwistedRing, factors, h):
     """beta(x, h) = s(F_{q^2}(x)) h s(x)^{-1}, from factors = beta_factors(ring, x)."""
     left, right = factors
-    return ring.mul(ring.mul(left, h), right)
+    return ring_mul(ring, ring_mul(ring, left, h), right)
 
 
 def y3_preimage(ring: TwistedRing):
@@ -99,7 +101,7 @@ def exp_sum_walk(base: Field, dim: int, membership, poly, psi, s: int):
     counts = [0] * base.p
     for x in itertools.product(E.elements(), repeat=dim):
         if membership(E, x):
-            counts[psi.exp(E.trace(poly(E, x), base)) % base.p] += 1
+            counts[psi.table[E.trace(poly(E, x), base)] % base.p] += 1
     return cyclo_from_counts(base.p, counts)
 
 
@@ -193,8 +195,8 @@ def x3_twist_table(q: int, keys=None) -> dict:
                         x = (1, a1, a2, a3, a4)
                         if not x3_conditions(E, q, Fq, x):
                             continue
-                        y = ring.frobenius(x, 2)
-                        if star_closed(E, lam, 0, y) == ring.mul(x, g):
+                        y = ring_frobenius(ring, x, 2)
+                        if star_closed(E, lam, 0, y) == ring_mul(ring, x, g):
                             count += 1
         if count:
             table[(lam_i, g2_i, g3_i, d_i)] = count
@@ -213,8 +215,8 @@ def eigendim(chi1, chi2, table: dict, q: int) -> int:
     counts = [0] * R
     for (lam_i, g2_i, d_i), cnt in table.items():
         for mu in F2.elements():
-            e1 = chi1.exp((1, lam_i, mu))
-            e2 = chi2.exp((1, g2_i, F2.add(d_i, mu)))
+            e1 = char_exp(chi1, (1, lam_i, mu))
+            e2 = char_exp(chi2, (1, g2_i, F2.add(d_i, mu)))
             counts[(e2 - e1) % R] += cnt
     return assert_nonneg_integer(cyclo_from_counts(R, counts) / q**12)
 
@@ -273,7 +275,7 @@ def lang_norm_identity(n: int, q: int) -> tuple:
 
 def lang(ring: TwistedRing, g, s: int):
     """Oracle of TwistedRing.lang_batch: F_{q^s}(g) * g^(-1) for one element."""
-    return ring.mul(ring.frobenius(g, s), ring.inv(g))
+    return ring_mul(ring, ring_frobenius(ring, g, s), ring_inv(ring, g))
 
 
 def draw_window(F, rng, prec, vmin=0, vmax=2):
@@ -464,10 +466,10 @@ def twisted_count(n: int, q: int, h: int, gamma, right) -> int:
     for x in enumerate_unipotent(ring):
         if not in_Xh(ring, x):
             continue
-        y = ring.frobenius(x, n)
+        y = ring_frobenius(ring, x, n)
         if gamma is not None:
             y = star_action(ring, gamma, y)
-        if y == ring.mul(x, right):
+        if y == ring_mul(ring, x, right):
             count += 1
     return count
 
@@ -669,6 +671,182 @@ def round_trip_failures(F: Field, Fq: Field, q: int, rows) -> list:
 # -- group algorithms through the scalar mul and inv --------------------------------
 
 
+# -- tuple laws: one group element at a time ---------------------------------
+
+
+def ring_mul(ring: TwistedRing, a, b):
+    """Oracle of TwistedRing.mul_batch on one pair of tuples: sum_{i+j=k}
+    a_i b_j^(q^i), one coefficient product at a time."""
+    F = ring.coeff_field
+    frobs = ring._frob_maps
+    L = ring.length
+    out = [0] * L
+    for i, ai in enumerate(a):
+        if ai:
+            fr = frobs[i]
+            for j in range(L - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] = F.add(out[i + j], F.mul(ai, fr[bj]))
+    return tuple(out)
+
+
+def ring_inv(ring: TwistedRing, a):
+    """Oracle of TwistedRing.inv_batch on one unit, whose constant may be
+    any nonzero a_0: a = a_0 w with w = 1 + m unipotent, inverted by the
+    geometric series in -m."""
+    if a[0] == 0:
+        raise ZeroDivisionError("not a unit")
+    F = ring.coeff_field
+    L = ring.length
+    c = F.inv(a[0])
+    # scalars multiply coefficientwise from the left
+    w = [F.mul(c, x) for x in a]
+    neg_m = tuple([0] + [F.neg(x) for x in w[1:]])
+    inv_w = ring.one
+    term = ring.one
+    for _ in range(L - 1):
+        term = ring_mul(ring, term, neg_m)
+        if not any(term):
+            break
+        inv_w = tuple([F.add(u, v) for u, v in zip(inv_w, term)])
+    # a^(-1) = w^(-1) * a0^(-1); right multiplication by a constant twists
+    return ring_mul(ring, inv_w, (c,) + (0,) * (L - 1))
+
+
+def ring_frobenius(ring: TwistedRing, a, s: int):
+    """Oracle of TwistedRing.frobenius_batch: the coefficientwise q^s power
+    of one element."""
+    F = ring.coeff_field
+    fr = F.frob_map(F.frob_exp(ring.q, s))
+    return tuple([fr[x] for x in a])
+
+
+def scalar_conj(ring: TwistedRing, c: int, x):
+    """Oracle of TwistedRing.scalar_conj: coefficient j of x scaled by
+    c^(1-q^j), the factor recomputed for each coefficient."""
+    F = ring.coeff_field
+    out = [x[0]]
+    for j in range(1, ring.length):
+        fr = F.frob_map(F.frob_exp(ring.q, j))
+        out.append(F.mul(F.mul(c, F.inv(fr[c])), x[j]) if x[j] else 0)
+    return tuple(out)
+
+
+def gnq_mul(field_a: Field, n: int, q: int, a, b):
+    """Oracle of twistring.gnq_mul_batch on one pair of mirror elements."""
+    add, mul = field_a.add, field_a.mul
+    out = [add(x, y) for x, y in zip(a, b)]
+    top = out[n - 1]
+    for i in range(1, n):
+        ai, bj = a[i - 1], b[n - i - 1]
+        if ai and bj:
+            fr = field_a.frob_map(field_a.frob_exp(q, i))
+            top = add(top, mul(ai, fr[bj]))
+    out[n - 1] = top
+    return tuple(out)
+
+
+def gnq_inv(field_a: Field, n: int, q: int, a):
+    """Oracle of twistring.gnq_inv_batch on one mirror element."""
+    add, mul = field_a.add, field_a.mul
+    neg = [field_a.neg(x) for x in a]
+    top = neg[n - 1]
+    for i in range(1, n):
+        ai, aj = a[i - 1], a[n - i - 1]
+        if ai and aj:
+            fr = field_a.frob_map(field_a.frob_exp(q, i))
+            top = add(top, mul(ai, fr[aj]))
+    neg[n - 1] = top
+    return tuple(neg)
+
+
+@lru_cache(maxsize=None)
+def unipotent_law(ring: TwistedRing) -> tuple:
+    """Oracle of twistring.unipotent_index_law: the tuple law (mul, inv) of
+    the units of ring."""
+    return (lambda a, b: ring_mul(ring, a, b)), (lambda a: ring_inv(ring, a))
+
+
+@lru_cache(maxsize=None)
+def gnq_law(field_a: Field, n: int, q: int) -> tuple:
+    """Oracle of twistring.gnq_index_law: the tuple law (mul, inv) of
+    G^{n,q} over field_a."""
+    return (lambda a, b: gnq_mul(field_a, n, q, a, b)), (lambda a: gnq_inv(field_a, n, q, a))
+
+
+@lru_cache(maxsize=None)
+def divquot_law(ring: TwistedRing, nM: int) -> tuple:
+    """Oracle of the division quotient's index law: the tuple law (mul, inv)
+    on elements (e, u), with e the Pi-valuation mod nM and u a unit of ring,
+    where Pi u = u^q Pi."""
+    n = ring.n
+
+    def mul(x, y):
+        (a, u), (b, v) = x, y
+        return ((a + b) % nM, ring_mul(ring, ring_frobenius(ring, u, (-b) % n), v))
+
+    def inv(x):
+        a, u = x
+        return ((-a) % nM, ring_inv(ring, ring_frobenius(ring, u, a % n)))
+
+    return mul, inv
+
+
+def decompose(dq, u):
+    """Oracle of DivQuotData.decompose on one unit: (k, u1) with u =
+    zeta-bar^k u1, k found by walking the powers of F.gen and u1 = u_0^-1 u
+    one coefficient at a time."""
+    F = dq.F
+    k, t = 0, 1
+    while t != u[0]:
+        k, t = k + 1, F.mul(t, F.gen)
+    c = F.inv(u[0])
+    return k, tuple(F.mul(c, x) for x in u)
+
+
+def abelian_character_extensions(elements, law, base: dict, R: int) -> list:
+    """Oracle of repkit.abelian_character_extensions: all characters of the
+    abelian group on elements extending base, a dict element -> exponent on
+    a subgroup, as dicts, grown one element and one root choice at a time.
+    Elements are adjoined in the order given and root choices are taken in
+    increasing exponent order."""
+    mul = law[0]
+    chars = [dict(base)]
+    for g in elements:
+        if g in chars[0]:
+            continue
+        c, x = 1, g
+        powers = [g]
+        while x not in chars[0]:
+            x = mul(x, g)
+            powers.append(x)
+            c += 1
+        if R % c:
+            raise RootOrderError(f"root order {R} is not divisible by the element order {c}")
+        new_chars = []
+        for chi in chars:
+            e = chi[x] % R
+            for t in range(c):
+                num = e + t * R
+                if num % c:
+                    continue
+                f = (num // c) % R
+                ext = dict(chi)
+                for d, ed in chi.items():
+                    for i in range(1, c):
+                        ext[mul(d, powers[i - 1])] = (ed + i * f) % R
+                new_chars.append(ext)
+        chars = new_chars
+    return chars
+
+
+def char_exp(chi, g) -> int:
+    """An ExpChar's exponent at one element g, read through its group's
+    element index."""
+    return int(chi.table[chi.group.index[g]])
+
+
 def table_law(elements, mul, inv):
     """An index law for a small group, read off its full multiplication and
     inversion tables."""
@@ -679,11 +857,13 @@ def table_law(elements, mul, inv):
     return (lambda a, b: table[a, b]), (lambda a: inverse[a])
 
 
-def conj_classes(group):
+def conj_classes(group, law):
     """Oracle of GroupModel.conj_classes: the conjugation orbits of the
-    generators, grown breadth-first from each element not yet seen."""
+    generators, grown breadth-first from each element not yet seen through
+    the tuple law."""
+    mul, inv = law
     gens = group.generators
-    inv_gens = [group.inv(g) for g in gens]
+    inv_gens = [inv(g) for g in gens]
     seen = {}
     classes = []
     for g in group.elements:
@@ -695,7 +875,7 @@ def conj_classes(group):
         while queue:
             x = queue.pop()
             for s, si in zip(gens, inv_gens):
-                y = group.mul(group.mul(s, x), si)
+                y = mul(mul(s, x), si)
                 if y not in seen:
                     seen[y] = len(classes)
                     orbit.append(y)
@@ -704,8 +884,9 @@ def conj_classes(group):
     return classes
 
 
-def coset_transversal(group, subgroup_set):
-    """Oracle of repkit.coset_transversal."""
+def coset_transversal(group, law, subgroup_set):
+    """Oracle of repkit.coset_transversal, through the tuple law."""
+    mul = law[0]
     seen = set()
     reps = []
     for g in group.elements:
@@ -713,48 +894,50 @@ def coset_transversal(group, subgroup_set):
             continue
         reps.append(g)
         for h in subgroup_set:
-            seen.add(group.mul(g, h))
+            seen.add(mul(g, h))
     return reps
 
 
-def induce_char(group, subgroup_set, chi_exp, R: int) -> SumChar:
+def induce_char(group, law, subgroup_set, chi_exp, R: int) -> SumChar:
     """Oracle of repkit.induce_char: row g counts chi_exp(t^-1 g t) over the
-    transversal, one conjugate at a time."""
-    transversal = coset_transversal(group, subgroup_set)
-    inv_t = [group.inv(t) for t in transversal]
+    transversal, one conjugate at a time through the tuple law."""
+    mul, inv = law
+    transversal = coset_transversal(group, law, subgroup_set)
+    inv_t = [inv(t) for t in transversal]
     counts = np.zeros((len(group.elements), R), dtype=np.int64)
     for i, g in enumerate(group.elements):
         for t, ti in zip(transversal, inv_t):
-            h = group.mul(ti, group.mul(g, t))
+            h = mul(ti, mul(g, t))
             if h in subgroup_set:
                 counts[i, chi_exp(h) % R] += 1
     return SumChar(group, counts, R)
 
 
 @lru_cache(maxsize=None)
-def _support_lookup(group, subgroup_set: frozenset) -> tuple:
+def _support_lookup(group, law, subgroup_set: frozenset) -> tuple:
     """(transversal, support) with support(g) = (perm, hs) such that
-    g t_j = t_perm[j] hs[j], by coset lookup through the scalar law."""
-    transversal = coset_transversal(group, subgroup_set)
-    inv_t = [group.inv(t) for t in transversal]
-    coset_of = {group.mul(t, h): i for i, t in enumerate(transversal) for h in subgroup_set}
+    g t_j = t_perm[j] hs[j], by coset lookup through the tuple law."""
+    mul, inv = law
+    transversal = coset_transversal(group, law, subgroup_set)
+    inv_t = [inv(t) for t in transversal]
+    coset_of = {mul(t, h): i for i, t in enumerate(transversal) for h in subgroup_set}
 
     def support(g):
         perm, hs = [], []
         for t in transversal:
-            w = group.mul(g, t)
+            w = mul(g, t)
             i = coset_of[w]
             perm.append(i)
-            hs.append(group.mul(inv_t[i], w))
+            hs.append(mul(inv_t[i], w))
         return tuple(perm), tuple(hs)
 
     return transversal, support
 
 
-def monomial_supports(group, subgroup_set) -> tuple:
+def monomial_supports(group, law, subgroup_set) -> tuple:
     """Oracle of MonomialRep's transversal and supports: (transversal,
     {g: (perm, hs)}) with g t_j = t_perm[j] hs[j], by coset lookup."""
-    transversal, support = _support_lookup(group, frozenset(subgroup_set))
+    transversal, support = _support_lookup(group, law, frozenset(subgroup_set))
     return transversal, {g: support(g) for g in group.elements}
 
 
@@ -768,16 +951,16 @@ def exp_table(group, subgroup_set, chi_exp):
     return chi
 
 
-def monomial_matrices(rep, chi_exp=None):
+def monomial_matrices(rep, law, chi_exp=None):
     """Oracle of MonomialRep.matrices, one element at a time: a function
     g -> (perm, exps) of tuples, with g t_j = t_perm[j] h_j by coset lookup
-    and exps[j] = chi_exp(h_j) mod R.  chi_exp defaults to reading rep's
-    table at one element."""
+    through the tuple law of rep's group and exps[j] = chi_exp(h_j) mod R.
+    chi_exp defaults to reading rep's table at one element."""
     if chi_exp is None:
         def chi_exp(h):
             return int(rep.chi[rep.group.index[h]])
 
-    _, support = _support_lookup(rep.group, rep.H)
+    _, support = _support_lookup(rep.group, law, rep.H)
 
     @lru_cache(maxsize=None)
     def matrix(g):
@@ -1030,7 +1213,7 @@ def level3_sharp_exp(chi):
     principal unit of the quadratic field, one element at a time."""
 
     def exp(g):
-        return chi.exp((1, g[2], g[4]))
+        return char_exp(chi, (1, g[2], g[4]))
 
     return exp
 
@@ -1043,9 +1226,10 @@ def eta_prime_trace_exps(rt, x):
     dq, theta = rt.dq, rt.theta
     if e % dq.n:
         raise OutsideSubgroupError(f"valuation {e} is not a multiple of n = {dq.n}")
-    k, u1 = dq.decompose(u)
+    k, u1 = decompose(dq, u)
     shift = ((e // dq.n) * theta.pi_value_exp() + k * theta.zeta_value_exp()) % theta.R
-    exps = trace_exps(rt.ext, k, u1, monomial_matrices(rt.ext.rep))
+    # rho's group is the unipotent group of dq's ring
+    exps = trace_exps(rt.ext, k, u1, monomial_matrices(rt.ext.rep, unipotent_law(dq.ring)))
     return [(x_ + shift) % theta.R for x_ in exps]
 
 
@@ -1060,7 +1244,7 @@ def eta_trace_exps(rt, x):
         return []
     out = []
     for j in range(dq.n):
-        out.extend(eta_prime_trace_exps(rt, (e, dq.ring.frobenius(u, (dq.n - j) % dq.n))))
+        out.extend(eta_prime_trace_exps(rt, (e, ring_frobenius(dq.ring, u, (dq.n - j) % dq.n))))
     return out
 
 
@@ -1105,7 +1289,7 @@ def conductor_power(psi) -> int:
 
 def extension_orbit_rows(q: int) -> list:
     """Oracle of extension_orbit_report's rows: each conjugate x v x^-1
-    through the ring's scalar mul and inv, and each character value through
+    through ring_mul and ring_inv, and each character value through
     addchar_exp."""
     p, e = splitting_params(q)
     F = field(p, 2 * e)
@@ -1123,10 +1307,10 @@ def extension_orbit_rows(q: int) -> list:
         orbit = set()
         for beta in F.elements():
             x = (1, beta, 0, 0, 0)
-            xi = ring.inv(x)
+            xi = ring_inv(ring, x)
             row = []
             for v in V:
-                w = ring.mul(ring.mul(x, v), xi)
+                w = ring_mul(ring, ring_mul(ring, x, v), xi)
                 if w[1] != 0 or w[2] != 0 or w[3] != v[3]:
                     raise OutsideSubgroupError(f"{x} conjugates {v} to {w}, outside the subgroup")
                 row.append(base[vidx[(1, 0, 0, w[3], w[4])]])

@@ -506,10 +506,14 @@ def test_a_larger_max_size_admits_a_trace_run_beyond_the_default(capsys):
          "b25630648b9d43ef1149cebfc341f2fd9cc373ab77570bacf5f6615a1d6915bf"),
         (["verify", "--suite", "maximality"],
          "cd5011c91df1b0bcb11f9a0b2988ec420da21d15baf5c8bd1780b9cda0c3dc0f"),
+        (["verify", "--suite", "eigenspaces"],
+         "d91b27bae3a34b466f5895c2ecd4b6f01a6137152b30766baea90bf571f9e0d9"),
+        (["verify", "--suite", "main-example"],
+         "042c3b886b3ea907abbb4a4ce89811d280d9e731ad45a62cfc4c7f56dc2ad4ae"),
     ],
     ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "eta-level2-n2q3",
          "char-table-n3q2", "intertwiner-q2", "trace", "eigenspaces-q2", "y-set-n2q2h3s2",
-         "matrix-y", "intertwiner", "eta-level2", "maximality"],
+         "matrix-y", "intertwiner", "eta-level2", "maximality", "eigenspaces", "main-example"],
 )
 def test_groups_reports_match_golden_digest(argv, digest, capsys):
     # the digests of the seed implementation's reports

@@ -15,7 +15,6 @@ from dllab.constructions import (
     _build_eta_level3,
     _class_traces,
     _level3_pattern_subgroup,
-    _unit_exps,
     build_rho_psi,
     divquot,
     eta_family_report,
@@ -56,27 +55,24 @@ def test_unipotent_group_orders():
         U, ring = unipotent_group(n, q, h)
         assert len(U.elements) == q ** (n * n * (h - 1))
         # generators really generate: conj_classes needs them, so a BFS over
-        # the generator set must reach everything
-        seen = {U.one}
-        frontier = [U.one]
-        while frontier:
-            g = frontier.pop()
-            for s in U.generators:
-                x = U.mul(g, s)
-                if x not in seen:
-                    seen.add(x)
-                    frontier.append(x)
-        assert len(seen) == len(U.elements)
+        # the generator set from the identity, element 0, must reach everything
+        gens = U.indices(U.generators)
+        seen = np.zeros(len(U), dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while len(frontier):
+            x = U.mul(np.repeat(frontier, len(gens)), np.tile(gens, len(frontier)))
+            frontier = np.unique(x[~seen[x]])
+            seen[frontier] = True
+        assert seen.all()
 
 
 def test_gnq_group_axioms_sample():
     G, F = gnq_group(3, 2)
     assert len(G.elements) == F.order ** 3
-    rng = random.Random(11)
-    for _ in range(200):
-        a, b, c = (rng.choice(G.elements) for _ in range(3))
-        assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
-        assert G.mul(a, G.inv(a)) == G.one
+    a, b, c = np.random.default_rng(11).integers(0, len(G), size=(3, 200))
+    assert np.array_equal(G.mul(G.mul(a, b), c), G.mul(a, G.mul(b, c)))
+    assert not G.mul(a, G.inv(a)).any()
 
 
 def test_unsupported_parameters_rejected():
@@ -175,30 +171,42 @@ def test_divquot_order_and_axioms():
     # nM (q^n - 1) q^(n^2 (h - 1)): valuation grading times the unit count
     assert len(dq.group.elements) == 2 * 1 * 3 * 2 ** (4 * 2) == 1536
     G = dq.group
-    rng = random.Random(7)
-    for _ in range(300):
-        a, b, c = (rng.choice(G.elements) for _ in range(3))
-        assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
-        assert G.mul(a, G.inv(a)) == G.one
-        assert G.mul(G.inv(a), a) == G.one
+    a, b, c = np.random.default_rng(7).integers(0, len(G), size=(3, 300))
+    assert np.array_equal(G.mul(G.mul(a, b), c), G.mul(a, G.mul(b, c)))
+    assert not G.mul(a, G.inv(a)).any()
+    assert not G.mul(G.inv(a), a).any()
+
+
+DECOMPOSE_PARAMS = [(2, 2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2)]
 
 
 def test_divquot_decompose_roundtrip():
-    for n, q, h in [(2, 2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2)]:
+    for n, q, h in DECOMPOSE_PARAMS:
         dq = divquot(n, q, h)
         F, ring = dq.F, dq.ring
-        for u in dq.units:
-            k, u1 = dq.decompose(u)
-            assert u1[0] == 1
-            zbar_k = (F.pow(F.gen, k),) + (0,) * (ring.length - 1)
-            assert ring.mul(zbar_k, u1) == u
+        units = np.array(dq.units).T
+        k, u1 = dq.decompose(units)
+        assert (u1[0] == 1).all()
+        zbar_k = np.zeros_like(units)
+        zbar_k[0] = [F.pow(F.gen, x) for x in k.tolist()]
+        assert np.array_equal(ring.mul_batch(zbar_k, u1), units)
+
+
+@pytest.mark.parametrize("n,q,h", DECOMPOSE_PARAMS)
+def test_divquot_decompose_matches_the_tuple_walk(n, q, h):
+    # the batch on every unit against the walk over the powers of the
+    # generator, one unit at a time
+    dq = divquot(n, q, h)
+    k, u1 = dq.decompose(np.array(dq.units).T)
+    got = list(zip(k.tolist(), map(tuple, u1.T.tolist())))
+    assert got == [oracles.decompose(dq, u) for u in dq.units]
 
 
 def test_divquot_pi_is_central_torsion():
-    # with M = 1 the central uniformizer is the identity coset
+    # with M = 1 the central uniformizer is the identity coset, element 0
     dq = divquot(2, 2, 2, M=1)
     pi = (2 % dq.nM, dq.ring.one)
-    assert pi == dq.group.one
+    assert dq.group.index[pi] == 0
 
 
 def _values(counts, R):
@@ -217,6 +225,7 @@ def test_monomial_extension_matches_dense():
     sharp = oracles.level3_sharp_exp(theta.chi)
     rep = MonomialRep(U3, H2, oracles.exp_table(U3, U3.elements, sharp), theta.R)
     ring, F = dq.ring, dq.F
+    law = oracles.unipotent_law(ring)
     conj = lambda x: ring.scalar_conj(F.gen, x)
     target = CycloNum.rational(theta.R, 1)
     ext_m, _ = extend_irrep(
@@ -227,11 +236,11 @@ def test_monomial_extension_matches_dense():
         rep, entries, conj, ring.one, q**2 - 1, rep.group.generators, target
     )
     rng = random.Random(3)
-    us = [U3.one] + [rng.choice(U3.elements) for _ in range(12)]
+    us = [U3.elements[0]] + [rng.choice(U3.elements) for _ in range(12)]
     grid = [(k, u) for k in range(q**2 - 1) for u in us]
     k = np.array([k for k, _ in grid], dtype=np.int64)
     u = U3.indices([u for _, u in grid])
-    matrix = oracles.monomial_matrices(rep, sharp)
+    matrix = oracles.monomial_matrices(rep, law, sharp)
     want = [monomial_extension_value(ext_m, k, u, matrix) for k, u in grid]
     assert _values(ext_d.trace_counts(k, u), theta.R) == want
     assert _values(ext_m.trace_counts(k, u), theta.R) == want
@@ -267,7 +276,7 @@ def test_build_eta_theta_degrees():
     rt = _build_eta_level2(theta2, divquot(2, 2, 2, 1))
     assert rt.degree == 2 * rt.ext.rep.dim or rt.ext.rep.dim == 1
     theta3 = theta_family(2, 2, 3, 1, conductor_m=2)[0]
-    rt3 = _build_eta_level3(theta3, main_example_context(2), _unit_exps(theta3))
+    rt3 = _build_eta_level3(theta3, main_example_context(2))
     assert rt3.hom_degree == 2
     assert rt3.degree == 2 * 2**2
 
@@ -309,8 +318,8 @@ def test_main_example_report_q2(monkeypatch):
 
     built = []
 
-    def counted(theta, ctx, chi):
-        built.append(_build_eta_level3(theta, ctx, chi))
+    def counted(theta, ctx):
+        built.append(_build_eta_level3(theta, ctx))
         return built[-1]
 
     monkeypatch.setattr(constructions, "_build_eta_level3", counted)
@@ -331,7 +340,7 @@ def test_main_example_q3_rows_match_the_oracle():
     ctx = main_example_context(3, 1)
     thetas = theta_family(2, 3, 3, 1, conductor_m=2)
     for theta in thetas[:: len(thetas) // 3][:3]:
-        rt = _build_eta_level3(theta, ctx, _unit_exps(theta))
+        rt = _build_eta_level3(theta, ctx)
         counts = _class_traces(rt, ctx)
         assert np.array_equal(counts, _oracle_counts(rt, ctx))
         row = verify_main_example(theta, ctx, check_inner=True)
@@ -340,31 +349,33 @@ def test_main_example_q3_rows_match_the_oracle():
 
 def test_main_example_context_matches_the_scalar_walks():
     # the index tables of the context against element-by-element walks with
-    # the scalar law
+    # the tuple law
     ctx = main_example_context(2)
     dq, G = ctx.dq, ctx.dq.group
-    Q = dq.F.order
+    ring, Q = dq.ring, dq.F.order
+    law = oracles.divquot_law(ring, dq.nM)
+    mul, inv = law
 
     def dec(x):
         e, u = x
-        k, h = dq.decompose(u)
+        k, h = oracles.decompose(dq, u)
         return [e // 2, k, h[2] * Q + h[4]]
 
     S1 = [x for x in G.elements if x[0] % 2 == 0 and x[1][1] == 0]
     pos = {x: i for i, x in enumerate(S1)}
     assert ctx.dec.T.tolist() == [dec(x) for x in S1]
-    ts = [(t, G.inv(t)) for t in oracles.coset_transversal(G, set(S1))]
+    ts = [(t, inv(t)) for t in oracles.coset_transversal(G, law, set(S1))]
     rhs = []
     for ci, g in enumerate(ctx.class_reps):
         for t, ti in ts:
-            x = G.mul(ti, G.mul(g, t))
+            x = mul(ti, mul(g, t))
             if x in pos:
                 rhs.append([ci, pos[x]])
     assert ctx.rhs.T.tolist() == rhs
     mackey = []
     for grp, (t, ti) in enumerate((t, ti) for t, ti in ts if t not in pos):
         for s in S1:
-            x = G.mul(t, G.mul(s, ti))
+            x = mul(t, mul(s, ti))
             if x in pos:
                 mackey.append([grp, pos[s], pos[x]])
     assert ctx.mackey.T.tolist() == mackey
@@ -373,12 +384,21 @@ def test_main_example_context_matches_the_scalar_walks():
     for ci, (e, u) in enumerate(ctx.class_reps):
         if e % 2 == 0:
             for j in range(2):
-                k, u1 = dq.decompose(dq.ring.frobenius(u, (2 - j) % 2))
+                k, u1 = oracles.decompose(dq, oracles.ring_frobenius(ring, u, (2 - j) % 2))
                 lhs.append([ci, e // 2, k, ctx.U3.index[u1]])
     assert ctx.lhs.T.tolist() == lhs
+    zero_rows = []
+    zbar = (dq.F.gen,) + (0,) * (ring.length - 1)
+    ring_mul = oracles.ring_mul
+    for t in ctx.template.transversal:
+        conj = ring_mul(ring, oracles.ring_inv(ring, t), ring_mul(ring, zbar, t))
+        k, h = oracles.decompose(dq, conj)
+        if h[1] == 0:
+            zero_rows.append([k, h[2] * Q + h[4]])
+    assert ctx.zero_rows.T.tolist() == zero_rows
     assert ctx.sharp.tolist() == [g[2] * Q + g[4] for g in ctx.U3.elements]
     # the template's supports, which every theta's rep shares
-    transversal, supports = oracles.monomial_supports(ctx.U3, ctx.H2)
+    transversal, supports = oracles.monomial_supports(ctx.U3, oracles.unipotent_law(ring), ctx.H2)
     perm, h = ctx.template._supports
     assert ctx.template.transversal == transversal
     for i, g in enumerate(ctx.U3.elements):
@@ -436,7 +456,9 @@ def test_monomial_delta_sums_match_dense():
     index = rep.group.index
     pairs = []
     for u in dq.units:
-        (k1, u1), (k2, u2) = dq.decompose(u), dq.decompose(ring.frobenius(u, 1))
+        (k1, u1), (k2, u2) = oracles.decompose(dq, u), oracles.decompose(
+            dq, oracles.ring_frobenius(ring, u, 1)
+        )
         pairs.append([k1, index[u1], k2, index[u2]])
     pairs = np.array(pairs, dtype=np.int64).T
 
@@ -471,8 +493,8 @@ def _recorded_eta_family(monkeypatch, n, q):
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 2)])
 def test_monomial_delta_sums_match_the_scalar_walk(monkeypatch, n, q):
     # every monomial psi key of eta_family_report: its Mackey pair arrays
-    # against dq.decompose one unit at a time, and its delta sums against the
-    # trace_exps walk over tuple matrices
+    # against the tuple decompose one unit at a time, and its delta sums
+    # against the trace_exps walk over tuple matrices
     _, calls = _recorded_eta_family(monkeypatch, n, q)
     calls = [call for call in calls if isinstance(call[0], MonomialExtension)]
     dq = divquot(n, q, 2, 1)
@@ -483,11 +505,13 @@ def test_monomial_delta_sums_match_the_scalar_walk(monkeypatch, n, q):
         j = c % (n - 1) + 1
         want = []
         for u in dq.units:
-            (k1, u1), (k2, u2) = dq.decompose(u), dq.decompose(dq.ring.frobenius(u, (n - j) % n))
+            frob = oracles.ring_frobenius(dq.ring, u, (n - j) % n)
+            (k1, u1), (k2, u2) = oracles.decompose(dq, u), oracles.decompose(dq, frob)
             want.append([k1, U.index[u1], k2, U.index[u2]])
         assert pairs.T.tolist() == want
         deltas, counts = sums
-        want = oracles.monomial_delta_sums(ext, pairs, oracles.monomial_matrices(ext.rep))
+        matrix = oracles.monomial_matrices(ext.rep, oracles.unipotent_law(dq.ring))
+        want = oracles.monomial_delta_sums(ext, pairs, matrix)
         assert list(zip(deltas.tolist(), _values(counts, ext.R))) == want
 
 
@@ -529,12 +553,12 @@ def test_level3_intertwiners_match_the_scalar_solve(q):
     ring, F = ctx.dq.ring, ctx.dq.F
     conj = lambda x: ring.scalar_conj(F.gen, x)
     for theta in thetas:
-        rep = _build_eta_level3(theta, ctx, _unit_exps(theta)).ext.rep
+        rep = _build_eta_level3(theta, ctx).ext.rep
         sharp = oracles.level3_sharp_exp(theta.chi)
         assert rep.chi.tolist() == [sharp(g) for g in ctx.U3.elements]
         gens = ctx.U3.generators
         fast = solve_intertwiner(rep, conj, gens, rep.R)
-        matrix = oracles.monomial_matrices(rep, sharp)
+        matrix = oracles.monomial_matrices(rep, oracles.unipotent_law(ring), sharp)
         slow = oracles.solve_intertwiner(matrix, conj, gens, rep.dim, rep.R)
         assert fast == slow
 
@@ -560,16 +584,17 @@ from dllab.repkit import (CyclicExtension, ExpChar, GroupModel, MonomialRep,
 import dllab.constructions as C
 from oracles import exp_table, table_law
 
-C4 = GroupModel(range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, 0, [1])
+# element i of C4 is i, so its index law is its tuple law
+C4 = GroupModel(range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, [1])
 # D4 as r^a s^b; its 2-dimensional irrep, with conjugation by s as the twist
 D4_mul = lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 2)
 D4_inv = lambda x: ((-x[0] if x[1] == 0 else x[0]) % 4, x[1])
 D4_els = [(a, b) for a in range(4) for b in range(2)]
-D4 = GroupModel(D4_els, D4_mul, D4_inv, (0, 0), law=table_law(D4_els, D4_mul, D4_inv))
+D4 = GroupModel(D4_els, *table_law(D4_els, D4_mul, D4_inv), [(1, 0), (0, 1)])
 rotations = {(a, 0) for a in range(4)}
 rho = MonomialRep(D4, rotations, exp_table(D4, rotations, lambda h: h[0]), 4)
 s = (0, 1)
-conj = lambda x: D4.mul(D4.mul(s, x), D4.inv(s))
+conj = lambda x: D4_mul(D4_mul(s, x), D4_inv(s))
 # T = 1: it does not intertwine conjugation by s; with the identity conj it
 # does, but T^2 = 1 is not rho(s) (a swap) nor a multiple of rho(r) = diag(i, -i)
 one_T = (np.arange(2), np.zeros(2, dtype=np.int64))
@@ -602,7 +627,7 @@ ring_of = C.twisted_ring
 thunks = [
     lambda: C.build_rho_psi(2, 2, AddChar(field(2, 4), 2, 1)),
     lambda: C.build_rho_psi(2, 2, AddChar(field(2, 2), 2, 1), R=3),
-    lambda: abelian_character_extensions(C4, {0: 0}, 2),
+    lambda: abelian_character_extensions(C4, range(4), ([0], [0]), 2),
     lambda: extend_irrep(rho, conj, (0, 0), 3, [(1, 0), s], CycloNum.rational(4, 0)),
     lambda: extend_irrep(rho, conj, (0, 0), 2, [(1, 0), s], CycloNum.rational(4, 0)),
     lambda: _monomial_extension(rho, *one_T, conj, (0, 0), 2, [(1, 0), s], CycloNum.rational(4, 0)),
@@ -618,8 +643,8 @@ thunks = [
                              CycloNum.rational(4, "1/2")),
     lambda: CyclicExtension(rho, half_A, 2, 2, 4).trace_counts(np.ones(1, dtype=np.int64),
                                                               np.zeros(1, dtype=np.int64)),
-    lambda: inner_product(ExpChar(C4, {g: 0 for g in range(4)}, 4),
-                          ExpChar(C4, {g: 0 for g in range(4)}, 2)),
+    lambda: inner_product(ExpChar(C4, np.zeros(4, dtype=np.int64), 4),
+                          ExpChar(C4, np.zeros(4, dtype=np.int64), 2)),
     lambda: C.verify_main_example(theta_family(2, 2, 2, 1)[0], C.main_example_context(2), False),
     lambda: (stub("assert_nonneg_integer", lambda val: 2), C.eta_family_report(2, 2)),
     lambda: (stub("twisted_ring", lambda *a: BadRing(ring_of(*a))),
@@ -631,7 +656,8 @@ thunks = [
     lambda: AddChar(F4, 2, 1).conductor_power(),
     lambda: AddChar(field(2, 1), 4, 1).conductor_power(),
     lambda: layer_as_additive_char(None, None, field(2, 2), 3, 2, 3),
-    lambda: layer_as_additive_char(None, NS(exp=lambda z: 1), field(2, 1), 2, 2, 2),
+    lambda: layer_as_additive_char(None, NS(table=np.ones(2, dtype=np.int64)), field(2, 1), 2, 2,
+                                   2),
     lambda: _polydiv_exact([1, 0, 1], [1, 2]),
     lambda: _polydiv_exact([1, 0, 1], [1, 1]),
     lambda: CycloNum(4, (1, 2, 3)),
