@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedParametersError,
 )
 from .ffield import Field, field, splitting_params
-from .twistring import enumerate_unipotent, twisted_ring, unipotent_index_law
+from .twistring import twisted_ring, unipotent_index_law
 
 if TYPE_CHECKING:
     from .repkit import ExpChar, GroupModel
@@ -78,15 +78,16 @@ class AddChar:
 
 
 def principal_units(L: Field, h: int) -> GroupModel:
-    """(1 + pi O_L / pi^h)^x as tuples (1, b_1, ..., b_{h-1}): the unipotent
-    group of L[pi]/(pi^h), which is the n = 1 twisted ring over L whose twist
-    by q = |L| acts trivially."""
+    """(1 + pi O_L / pi^h)^x on the indices of the units (1, b_1, ...,
+    b_{h-1}) in product order: the unipotent group of L[pi]/(pi^h), which is
+    the n = 1 twisted ring over L whose twist by q = |L| acts trivially.  It
+    is generated by the units with one nonzero b_j, in index order."""
     from .repkit import GroupModel
 
     ring = twisted_ring(1, L.order, h, L)
-    els = list(enumerate_unipotent(ring))
-    gens = [g for g in els if sum(1 for c in g[1:] if c) == 1]
-    return GroupModel(els, *unipotent_index_law(ring), generators=gens)
+    Q = L.order
+    gens = (np.arange(1, Q, dtype=np.int64) * Q ** np.arange(h - 1, dtype=np.int64)[:, None]).ravel()
+    return GroupModel(Q ** (h - 1), *unipotent_index_law(ring), gens)
 
 
 def unit_characters(G: GroupModel, R: int):

@@ -90,8 +90,8 @@ def _norm_homomorphism(n: int, q: int) -> tuple:
         if len(bad):
             i = bad[0]
             witness["first_failure"] = {
-                "x": list(G.elements[x[i]]),
-                "y": list(G.elements[y[i]]),
+                "x": G.decode(x[i : i + 1])[:, 0].tolist(),
+                "y": G.decode(y[i : i + 1])[:, 0].tolist(),
                 "nm(xy)": int(lhs[i]),
                 "nm(x) + nm(y)": int(rhs[i]),
             }
@@ -676,13 +676,13 @@ def dump_char_table(args):
     p, e = splitting_params(q)
     F = field(p, e * n)
     U, _ = unipotent_group(n, q)
-    reps = [cls[0] for cls in U.conj_classes()]
+    reps = np.array([cls[0] for cls in U.conj_classes()])
 
     def write(out):
         w = csv.writer(out)
         w.writerow(
             ["psi", "conductor_exp", "degree"]
-            + ["class_" + "_".join(map(str, g[1:])) for g in reps]
+            + ["class_" + "_".join(map(str, g[1:])) for g in U.decode(reps).T.tolist()]
         )
         for a in range(F.order):
             psi = AddChar(F, q, a)

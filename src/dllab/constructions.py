@@ -20,7 +20,6 @@ theta.
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -71,7 +70,6 @@ from .repkit import (
 )
 from .twistring import (
     TwistedRing,
-    enumerate_unipotent,
     gnq_index_law,
     gnq_inv_batch,
     gnq_mul_batch,
@@ -95,17 +93,20 @@ def _require_small(n: int, h: int):
 # -- explicit group models -----------------------------------------------------
 
 
-def _basis_powers(F: Field):
-    """Additive basis gen^0, ..., gen^(k-1) of F over its prime field."""
-    out = [1]
-    for _ in range(F.k - 1):
-        out.append(F.mul(out[-1], F.gen))
-    return out
+def _coordinate_generators(F: Field, width: int) -> np.ndarray:
+    """The indices, in the product-order grid of width coordinates over F,
+    of the points with one coordinate a basis power gen^0, ..., gen^(k-1) of
+    F over its prime field and the others zero: coordinate by coordinate,
+    the slowest first, then power by power."""
+    basis = np.array([F.pow(F.gen, k) for k in range(F.k)], dtype=np.int64)
+    return (F.order ** np.arange(width - 1, -1, -1, dtype=np.int64)[:, None] * basis).ravel()
 
 
 def unipotent_group(n: int, q: int, h: int = 2):
     """Principal units of the twisted truncated ring over F_{q^n}, as an
-    explicit GroupModel.  Returns (group, ring), one pair per (n, q, h)."""
+    explicit GroupModel: element i is 1 + (the base-Q digits of i) . (tau,
+    ..., tau^(L-1)), generated by the 1 + b tau^j for the basis powers b.
+    Returns (group, ring), one pair per (n, q, h)."""
     return _unipotent_group(n, q, h)
 
 
@@ -115,32 +116,21 @@ def _unipotent_group(n: int, q: int, h: int):
     p, e = splitting_params(q)
     F = field(p, e * n)
     ring = twisted_ring(n, q, h, F)
-    els = list(enumerate_unipotent(ring))
-    gens = []
-    for j in range(1, ring.length):
-        for b in _basis_powers(F):
-            g = [1] + [0] * (ring.length - 1)
-            g[j] = b
-            gens.append(tuple(g))
-    group = GroupModel(els, *unipotent_index_law(ring), generators=gens)
+    gens = _coordinate_generators(F, ring.length - 1)
+    group = GroupModel(F.order ** (ring.length - 1), *unipotent_index_law(ring), gens)
     return group, ring
 
 
 @lru_cache(maxsize=None)
 def gnq_group(n: int, q: int):
     """The mirror unipotent family on coordinates (a_1, ..., a_n) over
-    F_{q^n}: e_i e_j = e_n iff i + j = n, e_j a = a^(q^j) e_j."""
+    F_{q^n}: e_i e_j = e_n iff i + j = n, e_j a = a^(q^j) e_j.  Element i is
+    the base-Q digits of i, generated by the points with one coordinate a
+    basis power."""
     _require_small(n, 2)
     p, e = splitting_params(q)
     F = field(p, e * n)
-    els = [tuple(t) for t in itertools.product(range(F.order), repeat=n)]
-    gens = []
-    for j in range(n):
-        for b in _basis_powers(F):
-            g = [0] * n
-            g[j] = b
-            gens.append(tuple(g))
-    group = GroupModel(els, *gnq_index_law(F, n, q), generators=gens)
+    group = GroupModel(F.order**n, *gnq_index_law(F, n, q), _coordinate_generators(F, n))
     return group, F
 
 
@@ -161,8 +151,8 @@ class RhoData:
     group: GroupModel
     rep: MonomialRep
     char: SumChar
-    pattern_subgroup: frozenset
-    pattern_exp: dict  # the transferred character on the pattern subgroup
+    H: np.ndarray  # the pattern subgroup's element indices, increasing
+    pattern_exp: np.ndarray  # the transferred character's exponents on H
     R: int
     degree: int
     hom_degree: int
@@ -214,8 +204,8 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
         group=pat.group,
         rep=rep,
         char=char,
-        pattern_subgroup=pat.Hset,
-        pattern_exp=dict(zip([pat.group.elements[i] for i in pat.H.tolist()], exps.tolist())),
+        H=pat.H,
+        pattern_exp=exps,
         R=R,
         degree=rep.dim,
         hom_degree=n + n1 - 2,
@@ -225,20 +215,19 @@ def build_rho_psi(n: int, q: int, psi: AddChar, R: int = None, mirror: bool = Fa
 
 class _PatternData(NamedTuple):
     """The psi-independent part of build_rho_psi at one conductor exponent:
-    the pattern subgroup H (element indices in increasing order, and the
-    elements as a set), the reduced norms of its kept coordinates (indices
-    in F_{q^n}), the branch, the indices of the inducing subgroup (H, or on
-    the halved branch the enlarged subgroup), a template MonomialRep of the
-    inducing subgroup whose copies take chi, and a transversal of H."""
+    the element indices of the pattern subgroup H (increasing), the reduced
+    norms of its kept coordinates (indices in F_{q^n}), the branch, the
+    indices of the inducing subgroup (H, or on the halved branch the
+    enlarged subgroup), a template MonomialRep of the inducing subgroup
+    whose copies take chi, and the indices of a transversal of H."""
 
     group: GroupModel
     H: np.ndarray
-    Hset: frozenset
     norms: np.ndarray
     branch: int
     inducing: np.ndarray
     template: MonomialRep
-    transversal: list
+    transversal: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -265,11 +254,10 @@ def _pattern_data(n: int, q: int, m: int, mirror: bool) -> _PatternData:
         def norms(kept):
             return n2_norm_batch(ring1, kept)
 
-    coords = np.array(group.elements, dtype=np.int64)[:, 1 + shift : n + 1 + shift].T
+    coords = group.decode(np.arange(len(group), dtype=np.int64))[1 + shift : n + 1 + shift]
     pattern = set(h_m_pattern(n, 2, m))
     zero = [j - 1 for j in range(1, n + 1) if j not in pattern]
     H = np.flatnonzero(~coords[zero].any(axis=0))
-    Hset = frozenset(group.elements[i] for i in H.tolist())
     nvals = chunked(norms, np.stack(nu_prime_m(n, m, coords[:, H])))
     branch = 1 if (m % 2 == 1 or n1 % 2 == 0) else 2
     inducing = H
@@ -284,9 +272,9 @@ def _pattern_data(n: int, q: int, m: int, mirror: bool) -> _PatternData:
         allowed = np.zeros(F.order, dtype=bool)
         allowed[F.embed_table(field(p, e))] = True
         inducing = np.flatnonzero(allowed[coords[0]])
-    template = MonomialRep(group, [group.elements[i] for i in inducing.tolist()], None, 1)
-    T = coset_transversal(group, Hset) if branch == 2 else template.transversal
-    return _PatternData(group, H, Hset, nvals, branch, inducing, template, T)
+    template = MonomialRep(group, inducing, None, 1)
+    T = coset_transversal(group, H)[0] if branch == 2 else template.transversal
+    return _PatternData(group, H, nvals, branch, inducing, template, T)
 
 
 def _check_rho(data: RhoData, mirror: bool):
@@ -299,17 +287,20 @@ def _check_rho(data: RhoData, mirror: bool):
     ip = assert_nonneg_integer(inner_product(data.char, data.char))
     if ip != 1:
         raise CharacterMismatchError(f"squared norm {ip} != 1")
-    # the value at each central element z must be degree times psi(v)
-    z = [(0,) * (n - 1) + (v,) if mirror else (1,) + (0,) * (n - 1) + (v,) for v in F.elements()]
-    rows = data.char.counts[data.group.indices(z)]
+    # the value at each central element z must be degree times psi(v): z
+    # has top coordinate v and the others zero, so its index is v
+    rows = data.char.counts[: F.order]
     want = (data.psi.table * scale) % R
     bad = (rows[np.arange(F.order), want] != data.degree) | (rows.sum(axis=1) != data.degree)
     if bad.any():
-        raise CharacterMismatchError(f"central character differs at {z[np.flatnonzero(bad)[0]]}")
+        z = tuple(data.group.decode(np.flatnonzero(bad)[:1])[:, 0].tolist())
+        raise CharacterMismatchError(f"central character differs at {z}")
     checks = {"norm": ip, "branch": data.branch}
     if data.branch == 2:
         T = _pattern_data(n, q, data.m, mirror).transversal
-        ind = induce_char(data.group, data.pattern_subgroup, data.pattern_exp.__getitem__, R, T)
+        chi = np.zeros(len(data.group), dtype=np.int64)
+        chi[data.H] = data.pattern_exp
+        ind = induce_char(data.group, data.H, chi, R, T)
         ind_norm = assert_nonneg_integer(inner_product(ind, ind))
         mult = assert_nonneg_integer(inner_product(ind, data.char))
         if ind_norm != q**n or mult != q ** (n // 2):
@@ -440,7 +431,9 @@ def extension_orbit_report(q: int) -> dict:
 class DivQuotData:
     """The unit group of the division order modulo the M-th power of the
     central uniformizer: elements (e, u) with e in Z/(nM) the Pi-valuation
-    and u a unit of the twisted truncated ring over F_{q^n}."""
+    and u a unit of the twisted truncated ring over F_{q^n}.  The group
+    decodes element i as the column (e, u_0, ..., u_(L-1)); the units come
+    first, at the indices below len(group) / nM."""
 
     n: int
     q: int
@@ -450,7 +443,6 @@ class DivQuotData:
     ring: TwistedRing
     group: GroupModel
     nM: int
-    units: list
 
     def decompose(self, u):
         """u = zeta-bar^k * u1 with u1 a principal unit, for the units u that
@@ -474,32 +466,20 @@ def _divquot(n: int, q: int, h: int, M: int) -> DivQuotData:
     ring = twisted_ring(n, q, h, F)
     nM = n * M
     L = ring.length
-    units = []
-    for u0 in range(1, F.order):
-        for tail in itertools.product(range(F.order), repeat=L - 1):
-            units.append((u0,) + tail)
-    els = [(e_, u) for e_ in range(nM) for u in units]
-    zbar = (F.gen,) + (0,) * (L - 1)
-    gens = [(1 % nM, ring.one), (0, zbar)]
-    for j in range(1, L):
-        for b in _basis_powers(F):
-            g = [1] + [0] * (L - 1)
-            g[j] = b
-            gens.append((0, tuple(g)))
-
     # element i is (e, u) with i = e |units| + (u_0 - 1) Q^(L-1) + (the index
     # of u_1, ..., u_(L-1) in the grid of tails); the identity is element 0
     Q = F.order
     tails = Q ** (L - 1)
+    units = (Q - 1) * tails
     v = F.vec
 
     def decode(i):
-        e_, r = np.divmod(i, len(units))
+        e_, r = np.divmod(i, units)
         u0, t = np.divmod(r, tails)
-        return e_, np.concatenate([u0[None] + 1, index_digits(t, Q, L - 1)])
+        return np.concatenate([e_[None], u0[None] + 1, index_digits(t, Q, L - 1)])
 
     def encode(e_, u):
-        return e_ * len(units) + (u[0] - 1) * tails + digits_index(u[1:], Q)
+        return e_ * units + (u[0] - 1) * tails + digits_index(u[1:], Q)
 
     def frobenius(u, s):
         """u^(q^s), with the twist s read per column."""
@@ -510,19 +490,23 @@ def _divquot(n: int, q: int, h: int, M: int) -> DivQuotData:
 
     def mul(i, j):
         """(a, u)(b, w) = (a + b, u^(q^-b) w)."""
-        (a, u), (b, w) = decode(i), decode(j)
+        x, y = decode(i), decode(j)
+        a, u, b, w = x[0], x[1:], y[0], y[1:]
         return encode((a + b) % nM, ring.mul_batch(frobenius(u, (-b) % n), w))
 
     def inv(i):
-        a, u = decode(i)
-        u = frobenius(u, a % n)
+        x = decode(i)
+        a, u = x[0], frobenius(x[1:], x[0] % n)
         # u = u_0 w with w unipotent: u^-1 = w^-1 u_0^-1
         c = v.inv(u[0])
         w = ring.inv_batch(v.mul(c[None], u))
         scalar = np.concatenate([c[None], np.zeros((L - 1, len(i)), dtype=np.int64)])
         return encode((-a) % nM, ring.mul_batch(w, scalar))
 
-    group = GroupModel(els, mul, inv, generators=gens)
+    # Pi = (1, 1), zeta-bar = (0, F.gen) and the level-1 generators (0, 1 +
+    # b tau^j) of the unipotent group, whose unit indices are theirs there
+    gens = [(1 % nM) * units, (F.gen - 1) * tails, *_coordinate_generators(F, L - 1)]
+    group = GroupModel(nM * units, mul, inv, decode, gens)
     return DivQuotData(
         n=n,
         q=q,
@@ -532,7 +516,6 @@ def _divquot(n: int, q: int, h: int, M: int) -> DivQuotData:
         ring=ring,
         group=group,
         nM=nM,
-        units=units,
     )
 
 
@@ -559,13 +542,13 @@ def _build_eta_level2(theta: ThetaData, dq: DivQuotData) -> RTheta:
     psi = layer_as_additive_char(theta.units, theta.chi, theta.L, 2, q, R)
     rho = build_rho_psi(n, q, psi, R=R)
     sign = (-1) ** (n + n // rho.m)
-    ring, F = dq.ring, dq.F
     # on the halved-subgroup branch scalar conjugation moves the inducing
-    # subgroup, so the intertwiner is dense and so is the extension
+    # subgroup, so the intertwiner is dense and so is the extension; the
+    # (q^n - 1)-th power of zeta-bar is the identity, index 0
     ext, root_exp = extend_irrep(
         rho.rep,
-        lambda x: ring.scalar_conj(F.gen, x),
-        ring.one,
+        _teichmueller_conj(n, q, 2),
+        0,
         q**n - 1,
         rho.group.generators,
         CycloNum.rational(R, sign),
@@ -593,11 +576,10 @@ def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext) -> RTheta:
     # at index a_2 Q + a_4
     rep.chi = theta.chi.table[ctx.sharp]
     rep.R = R
-    ring, F = dq.ring, dq.F
     ext, root_exp = extend_irrep(
         rep,
-        lambda x: ring.scalar_conj(F.gen, x),
-        ring.one,
+        _teichmueller_conj(n, q, 3),
+        0,
         q**n - 1,
         rep.group.generators,
         CycloNum.rational(R, 1),
@@ -617,8 +599,21 @@ def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext) -> RTheta:
     )
 
 
-def _level3_pattern_subgroup(U3: GroupModel):
-    return frozenset(g for g in U3.elements if g[1] == 0)
+@lru_cache(maxsize=None)
+def _teichmueller_conj(n: int, q: int, h: int) -> np.ndarray:
+    """Conjugation x -> zeta-bar x zeta-bar^-1 by the constant F.gen, as the
+    index permutation of unipotent_group(n, q, h): coefficient j of x scales
+    by the j-th of the ring's scalar_conj_factors."""
+    group, ring = unipotent_group(n, q, h)
+    F = ring.coeff_field
+    f = np.array(ring.scalar_conj_factors(F.gen), dtype=np.int64)
+    x = group.decode(np.arange(len(group), dtype=np.int64))
+    return digits_index(F.vec.mul(f[:, None], x[1:]), F.order)
+
+
+def _level3_pattern_subgroup(U3: GroupModel) -> np.ndarray:
+    """The element indices of U3 with a_1 = 0."""
+    return np.flatnonzero(U3.decode(np.arange(len(U3), dtype=np.int64))[1] == 0)
 
 
 # -- level-2 family sweep (Mackey irreducibility vs conductor) ---------------------
@@ -638,7 +633,8 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
     # Mackey pairs (u, Pi^j-conjugate of u) decomposed as (k, u1), with u1 an
     # index of rho's group, as the rows (k1, u1, k2, u2) of one array per j;
     # the theta-dependence of each pair's term enters only through zeta^delta
-    units = np.array(dq.units, dtype=np.int64).T
+    n_units = len(dq.group) // dq.nM
+    units = dq.group.decode(np.arange(n_units, dtype=np.int64))[1:]
 
     def dec(u):
         # rho's group lists the principal units in product order
@@ -668,7 +664,7 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
         sums = [rotate_counts(counts, deltas * zv).sum(axis=0) for deltas, counts in tables]
         inners = {}
         for j, row in zip(range(1, n), reduce_counts(R, np.array(sums).reshape(-1, R)).tolist()):
-            inners[j] = assert_nonneg_integer(CycloNum(R, row) / len(dq.units))
+            inners[j] = assert_nonneg_integer(CycloNum(R, row) / n_units)
             if inners[j] not in (0, 1):
                 raise CharacterMismatchError(
                     f"cross inner product {inners[j]} of irreducibles at j = {j}"
@@ -760,18 +756,18 @@ class MainExampleContext:
         group, ring, F = dq.group, dq.ring, dq.F
         Q = F.order
         classes = group.conj_classes()
-        self.class_reps = [c[0] for c in classes]
+        self.class_reps = np.array([c[0] for c in classes], dtype=np.int64)
         self.class_sizes = [len(c) for c in classes]
-        # group index i is (e, units[r]) with (e, r) = divmod(i, |units|)
-        e, r = np.divmod(np.arange(len(group), dtype=np.int64), len(dq.units))
-        units = np.array(dq.units, dtype=np.int64).T
-        S1 = np.flatnonzero((e % n == 0) & (units[1, r] == 0))
+        # column i of x is (e, u_0, ..., u_4) of element i
+        x = group.decode(np.arange(len(group), dtype=np.int64))
+        e = x[0]
+        S1 = np.flatnonzero((e % n == 0) & (x[2] == 0))
         pos = np.full(len(group), -1, dtype=np.int64)
         pos[S1] = np.arange(len(S1))
-        k, u1 = dq.decompose(units[:, r[S1]])
+        k, u1 = dq.decompose(x[1:, S1])
         self.dec = np.stack([e[S1] // n, k, u1[2] * Q + u1[4]])
-        T = group.indices(coset_transversal(group, [group.elements[i] for i in S1.tolist()]))
-        reps = group.indices(self.class_reps)
+        T, _ = coset_transversal(group, S1)
+        reps = self.class_reps
         conj = pos[conjugates(group, reps, T)]
         cls, col = np.nonzero(conj >= 0)
         self.rhs = np.stack([cls, conj[cls, col]])
@@ -781,23 +777,23 @@ class MainExampleContext:
         grp, s = np.nonzero(conj >= 0)
         self.mackey = np.stack([grp, s, conj[grp, s]])
         self.mackey_groups = len(outside)
-        # t^-1 zeta-bar t for the template transversal, all of valuation 0,
-        # so their group indices are unit indices
-        zbar = group.indices([(0, (F.gen,) + (0,) * (ring.length - 1))])
-        ts = group.indices([(0, t) for t in self.template.transversal])
-        k, h = dq.decompose(units[:, conjugates(group, zbar, ts)[0]])
+        # t^-1 zeta-bar t for the template transversal, all of valuation 0:
+        # the U3 index of a principal unit t is the group index of (0, t),
+        # and zeta-bar = (0, F.gen) sits at (F.gen - 1) Q^4
+        zbar = np.array([(F.gen - 1) * Q ** (ring.length - 1)], dtype=np.int64)
+        k, h = dq.decompose(x[1:, conjugates(group, zbar, self.template.transversal)[0]])
         keep = h[1] == 0
         self.zero_rows = np.stack([k[keep], h[2, keep] * Q + h[4, keep]])
         # the Frobenius twists of each even-valuation class representative,
         # class by class; U3 lists the principal units in product order
         even = np.flatnonzero(e[reps] % n == 0)
-        u = units[:, r[reps[even]]]
+        u = x[1:, reps[even]]
         twists = np.stack([ring.frobenius_batch(u, (n - j) % n) for j in range(n)], axis=2)
         k, u1 = dq.decompose(twists.reshape(ring.length, -1))
         self.lhs = np.stack(
             [np.repeat(even, n), np.repeat(e[reps[even]] // n, n), k, digits_index(u1[1:], Q)]
         )
-        h = np.array(self.U3.elements, dtype=np.int64).T
+        h = self.U3.decode(np.arange(len(self.U3), dtype=np.int64))
         self.sharp = h[2] * Q + h[4]
 
 

@@ -460,7 +460,7 @@ def zeta_fixed_set(n: int, q: int, h: int):
     E, dim = ring.coeff_field, ring.length - 1
     Fqn = field(p, e * n)
     zeta = E.embed(Fqn, Fqn.gen)
-    # scalar_conj(zeta, x) scales x_j by f_j, so it fixes x exactly when
+    # conjugation by zeta scales x_j by f_j, so it fixes x exactly when
     # x_j == 0 at every j with f_j != 1
     free = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f == 1]
     out = []
@@ -534,9 +534,9 @@ def zeta_trace_suite_level3(q: int) -> dict:
     all_pass = len(fixed) == target
     # Fix(gamma) for every (gamma, x) in one call: gamma's columns repeat,
     # each against all the fixed points
-    gammas = emb[np.array(units.elements, dtype=np.int64).T]
+    gammas = emb[units.decode(np.arange(len(units), dtype=np.int64))]
     x = np.array(fixed, dtype=np.int64).reshape(-1, ring.length).T
-    N, U = x.shape[1], len(units.elements)
+    N, U = x.shape[1], len(units)
     xs = np.tile(x, (1, U))
     fix_of = (star_action_batch(ring, np.repeat(gammas, N, axis=1), xs) == xs).all(axis=0)
     fix_of = fix_of.reshape(U, N).sum(axis=1)

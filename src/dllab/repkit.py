@@ -1,17 +1,18 @@
 """Finite group and character toolkit.
 
-Groups are explicit: a GroupModel carries the full element list (hashable
-keys, deterministic order, the identity first), its group law and a
-generating set used for conjugacy-class orbits.
+Groups are explicit and live on the indices 0, ..., order - 1 of their
+elements, the identity at 0: a GroupModel carries its order, its index law,
+a generating set as an index array, and a batched decode from indices to
+element coordinates, which only reports and the test oracles read.
 
-The law is an index law: element i is elements[i], and mul(a, b) and inv(a)
-are batched on int arrays of such indices.  conj_classes, coset_transversal,
-induce_char, MonomialRep and abelian_character_extensions run on index
-arrays, GRID_CHUNK columns at a time: conjugation by each generator becomes
-one index permutation, and the classes are its orbits, found by min-label
-propagation with pointer jumping (the orbit algorithm of Holt, Eick and
-O'Brien's Handbook of Computational Group Theory, with the
-connected-components step of Shiloach and Vishkin).
+The law is an index law: mul(a, b) and inv(a) are batched on int arrays of
+element indices.  Subgroups, transversals, classes and conjugation maps are
+index arrays too.  conj_classes, coset_transversal, induce_char, MonomialRep
+and abelian_character_extensions run GRID_CHUNK columns at a time:
+conjugation by each generator becomes one index permutation, and the classes
+are its orbits, found by min-label propagation with pointer jumping (the
+orbit algorithm of Holt, Eick and O'Brien's Handbook of Computational Group
+Theory, with the connected-components step of Shiloach and Vishkin).
 
 Character values are tracked as root-of-unity data wherever possible: a
 linear character is an exponent table over the element indices, and an
@@ -32,8 +33,6 @@ which the one Mackey-sum body, delta_sums, reads.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -57,56 +56,37 @@ from .ffield import GRID_CHUNK, chunked
 
 
 class GroupModel:
-    """A finite group on its element list: mul and inv are the index law,
-    and the identity is element 0."""
+    """A finite group on the indices of its elements: mul and inv are the
+    index law, the identity is index 0, generators is an index array of a
+    generating set, and decode(indices) gives the coordinates of those
+    elements as the columns of an int64 array."""
 
-    def __init__(self, elements, mul, inv, generators):
-        self.elements = list(elements)
+    def __init__(self, order: int, mul, inv, decode, generators):
+        self.order = order
         self.mul = mul
         self.inv = inv
-        self.generators = generators
+        self.decode = decode
+        self.generators = np.asarray(generators, dtype=np.int64)
         self._classes = None
 
     def __len__(self):
-        return len(self.elements)
-
-    @cached_property
-    def index(self) -> dict:
-        """element -> its index in elements."""
-        return {g: i for i, g in enumerate(self.elements)}
-
-    def indices(self, elements) -> np.ndarray:
-        index = self.index
-        return np.array([index[g] for g in elements], dtype=np.int64)
+        return self.order
 
     def conj_classes(self):
-        """Conjugacy classes as lists of elements; deterministic order.
+        """Conjugacy classes as index arrays; deterministic order.
 
         Orbits are closed under conjugation by a generating set, which equals
         closure under all inner automorphisms.  Classes come in the order of
-        their least element index, and each starts with that element.
+        their least index, each in index order, so each starts with it.
         """
         if self._classes is None:
-            self._classes = self._index_classes()
+            idx = np.arange(self.order, dtype=np.int64)
+            # column k is x -> s x s^-1 for the generator s = generators[k]
+            conj = conjugates(self, idx, chunked(self.inv, self.generators))
+            label = _orbit_labels(self.order, conj.T)
+            order = np.argsort(label, kind="stable")
+            self._classes = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
         return self._classes
-
-    def _index_classes(self):
-        """The conjugation orbits of the generators on element indices, each
-        labelled by its least index by _orbit_labels.  Members of a class are
-        in index order."""
-        idx = np.arange(len(self.elements), dtype=np.int64)
-        gens = self.indices(self.generators)
-        # x -> s x s^-1 for each generator s, and its inverse permutation
-        perms = []
-        for p in conjugates(self, idx, chunked(self.inv, gens)).T:
-            p_inv = np.empty_like(p)
-            p_inv[p] = idx
-            perms += [p, p_inv]
-        label = _orbit_labels(len(idx), perms)
-        order = np.argsort(label, kind="stable")
-        starts = np.flatnonzero(np.diff(label[order])) + 1
-        els = self.elements
-        return [[els[i] for i in part.tolist()] for part in np.split(order, starts)]
 
 
 def _orbit_labels(n: int, perms) -> np.ndarray:
@@ -114,9 +94,12 @@ def _orbit_labels(n: int, perms) -> np.ndarray:
     permutations perms of range(n) generate.
 
     Each label starts as the point's own index and only moves to a smaller
-    index in the same orbit: to a neighbour's label under a permutation, then
-    to its own label's label (pointer jumping).  At the fixed point every
-    point is labelled by the least index of its orbit.
+    index in the same orbit: to its image's label under a permutation, then
+    to its own label's label (pointer jumping).  At the fixed point label[x]
+    <= label[p(x)] for every generator p; p has finite order, so the labels
+    along x, p(x), p(p(x)), ... return to label[x] and are all equal.  So
+    forward maps alone make the labels constant on orbits, and every point
+    is labelled by the least index of its orbit.
     """
     label = np.arange(n, dtype=np.int64)
     while True:
@@ -158,8 +141,9 @@ class SumChar:
         self.counts = counts
         self.R = R
 
-    def value(self, g) -> CycloNum:
-        return cyclo_from_counts(self.R, self.counts[self.group.index[g]])
+    def value(self, g: int) -> CycloNum:
+        """The value at the element index g."""
+        return cyclo_from_counts(self.R, self.counts[g])
 
 
 def inner_product(chi1, chi2) -> CycloNum:
@@ -168,22 +152,19 @@ def inner_product(chi1, chi2) -> CycloNum:
     if chi2.R != R:
         raise MixedOrderError(f"characters over root orders {R} and {chi2.R}")
     counts = difference_counts(chi1.counts, chi2.counts)
-    return cyclo_from_counts(R, counts) / len(chi1.group.elements)
+    return cyclo_from_counts(R, counts) / len(chi1.group)
 
 
-def induce_char(group: GroupModel, subgroup_set, chi_exp, R: int, transversal=None):
-    """Character of Ind_H^G(chi) for a linear chi given by chi_exp(h) -> exp,
+def induce_char(group: GroupModel, H, chi, R: int, transversal=None):
+    """Character of Ind_H^G(chi) for the subgroup with the element indices H
+    and a linear chi given by its exponent table over the element indices,
     as count rows: row g counts chi(t^-1 g t) over the transversal elements
     t with t^-1 g t in H."""
     if transversal is None:
-        transversal = coset_transversal(group, subgroup_set)
-    N = len(group)
-    H = group.indices(subgroup_set)
-    in_H = np.zeros(N, dtype=bool)
+        transversal, _ = coset_transversal(group, H)
+    in_H = np.zeros(len(group), dtype=bool)
     in_H[H] = True
-    chi = np.zeros(N, dtype=np.int64)
-    chi[H] = [chi_exp(group.elements[x]) for x in H.tolist()]
-    conj = conjugates(group, np.arange(N, dtype=np.int64), group.indices(transversal))
+    conj = conjugates(group, np.arange(len(group), dtype=np.int64), transversal)
     g, k = np.nonzero(in_H[conj])
     return _induced(group, chi, R, g, conj[g, k])
 
@@ -213,17 +194,11 @@ def conjugates(group: GroupModel, xs, ts) -> np.ndarray:
     return _pair_table(lambda x, k: mul(inv_ts[k], mul(xs[x], ts[k])), len(xs), len(ts))
 
 
-def coset_transversal(group: GroupModel, subgroup_set):
-    """Left-coset transversal in deterministic (universe order) fashion."""
-    reps, _ = _index_cosets(group, subgroup_set)
-    return [group.elements[i] for i in reps]
-
-
-def _index_cosets(group: GroupModel, subgroup_set):
-    """(representatives, coset): the left cosets gH in the order of their
-    least element index, each represented by that index, and the coset
-    number of every element index."""
-    H = group.indices(subgroup_set)
+def coset_transversal(group: GroupModel, H):
+    """(representatives, coset) for the subgroup with the element indices H:
+    the left cosets gH in the order of their least element index, each
+    represented by that index, and the coset number of every element
+    index."""
     coset = np.full(len(group), -1, dtype=np.int64)
     reps = []
     g = 0
@@ -232,7 +207,7 @@ def _index_cosets(group: GroupModel, subgroup_set):
         reps.append(g)
         free = np.flatnonzero(coset[g:] < 0)
         g = g + int(free[0]) if len(free) else len(coset)
-    return reps, coset
+    return np.array(reps, dtype=np.int64), coset
 
 
 def abelian_character_extensions(group: GroupModel, members, base, R: int) -> np.ndarray:
@@ -279,7 +254,8 @@ def abelian_character_extensions(group: GroupModel, members, base, R: int) -> np
 
 
 class MonomialRep:
-    """Ind_H^G(chi) as index arrays.
+    """Ind_H^G(chi) as index arrays: H holds the element indices of the
+    subgroup and transversal those of its left-coset representatives.
 
     With (perm, h) = _supports, g t_j = t_perm[g, j] h[g, j] for every element
     index g and column j, and chi is the exponent table of the linear
@@ -287,18 +263,17 @@ class MonomialRep:
     e_j to zeta_R^chi[h[g, j]] e_perm[g, j].
     """
 
-    def __init__(self, group: GroupModel, subgroup_set, chi, R: int):
+    def __init__(self, group: GroupModel, H, chi, R: int):
         self.group = group
-        self.H = frozenset(subgroup_set)
+        self.H = H
         self.chi = chi
         self.R = R
-        reps, coset = _index_cosets(group, self.H)
-        self.transversal = [group.elements[i] for i in reps]
-        self.dim = len(reps)
+        self.transversal, coset = coset_transversal(group, H)
+        self.dim = len(self.transversal)
         # the supports of all elements at once: index arrays perm and h with
         # g t_j = t_perm[g, j] h[g, j]
         mul = group.mul
-        T = np.array(reps, dtype=np.int64)
+        T = self.transversal
         w = _pair_table(lambda g, k: mul(g, T[k]), len(group), self.dim)
         perm = coset[w]
         h = chunked(mul, chunked(group.inv, T)[perm].ravel(), w.ravel()).reshape(w.shape)
@@ -393,16 +368,10 @@ def delta_sums(ext, pairs):
     return deltas, np.array(counts, dtype=np.int64).reshape(-1, ext.R)
 
 
-def _generator_matrices(rep: MonomialRep, conj, generators):
-    """(P, E, Pc, Ec): the matrices of rho(x) and of rho(conj(x)) for the
-    generators x, as MonomialRep.matrices rows."""
-    index = rep.group.indices
-    return (*rep.matrices(index(generators)), *rep.matrices(index([conj(x) for x in generators])))
-
-
 def solve_intertwiner(rep: MonomialRep, conj, generators, R: int):
-    """Phase propagation solve of rho(g x g^-1) T = T rho(x) over the given
-    generators of N.  Returns T as a dict (i, j) -> exponent, determined up
+    """Phase propagation solve of rho(g x g^-1) T = T rho(x) over the
+    generators of N, an index array, with conj the index permutation x ->
+    g x g^-1 of N.  Returns T as a dict (i, j) -> exponent, determined up
     to one global scalar (seed entry gets exponent 0).
 
     Every equation relates exactly two entries of T because both sides are
@@ -414,7 +383,8 @@ def solve_intertwiner(rep: MonomialRep, conj, generators, R: int):
     component is consistent when every edge agrees with them.
     """
     d = rep.dim
-    P, E, Pp, Ep = _generator_matrices(rep, conj, generators)
+    P, E = rep.matrices(generators)
+    Pp, Ep = rep.matrices(conj[generators])
     # T[Pp[k], P[j]] = T[k, j] + Ep[k] - E[j]: an edge from a = k d + j to
     # b[x, a] for each generator x, walked in both directions
     a = np.arange(d * d, dtype=np.int64)
@@ -445,8 +415,10 @@ def solve_intertwiner(rep: MonomialRep, conj, generators, R: int):
 
 def extend_irrep(rep: MonomialRep, conj, g_power_c, c: int, generators, target_trace):
     """Extension of the irreducible monomial rep rho of N to N . <g>, where
-    conj(x) = g x g^-1 preserves rho up to equivalence and g^c lies in N,
-    with trace target_trace at g.  Returns (extension, root_exp).
+    conjugation by g, the index permutation conj[x] = g x g^-1 of N,
+    preserves rho up to equivalence and g^c lies in N, at the index
+    g_power_c; generators is an index array of generators of N, and the
+    extension has trace target_trace at g.  Returns (extension, root_exp).
 
     The intertwiner is solved once.  When its support is monomial (conj
     permutes the inducing cosets), the extension is a MonomialExtension and
@@ -472,7 +444,8 @@ def _monomial_extension(rep: MonomialRep, P, E, conj, g_power_c, c: int, generat
     e_j to zeta_R^E[j] e_P[j] for index arrays P and E."""
     R = rep.R
     d = rep.dim
-    Px, Ex, Pc, Ec = _generator_matrices(rep, conj, generators)
+    Px, Ex = rep.matrices(generators)
+    Pc, Ec = rep.matrices(conj[generators])
     # rho(conj(x)) T == T rho(x) for every generator, exponents mod R
     if not np.array_equal(Pc[:, P], P[Px]) or ((E + Ec[:, P] - Ex - E[Px]) % R).any():
         raise NotInvariantError("intertwiner verification failed")
@@ -484,7 +457,7 @@ def _monomial_extension(rep: MonomialRep, P, E, conj, g_power_c, c: int, generat
     Pk, Ek = (np.stack(x) for x in zip(*powers))
     # normalize T^c = rho(g^c) up to a scalar, then pick the c-th-root twist
     # whose trace matches; the twist must be unique
-    Pg, Eg = rep.matrices(rep.group.index[g_power_c])
+    Pg, Eg = rep.matrices(g_power_c)
     if not np.array_equal(Pk[c], Pg):
         raise NotInvariantError("T^c does not have the support of rho(g^c)")
     ratios = np.unique((Ek[c] - Eg) % R)
@@ -528,7 +501,7 @@ def _dense_extension(rep: MonomialRep, entries, conj, g_power_c, c: int, generat
     cols = np.arange(d)
     ij = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
     T = _count_matrix(ij[:, 0], ij[:, 1], list(entries.values()), d, R)
-    for P, E, Pp, Ep in zip(*_generator_matrices(rep, conj, generators)):
+    for P, E, Pp, Ep in zip(*rep.matrices(generators), *rep.matrices(conj[generators])):
         lhs = _count_matmul(_count_matrix(Pp, cols, Ep, d, R), T)
         if not np.array_equal(lhs, _count_matmul(T, _count_matrix(P, cols, E, d, R))):
             raise NotInvariantError("intertwiner verification failed")
@@ -551,7 +524,7 @@ def _dense_extension(rep: MonomialRep, entries, conj, g_power_c, c: int, generat
     powers = [_count_matrix(cols, cols, 0, d, R)]
     for _ in range(c):
         powers.append(_count_matmul(powers[-1], A))
-    Pg, Eg = rep.matrices(rep.group.index[g_power_c])
+    Pg, Eg = rep.matrices(g_power_c)
     if not np.array_equal(powers[c], _reduced(R, N**c * _count_matrix(Pg, cols, Eg, d, R))):
         raise NoExtensionError("trace-matched scaling does not satisfy T^c = rho(g^c)")
     return CyclicExtension(rep, np.stack(powers[:c]), N, c, R), None

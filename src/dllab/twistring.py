@@ -20,7 +20,6 @@ over i + j = n.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,10 +50,6 @@ class TwistedRing:
     @cached_property
     def length(self) -> int:
         return self.n * (self.h - 1) + 1
-
-    @cached_property
-    def one(self):
-        return (1,) + (0,) * (self.length - 1)
 
     @cached_property
     def _frob_maps(self):
@@ -110,16 +105,12 @@ class TwistedRing:
         return self.mul_batch(self.frobenius_batch(g, s), self.inv_batch(g))
 
     def scalar_conj_factors(self, c: int) -> tuple:
-        """The factors c^(1-q^j), j = 1, ..., L-1, by which scalar_conj(c, .)
-        scales coefficient j; they depend on c alone, so hoist them out of
-        loops over x."""
+        """The factors c^(1-q^j), j = 1, ..., L-1, by which conjugation by
+        the constant c in A^x scales coefficient j; they depend on c alone,
+        so hoist them out of loops over x."""
         F = self.coeff_field
         mul, inv = F.mul, F.inv
         return tuple(mul(c, inv(fr[c])) for fr in self._frob_maps[1:])
-
-    def scalar_conj(self, c: int, x):
-        """Conjugation by the constant c in A^x: coefficient j scales by c^(1-q^j)."""
-        return (x[0],) + tuple(map(self.coeff_field.mul, self.scalar_conj_factors(c), x[1:]))
 
 
 def twisted_ring(n: int, q: int, h: int, coeff_field: Field) -> TwistedRing:
@@ -129,20 +120,15 @@ def twisted_ring(n: int, q: int, h: int, coeff_field: Field) -> TwistedRing:
 
 
 # -- unipotent group carried by the ring (constant coefficient 1) ------------
-# Group elements are full ring tuples starting with 1.
-
-
-def enumerate_unipotent(ring: TwistedRing):
-    """All elements 1 + sum a_j tau^j over the coefficient field, in
-    itertools.product order: a_1 varies slowest."""
-    for tail in itertools.product(ring.coeff_field.elements(), repeat=ring.length - 1):
-        yield (1,) + tail
+# Element i is the unit whose coefficients after the constant 1 are the
+# base-Q digits of i, a_1 the slowest: product order of the tails.
 
 
 def unipotent_index_law(ring: TwistedRing) -> tuple:
-    """The group law of the unipotent elements on their indices in
-    enumerate_unipotent order, as a pair (mul, inv) of functions on int
-    arrays: element i is 1 + (the base-Q digits of i) . (tau, ..., tau^(L-1))."""
+    """The group law of the unipotent elements on their indices, as a triple
+    (mul, inv, decode) of functions on int arrays: decode gives the elements
+    1 + (the base-Q digits of i) . (tau, ..., tau^(L-1)) as the columns of
+    an (L, N) array."""
     Q, L = ring.coeff_field.order, ring.length
 
     def elements(i):
@@ -154,7 +140,7 @@ def unipotent_index_law(ring: TwistedRing) -> tuple:
     def inv(i):
         return digits_index(ring.inv_batch(elements(i))[1:], Q)
 
-    return mul, inv
+    return mul, inv, elements
 
 
 def h_m_pattern(n: int, h: int, m: int) -> list[int]:
@@ -177,7 +163,8 @@ def h_m_pattern(n: int, h: int, m: int) -> list[int]:
 
 
 # -- the mirror family G^{n,q} ------------------------------------------------
-# Elements: tuples (a_1, ..., a_n) of coefficient-field indices.
+# Elements: columns (a_1, ..., a_n) of coefficient-field indices; element i
+# of the group is the base-Q digits of i.
 
 
 def gnq_mul_batch(field_a: Field, n: int, q: int, a, b):
@@ -195,19 +182,22 @@ def gnq_mul_batch(field_a: Field, n: int, q: int, a, b):
 
 def gnq_index_law(field_a: Field, n: int, q: int) -> tuple:
     """The group law of G^{n,q} on the indices of its elements in
-    itertools.product order, as a pair (mul, inv) of functions on int
-    arrays: element i is the base-Q digits of i, decoded once for all Q^n
-    elements when the law is built."""
+    itertools.product order, as a triple (mul, inv, decode) of functions on
+    int arrays: element i is the base-Q digits of i, decoded once for all
+    Q^n elements when the law is built, and decode reads that table."""
     Q = field_a.order
     digits = index_digits(np.arange(Q**n, dtype=np.int64), Q, n)
 
+    def decode(i):
+        return digits[:, i]
+
     def mul(i, j):
-        return digits_index(gnq_mul_batch(field_a, n, q, digits[:, i], digits[:, j]), Q)
+        return digits_index(gnq_mul_batch(field_a, n, q, decode(i), decode(j)), Q)
 
     def inv(i):
-        return digits_index(gnq_inv_batch(field_a, n, q, digits[:, i]), Q)
+        return digits_index(gnq_inv_batch(field_a, n, q, decode(i)), Q)
 
-    return mul, inv
+    return mul, inv, decode
 
 
 def gnq_inv_batch(field_a: Field, n: int, q: int, a):

@@ -43,9 +43,84 @@ from dllab.matmodel import (
     tp_mul,
     tp_scalar,
 )
-from dllab.repkit import SumChar
+from dllab.repkit import GroupModel, SumChar
 from dllab.serieslab import SeriesBatch, mat_det_series, xtilde_matrix
-from dllab.twistring import TwistedRing, enumerate_unipotent, twisted_ring
+from dllab.twistring import TwistedRing, twisted_ring
+
+
+def enumerate_unipotent(ring: TwistedRing):
+    """All elements 1 + sum a_j tau^j over the coefficient field, as tuples
+    in itertools.product order: a_1 varies slowest.  This is the order of
+    the element indices of the unipotent group's index law."""
+    for tail in itertools.product(ring.coeff_field.elements(), repeat=ring.length - 1):
+        yield (1,) + tail
+
+
+def _basis_powers(F: Field) -> list:
+    """gen^0, ..., gen^(k-1), one field product at a time."""
+    out = [1]
+    for _ in range(F.k - 1):
+        out.append(F.mul(out[-1], F.gen))
+    return out
+
+
+def _coordinate_points(F: Field, width: int, lead=()) -> list:
+    """The tuples lead + (0, ..., b, ..., 0) with a basis power b at one of
+    width coordinates: coordinate by coordinate, then power by power."""
+    return [
+        lead + tuple(b if i == j else 0 for i in range(width))
+        for j in range(width)
+        for b in _basis_powers(F)
+    ]
+
+
+def unipotent_tuples(ring: TwistedRing) -> tuple:
+    """Oracle of unipotent_group's decode and generators: (elements,
+    generators) as tuples, in the order the tuple builders listed them."""
+    return list(enumerate_unipotent(ring)), _coordinate_points(ring.coeff_field, ring.length - 1, (1,))
+
+
+def gnq_tuples(field_a: Field, n: int) -> tuple:
+    """Oracle of gnq_group's decode and generators, as tuples."""
+    els = list(itertools.product(range(field_a.order), repeat=n))
+    return els, _coordinate_points(field_a, n)
+
+
+def divquot_tuples(dq) -> tuple:
+    """Oracle of the division quotient's decode and generators: the tuples
+    (e, u_0, ..., u_(L-1)), valuation slowest, then the units with u_0 != 0
+    in product order; and Pi, zeta-bar and the level-1 generators."""
+    F, L = dq.F, dq.ring.length
+    tails = list(itertools.product(range(F.order), repeat=L - 1))
+    els = [(e, u0) + t for e in range(dq.nM) for u0 in range(1, F.order) for t in tails]
+    one = ring_one(dq.ring)
+    gens = [(1 % dq.nM,) + one, (0, F.gen) + one[1:]]
+    return els, gens + [(0,) + g for g in _coordinate_points(F, L - 1, (1,))]
+
+
+def principal_unit_tuples(L: Field, h: int) -> tuple:
+    """Oracle of charlib.principal_units' decode and generators: the units
+    with exactly one nonzero coefficient after the constant generate."""
+    els = list(enumerate_unipotent(twisted_ring(1, L.order, h, L)))
+    return els, [g for g in els if sum(1 for c in g[1:] if c) == 1]
+
+
+def ring_one(ring: TwistedRing):
+    """The identity of ring as a tuple."""
+    return (1,) + (0,) * (ring.length - 1)
+
+
+@lru_cache(maxsize=None)
+def elements(group) -> list:
+    """The tuple view of a GroupModel: element i as the tuple of column i of
+    group.decode, for every index i."""
+    return [tuple(x) for x in group.decode(np.arange(len(group), dtype=np.int64)).T.tolist()]
+
+
+@lru_cache(maxsize=None)
+def index(group) -> dict:
+    """The inverse of elements(group): element tuple -> its index."""
+    return {g: i for i, g in enumerate(elements(group))}
 
 
 def cyclo_coeffs(n: int, counts) -> list:
@@ -703,8 +778,7 @@ def ring_inv(ring: TwistedRing, a):
     # scalars multiply coefficientwise from the left
     w = [F.mul(c, x) for x in a]
     neg_m = tuple([0] + [F.neg(x) for x in w[1:]])
-    inv_w = ring.one
-    term = ring.one
+    inv_w = term = ring_one(ring)
     for _ in range(L - 1):
         term = ring_mul(ring, term, neg_m)
         if not any(term):
@@ -723,8 +797,9 @@ def ring_frobenius(ring: TwistedRing, a, s: int):
 
 
 def scalar_conj(ring: TwistedRing, c: int, x):
-    """Oracle of TwistedRing.scalar_conj: coefficient j of x scaled by
-    c^(1-q^j), the factor recomputed for each coefficient."""
+    """Oracle of conjugation by the constant c on one element x, read off
+    TwistedRing.scalar_conj_factors in the package: coefficient j of x
+    scaled by c^(1-q^j), the factor recomputed for each coefficient."""
     F = ring.coeff_field
     out = [x[0]]
     for j in range(1, ring.length):
@@ -778,17 +853,17 @@ def gnq_law(field_a: Field, n: int, q: int) -> tuple:
 @lru_cache(maxsize=None)
 def divquot_law(ring: TwistedRing, nM: int) -> tuple:
     """Oracle of the division quotient's index law: the tuple law (mul, inv)
-    on elements (e, u), with e the Pi-valuation mod nM and u a unit of ring,
-    where Pi u = u^q Pi."""
+    on elements (e, u_0, ..., u_(L-1)), the columns of its decode, with e
+    the Pi-valuation mod nM and u a unit of ring, where Pi u = u^q Pi."""
     n = ring.n
 
     def mul(x, y):
-        (a, u), (b, v) = x, y
-        return ((a + b) % nM, ring_mul(ring, ring_frobenius(ring, u, (-b) % n), v))
+        a, u, b, v = x[0], x[1:], y[0], y[1:]
+        return ((a + b) % nM,) + ring_mul(ring, ring_frobenius(ring, u, (-b) % n), v)
 
     def inv(x):
-        a, u = x
-        return ((-a) % nM, ring_inv(ring, ring_frobenius(ring, u, a % n)))
+        a, u = x[0], x[1:]
+        return ((-a) % nM,) + ring_inv(ring, ring_frobenius(ring, u, a % n))
 
     return mul, inv
 
@@ -844,17 +919,26 @@ def abelian_character_extensions(elements, law, base: dict, R: int) -> list:
 def char_exp(chi, g) -> int:
     """An ExpChar's exponent at one element g, read through its group's
     element index."""
-    return int(chi.table[chi.group.index[g]])
+    return int(chi.table[index(chi.group)[g]])
 
 
-def table_law(elements, mul, inv):
-    """An index law for a small group, read off its full multiplication and
-    inversion tables."""
+def table_group(elements, law, generators):
+    """A small GroupModel whose index law is read off the full tables of the
+    tuple law (mul, inv) on elements, a list of int tuples: element i is
+    elements[i], which decode returns as column i."""
+    mul, inv = law
     els = list(elements)
     index = {g: i for i, g in enumerate(els)}
     table = np.array([[index[mul(a, b)] for b in els] for a in els], dtype=np.int64)
     inverse = np.array([index[inv(a)] for a in els], dtype=np.int64)
-    return (lambda a, b: table[a, b]), (lambda a: inverse[a])
+    coords = np.array(els, dtype=np.int64).T
+    return GroupModel(
+        len(els),
+        lambda a, b: table[a, b],
+        lambda a: inverse[a],
+        lambda i: coords[:, i],
+        [index[g] for g in generators],
+    )
 
 
 def conj_classes(group, law):
@@ -862,11 +946,12 @@ def conj_classes(group, law):
     generators, grown breadth-first from each element not yet seen through
     the tuple law."""
     mul, inv = law
-    gens = group.generators
+    els = elements(group)
+    gens = [els[i] for i in group.generators.tolist()]
     inv_gens = [inv(g) for g in gens]
     seen = {}
     classes = []
-    for g in group.elements:
+    for g in els:
         if g in seen:
             continue
         orbit = [g]
@@ -889,7 +974,7 @@ def coset_transversal(group, law, subgroup_set):
     mul = law[0]
     seen = set()
     reps = []
-    for g in group.elements:
+    for g in elements(group):
         if g in seen:
             continue
         reps.append(g)
@@ -904,8 +989,8 @@ def induce_char(group, law, subgroup_set, chi_exp, R: int) -> SumChar:
     mul, inv = law
     transversal = coset_transversal(group, law, subgroup_set)
     inv_t = [inv(t) for t in transversal]
-    counts = np.zeros((len(group.elements), R), dtype=np.int64)
-    for i, g in enumerate(group.elements):
+    counts = np.zeros((len(group), R), dtype=np.int64)
+    for i, g in enumerate(elements(group)):
         for t, ti in zip(transversal, inv_t):
             h = mul(ti, mul(g, t))
             if h in subgroup_set:
@@ -938,16 +1023,16 @@ def monomial_supports(group, law, subgroup_set) -> tuple:
     """Oracle of MonomialRep's transversal and supports: (transversal,
     {g: (perm, hs)}) with g t_j = t_perm[j] hs[j], by coset lookup."""
     transversal, support = _support_lookup(group, law, frozenset(subgroup_set))
-    return transversal, {g: support(g) for g in group.elements}
+    return transversal, {g: support(g) for g in elements(group)}
 
 
 def exp_table(group, subgroup_set, chi_exp):
     """A linear character given one element at a time, as the exponent
     table over group indices that MonomialRep takes: chi_exp on the
     subgroup and zero off it."""
-    chi = np.zeros(len(group.elements), dtype=np.int64)
+    chi = np.zeros(len(group), dtype=np.int64)
     for h in subgroup_set:
-        chi[group.index[h]] = chi_exp(h)
+        chi[index(group)[h]] = chi_exp(h)
     return chi
 
 
@@ -956,11 +1041,12 @@ def monomial_matrices(rep, law, chi_exp=None):
     g -> (perm, exps) of tuples, with g t_j = t_perm[j] h_j by coset lookup
     through the tuple law of rep's group and exps[j] = chi_exp(h_j) mod R.
     chi_exp defaults to reading rep's table at one element."""
+    els = elements(rep.group)
     if chi_exp is None:
         def chi_exp(h):
-            return int(rep.chi[rep.group.index[h]])
+            return int(rep.chi[index(rep.group)[h]])
 
-    _, support = _support_lookup(rep.group, law, rep.H)
+    _, support = _support_lookup(rep.group, law, frozenset(els[i] for i in rep.H.tolist()))
 
     @lru_cache(maxsize=None)
     def matrix(g):
@@ -1003,7 +1089,7 @@ def monomial_delta_sums(ext, pairs, matrix):
     (k, u) through trace_exps, and each delta's row counted one exponent
     pair at a time."""
     R = ext.R
-    els = ext.rep.group.elements
+    els = elements(ext.rep.group)
     exps = {}
     rows = {}
     for k1, u1, k2, u2 in pairs.T.tolist():
@@ -1105,18 +1191,17 @@ def dense_eq(A, B):
 
 
 def dense_extension(rep, entries, conj_map, g_power_c, c: int, generators, target_trace):
-    """Oracle of repkit._dense_extension: the seed's route on rows of
-    CycloNum entries.  T is scaled by mu = target / Tr T, inverted through
+    """Oracle of repkit._dense_extension, on the same index arguments: the
+    seed's route on rows of CycloNum entries, one generator at a time.  T is scaled by mu = target / Tr T, inverted through
     the Galois norm, and checked against (mu T)^c = rho(g^c).  Returns the
     powers (mu T)^k for k < c."""
     R, d = rep.R, rep.dim
     T = [[None] * d for _ in range(d)]
     for (i, j), e in entries.items():
         T[i][j] = CycloNum.root(R, e)
-    index = rep.group.index
-    for x in generators:
-        P, E = (a.tolist() for a in rep.matrices(index[x]))
-        Pp, Ep = (a.tolist() for a in rep.matrices(index[conj_map(x)]))
+    for x in generators.tolist():
+        P, E = (a.tolist() for a in rep.matrices(x))
+        Pp, Ep = (a.tolist() for a in rep.matrices(conj_map[x]))
         if not dense_eq(dense_mul(monomial_to_dense(Pp, Ep, R), T),
                         dense_mul(T, monomial_to_dense(P, E, R))):
             raise NotInvariantError("intertwiner verification failed")
@@ -1131,7 +1216,7 @@ def dense_extension(rep, entries, conj_map, g_power_c, c: int, generators, targe
     powers = [monomial_to_dense(range(d), (0,) * d, R)]
     for _ in range(c):
         powers.append(dense_mul(powers[-1], Ts))
-    Pg, Eg = (a.tolist() for a in rep.matrices(index[g_power_c]))
+    Pg, Eg = (a.tolist() for a in rep.matrices(g_power_c))
     if not dense_eq(powers[c], monomial_to_dense(Pg, Eg, R)):
         raise NoExtensionError("trace-matched scaling does not satisfy T^c = rho(g^c)")
     return powers[:c]
@@ -1234,11 +1319,11 @@ def eta_prime_trace_exps(rt, x):
 
 
 def eta_trace_exps(rt, x):
-    """Oracle of constructions._class_traces at one element x = (e, u) of
-    the division quotient: the exponent list of the induced character, one
-    element and one Frobenius twist at a time, whose counts are that
-    function's row for the class of x."""
-    e, u = x
+    """Oracle of constructions._class_traces at one element x = (e, u_0,
+    ..., u_(L-1)) of the division quotient: the exponent list of the induced
+    character, one element and one Frobenius twist at a time, whose counts
+    are that function's row for the class of x."""
+    e, u = x[0], x[1:]
     dq = rt.dq
     if e % dq.n:
         return []
@@ -1254,8 +1339,9 @@ def class_norm(rt, ctx) -> int:
     eta_trace_exps."""
     R = rt.theta.R
     counts = [0] * R
-    for g, size in zip(ctx.class_reps, ctx.class_sizes):
-        exps = eta_trace_exps(rt, g)
+    reps = ctx.dq.group.decode(ctx.class_reps).T.tolist()
+    for g, size in zip(reps, ctx.class_sizes):
+        exps = eta_trace_exps(rt, tuple(g))
         for a in exps:
             for b in exps:
                 counts[(a - b) % R] += size

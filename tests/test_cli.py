@@ -510,10 +510,22 @@ def test_a_larger_max_size_admits_a_trace_run_beyond_the_default(capsys):
          "d91b27bae3a34b466f5895c2ecd4b6f01a6137152b30766baea90bf571f9e0d9"),
         (["verify", "--suite", "main-example"],
          "042c3b886b3ea907abbb4a4ce89811d280d9e731ad45a62cfc4c7f56dc2ad4ae"),
+        (["verify", "--suite", "main-example", "--q", "2", "--M", "2"],
+         "04bdb45a797c2236f44179c48f74dadebad612ea2613da31c4b5e68fde13bff3"),
+        (["verify", "--suite", "main-example", "--q", "2", "--M", "3"],
+         "dbc2b7a6a2db04e6212902eb29f51a3dd131670be6e2e55fcb95eca74273d839"),
+        (["verify", "--suite", "eta-level2", "--n", "2", "--q", "2", "--M", "2"],
+         "398920d4411ae90881b3959642746eefe6b9dd3d038b88d1658b561c531e7119"),
+        (["verify", "--suite", "eta-level2", "--n", "3", "--q", "2"],
+         "40130033fecf415a905912c966c511259244abc9f64117665c80503fac5ab698"),
+        (["dump", "--kind", "char-table", "--n", "2", "--q", "3"],
+         "cf8f4eae9c114cce91d85f1b4b34e86c8856d7cf4b0c252d2a8ea4a12a1b0749"),
     ],
     ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "eta-level2-n2q3",
          "char-table-n3q2", "intertwiner-q2", "trace", "eigenspaces-q2", "y-set-n2q2h3s2",
-         "matrix-y", "intertwiner", "eta-level2", "maximality", "eigenspaces", "main-example"],
+         "matrix-y", "intertwiner", "eta-level2", "maximality", "eigenspaces", "main-example",
+         "main-example-q2M2", "main-example-q2M3", "eta-level2-n2q2M2", "eta-level2-n3q2",
+         "char-table-n2q3"],
 )
 def test_groups_reports_match_golden_digest(argv, digest, capsys):
     # the digests of the seed implementation's reports

@@ -15,6 +15,7 @@ from dllab.constructions import (
     _build_eta_level3,
     _class_traces,
     _level3_pattern_subgroup,
+    _teichmueller_conj,
     build_rho_psi,
     divquot,
     eta_family_report,
@@ -53,10 +54,10 @@ def _coeff_field(n, q):
 def test_unipotent_group_orders():
     for n, q, h in [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]:
         U, ring = unipotent_group(n, q, h)
-        assert len(U.elements) == q ** (n * n * (h - 1))
+        assert len(U) == q ** (n * n * (h - 1))
         # generators really generate: conj_classes needs them, so a BFS over
         # the generator set from the identity, element 0, must reach everything
-        gens = U.indices(U.generators)
+        gens = U.generators
         seen = np.zeros(len(U), dtype=bool)
         seen[0] = True
         frontier = np.zeros(1, dtype=np.int64)
@@ -69,7 +70,7 @@ def test_unipotent_group_orders():
 
 def test_gnq_group_axioms_sample():
     G, F = gnq_group(3, 2)
-    assert len(G.elements) == F.order ** 3
+    assert len(G) == F.order ** 3
     a, b, c = np.random.default_rng(11).integers(0, len(G), size=(3, 200))
     assert np.array_equal(G.mul(G.mul(a, b), c), G.mul(a, G.mul(b, c)))
     assert not G.mul(a, G.inv(a)).any()
@@ -85,11 +86,13 @@ def test_unsupported_parameters_rejected():
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_batched_norms_match_scalar_at_every_element(n, q):
     G, F = gnq_group(n, q)
-    a = np.array(G.elements).T
-    assert nm_gnq_batch(n, q, F, a).tolist() == [nm_gnq(n, q, F, x, k=1) for x in G.elements]
+    els = oracles.gnq_tuples(F, n)[0]
+    a = np.array(els).T
+    assert nm_gnq_batch(n, q, F, a).tolist() == [nm_gnq(n, q, F, x, k=1) for x in els]
     U, ring = unipotent_group(n, q)
-    tails = np.array(U.elements)[:, 1:].T
-    assert n2_norm_batch(ring, tails).tolist() == [n2_norm(ring, g[1:]) for g in U.elements]
+    els = oracles.unipotent_tuples(ring)[0]
+    tails = np.array(els)[:, 1:].T
+    assert n2_norm_batch(ring, tails).tolist() == [n2_norm(ring, g[1:]) for g in els]
 
 
 def test_gnq_lang_fiber_counts():
@@ -169,7 +172,7 @@ def test_group_caches_are_keyed_on_the_parameters_not_the_call_form():
 def test_divquot_order_and_axioms():
     dq = divquot(2, 2, 3)
     # nM (q^n - 1) q^(n^2 (h - 1)): valuation grading times the unit count
-    assert len(dq.group.elements) == 2 * 1 * 3 * 2 ** (4 * 2) == 1536
+    assert len(dq.group) == 2 * 1 * 3 * 2 ** (4 * 2) == 1536
     G = dq.group
     a, b, c = np.random.default_rng(7).integers(0, len(G), size=(3, 300))
     assert np.array_equal(G.mul(G.mul(a, b), c), G.mul(a, G.mul(b, c)))
@@ -180,11 +183,17 @@ def test_divquot_order_and_axioms():
 DECOMPOSE_PARAMS = [(2, 2, 3), (2, 2, 2), (3, 2, 2), (2, 3, 2)]
 
 
+def _units(dq):
+    """The units of dq as the columns of an (L, N) array: the group elements
+    of valuation 0, the first len(group) / nM indices."""
+    return dq.group.decode(np.arange(len(dq.group) // dq.nM))[1:]
+
+
 def test_divquot_decompose_roundtrip():
     for n, q, h in DECOMPOSE_PARAMS:
         dq = divquot(n, q, h)
         F, ring = dq.F, dq.ring
-        units = np.array(dq.units).T
+        units = _units(dq)
         k, u1 = dq.decompose(units)
         assert (u1[0] == 1).all()
         zbar_k = np.zeros_like(units)
@@ -197,16 +206,17 @@ def test_divquot_decompose_matches_the_tuple_walk(n, q, h):
     # the batch on every unit against the walk over the powers of the
     # generator, one unit at a time
     dq = divquot(n, q, h)
-    k, u1 = dq.decompose(np.array(dq.units).T)
+    units = _units(dq)
+    k, u1 = dq.decompose(units)
     got = list(zip(k.tolist(), map(tuple, u1.T.tolist())))
-    assert got == [oracles.decompose(dq, u) for u in dq.units]
+    assert got == [oracles.decompose(dq, tuple(u)) for u in units.T.tolist()]
 
 
 def test_divquot_pi_is_central_torsion():
     # with M = 1 the central uniformizer is the identity coset, element 0
     dq = divquot(2, 2, 2, M=1)
-    pi = (2 % dq.nM, dq.ring.one)
-    assert dq.group.index[pi] == 0
+    pi = (2 % dq.nM,) + oracles.ring_one(dq.ring)
+    assert oracles.index(dq.group)[pi] == 0
 
 
 def _values(counts, R):
@@ -223,25 +233,20 @@ def test_monomial_extension_matches_dense():
     U3, _ = unipotent_group(2, q, 3)
     H2 = _level3_pattern_subgroup(U3)
     sharp = oracles.level3_sharp_exp(theta.chi)
-    rep = MonomialRep(U3, H2, oracles.exp_table(U3, U3.elements, sharp), theta.R)
-    ring, F = dq.ring, dq.F
-    law = oracles.unipotent_law(ring)
-    conj = lambda x: ring.scalar_conj(F.gen, x)
+    els = oracles.elements(U3)
+    rep = MonomialRep(U3, H2, oracles.exp_table(U3, els, sharp), theta.R)
+    law = oracles.unipotent_law(dq.ring)
+    conj = _teichmueller_conj(2, q, 3)
     target = CycloNum.rational(theta.R, 1)
-    ext_m, _ = extend_irrep(
-        rep, conj, ring.one, q**2 - 1, rep.group.generators, target
-    )
+    ext_m, _ = extend_irrep(rep, conj, 0, q**2 - 1, rep.group.generators, target)
     entries = solve_intertwiner(rep, conj, rep.group.generators, rep.R)
-    ext_d, _ = _dense_extension(
-        rep, entries, conj, ring.one, q**2 - 1, rep.group.generators, target
-    )
+    ext_d, _ = _dense_extension(rep, entries, conj, 0, q**2 - 1, rep.group.generators, target)
     rng = random.Random(3)
-    us = [U3.elements[0]] + [rng.choice(U3.elements) for _ in range(12)]
+    us = [0] + [rng.randrange(len(U3)) for _ in range(12)]
     grid = [(k, u) for k in range(q**2 - 1) for u in us]
-    k = np.array([k for k, _ in grid], dtype=np.int64)
-    u = U3.indices([u for _, u in grid])
+    k, u = np.array(grid, dtype=np.int64).T
     matrix = oracles.monomial_matrices(rep, law, sharp)
-    want = [monomial_extension_value(ext_m, k, u, matrix) for k, u in grid]
+    want = [monomial_extension_value(ext_m, k, els[u], matrix) for k, u in grid]
     assert _values(ext_d.trace_counts(k, u), theta.R) == want
     assert _values(ext_m.trace_counts(k, u), theta.R) == want
 
@@ -255,20 +260,17 @@ def test_dense_extension_restricts_to_rho():
     )
     psi = AddChar(F, q, a)
     data = build_rho_psi(2, q, psi, R=12)
-    dq = divquot(2, q, 2)
-    ring = dq.ring
-    conj = lambda x: ring.scalar_conj(dq.F.gen, x)
     target = CycloNum.rational(12, (-1) ** (2 + 1))
     ext, root_exp = extend_irrep(
-        data.rep, conj, ring.one, q**2 - 1, data.group.generators, target
+        data.rep, _teichmueller_conj(2, q, 2), 0, q**2 - 1, data.group.generators, target
     )
     assert root_exp is None
-    one = np.array([data.group.index[ring.one]])
+    one = np.zeros(1, dtype=np.int64)
     assert _values(ext.trace_counts(np.ones(1, dtype=np.int64), one), 12) == [target]
     # restriction to the unit group is the original character
     u = np.arange(len(data.group))
     got = ext.trace_counts(np.zeros_like(u), u)
-    assert _values(got, 12) == [data.char.value(g) for g in data.group.elements]
+    assert _values(got, 12) == [data.char.value(g) for g in u.tolist()]
 
 
 def test_build_eta_theta_degrees():
@@ -306,7 +308,8 @@ def test_verify_main_example_single_theta():
 def _oracle_counts(rt, ctx):
     """The count rows of _class_traces from the element-by-element walk."""
     R = rt.theta.R
-    rows = [np.array(oracles.eta_trace_exps(rt, g), dtype=np.int64) for g in ctx.class_reps]
+    reps = ctx.dq.group.decode(ctx.class_reps).T.tolist()
+    rows = [np.array(oracles.eta_trace_exps(rt, tuple(g)), dtype=np.int64) for g in reps]
     return np.array([np.bincount(row, minlength=R) for row in rows])
 
 
@@ -357,16 +360,17 @@ def test_main_example_context_matches_the_scalar_walks():
     mul, inv = law
 
     def dec(x):
-        e, u = x
-        k, h = oracles.decompose(dq, u)
-        return [e // 2, k, h[2] * Q + h[4]]
+        k, h = oracles.decompose(dq, x[1:])
+        return [x[0] // 2, k, h[2] * Q + h[4]]
 
-    S1 = [x for x in G.elements if x[0] % 2 == 0 and x[1][1] == 0]
+    els = oracles.divquot_tuples(dq)[0]
+    S1 = [x for x in els if x[0] % 2 == 0 and x[2] == 0]
     pos = {x: i for i, x in enumerate(S1)}
     assert ctx.dec.T.tolist() == [dec(x) for x in S1]
     ts = [(t, inv(t)) for t in oracles.coset_transversal(G, law, set(S1))]
+    reps = [els[i] for i in ctx.class_reps.tolist()]
     rhs = []
-    for ci, g in enumerate(ctx.class_reps):
+    for ci, g in enumerate(reps):
         for t, ti in ts:
             x = mul(ti, mul(g, t))
             if x in pos:
@@ -381,28 +385,33 @@ def test_main_example_context_matches_the_scalar_walks():
     assert ctx.mackey.T.tolist() == mackey
     assert ctx.mackey_groups == len(ts) - 1
     lhs = []
-    for ci, (e, u) in enumerate(ctx.class_reps):
+    U3 = oracles.unipotent_tuples(ring)[0]
+    U3_index = {g: i for i, g in enumerate(U3)}
+    for ci, x in enumerate(reps):
+        e, u = x[0], x[1:]
         if e % 2 == 0:
             for j in range(2):
                 k, u1 = oracles.decompose(dq, oracles.ring_frobenius(ring, u, (2 - j) % 2))
-                lhs.append([ci, e // 2, k, ctx.U3.index[u1]])
+                lhs.append([ci, e // 2, k, U3_index[u1]])
     assert ctx.lhs.T.tolist() == lhs
     zero_rows = []
     zbar = (dq.F.gen,) + (0,) * (ring.length - 1)
     ring_mul = oracles.ring_mul
-    for t in ctx.template.transversal:
+    for t in (U3[i] for i in ctx.template.transversal.tolist()):
         conj = ring_mul(ring, oracles.ring_inv(ring, t), ring_mul(ring, zbar, t))
         k, h = oracles.decompose(dq, conj)
         if h[1] == 0:
             zero_rows.append([k, h[2] * Q + h[4]])
     assert ctx.zero_rows.T.tolist() == zero_rows
-    assert ctx.sharp.tolist() == [g[2] * Q + g[4] for g in ctx.U3.elements]
+    assert ctx.sharp.tolist() == [g[2] * Q + g[4] for g in U3]
     # the template's supports, which every theta's rep shares
-    transversal, supports = oracles.monomial_supports(ctx.U3, oracles.unipotent_law(ring), ctx.H2)
+    H2 = {g for g in U3 if g[1] == 0}
+    assert ctx.H2.tolist() == sorted(U3_index[g] for g in H2)
+    transversal, supports = oracles.monomial_supports(ctx.U3, oracles.unipotent_law(ring), H2)
     perm, h = ctx.template._supports
-    assert ctx.template.transversal == transversal
-    for i, g in enumerate(ctx.U3.elements):
-        hs = tuple(ctx.U3.elements[x] for x in h[i].tolist())
+    assert [U3[i] for i in ctx.template.transversal.tolist()] == transversal
+    for i, g in enumerate(U3):
+        hs = tuple(U3[x] for x in h[i].tolist())
         assert (tuple(perm[i].tolist()), hs) == supports[g]
 
 
@@ -446,16 +455,15 @@ def test_monomial_delta_sums_match_dense():
     rt = _build_eta_level2(theta, divquot(2, 2, 2, 1))
     assert rt.root_exp is not None
     dq, rep = rt.dq, rt.ext.rep
-    ring, F = dq.ring, dq.F
-    conj = lambda x: ring.scalar_conj(F.gen, x)
+    ring = dq.ring
+    conj = _teichmueller_conj(2, 2, 2)
     entries = solve_intertwiner(rep, conj, rep.group.generators, rep.R)
     dense, _ = _dense_extension(
-        rep, entries, conj, ring.one, 3, rep.group.generators,
-        CycloNum.rational(rep.R, rt.sign),
+        rep, entries, conj, 0, 3, rep.group.generators, CycloNum.rational(rep.R, rt.sign)
     )
-    index = rep.group.index
+    index = oracles.index(rep.group)
     pairs = []
-    for u in dq.units:
+    for u in _units(dq).T.tolist():
         (k1, u1), (k2, u2) = oracles.decompose(dq, u), oracles.decompose(
             dq, oracles.ring_frobenius(ring, u, 1)
         )
@@ -498,16 +506,17 @@ def test_monomial_delta_sums_match_the_scalar_walk(monkeypatch, n, q):
     _, calls = _recorded_eta_family(monkeypatch, n, q)
     calls = [call for call in calls if isinstance(call[0], MonomialExtension)]
     dq = divquot(n, q, 2, 1)
-    U, _ = unipotent_group(n, q, 2)
+    index = {g: i for i, g in enumerate(oracles.unipotent_tuples(dq.ring)[0])}
     keys = {(2, 2): 2, (3, 2): 8}[n, q]  # the psi with m < n at (2, 2), all at (3, 2)
     assert len(calls) == keys * (n - 1)
     for c, (ext, pairs, sums) in enumerate(calls):
         j = c % (n - 1) + 1
         want = []
-        for u in dq.units:
+        for u in oracles.divquot_tuples(dq)[0][: len(dq.group) // dq.nM]:
+            u = u[1:]
             frob = oracles.ring_frobenius(dq.ring, u, (n - j) % n)
             (k1, u1), (k2, u2) = oracles.decompose(dq, u), oracles.decompose(dq, frob)
-            want.append([k1, U.index[u1], k2, U.index[u2]])
+            want.append([k1, index[u1], k2, index[u2]])
         assert pairs.T.tolist() == want
         deltas, counts = sums
         matrix = oracles.monomial_matrices(ext.rep, oracles.unipotent_law(dq.ring))
@@ -527,12 +536,11 @@ def test_dense_extensions_match_the_cyclonum_route(monkeypatch, q, keys):
     for rt, (ext, pairs, (deltas, counts)) in zip(dense, calls):
         assert ext is rt.ext
         rep, R, c = ext.rep, ext.R, ext.c
-        ring, F = rt.dq.ring, rt.dq.F
-        conj = lambda x: ring.scalar_conj(F.gen, x)
+        conj = _teichmueller_conj(2, q, 2)
         gens = rep.group.generators
         entries = solve_intertwiner(rep, conj, gens, R)
         target = CycloNum.rational(R, rt.sign)
-        powers = oracles.dense_extension(rep, entries, conj, ring.one, c, gens, target)
+        powers = oracles.dense_extension(rep, entries, conj, 0, c, gens, target)
         grid = [(k, u) for k in range(c) for u in range(len(rep.group))]
         values = {z: oracles.dense_value(rep, powers, *z) for z in grid}
         k, u = np.array(grid, dtype=np.int64).T
@@ -551,14 +559,14 @@ def test_level3_intertwiners_match_the_scalar_solve(q):
     if q == 3:
         thetas = thetas[:: len(thetas) // 3][:3]
     ring, F = ctx.dq.ring, ctx.dq.F
-    conj = lambda x: ring.scalar_conj(F.gen, x)
+    els, gens = oracles.unipotent_tuples(ring)
     for theta in thetas:
         rep = _build_eta_level3(theta, ctx).ext.rep
         sharp = oracles.level3_sharp_exp(theta.chi)
-        assert rep.chi.tolist() == [sharp(g) for g in ctx.U3.elements]
-        gens = ctx.U3.generators
-        fast = solve_intertwiner(rep, conj, gens, rep.R)
+        assert rep.chi.tolist() == [sharp(g) for g in els]
+        fast = solve_intertwiner(rep, _teichmueller_conj(2, q, 3), ctx.U3.generators, rep.R)
         matrix = oracles.monomial_matrices(rep, oracles.unipotent_law(ring), sharp)
+        conj = lambda x: oracles.scalar_conj(ring, F.gen, x)
         slow = oracles.solve_intertwiner(matrix, conj, gens, rep.dim, rep.R)
         assert fast == slow
 
@@ -582,24 +590,27 @@ from dllab.repkit import (CyclicExtension, ExpChar, GroupModel, MonomialRep,
     _dense_extension, _monomial_extension, abelian_character_extensions, extend_irrep,
     inner_product)
 import dllab.constructions as C
-from oracles import exp_table, table_law
+from oracles import exp_table, table_group
 
 # element i of C4 is i, so its index law is its tuple law
-C4 = GroupModel(range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, [1])
-# D4 as r^a s^b; its 2-dimensional irrep, with conjugation by s as the twist
+C4 = GroupModel(4, lambda a, b: (a + b) % 4, lambda a: -a % 4, lambda i: i[None], [1])
+# D4 as r^a s^b, element 2 a + b; its 2-dimensional irrep, with conjugation
+# by s = (0, 1), element 1, as the twist, and r = (1, 0) at element 2
 D4_mul = lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 2)
 D4_inv = lambda x: ((-x[0] if x[1] == 0 else x[0]) % 4, x[1])
 D4_els = [(a, b) for a in range(4) for b in range(2)]
-D4 = GroupModel(D4_els, *table_law(D4_els, D4_mul, D4_inv), [(1, 0), (0, 1)])
+D4 = table_group(D4_els, (D4_mul, D4_inv), [(1, 0), (0, 1)])
 rotations = {(a, 0) for a in range(4)}
-rho = MonomialRep(D4, rotations, exp_table(D4, rotations, lambda h: h[0]), 4)
-s = (0, 1)
-conj = lambda x: D4_mul(D4_mul(s, x), D4_inv(s))
+H = np.arange(0, 8, 2)
+rho = MonomialRep(D4, H, exp_table(D4, rotations, lambda h: h[0]), 4)
+s, r, gens, none = 1, 2, D4.generators, np.zeros(0, dtype=np.int64)
+conj = np.array([D4_els.index(D4_mul(D4_mul((0, 1), x), D4_inv((0, 1)))) for x in D4_els])
+ident = np.arange(8)
 # T = 1: it does not intertwine conjugation by s; with the identity conj it
 # does, but T^2 = 1 is not rho(s) (a swap) nor a multiple of rho(r) = diag(i, -i)
 one_T = (np.arange(2), np.zeros(2, dtype=np.int64))
 # over no generators T = diag(1, zeta_8) passes, but |Tr T|^2 = 2 + sqrt(2)
-rho8 = MonomialRep(D4, rotations, exp_table(D4, rotations, lambda h: 2 * h[0]), 8)
+rho8 = MonomialRep(D4, H, exp_table(D4, rotations, lambda h: 2 * h[0]), 8)
 # A^1 = diag(1, 0) with N = 2: the trace at g is 1/2, not an algebraic integer
 half_A = np.zeros((2, 2, 2, 4), dtype=np.int64)
 half_A[:, 0, 0, 0] = half_A[0, 1, 1, 0] = 1
@@ -628,18 +639,16 @@ thunks = [
     lambda: C.build_rho_psi(2, 2, AddChar(field(2, 4), 2, 1)),
     lambda: C.build_rho_psi(2, 2, AddChar(field(2, 2), 2, 1), R=3),
     lambda: abelian_character_extensions(C4, range(4), ([0], [0]), 2),
-    lambda: extend_irrep(rho, conj, (0, 0), 3, [(1, 0), s], CycloNum.rational(4, 0)),
-    lambda: extend_irrep(rho, conj, (0, 0), 2, [(1, 0), s], CycloNum.rational(4, 0)),
-    lambda: _monomial_extension(rho, *one_T, conj, (0, 0), 2, [(1, 0), s], CycloNum.rational(4, 0)),
-    lambda: _monomial_extension(rho, *one_T, lambda x: x, s, 2, [(1, 0), s],
-                                CycloNum.rational(4, 0)),
-    lambda: _monomial_extension(rho, *one_T, lambda x: x, (1, 0), 2, [(1, 0), s],
-                                CycloNum.rational(4, 0)),
-    lambda: _dense_extension(rho, {(0, 0): 0, (1, 1): 0}, conj, (0, 0), 2, [(1, 0), s],
+    lambda: extend_irrep(rho, conj, 0, 3, gens, CycloNum.rational(4, 0)),
+    lambda: extend_irrep(rho, conj, 0, 2, gens, CycloNum.rational(4, 0)),
+    lambda: _monomial_extension(rho, *one_T, conj, 0, 2, gens, CycloNum.rational(4, 0)),
+    lambda: _monomial_extension(rho, *one_T, ident, s, 2, gens, CycloNum.rational(4, 0)),
+    lambda: _monomial_extension(rho, *one_T, ident, r, 2, gens, CycloNum.rational(4, 0)),
+    lambda: _dense_extension(rho, {(0, 0): 0, (1, 1): 0}, conj, 0, 2, gens,
                              CycloNum.rational(4, 0)),
-    lambda: _dense_extension(rho8, {(0, 0): 0, (1, 1): 1}, conj, (0, 0), 2, [],
+    lambda: _dense_extension(rho8, {(0, 0): 0, (1, 1): 1}, conj, 0, 2, none,
                              CycloNum.rational(8, 1)),
-    lambda: _dense_extension(rho, {(0, 0): 0, (1, 1): 0}, lambda x: x, (0, 0), 2, [(1, 0), s],
+    lambda: _dense_extension(rho, {(0, 0): 0, (1, 1): 0}, ident, 0, 2, gens,
                              CycloNum.rational(4, "1/2")),
     lambda: CyclicExtension(rho, half_A, 2, 2, 4).trace_counts(np.ones(1, dtype=np.int64),
                                                               np.zeros(1, dtype=np.int64)),

@@ -32,8 +32,9 @@ from dllab.matmodel import (
     star_action_batch,
     unipotent_chunks,
 )
-from dllab.twistring import TwistedRing, enumerate_unipotent, twisted_ring
+from dllab.twistring import TwistedRing, twisted_ring
 from oracles import (
+    enumerate_unipotent,
     gnq_mul,
     iota_prime_via_varpi,
     lang,

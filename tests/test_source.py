@@ -131,6 +131,48 @@ REFERENCE_EXEMPT = {
     "matmodel.in_Xh": "perfbench/tracer.py wraps it by name for matmodel.member_ratio",
 }
 
+# Methods that the package reads only on receivers whose class the syntax
+# tree does not show (parameters, tuple unpacking, subscripts, attributes of
+# other objects); any attribute read of the same name references them.  Every
+# other method needs a read on self in its class, on its class name, or on a
+# name bound by a call of its class.
+NAME_MATCHED = {
+    "AddChar.factor_through_trace",
+    "CyclicExtension.trace_counts",
+    "CycloNum.as_integer",
+    "CycloNum.is_nonneg_integer",
+    "CycloNum.is_zero",
+    "DivQuotData.decompose",
+    "ExpChar.counts",
+    "Field._neg_digits",
+    "Field.elements",
+    "Field.embed",
+    "Field.frob_exp",
+    "Field.frob_table",
+    "Field.in_subfield",
+    "Field.trace",
+    "Field.trace_table",
+    "GroupModel.conj_classes",
+    "MonomialExtension.trace_counts",
+    "MonomialRep.character",
+    "MonomialRep.matrices",
+    "SeriesBatch.equals",
+    "SeriesBatch.frob",
+    "SeriesBatch.is_zero",
+    "SeriesBatch.shift",
+    "SumChar.value",
+    "ThetaData.pi_value_exp",
+    "ThetaData.zeta_value_exp",
+    "TwistedRing.lang_batch",
+    "TwistedRing.scalar_conj_factors",
+    "VecOps.frob",
+    "VecOps.inv",
+    "VecOps.log",
+    "VecOps.mul",
+    "VecOps.neg",
+    "VecOps.sub",
+}
+
 
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
@@ -152,10 +194,10 @@ def _class_level_reads(cls):
 
 
 def _definitions(path):
-    """(f"{module}.{name}", references) for every function, class and method
-    defined in path, at any depth.  A method is referenced by an attribute
-    read, or by a read in its own class body; anything else by a bare name,
-    an import or an attribute read."""
+    """(name, class, class reads) for every function, class and method
+    defined in path, at any depth: name is f"{module}.{name}", or
+    f"{module}.{class}.{name}" for a method, whose class and the bare names
+    read in its class body come with it (None, None otherwise)."""
     tree = _tree(path)
     methods = {}
     for node in ast.walk(tree):
@@ -163,18 +205,55 @@ def _definitions(path):
             reads = _class_level_reads(node)
             for stmt in node.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods[stmt] = reads
+                    methods[stmt] = node.name, reads
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield f"{path.stem}.{node.name}", methods.get(node)
+            cls, reads = methods.get(node, (None, None))
+            name = f"{cls}.{node.name}" if cls else node.name
+            yield f"{path.stem}.{name}", cls, reads
 
 
-def _unreferenced_definitions(paths, exempt=()):
+def _resolved_reads(tree, classes):
+    """(class, attribute) for each attribute read in tree whose receiver's
+    class the tree shows: self inside that class's body, the class name
+    itself, or a name that the enclosing function binds to a call of the
+    class."""
+    out = set()
+
+    def visit(node, cls, bound):
+        if isinstance(node, ast.ClassDef):
+            cls, bound = node.name, {}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bound = dict(bound)
+            for sub in ast.walk(node):
+                call = getattr(sub, "value", None) if isinstance(sub, ast.Assign) else None
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                    if call.func.id in classes:
+                        bound.update((t.id, call.func.id) for t in sub.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = getattr(node.value, "id", None)
+            owner = cls if name == "self" else name if name in classes else bound.get(name)
+            if owner:
+                out.add((owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, bound)
+
+    visit(tree, None, {})
+    return out
+
+
+def _unreferenced_definitions(paths, exempt=(), name_matched=()):
     """Definitions in paths, other than dunders and exempt ones, that no
-    module in paths references."""
+    module in paths references.  A method is referenced by a read that
+    resolves to its class (_resolved_reads) or by a read in its own class
+    body; one in name_matched ("Class.method") also by any attribute read of
+    its name.  Anything else is referenced by a bare name, an import or an
+    attribute read."""
     trees = [_tree(p) for p in paths]
-    attrs, names = set(), set()
+    classes = {n.name for t in trees for n in ast.walk(t) if isinstance(n, ast.ClassDef)}
+    attrs, names, resolved = set(), set(), set()
     for tree in trees:
+        resolved |= _resolved_reads(tree, classes)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attrs.add(node.attr)
@@ -184,11 +263,16 @@ def _unreferenced_definitions(paths, exempt=()):
                 names.update(alias.name for alias in node.names)
     dead = []
     for path in paths:
-        for d, class_reads in _definitions(path):
-            name = d.split(".")[1]
-            if d in exempt or _is_dunder(name) or name in attrs:
+        for d, cls, class_reads in _definitions(path):
+            name = d.split(".")[-1]
+            if d in exempt or _is_dunder(name):
                 continue
-            if name not in (names if class_reads is None else class_reads):
+            if cls is None:
+                used = name in attrs or name in names
+            else:
+                matched = f"{cls}.{name}" in name_matched and name in attrs
+                used = (cls, name) in resolved or name in class_reads or matched
+            if not used:
                 dead.append(d)
     return dead
 
@@ -196,10 +280,52 @@ def _unreferenced_definitions(paths, exempt=()):
 def test_every_definition_is_referenced_from_the_package():
     # a name that only the tests reference is API that no command runs; a
     # scalar body the tests compare against belongs in oracles.py
-    defined = [d for path in MODULES for d, _ in _definitions(path)]
+    defined = [d for path in MODULES for d, _, _ in _definitions(path)]
     assert set(REFERENCE_EXEMPT) <= set(defined), "stale exemptions"
-    dead = _unreferenced_definitions(MODULES, REFERENCE_EXEMPT)
+    dead = _unreferenced_definitions(MODULES, REFERENCE_EXEMPT, NAME_MATCHED)
     assert dead == [], f"definitions only the tests reference: {dead}"
+
+
+def test_name_matched_methods_are_read_only_on_untyped_receivers():
+    # a method on the list must need it: no read of it resolves to its class
+    trees = [_tree(p) for p in MODULES]
+    classes = {n.name for t in trees for n in ast.walk(t) if isinstance(n, ast.ClassDef)}
+    resolved = set().union(*(_resolved_reads(t, classes) for t in trees))
+    methods = {(c, d.split(".")[-1]) for path in MODULES for d, c, _ in _definitions(path) if c}
+    listed = {tuple(x.split(".")) for x in NAME_MATCHED}
+    assert listed <= methods, "stale name-matched methods"
+    assert listed & resolved == set(), "name-matched methods with a typed read"
+
+
+def test_a_method_shadowed_by_another_classes_method_is_unreferenced(tmp_path):
+    # Series.one is read on its class, which says nothing about Ring.one;
+    # only a name-matched method is referenced by a read on an untyped
+    # receiver
+    path = tmp_path / "toy.py"
+    path.write_text(
+        "class Ring:\n"
+        "    def one(self):\n"
+        "        return self.zero() + 1\n"
+        "\n"
+        "    def zero(self):\n"
+        "        return 0\n"
+        "\n"
+        "\n"
+        "class Series:\n"
+        "    @classmethod\n"
+        "    def one(cls):\n"
+        "        return cls\n"
+        "\n"
+        "    def shift(self):\n"
+        "        return self\n"
+        "\n"
+        "\n"
+        "def build(ring):\n"
+        "    s = Series()\n"
+        "    return Series.one(), s.shift(), ring.one(), Ring\n"
+    )
+    assert sorted(_unreferenced_definitions([path])) == ["toy.Ring.one", "toy.build"]
+    assert _unreferenced_definitions([path], name_matched={"Ring.one"}) == ["toy.build"]
 
 
 def test_a_method_read_only_as_a_local_name_is_unreferenced(tmp_path):
@@ -229,7 +355,8 @@ def test_a_method_read_only_as_a_local_name_is_unreferenced(tmp_path):
         "    norm = helper(a)\n"
         "    return F.trace(norm) + F.mul(a, a)\n"
     )
-    assert sorted(_unreferenced_definitions([path])) == ["toy.Field", "toy.norm", "toy.report"]
+    dead = _unreferenced_definitions([path], name_matched={"Field.trace"})
+    assert sorted(dead) == ["toy.Field", "toy.Field.norm", "toy.report"]
 
 
 def test_every_oracle_is_compared_against():
