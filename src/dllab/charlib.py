@@ -51,7 +51,7 @@ class AddChar:
         """x -> the exponent of zeta_p at x, as an index array over F: the
         absolute trace table read at a x."""
         F = self.F
-        return F.trace_table(field(F.p, 1))[F.vec.mul(self.a, np.arange(F.order, dtype=np.int64))]
+        return F.trace_table(field(F.p, 1))[F.mul(self.a, np.arange(F.order, dtype=np.int64))]
 
     def conductor_power(self) -> int:
         """The m with conductor q^m, certified by a kernel check."""
@@ -65,7 +65,7 @@ class AddChar:
             # trace kernel
             if not self.table[self.F.trace_table(sub) == 0].any():
                 # cross-check: equivalent to a in F_{q^m}
-                if not self.F.in_subfield(sub, self.a):
+                if self.F.retract_table(sub)[self.a] < 0:
                     raise NotInSubfieldError(f"a is not in F_(q^{m})")
                 return m
         raise UnsupportedParametersError(f"F_{self.F.order} is not over F_{self.q}")
@@ -74,7 +74,10 @@ class AddChar:
         """psi_1 on F_{q^m} with psi = psi_1 o Tr_{F_{q^n}/F_{q^m}}."""
         p, e = splitting_params(self.q)
         sub = field(p, e * m)
-        return AddChar(sub, self.q, self.F.retract(sub, self.a))
+        b = int(self.F.retract_table(sub)[self.a])
+        if b < 0:
+            raise NotInSubfieldError(f"element {self.a} of {self.F} not in {sub}")
+        return AddChar(sub, self.q, b)
 
 
 def principal_units(L: Field, h: int) -> GroupModel:
@@ -103,7 +106,8 @@ def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int
     """Identify the restriction of chi to the last unit layer with psi_a.
 
     The last layer {1 + b pi^(h-1)} is isomorphic to (L, +), so the
-    restriction equals psi_a for a unique a; found by matching exponents.
+    restriction equals psi_a for a unique a, found by scanning a in index
+    order and comparing each psi_a table with the restriction.
     """
     p = L.p
     if R % p:
@@ -111,7 +115,7 @@ def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int
     # b -> chi(1 + b pi^(h-1)) as exponents of zeta_R: these elements come
     # first in product order, at the indices b
     rest = chi.table[: L.order]
-    for a in L.elements():
+    for a in range(L.order):
         psi = AddChar(L, q, a)
         if (psi.table * (R // p) == rest).all():
             return psi

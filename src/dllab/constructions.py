@@ -98,8 +98,7 @@ def _coordinate_generators(F: Field, width: int) -> np.ndarray:
     of the points with one coordinate a basis power gen^0, ..., gen^(k-1) of
     F over its prime field and the others zero: coordinate by coordinate,
     the slowest first, then power by power."""
-    basis = np.array([F.pow(F.gen, k) for k in range(F.k)], dtype=np.int64)
-    return (F.order ** np.arange(width - 1, -1, -1, dtype=np.int64)[:, None] * basis).ravel()
+    return (F.order ** np.arange(width - 1, -1, -1, dtype=np.int64)[:, None] * F.exp[: F.k]).ravel()
 
 
 def unipotent_group(n: int, q: int, h: int = 2):
@@ -318,7 +317,7 @@ def gnq_lang_fiber_count(n: int, q: int, s: int = 1) -> int:
     vanishing top coordinate."""
     p, e = splitting_params(q)
     F = field(p, e * n * s)
-    frob = F.vec.frob(F.frob_exp(q, n))
+    frob = F.frob_table(F.frob_exp(q, n))
     return sum(
         int(np.count_nonzero(gnq_mul_batch(F, n, q, frob[a], gnq_inv_batch(F, n, q, a))[n - 1] == 0))
         for a in grid_chunks(F.order, n)
@@ -335,7 +334,7 @@ def rho_family_report(n: int, q: int, mirror: bool = False) -> dict:
     F = field(p, e * n)
     lefschetz = 0
     rows = []
-    for a in F.elements():
+    for a in range(F.order):
         psi = AddChar(F, q, a)
         data = build_rho_psi(n, q, psi, mirror=mirror)
         checks = _check_rho(data, mirror)
@@ -392,7 +391,7 @@ def extension_orbit_report(q: int) -> dict:
     # of w4 holds the a4 of each x v x^-1 in that order, so psi's orbit rows
     # are its table read there
     a3, a4, w4 = a3[: Q * Q], a4[: Q * Q], w[4].reshape(Q, Q * Q)
-    psis = [AddChar(F, q, a) for a in F.elements()]
+    psis = [AddChar(F, q, a) for a in range(F.order)]
     lam = np.stack([psi.table[a3] for psi in psis])
     rows = []
     mismatches = []
@@ -449,8 +448,8 @@ class DivQuotData:
         are the columns of an (L, N) array: zeta-bar^k is the constant u_0,
         and a constant multiplies coefficientwise from the left, so u1 =
         u_0^-1 u.  Returns (k, u1)."""
-        v = self.F.vec
-        return v.log(u[0]), v.mul(v.inv(u[0]), u)
+        F = self.F
+        return F.log(u[0]), F.mul(F.inv(u[0]), u)
 
 
 def divquot(n: int, q: int, h: int, M: int = 1) -> DivQuotData:
@@ -471,7 +470,6 @@ def _divquot(n: int, q: int, h: int, M: int) -> DivQuotData:
     Q = F.order
     tails = Q ** (L - 1)
     units = (Q - 1) * tails
-    v = F.vec
 
     def decode(i):
         e_, r = np.divmod(i, units)
@@ -498,8 +496,8 @@ def _divquot(n: int, q: int, h: int, M: int) -> DivQuotData:
         x = decode(i)
         a, u = x[0], frobenius(x[1:], x[0] % n)
         # u = u_0 w with w unipotent: u^-1 = w^-1 u_0^-1
-        c = v.inv(u[0])
-        w = ring.inv_batch(v.mul(c[None], u))
+        c = F.inv(u[0])
+        w = ring.inv_batch(F.mul(c[None], u))
         scalar = np.concatenate([c[None], np.zeros((L - 1, len(i)), dtype=np.int64)])
         return encode((-a) % nM, ring.mul_batch(w, scalar))
 
@@ -608,7 +606,7 @@ def _teichmueller_conj(n: int, q: int, h: int) -> np.ndarray:
     F = ring.coeff_field
     f = np.array(ring.scalar_conj_factors(F.gen), dtype=np.int64)
     x = group.decode(np.arange(len(group), dtype=np.int64))
-    return digits_index(F.vec.mul(f[:, None], x[1:]), F.order)
+    return digits_index(F.mul(f[:, None], x[1:]), F.order)
 
 
 def _level3_pattern_subgroup(U3: GroupModel) -> np.ndarray:
@@ -675,7 +673,7 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
         # psi(x^(q^j)) = psi(x), the latter meaning a^(q^(n-j)) = a
         regular = not any(
             (zv * (q**j - 1)) % R == 0
-            and F.frob(psi.a, q ** ((n - j) % n)) == psi.a
+            and F.frob_table(q ** ((n - j) % n))[psi.a] == psi.a
             for j in range(1, n)
         )
         witness = {"zeta_exp": theta.zeta_exp, "psi": psi.a, "mackey": inners}

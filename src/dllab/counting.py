@@ -100,13 +100,12 @@ def inductive_spec(s2: SumSpec, f, j: int, n: int, q: int):
             yield np.concatenate([np.repeat(x, E.order, axis=1), np.tile(y, (1, x.shape[1]))])
 
     def s_poly(E, x):
-        v = E.vec
         y, fx = x[-1], f(E, x[:-1])
-        t = v.sub(
-            v.mul(v.frob(q**j)[fx], y),
-            v.mul(v.frob(q**n)[fx], v.frob(q ** (n - j))[y]),
+        t = E.sub(
+            E.mul(E.frob_table(q**j)[fx], y),
+            E.mul(E.frob_table(q**n)[fx], E.frob_table(q ** (n - j))[y]),
         )
-        return v.add(t, s2.poly(E, x[:-1]))
+        return E.add(t, s2.poly(E, x[:-1]))
 
     def s3_points(E):
         for x in s2.points(E):
@@ -146,17 +145,15 @@ def intertwiner_s2_data(q: int):
     p, e = splitting_params(q)
 
     def points(E):
-        v = E.vec
-        frq, frq2 = v.frob(q), v.frob(q * q)
+        frq, frq2 = E.frob_table(q), E.frob_table(q * q)
         for x in grid_chunks(E.order, 2):
             a1, a2 = x
-            rhs = v.sub(v.mul(frq[a1], frq2[a1]), v.mul(a1, frq[a1]))
-            yield x[:, v.sub(frq2[a2], a2) == rhs]
+            rhs = E.sub(E.mul(frq[a1], frq2[a1]), E.mul(a1, frq[a1]))
+            yield x[:, E.sub(frq2[a2], a2) == rhs]
 
     def p2(E, x):
-        v = E.vec
-        frq = v.frob(q)[x[1]]
-        return v.sub(v.mul(x[1], frq), v.mul(frq, v.frob(q * q)[x[1]]))
+        frq = E.frob_table(q)[x[1]]
+        return E.sub(E.mul(x[1], frq), E.mul(frq, E.frob_table(q * q)[x[1]]))
 
     return SumSpec(field(p, 2 * e), points, p2), (lambda E, x: x[0]), 1, 2
 
@@ -171,10 +168,11 @@ def intertwiner_surface(q: int) -> SumSpec:
 # -- the Lang-quotient sum over beta^{-1}(Y_3) ---------------------------------
 
 
-def y3_member(ring: TwistedRing, b) -> bool:
-    """Membership in Y_3 = {b_2 = 0, b_4 = -b_3 b_1^q} inside U^{2,q}_3."""
+def y3_member(ring: TwistedRing, b) -> np.ndarray:
+    """Membership in Y_3 = {b_2 = 0, b_4 = -b_3 b_1^q} inside U^{2,q}_3, on
+    a batch: one boolean per column of the (5, N) array b."""
     F = ring.coeff_field
-    return b[2] == 0 and b[4] == F.neg(F.mul(b[3], F.frob(b[1], ring.q)))
+    return (b[2] == 0) & (b[4] == F.neg(F.mul(b[3], F.frob_table(ring.q)[b[1]])))
 
 
 def y3_preimage_batches(ring: TwistedRing):
@@ -185,10 +183,7 @@ def y3_preimage_batches(ring: TwistedRing):
     b_0, b_1, b_2 of beta alone, so the pairs x are filtered on b_2 = 0 first;
     then, for each surviving pair, (a_3, a_4) runs over its grid, GRID_CHUNK
     columns at a time."""
-    F = ring.coeff_field
-    v = F.vec
-    Q = F.order
-    frq = v.frob(ring.q)
+    Q = ring.coeff_field.order
     grid = index_digits(np.arange(Q * Q), Q, 2)
     one, zero = np.ones_like(grid[:1]), np.zeros_like(grid)
     sx = np.concatenate([one, grid, zero])
@@ -200,8 +195,7 @@ def y3_preimage_batches(ring: TwistedRing):
         for start in range(0, Q * Q, GRID_CHUNK):
             hs = h[:, start : start + GRID_CHUNK]
             b = ring.mul_batch(ring.mul_batch(left[:, [x]], hs), right[:, [x]])
-            # the pair has b_2 = 0; Y_3's other equation decides
-            tails = hs[3:, b[4] == v.neg(v.mul(b[3], frq[b[1]]))]
+            tails = hs[3:, y3_member(ring, b)]
             yield np.concatenate([np.repeat(grid[:, [x]], tails.shape[1], axis=1), tails])
 
 
@@ -237,12 +231,11 @@ def x3_conditions_batch(F: Field, q: int, x) -> np.ndarray:
     a_2^q + a_2 - a_1^(q+1) and a_4^q + a_4 + a_2^(q+1) - a_1 a_3^q - a_3 a_1^q
     both lie in F_q.  One boolean per column; an element lies in F_q when
     the q-power map fixes it."""
-    v = F.vec
-    frq = v.frob(q)
+    frq = F.frob_table(q)
     _, a1, a2, a3, a4 = x
-    c1 = v.sub(v.add(frq[a2], a2), v.mul(a1, frq[a1]))
-    c2 = v.add(v.add(frq[a4], a4), v.mul(a2, frq[a2]))
-    c2 = v.sub(v.sub(c2, v.mul(a1, frq[a3])), v.mul(a3, frq[a1]))
+    c1 = F.sub(F.add(frq[a2], a2), F.mul(a1, frq[a1]))
+    c2 = F.add(F.add(frq[a4], a4), F.mul(a2, frq[a2]))
+    c2 = F.sub(F.sub(c2, F.mul(a1, frq[a3])), F.mul(a3, frq[a1]))
     return (frq[c1] == c1) & (frq[c2] == c2)
 
 
@@ -252,11 +245,10 @@ def _as_fibres(E: Field, q2: int, kernel):
     over the value at x is x + kernel.  The fibres form one (|E|, q^2) table
     and a mask of the c that have one; every x of a fibre writes the same
     set into its row."""
-    v = E.vec
     idx = np.arange(E.order, dtype=np.int64)
-    vals = v.sub(v.frob(q2), idx)
+    vals = E.sub(E.frob_table(q2), idx)
     fib = np.zeros((E.order, q2), dtype=np.int64)
-    fib[vals] = v.add(idx[:, None], kernel)
+    fib[vals] = E.add(idx[:, None], kernel)
     has = np.zeros(E.order, dtype=bool)
     has[vals] = True
     return fib, has
@@ -280,8 +272,7 @@ def twist_counts(q: int, t) -> np.ndarray:
     q2 = q * q
     E = field(p, 2 * e * p)
     F2 = field(p, 2 * e)
-    v = E.vec
-    frq, frq2 = v.frob(q), v.frob(q2)
+    frq, frq2 = E.frob_table(q), E.frob_table(q2)
     ring = twisted_ring(2, q, 3, E)
     rational = E.embed_table(F2)  # F_{q^2} in E
     fib, has = _as_fibres(E, q2, rational)
@@ -293,10 +284,10 @@ def twist_counts(q: int, t) -> np.ndarray:
         # rows t, a1, c3: the keys t with a nonempty a_2-fibre, each with
         # every a1 in F_{q^2} whose a_3-fibre is nonempty
         lam, g2, _, _ = key[:, t]
-        t = np.repeat(t[has[v.sub(g2, lam)]], q2)
+        t = np.repeat(t[has[E.sub(g2, lam)]], q2)
         a1 = np.resize(rational, len(t))
         lam, g2, g3, _ = key[:, t]
-        c3 = v.add(v.sub(v.mul(frq[g2], a1), v.mul(lam, a1)), g3)
+        c3 = E.add(E.sub(E.mul(frq[g2], a1), E.mul(lam, a1)), g3)
         keep = has[c3]
         return np.stack([t[keep], a1[keep], c3[keep]])
 
@@ -304,12 +295,12 @@ def twist_counts(q: int, t) -> np.ndarray:
         # rows t, a1, c3, a2, c4: each a2 in the fibre over g2 - lam, kept
         # when c1 lies in F_q and the a_4-fibre over c4 is nonempty
         lam, g2, _, _ = key[:, cols[0]]
-        a2 = fib[v.sub(g2, lam)].ravel()
+        a2 = fib[E.sub(g2, lam)].ravel()
         t, a1, c3 = np.repeat(cols, q2, axis=1)
         lam, g2, g3, d = key[:, t]
-        c1 = v.sub(v.add(frq[a2], a2), v.mul(a1, frq[a1]))
-        c4 = v.add(v.add(d, v.mul(a2, g2)), v.mul(a1, frq[g3]))
-        c4 = v.sub(c4, v.mul(lam, frq2[a2]))
+        c1 = E.sub(E.add(frq[a2], a2), E.mul(a1, frq[a1]))
+        c4 = E.add(E.add(d, E.mul(a2, g2)), E.mul(a1, frq[g3]))
+        c4 = E.sub(c4, E.mul(lam, frq2[a2]))
         keep = (frq[c1] == c1) & has[c4]
         return np.stack([t[keep], a1[keep], c3[keep], a2[keep], c4[keep]])
 
@@ -328,7 +319,7 @@ def twist_counts(q: int, t) -> np.ndarray:
         one, zero = x[0], np.zeros_like(t)
         _, y1, y2, y3, y4 = ring.frobenius_batch(x, 2)
         star = np.stack(  # (1 + lam pi) * y, the mu = 0 slice
-            [one, y1, v.add(lam, y2), v.add(y3, v.mul(lam, y1)), v.add(y4, v.mul(lam, y2))]
+            [one, y1, E.add(lam, y2), E.add(y3, E.mul(lam, y1)), E.add(y4, E.mul(lam, y2))]
         )
         ok = np.ones(len(t), dtype=bool)
         for a, b in zip(star, ring.mul_batch(x, np.stack([one, zero, g2, g3, d]))):
@@ -392,7 +383,7 @@ def eigendims(chars, table: dict, q: int) -> np.ndarray:
     # the units (1, b1, b2) come in product order, at the indices b1 Q2 + b2
     exps = np.stack([chi.table for chi in chars]).reshape(C, Q2, Q2)
     e1 = exps[:, lam, mu]  # chi1(1, lam, mu) per (key, mu) row
-    e2 = exps[:, g2, F2.vec.add(d, mu)]  # chi2(1, g2, d + mu)
+    e2 = exps[:, g2, F2.add(d, mu)]  # chi2(1, g2, d + mu)
     counts = np.zeros((C, C * R), dtype=np.int64)
     slot = R * np.arange(C, dtype=np.int64)[:, None]
     weights = np.tile(cnt, C)
@@ -423,27 +414,22 @@ def npp_identity(q: int) -> bool:
 
         #{(a_1, beta) : a_1^{q+1}(lam^q - lam) + beta a_1^q - beta^q a_1 = delta}
 
-    equals q^2 + (q^2-1) q when delta = 0 and (q^2-1) q otherwise."""
+    equals q^2 + (q^2-1) q when delta = 0 and (q^2-1) q otherwise.  For
+    each lam the left side runs over the (beta, a_1) grid as one batch and
+    is counted per delta with np.bincount."""
     p, e = splitting_params(q)
     F2 = field(p, 2 * e)
-    Fq = field(p, e)
     q2 = q * q
-    for lam in F2.elements():
-        coef = F2.sub(F2.frob(lam, q), lam)
-        for delta in F2.elements():
-            if F2.trace(delta, Fq) != 0:
-                continue
-            cnt = 0
-            for beta in F2.elements():
-                for a1 in F2.elements():
-                    lhs = F2.mul(F2.mul(a1, F2.frob(a1, q)), coef)
-                    lhs = F2.add(lhs, F2.mul(beta, F2.frob(a1, q)))
-                    lhs = F2.sub(lhs, F2.mul(F2.frob(beta, q), a1))
-                    if lhs == delta:
-                        cnt += 1
-            want = (q2 - 1) * q + (q2 if delta == 0 else 0)
-            if cnt != want:
-                return False
+    frq = F2.frob_table(q)
+    beta, a1 = index_digits(np.arange(q2 * q2, dtype=np.int64), q2, 2)
+    twist = F2.sub(F2.mul(beta, frq[a1]), F2.mul(frq[beta], a1))
+    norm = F2.mul(a1, frq[a1])
+    kernel = F2.trace_table(field(p, e)) == 0
+    want = (q2 - 1) * q + q2 * (np.arange(q2) == 0)
+    for lam in range(q2):
+        lhs = F2.add(F2.mul(norm, F2.sub(frq[lam], lam)), twist)
+        if (np.bincount(lhs, minlength=q2) != want)[kernel].any():
+            return False
     return True
 
 
@@ -459,7 +445,7 @@ def zeta_fixed_set(n: int, q: int, h: int):
     ring = twisted_ring(n, q, h, field(p, e * n * p))
     E, dim = ring.coeff_field, ring.length - 1
     Fqn = field(p, e * n)
-    zeta = E.embed(Fqn, Fqn.gen)
+    zeta = int(E.embed_table(Fqn)[Fqn.gen])
     # conjugation by zeta scales x_j by f_j, so it fixes x exactly when
     # x_j == 0 at every j with f_j != 1
     free = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f == 1]
@@ -490,7 +476,7 @@ def zeta_trace_suite(n: int, q: int) -> dict:
     g[0], g[n] = 1, E.embed_table(Fqn)
     fix_of = (ring.mul_batch(x, g) == x).all(axis=0).sum(axis=0)
     results = []
-    for a in Fqn.elements():
+    for a in range(Fqn.order):
         psi = AddChar(Fqn, q, a)
         exps = -psi.table % p
         counts = np.zeros(p, dtype=np.int64)
@@ -570,7 +556,7 @@ def x_betti_data(n: int, q: int) -> list[dict]:
     p, e = splitting_params(q)
     Fqn = field(p, e * n)
     out = []
-    for a in Fqn.elements():
+    for a in range(Fqn.order):
         m = AddChar(Fqn, q, a).conductor_power()
         n1 = n // m
         r = n + n1 - 2

@@ -16,8 +16,7 @@ commute with each other across the tower.
 
 from __future__ import annotations
 
-import operator
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,7 +56,7 @@ PRIMITIVE_POLYS = {
 }
 
 # Every field above is at most this large, so every field builds its
-# exp/log, Zech and Frobenius lookup lists.
+# exp/log, Zech, negation and Frobenius lookup arrays.
 EXPLOG_ORDER_LIMIT = 1 << 16
 
 # Points per array yielded by grid_chunks: large enough that numpy dominates
@@ -69,16 +68,14 @@ GRID_CHUNK = 4096
 class Field:
     """The finite field F_{p^k} with a fixed primitive polynomial.
 
-    All element-level operations take and return integer indices.
-
-    Every field is table-driven.  Construction builds exp/log lists for the
-    generator g from the polynomial product and installs ``add``, ``sub``,
-    ``neg``, ``mul`` and ``inv`` as instance attributes.  In characteristic
-    2 addition is XOR of the indices.  For odd p it uses Zech logarithms
-    Z(d) = log(1 + g^d), since g^i + g^j = g^(i + Z(j - i))
-    (Lidl-Niederreiter, *Finite Fields*), built with digitwise addition.
-    The digit-loop and polynomial methods below build the tables, and the
-    tests use them as the oracle of the tables.
+    Elements are integer indices, and every operation is a lookup in numpy
+    tables built once by the constructor: ``add``, ``sub``, ``neg``,
+    ``mul``, ``inv`` and ``log`` take arrays of any shape or Python ints,
+    which broadcast.  Multiplication goes through exp/log for the generator
+    g, the class of x.  In characteristic 2 addition is XOR of the indices.
+    For odd p it uses Zech logarithms Z(d) = log(1 + g^d), since g^i + g^j
+    = g^(i + Z(j - i)) (Lidl-Niederreiter, *Finite Fields*, ch. 2).
+    Negation and the Frobenius maps a -> a^qpow are permutation arrays.
     """
 
     def __init__(self, p: int, k: int):
@@ -87,89 +84,77 @@ class Field:
         self.p = p
         self.k = k
         self.order = p**k
-        self.poly = PRIMITIVE_POLYS[(p, k)]
-        self.zero = 0
-        self.one = 1
-        # x is a primitive root by construction; for k == 1 the polynomial is
-        # x - r with r a primitive root mod p.
-        self.gen = p if k > 1 else (-self.poly[0]) % p
-        # reductions of x^d for d in [k, 2k-2], as coefficient tuples
-        self._xpow = self._build_xpow()
-        self._frob_maps: dict[int, list[int]] = {}
+        n = self.order - 1
+        poly = PRIMITIVE_POLYS[(p, k)]
+        # digits of every element, most significant first, and a -> a x by
+        # a shift of the digits with x^k = -(poly without its leading 1);
+        # for k == 1 the polynomial is x - r with r a primitive root mod p
+        digits = index_digits(np.arange(self.order, dtype=np.int64), p, k)
+        low = np.array([(-c) % p for c in reversed(poly[:k])], dtype=np.int64)
+        shifted = np.concatenate([digits[1:], np.zeros_like(digits[:1])])
+        times_x = digits_index((shifted + low[:, None] * digits[0]) % p, p)
+        self.gen = int(times_x[1])
+        # exp[i] == g^i for i < n, by doubling: g^(i + m) is x^m applied to g^i
+        exp, step = np.ones(1, dtype=np.int64), times_x
+        while len(exp) < n:
+            exp, step = np.concatenate([exp, step[exp]]), step[step]
+        self.exp = exp[:n]
+        # log[0] == 2n; g is primitive when its n powers reach every nonzero
+        # element
+        self._log = np.full(self.order, 2 * n, dtype=np.int64)
+        self._log[self.exp] = np.arange(n, dtype=np.int64)
+        if (self._log[1:] == 2 * n).any():
+            raise DLLabError(f"generator {self.gen} of {self} is not primitive")
+        # exp4[i] == g^i for i < 2n and 0 from 2n on, so a product with a
+        # zero factor lands in the zero block
+        self._exp4 = np.concatenate([self.exp, self.exp, np.zeros(2 * n + 1, dtype=np.int64)])
+        self._neg = digits_index(-digits % p, p)
+        if p != 2:
+            # zech[d] = log(1 + g^d), 2n where 1 + g^d == 0; that happens
+            # only for g^d == -1, i.e. d == n/2 and nowhere else
+            plus_one = self.exp + np.where(digits[-1, self.exp] == p - 1, 1 - p, 1)
+            zech = self._log[plus_one]
+            if np.count_nonzero(zech == 2 * n) != 1 or zech[n // 2] != 2 * n:
+                raise DLLabError(f"Zech table of {self} is inconsistent: -1 != g^{n // 2}")
+            # log b - log a ranges over [-2n, 2n] once zeros are in; four
+            # copies index it without a reduction mod n, as numpy wraps
+            # negative indices
+            self._zech4 = np.tile(zech, 4)
+        self._frobs: dict[int, np.ndarray] = {}
         self._embed_tabs: dict[int, np.ndarray] = {}
         self._retract_tabs: dict[int, np.ndarray] = {}
         self._trace_tabs: dict[int, np.ndarray] = {}
-        self._build_explog()
-        self._install_table_ops()
 
     def __repr__(self):
         return f"F_{self.p}^{self.k}" if self.k > 1 else f"F_{self.p}"
 
-    # -- representation ---------------------------------------------------
+    # -- arithmetic ---------------------------------------------------------
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
+    def add(self, x, y):
+        if self.p == 2:
+            return np.bitwise_xor(x, y)
+        # g^a + g^b == g^(a + Z(b - a)); Z == 2n where g^a + g^b == 0
+        lx = self._log[x]
+        s = self._exp4[lx + self._zech4[self._log[y] - lx]]
+        return np.where(np.equal(y, 0), x, np.where(np.equal(x, 0), y, s))
 
-    def from_coeffs(self, cs) -> int:
-        a = 0
-        for c in reversed(list(cs)):
-            a = a * self.p + (c % self.p)
-        return a
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
 
-    def elements(self):
-        return range(self.order)
+    def neg(self, x):
+        return x if self.p == 2 else self._neg[x]
 
-    # -- arithmetic: digit loops and polynomial products -------------------
+    def mul(self, x, y):
+        return self._exp4[self._log[x] + self._log[y]]
 
-    def _add_digits(self, a: int, b: int) -> int:
-        p, r = self.p, 0
-        mul = 1
-        while a or b:
-            r += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return r
+    def inv(self, x):
+        """Inverses of nonzero elements."""
+        n = self.order - 1
+        return self._exp4[(n - self._log[x]) % n]
 
-    def _neg_digits(self, a: int) -> int:
-        p, r = self.p, 0
-        mul = 1
-        while a:
-            r += (-a % p) * mul
-            a //= p
-            mul *= p
-        return r
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        p, k = self.p, self.k
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(ca):
-            if ai:
-                for j, bj in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        out = list(prod[:k])
-        for d in range(k, 2 * k - 1):
-            c = prod[d]
-            if c:
-                red = self._xpow[d - k]
-                for j in range(k):
-                    out[j] = (out[j] + c * red[j]) % p
-        return self.from_coeffs(out)
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
+    def log(self, x):
+        """The logs of nonzero elements to the base gen."""
+        return self._log[x]
 
     # -- Frobenius ----------------------------------------------------------
 
@@ -178,154 +163,38 @@ class Field:
         order - 1 (1 in F_2, where every power is the identity)."""
         return pow(q, i, self.order - 1) if self.order > 2 else 1
 
-    def frob_map(self, q: int):
-        """a -> a^q for q a power of p, as a cached list indexed by a.  Hoist
-        it out of loops."""
-        tab = self._frob_maps.get(q)
+    def frob_table(self, qpow: int) -> np.ndarray:
+        """Permutation array a -> a^qpow for qpow a power of p, cached per
+        exponent mod order - 1."""
+        n = self.order - 1
+        e = qpow % n
+        tab = self._frobs.get(e)
         if tab is None:
-            n = self.order - 1
-            e = q % n
-            tab = self._frob_maps.get(e)
-            if tab is None:
-                exp = self._exp
-                tab = [0] + [exp[lg * e % n] for lg in self._log[1:]]
-                self._frob_maps[e] = tab
-            self._frob_maps[q] = tab
+            tab = np.concatenate([[0], self.exp[self._log[1:] * e % n]])
+            self._frobs[e] = tab
         return tab
-
-    def frob(self, a: int, q: int) -> int:
-        """a^q for q a power of p (any positive power works)."""
-        tab = self._frob_maps.get(q)
-        if tab is None:
-            tab = self.frob_map(q)
-        return tab[a]
-
-    def frob_table(self, q: int) -> np.ndarray:
-        """Index array a -> a^q."""
-        return np.array(self.frob_map(q), dtype=np.int64)
-
-    @cached_property
-    def vec(self) -> "VecOps":
-        """The numpy kernel of this field, built on first use."""
-        return VecOps(self)
-
-    # -- tables -----------------------------------------------------------
-
-    def _build_xpow(self):
-        p, k = self.p, self.k
-        # x^k = -(poly without leading coeff)
-        base = [(-c) % p for c in self.poly[:k]]
-        pows = [tuple(base)]
-        for _ in range(k - 2):
-            prev = pows[-1]
-            shifted = [0] + list(prev[: k - 1])
-            c = prev[k - 1]
-            if c:
-                for j in range(k):
-                    shifted[j] = (shifted[j] + c * base[j]) % p
-            pows.append(tuple(shifted))
-        return pows
-
-    def _build_explog(self):
-        n = self.order - 1
-        exp = [0] * n
-        log = [0] * self.order
-        a = 1
-        for i in range(n):
-            exp[i] = a
-            log[a] = i
-            a = self._mul_poly(a, self.gen)
-        if a != 1 or len(set(exp)) != n:
-            raise DLLabError(f"generator {self.gen} of {self} is not primitive")
-        self._exp = exp
-        self._log = log
-
-    def _install_table_ops(self):
-        """Install add/sub/neg/mul/inv as closures over the lookup lists."""
-        n = self.order - 1
-        exp, log = self._exp, self._log
-        # exp2[i + j] == g^(i + j) for 0 <= i, j < n, with no reduction mod n
-        exp2 = exp + exp
-
-        def mul(a, b):
-            return exp2[log[a] + log[b]] if a and b else 0
-
-        def inv(a):
-            if not a:
-                raise ZeroDivisionError("inverse of zero")
-            return exp[-log[a]]  # index n - log a, or 0 for a == 1
-
-        self.mul, self.inv = mul, inv
-        if self.p == 2:
-            # digitwise addition mod 2 is XOR of the indices, and -a == a
-            self.add = self.sub = operator.xor
-            self.neg = operator.pos
-            return
-
-        zech = self._build_zech()
-        half = n // 2  # g^half == -1, checked by _build_zech
-        neg_tab = [0] + [exp2[lg + half] for lg in log[1:]]
-
-        # log[b] - la lies in (-n, n); a negative index reads zech[d + n],
-        # and g^d == g^(d + n).
-        def add(a, b):
-            if not a:
-                return b
-            if not b:
-                return a
-            la = log[a]
-            z = zech[log[b] - la]
-            return 0 if z is None else exp2[la + z]
-
-        def sub(a, b):
-            if not b:
-                return a
-            b = neg_tab[b]
-            if not a:
-                return b
-            la = log[a]
-            z = zech[log[b] - la]
-            return 0 if z is None else exp2[la + z]
-
-        self.add, self.sub, self.neg = add, sub, neg_tab.__getitem__
-
-    def _build_zech(self) -> list:
-        """zech[d] = log(1 + g^d), or None where 1 + g^d == 0 (odd p only)."""
-        n = self.order - 1
-        zech = [None] * n
-        for d, a in enumerate(self._exp):
-            s = self._add_digits(a, 1)
-            if s:
-                zech[d] = self._log[s]
-        # 1 + g^d vanishes only for g^d == -1, i.e. d == n/2 and nowhere else
-        if zech.count(None) != 1 or zech[n // 2] is not None:
-            raise DLLabError(f"Zech table of {self} is inconsistent: -1 != g^{n // 2}")
-        return zech
 
     # -- subfields ---------------------------------------------------------
 
     def embed_table(self, sub: "Field") -> np.ndarray:
-        """Index array mapping elements of sub into self."""
+        """Index array mapping elements of sub into self: the digits of each
+        element of sub, most significant first, by Horner's rule in beta =
+        g^((|self| - 1)/(|sub| - 1)), the image of sub's generator."""
         if sub.p != self.p or self.k % sub.k != 0:
             raise NotInSubfieldError(f"{sub} is not a subfield of {self}")
         tab = self._embed_tabs.get(sub.k)
         if tab is None:
-            beta = self.pow(self.gen, (self.order - 1) // (sub.order - 1))
+            n = self.order - 1
+            beta = self.exp[n // (sub.order - 1) % n]
             tab = np.zeros(sub.order, dtype=np.int64)
-            for a in range(sub.order):
-                acc = 0
-                for c in reversed(sub.coeffs(a)):
-                    acc = self.mul(acc, beta)
-                    acc = self.add(acc, c)  # prime-field constants embed as-is
-                tab[a] = acc
+            # prime-field digits embed as themselves
+            for d in index_digits(np.arange(sub.order, dtype=np.int64), self.p, sub.k):
+                tab = self.add(self.mul(tab, beta), d)
             self._embed_tabs[sub.k] = tab
             back = np.full(self.order, -1, dtype=np.int64)
             back[tab] = np.arange(sub.order)
             self._retract_tabs[sub.k] = back
         return tab
-
-    def embed(self, sub: "Field", a: int) -> int:
-        return int(self.embed_table(sub)[a])
 
     def retract_table(self, sub: "Field") -> np.ndarray:
         """Index array inverting embed_table: a -> its index in sub, and -1
@@ -333,103 +202,20 @@ class Field:
         self.embed_table(sub)
         return self._retract_tabs[sub.k]
 
-    def retract(self, sub: "Field", a: int) -> int:
-        """Inverse of embed; raises NotInSubfieldError if a is not in the image."""
-        r = int(self.retract_table(sub)[a])
-        if r < 0:
-            raise NotInSubfieldError(f"element {a} of {self} not in {sub}")
-        return r
-
-    def in_subfield(self, sub: "Field", a: int) -> bool:
-        # a in F_{p^m}  <=>  a^(p^m) == a
-        return self.frob(a, sub.order) == a
-
-    def trace(self, a: int, sub: "Field") -> int:
-        """Tr_{self/sub}(a), returned as an index in sub."""
-        d = self.k // sub.k
-        t, x = 0, a
-        for _ in range(d):
-            t = self.add(t, x)
-            x = self.frob(x, sub.order)
-        return self.retract(sub, t)
-
     def trace_table(self, sub: "Field") -> np.ndarray:
         """Index array a -> Tr_{self/sub}(a) as an index in sub, the sum of
         the conjugates a^(|sub|^i); cached per subfield."""
         tab = self._trace_tabs.get(sub.k)
         if tab is None:
             back = self.retract_table(sub)
-            v = self.vec
             x = t = np.arange(self.order, dtype=np.int64)
             for _ in range(self.k // sub.k - 1):
-                x = v.frob(sub.order)[x]
-                t = v.add(t, x)
+                x = self.frob_table(sub.order)[x]
+                t = self.add(t, x)
             tab = back[t]
             if (tab < 0).any():
                 raise NotInSubfieldError(f"a trace of {self} does not lie in {sub}")
             self._trace_tabs[sub.k] = tab
-        return tab
-
-
-class VecOps:
-    """numpy arithmetic on whole arrays of field-element indices.
-
-    Uses the lookup lists of a table-driven field: addition is XOR for p = 2
-    and a Zech-logarithm lookup for odd p, multiplication goes through
-    exp/log, and negation (built digit by digit, so the tests compare it with
-    the scalar table) and Frobenius are permutation arrays.  Operands may be
-    arrays of any shape or Python ints, which broadcast.
-    """
-
-    def __init__(self, F: Field):
-        self.F = F
-        n = F.order - 1
-        exp = np.array(F._exp, dtype=np.int64)
-        # exp4[i] == g^i for i < 2n and 0 from 2n on; log[0] == 2n, so a
-        # product with a zero factor lands in the zero block
-        self._exp4 = np.concatenate([exp, exp, np.zeros(2 * n + 1, dtype=np.int64)])
-        self._log = np.array(F._log, dtype=np.int64)
-        self._log[0] = 2 * n
-        self._frobs: dict[int, np.ndarray] = {}
-        if F.p == 2:
-            self.add = self.sub = np.bitwise_xor
-            self._neg = None
-            return
-        zech = np.array([2 * n if z is None else z for z in F._build_zech()], dtype=np.int64)
-        # log b - log a ranges over [-2n, 2n] once zeros are in; four copies
-        # index it without a reduction mod n, as numpy wraps negative indices
-        self._zech4 = np.tile(zech, 4)
-        self._neg = np.array([F._neg_digits(a) for a in range(F.order)], dtype=np.int64)
-
-    def add(self, x, y):
-        # g^a + g^b == g^(a + Z(b - a)); Z == 2n where g^a + g^b == 0
-        lx = self._log[x]
-        s = self._exp4[lx + self._zech4[self._log[y] - lx]]
-        return np.where(np.equal(y, 0), x, np.where(np.equal(x, 0), y, s))
-
-    def sub(self, x, y):
-        return self.add(x, self._neg[y])
-
-    def neg(self, x):
-        return x if self._neg is None else self._neg[x]
-
-    def mul(self, x, y):
-        return self._exp4[self._log[x] + self._log[y]]
-
-    def inv(self, x):
-        """Inverses of nonzero elements."""
-        n = self.F.order - 1
-        return self._exp4[(n - self._log[x]) % n]
-
-    def log(self, x):
-        """The logs of nonzero elements to the base F.gen."""
-        return self._log[x]
-
-    def frob(self, qpow: int) -> np.ndarray:
-        """Permutation array a -> a^qpow, cached per exponent."""
-        tab = self._frobs.get(qpow)
-        if tab is None:
-            tab = self._frobs[qpow] = self.F.frob_table(qpow)
         return tab
 
 

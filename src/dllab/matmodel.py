@@ -23,57 +23,13 @@ from itertools import permutations
 import numpy as np
 
 from .errors import MatrixShapeError, UnsupportedParametersError
-from .ffield import Field, VecOps, field, grid_chunks, splitting_params
+from .ffield import Field, field, grid_chunks, splitting_params
 from .twistring import TwistedRing, twisted_ring
 
-# -- truncated polynomials over a field (indices), pi central ----------------
-
-
-def tp_add(F: Field, a, b):
-    return tuple(F.add(x, y) for x, y in zip(a, b))
-
-
-def tp_neg(F: Field, a):
-    return tuple(F.neg(x) for x in a)
-
-
-def tp_mul(F: Field, a, b):
-    h = len(a)
-    out = [0] * h
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(h - i):
-                if b[j]:
-                    out[i + j] = F.add(out[i + j], F.mul(ai, b[j]))
-    return tuple(out)
-
-
-def tp_scalar(F: Field, c: int, h: int):
-    return (c,) + (0,) * (h - 1)
-
-
-# -- generic matrices over A[pi]/(pi^h) ---------------------------------------
-
-
-def mat_det(F: Field, A):
-    """Determinant by signed permutation expansion (n <= 4)."""
-    n = len(A)
-    if n > 4:
-        raise UnsupportedParametersError("determinant expansion limited to n <= 4")
-    h = len(A[0][0])
-    total = (0,) * h
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = tp_scalar(F, 1, h)
-        for i in range(n):
-            term = tp_mul(F, term, A[i][perm[i]])
-        total = tp_add(F, total, term if sign > 0 else tp_neg(F, term))
-    return total
-
-
-def _check_below_diagonal(divisible: bool):
-    if not divisible:
-        raise MatrixShapeError("below-diagonal entry not divisible by pi")
+# -- matrices over A[pi]/(pi^h) on batches of points ----------------------------
+# A batch is an (L, N) array whose columns are ring elements.  A matrix entry
+# of a batch is a list of h coefficient arrays, with None for a coefficient
+# that is zero by the shape of the embedding, so no work is spent on it.
 
 
 def _perm_sign(perm):
@@ -91,80 +47,11 @@ def _perm_sign(perm):
     return sign
 
 
-def normalize_shape(F: Field, A):
-    """Reduce above-diagonal entries mod pi^(h-1); check below-diagonal
-    entries are divisible by pi."""
-    n = len(A)
-    h = len(A[0][0])
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = A[i][j]
-            if i < j:
-                e = e[: h - 1] + (0,)
-            elif i > j:
-                _check_below_diagonal(e[0] == 0)
-            row.append(e)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _batch_tp_add(F: Field, a, b):
+    return [y if x is None else x if y is None else F.add(x, y) for x, y in zip(a, b)]
 
 
-# -- the embedding --------------------------------------------------------
-
-
-def iota_prime(ring: TwistedRing, a):
-    """Matrix image of the ring element a (coefficient tuple, len n(h-1)+1)."""
-    F = ring.coeff_field
-    n, h, q = ring.n, ring.h, ring.q
-    rows = []
-    for i in range(n):
-        qi = F.frob_exp(q, i)
-        row = []
-        for j in range(n):
-            cs = [0] * h
-            if i <= j:
-                r = j - i
-                jp = 0
-                while n * jp + r < len(a) and jp < h:
-                    cs[jp] = F.frob(a[n * jp + r], qi)
-                    jp += 1
-            else:
-                r = n + j - i
-                jp = 0
-                while n * jp + r < len(a) and jp + 1 < h:
-                    cs[jp + 1] = F.frob(a[n * jp + r], qi)
-                    jp += 1
-            row.append(tuple(cs))
-        rows.append(tuple(row))
-    return normalize_shape(F, tuple(rows))
-
-
-# -- determinant conditions and norms -----------------------------------------
-
-
-def det_iota(ring: TwistedRing, a):
-    return mat_det(ring.coeff_field, iota_prime(ring, a))
-
-
-def in_Xh(ring: TwistedRing, g) -> bool:
-    """Membership in X_h: every coefficient of det(iota(g)) lies in F_q."""
-    F = ring.coeff_field
-    d = det_iota(ring, g)
-    return all(F.frob(c, ring.q) == c for c in d)
-
-
-# -- the same predicates on batches of points ---------------------------------
-# A batch is an (L, N) array whose columns are ring elements.  A matrix entry
-# of a batch is a list of h coefficient arrays, with None for a coefficient
-# that is zero by the shape of the embedding, so no work is spent on it.
-
-
-def _batch_tp_add(v: VecOps, a, b):
-    return [y if x is None else x if y is None else v.add(x, y) for x, y in zip(a, b)]
-
-
-def _batch_tp_mul(v: VecOps, a, b):
+def _batch_tp_mul(F: Field, a, b):
     h = len(a)
     out = [None] * h
     for i, ai in enumerate(a):
@@ -172,18 +59,20 @@ def _batch_tp_mul(v: VecOps, a, b):
             continue
         for j in range(h - i):
             if b[j] is not None:
-                t = v.mul(ai, b[j])
-                out[i + j] = t if out[i + j] is None else v.add(out[i + j], t)
+                t = F.mul(ai, b[j])
+                out[i + j] = t if out[i + j] is None else F.add(out[i + j], t)
     return out
 
 
 def iota_prime_batch(ring: TwistedRing, g):
-    """iota_prime on a batch, with the reductions of normalize_shape."""
+    """The matrix images iota(g) of the columns of g: entries above the
+    diagonal are reduced mod pi^(h-1), and entries below it carry a factor
+    pi, so their constant coefficient is None."""
     F = ring.coeff_field
     n, h, q, L = ring.n, ring.h, ring.q, ring.length
     rows = []
     for i in range(n):
-        fr = F.vec.frob(F.frob_exp(q, i))
+        fr = F.frob_table(F.frob_exp(q, i))
         row = []
         for j in range(n):
             below = int(i > j)  # entries below the diagonal carry a factor pi
@@ -195,15 +84,14 @@ def iota_prime_batch(ring: TwistedRing, g):
                 cs[jp + below] = fr[g[n * jp + r]]
             if i < j:
                 cs[h - 1] = None  # defined only modulo pi^(h-1)
-            elif below:
-                _check_below_diagonal(cs[0] is None or not cs[0].any())
             row.append(cs)
         rows.append(row)
     return rows
 
 
-def mat_det_batch(v: VecOps, A):
-    """mat_det on a batch of matrices from iota_prime_batch."""
+def mat_det_batch(F: Field, A):
+    """The determinants of a batch of matrices from iota_prime_batch, by
+    signed permutation expansion (n <= 4)."""
     n = len(A)
     if n > 4:
         raise UnsupportedParametersError("determinant expansion limited to n <= 4")
@@ -211,22 +99,29 @@ def mat_det_batch(v: VecOps, A):
     for perm in permutations(range(n)):
         term = A[0][perm[0]]
         for i in range(1, n):
-            term = _batch_tp_mul(v, term, A[i][perm[i]])
+            term = _batch_tp_mul(F, term, A[i][perm[i]])
         if _perm_sign(perm) < 0:
-            term = [None if c is None else v.neg(c) for c in term]
-        total = _batch_tp_add(v, total, term)
+            term = [None if c is None else F.neg(c) for c in term]
+        total = _batch_tp_add(F, total, term)
     return total
 
 
 def in_Xh_batch(ring: TwistedRing, g) -> np.ndarray:
-    """in_Xh on a batch: one boolean per column of g."""
-    v = ring.coeff_field.vec
-    frq = v.frob(ring.q)
+    """Membership in X_h on a batch: one boolean per column of g, true when
+    every coefficient of det(iota(g)) lies in F_q."""
+    F = ring.coeff_field
+    frq = F.frob_table(ring.q)
     ok = np.ones(g.shape[1], dtype=bool)
-    for c in mat_det_batch(v, iota_prime_batch(ring, g)):
+    for c in mat_det_batch(F, iota_prime_batch(ring, g)):
         if c is not None:
             ok &= frq[c] == c
     return ok
+
+
+def in_Xh(ring: TwistedRing, g) -> bool:
+    """Membership in X_h of the one ring element g (a coefficient sequence):
+    in_Xh_batch on a one-column batch."""
+    return bool(in_Xh_batch(ring, np.array(g, dtype=np.int64)[:, None])[0])
 
 
 def unipotent_chunks(ring: TwistedRing):
@@ -257,7 +152,7 @@ def n2_norm_batch(ring: TwistedRing, tails) -> np.ndarray:
     if ring.h != 2:
         raise UnsupportedParametersError(f"the norm is read off at h = 2, not {ring.h}")
     g = np.concatenate([np.ones((1, tails.shape[1]), dtype=np.int64), tails])
-    return mat_det_batch(ring.coeff_field.vec, iota_prime_batch(ring, g))[1]
+    return mat_det_batch(ring.coeff_field, iota_prime_batch(ring, g))[1]
 
 
 def y_h_image(n: int, q: int, h: int, s: int) -> set:
@@ -283,13 +178,12 @@ def star_action_batch(ring: TwistedRing, gamma, x) -> np.ndarray:
     the diagonal lift diag(gamma, gamma^q, ...).  The image is read off the
     product's first row, and the product must be iota of that image."""
     F = ring.coeff_field
-    v = F.vec
     n, h, q, L = ring.n, ring.h, ring.q, ring.length
     rows = []
     for i, row in enumerate(iota_prime_batch(ring, x)):
-        fr = v.frob(F.frob_exp(q, i))
+        fr = F.frob_table(F.frob_exp(q, i))
         gi = [fr[c] for c in gamma]
-        rows.append([_batch_tp_mul(v, gi, entry) for entry in row])
+        rows.append([_batch_tp_mul(F, gi, entry) for entry in row])
     # row 0 holds a_(n jp + j) at (0, j), coefficient jp; every such index
     # is below L
     out = np.zeros((L, x.shape[1]), dtype=np.int64)
@@ -324,7 +218,7 @@ def nm_gnq_batch(n: int, q: int, F: Field, a) -> np.ndarray:
     N = a.shape[1]
     rows = []
     for i in range(n):
-        fr = F.vec.frob(F.frob_exp(q, i))
+        fr = F.frob_table(F.frob_exp(q, i))
         row = []
         for c in range(n):
             cs = [None] * 4
@@ -335,7 +229,7 @@ def nm_gnq_batch(n: int, q: int, F: Field, a) -> np.ndarray:
                 cs[1 + int(c < i)] = fr[a[(c - i) % n - 1]]
             row.append(cs)
         rows.append(row)
-    d = mat_det_batch(F.vec, rows)
+    d = mat_det_batch(F, rows)
     if np.any(d[0] != 1) or any(c is not None and c.any() for c in d[1:3]):
         raise MatrixShapeError("norm shape violated")
     return np.zeros(N, dtype=np.int64) if d[3] is None else d[3]

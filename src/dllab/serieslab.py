@@ -51,7 +51,7 @@ class SeriesBatch:
     kernel, anti-diagonal sum and scan runs along the long axis.  Entries
     outside a window are zero, and the array keeps only the rows between the
     first and the last nonzero entry of any series.  All field arithmetic
-    goes through the field's VecOps kernel.  Batches are never modified in
+    goes through the field's table operations.  Batches are never modified in
     place.
     """
 
@@ -116,7 +116,7 @@ class SeriesBatch:
                 f"batch of {len(other)} over {other.F} with batch of "
                 f"{len(self)} over {self.F}"
             )
-        return self.F.vec
+        return self.F
 
     def _placed(self, lo: int, width: int):
         """The coefficients in rows for exponents lo .. lo + width - 1."""
@@ -136,27 +136,27 @@ class SeriesBatch:
         return self.v == self.prec
 
     def __add__(self, other: "SeriesBatch") -> "SeriesBatch":
-        vec = self._check(other)
+        F = self._check(other)
         lo, width = self._span(other)
-        total = vec.add(self._placed(lo, width), other._placed(lo, width))
+        total = F.add(self._placed(lo, width), other._placed(lo, width))
         return SeriesBatch._cut(self.F, lo, total, np.minimum(self.prec, other.prec))
 
     def __neg__(self) -> "SeriesBatch":
-        return SeriesBatch._of(self.F, self.lo, self.F.vec.neg(self.c), self.v, self.prec)
+        return SeriesBatch._of(self.F, self.lo, self.F.neg(self.c), self.v, self.prec)
 
     def __sub__(self, other: "SeriesBatch") -> "SeriesBatch":
         return self + (-other)
 
     def __mul__(self, other: "SeriesBatch") -> "SeriesBatch":
-        vec = self._check(other)
+        F = self._check(other)
         prec = np.minimum(self.v + other.prec, other.v + self.prec)
         a, b = self.c, other.c
         ea, eb = len(a), len(b)
         out = np.zeros((max(0, ea + eb - 1), len(self)), dtype=np.int64)
         if ea and eb:
-            terms = vec.mul(a[:, None], b[None])
+            terms = F.mul(a[:, None], b[None])
             for i in range(ea):
-                out[i : i + eb] = vec.add(out[i : i + eb], terms[i])
+                out[i : i + eb] = F.add(out[i : i + eb], terms[i])
         # over a field the product of the leading terms is nonzero, and it
         # lies inside the window unless a factor vanishes on its own
         v = np.minimum(self.v + other.v, prec)
@@ -176,7 +176,7 @@ class SeriesBatch:
 
     def frob(self, e: int) -> "SeriesBatch":
         """Coefficientwise c -> c^e, for e a power of the characteristic."""
-        c = self.F.vec.frob(e)[self.c]
+        c = self.F.frob_table(e)[self.c]
         return SeriesBatch._of(self.F, self.lo, c, self.v, self.prec)
 
     def equals(self, other: "SeriesBatch"):

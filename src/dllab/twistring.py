@@ -51,31 +51,25 @@ class TwistedRing:
     def length(self) -> int:
         return self.n * (self.h - 1) + 1
 
-    @cached_property
-    def _frob_maps(self):
-        """Per coefficient index i, the map a -> a^(q^i) on the coefficient field."""
-        F = self.coeff_field
-        return [F.frob_map(F.frob_exp(self.q, i)) for i in range(self.length)]
-
     # -- batches: (L, N) arrays whose columns are ring elements ------------
 
     @cached_property
     def _frob_arrays(self):
         """Per coefficient index i, the permutation array a -> a^(q^i)."""
         F = self.coeff_field
-        return [F.vec.frob(F.frob_exp(self.q, i)) for i in range(self.length)]
+        return [F.frob_table(F.frob_exp(self.q, i)) for i in range(self.length)]
 
     def mul_batch(self, a, b):
         """The ring product on batches."""
-        v = self.coeff_field.vec
+        F = self.coeff_field
         frobs = self._frob_arrays
         L = self.length
         out = [None] * L
         for i in range(L):
             fr = frobs[i]
             for j in range(L - i):
-                t = v.mul(a[i], fr[b[j]])
-                out[i + j] = t if out[i + j] is None else v.add(out[i + j], t)
+                t = F.mul(a[i], fr[b[j]])
+                out[i + j] = t if out[i + j] is None else F.add(out[i + j], t)
         return np.stack(out)
 
     def inv_batch(self, a):
@@ -86,19 +80,19 @@ class TwistedRing:
         """
         if not np.all(a[0] == 1):
             raise UnsupportedParametersError("inv_batch takes unipotent elements")
-        v = self.coeff_field.vec
+        F = self.coeff_field
         frobs = self._frob_arrays
         b = [a[0]]
         for k in range(1, self.length):
-            acc = v.mul(a[1], frobs[1][b[k - 1]])
+            acc = F.mul(a[1], frobs[1][b[k - 1]])
             for i in range(2, k + 1):
-                acc = v.add(acc, v.mul(a[i], frobs[i][b[k - i]]))
-            b.append(v.neg(acc))
+                acc = F.add(acc, F.mul(a[i], frobs[i][b[k - i]]))
+            b.append(F.neg(acc))
         return np.stack(b)
 
     def frobenius_batch(self, a, s: int):
         F = self.coeff_field
-        return F.vec.frob(F.frob_exp(self.q, s))[a]
+        return F.frob_table(F.frob_exp(self.q, s))[a]
 
     def lang_batch(self, g, s: int):
         """The Lang map F_{q^s}(g) * g^(-1) on a batch of unipotent elements."""
@@ -109,8 +103,8 @@ class TwistedRing:
         the constant c in A^x scales coefficient j; they depend on c alone,
         so hoist them out of loops over x."""
         F = self.coeff_field
-        mul, inv = F.mul, F.inv
-        return tuple(mul(c, inv(fr[c])) for fr in self._frob_maps[1:])
+        conj = np.array([fr[c] for fr in self._frob_arrays[1:]], dtype=np.int64)
+        return tuple(F.mul(c, F.inv(conj)).tolist())
 
 
 def twisted_ring(n: int, q: int, h: int, coeff_field: Field) -> TwistedRing:
@@ -170,12 +164,11 @@ def h_m_pattern(n: int, h: int, m: int) -> list[int]:
 def gnq_mul_batch(field_a: Field, n: int, q: int, a, b):
     """The group law of G^{n,q} on (n, N) batches whose columns are group
     elements."""
-    v = field_a.vec
-    out = v.add(a, b)
+    out = field_a.add(a, b)
     top = out[n - 1]
     for i in range(1, n):
-        fr = v.frob(field_a.frob_exp(q, i))
-        top = v.add(top, v.mul(a[i - 1], fr[b[n - i - 1]]))
+        fr = field_a.frob_table(field_a.frob_exp(q, i))
+        top = field_a.add(top, field_a.mul(a[i - 1], fr[b[n - i - 1]]))
     out[n - 1] = top
     return out
 
@@ -203,9 +196,8 @@ def gnq_index_law(field_a: Field, n: int, q: int) -> tuple:
 def gnq_inv_batch(field_a: Field, n: int, q: int, a):
     """The inverses in G^{n,q} of an (n, N) batch: below the top the
     coordinates negate, and the top is what makes a b = 1."""
-    v = field_a.vec
-    b = np.concatenate([v.neg(a[: n - 1]), np.zeros((1, a.shape[1]), dtype=np.int64)])
-    b[n - 1] = v.neg(gnq_mul_batch(field_a, n, q, a, b)[n - 1])
+    b = np.concatenate([field_a.neg(a[: n - 1]), np.zeros((1, a.shape[1]), dtype=np.int64)])
+    b[n - 1] = field_a.neg(gnq_mul_batch(field_a, n, q, a, b)[n - 1])
     return b
 
 

@@ -9,6 +9,7 @@ package imports this module.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -16,7 +17,6 @@ from math import gcd
 import numpy as np
 
 from dllab.charlib import AddChar
-from dllab.counting import y3_member
 from dllab.cyclo import CycloNum, _exp_vector, _degree, assert_nonneg_integer, cyclo_from_counts
 from dllab.errors import (
     AllZeroError,
@@ -24,6 +24,7 @@ from dllab.errors import (
     MatrixShapeError,
     MixedOrderError,
     NoExtensionError,
+    NotInSubfieldError,
     NotIntegralError,
     NotInvariantError,
     OperandMismatchError,
@@ -32,35 +33,222 @@ from dllab.errors import (
     RootOrderError,
     UnsupportedParametersError,
 )
-from dllab.ffield import Field, field, splitting_params
-from dllab.matmodel import (
-    det_iota,
-    in_Xh,
-    iota_prime,
-    mat_det,
-    normalize_shape,
-    tp_add,
-    tp_mul,
-    tp_scalar,
-)
+from dllab.ffield import PRIMITIVE_POLYS, Field, field, splitting_params
 from dllab.repkit import GroupModel, SumChar
 from dllab.serieslab import SeriesBatch, mat_det_series, xtilde_matrix
 from dllab.twistring import TwistedRing, twisted_ring
+
+
+class ScalarField:
+    """Oracle of ffield.Field: F_{p^k} from its polynomial in PRIMITIVE_POLYS
+    alone, on one element index at a time.  The exp/log lists come from the
+    polynomial product, addition from digit loops, and add, sub, neg, mul
+    and inv are closures over Python lists (XOR for p = 2, Zech logarithms
+    for odd p), so a call on two ints costs a list lookup, not a numpy
+    call."""
+
+    def __init__(self, p: int, k: int):
+        self.p, self.k, self.order = p, k, p**k
+        self.poly = PRIMITIVE_POLYS[(p, k)]
+        self.gen = p if k > 1 else (-self.poly[0]) % p
+        self._xpow = self._build_xpow()
+        self._frob_maps: dict[int, list] = {}
+        self._embed_maps: dict[int, tuple] = {}
+        self._build_explog()
+        self._install_table_ops()
+
+    def __repr__(self):
+        return f"ScalarField({self.p}, {self.k})"
+
+    def coeffs(self, a: int) -> tuple:
+        out = []
+        for _ in range(self.k):
+            out.append(a % self.p)
+            a //= self.p
+        return tuple(out)
+
+    def from_coeffs(self, cs) -> int:
+        a = 0
+        for c in reversed(list(cs)):
+            a = a * self.p + (c % self.p)
+        return a
+
+    def add_digits(self, a: int, b: int) -> int:
+        p, r, mul = self.p, 0, 1
+        while a or b:
+            r += ((a + b) % p) * mul
+            a //= p
+            b //= p
+            mul *= p
+        return r
+
+    def neg_digits(self, a: int) -> int:
+        p, r, mul = self.p, 0, 1
+        while a:
+            r += (-a % p) * mul
+            a //= p
+            mul *= p
+        return r
+
+    def mul_poly(self, a: int, b: int) -> int:
+        p, k = self.p, self.k
+        ca, cb = self.coeffs(a), self.coeffs(b)
+        prod = [0] * (2 * k - 1)
+        for i, ai in enumerate(ca):
+            if ai:
+                for j, bj in enumerate(cb):
+                    prod[i + j] = (prod[i + j] + ai * bj) % p
+        out = list(prod[:k])
+        for d in range(k, 2 * k - 1):
+            c = prod[d]
+            if c:
+                red = self._xpow[d - k]
+                for j in range(k):
+                    out[j] = (out[j] + c * red[j]) % p
+        return self.from_coeffs(out)
+
+    def _build_xpow(self):
+        """The reductions of x^d for d in [k, 2k-2], as coefficient tuples."""
+        p, k = self.p, self.k
+        base = [(-c) % p for c in self.poly[:k]]
+        pows = [tuple(base)]
+        for _ in range(k - 2):
+            prev = pows[-1]
+            shifted = [0] + list(prev[: k - 1])
+            c = prev[k - 1]
+            if c:
+                for j in range(k):
+                    shifted[j] = (shifted[j] + c * base[j]) % p
+            pows.append(tuple(shifted))
+        return pows
+
+    def _build_explog(self):
+        n = self.order - 1
+        self._exp, self._log = [0] * n, [0] * self.order
+        a = 1
+        for i in range(n):
+            self._exp[i] = a
+            self._log[a] = i
+            a = self.mul_poly(a, self.gen)
+
+    def _install_table_ops(self):
+        n = self.order - 1
+        exp, log = self._exp, self._log
+        exp2 = exp + exp
+
+        def mul(a, b):
+            return exp2[log[a] + log[b]] if a and b else 0
+
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError("inverse of zero")
+            return exp[-log[a]]
+
+        self.mul, self.inv = mul, inv
+        if self.p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
+            return
+        zech = [None] * n
+        for d, a in enumerate(exp):
+            s = self.add_digits(a, 1)
+            if s:
+                zech[d] = log[s]
+        neg_tab = [self.neg_digits(a) for a in range(self.order)]
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            z = zech[log[b] - log[a]]
+            return 0 if z is None else exp2[log[a] + z]
+
+        self.add = add
+        self.sub = lambda a, b: add(a, neg_tab[b])
+        self.neg = neg_tab.__getitem__
+
+    def log(self, a: int) -> int:
+        return self._log[a]
+
+    def pow(self, a: int, e: int) -> int:
+        if a == 0:
+            return 1 if e == 0 else 0
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
+
+    def frob_map(self, q: int) -> list:
+        """a -> a^q for q a power of p, as a cached list indexed by a."""
+        tab = self._frob_maps.get(q)
+        if tab is None:
+            tab = self._frob_maps[q] = [self.pow(a, q) for a in range(self.order)]
+        return tab
+
+    def frob(self, a: int, q: int) -> int:
+        return self.frob_map(q)[a]
+
+    def embed_maps(self, sub) -> tuple:
+        """(images, preimages) of the embedding of sub (any field of order
+        p^m, m | k): the list of the images of the elements of sub, by
+        Horner's rule in gen^((|self| - 1)/(|sub| - 1)) digit by digit, and
+        the dict inverting it."""
+        maps = self._embed_maps.get(sub.k)
+        if maps is None:
+            beta = self.pow(self.gen, (self.order - 1) // (sub.order - 1))
+            tab = []
+            for a in range(sub.order):
+                acc = 0
+                for c in reversed([a // self.p**i % self.p for i in range(sub.k)]):
+                    acc = self.add(self.mul(acc, beta), c)
+                tab.append(acc)
+            maps = self._embed_maps[sub.k] = tab, {b: a for a, b in enumerate(tab)}
+        return maps
+
+    def embed(self, sub, a: int) -> int:
+        return self.embed_maps(sub)[0][a]
+
+    def retract(self, sub, a: int) -> int:
+        back = self.embed_maps(sub)[1]
+        if a not in back:
+            raise NotInSubfieldError(f"element {a} of {self} not in {sub}")
+        return back[a]
+
+    def in_subfield(self, sub, a: int) -> bool:
+        return self.frob(a, sub.order) == a
+
+    def trace(self, a: int, sub) -> int:
+        """Tr_{self/sub}(a) as an index in sub: the conjugates a^(|sub|^i)
+        added one at a time."""
+        t, x = 0, a
+        for _ in range(self.k // sub.k):
+            t = self.add(t, x)
+            x = self.frob(x, sub.order)
+        return self.retract(sub, t)
+
+
+@lru_cache(maxsize=None)
+def _scalar_field(p: int, k: int) -> ScalarField:
+    return ScalarField(p, k)
+
+
+def scalar(F) -> ScalarField:
+    """The ScalarField of the same (p, k) as F, built once per field."""
+    return F if isinstance(F, ScalarField) else _scalar_field(F.p, F.k)
 
 
 def enumerate_unipotent(ring: TwistedRing):
     """All elements 1 + sum a_j tau^j over the coefficient field, as tuples
     in itertools.product order: a_1 varies slowest.  This is the order of
     the element indices of the unipotent group's index law."""
-    for tail in itertools.product(ring.coeff_field.elements(), repeat=ring.length - 1):
+    for tail in itertools.product(range(ring.coeff_field.order), repeat=ring.length - 1):
         yield (1,) + tail
 
 
 def _basis_powers(F: Field) -> list:
     """gen^0, ..., gen^(k-1), one field product at a time."""
+    S = scalar(F)
     out = [1]
     for _ in range(F.k - 1):
-        out.append(F.mul(out[-1], F.gen))
+        out.append(S.mul(out[-1], S.gen))
     return out
 
 
@@ -137,9 +325,9 @@ def cyclo_coeffs(n: int, counts) -> list:
     return acc
 
 
-def sub_digits(F: Field, a: int, b: int) -> int:
+def sub_digits(F: ScalarField, a: int, b: int) -> int:
     """Oracle of Field.sub: a - b digit by digit."""
-    return F._add_digits(a, F._neg_digits(b))
+    return F.add_digits(a, F.neg_digits(b))
 
 
 def beta_factors(ring: TwistedRing, x):
@@ -156,14 +344,21 @@ def beta_map(ring: TwistedRing, factors, h):
     return ring_mul(ring, ring_mul(ring, left, h), right)
 
 
+def y3_member(ring: TwistedRing, b) -> bool:
+    """Oracle of counting.y3_member at one element b: b_2 = 0 and b_4 =
+    -b_3 b_1^q."""
+    F = scalar(ring.coeff_field)
+    return b[2] == 0 and b[4] == F.neg(F.mul(b[3], F.frob(b[1], ring.q)))
+
+
 def y3_preimage(ring: TwistedRing):
     """Oracle of counting.y3_preimage_batches: the points (a_1, a_2, a_3, a_4)
     of beta^{-1}(Y_3) over the coefficient field, one tuple at a time, in
     grid order."""
-    E = ring.coeff_field
-    for a1, a2 in itertools.product(E.elements(), repeat=2):
+    Q = ring.coeff_field.order
+    for a1, a2 in itertools.product(range(Q), repeat=2):
         factors = beta_factors(ring, (a1, a2))
-        for a3, a4 in itertools.product(E.elements(), repeat=2):
+        for a3, a4 in itertools.product(range(Q), repeat=2):
             if y3_member(ring, beta_map(ring, factors, (1, 0, 0, a3, a4))):
                 yield a1, a2, a3, a4
 
@@ -172,9 +367,9 @@ def exp_sum_walk(base: Field, dim: int, membership, poly, psi, s: int):
     """Oracle of counting.exp_sum: the sum of psi(Tr(poly(E, x))) over the
     x in E^dim, E = F_{base^s}, with membership(E, x), one tuple at a time
     into a count list."""
-    E = field(base.p, base.k * s)
+    E = scalar(field(base.p, base.k * s))
     counts = [0] * base.p
-    for x in itertools.product(E.elements(), repeat=dim):
+    for x in itertools.product(range(E.order), repeat=dim):
         if membership(E, x):
             counts[psi.table[E.trace(poly(E, x), base)] % base.p] += 1
     return cyclo_from_counts(base.p, counts)
@@ -183,6 +378,7 @@ def exp_sum_walk(base: Field, dim: int, membership, poly, psi, s: int):
 def intertwiner_membership(q: int, E: Field, x) -> bool:
     """The intertwiner surface's equation a_2^{q^2} - a_2 =
     a_1^{q+q^2} - a_1^{1+q} at x = (a_1, a_2, ...), on scalars."""
+    E = scalar(E)
     a1, a2 = x[:2]
     rhs = E.sub(E.mul(E.frob(a1, q), E.frob(a1, q * q)), E.mul(a1, E.frob(a1, q)))
     return E.sub(E.frob(a2, q * q), a2) == rhs
@@ -191,6 +387,7 @@ def intertwiner_membership(q: int, E: Field, x) -> bool:
 def intertwiner_poly(q: int, E: Field, x) -> int:
     """P(a_1, a_2, a_3) = a_1^q a_3 - a_1^{q^2} a_3^q + a_2^{1+q} -
     a_2^{q+q^2} on scalars; at a_3 = 0 it is S2's P2(a_1, a_2)."""
+    E = scalar(E)
     a1, a2, a3 = x
     t = E.sub(E.mul(E.frob(a1, q), a3), E.mul(E.frob(a1, q * q), E.frob(a3, q)))
     p2 = E.sub(E.mul(a2, E.frob(a2, q)), E.mul(E.frob(a2, q), E.frob(a2, q * q)))
@@ -202,6 +399,7 @@ def x3_conditions(F: Field, q: int, Fq: Field, x) -> bool:
     of X_3 at n = 2 for x = 1 + a_1 tau + ... + a_4 tau^4, a_2^q + a_2 -
     a_1^(q+1) and a_4^q + a_4 + a_2^(q+1) - a_1 a_3^q - a_3 a_1^q both lie in
     F_q."""
+    F = scalar(F)
     _, a1, a2, a3, a4 = x
     c1 = F.sub(F.add(F.frob(a2, q), a2), F.mul(a1, F.frob(a1, q)))
     if not F.in_subfield(Fq, c1):
@@ -215,6 +413,7 @@ def x3_conditions(F: Field, q: int, Fq: Field, x) -> bool:
 
 def star_closed(F: Field, lam: int, mu: int, x):
     """(1 + lam pi + mu pi^2) * x for x = 1 + a_1 tau + ... + a_4 tau^4."""
+    F = scalar(F)
     _, a1, a2, a3, a4 = x
     return (
         1,
@@ -232,22 +431,21 @@ def x3_twist_table(q: int, keys=None) -> dict:
     the scalar x3_conditions and ring multiplication."""
     p, e = splitting_params(q)
     q2 = q * q
-    E = field(p, 2 * e * p)
+    ring = twisted_ring(2, q, 3, field(p, 2 * e * p))
+    E = scalar(ring.coeff_field)
     F2 = field(p, 2 * e)
     Fq = field(p, e)
-    emb = E.embed_table(F2)
-    ring = twisted_ring(2, q, 3, E)
     # Artin-Schreier preimages x^{q^2} - x = c over E
     as_sols: dict[int, list[int]] = {}
-    for x in E.elements():
+    for x in range(E.order):
         as_sols.setdefault(E.sub(E.frob(x, q2), x), []).append(x)
-    rational = [a for a in E.elements() if E.frob(a, q2) == a]  # F_{q^2} in E
+    rational = [a for a in range(E.order) if E.frob(a, q2) == a]  # F_{q^2} in E
     table = {}
     # lam runs fastest, so keys are inserted in the order lam, g2, g3, d
-    for d_i, g3_i, g2_i, lam_i in itertools.product(F2.elements(), repeat=4):
+    for d_i, g3_i, g2_i, lam_i in itertools.product(range(F2.order), repeat=4):
         if keys is not None and (lam_i, g2_i, g3_i, d_i) not in keys:
             continue
-        lam, g2, g3, d = (int(emb[c]) for c in (lam_i, g2_i, g3_i, d_i))
+        lam, g2, g3, d = (E.embed(F2, c) for c in (lam_i, g2_i, g3_i, d_i))
         g = (1, 0, g2, g3, d)  # mu = 0 slice: g4 - mu = d
         count = 0
         for a1 in rational:
@@ -286,14 +484,41 @@ def eigendim(chi1, chi2, table: dict, q: int) -> int:
     if chi2.R != R:
         raise MixedOrderError(f"characters with root orders {R} and {chi2.R}")
     p, e = splitting_params(q)
-    F2 = field(p, 2 * e)
+    F2 = _scalar_field(p, 2 * e)
     counts = [0] * R
     for (lam_i, g2_i, d_i), cnt in table.items():
-        for mu in F2.elements():
+        for mu in range(F2.order):
             e1 = char_exp(chi1, (1, lam_i, mu))
             e2 = char_exp(chi2, (1, g2_i, F2.add(d_i, mu)))
             counts[(e2 - e1) % R] += cnt
     return assert_nonneg_integer(cyclo_from_counts(R, counts) / q**12)
+
+
+def npp_identity(q: int) -> bool:
+    """Oracle of counting.npp_identity: for every lam in F_{q^2} and every
+    delta in Ker(Tr to F_q), the pairs (a_1, beta) with a_1^{q+1}(lam^q -
+    lam) + beta a_1^q - beta^q a_1 = delta, counted one pair at a time."""
+    p, e = splitting_params(q)
+    F2 = _scalar_field(p, 2 * e)
+    Fq = field(p, e)
+    q2 = q * q
+    for lam in range(q2):
+        coef = F2.sub(F2.frob(lam, q), lam)
+        for delta in range(q2):
+            if F2.trace(delta, Fq) != 0:
+                continue
+            cnt = 0
+            for beta in range(q2):
+                for a1 in range(q2):
+                    lhs = F2.mul(F2.mul(a1, F2.frob(a1, q)), coef)
+                    lhs = F2.add(lhs, F2.mul(beta, F2.frob(a1, q)))
+                    lhs = F2.sub(lhs, F2.mul(F2.frob(beta, q), a1))
+                    if lhs == delta:
+                        cnt += 1
+            want = (q2 - 1) * q + (q2 if delta == 0 else 0)
+            if cnt != want:
+                return False
+    return True
 
 
 def zeta_fixed_set(n: int, q: int, h: int) -> list:
@@ -302,12 +527,12 @@ def zeta_fixed_set(n: int, q: int, h: int) -> list:
     free-coordinate grid at a time through the scalar in_Xh."""
     p, e = splitting_params(q)
     ring = twisted_ring(n, q, h, field(p, e * n * p))
-    E, dim = ring.coeff_field, ring.length - 1
+    E, dim = scalar(ring.coeff_field), ring.length - 1
     Fqn = field(p, e * n)
     zeta = E.embed(Fqn, Fqn.gen)
     free = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f == 1]
     out = []
-    for vals in itertools.product(E.elements(), repeat=len(free)):
+    for vals in itertools.product(range(E.order), repeat=len(free)):
         x = [1] + [0] * dim
         for j, v in zip(free, vals):
             x[j] = v
@@ -336,8 +561,8 @@ def lang_norm_identity(n: int, q: int) -> tuple:
     first tail where pr_n of the Lang image differs from N^q - N), over
     F_{q^(2n)} at h = 2."""
     p, e = splitting_params(q)
-    A = field(p, 2 * e * n)
-    R = twisted_ring(n, q, 2, A)
+    R = twisted_ring(n, q, 2, field(p, 2 * e * n))
+    A = scalar(R.coeff_field)
     checked = 0
     for tail in itertools.product(range(A.order), repeat=n):
         g = (1,) + tail
@@ -378,6 +603,7 @@ def nm_gnq(n: int, q: int, F: Field, a, k: int = 1) -> int:
     determinant, which lands in F_q.  Returns an index in F.
     """
     h = 2 * k + 2
+    F = scalar(F)
     W = varpi_matrix(F, n, h)
     M = mat_identity(F, n, h)
     Wj = mat_identity(F, n, h)
@@ -389,7 +615,7 @@ def nm_gnq(n: int, q: int, F: Field, a, k: int = 1) -> int:
             tuple(
                 (0,) * deg
                 + (
-                    F.frob(aj, F.frob_exp(q, i))
+                    F.frob(aj, q**i)
                     if i == jj
                     else 0,
                 )
@@ -406,6 +632,116 @@ def nm_gnq(n: int, q: int, F: Field, a, k: int = 1) -> int:
     if d[0] != 1 or any(d[1 : 2 * k + 1]):
         raise MatrixShapeError("norm shape violated")
     return d[2 * k + 1]
+
+
+# -- truncated polynomials over a field (indices), pi central ----------------
+
+
+def tp_add(F: Field, a, b):
+    F = scalar(F)
+    return tuple(F.add(x, y) for x, y in zip(a, b))
+
+
+def tp_neg(F: Field, a):
+    F = scalar(F)
+    return tuple(F.neg(x) for x in a)
+
+
+def tp_mul(F: Field, a, b):
+    F = scalar(F)
+    h = len(a)
+    out = [0] * h
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(h - i):
+                if b[j]:
+                    out[i + j] = F.add(out[i + j], F.mul(ai, b[j]))
+    return tuple(out)
+
+
+def tp_scalar(F: Field, c: int, h: int):
+    return (c,) + (0,) * (h - 1)
+
+
+def _perm_sign(perm) -> int:
+    """(-1) to the number of inversions of perm."""
+    n = len(perm)
+    inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+    return -1 if inversions % 2 else 1
+
+
+def mat_det(F: Field, A):
+    """Oracle of matmodel.mat_det_batch on one matrix over A[pi]/(pi^h):
+    the signed permutation expansion (n <= 4), one product at a time."""
+    n = len(A)
+    if n > 4:
+        raise UnsupportedParametersError("determinant expansion limited to n <= 4")
+    h = len(A[0][0])
+    total = (0,) * h
+    for perm in itertools.permutations(range(n)):
+        term = tp_scalar(F, 1, h)
+        for i in range(n):
+            term = tp_mul(F, term, A[i][perm[i]])
+        total = tp_add(F, total, term if _perm_sign(perm) > 0 else tp_neg(F, term))
+    return total
+
+
+def normalize_shape(F: Field, A):
+    """Reduce above-diagonal entries mod pi^(h-1); check below-diagonal
+    entries are divisible by pi."""
+    n = len(A)
+    h = len(A[0][0])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = A[i][j]
+            if i < j:
+                e = e[: h - 1] + (0,)
+            elif i > j and e[0] != 0:
+                raise MatrixShapeError("below-diagonal entry not divisible by pi")
+            row.append(e)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def iota_prime(ring: TwistedRing, a):
+    """Oracle of matmodel.iota_prime_batch: the matrix image of the ring
+    element a (coefficient tuple, len n(h-1)+1), entry by entry."""
+    F = scalar(ring.coeff_field)
+    n, h, q = ring.n, ring.h, ring.q
+    rows = []
+    for i in range(n):
+        fr = F.frob_map(q**i)
+        row = []
+        for j in range(n):
+            cs = [0] * h
+            if i <= j:
+                r = j - i
+                jp = 0
+                while n * jp + r < len(a) and jp < h:
+                    cs[jp] = fr[a[n * jp + r]]
+                    jp += 1
+            else:
+                r = n + j - i
+                jp = 0
+                while n * jp + r < len(a) and jp + 1 < h:
+                    cs[jp + 1] = fr[a[n * jp + r]]
+                    jp += 1
+            row.append(tuple(cs))
+        rows.append(tuple(row))
+    return normalize_shape(F, tuple(rows))
+
+
+def det_iota(ring: TwistedRing, a):
+    return mat_det(ring.coeff_field, iota_prime(ring, a))
+
+
+def in_Xh(ring: TwistedRing, g) -> bool:
+    """Oracle of matmodel.in_Xh_batch at one element: every coefficient of
+    det(iota(g)) lies in F_q."""
+    F = scalar(ring.coeff_field)
+    return all(F.frob(c, ring.q) == c for c in det_iota(ring, g))
 
 
 # -- the varpi construction of the matrix embedding over A[pi]/(pi^h) ----------
@@ -455,7 +791,7 @@ def varpi_matrix(F: Field, n: int, h: int):
 def iota_prime_via_varpi(ring: TwistedRing, a):
     """Oracle of matmodel.iota_prime: the same embedding computed as
     sum_j diag(a_j twisted) W^j."""
-    F = ring.coeff_field
+    F = scalar(ring.coeff_field)
     n, h, q = ring.n, ring.h, ring.q
     acc = None
     W = varpi_matrix(F, n, h)
@@ -465,7 +801,7 @@ def iota_prime_via_varpi(ring: TwistedRing, a):
             tuple(
                 tp_scalar(
                     F,
-                    F.frob(aj, F.frob_exp(q, i))
+                    F.frob(aj, q**i)
                     if i == jj
                     else 0,
                     h,
@@ -484,7 +820,8 @@ def iota_prime_via_varpi(ring: TwistedRing, a):
 
 
 def tp_frob(F: Field, a, q: int):
-    return tuple(F.frob(x, q) for x in a)
+    fr = scalar(F).frob_map(q)
+    return tuple(fr[x] for x in a)
 
 
 def recover_from_matrix(ring: TwistedRing, M):
@@ -512,13 +849,12 @@ def star_action(ring: TwistedRing, gamma, x):
     a truncated-polynomial unit gamma (tuple of h coefficients over A,
     gamma[0] != 0) on the ring element x, via left multiplication by the
     diagonal lift diag(gamma, gamma^q, ...)."""
-    F = ring.coeff_field
+    F = scalar(ring.coeff_field)
     n, q = ring.n, ring.q
     M = iota_prime(ring, x)
     rows = []
     for i in range(n):
-        qi = F.frob_exp(q, i)
-        gi = tp_frob(F, gamma, qi)
+        gi = tp_frob(F, gamma, q**i)
         rows.append(tuple(tp_mul(F, gi, M[i][j]) for j in range(n)))
     out = recover_from_matrix(ring, normalize_shape(F, tuple(rows)))
     if out is None:
@@ -620,12 +956,12 @@ class LaurentSeries:
             for i, c in enumerate(s.coeffs):
                 j = s.v + i
                 if j < prec:
-                    out[j - v] = F.add(out[j - v], c)
+                    out[j - v] = scalar(F).add(out[j - v], c)
         return LaurentSeries(F, v, out, prec)
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(
-            self.F, self.v, [self.F.neg(c) for c in self.coeffs], self.prec
+            self.F, self.v, [scalar(self.F).neg(c) for c in self.coeffs], self.prec
         )
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -638,13 +974,14 @@ class LaurentSeries:
         prec = min(self.v + other.prec, other.v + self.prec)
         v = self.v + other.v
         out = [0] * max(0, prec - v)
+        S = scalar(F)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 k = i + j
                 if k < len(out) and b != 0:
-                    out[k] = F.add(out[k], F.mul(a, b))
+                    out[k] = S.add(out[k], S.mul(a, b))
         return LaurentSeries(F, v, out, prec)
 
     def shift(self, j: int) -> "LaurentSeries":
@@ -656,7 +993,7 @@ class LaurentSeries:
 
     def frob(self, e: int) -> "LaurentSeries":
         """Coefficientwise c -> c^e, for e a power of the characteristic."""
-        return self.map_coeffs(self.F.frob_map(e).__getitem__)
+        return self.map_coeffs(scalar(self.F).frob_map(e).__getitem__)
 
     def truncate(self, prec: int) -> "LaurentSeries":
         if prec > self.prec:
@@ -720,7 +1057,7 @@ def xtilde_form(A, q: int, Fq: Field):
     det = mat_det_series(A)
     if det.is_zero():
         return None
-    F = det.F
+    F = scalar(det.F)
     if not all(F.in_subfield(Fq, c) for c in det.coeffs):
         return None
     return cand
@@ -734,7 +1071,7 @@ def round_trip_failures(F: Field, Fq: Field, q: int, rows) -> list:
         n = len(coeffs)
         A = xtilde_matrix(F, q, n, coeffs)
         det = mat_det_series(A)
-        rational = all(F.in_subfield(Fq, det.coeff(t)) for t in range(det.v, det.prec))
+        rational = all(scalar(F).in_subfield(Fq, det.coeff(t)) for t in range(det.v, det.prec))
         got = xtilde_form(A, q, Fq)
         if rational:
             out.append(got != coeffs or xtilde_matrix(F, q, n, got) != A)
@@ -749,11 +1086,18 @@ def round_trip_failures(F: Field, Fq: Field, q: int, rows) -> list:
 # -- tuple laws: one group element at a time ---------------------------------
 
 
+@lru_cache(maxsize=None)
+def _frob_maps(ring: TwistedRing) -> list:
+    """Per coefficient index i, the map a -> a^(q^i) as a list."""
+    F = scalar(ring.coeff_field)
+    return [F.frob_map(ring.q**i) for i in range(ring.length)]
+
+
 def ring_mul(ring: TwistedRing, a, b):
     """Oracle of TwistedRing.mul_batch on one pair of tuples: sum_{i+j=k}
     a_i b_j^(q^i), one coefficient product at a time."""
-    F = ring.coeff_field
-    frobs = ring._frob_maps
+    F = scalar(ring.coeff_field)
+    frobs = _frob_maps(ring)
     L = ring.length
     out = [0] * L
     for i, ai in enumerate(a):
@@ -772,7 +1116,7 @@ def ring_inv(ring: TwistedRing, a):
     geometric series in -m."""
     if a[0] == 0:
         raise ZeroDivisionError("not a unit")
-    F = ring.coeff_field
+    F = scalar(ring.coeff_field)
     L = ring.length
     c = F.inv(a[0])
     # scalars multiply coefficientwise from the left
@@ -791,32 +1135,31 @@ def ring_inv(ring: TwistedRing, a):
 def ring_frobenius(ring: TwistedRing, a, s: int):
     """Oracle of TwistedRing.frobenius_batch: the coefficientwise q^s power
     of one element."""
-    F = ring.coeff_field
-    fr = F.frob_map(F.frob_exp(ring.q, s))
-    return tuple([fr[x] for x in a])
+    return tuple([scalar(ring.coeff_field).frob_map(ring.q**s)[x] for x in a])
 
 
 def scalar_conj(ring: TwistedRing, c: int, x):
     """Oracle of conjugation by the constant c on one element x, read off
     TwistedRing.scalar_conj_factors in the package: coefficient j of x
     scaled by c^(1-q^j), the factor recomputed for each coefficient."""
-    F = ring.coeff_field
+    F = scalar(ring.coeff_field)
     out = [x[0]]
     for j in range(1, ring.length):
-        fr = F.frob_map(F.frob_exp(ring.q, j))
+        fr = F.frob_map(ring.q**j)
         out.append(F.mul(F.mul(c, F.inv(fr[c])), x[j]) if x[j] else 0)
     return tuple(out)
 
 
 def gnq_mul(field_a: Field, n: int, q: int, a, b):
     """Oracle of twistring.gnq_mul_batch on one pair of mirror elements."""
-    add, mul = field_a.add, field_a.mul
+    F = scalar(field_a)
+    add, mul = F.add, F.mul
     out = [add(x, y) for x, y in zip(a, b)]
     top = out[n - 1]
     for i in range(1, n):
         ai, bj = a[i - 1], b[n - i - 1]
         if ai and bj:
-            fr = field_a.frob_map(field_a.frob_exp(q, i))
+            fr = F.frob_map(q**i)
             top = add(top, mul(ai, fr[bj]))
     out[n - 1] = top
     return tuple(out)
@@ -824,13 +1167,14 @@ def gnq_mul(field_a: Field, n: int, q: int, a, b):
 
 def gnq_inv(field_a: Field, n: int, q: int, a):
     """Oracle of twistring.gnq_inv_batch on one mirror element."""
-    add, mul = field_a.add, field_a.mul
-    neg = [field_a.neg(x) for x in a]
+    F = scalar(field_a)
+    add, mul = F.add, F.mul
+    neg = [F.neg(x) for x in a]
     top = neg[n - 1]
     for i in range(1, n):
         ai, aj = a[i - 1], a[n - i - 1]
         if ai and aj:
-            fr = field_a.frob_map(field_a.frob_exp(q, i))
+            fr = F.frob_map(q**i)
             top = add(top, mul(ai, fr[aj]))
     neg[n - 1] = top
     return tuple(neg)
@@ -872,7 +1216,7 @@ def decompose(dq, u):
     """Oracle of DivQuotData.decompose on one unit: (k, u1) with u =
     zeta-bar^k u1, k found by walking the powers of F.gen and u1 = u_0^-1 u
     one coefficient at a time."""
-    F = dq.F
+    F = scalar(dq.F)
     k, t = 0, 1
     while t != u[0]:
         k, t = k + 1, F.mul(t, F.gen)
@@ -1354,7 +1698,7 @@ def class_norm(rt, ctx) -> int:
 def addchar_exp(psi, x: int) -> int:
     """Oracle of AddChar.exp and its table: the absolute trace of a x, one
     Frobenius conjugate at a time."""
-    F = psi.F
+    F = scalar(psi.F)
     return F.trace(F.mul(psi.a, x), field(F.p, 1))
 
 
@@ -1362,12 +1706,12 @@ def conductor_power(psi) -> int:
     """Oracle of AddChar.conductor_power: the least m | n such that psi is
     trivial on the kernel of the trace to F_{q^m}, element by element."""
     p, e = splitting_params(psi.q)
-    F = psi.F
+    F = scalar(psi.F)
     n = F.k // e
     for m in range(1, n + 1):
         sub = field(p, e * m)
         if n % m == 0 and all(
-            addchar_exp(psi, x) == 0 for x in F.elements() if F.trace(x, sub) == 0
+            addchar_exp(psi, x) == 0 for x in range(F.order) if F.trace(x, sub) == 0
         ):
             return m
     raise UnsupportedParametersError(f"F_{F.order} is not over F_{psi.q}")
@@ -1380,18 +1724,18 @@ def extension_orbit_rows(q: int) -> list:
     p, e = splitting_params(q)
     F = field(p, 2 * e)
     ring = twisted_ring(2, q, 3, F)
-    V = [(1, 0, 0, a3, a4) for a3 in F.elements() for a4 in F.elements()]
+    V = [(1, 0, 0, a3, a4) for a3 in range(F.order) for a4 in range(F.order)]
     vidx = {v: i for i, v in enumerate(V)}
     rows = []
     for a in range(1, F.order):
         psi = AddChar(F, q, a)
         all_ext = {
             tuple((addchar_exp(psi, v[4]) + addchar_exp(AddChar(F, q, mu), v[3])) % p for v in V)
-            for mu in F.elements()
+            for mu in range(F.order)
         }
         base = [addchar_exp(psi, v[4]) for v in V]
         orbit = set()
-        for beta in F.elements():
+        for beta in range(F.order):
             x = (1, beta, 0, 0, 0)
             xi = ring_inv(ring, x)
             row = []
@@ -1410,7 +1754,7 @@ def extension_orbit_rows(q: int) -> list:
 
 def gnq_frobenius(field_a: Field, q: int, a, s: int):
     """Coordinatewise q^s power on one element of the mirror family."""
-    fr = field_a.frob_map(field_a.frob_exp(q, s))
+    fr = scalar(field_a).frob_map(q**s)
     return tuple([fr[x] for x in a])
 
 

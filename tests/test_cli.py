@@ -520,12 +520,18 @@ def test_a_larger_max_size_admits_a_trace_run_beyond_the_default(capsys):
          "40130033fecf415a905912c966c511259244abc9f64117665c80503fac5ab698"),
         (["dump", "--kind", "char-table", "--n", "2", "--q", "3"],
          "cf8f4eae9c114cce91d85f1b4b34e86c8856d7cf4b0c252d2a8ea4a12a1b0749"),
+        (["dump", "--kind", "points", "--n", "2", "--q", "2", "--h", "3", "--s", "2"],
+         "c9e8d984388c3bec380c140ecf871148f9b8c556d2778763d32666d9d9eb4864"),
+        (["dump", "--kind", "points", "--n", "3", "--q", "3", "--h", "2", "--s", "1"],
+         "a0ba70e41f8ecb34b54bc548b2fc49007a1128c7b824b77742e5ed89766b6681"),
+        (["dump", "--kind", "points", "--n", "2", "--q", "3", "--h", "3", "--s", "1"],
+         "61e6c52351fb0cf23f035972cbd157c562a6de200428ed43d94fb9da306656af"),
     ],
     ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "eta-level2-n2q3",
          "char-table-n3q2", "intertwiner-q2", "trace", "eigenspaces-q2", "y-set-n2q2h3s2",
          "matrix-y", "intertwiner", "eta-level2", "maximality", "eigenspaces", "main-example",
          "main-example-q2M2", "main-example-q2M3", "eta-level2-n2q2M2", "eta-level2-n3q2",
-         "char-table-n2q3"],
+         "char-table-n2q3", "points-n2q2h3s2", "points-n3q3h2s1", "points-n2q3h3s1"],
 )
 def test_groups_reports_match_golden_digest(argv, digest, capsys):
     # the digests of the seed implementation's reports

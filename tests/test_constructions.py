@@ -197,7 +197,7 @@ def test_divquot_decompose_roundtrip():
         k, u1 = dq.decompose(units)
         assert (u1[0] == 1).all()
         zbar_k = np.zeros_like(units)
-        zbar_k[0] = [F.pow(F.gen, x) for x in k.tolist()]
+        zbar_k[0] = [oracles.scalar(F).pow(F.gen, x) for x in k.tolist()]
         assert np.array_equal(ring.mul_batch(zbar_k, u1), units)
 
 
@@ -616,9 +616,10 @@ half_A = np.zeros((2, 2, 2, 4), dtype=np.int64)
 half_A[:, 0, 0, 0] = half_A[0, 1, 1, 0] = 1
 s2, f, j, n = intertwiner_s2_data(2)
 F4 = Field(2, 2)
-F4.in_subfield = lambda sub, a: False  # contradicts the conductor kernel check
+F4.trace_table(field(2, 1))  # cached, so the patch below reaches only the cross-check
+F4.retract_table = lambda sub: np.full(4, -1)  # contradicts the conductor kernel check
 F4_broken = Field(2, 2)
-F4_broken.vec.mul = np.bitwise_xor  # 1 * 1 = 0 breaks the norm's determinant shape
+F4_broken.mul = np.bitwise_xor  # 1 * 1 = 0 breaks the norm's determinant shape
 
 
 class BadRing:
@@ -672,6 +673,8 @@ thunks = [
     lambda: CycloNum(4, (1, 2, 3)),
     lambda: nm_gnq_batch(2, 2, F4_broken, np.array([[1], [0]])),
     lambda: n2_norm_batch(ring_of(2, 2, 3, field(2, 2)), np.zeros((4, 1), dtype=np.int64)),
+    # the generator of F_4 does not lie in F_2
+    lambda: AddChar(field(2, 2), 2, 2).factor_through_trace(1),
     # last: every character now reads as conductor q
     lambda: (setattr(AddChar, "conductor_power", lambda self: 1), conductor2_char(2)),
 ]
@@ -729,5 +732,7 @@ for thunk in thunks:
         "MixedOrderError",
         "MatrixShapeError",
         "UnsupportedParametersError",
+        "NotInSubfieldError",
         "CharacterMismatchError",
     ]
+    assert raised[-2] == ["NotInSubfieldError", "element 2 of F_2^2 not in F_2"]

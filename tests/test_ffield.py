@@ -16,32 +16,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dllab.charlib import AddChar
 from dllab.errors import DLLabError, NotInSubfieldError, UnsupportedParametersError
 from dllab.ffield import (
     EXPLOG_ORDER_LIMIT,
     GRID_CHUNK,
     PRIMITIVE_POLYS,
     Field,
-    VecOps,
     field,
     grid_chunks,
     splitting_params,
 )
 
-# every table field up to F_729, the largest one the benchmark workloads build
-VEC_FIELDS = sorted(pk for pk in PRIMITIVE_POLYS if pk[0] ** pk[1] <= 729)
-
 # every field the benchmark workloads build
 WORKLOAD_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 6), (3, 6)]
 TABLE_FIELDS = sorted(PRIMITIVE_POLYS)
 
+# the fields of the one-kernel contract; add, sub and mul are compared on all
+# pairs up to PAIR_ORDER elements and on drawn arrays above it
+CONTRACT_FIELDS = sorted(pk for pk in PRIMITIVE_POLYS if pk[0] ** pk[1] <= 4096)
+PAIR_ORDER = 81
+SUBFIELDS = [(p, k, m) for p, k in CONTRACT_FIELDS for m in range(1, k + 1) if k % m == 0]
 
-def _frob_oracle(F, a, i):
+
+def _frob_oracle(S, a, i):
     """a^(p^i) by i repeated p-th powers through the polynomial product."""
     for _ in range(i):
         x = a
-        for _ in range(F.p - 1):
-            x = F._mul_poly(x, a)
+        for _ in range(S.p - 1):
+            x = S.mul_poly(x, a)
         a = x
     return a
 
@@ -52,9 +55,9 @@ def test_f4_frobenius_trace_norm_oracle():
     w = F4.gen
     assert w == 2
     assert F4.mul(w, w) == 3
-    assert F4.frob(w, 2) == 3
-    assert F4.trace(w, F2) == 1
-    assert F4.mul(w, F4.frob(w, 2)) == 1  # the norm to F_2
+    assert F4.frob_table(2)[w] == 3
+    assert F4.trace_table(F2)[w] == 1
+    assert F4.mul(w, F4.frob_table(2)[w]) == 1  # the norm to F_2
 
 
 def test_f9_trace_norm_oracle():
@@ -63,38 +66,32 @@ def test_f9_trace_norm_oracle():
     g = F9.gen
     assert g == 3
     assert F9.mul(g, g) == 7  # x^2 = 2x + 1 -> coeffs (1, 2)
-    assert F9.trace(g, F3) == 2
-    assert F9.mul(g, F9.frob(g, 3)) == 2  # the norm to F_3
+    assert F9.trace_table(F3)[g] == 2
+    assert F9.mul(g, F9.frob_table(3)[g]) == 2  # the norm to F_3
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (2, 6)])
 def test_field_axioms_exhaustive_small(p, k):
     F = field(p, k)
-    els = list(F.elements())[: 3 if F.order > 100 else F.order]
-    sample = els + [F.gen, F.order - 1]
-    for a in sample:
-        for b in sample:
-            assert F.add(a, b) == F.add(b, a)
-            assert F.mul(a, b) == F.mul(b, a)
-            assert F.add(a, F.neg(a)) == 0
-            if a:
-                assert F.mul(a, F.inv(a)) == 1
-    for a in sample:
-        for b in sample:
-            for c in sample:
-                assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    sample = list(range(3 if F.order > 100 else F.order)) + [F.gen, F.order - 1]
+    a, b, c = np.meshgrid(sample, sample, sample, indexing="ij")
+    assert np.array_equal(F.add(a, b), F.add(b, a))
+    assert np.array_equal(F.mul(a, b), F.mul(b, a))
+    assert not F.add(a, F.neg(a)).any()
+    assert (F.mul(a, F.inv(a))[a != 0] == 1).all()
+    assert np.array_equal(F.mul(a, F.add(b, c)), F.add(F.mul(a, b), F.mul(a, c)))
 
 
 @pytest.mark.parametrize("p,k", sorted(PRIMITIVE_POLYS))
 def test_defining_polys_irreducible(p, k):
     # x^(p^k) == x in the field, and x^(p^m) != x for proper subfield sizes,
     # certifies degree exactly k; primitivity is certified by the exp table.
-    F = field(p, k)
-    x = F.gen
-    assert F.pow(x, p**k) == x
+    S = oracles.scalar(field(p, k))
+    x = S.gen
+    assert _frob_oracle(S, x, k) == x
     for m in range(1, k):
         if k % m == 0:
-            assert F.pow(x, p**m) != x
+            assert _frob_oracle(S, x, m) != x
 
 
 def test_gen_is_primitive_small():
@@ -103,7 +100,7 @@ def test_gen_is_primitive_small():
         seen = set()
         a = 1
         for _ in range(F.order - 1):
-            seen.add(a)
+            seen.add(int(a))
             a = F.mul(a, F.gen)
         assert len(seen) == F.order - 1
 
@@ -113,65 +110,60 @@ def test_gen_is_primitive_small():
 )
 def test_embedding_tower_compatible(k_sub, k_mid, k_top, p):
     S, M, T = field(p, k_sub), field(p, k_mid), field(p, k_top)
-    for a in list(S.elements())[: min(S.order, 32)]:
-        via_mid = T.embed(M, M.embed(S, a))
-        direct = T.embed(S, a)
-        assert via_mid == direct
+    via_mid = T.embed_table(M)[M.embed_table(S)]
+    assert np.array_equal(via_mid, T.embed_table(S))
 
 
 def test_embedding_is_homomorphism():
     F4, F16 = field(2, 2), field(2, 4)
-    for a in F4.elements():
-        for b in F4.elements():
-            assert F16.embed(F4, F4.add(a, b)) == F16.add(
-                F16.embed(F4, a), F16.embed(F4, b)
-            )
-            assert F16.embed(F4, F4.mul(a, b)) == F16.mul(
-                F16.embed(F4, a), F16.embed(F4, b)
-            )
+    emb = F16.embed_table(F4)
+    a, b = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    assert np.array_equal(emb[F4.add(a, b)], F16.add(emb[a], emb[b]))
+    assert np.array_equal(emb[F4.mul(a, b)], F16.mul(emb[a], emb[b]))
 
 
 def test_trace_transitivity_and_surjectivity():
     F2, F4, F64 = field(2, 1), field(2, 2), field(2, 6)
-    values = set()
-    for a in F64.elements():
-        t = F64.trace(a, F4)
-        assert F4.trace(t, F2) == F64.trace(a, F2)
-        values.add(t)
-    assert values == set(F4.elements())
+    t = F64.trace_table(F4)
+    assert np.array_equal(F4.trace_table(F2)[t], F64.trace_table(F2))
+    assert set(t.tolist()) == set(range(F4.order))
 
 
-@pytest.mark.parametrize("p,k,m", [(2, 1, 1), (2, 4, 1), (2, 4, 2), (2, 6, 3), (3, 2, 1), (3, 4, 2), (5, 2, 1)])
+@pytest.mark.parametrize("p,k,m", SUBFIELDS)
 def test_trace_and_retract_tables_match_the_scalar_forms(p, k, m):
     F, sub = field(p, k), field(p, m)
-    assert F.trace_table(sub).tolist() == [F.trace(a, sub) for a in F.elements()]
-    inside = set(F.embed_table(sub).tolist())
-    back = F.retract_table(sub).tolist()
-    assert back == [F.retract(sub, a) if a in inside else -1 for a in F.elements()]
+    S = oracles.scalar(F)
+    assert F.embed_table(sub).tolist() == [S.embed(sub, a) for a in range(sub.order)]
+    assert F.trace_table(sub).tolist() == [S.trace(a, sub) for a in range(F.order)]
+    back = [S.retract(sub, a) if S.in_subfield(sub, a) else -1 for a in range(F.order)]
+    assert F.retract_table(sub).tolist() == back
 
 
 def test_subfield_membership_count():
     F64, F8 = field(2, 6), field(2, 3)
-    members = [a for a in F64.elements() if F64.in_subfield(F8, a)]
+    members = np.flatnonzero(F64.frob_table(8) == np.arange(F64.order))
     assert len(members) == 8
-    tab = F64.embed_table(F8)
-    assert sorted(int(v) for v in tab) == sorted(members)
+    assert sorted(F64.embed_table(F8).tolist()) == members.tolist()
 
 
 def test_retract_raises_outside_subfield():
     F16, F4 = field(2, 4), field(2, 2)
-    inside = {int(v) for v in F16.embed_table(F4)}
-    outside = next(a for a in F16.elements() if a not in inside)
+    inside = set(F16.embed_table(F4).tolist())
+    outside = next(a for a in range(F16.order) if a not in inside)
+    assert F16.retract_table(F4)[outside] == -1
     with pytest.raises(NotInSubfieldError):
-        F16.retract(F4, outside)
+        oracles.scalar(F16).retract(F4, outside)
+    with pytest.raises(NotInSubfieldError, match=f"element {outside} of F_2\\^4 not in F_2\\^2"):
+        AddChar(F16, 2, outside).factor_through_trace(2)
 
 
 def test_frobenius_is_field_automorphism():
     F27 = field(3, 3)
-    for a in F27.elements():
-        for b in (1, 5, 20):
-            assert F27.frob(F27.mul(a, b), 3) == F27.mul(F27.frob(a, 3), F27.frob(b, 3))
-            assert F27.frob(F27.add(a, b), 3) == F27.add(F27.frob(a, 3), F27.frob(b, 3))
+    fr = F27.frob_table(3)
+    a = np.arange(F27.order)
+    for b in (1, 5, 20):
+        assert np.array_equal(fr[F27.mul(a, b)], F27.mul(fr[a], fr[b]))
+        assert np.array_equal(fr[F27.add(a, b)], F27.add(fr[a], fr[b]))
 
 
 def test_splitting_params():
@@ -207,16 +199,17 @@ def test_splitting_params_accepts_only_characteristics_with_fields():
 @pytest.mark.parametrize("p,k", WORKLOAD_FIELDS)
 def test_table_ops_match_digit_oracle_exhaustive(p, k):
     F = field(p, k)
-    els = range(F.order)
-    for a in els:
-        assert F.neg(a) == F._neg_digits(a)
-        for b in els:
-            assert F.add(a, b) == F._add_digits(a, b)
-            assert F.sub(a, b) == oracles.sub_digits(F, a, b)
+    S = oracles.scalar(F)
+    els = np.arange(F.order)
+    a, b = np.meshgrid(els, els, indexing="ij")
+    assert F.neg(els).tolist() == [S.neg_digits(x) for x in els.tolist()]
+    pairs = list(zip(a.ravel().tolist(), b.ravel().tolist()))
+    assert F.add(a, b).ravel().tolist() == [S.add_digits(x, y) for x, y in pairs]
+    assert F.sub(a, b).ravel().tolist() == [oracles.sub_digits(S, x, y) for x, y in pairs]
     for i in range(k + 1):
-        got = [F.frob(a, p**i) for a in els]
-        assert got == [F.pow(a, p**i) for a in els]
-        assert got == [_frob_oracle(F, a, i) for a in els]
+        got = F.frob_table(p**i).tolist()
+        assert got == [S.pow(x, p**i) for x in range(F.order)]
+        assert got == [_frob_oracle(S, x, i) for x in range(F.order)]
 
 
 @given(st.sampled_from(TABLE_FIELDS), st.data())
@@ -224,17 +217,18 @@ def test_table_ops_match_digit_oracle_exhaustive(p, k):
 def test_table_ops_match_digit_oracle_sampled(pk, data):
     p, k = pk
     F = field(p, k)
+    S = oracles.scalar(F)
     a = data.draw(st.integers(0, F.order - 1))
     b = data.draw(st.integers(0, F.order - 1))
     i = data.draw(st.integers(0, 2 * k))
-    assert F.add(a, b) == F._add_digits(a, b)
-    assert F.sub(a, b) == oracles.sub_digits(F, a, b)
-    assert F.neg(a) == F._neg_digits(a)
-    assert F.mul(a, b) == F._mul_poly(a, b)
+    assert F.add(a, b) == S.add_digits(a, b)
+    assert F.sub(a, b) == oracles.sub_digits(S, a, b)
+    assert F.neg(a) == S.neg_digits(a)
+    assert F.mul(a, b) == S.mul_poly(a, b)
     if b:
-        assert F._mul_poly(F.inv(b), b) == 1
-    assert F.frob(a, p**i) == F.pow(a, p**i) == _frob_oracle(F, a, i)
-    assert F.frob(a, F.frob_exp(p, i)) == F.frob(a, p**i)
+        assert S.mul_poly(int(F.inv(b)), b) == 1
+    assert F.frob_table(p**i)[a] == S.pow(a, p**i) == _frob_oracle(S, a, i)
+    assert F.frob_table(F.frob_exp(p, i))[a] == F.frob_table(p**i)[a]
 
 
 def test_every_field_is_table_driven():
@@ -260,27 +254,54 @@ def test_field_axioms_sampled_f81(a, b, c):
     assert F.sub(F.add(a, b), b) == a
 
 
-@given(st.sampled_from(VEC_FIELDS), st.data())
+@pytest.mark.parametrize("p,k", CONTRACT_FIELDS)
+def test_one_kernel_matches_the_scalar_field(p, k):
+    # the table kernel against the list closures of the scalar reference,
+    # built from the defining polynomial alone
+    F = field(p, k)
+    S = oracles.scalar(F)
+    els = np.arange(F.order)
+    assert F.neg(els).tolist() == [S.neg(x) for x in range(F.order)]
+    assert F.inv(els[1:]).tolist() == [S.inv(x) for x in range(1, F.order)]
+    assert F.log(els[1:]).tolist() == [S.log(x) for x in range(1, F.order)]
+    for i in range(k + 1):
+        assert F.frob_table(p**i).tolist() == S.frob_map(p**i)
+    if F.order <= PAIR_ORDER:
+        a, b = (x.ravel() for x in np.meshgrid(els, els, indexing="ij"))
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert F.add(a, b).tolist() == [S.add(x, y) for x, y in pairs]
+        assert F.sub(a, b).tolist() == [S.sub(x, y) for x, y in pairs]
+        assert F.mul(a, b).tolist() == [S.mul(x, y) for x, y in pairs]
+    # an int operand gives the value of the one-element array
+    ints = sorted({0, 1, F.gen, F.order - 1})
+    for x, y in itertools.product(ints, repeat=2):
+        for op in (F.add, F.sub, F.mul):
+            assert op(x, y) == op(np.array([x]), np.array([y]))[0]
+    for x in ints:
+        assert F.neg(x) == F.neg(np.array([x]))[0]
+        if x:
+            assert F.inv(x) == F.inv(np.array([x]))[0]
+            assert F.log(x) == F.log(np.array([x]))[0]
+
+
+@given(st.sampled_from([pk for pk in CONTRACT_FIELDS if pk[0] ** pk[1] > PAIR_ORDER]), st.data())
 @settings(max_examples=200, deadline=None)
-def test_vecops_match_scalar_table_ops(pk, data):
+def test_array_ops_match_the_scalar_field_sampled(pk, data):
     p, k = pk
     F = field(p, k)
-    v = VecOps(F)
+    S = oracles.scalar(F)
     els = st.lists(st.integers(0, F.order - 1), min_size=1, max_size=30)
     a = data.draw(els)
     b = data.draw(st.lists(st.integers(0, F.order - 1), min_size=len(a), max_size=len(a)))
     c = data.draw(st.integers(0, F.order - 1))
-    qpow = p ** data.draw(st.integers(0, 2 * k))
     x, y = np.array(a), np.array(b)
-    assert v.add(x, y).tolist() == [F.add(s, t) for s, t in zip(a, b)]
-    assert v.sub(x, y).tolist() == [F.sub(s, t) for s, t in zip(a, b)]
-    assert v.mul(x, y).tolist() == [F.mul(s, t) for s, t in zip(a, b)]
-    assert np.asarray(v.neg(x)).tolist() == [F.neg(s) for s in a]
-    assert v.frob(qpow)[x].tolist() == [F.frob(s, qpow) for s in a]
+    assert F.add(x, y).tolist() == [S.add(s, t) for s, t in zip(a, b)]
+    assert F.sub(x, y).tolist() == [S.sub(s, t) for s, t in zip(a, b)]
+    assert F.mul(x, y).tolist() == [S.mul(s, t) for s, t in zip(a, b)]
     # a Python int broadcasts against an array on either side
-    assert v.mul(c, x).tolist() == [F.mul(c, s) for s in a]
-    assert v.add(x, c).tolist() == [F.add(s, c) for s in a]
-    assert v.sub(c, x).tolist() == [F.sub(c, s) for s in a]
+    assert F.mul(c, x).tolist() == [S.mul(c, s) for s in a]
+    assert F.add(x, c).tolist() == [S.add(s, c) for s in a]
+    assert F.sub(c, x).tolist() == [S.sub(c, s) for s in a]
 
 
 # the ids are those of the earlier (Q, dim, lo, hi) cases, so each case keeps

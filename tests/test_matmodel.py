@@ -23,32 +23,30 @@ import pytest
 
 from dllab.errors import MatrixShapeError, UnsupportedParametersError
 from dllab.ffield import field, splitting_params
-from dllab.matmodel import (
-    det_iota,
-    in_Xh,
-    in_Xh_batch,
-    iota_prime,
-    normalize_shape,
-    star_action_batch,
-    unipotent_chunks,
-)
+from dllab.matmodel import in_Xh, in_Xh_batch, star_action_batch, unipotent_chunks
 from dllab.twistring import TwistedRing, twisted_ring
+import oracles
 from oracles import (
+    det_iota,
     enumerate_unipotent,
     gnq_mul,
+    iota_prime,
     iota_prime_via_varpi,
     lang,
     mat_mul,
     n2_norm,
     nm_gnq,
+    normalize_shape,
     recover_from_matrix,
     ring_mul,
+    scalar,
     star_action,
+    tp_mul,
 )
 
 
 def frob(F, a, q):
-    return F.frob(a, q)
+    return scalar(F).frob(a, q)
 
 
 @pytest.mark.parametrize(
@@ -91,15 +89,13 @@ def test_iota_multiplicative_for_rational_right_factor(n, q, p, k):
         b = tuple(int(emb[rng.randrange(Fqn.order)]) for _ in range(R.length))
         lhs = iota_prime(R, ring_mul(R, a, b))
         rhs = mat_mul(R.coeff_field, iota_prime(R, a), iota_prime(R, b))
-        from dllab.matmodel import normalize_shape
-
         assert lhs == normalize_shape(R.coeff_field, rhs)
 
 
 def test_det_rational_for_rational_points():
     # for g with coefficients in F_{q^n}, det iota(g) has all coefficients in F_q
     R = twisted_ring(2, 2, 3, field(2, 2))
-    F = R.coeff_field
+    F = scalar(R.coeff_field)
     for g in enumerate_unipotent(R):
         d = det_iota(R, g)
         assert all(F.frob(c, 2) == c for c in d)
@@ -108,10 +104,11 @@ def test_det_rational_for_rational_points():
 def test_n2_closed_form_n2():
     for q, p, k in [(2, 2, 2), (3, 3, 2)]:
         A = field(p, 2 * k)  # F_{q^4}, strictly larger than F_{q^2}
-        for a1 in A.elements():
+        S = scalar(A)
+        for a1 in range(A.order):
             for a2 in (0, 1, 2, 5, A.order - 1):
-                expected = A.sub(
-                    A.add(a2, frob(A, a2, q)), A.pow(a1, q + 1)
+                expected = S.sub(
+                    S.add(a2, frob(A, a2, q)), S.pow(a1, q + 1)
                 )
                 assert n2_norm(twisted_ring(2, q, 2, A), (a1, a2)) == expected
 
@@ -126,10 +123,10 @@ def test_n2_on_center_is_trace():
         Fqn = field(p, k)
         Fq = field(p, k // n) if k % n == 0 else None
         Fq = field(p, Fqn.k // n)
-        for a in Fqn.elements():
+        for a in range(Fqn.order):
             tail = (0,) * (n - 1) + (a,)
             got = n2_norm(twisted_ring(n, q, 2, Fqn), tail)
-            assert got == Fqn.embed(Fq, Fqn.trace(a, Fq))
+            assert got == scalar(Fqn).embed(Fq, scalar(Fqn).trace(a, Fq))
 
 
 def test_lang_top_coefficient_identity():
@@ -144,17 +141,17 @@ def test_lang_top_coefficient_identity():
             g = (1,) + tuple(rng.randrange(A.order) for _ in range(n))
             nval = n2_norm(R, g[1:])
             top = lang(R, g, n)[n]
-            assert top == A.sub(A.frob(nval, q), nval)
+            assert top == scalar(A).sub(scalar(A).frob(nval, q), nval)
 
 
 def test_in_Xh_matches_unipotent_equations_small():
     # (n, h, q) = (2, 3, 2) over F_4: membership via det equals the two
     # explicit equations
     q = 2
-    A = field(2, 2)
-    R = twisted_ring(2, q, 3, A)
+    R = twisted_ring(2, q, 3, field(2, 2))
+    A = scalar(R.coeff_field)
     Fq = field(2, 1)
-    for a1, a2, a3, a4 in itertools.product(A.elements(), repeat=4):
+    for a1, a2, a3, a4 in itertools.product(range(A.order), repeat=4):
         g = (1, a1, a2, a3, a4)
         e1 = A.sub(A.add(frob(A, a2, q), a2), A.pow(a1, q + 1))
         e2 = A.add(
@@ -171,12 +168,12 @@ def test_in_Xh_matches_unipotent_equations_small():
 def test_star_action_closed_form():
     # (n, h) = (2, 3): the action in coordinates, exhaustively over F_4
     q = 2
-    A = field(2, 2)
-    R = twisted_ring(2, q, 3, A)
+    R = twisted_ring(2, q, 3, field(2, 2))
+    A = scalar(R.coeff_field)
     gammas, xs, want = [], [], []
-    for lam, mu in itertools.product(A.elements(), repeat=2):
+    for lam, mu in itertools.product(range(A.order), repeat=2):
         gamma = (1, lam, mu)
-        for a1, a3 in itertools.product(A.elements(), repeat=2):
+        for a1, a3 in itertools.product(range(A.order), repeat=2):
             for a2, a4 in ((0, 0), (1, 2), (3, 3)):
                 x = (1, a1, a2, a3, a4)
                 got = star_action(R, gamma, x)
@@ -224,8 +221,6 @@ def test_star_action_is_group_action():
         g1 = (1,) + tuple(int(emb[rng.randrange(4)]) for _ in range(2))
         g2 = (1,) + tuple(int(emb[rng.randrange(4)]) for _ in range(2))
         x = (1,) + tuple(rng.randrange(A.order) for _ in range(4))
-        from dllab.matmodel import tp_mul
-
         g12 = tp_mul(A, g1, g2)
         assert star_action(R, g12, x) == star_action(R, g1, star_action(R, g2, x))
 
@@ -234,20 +229,20 @@ def test_nm_gnq_trace_on_center_and_k_independence():
     q = 2
     F4 = field(2, 2)
     F2 = field(2, 1)
-    for a in F4.elements():
+    for a in range(F4.order):
         v1 = nm_gnq(2, q, F4, (0, a), k=1)
         v2 = nm_gnq(2, q, F4, (0, a), k=2)
-        assert v1 == v2 == F4.embed(F2, F4.trace(a, F2))
+        assert v1 == v2 == scalar(F4).embed(F2, scalar(F4).trace(a, F2))
 
 
 def test_nm_gnq_homomorphism_exhaustive_2_2():
     q = 2
     F4 = field(2, 2)
-    els = [(a, b) for a in F4.elements() for b in F4.elements()]
+    els = [(a, b) for a in range(F4.order) for b in range(F4.order)]
     nm = {x: nm_gnq(2, q, F4, x, k=1) for x in els}
     for x in els:
         for y in els:
-            assert nm[gnq_mul(F4, 2, q, x, y)] == F4.add(nm[x], nm[y])
+            assert nm[gnq_mul(F4, 2, q, x, y)] == scalar(F4).add(nm[x], nm[y])
 
 
 def test_y_h_image_h2_lands_in_Y():
@@ -268,9 +263,11 @@ def test_y_h_image_2_3_2_satisfies_closed_form():
 
     E = field(2, 4)
     ring = twisted_ring(2, 2, 3, E)
-    img = y_h_image(2, 2, 3, 2)
+    img = sorted(y_h_image(2, 2, 3, 2))
     assert (1, 0, 0, 0, 0) in img
-    assert all(y3_member(ring, y) for y in img)
+    member = y3_member(ring, np.array(img, dtype=np.int64).T)
+    assert member.all()
+    assert member.tolist() == [oracles.y3_member(ring, y) for y in img]
 
 
 # (n, q, h, s) grids of X_h(F_{q^{n s}}); the (2, 2, 2, 2) and (2, 2, 3, 2)
@@ -294,7 +291,7 @@ def test_batched_predicates_match_scalar_on_full_grid(n, q, h, s):
             assert np.array_equal(member, image[n] == 0)
         for c, x in enumerate(g.T.tolist()):
             x = tuple(x)
-            assert member[c] == in_Xh(R, x)
+            assert member[c] == oracles.in_Xh(R, x)
             assert tuple(image[:, c].tolist()) == lang(R, x, n)
         seen += g.shape[1]
     assert seen == R.coeff_field.order ** (R.length - 1)
@@ -306,19 +303,31 @@ def test_inv_batch_rejects_non_unipotent():
         R.inv_batch(np.array([[2], [0], [0]]))
 
 
+STAR_OUTSIDE_THE_IMAGE = (
+    "import numpy as np\n"
+    "from dllab.ffield import Field\n"
+    "from dllab.matmodel import star_action_batch\n"
+    "from dllab.twistring import twisted_ring\n"
+    "F = Field(2, 2)\n"
+    "F.add = np.bitwise_and  # not a field addition\n"
+    "R = twisted_ring(2, 2, 3, F)\n"
+    "star_action_batch(R, np.array([[1], [1], [0]]), np.array([[1], [0], [2], [0], [0]]))\n"
+)
+
+
 def test_shape_checks_survive_python_O():
-    # a below-diagonal entry with a unit constant term is not in the image
-    code = (
-        "from dllab.ffield import field\n"
-        "from dllab.matmodel import normalize_shape\n"
-        "normalize_shape(field(2, 2), (((1, 0), (0, 0)), ((1, 0), (1, 0))))\n"
-    )
+    # with a broken addition the product of the lifts is not an image of
+    # iota, and the star action says so
+    code = STAR_OUTSIDE_THE_IMAGE
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
     )
     assert out.returncode == 1
-    assert "MatrixShapeError: below-diagonal entry not divisible by pi" in out.stderr
-    with pytest.raises(MatrixShapeError):
+    assert "MatrixShapeError: star action left the embedded image" in out.stderr
+    with pytest.raises(MatrixShapeError, match="star action left the embedded image"):
+        exec(STAR_OUTSIDE_THE_IMAGE, {})
+    # the scalar shape check of the oracle
+    with pytest.raises(MatrixShapeError, match="below-diagonal entry not divisible by pi"):
         normalize_shape(field(2, 2), (((1, 0), (0, 0)), ((1, 0), (1, 0))))

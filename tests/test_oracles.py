@@ -121,12 +121,12 @@ def test_lang_norm_witness_counts_points_before_the_first_failure(bad, monkeypat
         out = norm_batch(ring, tails)
         if (ring.n, ring.q) != (n, q):
             return out
-        return A.vec.add(out, np.where(digits_index(tails, A.order) == bad, A.gen, 0))
+        return A.add(out, np.where(digits_index(tails, A.order) == bad, A.gen, 0))
 
     def broken(ring, tail):
         out = norm(ring, tail)
         hit = int(digits_index(np.array(tail).reshape(n, 1), A.order)[0]) == bad
-        return A.add(out, A.gen) if hit else out
+        return oracles.scalar(A).add(out, A.gen) if hit else out
 
     monkeypatch.setattr(matmodel, "n2_norm_batch", broken_batch)
     monkeypatch.setattr(oracles, "n2_norm", broken)

@@ -419,7 +419,7 @@ def test_conj_classes_match_the_bfs_on_the_unipotent_families(family, n, q):
 def test_index_induction_matches_scalar_on_every_rho(mirror, n, q):
     # thm31 at (3, 2) is also the family of dump --kind char-table --n 3 --q 2
     _, F = gnq_group(n, q)
-    for a in F.elements():
+    for a in range(F.order):
         data = build_rho_psi(n, q, AddChar(F, q, a), mirror=mirror)
         G, rep, R = data.group, data.rep, data.R
         law = family_law(gnq_group if mirror else unipotent_group, n, q)[1]
@@ -484,7 +484,7 @@ def test_halved_branch_extensions_match_the_dict_walk(q):
     # extensions of the transferred character, whose first is rho's chi
     U, ring = unipotent_group(2, q)
     F = ring.coeff_field
-    psis = [AddChar(F, q, a) for a in F.elements() if AddChar(F, q, a).conductor_power() == 2]
+    psis = [AddChar(F, q, a) for a in range(F.order) if AddChar(F, q, a).conductor_power() == 2]
     assert psis
     for psi in psis:
         data = build_rho_psi(2, q, psi)

@@ -79,7 +79,7 @@ def test_frob_identity_and_diag():
     a = F.gen
     D = series_identity(F, n, prec)
     for i in range(n):
-        D[i][i] = LaurentSeries.const(F, F.frob(a, q**i), prec)
+        D[i][i] = LaurentSeries.const(F, oracles.scalar(F).frob(a, q**i), prec)
     assert frob_F(D, q) == D
 
 
@@ -89,7 +89,7 @@ def test_frob_top_right_entry():
     rng = random.Random(7)
     A = [[rand_series(F, rng, prec) for _ in range(n)] for _ in range(n)]
     got = frob_F(A, q)
-    want = A[n - 1][n - 2].map_coeffs(lambda c: F.frob(c, q)).shift(-1)
+    want = A[n - 1][n - 2].map_coeffs(lambda c: oracles.scalar(F).frob(c, q)).shift(-1)
     assert got[0][n - 1] == want
 
 
@@ -106,7 +106,7 @@ def test_frob_matches_varpi_conjugation():
             W[i][i + 1] = LaurentSeries.one(F, prec)
         W[n - 1][0] = LaurentSeries.pi_power(F, 1, prec)
         lhs = mat_mul(W, frob_F(A, q))
-        Aphi = [[e.map_coeffs(lambda c: F.frob(c, q)) for e in row] for row in A]
+        Aphi = [[e.map_coeffs(lambda c: oracles.scalar(F).frob(c, q)) for e in row] for row in A]
         rhs = mat_mul(Aphi, W)
         assert lhs == rhs
 
@@ -181,7 +181,7 @@ def test_xtilde_round_trip_and_examples():
 
     # diag(a, a^q) with a in F_{q^2}^x embedded in F_16: det = Nm(a) in F_q
     F2 = field(2, 2)
-    a = F4.embed(F2, F2.gen)
+    a = oracles.scalar(F4).embed(F2, F2.gen)
     coeffs = (LaurentSeries.const(F4, a, prec), LaurentSeries.zero(F4, prec))
     A = xtilde_matrix(F4, q, n, coeffs)
     got = oracles.xtilde_form(A, q, Fq)
@@ -250,7 +250,6 @@ def test_det_valuation_exhaustive_f4_small_window():
 def test_xtilde_reduction_agrees_with_truncated_det_model():
     # reduce a pattern matrix mod pi^h and compare its determinant with the
     # truncated-polynomial matrix model determinant
-    from dllab.matmodel import det_iota
     from dllab.twistring import twisted_ring
 
     F = field(2, 4)
@@ -270,7 +269,7 @@ def test_xtilde_reduction_agrees_with_truncated_det_model():
             for t in range(h):
                 if j + n * t < ring.length:
                     elem[j + n * t] = coeffs[j].coeff(t)
-        det_tp = det_iota(ring, tuple(elem))
+        det_tp = oracles.det_iota(ring, tuple(elem))
         det_series = mat_det_series(xtilde_matrix(F, q, n, coeffs))
         assert list(det_tp) == [det_series.coeff(t) for t in range(h)]
 
@@ -340,7 +339,7 @@ def test_batch_ops_match_scalar_rows(pk, data):
         (A.shift(j), [x.shift(j) for x in a]),
         (A.truncate(cut), [x.truncate(cut) for x in a]),
         (A.truncate(np.array(cuts)), [x.truncate(t) for x, t in zip(a, cuts)]),
-        (A.frob(e), [x.map_coeffs(lambda c: F.frob(c, e)) for x in a]),
+        (A.frob(e), [x.map_coeffs(lambda c: oracles.scalar(F).frob(c, e)) for x in a]),
     ]
     assert [key(x.frob(e)) for x in a] == [key(w) for w in cases[-1][1]]
     for batch, want in cases:
@@ -478,7 +477,7 @@ def test_round_trip_and_xtilde_form_match_scalar_on_drawn_pairs(seed):
 def test_round_trip_and_xtilde_form_match_scalar_on_edge_rows():
     F16, Fq = field(2, 4), field(2, 1)
     q, prec = 2, 5
-    a = F16.embed(field(2, 2), 2)  # in F_4, so det = Nm(a) lies in F_2
+    a = oracles.scalar(F16).embed(field(2, 2), 2)  # in F_4, so det = Nm(a) lies in F_2
     g = F16.gen  # det = g^3 does not
     rows = np.zeros((4, 2, prec), dtype=np.int64)
     rows[0, 0, 0] = a  # rational: recovered

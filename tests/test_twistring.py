@@ -21,6 +21,7 @@ from oracles import (
     ring_inv,
     ring_mul,
     ring_one,
+    scalar,
     scalar_conj,
 )
 
@@ -39,8 +40,8 @@ def test_square_oracle_f4():
 def test_tau_commutation_rule():
     # tau * a = a^q * tau: (0,1,0)*(a,0,0) == (0, a^q, 0)
     R = twisted_ring(2, 2, 2, field(2, 4))
-    F = field(2, 4)
-    for a in F.elements():
+    F = scalar(field(2, 4))
+    for a in range(F.order):
         assert ring_mul(R, (0, 1, 0), (a, 0, 0)) == (0, F.frob(a, 2), 0)
         assert ring_mul(R, (a, 0, 0), (0, 1, 0)) == (0, a, 0)
 
@@ -72,14 +73,15 @@ def test_mul_matches_seed_formula(params, data):
     # polynomial product of the field
     n, q, h, p, k = params
     F = field(p, k)
+    S = scalar(F)
     R = twisted_ring(n, q, h, F)
     elems = st.lists(st.integers(0, F.order - 1), min_size=R.length, max_size=R.length)
     a, b = data.draw(elems), data.draw(elems)
     want = [0] * R.length
     for i in range(R.length):
         for j in range(R.length - i):
-            term = F._mul_poly(a[i], F.pow(b[j], q**i))
-            want[i + j] = F._add_digits(want[i + j], term)
+            term = S.mul_poly(a[i], S.pow(b[j], q**i))
+            want[i + j] = S.add_digits(want[i + j], term)
     batch = R.mul_batch(np.array(a)[:, None], np.array(b)[:, None])[:, 0]
     assert ring_mul(R, tuple(a), tuple(b)) == tuple(want) == tuple(batch.tolist())
 
@@ -109,7 +111,7 @@ def test_lang_trivial_on_rational_points():
 def test_center_is_tau_n_line():
     R = twisted_ring(2, 2, 2, field(2, 2))
     F = R.coeff_field
-    for z_val in F.elements():
+    for z_val in range(F.order):
         z = (1, 0, z_val)
         for g in enumerate_unipotent(R):
             assert ring_mul(R, z, g) == ring_mul(R, g, z)
@@ -137,8 +139,8 @@ def test_nu_m_is_homomorphism_on_h_m():
     F4 = field(2, 2)
     R = twisted_ring(2, q, 2, F4)
     R1 = twisted_ring(1, q**2, 2, F4)
-    for a in F4.elements():
-        for b in F4.elements():
+    for a in range(F4.order):
+        for b in range(F4.order):
             x, y = (1, 0, a), (1, 0, b)
             assert nu_m(R, ring_mul(R, x, y), 2) == ring_mul(
                 R1, nu_m(R, x, 2), nu_m(R, y, 2)
@@ -151,8 +153,8 @@ def test_nu_m_homomorphism_n3():
     F8 = field(2, 3)
     R = twisted_ring(3, q, 2, F8)
     R1 = twisted_ring(1, q**3, 2, F8)
-    for a2 in F8.elements():
-        for a3 in F8.elements():
+    for a2 in range(F8.order):
+        for a3 in range(F8.order):
             for b2 in (0, 3, 5):
                 for b3 in (1, 6):
                     x, y = (1, 0, a2, a3), (1, 0, b2, b3)
@@ -163,7 +165,7 @@ def test_nu_m_homomorphism_n3():
 
 def test_gnq_group_axioms_and_u2_agreement():
     F4 = field(2, 2)
-    els = [(a, b) for a in F4.elements() for b in F4.elements()]
+    els = [(a, b) for a in range(F4.order) for b in range(F4.order)]
     R = twisted_ring(2, 2, 2, F4)
     for a in els:
         assert gnq_mul(F4, 2, 2, a, gnq_inv(F4, 2, 2, a)) == (0, 0)
@@ -196,7 +198,7 @@ def test_scalar_conj_factors_match_scalar_conj(n, q, h, p, k):
     import random
 
     R = twisted_ring(n, q, h, field(p, k))
-    F = R.coeff_field
+    F = scalar(R.coeff_field)
     rng = random.Random(19)
     for c in range(1, F.order):
         factors = R.scalar_conj_factors(c)
