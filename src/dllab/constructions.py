@@ -604,7 +604,7 @@ def _teichmueller_conj(n: int, q: int, h: int) -> np.ndarray:
     by the j-th of the ring's scalar_conj_factors."""
     group, ring = unipotent_group(n, q, h)
     F = ring.coeff_field
-    f = np.array(ring.scalar_conj_factors(F.gen), dtype=np.int64)
+    f = ring.scalar_conj_factors(F.gen)
     x = group.decode(np.arange(len(group), dtype=np.int64))
     return digits_index(F.mul(f[:, None], x[1:]), F.order)
 

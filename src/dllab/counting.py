@@ -6,7 +6,10 @@ elements of Q(zeta_p).  Every exponential sum is exp_sum over a SumSpec
 whose points come as (dim, N) index batches: the psi-Tr table of its map is
 counted with np.bincount and the counts reduced by cyclo_from_counts.
 Every enumeration walks its grid in itertools.product order, the order of
-ffield.grid_chunks.
+ffield.grid_chunks.  Point sets and tables are int64 arrays: the
+zeta-fixed locus is one (L, N) array of points, taken from
+matmodel.xh_points, and the twist table one count array indexed by the
+digits of its keys.
 
 The twisted equations are of Artin-Schreier type, so all solutions over the
 algebraic closure already live in F_{q^(n p)}; the enumeration domain
@@ -257,7 +260,7 @@ def _as_fibres(E: Field, q2: int, kernel):
 def twist_counts(q: int, t) -> np.ndarray:
     """The counts of x3_twist_table at the key indices t (a 1-D int array):
     key index t has the base-q^2 digits (d, g3, g2, lam), lam least
-    significant, so index order is the table's key order.
+    significant, so the table is the counts at every t, reshaped.
 
     Candidates are generated from the componentwise equations, GRID_CHUNK
     columns at a time: a_1 runs over F_{q^2}, a_2 over its Artin-Schreier
@@ -334,26 +337,24 @@ def twist_counts(q: int, t) -> np.ndarray:
     return counts[t]
 
 
-def x3_twist_table(q: int) -> dict:
+def x3_twist_table(q: int) -> np.ndarray:
     """N(gamma, g) for the (n, h) = (2, 3) star-twisted count, tabulated on
     the invariants it actually depends on.
 
     gamma = 1 + lam pi + mu pi^2 and g = 1 + g2 tau^2 + g3 tau^3 + g4 tau^4
     enter the defining equations only through (lam, g2, g3, g4 - mu): mu and
-    g4 both act on the tau^4 component alone.  Keys are those quadruples
-    over F_{q^2}, lam fastest, with a nonzero count; values count solutions
-    over F_{q^{2p}}, where every Artin-Schreier fibre of the system
-    saturates.  twist_counts computes them.
+    g4 both act on the tau^4 component alone.  The table is the (Q2,)^4
+    int64 count array over those quadruples in F_{q^2}, indexed
+    [g4 - mu, g3, g2, lam]: twist_counts over every key index.  The counts
+    are of solutions over F_{q^{2p}}, where every Artin-Schreier fibre of
+    the system saturates.
     """
     p, e = splitting_params(q)
     Q2 = field(p, 2 * e).order
-    t = np.arange(Q2**4, dtype=np.int64)
-    counts = twist_counts(q, t)
-    digits = index_digits(t, Q2, 4)[::-1].T.tolist()
-    return {tuple(digits[i]): c for i, c in enumerate(counts.tolist()) if c}
+    return twist_counts(q, np.arange(Q2**4, dtype=np.int64)).reshape((Q2,) * 4)
 
 
-def eigendims(chars, table: dict, q: int) -> np.ndarray:
+def eigendims(chars, table: np.ndarray, q: int) -> np.ndarray:
     """dim of the (chi1, chi2-sharp) eigenspace of the level-3 surface in
     its only nonvanishing degree, for every pair of chars: entry (i, j) is
 
@@ -362,12 +363,12 @@ def eigendims(chars, table: dict, q: int) -> np.ndarray:
     for chi1, chi2 = chars[i], chars[j], with the Frobenius scalar q^2
     hypothesis supplied by the intertwiner sum.  The chars are characters
     of the principal units (1, lam, mu) over F_{q^2}; chi2_sharp ignores the
-    tau^3 coordinate of g, so table is the collapsed
-    collapse_twist_table(x3_twist_table(q)).
+    tau^3 coordinate of g, so table is x3_twist_table(q).sum(axis=1), the
+    (Q2,)^3 count array indexed [g4 - mu, g2, lam].
 
-    Each character's exponents are read once over the (key, mu) rows of the
-    table; each pair's sum is an integer count vector over the roots, and
-    all of them are reduced mod Phi_R in one call.
+    Each character's exponents are read once over the (entry, mu) rows of
+    the table's nonzero entries; each pair's sum is an integer count vector
+    over the roots, and all of them are reduced mod Phi_R in one call.
     """
     R = chars[0].R
     for chi in chars:
@@ -376,13 +377,12 @@ def eigendims(chars, table: dict, q: int) -> np.ndarray:
     p, e = splitting_params(q)
     F2 = field(p, 2 * e)
     Q2, C = F2.order, len(chars)
-    keys = np.array(list(table), dtype=np.int64).reshape(-1, 3)
-    mu = np.tile(np.arange(Q2, dtype=np.int64), len(keys))
-    lam, g2, d = np.repeat(keys, Q2, axis=0).T
-    cnt = np.repeat(np.array(list(table.values()), dtype=np.int64), Q2)
+    d, g2, lam = np.repeat(np.nonzero(table), Q2, axis=1)
+    mu = np.tile(np.arange(Q2, dtype=np.int64), len(d) // Q2)
+    cnt = table[d, g2, lam]
     # the units (1, b1, b2) come in product order, at the indices b1 Q2 + b2
     exps = np.stack([chi.table for chi in chars]).reshape(C, Q2, Q2)
-    e1 = exps[:, lam, mu]  # chi1(1, lam, mu) per (key, mu) row
+    e1 = exps[:, lam, mu]  # chi1(1, lam, mu) per (entry, mu) row
     e2 = exps[:, g2, F2.add(d, mu)]  # chi2(1, g2, d + mu)
     counts = np.zeros((C, C * R), dtype=np.int64)
     slot = R * np.arange(C, dtype=np.int64)[:, None]
@@ -396,16 +396,6 @@ def eigendims(chars, table: dict, q: int) -> np.ndarray:
             assert_nonneg_integer(CycloNum(R, row) / scale)
         dims.append(row[0] // scale)
     return np.array(dims, dtype=np.int64).reshape(C, C)
-
-
-def collapse_twist_table(table: dict) -> dict:
-    """Sum out the tau^3 coordinate of the twist table; no character in the
-    eigenspace sum depends on it, so precollapsing saves a factor q^2."""
-    n2: dict[tuple, int] = {}
-    for (lam_i, g2_i, _g3_i, d_i), cnt in table.items():
-        key = (lam_i, g2_i, d_i)
-        n2[key] = n2.get(key, 0) + cnt
-    return n2
 
 
 def npp_identity(q: int) -> bool:
@@ -438,24 +428,19 @@ def npp_identity(q: int) -> bool:
 
 def zeta_fixed_set(n: int, q: int, h: int):
     """Points of X_h(F_{q^(n p)}) fixed by conjugation with the
-    Teichmueller generator of F_{q^n}^x."""
-    from .matmodel import in_Xh_batch
+    Teichmueller generator of F_{q^n}^x, as an (L, N) int64 array in grid
+    order, with the ring and its coefficient field."""
+    from .matmodel import xh_points
 
     p, e = splitting_params(q)
     ring = twisted_ring(n, q, h, field(p, e * n * p))
-    E, dim = ring.coeff_field, ring.length - 1
+    E = ring.coeff_field
     Fqn = field(p, e * n)
     zeta = int(E.embed_table(Fqn)[Fqn.gen])
     # conjugation by zeta scales x_j by f_j, so it fixes x exactly when
     # x_j == 0 at every j with f_j != 1
-    free = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f == 1]
-    out = []
-    for vals in grid_chunks(E.order, len(free)):
-        x = np.zeros((dim + 1, vals.shape[1]), dtype=np.int64)
-        x[0] = 1
-        x[free] = vals
-        out.extend(map(tuple, x[:, in_Xh_batch(ring, x)].T.tolist()))
-    return out, ring, E
+    free = np.flatnonzero(ring.scalar_conj_factors(zeta) == 1) + 1
+    return np.concatenate(list(xh_points(n, q, h, p, free)), axis=1), ring, E
 
 
 def zeta_trace_suite(n: int, q: int) -> dict:
@@ -471,7 +456,7 @@ def zeta_trace_suite(n: int, q: int) -> dict:
     fixed, ring, E = zeta_fixed_set(n, q, 2)
     # Fix(z) for every z at once: x is fixed by 1 + z tau^n (column z of g)
     # exactly when x g = x
-    x = np.array(fixed, dtype=np.int64).reshape(-1, ring.length).T[:, :, None]
+    x = fixed[:, :, None]
     g = np.zeros((ring.length, 1, Fqn.order), dtype=np.int64)
     g[0], g[n] = 1, E.embed_table(Fqn)
     fix_of = (ring.mul_batch(x, g) == x).all(axis=0).sum(axis=0)
@@ -491,10 +476,10 @@ def zeta_trace_suite(n: int, q: int) -> dict:
             {"a": a, "identity": ok, "trace": trace, "expected": (-1) ** (n + n // m)}
         )
     return {
-        "fixed_count": len(fixed),
+        "fixed_count": fixed.shape[1],
         "expected_fixed": q**n,
         "results": results,
-        "all_pass": all(r["identity"] for r in results) and len(fixed) == q**n,
+        "all_pass": all(r["identity"] for r in results) and fixed.shape[1] == q**n,
     }
 
 
@@ -517,13 +502,12 @@ def zeta_trace_suite_level3(q: int) -> dict:
         pe *= p
     R = p * pe
     target = q ** (n * (h - 1))
-    all_pass = len(fixed) == target
+    all_pass = fixed.shape[1] == target
     # Fix(gamma) for every (gamma, x) in one call: gamma's columns repeat,
     # each against all the fixed points
     gammas = emb[units.decode(np.arange(len(units), dtype=np.int64))]
-    x = np.array(fixed, dtype=np.int64).reshape(-1, ring.length).T
-    N, U = x.shape[1], len(units)
-    xs = np.tile(x, (1, U))
+    N, U = fixed.shape[1], len(units)
+    xs = np.tile(fixed, (1, U))
     fix_of = (star_action_batch(ring, np.repeat(gammas, N, axis=1), xs) == xs).all(axis=0)
     fix_of = fix_of.reshape(U, N).sum(axis=1)
     results = []
@@ -535,7 +519,7 @@ def zeta_trace_suite_level3(q: int) -> dict:
         all_pass = all_pass and ok
         results.append(ok)
     return {
-        "fixed_count": len(fixed),
+        "fixed_count": fixed.shape[1],
         "expected_fixed": target,
         "characters": len(results),
         "all_pass": all_pass,

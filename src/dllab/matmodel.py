@@ -23,7 +23,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import MatrixShapeError, UnsupportedParametersError
-from .ffield import Field, field, grid_chunks, splitting_params
+from .ffield import Field, digits_index, field, grid_chunks, index_digits, splitting_params
 from .twistring import TwistedRing, twisted_ring
 
 # -- matrices over A[pi]/(pi^h) on batches of points ----------------------------
@@ -124,19 +124,27 @@ def in_Xh(ring: TwistedRing, g) -> bool:
     return bool(in_Xh_batch(ring, np.array(g, dtype=np.int64)[:, None])[0])
 
 
-def unipotent_chunks(ring: TwistedRing):
+def unipotent_chunks(ring: TwistedRing, free=None):
     """The unipotent elements 1 + a_1 tau + ... over the coefficient field,
-    as (L, N) batches in grid_chunks order."""
-    for x in grid_chunks(ring.coeff_field.order, ring.length - 1):
-        yield np.concatenate([np.ones((1, x.shape[1]), dtype=np.int64), x])
+    as (L, N) batches in grid_chunks order.  Only the coefficients a_j with
+    j in free (all of them when free is None) run over the grid; the others
+    stay 0."""
+    L = ring.length
+    rows = np.arange(1, L) if free is None else free
+    for x in grid_chunks(ring.coeff_field.order, len(rows)):
+        g = np.zeros((L, x.shape[1]), dtype=np.int64)
+        g[0] = 1
+        g[rows] = x
+        yield g
 
 
-def xh_points(n: int, q: int, h: int, s: int):
+def xh_points(n: int, q: int, h: int, s: int, free=None):
     """Check the parameters, then return an iterator over (L, N) batches of
-    the points of X_h over F_{q^{n s}}, in grid order."""
+    the points of X_h over F_{q^{n s}} on the grid of unipotent_chunks(ring,
+    free), in grid order."""
     p, e = splitting_params(q)
     ring = twisted_ring(n, q, h, field(p, e * n * s))
-    return (g[:, in_Xh_batch(ring, g)] for g in unipotent_chunks(ring))
+    return (g[:, in_Xh_batch(ring, g)] for g in unipotent_chunks(ring, free))
 
 
 def xh_point_count(n: int, q: int, h: int, s: int = 1):
@@ -155,20 +163,23 @@ def n2_norm_batch(ring: TwistedRing, tails) -> np.ndarray:
     return mat_det_batch(ring.coeff_field, iota_prime_batch(ring, g))[1]
 
 
-def y_h_image(n: int, q: int, h: int, s: int) -> set:
-    """The finite set {F_{q^n}(g) g^{-1} : g in X_h(F_{q^{n s}})}.
+def y_h_image(n: int, q: int, h: int, s: int) -> np.ndarray:
+    """The finite set {F_{q^n}(g) g^{-1} : g in X_h(F_{q^{n s}})}, as the
+    (L, K) int64 array of its distinct points in lexicographic column order.
 
     X_h is a Lang preimage of a closed subscheme Y_h, but Y_h has no simple
     general closed form; this builds it per extension degree as an explicit
-    point set, from one batched fold over the unipotent grid.
+    point set, folding the Lang images of the xh_points batches into their
+    grid indices; these stay below Q^L, at most the square of the grid
+    size, so they fit in int64.
     """
     p, e = splitting_params(q)
     ring = twisted_ring(n, q, h, field(p, e * n * s))
-    out = set()
-    for g in unipotent_chunks(ring):
-        g = g[:, in_Xh_batch(ring, g)]
-        out.update(map(tuple, ring.lang_batch(g, n).T.tolist()))
-    return out
+    Q = ring.coeff_field.order
+    keys = set()
+    for g in xh_points(n, q, h, s):
+        keys.update(digits_index(ring.lang_batch(g, n), Q).tolist())
+    return index_digits(np.array(sorted(keys), dtype=np.int64), Q, ring.length)
 
 
 def star_action_batch(ring: TwistedRing, gamma, x) -> np.ndarray:

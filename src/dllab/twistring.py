@@ -98,13 +98,13 @@ class TwistedRing:
         """The Lang map F_{q^s}(g) * g^(-1) on a batch of unipotent elements."""
         return self.mul_batch(self.frobenius_batch(g, s), self.inv_batch(g))
 
-    def scalar_conj_factors(self, c: int) -> tuple:
-        """The factors c^(1-q^j), j = 1, ..., L-1, by which conjugation by
-        the constant c in A^x scales coefficient j; they depend on c alone,
-        so hoist them out of loops over x."""
+    def scalar_conj_factors(self, c: int) -> np.ndarray:
+        """The factors c^(1-q^j), j = 1, ..., L-1, as an int64 array: by
+        them conjugation by the constant c in A^x scales coefficient j; they
+        depend on c alone, so hoist them out of loops over x."""
         F = self.coeff_field
         conj = np.array([fr[c] for fr in self._frob_arrays[1:]], dtype=np.int64)
-        return tuple(F.mul(c, F.inv(conj)).tolist())
+        return F.mul(c, F.inv(conj))
 
 
 def twisted_ring(n: int, q: int, h: int, coeff_field: Field) -> TwistedRing:

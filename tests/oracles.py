@@ -530,7 +530,7 @@ def zeta_fixed_set(n: int, q: int, h: int) -> list:
     E, dim = scalar(ring.coeff_field), ring.length - 1
     Fqn = field(p, e * n)
     zeta = E.embed(Fqn, Fqn.gen)
-    free = [j for j, f in enumerate(ring.scalar_conj_factors(zeta), 1) if f == 1]
+    free = [j for j, f in enumerate(ring.scalar_conj_factors(zeta).tolist(), 1) if f == 1]
     out = []
     for vals in itertools.product(range(E.order), repeat=len(free)):
         x = [1] + [0] * dim

@@ -498,6 +498,10 @@ def test_a_larger_max_size_admits_a_trace_run_beyond_the_default(capsys):
          "cfae799ce7d95558027df1a46c75f16c7f8cda5a48618f2d5b350e2aeed00479"),
         (["dump", "--kind", "y-set", "--n", "2", "--q", "2", "--h", "3", "--s", "2"],
          "9f6bfec2547f016748223a0a7be41e4768341b47b60ca653dd71ee2d138ba157"),
+        (["dump", "--kind", "y-set", "--n", "2", "--q", "2", "--h", "2", "--s", "3"],
+         "88af9d3cbbc6c92307f6dac062eb6969e197b63331ded5bc44d5d4214dc4f569"),
+        (["dump", "--kind", "y-set", "--n", "3", "--q", "2", "--h", "2", "--s", "2"],
+         "b1e6f0be7241a73f624d99b7c142500cef7a6d8646fe7998cad79d0c2438f82a"),
         (["verify", "--suite", "matrix-y"],
          "521711257e88c9ccecfb196d2b0c1fa3813617889e2d64e27f59fadc65472bbe"),
         (["verify", "--suite", "intertwiner"],
@@ -529,6 +533,7 @@ def test_a_larger_max_size_admits_a_trace_run_beyond_the_default(capsys):
     ],
     ids=["main-example-q2", "thm31", "thm32", "orbit", "eta-level2-n2q2", "eta-level2-n2q3",
          "char-table-n3q2", "intertwiner-q2", "trace", "eigenspaces-q2", "y-set-n2q2h3s2",
+         "y-set-n2q2h2s3", "y-set-n3q2h2s2",
          "matrix-y", "intertwiner", "eta-level2", "maximality", "eigenspaces", "main-example",
          "main-example-q2M2", "main-example-q2M3", "eta-level2-n2q2M2", "eta-level2-n3q2",
          "char-table-n2q3", "points-n2q2h3s2", "points-n3q3h2s1", "points-n2q3h3s1"],

@@ -661,7 +661,7 @@ thunks = [
              C.extension_orbit_report(2)),
     lambda: exp_sum(intertwiner_surface(2), AddChar(field(2, 1), 2, 1), 1),
     lambda: inductive_check(s2, f, j, n, 2, AddChar(s2.base, 2, 1), {1: 0}),
-    lambda: eigendims([NS(R=4), NS(R=2)], {}, 2),
+    lambda: eigendims([NS(R=4), NS(R=2)], np.zeros((4, 4, 4), dtype=np.int64), 2),
     lambda: h_m_pattern(2, 3, 1),
     lambda: AddChar(F4, 2, 1).conductor_power(),
     lambda: AddChar(field(2, 1), 4, 1).conductor_power(),

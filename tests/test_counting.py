@@ -7,7 +7,6 @@ import pytest
 from dllab.charlib import AddChar
 from dllab.counting import (
     SumSpec,
-    collapse_twist_table,
     conductor2_char,
     dl_intertwiner_sum,
     eigendims,
@@ -159,7 +158,7 @@ def test_x3_twist_table_complete():
     F2 = field(p, 2)
     ring = twisted_ring(2, q, 3, field(p, 2 * 2))
     E = oracles.scalar(ring.coeff_field)
-    brute: dict = {}
+    brute = np.zeros((F2.order,) * 4, dtype=np.int64)
     for idx in range(E.order**4):
         x, t = [1], idx
         for _ in range(4):
@@ -178,9 +177,9 @@ def test_x3_twist_table_complete():
                 continue
             if not all(E.in_subfield(F2, c) for c in g[2:]):
                 continue
-            key = (lam_i,) + tuple(E.retract(F2, c) for c in g[2:])
-            brute[key] = brute.get(key, 0) + 1
-    assert brute == table
+            # indexed [g4, g3, g2, lam], as the table is
+            brute[tuple(E.retract(F2, c) for c in g[:1:-1]) + (lam_i,)] += 1
+    assert np.array_equal(brute, table)
 
 
 def test_x3_twist_table_matches_brute_force_with_nonzero_mu():
@@ -192,7 +191,7 @@ def test_x3_twist_table_matches_brute_force_with_nonzero_mu():
     lam_i, g2_i, g3_i, mu_i, g4_i = 1, 2, 1, 3, 2
     d_i = oracles.scalar(F2).sub(g4_i, mu_i)
     count = twisted_count(2, q, 3, (1, lam_i, mu_i), (1, 0, g2_i, g3_i, g4_i))
-    assert count == table.get((lam_i, g2_i, g3_i, d_i), 0)
+    assert count == table[d_i, g3_i, g2_i, lam_i]
 
 
 def _conductor2_chars():
@@ -206,12 +205,19 @@ def _conductor2_chars():
     ]
 
 
+def _entries(table):
+    """The nonzero entries of a collapsed twist table, indexed [d, g2, lam],
+    as the oracle's dict from (lam, g2, d) to the count."""
+    keys = np.argwhere(table)
+    return dict(zip(map(tuple, keys[:, ::-1].tolist()), table[tuple(keys.T)].tolist()))
+
+
 def test_eigendim_is_kronecker_delta():
     # the delta pattern is claimed for characters whose central-layer
     # restriction has full conductor q^2; every pair's dimension is the
     # one the scalar sum of oracles.eigendim gives
     q = 2
-    table = collapse_twist_table(x3_twist_table(q))
+    table = x3_twist_table(q).sum(axis=1)
     units, chars = _conductor2_chars()
     assert len(chars) == 8
     dims = eigendims(chars, table, q)
@@ -219,21 +225,20 @@ def test_eigendim_is_kronecker_delta():
     for i, c1 in enumerate(chars):
         for j, c2 in enumerate(chars):
             want = 1 if np.array_equal(c1.table, c2.table) else 0
-            assert dims[i, j] == want == oracles.eigendim(c1, c2, table, q)
+            assert dims[i, j] == want == oracles.eigendim(c1, c2, _entries(table), q)
 
 
 def test_eigendims_raise_on_a_sum_that_is_not_q12_times_an_integer():
     # a table count off by one moves every pair's sum off the multiples of
     # q^12; the first pair is refused with the scalar sum's message
     q = 2
-    table = collapse_twist_table(x3_twist_table(q))
-    key = next(iter(table))
-    table[key] += 1
+    table = x3_twist_table(q).sum(axis=1)
+    table[tuple(np.argwhere(table)[0])] += 1
     _, chars = _conductor2_chars()
     with pytest.raises(NotIntegralError) as got:
         eigendims(chars, table, q)
     with pytest.raises(NotIntegralError) as want:
-        oracles.eigendim(chars[0], chars[0], table, q)
+        oracles.eigendim(chars[0], chars[0], _entries(table), q)
     assert str(got.value) == str(want.value)
 
 
@@ -257,8 +262,8 @@ def test_zeta_fixed_set_is_central():
     # fixed points of the Teichmueller conjugation have coordinates only in
     # degrees divisible by n
     fixed, ring, E = zeta_fixed_set(2, 2, 2)
-    for x in fixed:
-        assert x[1] == 0
+    assert fixed.dtype == np.int64
+    assert not fixed[1].any()
 
 
 @pytest.mark.parametrize("n,q,h", [(2, 2, 2), (2, 2, 3)])
@@ -271,8 +276,8 @@ def test_zeta_fixed_set_matches_scalar_conj_filter(n, q, h):
     for tail in itertools.product(range(E.order), repeat=ring.length - 1):
         x = (1,) + tail
         if oracles.scalar_conj(ring, zeta, x) == x and oracles.in_Xh(ring, x):
-            want.append(x)
-    assert fixed == want
+            want.append(list(x))
+    assert fixed.T.tolist() == want
 
 
 def test_zeta_trace_suite_level3():

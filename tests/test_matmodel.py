@@ -251,9 +251,10 @@ def test_y_h_image_h2_lands_in_Y():
 
     for n, q, p in [(2, 2, 2), (2, 3, 3)]:
         img = y_h_image(n, q, 2, 1)
-        one = (1,) + (0,) * n
-        assert one in img
-        assert all(y[n] == 0 for y in img)
+        assert img.dtype == np.int64
+        one = [1] + [0] * n
+        assert one in img.T.tolist()
+        assert all(y[n] == 0 for y in img.T.tolist())
 
 
 def test_y_h_image_2_3_2_satisfies_closed_form():
@@ -263,11 +264,52 @@ def test_y_h_image_2_3_2_satisfies_closed_form():
 
     E = field(2, 4)
     ring = twisted_ring(2, 2, 3, E)
-    img = sorted(y_h_image(2, 2, 3, 2))
-    assert (1, 0, 0, 0, 0) in img
-    member = y3_member(ring, np.array(img, dtype=np.int64).T)
+    img = y_h_image(2, 2, 3, 2)
+    points = img.T.tolist()
+    assert points == sorted(points)
+    assert [1, 0, 0, 0, 0] in points
+    member = y3_member(ring, img)
     assert member.all()
-    assert member.tolist() == [oracles.y3_member(ring, y) for y in img]
+    assert member.tolist() == [oracles.y3_member(ring, y) for y in points]
+
+
+@pytest.mark.parametrize("n,q,h,s", [(2, 2, 3, 2), (2, 2, 2, 3), (3, 2, 2, 2), (2, 3, 2, 1)])
+def test_y_h_image_is_the_sorted_set_of_lang_images(n, q, h, s):
+    # a set of image tuples, sorted: the grid-index dedup gives the same
+    # points in the same order
+    from dllab.matmodel import y_h_image
+
+    p, e = splitting_params(q)
+    R = twisted_ring(n, q, h, field(p, e * n * s))
+    want = set()
+    for g in unipotent_chunks(R):
+        want.update(map(tuple, R.lang_batch(g[:, in_Xh_batch(R, g)], n).T.tolist()))
+    img = y_h_image(n, q, h, s)
+    assert img.dtype == np.int64
+    assert img.T.tolist() == [list(y) for y in sorted(want)]
+
+
+def test_y3_member_reads_both_equations():
+    # a random (5, 512) batch over F_16 at q = 2, most columns with
+    # b_1 != 0; its second half is built on b_2 = 0 and b_4 = -b_3 b_1^q,
+    # so both equations decide columns
+    from dllab.counting import y3_member
+
+    ring = twisted_ring(2, 2, 3, field(2, 4))
+    F = oracles.scalar(ring.coeff_field)
+    rng = np.random.default_rng(29)
+    b = rng.integers(0, F.order, size=(5, 512))
+    b[0] = 1
+    half = b[:, 256:]
+    half[2] = 0
+    half[4] = [F.neg(F.mul(b3, F.frob(b1, 2))) for b1, b3 in zip(*half[[1, 3]].tolist())]
+    # every 8th built column has b_4 moved off that value, so the second
+    # equation alone rejects it
+    half[4, ::8] ^= 1
+    member = y3_member(ring, b)
+    assert member.tolist() == [oracles.y3_member(ring, y) for y in b.T.tolist()]
+    assert np.count_nonzero(b[1]) > 256
+    assert member[256:].tolist() == [c % 8 != 0 for c in range(256)]
 
 
 # (n, q, h, s) grids of X_h(F_{q^{n s}}); the (2, 2, 2, 2) and (2, 2, 3, 2)

@@ -10,7 +10,8 @@ by the command line alone, so no other function takes a size bound or raises
 SizeLimitExceededError.  Exact sums stay in integers: no float dtype, and no
 np.bincount with weights, which sums in float64.  No attribute is looked up
 by name (getattr, hasattr), so no optional fast path hides behind a name
-that the reference checks cannot see.
+that the reference checks cannot see.  Point sets stay int64 arrays: no
+map(tuple, ...) turns one into a set or list of tuples.
 """
 
 import ast
@@ -527,3 +528,40 @@ def test_an_attribute_lookup_by_name_is_found(tmp_path):
         "    return spec.getattr_count + len(spec.points(E))\n"
     )
     assert _name_lookups(path) == [("getattr", 5), ("hasattr", 6), ("getattr", 8)]
+
+
+def _tuple_maps(path):
+    """Lines of each map(tuple, ...) call in path, the call that turns the
+    columns of a point array into tuples."""
+    return [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "map"
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "tuple"
+    ]
+
+
+def test_no_tuple_point_sets():
+    # every point set is an int64 array read as it is; a set or list of
+    # tuple points is a second form of the same set
+    found = {path.name: _tuple_maps(path) for path in MODULES}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_a_tuple_point_set_is_found(tmp_path):
+    path = tmp_path / "toy.py"
+    path.write_text(
+        "def image(batches):\n"
+        "    out = set()\n"
+        "    for g in batches:\n"
+        "        out.update(map(tuple, g.T.tolist()))\n"
+        "    return out\n"
+        "\n"
+        "\n"
+        "def fine(g):\n"
+        "    return list(map(int, g)), tuple(g), g.T.tolist()\n"
+    )
+    assert _tuple_maps(path) == [4]

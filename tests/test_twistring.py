@@ -201,7 +201,7 @@ def test_scalar_conj_factors_match_scalar_conj(n, q, h, p, k):
     F = scalar(R.coeff_field)
     rng = random.Random(19)
     for c in range(1, F.order):
-        factors = R.scalar_conj_factors(c)
+        factors = R.scalar_conj_factors(c).tolist()
         x = tuple(rng.randrange(F.order) for _ in range(R.length))
         hoisted = (x[0],) + tuple(F.mul(f, xj) for f, xj in zip(factors, x[1:]))
         assert hoisted == scalar_conj(R, c, x)
