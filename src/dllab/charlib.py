@@ -35,7 +35,7 @@ from .ffield import Field, field, splitting_params
 from .twistring import twisted_ring, unipotent_index_law
 
 if TYPE_CHECKING:
-    from .repkit import ExpChar, GroupModel
+    from .repkit import GroupModel
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,18 @@ def principal_units(L: Field, h: int) -> GroupModel:
     return GroupModel(Q ** (h - 1), *unipotent_index_law(ring), gens)
 
 
-def unit_characters(G: GroupModel, R: int):
-    """All characters of the abelian unit group, deterministic order."""
-    from .repkit import ExpChar, abelian_character_extensions
+def unit_characters(G: GroupModel, R: int) -> np.ndarray:
+    """All characters of the abelian unit group, deterministic order, as one
+    (characters, |G|) array of exponent tables over the element indices."""
+    from .repkit import abelian_character_extensions
 
     # extend the trivial character of the identity, element 0
-    tables = abelian_character_extensions(G, np.arange(len(G)), ([0], [0]), R)
-    return [ExpChar(G, t, R) for t in tables]
+    return abelian_character_extensions(G, np.arange(len(G)), ([0], [0]), R)
 
 
-def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int, R: int) -> AddChar:
-    """Identify the restriction of chi to the last unit layer with psi_a.
+def layer_as_additive_char(chi: np.ndarray, L: Field, q: int, R: int) -> AddChar:
+    """Identify the restriction of the unit character with exponent table
+    chi to the last unit layer with psi_a.
 
     The last layer {1 + b pi^(h-1)} is isomorphic to (L, +), so the
     restriction equals psi_a for a unique a, found by scanning a in index
@@ -114,7 +115,7 @@ def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int
         raise RootOrderError(f"root order {R} is not divisible by p = {p}")
     # b -> chi(1 + b pi^(h-1)) as exponents of zeta_R: these elements come
     # first in product order, at the indices b
-    rest = chi.table[: L.order]
+    rest = chi[: L.order]
     for a in range(L.order):
         psi = AddChar(L, q, a)
         if (psi.table * (R // p) == rest).all():
@@ -122,12 +123,13 @@ def layer_as_additive_char(G: GroupModel, chi: ExpChar, L: Field, h: int, q: int
     raise CharacterMismatchError("layer restriction is not additive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaData:
     """A smooth character theta of L^x = pi^Z x mu x (1 + pi O_L), truncated
     at level h: theta(pi) has order dividing M, theta on the Teichmueller
     part mu = F_{q^n}^x is zeta_{q^n-1}^(zeta_exp) at the fixed generator,
-    and chi is the restriction to the principal units mod U^h.
+    and chi is the restriction to the principal units mod U^h, as its row of
+    unit_characters over the element indices of principal_units(L, h).
 
     All exponents are stored relative to a common root order R.
     """
@@ -137,8 +139,7 @@ class ThetaData:
     h: int
     M: int
     L: Field
-    units: GroupModel
-    chi: ExpChar
+    chi: np.ndarray
     zeta_exp: int  # theta(zeta) = zeta_R ^ (zeta_exp * R/(q^n-1))
     pi_exp: int  # theta(pi) = zeta_R ^ (pi_exp * R/M)
     R: int
@@ -171,12 +172,12 @@ def theta_family(n: int, q: int, h: int, M: int, conductor_m: int = None):
     out = []
     for chi in unit_characters(units, R):
         if conductor_m is not None:
-            psi = layer_as_additive_char(units, chi, L, h, q, R)
+            psi = layer_as_additive_char(chi, L, q, R)
             if psi.conductor_power() != conductor_m:
                 continue
         for zeta_exp in range(q**n - 1):
             for pi_exp in range(M):
                 out.append(
-                    ThetaData(n, q, h, M, L, units, chi, zeta_exp, pi_exp, R)
+                    ThetaData(n, q, h, M, L, chi, zeta_exp, pi_exp, R)
                 )
     return out

@@ -159,15 +159,11 @@ def suite_eigenspaces(args) -> dict:
         F2 = field(p, 2 * e)
         units = principal_units(F2, 3)
         R = p * p
-        chars = [
-            c
-            for c in unit_characters(units, R)
-            if layer_as_additive_char(units, c, F2, 3, q, R).conductor_power() == 2
-        ]
+        chars = unit_characters(units, R)
+        chars = chars[[layer_as_additive_char(c, F2, q, R).conductor_power() == 2 for c in chars]]
         _progress(f"[eigenspaces] {len(chars)} characters, {len(chars) ** 2} pairs")
-        tables = np.stack([c.table for c in chars])
-        equal = (tables[:, None] == tables[None]).all(axis=2)
-        bad = int(np.count_nonzero(eigendims(chars, collapsed, q) != equal))
+        equal = (chars[:, None] == chars[None]).all(axis=2)
+        bad = int(np.count_nonzero(eigendims(chars, R, collapsed, q) != equal))
         claims.append(
             _claim(
                 "eigenspace dimension is the Kronecker delta on conductor-q^2 pairs",
@@ -671,6 +667,7 @@ def dump_points(args):
 def dump_char_table(args):
     from .charlib import AddChar
     from .constructions import build_rho_psi, unipotent_group
+    from .cyclo import cyclo_from_counts
 
     n, q = args.n, args.q
     p, e = splitting_params(q)
@@ -688,7 +685,7 @@ def dump_char_table(args):
             psi = AddChar(F, q, a)
             data = build_rho_psi(n, q, psi)
             row = [a, psi.conductor_power() if a else 1, data.degree]
-            row += [repr(data.char.value(g)) for g in reps]
+            row += [repr(cyclo_from_counts(data.R, data.char[g])) for g in reps]
             w.writerow(row)
         _progress(f"[dump] {F.order} characters x {len(reps)} classes")
 

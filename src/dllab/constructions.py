@@ -59,13 +59,11 @@ from .repkit import (
     GroupModel,
     MonomialExtension,
     MonomialRep,
-    SumChar,
     abelian_character_extensions,
     conjugates,
     coset_transversal,
     delta_sums,
     extend_irrep,
-    induce_char,
     inner_product,
 )
 from .twistring import (
@@ -149,7 +147,7 @@ class RhoData:
     branch: int  # 1: induced from the pattern subgroup; 2: halved variant
     group: GroupModel
     rep: MonomialRep
-    char: SumChar
+    char: np.ndarray  # (|G|, R) count rows
     H: np.ndarray  # the pattern subgroup's element indices, increasing
     pattern_exp: np.ndarray  # the transferred character's exponents on H
     R: int
@@ -217,8 +215,8 @@ class _PatternData(NamedTuple):
     the element indices of the pattern subgroup H (increasing), the reduced
     norms of its kept coordinates (indices in F_{q^n}), the branch, the
     indices of the inducing subgroup (H, or on the halved branch the
-    enlarged subgroup), a template MonomialRep of the inducing subgroup
-    whose copies take chi, and the indices of a transversal of H."""
+    enlarged subgroup), and a template MonomialRep of the inducing
+    subgroup whose copies take chi."""
 
     group: GroupModel
     H: np.ndarray
@@ -226,7 +224,6 @@ class _PatternData(NamedTuple):
     branch: int
     inducing: np.ndarray
     template: MonomialRep
-    transversal: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -271,12 +268,10 @@ def _pattern_data(n: int, q: int, m: int, mirror: bool) -> _PatternData:
         allowed = np.zeros(F.order, dtype=bool)
         allowed[F.embed_table(field(p, e))] = True
         inducing = np.flatnonzero(allowed[coords[0]])
-    template = MonomialRep(group, inducing, None, 1)
-    T = coset_transversal(group, H)[0] if branch == 2 else template.transversal
-    return _PatternData(group, H, nvals, branch, inducing, template, T)
+    return _PatternData(group, H, nvals, branch, inducing, MonomialRep(group, inducing, None, 1))
 
 
-def _check_rho(data: RhoData, mirror: bool):
+def _check_rho(data: RhoData):
     """Certificates for a single rho: irreducibility, central character, and
     the branch multiplicity pattern.  Raises on failure."""
     n, q, R = data.n, data.q, data.R
@@ -288,7 +283,7 @@ def _check_rho(data: RhoData, mirror: bool):
         raise CharacterMismatchError(f"squared norm {ip} != 1")
     # the value at each central element z must be degree times psi(v): z
     # has top coordinate v and the others zero, so its index is v
-    rows = data.char.counts[: F.order]
+    rows = data.char[: F.order]
     want = (data.psi.table * scale) % R
     bad = (rows[np.arange(F.order), want] != data.degree) | (rows.sum(axis=1) != data.degree)
     if bad.any():
@@ -296,10 +291,9 @@ def _check_rho(data: RhoData, mirror: bool):
         raise CharacterMismatchError(f"central character differs at {z}")
     checks = {"norm": ip, "branch": data.branch}
     if data.branch == 2:
-        T = _pattern_data(n, q, data.m, mirror).transversal
         chi = np.zeros(len(data.group), dtype=np.int64)
         chi[data.H] = data.pattern_exp
-        ind = induce_char(data.group, data.H, chi, R, T)
+        ind = MonomialRep(data.group, data.H, chi, R).character()
         ind_norm = assert_nonneg_integer(inner_product(ind, ind))
         mult = assert_nonneg_integer(inner_product(ind, data.char))
         if ind_norm != q**n or mult != q ** (n // 2):
@@ -337,7 +331,7 @@ def rho_family_report(n: int, q: int, mirror: bool = False) -> dict:
     for a in range(F.order):
         psi = AddChar(F, q, a)
         data = build_rho_psi(n, q, psi, mirror=mirror)
-        checks = _check_rho(data, mirror)
+        checks = _check_rho(data)
         lefschetz += q ** (n * (n + data.n1 - 2) // 2) * data.degree
         rows.append(
             {
@@ -537,7 +531,7 @@ class RTheta:
 
 def _build_eta_level2(theta: ThetaData, dq: DivQuotData) -> RTheta:
     n, q, R = theta.n, theta.q, theta.R
-    psi = layer_as_additive_char(theta.units, theta.chi, theta.L, 2, q, R)
+    psi = layer_as_additive_char(theta.chi, theta.L, q, R)
     rho = build_rho_psi(n, q, psi, R=R)
     sign = (-1) ** (n + n // rho.m)
     # on the halved-subgroup branch scalar conjugation moves the inducing
@@ -572,7 +566,7 @@ def _build_eta_level3(theta: ThetaData, ctx: MainExampleContext) -> RTheta:
     # theta-sharp reads (a_2, a_4) of 1 + a_2 t^2 + a_3 t^3 + a_4 t^4 as a
     # level-2 principal unit (1, a_2, a_4) of the quadratic field, the unit
     # at index a_2 Q + a_4
-    rep.chi = theta.chi.table[ctx.sharp]
+    rep.chi = theta.chi[ctx.sharp]
     rep.R = R
     ext, root_exp = extend_irrep(
         rep,
@@ -649,7 +643,7 @@ def eta_family_report(n: int, q: int, M: int = 1) -> dict:
     reducible_full = []
     for theta in thetas:
         R = theta.R
-        psi = layer_as_additive_char(theta.units, theta.chi, theta.L, 2, q, R)
+        psi = layer_as_additive_char(theta.chi, theta.L, q, R)
         key = psi.a
         if key not in cache:
             rt = _build_eta_level2(theta, dq)
@@ -840,7 +834,7 @@ def verify_main_example(theta: ThetaData, ctx: MainExampleContext, check_inner: 
         )
     R, Q = theta.R, theta.L.order
     zv = theta.zeta_value_exp()
-    chi = theta.chi.table
+    chi = theta.chi
     rt = _build_eta_level3(theta, ctx)
     t, k, pattern = ctx.dec
     base = t * theta.pi_value_exp() + k * zv

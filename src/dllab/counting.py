@@ -28,7 +28,6 @@ from .cyclo import CycloNum, assert_nonneg_integer, cyclo_from_counts, reduce_co
 from .errors import (
     CharacterMismatchError,
     IdentityFailsError,
-    MixedOrderError,
     UnsupportedParametersError,
 )
 from .ffield import GRID_CHUNK, Field, field, grid_chunks, index_digits, splitting_params
@@ -354,7 +353,7 @@ def x3_twist_table(q: int) -> np.ndarray:
     return twist_counts(q, np.arange(Q2**4, dtype=np.int64)).reshape((Q2,) * 4)
 
 
-def eigendims(chars, table: np.ndarray, q: int) -> np.ndarray:
+def eigendims(chars: np.ndarray, R: int, table: np.ndarray, q: int) -> np.ndarray:
     """dim of the (chi1, chi2-sharp) eigenspace of the level-3 surface in
     its only nonvanishing degree, for every pair of chars: entry (i, j) is
 
@@ -362,7 +361,8 @@ def eigendims(chars, table: np.ndarray, q: int) -> np.ndarray:
 
     for chi1, chi2 = chars[i], chars[j], with the Frobenius scalar q^2
     hypothesis supplied by the intertwiner sum.  The chars are characters
-    of the principal units (1, lam, mu) over F_{q^2}; chi2_sharp ignores the
+    of the principal units (1, lam, mu) over F_{q^2}, one exponent table of
+    zeta_R per row, as unit_characters gives them; chi2_sharp ignores the
     tau^3 coordinate of g, so table is x3_twist_table(q).sum(axis=1), the
     (Q2,)^3 count array indexed [g4 - mu, g2, lam].
 
@@ -370,10 +370,6 @@ def eigendims(chars, table: np.ndarray, q: int) -> np.ndarray:
     the table's nonzero entries; each pair's sum is an integer count vector
     over the roots, and all of them are reduced mod Phi_R in one call.
     """
-    R = chars[0].R
-    for chi in chars:
-        if chi.R != R:
-            raise MixedOrderError(f"characters with root orders {R} and {chi.R}")
     p, e = splitting_params(q)
     F2 = field(p, 2 * e)
     Q2, C = F2.order, len(chars)
@@ -381,7 +377,7 @@ def eigendims(chars, table: np.ndarray, q: int) -> np.ndarray:
     mu = np.tile(np.arange(Q2, dtype=np.int64), len(d) // Q2)
     cnt = table[d, g2, lam]
     # the units (1, b1, b2) come in product order, at the indices b1 Q2 + b2
-    exps = np.stack([chi.table for chi in chars]).reshape(C, Q2, Q2)
+    exps = chars.reshape(C, Q2, Q2)
     e1 = exps[:, lam, mu]  # chi1(1, lam, mu) per (entry, mu) row
     e2 = exps[:, g2, F2.add(d, mu)]  # chi2(1, g2, d + mu)
     counts = np.zeros((C, C * R), dtype=np.int64)
@@ -510,19 +506,16 @@ def zeta_trace_suite_level3(q: int) -> dict:
     xs = np.tile(fixed, (1, U))
     fix_of = (star_action_batch(ring, np.repeat(gammas, N, axis=1), xs) == xs).all(axis=0)
     fix_of = fix_of.reshape(U, N).sum(axis=1)
-    results = []
-    for chi in unit_characters(units, R):
-        exps = -chi.table % R
-        counts = np.zeros(R, dtype=np.int64)
-        np.add.at(counts, exps, fix_of)
-        ok = cyclo_from_counts(R, counts) == CycloNum.rational(R, target)
-        all_pass = all_pass and ok
-        results.append(ok)
+    # row c counts chi_c(gamma)^-1 with weight Fix(gamma), for every chi_c
+    chars = unit_characters(units, R)
+    counts = np.zeros((len(chars), R), dtype=np.int64)
+    np.add.at(counts, (np.arange(len(chars))[:, None], -chars % R), fix_of)
+    rows = reduce_counts(R, counts)
     return {
         "fixed_count": fixed.shape[1],
         "expected_fixed": target,
-        "characters": len(results),
-        "all_pass": all_pass,
+        "characters": len(chars),
+        "all_pass": all_pass and bool((rows == [target] + [0] * (rows.shape[1] - 1)).all()),
     }
 
 

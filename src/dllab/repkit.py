@@ -7,19 +7,19 @@ element coordinates, which only reports and the test oracles read.
 
 The law is an index law: mul(a, b) and inv(a) are batched on int arrays of
 element indices.  Subgroups, transversals, classes and conjugation maps are
-index arrays too.  conj_classes, coset_transversal, induce_char, MonomialRep
-and abelian_character_extensions run GRID_CHUNK columns at a time:
+index arrays too.  conj_classes, coset_transversal, MonomialRep and
+abelian_character_extensions run GRID_CHUNK columns at a time:
 conjugation by each generator becomes one index permutation, and the classes
 are its orbits, found by min-label propagation with pointer jumping (the
 orbit algorithm of Holt, Eick and O'Brien's Handbook of Computational Group
 Theory, with the connected-components step of Shiloach and Vishkin).
 
 Character values are tracked as root-of-unity data wherever possible: a
-linear character is an exponent table over the element indices, and an
-induced character is a (|G|, R) count array whose row i counts the exponents
-of the roots that sum to its value at element i.  Exact CycloNum arithmetic
-happens only at the boundaries (inner products, trace comparisons), so the
-hot loops are integer-only.
+linear character is an int64 exponent table over the element indices, and
+an induced character, MonomialRep.character, is a (|G|, R) count array
+whose row i counts the exponents of the roots that sum to its value at
+element i.  Exact CycloNum arithmetic happens only at the boundaries
+(inner products, trace comparisons), so the hot loops are integer-only.
 
 A monomial matrix has one form, index arrays.  A MonomialRep holds the
 supports of every element and its chi as an exponent table over element
@@ -116,63 +116,12 @@ def _orbit_labels(n: int, perms) -> np.ndarray:
 # -- characters as exponent data ----------------------------------------------
 
 
-class ExpChar:
-    """A linear character: table[i] is its exponent of zeta_R at element i."""
-
-    def __init__(self, group, table: np.ndarray, R: int):
-        self.group = group
-        self.table = table
-        self.R = R
-
-    @property
-    def counts(self) -> np.ndarray:
-        """One-hot count rows over the group's elements, as in SumChar."""
-        N = len(self.table)
-        return count_rows(np.arange(N), self.table, N, self.R)
-
-
-class SumChar:
-    """A character whose values are sums of roots: row i of counts, a
-    (|G|, R) array, counts the exponents of zeta_R that sum to the value at
-    element i."""
-
-    def __init__(self, group, counts: np.ndarray, R: int):
-        self.group = group
-        self.counts = counts
-        self.R = R
-
-    def value(self, g: int) -> CycloNum:
-        """The value at the element index g."""
-        return cyclo_from_counts(self.R, self.counts[g])
-
-
-def inner_product(chi1, chi2) -> CycloNum:
-    """(1/|G|) sum chi1(g) * conj(chi2(g)), exact."""
-    R = chi1.R
-    if chi2.R != R:
-        raise MixedOrderError(f"characters over root orders {R} and {chi2.R}")
-    counts = difference_counts(chi1.counts, chi2.counts)
-    return cyclo_from_counts(R, counts) / len(chi1.group)
-
-
-def induce_char(group: GroupModel, H, chi, R: int, transversal=None):
-    """Character of Ind_H^G(chi) for the subgroup with the element indices H
-    and a linear chi given by its exponent table over the element indices,
-    as count rows: row g counts chi(t^-1 g t) over the transversal elements
-    t with t^-1 g t in H."""
-    if transversal is None:
-        transversal, _ = coset_transversal(group, H)
-    in_H = np.zeros(len(group), dtype=bool)
-    in_H[H] = True
-    conj = conjugates(group, np.arange(len(group), dtype=np.int64), transversal)
-    g, k = np.nonzero(in_H[conj])
-    return _induced(group, chi, R, g, conj[g, k])
-
-
-def _induced(group: GroupModel, chi, R: int, g, h) -> SumChar:
-    """The SumChar whose row g[i] counts chi[h[i]] mod R for every i, with chi
-    an exponent table over the element indices."""
-    return SumChar(group, count_rows(g, chi[h], len(group), R), R)
+def inner_product(a, b) -> CycloNum:
+    """(1/|G|) sum_g a(g) conj(b(g)), exact, for characters given as (|G|, R)
+    count rows: R is a.shape[1] and |G| is len(a)."""
+    if a.shape != b.shape:
+        raise MixedOrderError(f"count rows of shapes {a.shape} and {b.shape}")
+    return cyclo_from_counts(a.shape[1], difference_counts(a, b)) / len(a)
 
 
 def _pair_table(fn, n: int, K: int) -> np.ndarray:
@@ -286,12 +235,17 @@ class MonomialRep:
         perm, h = self._supports
         return perm[g], self.chi[h[g]] % self.R
 
-    def character(self) -> SumChar:
-        """induce_char's count rows, read off the supports: t_j^-1 g t_j lies
-        in H exactly when perm[g, j] == j, and then it is h[g, j]."""
+    def character(self) -> np.ndarray:
+        """The character of Ind_H^G(chi) as (|G|, R) count rows, read off the
+        supports: row g counts chi(t_j^-1 g t_j) over the j with t_j^-1 g t_j
+        in H, which holds exactly when perm[g, j] == j, and then it is
+        h[g, j]."""
         perm, h = self._supports
         g, j = np.nonzero(perm == np.arange(self.dim))
-        return _induced(self.group, self.chi, self.R, g, h[g, j])
+        return count_rows(g, self.chi[h[g, j]], len(self.group), self.R)
+
+
+induce_char = MonomialRep.character  # perfbench/tracer.py times repkit.induce_char_s by this name
 
 
 class CyclicExtension:

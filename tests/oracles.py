@@ -22,7 +22,6 @@ from dllab.errors import (
     AllZeroError,
     CharacterMismatchError,
     MatrixShapeError,
-    MixedOrderError,
     NoExtensionError,
     NotInSubfieldError,
     NotIntegralError,
@@ -34,7 +33,7 @@ from dllab.errors import (
     UnsupportedParametersError,
 )
 from dllab.ffield import PRIMITIVE_POLYS, Field, field, splitting_params
-from dllab.repkit import GroupModel, SumChar
+from dllab.repkit import GroupModel
 from dllab.serieslab import SeriesBatch, mat_det_series, xtilde_matrix
 from dllab.twistring import TwistedRing, twisted_ring
 
@@ -476,20 +475,18 @@ def x3_twist_table(q: int, keys=None) -> dict:
     return table
 
 
-def eigendim(chi1, chi2, table: dict, q: int) -> int:
-    """Oracle of counting.eigendims at one pair: q^{-12} sum over the
-    collapsed table and mu of chi1(1, lam, mu)^{-1} chi2(1, g2, d + mu)
-    N(lam, g2, d), one term at a time into a count list."""
-    R = chi1.R
-    if chi2.R != R:
-        raise MixedOrderError(f"characters with root orders {R} and {chi2.R}")
+def eigendim(group, chi1, chi2, R: int, table: dict, q: int) -> int:
+    """Oracle of counting.eigendims at one pair of exponent tables over the
+    element indices of the unit group: q^{-12} sum over the collapsed table
+    and mu of chi1(1, lam, mu)^{-1} chi2(1, g2, d + mu) N(lam, g2, d), one
+    term at a time into a count list."""
     p, e = splitting_params(q)
     F2 = _scalar_field(p, 2 * e)
     counts = [0] * R
     for (lam_i, g2_i, d_i), cnt in table.items():
         for mu in range(F2.order):
-            e1 = char_exp(chi1, (1, lam_i, mu))
-            e2 = char_exp(chi2, (1, g2_i, F2.add(d_i, mu)))
+            e1 = char_exp(group, chi1, (1, lam_i, mu))
+            e2 = char_exp(group, chi2, (1, g2_i, F2.add(d_i, mu)))
             counts[(e2 - e1) % R] += cnt
     return assert_nonneg_integer(cyclo_from_counts(R, counts) / q**12)
 
@@ -1260,10 +1257,10 @@ def abelian_character_extensions(elements, law, base: dict, R: int) -> list:
     return chars
 
 
-def char_exp(chi, g) -> int:
-    """An ExpChar's exponent at one element g, read through its group's
-    element index."""
-    return int(chi.table[index(chi.group)[g]])
+def char_exp(group, chi, g) -> int:
+    """The exponent at one element g of the exponent table chi over the
+    element indices of group, read through its element index."""
+    return int(chi[index(group)[g]])
 
 
 def table_group(elements, law, generators):
@@ -1327,9 +1324,10 @@ def coset_transversal(group, law, subgroup_set):
     return reps
 
 
-def induce_char(group, law, subgroup_set, chi_exp, R: int) -> SumChar:
-    """Oracle of repkit.induce_char: row g counts chi_exp(t^-1 g t) over the
-    transversal, one conjugate at a time through the tuple law."""
+def induce_char(group, law, subgroup_set, chi_exp, R: int) -> np.ndarray:
+    """Oracle of MonomialRep.character, as (|G|, R) count rows: row g counts
+    chi_exp(t^-1 g t) over the transversal, one conjugate at a time through
+    the tuple law."""
     mul, inv = law
     transversal = coset_transversal(group, law, subgroup_set)
     inv_t = [inv(t) for t in transversal]
@@ -1339,7 +1337,7 @@ def induce_char(group, law, subgroup_set, chi_exp, R: int) -> SumChar:
             h = mul(ti, mul(g, t))
             if h in subgroup_set:
                 counts[i, chi_exp(h) % R] += 1
-    return SumChar(group, counts, R)
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -1636,13 +1634,14 @@ def solve_intertwiner(matrix, conj, generators, d: int, R: int):
     return {node: phase[node] for node in good[0]}
 
 
-def level3_sharp_exp(chi):
-    """Oracle of the level-3 rep's table: chi-sharp on the coordinate
-    subgroup {1 + a2 t^2 + a3 t^3 + a4 t^4}, reading (a2, a4) as a level-2
-    principal unit of the quadratic field, one element at a time."""
+def level3_sharp_exp(units, chi):
+    """Oracle of the level-3 rep's table: chi-sharp, for the exponent table
+    chi over the units' element indices, on the coordinate subgroup {1 + a2
+    t^2 + a3 t^3 + a4 t^4}, reading (a2, a4) as a level-2 principal unit of
+    the quadratic field, one element at a time."""
 
     def exp(g):
-        return char_exp(chi, (1, g[2], g[4]))
+        return char_exp(units, chi, (1, g[2], g[4]))
 
     return exp
 

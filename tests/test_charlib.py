@@ -11,6 +11,7 @@ from dllab.charlib import (
     theta_family,
     unit_characters,
 )
+from dllab.cyclo import count_rows
 from dllab.ffield import field
 from dllab.repkit import inner_product
 
@@ -104,10 +105,11 @@ def test_unit_characters_orthogonal():
     G = principal_units(L, 3)  # Z/4 here: (1+pi)^2 = 1+pi^2 in char 2
     R = 4
     chis = unit_characters(G, R)
-    assert len(chis) == len(G)
-    ip = inner_product(chis[1], chis[1])
+    assert chis.shape == (len(G), len(G))
+    rows = [count_rows(np.arange(len(G)), chi, len(G), R) for chi in chis]
+    ip = inner_product(rows[1], rows[1])
     assert ip.as_integer() == 1
-    ip2 = inner_product(chis[1], chis[2])
+    ip2 = inner_product(rows[1], rows[2])
     assert ip2.is_zero()
 
 
@@ -118,7 +120,7 @@ def test_layer_restriction_is_additive_char():
     R = 2
     seen = set()
     for chi in unit_characters(G, R):
-        psi = layer_as_additive_char(G, chi, L, h, 2, R)
+        psi = layer_as_additive_char(chi, L, 2, R)
         seen.add(psi.a)
     assert seen == set(range(L.order))
 
@@ -137,5 +139,5 @@ def test_theta_family_counts_and_filter():
     prim = theta_family(2, 2, 2, 1, conductor_m=2)
     assert len(prim) == (4 - 2) * 3
     for th in prim:
-        psi = layer_as_additive_char(th.units, th.chi, th.L, 2, 2, th.R)
+        psi = layer_as_additive_char(th.chi, th.L, 2, th.R)
         assert psi.conductor_power() == 2

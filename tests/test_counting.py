@@ -198,11 +198,8 @@ def _conductor2_chars():
     """The units of level 3 over F_4 and their characters of conductor 4."""
     F2 = field(2, 2)
     units = principal_units(F2, 3)
-    return units, [
-        c
-        for c in unit_characters(units, 4)
-        if layer_as_additive_char(units, c, F2, 3, 2, 4).conductor_power() == 2
-    ]
+    chars = unit_characters(units, 4)
+    return units, chars[[layer_as_additive_char(c, F2, 2, 4).conductor_power() == 2 for c in chars]]
 
 
 def _entries(table):
@@ -220,12 +217,12 @@ def test_eigendim_is_kronecker_delta():
     table = x3_twist_table(q).sum(axis=1)
     units, chars = _conductor2_chars()
     assert len(chars) == 8
-    dims = eigendims(chars, table, q)
+    dims = eigendims(chars, 4, table, q)
     assert dims.shape == (8, 8)
     for i, c1 in enumerate(chars):
         for j, c2 in enumerate(chars):
-            want = 1 if np.array_equal(c1.table, c2.table) else 0
-            assert dims[i, j] == want == oracles.eigendim(c1, c2, _entries(table), q)
+            want = 1 if np.array_equal(c1, c2) else 0
+            assert dims[i, j] == want == oracles.eigendim(units, c1, c2, 4, _entries(table), q)
 
 
 def test_eigendims_raise_on_a_sum_that_is_not_q12_times_an_integer():
@@ -234,11 +231,11 @@ def test_eigendims_raise_on_a_sum_that_is_not_q12_times_an_integer():
     q = 2
     table = x3_twist_table(q).sum(axis=1)
     table[tuple(np.argwhere(table)[0])] += 1
-    _, chars = _conductor2_chars()
+    units, chars = _conductor2_chars()
     with pytest.raises(NotIntegralError) as got:
-        eigendims(chars, table, q)
+        eigendims(chars, 4, table, q)
     with pytest.raises(NotIntegralError) as want:
-        oracles.eigendim(chars[0], chars[0], _entries(table), q)
+        oracles.eigendim(units, chars[0], chars[0], 4, _entries(table), q)
     assert str(got.value) == str(want.value)
 
 

@@ -13,7 +13,13 @@ from dllab.constructions import (
     gnq_group,
     unipotent_group,
 )
-from dllab.cyclo import CycloNum, assert_nonneg_integer, reduce_counts
+from dllab.cyclo import (
+    CycloNum,
+    assert_nonneg_integer,
+    count_rows,
+    cyclo_from_counts,
+    reduce_counts,
+)
 from dllab.errors import NoExtensionError
 from dllab.ffield import field
 from dllab.repkit import (
@@ -22,7 +28,6 @@ from dllab.repkit import (
     _dense_extension,
     coset_transversal,
     extend_irrep,
-    induce_char,
     inner_product,
     solve_intertwiner,
 )
@@ -75,8 +80,8 @@ def test_abelian_characters_orthogonal():
     assert len(chars) == 6
     for c1 in chars:
         for c2 in chars:
-            ip = inner_product(c1, c2)
-            expected = 1 if np.array_equal(c1.table, c2.table) else 0
+            ip = inner_product(*(count_rows(np.arange(6), c, 6, 6) for c in (c1, c2)))
+            expected = 1 if np.array_equal(c1, c2) else 0
             assert ip == CycloNum.rational(6, expected)
 
 
@@ -92,9 +97,10 @@ def test_character_extension_counts():
 
 def test_regular_character():
     G, R = u22_group()
-    reg = induce_char(G, np.zeros(1, dtype=np.int64), np.zeros(len(G), dtype=np.int64), 4)
-    assert reg.value(0) == CycloNum.rational(4, 16)
-    assert all(reg.value(g).is_zero() for g in range(1, len(G)))
+    rep = MonomialRep(G, np.zeros(1, dtype=np.int64), np.zeros(len(G), dtype=np.int64), 4)
+    reg = rep.character()
+    assert cyclo_from_counts(4, reg[0]) == CycloNum.rational(4, 16)
+    assert all(cyclo_from_counts(4, reg[g]).is_zero() for g in range(1, len(G)))
     assert assert_nonneg_integer(inner_product(reg, reg)) == 16
 
 
@@ -236,7 +242,7 @@ def family_law(family, n, q):
 
 
 def assert_index_bodies_match_scalar(G, law, H, chi, R):
-    """coset_transversal, MonomialRep and induce_char on (G, H, chi) against
+    """coset_transversal, MonomialRep and its character on (G, H, chi) against
     the oracles that use G's tuple law: the supports and the matrices read
     through the chi table, on every element.  H is a set of element tuples
     and chi a function on them."""
@@ -253,10 +259,7 @@ def assert_index_bodies_match_scalar(G, law, H, chi, R):
         hs = tuple(els[x] for x in h[i].tolist())
         assert (tuple(perm[i].tolist()), hs) == supports[g]
         assert tuple(tuple(a.tolist()) for a in rep.matrices(i)) == matrix(g)
-    fast = induce_char(G, indices(G, H), table, R)
-    slow = oracles.induce_char(G, law, H, chi, R)
-    assert np.array_equal(fast.counts, slow.counts)
-    assert np.array_equal(rep.character().counts, slow.counts)
+    assert np.array_equal(rep.character(), oracles.induce_char(G, law, H, chi, R))
 
 
 def assert_classes_match_bfs(G, law):
@@ -419,6 +422,7 @@ def test_conj_classes_match_the_bfs_on_the_unipotent_families(family, n, q):
 def test_index_induction_matches_scalar_on_every_rho(mirror, n, q):
     # thm31 at (3, 2) is also the family of dump --kind char-table --n 3 --q 2
     _, F = gnq_group(n, q)
+    branches = set()
     for a in range(F.order):
         data = build_rho_psi(n, q, AddChar(F, q, a), mirror=mirror)
         G, rep, R = data.group, data.rep, data.R
@@ -434,12 +438,17 @@ def test_index_induction_matches_scalar_on_every_rho(mirror, n, q):
 
         assert_index_bodies_match_scalar(G, law, {els[i] for i in rep.H.tolist()}, chi, R)
         pattern = dict(zip([els[i] for i in data.H.tolist()], data.pattern_exp.tolist()))
+        # the pattern subgroup's own induction, which the branch-2
+        # multiplicity check reads
         table = oracles.exp_table(G, pattern, pattern.__getitem__)
-        fast = induce_char(G, data.H, table, R)
+        fast = MonomialRep(G, data.H, table, R).character()
         slow = oracles.induce_char(G, law, set(pattern), pattern.__getitem__, R)
-        assert np.array_equal(fast.counts, slow.counts)
+        assert np.array_equal(fast, slow)
         want = oracles.induce_char(G, law, {els[i] for i in rep.H.tolist()}, chi, R)
-        assert np.array_equal(data.char.counts, want.counts)
+        assert np.array_equal(data.char, want)
+        branches.add(data.branch)
+    # the conductor-q^2 characters at n = 2 take the halved branch
+    assert branches == ({1, 2} if n == 2 else {1})
 
 
 # -- linear characters against the dict walk ---------------------------------------
@@ -466,9 +475,9 @@ def test_unit_characters_match_the_dict_walk(p, k, h, R):
     ring = twisted_ring(1, L.order, h, L)
     law = oracles.unipotent_law(ring)
     assert_extensions_match_the_dict_walk(G, law, range(len(G)), ([0], [0]), R)
-    assert [c.table.tolist() for c in unit_characters(G, R)] == abelian_character_extensions(
-        G, range(len(G)), ([0], [0]), R
-    ).tolist()
+    assert np.array_equal(
+        unit_characters(G, R), abelian_character_extensions(G, range(len(G)), ([0], [0]), R)
+    )
 
 
 def test_extensions_on_c6_match_the_dict_walk():
