@@ -759,13 +759,14 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser(
         "dump",
         help="write a deterministic CSV table",
+        allow_abbrev=False,
         argument_default=argparse.SUPPRESS,
     )
     d.add_argument("--kind", required=True, choices=sorted(DUMPS))
-    d.add_argument("--n", type=int)
-    d.add_argument("--q", type=int)
-    d.add_argument("--h", type=int)
-    d.add_argument("--s", type=int)
+    d.add_argument("--n", type=positive_int)
+    d.add_argument("--q", type=positive_int)
+    d.add_argument("--h", type=positive_int)
+    d.add_argument("--s", type=positive_int)
     d.add_argument("--max-size", type=int)
     d.add_argument("--out", default=None)
     return ap

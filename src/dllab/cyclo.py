@@ -1,8 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Numbers are stored as exact rational coefficient vectors in the power basis
-1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial.  No
-floating point is used anywhere.
+1, zeta, ..., zeta^(phi(N)-1) modulo the N-th cyclotomic polynomial.  A
+coefficient is an int, and a Fraction only when it is not integral, so
+fractions is imported only when one appears.  No floating point is used
+anywhere.
 
 Exact sums of roots of unity stay in integers until the end: a sum
 sum_e counts[e] zeta_n^e is a count vector indexed by the exponent e, and
@@ -14,7 +16,7 @@ in the package is reduced through it.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -61,15 +63,26 @@ def _degree(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
+def _rational(c):
+    """c as an exact rational: an int when integral, else Fraction(c)."""
+    if isinstance(c, numbers.Integral):
+        return int(c)
+    from fractions import Fraction
+
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class CycloNum:
-    """An element of Q(zeta_N), reduced coefficients in the power basis."""
+    """An element of Q(zeta_N), reduced coefficients in the power basis: ints,
+    and a Fraction for each coefficient that is not integral."""
 
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs):
         self.n = n
         deg = _degree(n)
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(_rational(c) for c in coeffs)
         if len(cs) != deg:
             raise MixedOrderError(f"{len(cs)} coefficients for degree {deg}")
         self.coeffs = cs
@@ -78,19 +91,12 @@ class CycloNum:
 
     @staticmethod
     def rational(n: int, value) -> "CycloNum":
-        deg = _degree(n)
-        return CycloNum(n, (Fraction(value),) + (Fraction(0),) * (deg - 1))
+        return CycloNum(n, (value,) + (0,) * (_degree(n) - 1))
 
     @staticmethod
     def root(n: int, j: int) -> "CycloNum":
         """zeta_n^j."""
-        j %= n
-        deg = _degree(n)
-        if j < deg:
-            cs = [Fraction(0)] * deg
-            cs[j] = Fraction(1)
-            return CycloNum(n, cs)
-        return CycloNum(n, _exp_vector(n, j))
+        return CycloNum(n, _power_residues(n)[j % n])
 
     # -- ring ops -----------------------------------------------------------
 
@@ -120,7 +126,7 @@ class CycloNum:
     def __mul__(self, other):
         other = self._check(other)
         deg = _degree(self.n)
-        prod = [Fraction(0)] * (2 * deg - 1)
+        prod = [0] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -131,7 +137,7 @@ class CycloNum:
         for d in range(deg, 2 * deg - 1):
             c = prod[d]
             if c:
-                row = _exp_vector(self.n, d)
+                row = _power_residues(self.n)[d % self.n]
                 for j in range(deg):
                     out[j] += c * row[j]
         return CycloNum(self.n, out)
@@ -141,13 +147,19 @@ class CycloNum:
     def __truediv__(self, other):
         if isinstance(other, CycloNum):
             raise TypeError("division by CycloNum not supported; divide by rationals")
-        inv = Fraction(1) / Fraction(other)
+        d = _rational(other)
+        # a % 0 raises ZeroDivisionError, as Fraction(1, 0) does
+        if isinstance(d, int) and all(a % d == 0 for a in self.coeffs):
+            return CycloNum(self.n, tuple(a // d for a in self.coeffs))
+        from fractions import Fraction
+
+        inv = Fraction(1) / d
         return CycloNum(self.n, tuple(a * inv for a in self.coeffs))
 
     # -- predicates ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, numbers.Rational):
             other = CycloNum.rational(self.n, other)
         return (
             isinstance(other, CycloNum)
@@ -201,12 +213,6 @@ def _power_residues(n: int) -> tuple:
         if top:
             vec = [v - top * c for v, c in zip(vec, phi_cs)]
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _exp_vector(n: int, j: int) -> tuple:
-    """zeta_n^j as a reduced Fraction tuple."""
-    return tuple(Fraction(c) for c in _power_residues(n)[j % n])
 
 
 @lru_cache(maxsize=None)

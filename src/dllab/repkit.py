@@ -317,7 +317,7 @@ def delta_sums(ext, pairs):
     k1, u1, k2, u2 = pairs
     a, b = ext.trace_counts(k2, u2), ext.trace_counts(k1, u1)
     delta = (k2 - k1) % ext.c
-    deltas = np.unique(delta)
+    deltas = np.flatnonzero(np.bincount(delta, minlength=ext.c))
     counts = [difference_counts(a[delta == d], b[delta == d]) for d in deltas.tolist()]
     return deltas, np.array(counts, dtype=np.int64).reshape(-1, ext.R)
 
@@ -349,13 +349,16 @@ def solve_intertwiner(rep: MonomialRep, conj, generators, R: int):
     src, dst = np.concatenate([a, b.ravel()]), np.concatenate([b.ravel(), a])
     step = np.concatenate([delta, -delta % R])
     comp = _orbit_labels(d * d, b)
-    phase = np.where(comp == np.arange(d * d), 0, -1)
+    root = comp == np.arange(d * d)
+    phase = np.where(root, 0, -1)
     while True:
         grow = (phase[src] >= 0) & (phase[dst] < 0)
         if not grow.any():
             break
         phase[dst[grow]] = (phase[src[grow]] + step[grow]) % R
-    good = np.setdiff1d(comp, comp[src[phase[dst] != (phase[src] + step) % R]])
+    # the labels of the components with no edge at odds with the phases
+    root[comp[src[phase[dst] != (phase[src] + step) % R]]] = False
+    good = np.flatnonzero(root)
     if not len(good):
         raise NotInvariantError("no intertwiner: representation not invariant")
     if len(good) > 1:
@@ -414,8 +417,8 @@ def _monomial_extension(rep: MonomialRep, P, E, conj, g_power_c, c: int, generat
     Pg, Eg = rep.matrices(g_power_c)
     if not np.array_equal(Pk[c], Pg):
         raise NotInvariantError("T^c does not have the support of rho(g^c)")
-    ratios = np.unique((Ek[c] - Eg) % R)
-    if len(ratios) != 1:
+    ratios = (Ek[c] - Eg) % R
+    if (ratios != ratios[0]).any():
         raise NotInvariantError("T^c is not a scalar multiple of rho(g^c)")
     xi = int(ratios[0])
     f = next(t for t in range(R) if (c * t + xi) % R == 0)

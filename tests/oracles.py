@@ -17,7 +17,7 @@ from math import gcd
 import numpy as np
 
 from dllab.charlib import AddChar
-from dllab.cyclo import CycloNum, _exp_vector, _degree, assert_nonneg_integer, cyclo_from_counts
+from dllab.cyclo import CycloNum, _degree, _power_residues, assert_nonneg_integer, cyclo_from_counts
 from dllab.errors import (
     AllZeroError,
     CharacterMismatchError,
@@ -318,7 +318,7 @@ def cyclo_coeffs(n: int, counts) -> list:
     for e, c in enumerate(counts):
         c = int(c)
         if c:
-            vec = _exp_vector(n, e)
+            vec = _power_residues(n)[e % n]
             for t in range(len(acc)):
                 acc[t] += c * vec[t]
     return acc
@@ -1465,7 +1465,7 @@ def galois(x, j: int):
     acc = [Fraction(0)] * _degree(n)
     for i, c in enumerate(x.coeffs):
         if c:
-            vec = _exp_vector(n, (i * j) % n)
+            vec = _power_residues(n)[(i * j) % n]
             for t in range(len(acc)):
                 acc[t] += c * vec[t]
     return CycloNum(n, acc)

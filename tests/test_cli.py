@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -178,7 +179,7 @@ def test_dump_size_limit(tmp_path, capsys):
     [
         ["--kind", "points", "--max-size", "0"],
         ["--kind", "points", "--q", "6"],
-        ["--kind", "points", "--s", "0"],
+        ["--kind", "points", "--h", "1"],
         ["--kind", "points", "--h", "4"],
         ["--kind", "char-table", "--max-size", "0"],
         ["--kind", "char-table", "--n", "3", "--q", "4"],
@@ -314,6 +315,28 @@ def test_dump_failing_while_writing_keeps_existing_out_file(tmp_path, monkeypatc
 def test_verify_rejects_non_positive_sizes(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "--suite", "thm31", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "points", "--n", "0"],
+        ["--kind", "points", "--q", "0"],
+        ["--kind", "points", "--h", "0"],
+        ["--kind", "points", "--s", "0"],
+        ["--kind", "points", "--s", "-1"],
+        ["--kind", "y-set", "--h", "-2"],
+        ["--kind", "char-table", "--n", "-1"],
+        # no abbreviations: --ma is not --max-size
+        ["--kind", "points", "--ma", "5"],
+    ],
+    ids=lambda argv: "-".join(a.strip("-") for a in argv[1:]),
+)
+def test_dump_rejects_non_positive_sizes_and_abbreviations(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["dump", *argv])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
 
@@ -720,6 +743,81 @@ def test_commands_import_only_the_layers_they_run(argv, layers):
     status, modules = json.loads(proc.stdout)
     assert status == 0
     assert modules == sorted(f"dllab.{m}" for m in layers | {"cli"})
+
+
+_UNLOADED = """
+import contextlib, io, json, sys
+import dllab.cli
+HEAVY = ("numpy.ma", "fractions", "decimal", "numpy.random")
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = dllab.cli.main(argv)
+    loaded = [m for m in HEAVY if m in sys.modules]
+    if status != 0 or loaded:
+        print(json.dumps([argv, status, loaded]))
+        break
+"""
+
+
+def _benchmark_and_default_argvs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.json")
+    with open(path) as fh:
+        workloads = json.load(fh)["workloads"]
+    argvs = [
+        inv["argv"] + (["--seed", str(inv["seed_offset"])] if "seed_offset" in inv else [])
+        for w in workloads.values()
+        for inv in w["invocations"]
+    ]
+    argvs += [["verify", "--suite", s] for s in sorted(cli.SUITES)]
+    return argvs + [["dump", "--kind", k] for k in sorted(cli.DUMPS)]
+
+
+def test_no_child_loads_numpy_ma_fractions_decimal_or_random():
+    # numpy's set routines load numpy.ma, and Fraction loads decimal; every
+    # benchmark invocation, default suite and default dump runs in one
+    # process, which checks sys.modules after each run
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    argvs = _benchmark_and_default_argvs()
+    assert len(argvs) > len(cli.SUITES) + len(cli.DUMPS)
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNLOADED, json.dumps(argvs)], capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == ""
+
+
+def _perfbench_tracer():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_inclusive_name_resolves_in_the_package():
+    # the sampler looks each name up before the child runs, so a rename in
+    # the package fails every traced child, whatever it runs
+    tracer = _perfbench_tracer()
+    for (module, qualname), metric in tracer.INCLUSIVE.items():
+        obj = importlib.import_module(f"dllab.{module}")
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), metric
+
+
+@pytest.mark.parametrize("mode,key", [("count", "calls"), ("sample", "self_s")])
+def test_perfbench_tracer_runs_a_suite(mode, key, tmp_path):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    stats = tmp_path / "stats.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "tracer.py"), mode, str(stats),
+         "verify", "--suite", "orbit", "--q", "2"],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["suite"] == "orbit"
+    assert set(json.loads(stats.read_text())[key]) == set(_perfbench_tracer().MODULES)
 
 
 # -- every command line ends in a report, a table or a usage error -------------

@@ -168,10 +168,11 @@ def _reference_power(n, j):
 
 @pytest.mark.parametrize("n", [12, 28, 60])
 def test_exp_vector_matches_long_division(n):
-    from dllab.cyclo import _exp_vector
+    # zeta_n^j as an exponent vector: the residue of x^(j mod n) mod Phi_n
+    from dllab.cyclo import _power_residues
 
     for j in range(-n, 2 * n):
-        assert _exp_vector(n, j) == _reference_power(n, j % n)
+        assert _power_residues(n)[j % n] == _reference_power(n, j % n)
 
 
 def test_root_of_large_order_needs_no_recursion():
@@ -179,3 +180,55 @@ def test_root_of_large_order_needs_no_recursion():
     # exponent overflowed the interpreter stack here
     z = CycloNum.root(3100, 3099)
     assert z * CycloNum.root(3100, 1) == CycloNum.rational(3100, 1)
+
+
+def test_integral_coefficients_are_ints_and_equal_their_fractions():
+    a = CycloNum(8, (1, 0, -2, 0))
+    b = CycloNum(8, (Fraction(1), Fraction(0), Fraction(-4, 2), np.int64(0)))
+    assert all(type(c) is int for c in a.coeffs + b.coeffs)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "1 + -2*z8^2"
+    # a sum that becomes integral is stored as an int again
+    half = CycloNum.rational(8, Fraction(1, 2))
+    assert (half + half).coeffs == (1, 0, 0, 0) and type((half + half).coeffs[0]) is int
+    assert CycloNum.rational(8, 3) == 3 == CycloNum.rational(8, Fraction(3))
+    assert CycloNum.rational(8, Fraction(1, 2)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("d", [2, -2, 3, -3, 4, -4, 6, Fraction(2, 3), Fraction(-1, 2)])
+def test_division_matches_the_fraction_path(d):
+    x = CycloNum(12, (6, -4, 0, 3))
+    got = x / d
+    # every coefficient times the Fraction inverse, as division always did
+    want = tuple(Fraction(c) * (Fraction(1) / Fraction(d)) for c in x.coeffs)
+    assert got.coeffs == want and hash(got) == hash(CycloNum(12, want))
+    assert all(type(c) is int for c in got.coeffs if c.denominator == 1)
+
+
+def test_division_reprs():
+    x = CycloNum(12, (6, -4, 0, 3))
+    assert repr(x / 2) == "3 + -2*z12^1 + 3/2*z12^3"
+    assert repr(x / -4) == "-3/2 + 1*z12^1 + -3/4*z12^3"
+    assert repr(x / -1) == "-6 + 4*z12^1 + -3*z12^3"
+    assert repr(CycloNum(12, (6, -4, 0, 2)) / -2) == "-3 + 2*z12^1 + -1*z12^3"
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), 0.0, "0"])
+def test_division_by_zero_raises(zero):
+    for x in (CycloNum(4, (1, 2)), CycloNum.rational(4, 0)):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+
+
+@pytest.mark.parametrize("value", ["1/2", "-6/4", "3", " 7 ", 0.5, 0.1, 2.0, Fraction(5, 10), True])
+def test_inputs_are_read_as_fraction_reads_them(value):
+    got = CycloNum.rational(4, value).coeffs
+    assert got == (Fraction(value), 0)
+    assert type(got[0]) is (int if Fraction(value).denominator == 1 else Fraction)
+    assert repr(CycloNum.rational(4, value)) == str(Fraction(value))
+
+
+def test_unreadable_inputs_are_refused_as_fraction_refuses_them():
+    with pytest.raises(ValueError):
+        CycloNum.rational(4, "x")
+    with pytest.raises(TypeError):
+        CycloNum.rational(4, [1])

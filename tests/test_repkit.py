@@ -1,5 +1,7 @@
 """Group/character toolkit tests on small explicit groups."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -18,15 +20,18 @@ from dllab.cyclo import (
     assert_nonneg_integer,
     count_rows,
     cyclo_from_counts,
+    difference_counts,
     reduce_counts,
 )
-from dllab.errors import NoExtensionError
+from dllab.errors import NoExtensionError, NotInvariantError
 from dllab.ffield import field
 from dllab.repkit import (
     MonomialRep,
     abelian_character_extensions,
     _dense_extension,
+    _monomial_extension,
     coset_transversal,
+    delta_sums,
     extend_irrep,
     inner_product,
     solve_intertwiner,
@@ -226,6 +231,59 @@ def test_solve_intertwiner_identity_conj():
     rep = MonomialRep(C4, np.arange(4), np.arange(4), 4)
     T = solve_intertwiner(rep, np.arange(4), C4.generators, 4)
     assert set(T) == {(0, 0)} and T[(0, 0)] == 0
+
+
+@pytest.mark.parametrize("case,want", [
+    ("conjugate", "no intertwiner: representation not invariant"),
+    ("regular", "intertwiner space not one-dimensional; representation reducible?"),
+])
+def test_solve_intertwiner_refusals(case, want):
+    if case == "conjugate":
+        # chi(x) = i^x on C4 against x -> -x: no component is consistent,
+        # since rho(-x) = i^-x is not i^x
+        G = cyclic_group(4)
+        rep, conj = MonomialRep(G, np.arange(4), np.arange(4), 4), -np.arange(4) % 4
+    else:
+        # the regular representation of C2 under the identity: T = 1 and
+        # the swap both commute with it, two consistent components
+        G = cyclic_group(2)
+        trivial, chi = np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.int64)
+        rep, conj = MonomialRep(G, trivial, chi, 2), np.arange(2)
+    with pytest.raises(NotInvariantError) as got:
+        solve_intertwiner(rep, conj, G.generators, rep.R)
+    assert str(got.value) == want
+
+
+def test_monomial_extension_refuses_a_power_off_scalar():
+    # T = 1 under the identity conjugation intertwines, and T^2 = 1 has the
+    # support of rho(r) = diag(i, -i) but is no scalar multiple of it
+    D4 = dihedral4()
+    H = {(a, 0) for a in range(4)}
+    rho = MonomialRep(D4, indices(D4, H), oracles.exp_table(D4, H, lambda h: h[0]), 4)
+    r = oracles.index(D4)[(1, 0)]
+    T = np.arange(2), np.zeros(2, dtype=np.int64)
+    with pytest.raises(NotInvariantError) as got:
+        _monomial_extension(rho, *T, np.arange(8), r, 2, D4.generators, CycloNum.rational(4, 0))
+    assert str(got.value) == "T^c is not a scalar multiple of rho(g^c)"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_delta_sums_deltas_are_the_sorted_distinct_differences(seed):
+    # any extension: random count rows per (k, u) column, c up to 7, and
+    # pairs whose differences k2 - k1 mod c may miss some residues
+    rng = np.random.default_rng(seed)
+    c, R, N = int(rng.integers(1, 8)), 4, int(rng.integers(0, 30))
+    table = rng.integers(0, 3, size=(c, 5, R))
+    ext = types.SimpleNamespace(c=c, R=R, trace_counts=lambda k, u: table[k % c, u])
+    pairs = np.stack([rng.integers(0, c, N), rng.integers(0, 5, N),
+                      rng.integers(0, c, N), rng.integers(0, 5, N)])
+    deltas, rows = delta_sums(ext, pairs)
+    delta = (pairs[2] - pairs[0]) % c
+    assert deltas.tolist() == np.unique(delta).tolist()
+    a, b = table[pairs[2] % c, pairs[3]], table[pairs[0] % c, pairs[1]]
+    want = [difference_counts(a[delta == d], b[delta == d]) for d in np.unique(delta)]
+    assert rows.shape == (len(deltas), R)
+    assert rows.tolist() == [w.tolist() for w in want]
 
 
 # -- index laws against the tuple-law oracles ------------------------------------

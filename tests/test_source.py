@@ -12,7 +12,9 @@ np.bincount with weights, which sums in float64.  No attribute is looked up
 by name (getattr, hasattr), so no optional fast path hides behind a name
 that the reference checks cannot see.  Point sets stay int64 arrays: no
 map(tuple, ...) turns one into a set or list of tuples.  A function reads
-every parameter it takes.
+every parameter it takes.  No numpy set routine and no np.ma read (numpy's
+set routines load numpy.ma), and no module-level fractions or decimal import:
+each would load its module into every child that imports the package module.
 """
 
 import ast
@@ -563,6 +565,90 @@ def test_a_tuple_point_set_is_found(tmp_path):
         "    return list(map(int, g)), tuple(g), g.T.tolist()\n"
     )
     assert _tuple_maps(path) == [4]
+
+
+# numpy's set routines import numpy.ma (np.unique reads np.ma.is_masked)
+SET_ROUTINES = {"unique", "setdiff1d", "union1d", "intersect1d", "setxor1d", "isin", "in1d"}
+NUMPY = {"np", "numpy"}
+EAGER = {"fractions", "decimal"}
+
+
+def _module_level(node):
+    """The nodes of node that run at import: functions and lambdas are
+    skipped, class bodies are not."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _module_level(child)
+
+
+def _heavy_imports(path):
+    """(what, line) of each numpy set routine or np.ma read, each import of
+    numpy.ma, and each fractions or decimal import that runs at import."""
+    tree = _tree(path)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in NUMPY:
+            if node.attr in SET_ROUTINES | {"ma"}:
+                out.append((f"np.{node.attr}", node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module in NUMPY | {"numpy.ma"}:
+            out += [(f"numpy.{a.name}", node.lineno) for a in node.names
+                    if node.module == "numpy.ma" or a.name in SET_ROUTINES | {"ma"}]
+        elif isinstance(node, ast.Import):
+            out += [(a.name, node.lineno) for a in node.names if a.name == "numpy.ma"]
+    for node in _module_level(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in EAGER:
+            out.append((node.module, node.lineno))
+        elif isinstance(node, ast.Import):
+            out += [(a.name, node.lineno) for a in node.names if a.name in EAGER]
+    return sorted(out, key=lambda hit: hit[1])
+
+
+def test_no_set_routines_and_no_eager_fractions():
+    # index masks do the work of the set routines, and Fraction is imported
+    # where a non-integral coefficient first appears
+    found = {path.name: _heavy_imports(path) for path in MODULES}
+    hits = {name: hits for name, hits in found.items() if hits}
+    assert hits == {}, f"these load numpy.ma or decimal into every child: {hits}"
+
+
+def test_a_set_routine_or_an_eager_fraction_is_found(tmp_path):
+    path = tmp_path / "toy.py"
+    path.write_text(
+        "from fractions import Fraction\n"
+        "import numpy as np\n"
+        "from numpy import isin, ma\n"
+        "import numpy.ma\n"
+        "\n"
+        "\n"
+        "def labels(comp, bad):\n"
+        "    return np.setdiff1d(comp, bad), np.unique(comp), numpy.in1d(comp, bad)\n"
+        "\n"
+        "\n"
+        "def masked(a):\n"
+        "    return np.ma.is_masked(a), isin(a, a)\n"
+        "\n"
+        "\n"
+        "class Half:\n"
+        "    import decimal\n"
+        "\n"
+        "\n"
+        "def fine(c, n):\n"
+        "    from fractions import Fraction\n"
+        "\n"
+        "    return Fraction(c), np.flatnonzero(np.bincount(c, minlength=n)), c.mask\n"
+    )
+    assert _heavy_imports(path) == [
+        ("fractions", 1),
+        ("numpy.isin", 3),
+        ("numpy.ma", 3),
+        ("numpy.ma", 4),
+        ("np.setdiff1d", 8),
+        ("np.unique", 8),
+        ("np.in1d", 8),
+        ("np.ma", 12),
+        ("decimal", 16),
+    ]
 
 
 # Parameters a function takes without reading them, each with the reason.
